@@ -295,6 +295,18 @@ pub trait Element: Send {
         moved
     }
 
+    /// Cheap hint: could a [`Element::pull`] on output `port` yield a
+    /// packet right now? The driver asks the source of a drain's pull
+    /// chain before it sets up the pull, and skips the pull on `false`.
+    ///
+    /// `false` is a promise that the pull would come back empty and
+    /// change nothing; `true` promises nothing, so the default is always
+    /// correct. Queues answer from their occupancy.
+    fn pull_ready(&self, port: usize) -> bool {
+        let _ = port;
+        true
+    }
+
     /// Runs one scheduling quantum for an active element.
     ///
     /// Returns `true` if useful work was done (the stride scheduler uses

@@ -129,6 +129,10 @@ impl Element for Queue {
         n
     }
 
+    fn pull_ready(&self, _port: usize) -> bool {
+        !self.buf.is_empty()
+    }
+
     fn ledger(&self) -> Option<Ledger> {
         let mut led = Ledger {
             in_flight: self.buf.len() as u64,

@@ -283,13 +283,6 @@ impl Graph {
         self.elements[id].as_ref()
     }
 
-    /// Ids of all active (schedulable) elements.
-    pub fn active_elements(&self) -> Vec<ElementId> {
-        (0..self.elements.len())
-            .filter(|&id| self.elements[id].is_active())
-            .collect()
-    }
-
     /// All edges, in insertion order.
     pub fn edges(&self) -> &[Edge] {
         &self.edges

@@ -431,7 +431,6 @@ pub(crate) fn inject(
     pkts: impl IntoIterator<Item = Packet>,
 ) {
     let dev = router
-        .graph_mut()
         .element_mut(ingress)
         .as_any_mut()
         .downcast_mut::<FromDevice>()
@@ -522,7 +521,6 @@ fn ship_egress(
 ) {
     for (idx, &id) in egress_ids.iter().enumerate() {
         let dev = router
-            .graph_mut()
             .element_mut(id)
             .as_any_mut()
             .downcast_mut::<ToDevice>()
@@ -551,7 +549,6 @@ fn forward_stage_frames(
 ) {
     for &id in egress_ids {
         let dev = router
-            .graph_mut()
             .element_mut(id)
             .as_any_mut()
             .downcast_mut::<ToDevice>()
@@ -1138,7 +1135,6 @@ impl Scheduler for PipelineScheduler {
                 for &id in &replica.egress_ids {
                     replica
                         .router
-                        .graph_mut()
                         .element_mut(id)
                         .as_any_mut()
                         .downcast_mut::<ToDevice>()

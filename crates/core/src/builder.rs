@@ -20,7 +20,7 @@ use rb_click::elements::route::LookupIPRoute;
 use rb_click::elements::sink::Discard;
 use rb_click::elements::source::{SpecSource, VecSource};
 use rb_click::elements::{Counter, IpsecEncap};
-use rb_click::graph::Graph;
+use rb_click::graph::{ElementId, Graph};
 use rb_click::runtime::mt::{run_graph_regime_monitored, run_graph_spsc, GraphRunOutcome};
 use rb_click::{ConfigError, GraphError, GraphRunOpts, Regime, Router, RuntimeKnobs};
 use rb_crypto::SecurityAssociation;
@@ -421,6 +421,15 @@ impl RouterBuilder {
         let slo = self.slo;
         let interval_ms = self.interval_ms;
         let (g, route_control) = self.build_graph_inner()?;
+        // `<stem>0`, `<stem>1`, … in index order: the per-port elements
+        // `BuiltRouter`'s accessors would otherwise find by formatting a
+        // name and hashing it on every call (`inject`: on every frame).
+        let ids_of = |stem: &str| -> Vec<ElementId> {
+            (0..)
+                .map_while(|n| g.id_of(&format!("{stem}{n}")))
+                .collect()
+        };
+        let (rx, tx, cnt) = (ids_of("rx"), ids_of("tx"), ids_of("cnt"));
         let mut inner = Router::new(g)?
             .with_batch_size(self.batch_size)
             .with_nic_batch(self.nic_batch)
@@ -441,6 +450,9 @@ impl RouterBuilder {
         Ok(BuiltRouter {
             inner,
             ports,
+            rx,
+            tx,
+            cnt,
             route_control,
             slo,
             monitor,
@@ -829,6 +841,12 @@ impl MtRouter {
 pub struct BuiltRouter {
     inner: Router,
     ports: usize,
+    /// Element ids of `rx<port>` (empty when built with
+    /// [`RouterBuilder::source_packets`]), `tx<port>` and `cnt<ingress>`,
+    /// resolved once at build time.
+    rx: Vec<ElementId>,
+    tx: Vec<ElementId>,
+    cnt: Vec<ElementId>,
     route_control: Option<RouteControl>,
     slo: SloSpec,
     /// Embedded scrape endpoint serving this router's live rings.
@@ -848,10 +866,11 @@ impl BuiltRouter {
 
     /// Injects a frame into input port `port` (FromDevice mode only).
     pub fn inject(&mut self, port: usize, pkt: Packet) -> bool {
-        match self
-            .inner
-            .element_as_mut::<FromDevice>(&format!("rx{port}"))
-        {
+        let dev = self.rx.get(port).and_then(|&id| {
+            let el = self.inner.element_mut(id).as_any_mut();
+            el.downcast_mut::<FromDevice>()
+        });
+        match dev {
             Some(dev) => {
                 dev.inject(pkt);
                 true
@@ -860,32 +879,34 @@ impl BuiltRouter {
         }
     }
 
+    /// The element of type `T` behind `ids[idx]`, if there is one.
+    fn element_at<T: 'static>(&self, ids: &[ElementId], idx: usize) -> Option<&T> {
+        let el = self.inner.graph().element(*ids.get(idx)?);
+        el.as_any().downcast_ref::<T>()
+    }
+
     /// Packets transmitted out of `port` so far.
     pub fn transmitted(&self, port: usize) -> u64 {
-        self.inner
-            .element_as::<ToDevice>(&format!("tx{port}"))
+        self.element_at(&self.tx, port)
             .map_or(0, ToDevice::sent_packets)
     }
 
     /// Bytes transmitted out of `port` so far.
     pub fn transmitted_bytes(&self, port: usize) -> u64 {
-        self.inner
-            .element_as::<ToDevice>(&format!("tx{port}"))
+        self.element_at(&self.tx, port)
             .map_or(0, ToDevice::sent_bytes)
     }
 
     /// Frames kept by `tx<port>` when built with `keep_tx_frames(true)`.
     pub fn tx_frames(&self, port: usize) -> &[Packet] {
-        self.inner
-            .element_as::<ToDevice>(&format!("tx{port}"))
+        self.element_at(&self.tx, port)
             .map_or(&[], ToDevice::tx_log)
     }
 
     /// Valid-packet count at ingress `idx`.
     pub fn ingress_count(&self, idx: usize) -> u64 {
-        self.inner
-            .counter(&format!("cnt{idx}"))
-            .map_or(0, |s| s.packets)
+        self.element_at(&self.cnt, idx)
+            .map_or(0, |c: &Counter| c.stats().packets)
     }
 
     /// Telemetry snapshot of the underlying driver (empty when built

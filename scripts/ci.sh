@@ -61,6 +61,15 @@ if [ "$quick" != "quick" ]; then
 
     echo "==> promlint (live scrape exposition)"
     ./scripts/promlint.sh target/http_scrape_smoke.prom
+
+    # The repo benchmark is a package of its own (benchmark/Cargo.toml, own
+    # lock file); both steps build into target/benchmark, as run.sh does.
+    echo "==> benchmark harness tests (stats, seeds, JSON, verify-pass teeth)"
+    CARGO_TARGET_DIR=target/benchmark \
+        cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
+    echo "==> benchmark smoke (every workload, untraced + traced, ~1 % scale)"
+    bash benchmark/run.sh --smoke
 fi
 
 echo "CI green."

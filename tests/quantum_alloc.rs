@@ -1,0 +1,118 @@
+//! Allocation guard for the scheduling quantum and the ingress call.
+//!
+//! A 32-port IP router runs 64 tasks, and an idle one spends all its time
+//! picking them and learning that they have nothing to do; `inject` is
+//! paid once per frame. Neither may touch the heap: this is the test that
+//! fails if a `ports()` call (two `Vec`s an answer) or a `format!`-ed
+//! element name creeps back into either path.
+//!
+//! The counting allocator counts per thread, so the tests in this file
+//! can run side by side.
+
+use routebricks::builder::{BuiltRouter, RouterBuilder};
+use routebricks::packet::builder::PacketSpec;
+use routebricks::packet::Packet;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a thread-local `Cell` with a
+// `const` initialiser and no destructor, so touching it never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (and reallocations) this thread makes inside `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// 64-byte frames to destinations spread over the 32 `/8`s routed below.
+fn frames(n: usize) -> Vec<Packet> {
+    (0..n)
+        .map(|i| {
+            PacketSpec::udp()
+                .dst(&format!("{}.0.{}.1:80", 10 + i % 32, i % 200))
+                .unwrap()
+                .frame_len(64)
+                .build()
+        })
+        .collect()
+}
+
+/// The paper's application at benchmark width: 32 ports, one route each.
+fn router32(pool_slots: usize) -> BuiltRouter {
+    let mut b = RouterBuilder::ip_router().ports(32).pool_slots(pool_slots);
+    for p in 0..32u16 {
+        b = b.route(&format!("{}.0.0.0/8", 10 + p), p);
+    }
+    b.build().unwrap()
+}
+
+/// Forwards `n` frames, so every buffer on the path has grown.
+fn warm_up(r: &mut BuiltRouter, n: usize) {
+    for pkt in frames(n) {
+        r.inject(0, pkt);
+    }
+    r.run_until_idle(u64::MAX);
+    let sent: u64 = (0..32).map(|p| r.transmitted(p)).sum();
+    assert_eq!(sent, n as u64, "warm-up frames must all forward");
+}
+
+#[test]
+fn idle_quanta_do_not_allocate() {
+    let mut r = router32(0);
+    warm_up(&mut r, 512);
+    let mut busy = 0;
+    let allocs = allocations_in(|| {
+        for _ in 0..10_000 {
+            busy += u32::from(r.click().run_quantum());
+        }
+    });
+    assert_eq!(busy, 0, "the router was drained");
+    assert_eq!(allocs, 0, "10,000 idle quanta over 64 tasks");
+}
+
+#[test]
+fn inject_into_an_arena_does_not_allocate() {
+    let mut r = router32(1024);
+    warm_up(&mut r, 512);
+    // Built (and their heap buffers allocated) before counting starts;
+    // `inject` copies each into an arena slot and frees the original.
+    let batch = frames(256);
+    let allocs = allocations_in(|| {
+        for pkt in batch {
+            assert!(r.inject(0, pkt));
+        }
+    });
+    assert_eq!(allocs, 0, "256 injects into a warmed-up arena");
+    r.run_until_idle(u64::MAX);
+    let sent: u64 = (0..32).map(|p| r.transmitted(p)).sum();
+    assert_eq!(sent, 512 + 256);
+}
