@@ -4,17 +4,48 @@
 //! inner datagram into an ESP payload, and re-wraps it in a fresh outer
 //! IPv4 header (proto 50) and Ethernet header — classic tunnel-mode VPN
 //! egress. `IpsecDecap` reverses it.
+//!
+//! Both work inside the buffer the frame arrived in. The inner datagram
+//! never moves: encapsulation grows the buffer into its headroom and
+//! tailroom and writes the tunnel headers, padding and ICV around it,
+//! decapsulation shrinks the buffer back onto it, so a pooled frame
+//! stays pooled and neither direction allocates.
+//!
+//! ```text
+//! arriving:  | eth 14 |                            inner datagram |
+//! tunnel:    | eth 14 | outer IPv4 20 | SPI, seq 8 | IV 16 | inner datagram | pad, trailer, ICV |
+//!            |<------------- push(44) ------------>|                        |<----- put ------->|
+//! ```
 
 use crate::element::{Element, Output, Ports};
+use rb_crypto::esp::{trailer_len, ESP_PREFIX_LEN};
 use rb_crypto::{EspDecryptor, EspEncryptor, SecurityAssociation};
 use rb_packet::ethernet::{EtherType, EthernetHeader, HEADER_LEN as ETH_HLEN};
 use rb_packet::ipv4::{IpProto, Ipv4Header, MIN_HEADER_LEN as IP_HLEN};
-use rb_packet::{MacAddr, Packet};
+use rb_packet::{MacAddr, Packet, PacketBuf};
 use std::net::Ipv4Addr;
+
+/// Bytes `IpsecEncap` pushes in front of a frame: outer IPv4 header, SPI
+/// and sequence number, IV.
+const ENCAP_PUSH: usize = IP_HLEN + ESP_PREFIX_LEN;
+
+/// Extends `buf` by `front` bytes at the head and `back` at the tail.
+///
+/// A pooled buffer without the room promotes itself to the heap inside
+/// `push`/`put`; a heap buffer, which would refuse, is first replaced by a
+/// copy that has it.
+fn grow(buf: &mut PacketBuf, front: usize, back: usize) {
+    if !buf.is_pooled() && (buf.headroom() < front || buf.tailroom() < back) {
+        *buf = PacketBuf::with_room(buf.data(), front, back);
+    }
+    buf.push(front).expect("room checked or promoted");
+    buf.put(back).expect("room checked or promoted");
+}
 
 /// Encrypts IPv4-in-Ethernet frames into ESP tunnel packets.
 ///
-/// Output 0 carries the tunnel frames; malformed input goes to output 1.
+/// Output 0 carries the tunnel frames; malformed input, and every frame
+/// once the SA's sequence numbers are used up, goes to output 1.
 pub struct IpsecEncap {
     /// Retained so per-core replicas can derive a fresh encryptor.
     sa: SecurityAssociation,
@@ -62,7 +93,7 @@ impl Element for IpsecEncap {
         Ports::push(1, 2)
     }
 
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
+    fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
         if pkt.len() < ETH_HLEN + IP_HLEN {
             self.failed += 1;
             out.push(1, pkt);
@@ -76,33 +107,28 @@ impl Element for IpsecEncap {
                 return;
             }
         };
-        let inner = &pkt.data()[ETH_HLEN..];
-        let esp_payload = self.esp.seal(inner);
-
-        // Write the tunnel frame straight into a fresh packet buffer:
-        // headers emitted in place, ciphertext copied exactly once.
-        let mut buf = rb_packet::PacketBuf::zeroed(ETH_HLEN + IP_HLEN + esp_payload.len());
-        let frame = buf.data_mut();
-        EthernetHeader {
-            ethertype: EtherType::Ipv4,
-            ..eth
+        let inner_len = pkt.len() - ETH_HLEN;
+        let back = trailer_len(inner_len);
+        grow(pkt.buf_mut(), ENCAP_PUSH, back);
+        let frame = pkt.data_mut();
+        let (headers, esp) = frame.split_at_mut(ETH_HLEN + IP_HLEN);
+        if self.esp.seal_into(esp, inner_len).is_err() {
+            // Out of sequence numbers: hand the frame back as it came.
+            let buf = pkt.buf_mut();
+            buf.pull(ENCAP_PUSH).expect("just pushed");
+            buf.trim(back).expect("just put");
+            self.failed += 1;
+            out.push(1, pkt);
+            return;
         }
-        .emit(frame)
-        .expect("frame sized for headers");
-        Ipv4Header::new(
-            self.tunnel_src,
-            self.tunnel_dst,
-            IpProto::Esp,
-            esp_payload.len(),
-        )
-        .emit(&mut frame[ETH_HLEN..])
-        .expect("frame sized for headers");
-        frame[ETH_HLEN + IP_HLEN..].copy_from_slice(&esp_payload);
-
-        let mut tunnel_pkt = Packet::new(buf);
-        tunnel_pkt.meta = pkt.meta.clone();
+        // The arriving Ethernet header now lies under the IV; `eth` is its
+        // parsed copy.
+        eth.emit(headers).expect("frame sized for headers");
+        Ipv4Header::new(self.tunnel_src, self.tunnel_dst, IpProto::Esp, esp.len())
+            .emit(&mut headers[ETH_HLEN..])
+            .expect("frame sized for headers");
         self.sealed += 1;
-        out.push(0, tunnel_pkt);
+        out.push(0, pkt);
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -168,7 +194,7 @@ impl Element for IpsecDecap {
         Ports::push(1, 2)
     }
 
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
+    fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
         let fail = |this: &mut Self, pkt: Packet, out: &mut Output| {
             this.failed += 1;
             out.push(1, pkt);
@@ -181,26 +207,26 @@ impl Element for IpsecDecap {
             _ => return fail(self, pkt, out),
         };
         let esp_start = ETH_HLEN + outer.header_len();
-        let inner = match self.esp.open(&pkt.data()[esp_start..]) {
-            Ok(p) => p,
+        let inner = match self.esp.open_in_place(&mut pkt.data_mut()[esp_start..]) {
+            Ok(range) => esp_start + range.start..esp_start + range.end,
             Err(_) => return fail(self, pkt, out),
         };
-        // Re-frame in place: headers emitted into the packet buffer,
-        // plaintext copied exactly once (no intermediate Vec).
-        let mut buf = rb_packet::PacketBuf::zeroed(ETH_HLEN + inner.len());
-        let frame = buf.data_mut();
+        // Shrink the buffer onto the datagram plus room for the Ethernet
+        // header, which lands on the tail of the spent IV.
+        let len = pkt.len();
+        let buf = pkt.buf_mut();
+        buf.trim(len - inner.end).expect("range lies in the frame");
+        buf.pull(inner.start - ETH_HLEN)
+            .expect("range lies in the frame");
         EthernetHeader {
             dst: self.inner_dst_mac,
             src: self.inner_src_mac,
             ethertype: EtherType::Ipv4,
         }
-        .emit(frame)
+        .emit(buf.data_mut())
         .expect("frame sized for headers");
-        frame[ETH_HLEN..].copy_from_slice(&inner);
-        let mut inner_pkt = Packet::new(buf);
-        inner_pkt.meta = pkt.meta.clone();
         self.opened += 1;
-        out.push(0, inner_pkt);
+        out.push(0, pkt);
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -218,6 +244,7 @@ impl Element for IpsecDecap {
 mod tests {
     use super::*;
     use rb_packet::builder::PacketSpec;
+    use rb_packet::PacketPool;
 
     fn sa() -> SecurityAssociation {
         SecurityAssociation::from_seed(0x195ec)
@@ -257,6 +284,126 @@ mod tests {
         assert_eq!(&recovered.data()[ETH_HLEN..], &original.data()[ETH_HLEN..]);
         assert_eq!(enc.counts(), (1, 0));
         assert_eq!(dec.counts(), (1, 0));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Frames at the padding extremes, a mid size and the MTU.
+    fn pinned_frames() -> Vec<Packet> {
+        [64usize, 65, 200, 1500]
+            .iter()
+            .map(|&len| PacketSpec::udp().frame_len(len).build())
+            .collect()
+    }
+
+    /// Pushes `frames` through a fresh `IpsecEncap` and checks the tunnel
+    /// frames against literals taken from the copy-out element this one
+    /// replaced (same SA, same addresses, same input).
+    fn assert_pinned_tunnel_frames(frames: Vec<Packet>) -> Vec<Packet> {
+        let (mut enc, _) = tunnel_pair();
+        let mut out = Output::new();
+        for pkt in frames {
+            enc.push(0, pkt, &mut out);
+        }
+        let tunnel: Vec<Packet> = out
+            .drain()
+            .map(|(port, pkt)| {
+                assert_eq!(port, 0);
+                pkt
+            })
+            .collect();
+        assert_eq!(
+            hex(tunnel[0].data()),
+            "020000000002020000000001080045000078000040004032344f010101010202\
+             0202800195ec0000000145d48326f7fc9e3bfac2817a14afe15131c065206e4e\
+             22c9526a55fd577bf676718fcd284ebd9c0f950d6928d64b1881009a2c5a51cd\
+             6da7a5f418c5816ec87c3ba19664d3d0b5c37b4f3ec6b7a8721b144a5d316a90\
+             6fe72e2cf247"
+        );
+        let mut all = rb_crypto::Sha1::new();
+        for pkt in &tunnel {
+            all.update(pkt.data());
+        }
+        assert_eq!(
+            hex(&all.finalize()),
+            "162c69b80ad3f34fac5ba1a9807cc8b0e4f88e46"
+        );
+        tunnel
+    }
+
+    #[test]
+    fn heap_frames_are_encapsulated_in_place() {
+        let tunnel = assert_pinned_tunnel_frames(pinned_frames());
+        // 64 bytes of room either side came with the frame; 44 and at most
+        // 29 of them are now packet.
+        assert!(tunnel.iter().all(|p| p.buf().headroom() == 64 - ENCAP_PUSH));
+    }
+
+    #[test]
+    fn pooled_frames_stay_pooled_through_both_directions() {
+        let pool = PacketPool::new(8, 2048);
+        let pooled = pinned_frames()
+            .iter()
+            .map(|p| Packet::try_from_slice_in(&pool, p.data()).unwrap())
+            .collect();
+        let tunnel = assert_pinned_tunnel_frames(pooled);
+        assert!(tunnel.iter().all(Packet::is_pooled));
+
+        let (_, mut dec) = tunnel_pair();
+        let mut out = Output::new();
+        for pkt in tunnel {
+            dec.push(0, pkt, &mut out);
+        }
+        for ((port, got), sent) in out.drain().zip(pinned_frames()) {
+            assert_eq!(port, 0);
+            assert!(got.is_pooled());
+            assert_eq!(got.data()[ETH_HLEN..], sent.data()[ETH_HLEN..]);
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.allocs, stats.heap_fallbacks), (4, 0));
+    }
+
+    #[test]
+    fn frames_without_room_are_moved_not_failed() {
+        // Pooled, but an earlier encapsulation used 40 of the 64 bytes of
+        // headroom: `push` promotes the buffer to the heap.
+        let pool = PacketPool::new(8, 2048);
+        let crowded = pinned_frames()
+            .iter()
+            .map(|p| {
+                let mut pkt = Packet::try_from_slice_in(&pool, &p.data()[40..]).unwrap();
+                let head = pkt.buf_mut().push(40).unwrap();
+                head.copy_from_slice(&p.data()[..40]);
+                pkt
+            })
+            .collect();
+        let tunnel = assert_pinned_tunnel_frames(crowded);
+        assert!(!tunnel.iter().any(Packet::is_pooled));
+        assert_eq!(pool.stats().heap_fallbacks, 4);
+
+        // Heap buffers built with no room at all.
+        let bare = pinned_frames()
+            .iter()
+            .map(|p| Packet::new(PacketBuf::with_room(p.data(), 0, 0)))
+            .collect();
+        assert_pinned_tunnel_frames(bare);
+    }
+
+    #[test]
+    fn annotations_survive_the_tunnel() {
+        let (mut enc, mut dec) = tunnel_pair();
+        let mut pkt = PacketSpec::udp().build();
+        pkt.meta.paint = 7;
+        pkt.meta.ingress_seq = 99;
+        let mut out = Output::new();
+        enc.push(0, pkt, &mut out);
+        let (_, tunnel) = out.drain().next().unwrap();
+        assert_eq!((tunnel.meta.paint, tunnel.meta.ingress_seq), (7, 99));
+        dec.push(0, tunnel, &mut out);
+        let (_, inner) = out.drain().next().unwrap();
+        assert_eq!((inner.meta.paint, inner.meta.ingress_seq), (7, 99));
     }
 
     #[test]

@@ -172,6 +172,9 @@ pub struct Router {
     work: VecDeque<(ElementId, usize, PacketBatch)>,
     /// Recycled batch buffers (capacity retained across quanta).
     pool: Vec<PacketBatch>,
+    /// Reused per-port accumulator of `enqueue_emissions` (empty between
+    /// calls; only its capacity is kept).
+    groups: Vec<(usize, PacketBatch)>,
     /// Reused emission collector for the inner dispatch loop.
     scratch: Output,
     /// Reused emission collector for task/drain quanta.
@@ -254,6 +257,7 @@ impl Router {
             batch_size: Self::DEFAULT_BATCH_SIZE,
             work: VecDeque::new(),
             pool: Vec::new(),
+            groups: Vec::new(),
             scratch: Output::new(),
             task_out: Output::new(),
             metrics: CoreMetrics::new(TelemetryLevel::Off, n),
@@ -984,7 +988,7 @@ impl Router {
         }
         // Per-port accumulation; elements have a handful of ports, so a
         // linear scan beats a map.
-        let mut groups: Vec<(usize, PacketBatch)> = Vec::new();
+        let mut groups = std::mem::take(&mut self.groups);
         for (port, pkt) in out.drain() {
             match groups.iter_mut().find(|(p, _)| *p == port) {
                 Some((_, batch)) => batch.push(pkt),
@@ -995,7 +999,7 @@ impl Router {
                 }
             }
         }
-        for (port, mut batch) in groups {
+        for (port, mut batch) in groups.drain(..) {
             let Some(edge) = self.graph.edge_from(from, port) else {
                 self.stats.leaked += batch.len() as u64;
                 self.recycle(batch);
@@ -1018,6 +1022,7 @@ impl Router {
                 self.recycle(batch);
             }
         }
+        self.groups = groups;
     }
 
     /// Fetches a pooled batch buffer (or a fresh one).

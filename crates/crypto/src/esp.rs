@@ -10,6 +10,14 @@
 //! where `ciphertext = AES-128-CBC(payload | padding | pad-len | next-hdr)`
 //! and `ICV = HMAC-SHA1-96(SPI | seq | IV | ciphertext)`. Decapsulation
 //! enforces the RFC 4303 64-packet anti-replay window.
+//!
+//! [`EspEncryptor::seal_into`] and [`EspDecryptor::open_in_place`] work
+//! inside a buffer the caller lays out, so a packet that arrives with
+//! [`ESP_PREFIX_LEN`] bytes of headroom and [`trailer_len`] bytes of
+//! tailroom is encapsulated without its payload moving; `seal` and `open`
+//! are the same code behind a `Vec`.
+
+use core::ops::Range;
 
 use crate::aes::{Aes128, BLOCK_SIZE};
 use crate::hmac::{HmacSha1, ICV_LEN};
@@ -19,11 +27,27 @@ use crate::{CryptoError, Result};
 /// Bytes of ESP header before the IV: SPI + sequence number.
 pub const ESP_HEADER_LEN: usize = 8;
 
+/// Bytes in front of the payload: SPI + sequence number + IV.
+pub const ESP_PREFIX_LEN: usize = ESP_HEADER_LEN + BLOCK_SIZE;
+
 /// Total fixed overhead added by ESP: header + IV + ICV (padding varies).
-pub const ESP_FIXED_OVERHEAD: usize = ESP_HEADER_LEN + BLOCK_SIZE + ICV_LEN;
+pub const ESP_FIXED_OVERHEAD: usize = ESP_PREFIX_LEN + ICV_LEN;
 
 /// The "next header" value for IPv4-in-ESP tunnel mode.
 pub const NEXT_HEADER_IPV4: u8 = 4;
+
+/// Bytes behind a `payload_len`-byte payload: RFC 4303 padding (0..=15
+/// bytes bringing payload + 2 to a block multiple), pad length, next
+/// header, ICV.
+pub const fn trailer_len(payload_len: usize) -> usize {
+    let pad_len = (BLOCK_SIZE - (payload_len + 2) % BLOCK_SIZE) % BLOCK_SIZE;
+    pad_len + 2 + ICV_LEN
+}
+
+/// Length of the ESP packet carrying a `payload_len`-byte payload.
+pub const fn sealed_len(payload_len: usize) -> usize {
+    ESP_PREFIX_LEN + payload_len + trailer_len(payload_len)
+}
 
 /// Keys and identifiers shared by both ends of an ESP tunnel.
 #[derive(Clone)]
@@ -71,6 +95,8 @@ pub struct EspEncryptor {
     spi: u32,
     aes: Aes128,
     hmac: HmacSha1,
+    /// Sequence number of the next packet; 0 (never a valid ESP sequence
+    /// number) once all 2³² − 1 have been used.
     next_seq: u32,
 }
 
@@ -86,49 +112,82 @@ impl EspEncryptor {
         }
     }
 
-    /// Returns the sequence number the next packet will carry.
+    /// Returns the sequence number the next packet will carry, or 0 when
+    /// the SA has none left.
     pub fn next_seq(&self) -> u32 {
         self.next_seq
     }
 
     /// Encapsulates `payload` (an inner IPv4 datagram) and returns the ESP
-    /// packet.
+    /// packet. See [`seal_into`](Self::seal_into) for the in-place form.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the SA's sequence numbers are exhausted; a sender that
+    /// can get there uses [`seal_into`](Self::seal_into) and handles
+    /// [`CryptoError::SeqExhausted`].
+    pub fn seal(&mut self, payload: &[u8]) -> Vec<u8> {
+        let mut out = vec![0u8; sealed_len(payload.len())];
+        out[ESP_PREFIX_LEN..ESP_PREFIX_LEN + payload.len()].copy_from_slice(payload);
+        self.seal_into(&mut out, payload.len())
+            .expect("SA has sequence numbers left");
+        out
+    }
+
+    /// Turns `buf` into an ESP packet around the payload it already holds.
+    ///
+    /// `buf` is [`sealed_len(payload_len)`](sealed_len) bytes with the
+    /// payload at `ESP_PREFIX_LEN..ESP_PREFIX_LEN + payload_len`; the
+    /// header and IV are written in front of it, padding, trailer and ICV
+    /// behind it, and everything after the IV is encrypted where it lies.
     ///
     /// The IV is derived by encrypting the sequence number under the
     /// payload key — unpredictable to attackers without the key, and
     /// deterministic so tests and the simulator reproduce byte-exact
     /// output.
-    pub fn seal(&mut self, payload: &[u8]) -> Vec<u8> {
+    ///
+    /// # Errors
+    ///
+    /// * [`CryptoError::BadLength`] — `buf` is not `sealed_len(payload_len)`
+    ///   bytes long.
+    /// * [`CryptoError::SeqExhausted`] — the SA has sent 2³² − 1 packets;
+    ///   RFC 4303 §3.3.3 forbids cycling the counter, so the SA must be
+    ///   replaced. `buf` is untouched.
+    pub fn seal_into(&mut self, buf: &mut [u8], payload_len: usize) -> Result<()> {
+        if buf.len() != sealed_len(payload_len) {
+            return Err(CryptoError::BadLength(buf.len()));
+        }
         let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
+        if seq == 0 {
+            return Err(CryptoError::SeqExhausted);
+        }
+        self.next_seq = seq.checked_add(1).unwrap_or(0);
 
-        // RFC 4303 padding: bring (payload + 2 trailer bytes) to a block
-        // multiple, pad bytes are 1, 2, 3, ...
-        let pad_len = (BLOCK_SIZE - (payload.len() + 2) % BLOCK_SIZE) % BLOCK_SIZE;
-        let plain_len = payload.len() + pad_len + 2;
-
-        let mut out = Vec::with_capacity(ESP_HEADER_LEN + BLOCK_SIZE + plain_len + ICV_LEN);
-        out.extend_from_slice(&self.spi.to_be_bytes());
-        out.extend_from_slice(&seq.to_be_bytes());
+        let (authed, icv) = buf.split_at_mut(buf.len() - ICV_LEN);
+        let (prefix, body) = authed.split_at_mut(ESP_PREFIX_LEN);
+        prefix[..4].copy_from_slice(&self.spi.to_be_bytes());
+        prefix[4..ESP_HEADER_LEN].copy_from_slice(&seq.to_be_bytes());
 
         let mut iv = [0u8; BLOCK_SIZE];
         iv[..4].copy_from_slice(&seq.to_be_bytes());
         iv[4..8].copy_from_slice(&self.spi.to_be_bytes());
         self.aes.encrypt_block(&mut iv);
-        out.extend_from_slice(&iv);
+        prefix[ESP_HEADER_LEN..].copy_from_slice(&iv);
 
-        let body_start = out.len();
-        out.extend_from_slice(payload);
-        for i in 0..pad_len {
-            out.push((i + 1) as u8);
+        // RFC 4303 padding bytes are 1, 2, 3, ...
+        let pad_len = body.len() - payload_len - 2;
+        for (i, b) in body[payload_len..payload_len + pad_len]
+            .iter_mut()
+            .enumerate()
+        {
+            *b = (i + 1) as u8;
         }
-        out.push(pad_len as u8);
-        out.push(NEXT_HEADER_IPV4);
-        cbc_encrypt(&self.aes, &iv, &mut out[body_start..]).expect("padded body is block-aligned");
+        body[payload_len + pad_len] = pad_len as u8;
+        body[payload_len + pad_len + 1] = NEXT_HEADER_IPV4;
+        cbc_encrypt(&self.aes, &iv, body).expect("padded body is block-aligned");
 
-        let icv = self.hmac.mac96(&out);
-        out.extend_from_slice(&icv);
-        out
+        icv.copy_from_slice(&self.hmac.mac96(authed));
+        Ok(())
     }
 }
 
@@ -157,7 +216,22 @@ impl EspDecryptor {
     }
 
     /// Verifies, replay-checks and decrypts an ESP packet, returning the
-    /// inner payload.
+    /// inner payload. See [`open_in_place`](Self::open_in_place) for the
+    /// errors and the form that does not copy.
+    pub fn open(&mut self, packet: &[u8]) -> Result<Vec<u8>> {
+        let mut plain = packet.to_vec();
+        let payload = self.open_in_place(&mut plain)?;
+        plain.truncate(payload.end);
+        plain.drain(..payload.start);
+        Ok(plain)
+    }
+
+    /// Verifies, replay-checks and decrypts an ESP packet where it lies,
+    /// returning where in `packet` the inner payload now sits.
+    ///
+    /// A packet that fails authentication or the replay check is left
+    /// untouched; one that authenticates but carries a malformed trailer
+    /// is left decrypted.
     ///
     /// # Errors
     ///
@@ -168,24 +242,24 @@ impl EspDecryptor {
     ///   the anti-replay window.
     /// * [`CryptoError::BadLength`] / [`CryptoError::BadPadding`] —
     ///   malformed ciphertext.
-    pub fn open(&mut self, packet: &[u8]) -> Result<Vec<u8>> {
+    pub fn open_in_place(&mut self, packet: &mut [u8]) -> Result<Range<usize>> {
         if packet.len() < ESP_FIXED_OVERHEAD + BLOCK_SIZE {
             return Err(CryptoError::Truncated(packet.len()));
         }
-        let (body, icv) = packet.split_at(packet.len() - ICV_LEN);
-        if !self.hmac.verify96(body, icv) {
+        let (authed, icv) = packet.split_at_mut(packet.len() - ICV_LEN);
+        if !self.hmac.verify96(authed, icv) {
             return Err(CryptoError::BadIcv);
         }
-        let seq = u32::from_be_bytes([packet[4], packet[5], packet[6], packet[7]]);
+        let (prefix, plain) = authed.split_at_mut(ESP_PREFIX_LEN);
+        let seq = u32::from_be_bytes([prefix[4], prefix[5], prefix[6], prefix[7]]);
         self.check_replay(seq)?;
 
-        let iv: [u8; BLOCK_SIZE] = body[ESP_HEADER_LEN..ESP_HEADER_LEN + BLOCK_SIZE]
+        let iv: [u8; BLOCK_SIZE] = prefix[ESP_HEADER_LEN..]
             .try_into()
             .expect("slice is 16 bytes");
-        let mut plain = body[ESP_HEADER_LEN + BLOCK_SIZE..].to_vec();
-        cbc_decrypt(&self.aes, &iv, &mut plain)?;
+        cbc_decrypt(&self.aes, &iv, plain)?;
 
-        let next_header = *plain.last().ok_or(CryptoError::Truncated(0))?;
+        let next_header = plain[plain.len() - 1];
         if next_header != NEXT_HEADER_IPV4 {
             return Err(CryptoError::BadPadding);
         }
@@ -201,8 +275,7 @@ impl EspDecryptor {
             }
         }
         self.mark_seen(seq);
-        plain.truncate(payload_len);
-        Ok(plain)
+        Ok(ESP_PREFIX_LEN..ESP_PREFIX_LEN + payload_len)
     }
 
     /// Rejects sequence numbers that are duplicates or too old.
@@ -339,6 +412,96 @@ mod tests {
         let other = SecurityAssociation::from_seed(0x0bad);
         let mut dec = EspDecryptor::new(&other);
         assert_eq!(dec.open(&enc.seal(b"secret")), Err(CryptoError::BadIcv));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Inner lengths covering every padding length, the Abilene mean and
+    /// the MTU.
+    fn pinned_lengths() -> impl Iterator<Item = usize> {
+        (20..=84).chain([746, 1486])
+    }
+
+    fn pinned_payload(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    /// The literals are the output of the byte-oriented, copy-out `seal`
+    /// this crate had before the word-oriented kernel: the wire format is
+    /// not allowed to move with the implementation.
+    #[test]
+    fn seal_wire_format_is_pinned() {
+        let mut enc = EspEncryptor::new(&SecurityAssociation::from_seed(0x5eed));
+        let mut all = crate::Sha1::new();
+        for len in pinned_lengths() {
+            let sealed = enc.seal(&pinned_payload(len));
+            assert_eq!(sealed.len(), sealed_len(len));
+            if len == 20 {
+                assert_eq!(
+                    hex(&sealed),
+                    "80005eed00000001034868aff2c0bb41368f8c9cb4b6d1cd8d5f4f5726e087b7\
+                     973058877eebeb7f80c2dd347413ace58c1d8209b7a361698d4f54205c304755\
+                     e30dc43b"
+                );
+            }
+            all.update(&sealed);
+        }
+        assert_eq!(
+            hex(&all.finalize()),
+            "ed8f91a3aa317b8bf14a0dea678f68d95a1c9e24"
+        );
+    }
+
+    #[test]
+    fn in_place_forms_match_seal_and_open() {
+        let sa = SecurityAssociation::from_seed(0x5eed);
+        let (mut enc, mut enc_in_place) = (EspEncryptor::new(&sa), EspEncryptor::new(&sa));
+        let (mut dec, mut dec_in_place) = (EspDecryptor::new(&sa), EspDecryptor::new(&sa));
+        for len in pinned_lengths() {
+            let payload = pinned_payload(len);
+            let sealed = enc.seal(&payload);
+
+            // Stale bytes around the payload must not leak into the packet.
+            let mut buf = vec![0xeeu8; sealed_len(len)];
+            buf[ESP_PREFIX_LEN..ESP_PREFIX_LEN + len].copy_from_slice(&payload);
+            enc_in_place.seal_into(&mut buf, len).unwrap();
+            assert_eq!(buf, sealed, "len {len}");
+
+            let range = dec_in_place.open_in_place(&mut buf).unwrap();
+            assert_eq!(range, ESP_PREFIX_LEN..ESP_PREFIX_LEN + len);
+            assert_eq!(buf[range], dec.open(&sealed).unwrap()[..], "len {len}");
+        }
+    }
+
+    #[test]
+    fn seal_into_rejects_a_mis_sized_buffer() {
+        let (mut enc, _) = pair();
+        let mut buf = vec![0u8; sealed_len(20) + 1];
+        assert_eq!(
+            enc.seal_into(&mut buf, 20),
+            Err(CryptoError::BadLength(sealed_len(20) + 1))
+        );
+        assert_eq!(enc.next_seq(), 1, "a rejected call uses no sequence number");
+    }
+
+    /// RFC 4303 §3.3.3: the counter never cycles. The last two numbers go
+    /// out and are accepted; after them the SA is finished.
+    #[test]
+    fn sequence_numbers_run_out_instead_of_wrapping() {
+        let (mut enc, mut dec) = pair();
+        enc.next_seq = u32::MAX - 1;
+        for seq in [u32::MAX - 1, u32::MAX] {
+            let sealed = enc.seal(b"late");
+            assert_eq!(sealed[4..8], seq.to_be_bytes());
+            assert_eq!(dec.open(&sealed).unwrap(), b"late");
+        }
+        let mut buf = vec![0xeeu8; sealed_len(4)];
+        for _ in 0..2 {
+            assert_eq!(enc.seal_into(&mut buf, 4), Err(CryptoError::SeqExhausted));
+            assert!(buf.iter().all(|&b| b == 0xee), "buffer untouched");
+        }
     }
 
     #[test]

@@ -17,8 +17,13 @@
 //! # Security note
 //!
 //! This is a research reproduction: correct against the standard vectors,
-//! but with no side-channel hardening review. Do not use it to protect
-//! real traffic.
+//! but with no side-channel hardening review. In particular the AES rounds
+//! index 1 KiB tables with secret state bytes, as the portable ciphers of
+//! 2009 did, so they are not cache-timing hardened; the only constant-time
+//! code is the ICV comparison in [`HmacSha1::verify96`]. Do not use it to
+//! protect real traffic.
+
+#![forbid(unsafe_code)]
 
 pub mod aes;
 pub mod esp;
@@ -44,6 +49,9 @@ pub enum CryptoError {
     BadPadding,
     /// Anti-replay window rejected the sequence number.
     Replayed(u32),
+    /// The outbound SA has used every sequence number (RFC 4303 §3.3.3:
+    /// the counter must not cycle; the SA has to be replaced).
+    SeqExhausted,
 }
 
 impl core::fmt::Display for CryptoError {
@@ -54,6 +62,7 @@ impl core::fmt::Display for CryptoError {
             CryptoError::BadIcv => write!(f, "integrity check failed"),
             CryptoError::BadPadding => write!(f, "invalid ESP padding"),
             CryptoError::Replayed(seq) => write!(f, "replayed sequence number {seq}"),
+            CryptoError::SeqExhausted => write!(f, "ESP sequence numbers exhausted"),
         }
     }
 }

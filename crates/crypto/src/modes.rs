@@ -1,6 +1,6 @@
 //! Block-cipher modes of operation: CBC and CTR.
 
-use crate::aes::{Aes128, BLOCK_SIZE};
+use crate::aes::{load_words, store_words, Aes128, BLOCK_SIZE};
 use crate::{CryptoError, Result};
 
 /// Encrypts `data` in place with AES-128-CBC.
@@ -13,15 +13,13 @@ pub fn cbc_encrypt(aes: &Aes128, iv: &[u8; 16], data: &mut [u8]) -> Result<()> {
     if !data.len().is_multiple_of(BLOCK_SIZE) {
         return Err(CryptoError::BadLength(data.len()));
     }
-    let mut chain = *iv;
+    // The chain value stays in registers as column words across blocks.
+    let mut chain = load_words(iv);
     for block in data.chunks_exact_mut(BLOCK_SIZE) {
-        for (b, c) in block.iter_mut().zip(&chain) {
-            *b ^= c;
-        }
-        // SAFETY-free conversion: chunks_exact guarantees 16 bytes.
-        let arr: &mut [u8; 16] = block.try_into().expect("chunk is 16 bytes");
-        aes.encrypt_block(arr);
-        chain = *arr;
+        let block: &mut [u8; 16] = block.try_into().expect("chunk is 16 bytes");
+        let plain = load_words(block);
+        chain = aes.encrypt_words(core::array::from_fn(|c| plain[c] ^ chain[c]));
+        store_words(chain, block);
     }
     Ok(())
 }
@@ -35,15 +33,13 @@ pub fn cbc_decrypt(aes: &Aes128, iv: &[u8; 16], data: &mut [u8]) -> Result<()> {
     if !data.len().is_multiple_of(BLOCK_SIZE) {
         return Err(CryptoError::BadLength(data.len()));
     }
-    let mut chain = *iv;
+    let mut chain = load_words(iv);
     for block in data.chunks_exact_mut(BLOCK_SIZE) {
-        let arr: &mut [u8; 16] = block.try_into().expect("chunk is 16 bytes");
-        let saved = *arr;
-        aes.decrypt_block(arr);
-        for (b, c) in arr.iter_mut().zip(&chain) {
-            *b ^= c;
-        }
-        chain = saved;
+        let block: &mut [u8; 16] = block.try_into().expect("chunk is 16 bytes");
+        let cipher = load_words(block);
+        let plain = aes.decrypt_words(cipher);
+        store_words(core::array::from_fn(|c| plain[c] ^ chain[c]), block);
+        chain = cipher;
     }
     Ok(())
 }

@@ -46,21 +46,16 @@ impl Sha1 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-            if data.is_empty() {
-                // Nothing left for the block loop; crucially, do not let
-                // the remainder handling below clobber `buffered`.
+            if self.buffered < BLOCK_LEN {
                 return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
+        // Whole blocks are hashed where they lie.
         let mut chunks = data.chunks_exact(BLOCK_LEN);
         for chunk in &mut chunks {
-            let block: [u8; BLOCK_LEN] = chunk.try_into().expect("exact chunk");
-            self.compress(&block);
+            compress(&mut self.state, chunk.try_into().expect("exact chunk"));
         }
         let rest = chunks.remainder();
         self.buffer[..rest.len()].copy_from_slice(rest);
@@ -69,19 +64,19 @@ impl Sha1 {
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let length_bits = self.length_bits;
-        self.update(&[0x80]);
-        // `update` above counted the pad byte; correct the length after.
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // 0x80, zeros, then the bit length in the last 8 bytes of a block:
+        // one block when the length still fits behind the data, else two.
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered + 1 > BLOCK_LEN - 8 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer.fill(0);
         }
-        self.length_bits = length_bits;
-        let mut block = self.buffer;
-        block[56..].copy_from_slice(&length_bits.to_be_bytes());
-        self.compress(&block);
+        self.buffer[BLOCK_LEN - 8..].copy_from_slice(&self.length_bits.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -92,41 +87,99 @@ impl Sha1 {
         h.update(data);
         h.finalize()
     }
+}
 
-    /// The SHA-1 compression function over one 64-byte block.
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
-        for t in 16..80 {
-            w[t] = (w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (t, &wt) in w.iter().enumerate() {
-            let (f, k) = match t {
-                0..=19 => ((b & c) | ((!b) & d), 0x5a82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ed9_eba1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8f1b_bcdc),
-                _ => (b ^ c ^ d, 0xca62_c1d6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wt);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+/// Round constants of the four 20-round groups.
+const K: [u32; 4] = [0x5a82_7999, 0x6ed9_eba1, 0x8f1b_bcdc, 0xca62_c1d6];
+
+#[inline(always)]
+fn ch(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (!b & d)
+}
+
+#[inline(always)]
+fn parity(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn maj(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (b & d) | (c & d)
+}
+
+/// The SHA-1 compression function over one 64-byte block.
+///
+/// The message schedule is a 16-word ring (`w[t] = rol(w[t-3] ^ w[t-8] ^
+/// w[t-14] ^ w[t-16], 1)` never reaches further back), and the 80 rounds
+/// are written out in groups of five with the roles of `a..e` rotating
+/// through the arguments instead of the values moving between variables.
+fn compress(state: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 16];
+    for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+    }
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+
+    // Schedule word `t`: as loaded for t < 16 ...
+    macro_rules! load {
+        ($t:expr) => {
+            w[$t]
+        };
+    }
+    // ... and mixed from the ring, replacing word `t - 16`, after that.
+    macro_rules! mix {
+        ($t:expr) => {{
+            let t: usize = $t;
+            w[t & 15] =
+                (w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ w[t & 15]).rotate_left(1);
+            w[t & 15]
+        }};
+    }
+    // One round: `e` becomes the next round's `a`, `b` its `c`.
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $k:expr, $w:expr) => {
+            $e = $e
+                .wrapping_add($a.rotate_left(5))
+                .wrapping_add($f($b, $c, $d))
+                .wrapping_add($k)
+                .wrapping_add($w);
+            $b = $b.rotate_left(30);
+        };
+    }
+    // Five rounds from `t`, after which `a..e` are back in their places.
+    macro_rules! five {
+        ($f:ident, $k:expr, $word:ident, $t:expr) => {
+            round!(a, b, c, d, e, $f, $k, $word!($t));
+            round!(e, a, b, c, d, $f, $k, $word!($t + 1));
+            round!(d, e, a, b, c, $f, $k, $word!($t + 2));
+            round!(c, d, e, a, b, $f, $k, $word!($t + 3));
+            round!(b, c, d, e, a, $f, $k, $word!($t + 4));
+        };
+    }
+
+    five!(ch, K[0], load, 0);
+    five!(ch, K[0], load, 5);
+    five!(ch, K[0], load, 10);
+    round!(a, b, c, d, e, ch, K[0], load!(15));
+    round!(e, a, b, c, d, ch, K[0], mix!(16));
+    round!(d, e, a, b, c, ch, K[0], mix!(17));
+    round!(c, d, e, a, b, ch, K[0], mix!(18));
+    round!(b, c, d, e, a, ch, K[0], mix!(19));
+    five!(parity, K[1], mix, 20);
+    five!(parity, K[1], mix, 25);
+    five!(parity, K[1], mix, 30);
+    five!(parity, K[1], mix, 35);
+    five!(maj, K[2], mix, 40);
+    five!(maj, K[2], mix, 45);
+    five!(maj, K[2], mix, 50);
+    five!(maj, K[2], mix, 55);
+    five!(parity, K[3], mix, 60);
+    five!(parity, K[3], mix, 65);
+    five!(parity, K[3], mix, 70);
+    five!(parity, K[3], mix, 75);
+
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -173,16 +226,36 @@ mod tests {
         }
     }
 
+    /// Lengths where the padding changes shape: 55 is the last that pads
+    /// within its block, 56 and 63 spill the length into a second block,
+    /// 64 leaves an empty buffer, 119 and 120 repeat that a block later.
+    /// The digests are coreutils `sha1sum` over `len` bytes of `Z`.
     #[test]
-    fn length_extension_boundary_lengths() {
-        // Lengths around the 55/56-byte padding boundary are where padding
-        // bugs hide.
-        for len in 50..70usize {
-            let data = vec![0x5au8; len];
-            // Just ensure determinism and no panic; compare against a
-            // recomputation.
-            assert_eq!(Sha1::digest(&data), Sha1::digest(&data));
+    fn padding_boundary_lengths() {
+        let cases = [
+            (55usize, "55b80d96c523566d3c8a3b8de03a5549fd04915c"),
+            (56, "bfe3466cd0dcd5e29b11e7885010fa7c61b737a6"),
+            (63, "7db05d8e931f0a6731328e4923fbda65ced2f5db"),
+            (64, "eece723b8a411e8c53e7bf49514234da5d394236"),
+            (119, "791fa3ef300032b7b8efab39b22dead4327cba55"),
+            (120, "856ffb270b6b9340b620653753dfc5bafaff0a1f"),
+        ];
+        for (len, expected) in cases {
+            let data = vec![b'Z'; len];
+            assert_eq!(hexdigest(&data), expected, "one-shot, len {len}");
+            // Split so that the buffer is part-filled, exactly filled and
+            // empty when the second piece arrives.
+            for split in [1, 55, 56, 63, 64, len - 1] {
+                let (head, tail) = data.split_at(split.min(len));
+                let mut h = Sha1::new();
+                h.update(head);
+                h.update(tail);
+                assert_eq!(
+                    h.finalize(),
+                    Sha1::digest(&data),
+                    "len {len} split at {split}"
+                );
+            }
         }
-        assert_eq!(hexdigest(&[0u8; 55]).len(), 40, "digest is always 20 bytes");
     }
 }

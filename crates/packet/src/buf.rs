@@ -3,8 +3,11 @@
 //! [`PacketBuf`] follows the `sk_buff`/Click convention: a packet lives in
 //! the middle of a larger allocation so that headers can be pushed (tunnel
 //! encapsulation, VLB tags) or pulled (decapsulation) without copying the
-//! payload. The RouteBricks IPsec path in particular prepends an ESP header
-//! and outer IPv4 header in place.
+//! payload. The IPsec path is the deepest user: `IpsecEncap` pushes 44
+//! bytes in front of the inner datagram (outer IPv4 20 + SPI/sequence 8 +
+//! IV 16, the Ethernet header rewritten at the new head), puts the ESP
+//! padding, trailer and ICV behind it and encrypts it where it lies;
+//! `IpsecDecap` pulls and trims back onto it.
 //!
 //! Storage is either a private heap `Vec` (the historical path) or a
 //! recycled slot borrowed from a [`PacketPool`] arena. Pooled buffers make
@@ -20,14 +23,16 @@ use crate::{PacketError, Result};
 
 /// Default bytes of headroom reserved in front of a freshly created packet.
 ///
-/// 64 bytes is enough for an outer Ethernet + IPv4 + ESP header, which is
-/// the deepest encapsulation any RouteBricks application performs.
+/// The deepest encapsulation any RouteBricks application performs is the
+/// ESP tunnel's 44-byte push (outer IPv4 + SPI/sequence + IV; the Ethernet
+/// header moves, it does not grow), so one tunnel hop fits in a fresh
+/// buffer's 64 bytes and a second one takes the promote-to-heap path.
 pub const DEFAULT_HEADROOM: usize = 64;
 
 /// Default bytes of tailroom reserved behind a freshly created packet.
 ///
-/// ESP appends padding, a 2-byte trailer and a 12-byte ICV; 64 bytes covers
-/// the worst case (15 pad bytes + trailer + ICV) with room to spare.
+/// ESP puts padding, a 2-byte trailer and a 12-byte ICV behind the payload;
+/// 64 bytes covers the worst case (15 + 2 + 12 = 29) with room to spare.
 pub const DEFAULT_TAILROOM: usize = 64;
 
 /// Backing storage for a [`PacketBuf`].

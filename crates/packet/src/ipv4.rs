@@ -6,7 +6,7 @@
 //! [`Ipv4Header`] supports both a parsed-struct view (control path) and
 //! in-place field accessors (fast path).
 
-use crate::checksum::{checksum, update16};
+use crate::checksum::{checksum, fold, sum_words, update16};
 use crate::{PacketError, Result};
 use std::net::Ipv4Addr;
 
@@ -106,7 +106,8 @@ impl Ipv4Header {
     pub fn parse(data: &[u8]) -> Result<Ipv4Header> {
         let hdr = Self::parse_unchecked(data)?;
         let ihl = hdr.header_len();
-        let computed = checksum(&zeroed_checksum(&data[..ihl]));
+        // The sum with the checksum field skipped is the sum with it zeroed.
+        let computed = !fold(sum_words(&data[12..ihl], sum_words(&data[..10], 0)));
         let stored = u16::from_be_bytes([data[10], data[11]]);
         if computed != stored {
             return Err(PacketError::BadChecksum { stored, computed });
@@ -190,14 +191,6 @@ impl Ipv4Header {
         out[10..12].copy_from_slice(&ck.to_be_bytes());
         Ok(())
     }
-}
-
-/// Returns a copy of `header` with the checksum field zeroed.
-fn zeroed_checksum(header: &[u8]) -> Vec<u8> {
-    let mut copy = header.to_vec();
-    copy[10] = 0;
-    copy[11] = 0;
-    copy
 }
 
 /// In-place accessors over a raw IPv4 header, for the forwarding fast path.

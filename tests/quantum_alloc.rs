@@ -1,10 +1,13 @@
-//! Allocation guard for the scheduling quantum and the ingress call.
+//! Allocation guard for the scheduling quantum, the ingress call and the
+//! IPsec tunnel path.
 //!
 //! A 32-port IP router runs 64 tasks, and an idle one spends all its time
 //! picking them and learning that they have nothing to do; `inject` is
 //! paid once per frame. Neither may touch the heap: this is the test that
 //! fails if a `ports()` call (two `Vec`s an answer) or a `format!`-ed
-//! element name creeps back into either path.
+//! element name creeps back into either path. The IPsec gateway
+//! encapsulates inside the arena slot a frame arrived in; its test fails
+//! if sealing goes back through a `Vec` or a second packet buffer.
 //!
 //! The counting allocator counts per thread, so the tests in this file
 //! can run side by side.
@@ -115,4 +118,49 @@ fn inject_into_an_arena_does_not_allocate() {
     r.run_until_idle(u64::MAX);
     let sent: u64 = (0..32).map(|p| r.transmitted(p)).sum();
     assert_eq!(sent, 512 + 256);
+}
+
+/// 256 frames, half minimum-size and half MTU-size.
+fn tunnel_frames() -> Vec<Packet> {
+    (0..256)
+        .map(|i| {
+            PacketSpec::udp()
+                .frame_len(if i % 2 == 0 { 64 } else { 1500 })
+                .build()
+        })
+        .collect()
+}
+
+#[test]
+fn ipsec_gateway_encapsulates_without_allocating() {
+    let mut r = RouterBuilder::ipsec_gateway()
+        .pool_slots(1024)
+        .build()
+        .unwrap();
+    for pkt in tunnel_frames() {
+        r.inject(0, pkt);
+    }
+    r.run_until_idle(u64::MAX);
+    assert_eq!(r.transmitted(1), 256, "warm-up frames must all forward");
+
+    let batch = tunnel_frames();
+    let bytes: u64 = batch.iter().map(|p| p.len() as u64).sum();
+    let allocs = allocations_in(|| {
+        for pkt in batch {
+            assert!(r.inject(0, pkt));
+        }
+        // Quanta by hand: `run_until_idle` would also assemble the
+        // `RunStats` it returns, two `Vec`s a call whatever the load.
+        let mut idle = 0;
+        while idle < 64 {
+            idle = if r.click().run_quantum() { 0 } else { idle + 1 };
+        }
+    });
+    assert_eq!(allocs, 0, "256 frames sealed in a warmed-up gateway");
+    assert_eq!(r.transmitted(1), 512);
+    // 44 bytes in front and at least the trailer and ICV behind, per frame.
+    assert!(r.transmitted_bytes(1) >= 2 * (bytes + 256 * (44 + 2 + 12)));
+    let stats = r.click().stats();
+    assert_eq!(stats.pool_fallbacks, 0, "every tunnel frame stayed pooled");
+    assert_eq!(stats.pool_allocs, 512);
 }
