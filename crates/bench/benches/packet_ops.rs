@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the per-packet fast-path operations: header
 //! parsing, checksum (full and incremental), flow extraction, Toeplitz
-//! RSS hashing.
+//! RSS hashing, and the RSS split of a packet list into per-worker shards.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use routebricks::click::runtime::mt::shard_by_flow;
 use routebricks::packet::builder::PacketSpec;
 use routebricks::packet::checksum::{checksum, update16};
 use routebricks::packet::flow::FiveTuple;
@@ -52,6 +53,36 @@ fn bench_packet_ops(c: &mut Criterion) {
     c.bench_function("toeplitz_rss_hash", |b| {
         b.iter(|| hasher.hash_flow(black_box(&flow)))
     });
+
+    // What the MT dispatcher pays to play the NIC's RSS stage, per packet
+    // (`Throughput::Elements`): one shard is the identity, four parse and
+    // hash every frame. Building the input and freeing the shards happen
+    // in the untimed set-up.
+    let frames: Vec<_> = (0..8192usize)
+        .map(|i| {
+            PacketSpec::udp()
+                .src(&format!("172.16.{}.{}:{}", i >> 8, i & 0xff, 1024 + i))
+                .expect("valid endpoint")
+                .frame_len(64)
+                .build()
+        })
+        .collect();
+    let mut group = c.benchmark_group("shard_by_flow");
+    group.throughput(Throughput::Elements(frames.len() as u64));
+    for shards in [1usize, 4] {
+        let sharded = std::cell::RefCell::new(Vec::new());
+        group.bench_function(BenchmarkId::from_parameter(shards), |b| {
+            b.iter_batched(
+                || {
+                    sharded.borrow_mut().clear();
+                    frames.clone()
+                },
+                |input| *sharded.borrow_mut() = shard_by_flow(input, shards),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
 }
 
 fn zeroed(header: &[u8]) -> Vec<u8> {

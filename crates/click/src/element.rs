@@ -117,6 +117,12 @@ impl PacketBatch {
         self.pkts.drain(..)
     }
 
+    /// Splits the batch at `at`: `self` keeps the first `at` packets and
+    /// the rest are returned, both in order.
+    pub fn split_off(&mut self, at: usize) -> PacketBatch {
+        PacketBatch::from_vec(self.pkts.split_off(at))
+    }
+
     /// Moves all packets of `other` to the back of `self`.
     pub fn append(&mut self, other: &mut PacketBatch) {
         self.pkts.append(&mut other.pkts);

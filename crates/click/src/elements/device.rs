@@ -123,19 +123,47 @@ impl FromDevice {
     /// free slot means the NIC had no posted receive buffer, and the
     /// frame drops as [`DropCause::NoRxDescriptor`].
     pub fn inject(&mut self, pkt: Packet) {
+        if self.pool.is_some() {
+            self.land(&pkt);
+        } else {
+            self.injected += 1;
+            self.wire.push_back(pkt);
+        }
+    }
+
+    /// Delivers every frame of `batch`, in order, as [`inject`] would. A
+    /// pooled device only copies a frame into its arena, so the spent
+    /// originals are left in `batch` and the caller chooses where they
+    /// are freed — an MT worker sends them back to the dispatcher's
+    /// thread, which allocated them, rather than free another thread's
+    /// memory on its own critical path. Without an arena the packets
+    /// themselves move onto the wire and `batch` is left empty.
+    ///
+    /// [`inject`]: FromDevice::inject
+    pub fn inject_batch(&mut self, batch: &mut PacketBatch) {
+        if self.pool.is_some() {
+            for frame in batch.as_slice() {
+                self.land(frame);
+            }
+        } else {
+            self.injected += batch.len() as u64;
+            self.wire.extend(batch.drain());
+        }
+    }
+
+    /// The DMA of a pooled device: copies `frame` into a free arena slot.
+    fn land(&mut self, frame: &Packet) {
         self.injected += 1;
-        match &self.pool {
-            None => self.wire.push_back(pkt),
-            Some(pool) => match Packet::try_from_slice_in(pool, pkt.data()) {
-                Some(mut pooled) => {
-                    pooled.meta = pkt.meta.clone();
-                    self.wire.push_back(pooled);
-                }
-                // No free receive buffer: the NIC drops the frame on the
-                // floor. The arena's exhaustion counter already ticked in
-                // the pool stats; the ledger books it once, here.
-                None => self.rx_dropped += 1,
-            },
+        let pool = self.pool.as_ref().expect("pooled device");
+        match Packet::try_from_slice_in(pool, frame.data()) {
+            Some(mut pooled) => {
+                pooled.meta = frame.meta.clone();
+                self.wire.push_back(pooled);
+            }
+            // No free receive buffer: the NIC drops the frame on the
+            // floor. The arena's exhaustion counter already ticked in
+            // the pool stats; the ledger books it once, here.
+            None => self.rx_dropped += 1,
         }
     }
 

@@ -15,18 +15,18 @@
 //! regime — the pure-overhead microbenchmark; they share one
 //! spawn/join scaffold ([`scoped_worker_counts`]). The *graph* runners
 //! ([`run_graph_parallel`], [`run_graph_pipeline`], [`run_graph_spsc`],
-//! [`run_graph_pull`]) execute real element graphs and are thin
-//! instantiations of the pluggable [`crate::runtime::regime`] layer: a
-//! [`Regime`] picks the scheduling policy, the shared
-//! [`crate::runtime::regime::run_scheduled`] harness supplies the
-//! spawn/pump/merge/join mechanism. Graphs are replicated once per
-//! worker core via [`Graph::replicate`] (fresh mutable state,
-//! `Arc`-shared read-only structures), ingress is sharded RSS-style by
-//! [`shard_by_flow`], and egress is merged back over the lock-free
-//! [`crate::runtime::spsc`] rings — carrying whole
-//! [`PacketBatch`](crate::element::PacketBatch)es so the `kp` batching
-//! survives the thread hop. [`run_graph_regime`] dispatches on the
-//! [`Regime`] value for callers that thread the knob through.
+//! [`run_graph_pull`], and [`run_graph_regime`] for callers that thread
+//! the [`Regime`] knob through) execute real element graphs, one replica
+//! per worker core ([`Graph::replicate`]: fresh mutable state,
+//! `Arc`-shared read-only structures), and are thin instantiations of
+//! [`crate::runtime::regime`]: a [`Regime`] picks the policy, its
+//! `run_scheduled` harness is the spawn/pump/merge/join mechanism.
+//! Ingress is split RSS-style by `lane_of` — up front by
+//! [`shard_by_flow`] where a regime preloads, packet by packet in the
+//! harness's dispatcher where it streams — and whole
+//! [`PacketBatch`](crate::element::PacketBatch)es cross the lock-free
+//! [`crate::runtime::spsc`] rings, so the `kp` batching survives the
+//! thread hop.
 
 use crate::graph::{Graph, GraphError};
 use crate::runtime::driver::{Router, RunStats};
@@ -49,7 +49,9 @@ use std::time::{Duration, Instant};
 pub struct MtReport {
     /// Packets that reached the end of the processing chain.
     pub processed: u64,
-    /// Wall-clock time of the run.
+    /// Wall-clock time of the run, as its caller's clock sees it: from
+    /// entry — graph replication, ring wiring and (push regime) sharding
+    /// included — to the assembled outcome.
     pub elapsed: Duration,
     /// Packets handled by each worker (pipeline: each stage), so shard
     /// imbalance is visible, not just the aggregate rate.
@@ -81,10 +83,13 @@ pub struct MtReport {
     pub nic_desc_stalls: u64,
     /// Frame bytes DMA'd across every worker's descriptor rings.
     pub nic_dma_bytes: u64,
-    /// Dispatcher stalls on an exhausted credit window (pull regime
-    /// only; zero elsewhere). A stall is an overload *event*, not a
-    /// packet disposition: stalled packets are neither dropped nor in
-    /// flight, so the ledger balances identically under pull.
+    /// Dispatcher push attempts that found a lane's credit window short
+    /// (pull regime only; zero elsewhere) — attempts, not episodes: it
+    /// grows for as long as a stall lasts, which keeps the journal's
+    /// `credit_stall` episode open, and a dispatcher a window ahead of
+    /// its worker collects some without any overload (DESIGN.md §10).
+    /// Stalled packets are neither dropped nor in flight, so the ledger
+    /// balances identically under pull.
     pub credit_stalls: u64,
     /// High-water mark of outstanding (acquired, unreleased) credits
     /// across all pull lanes — the bounded-queueing evidence: never
@@ -109,7 +114,8 @@ pub struct MtReport {
 }
 
 impl MtReport {
-    /// Packets per second achieved.
+    /// Packets per second achieved over [`MtReport::elapsed`], i.e. what
+    /// a caller timing the run itself would compute.
     pub fn pps(&self) -> f64 {
         self.processed as f64 / self.elapsed.as_secs_f64().max(1e-12)
     }
@@ -162,7 +168,8 @@ impl MtReport {
 
     /// Serializes the report — throughput, batching, pool and credit
     /// counters and (when measured) the merged per-element telemetry —
-    /// as one JSON object.
+    /// as one JSON object. `elapsed_secs` and `pps` are the caller's-clock
+    /// figures of [`MtReport::elapsed`].
     pub fn to_json(&self) -> String {
         use rb_telemetry::json::num;
         let per_worker = self
@@ -431,18 +438,33 @@ pub fn run_spsc_rings(
     MtReport::from_counts(per_worker, processed, start.elapsed())
 }
 
+/// The lane (of `n`) a packet belongs to: the table-driven Toeplitz hash
+/// of its 5-tuple modulo `n`, as an RSS NIC's indirection table picks a
+/// receive queue, so a flow always lands on one worker. Frames without an
+/// IPv4 header go to lane 0; with one lane nothing is parsed or hashed.
+#[inline]
+pub(crate) fn lane_of(pkt: &Packet, n: usize) -> usize {
+    if n == 1 {
+        return 0;
+    }
+    match rb_packet::flow::FiveTuple::of_ethernet_frame(pkt.data()) {
+        Ok(flow) => rb_packet::rss::ToeplitzHasher::default().queue_for(&flow, n),
+        Err(_) => 0,
+    }
+}
+
 /// Shards `packets` across `n` lists by flow hash, so each worker sees
 /// whole flows — what an RSS-capable multi-queue NIC does in hardware.
+/// The up-front form of the split (push preload, `StageFn` runners); the
+/// streaming dispatcher applies `lane_of` beside the running workers.
 pub fn shard_by_flow(packets: Vec<Packet>, n: usize) -> Vec<Vec<Packet>> {
     assert!(n > 0, "need at least one shard");
-    let hasher = rb_packet::rss::ToeplitzHasher::default();
+    if n == 1 {
+        return vec![packets];
+    }
     let mut shards: Vec<Vec<Packet>> = (0..n).map(|_| Vec::new()).collect();
     for pkt in packets {
-        let idx = match rb_packet::flow::FiveTuple::of_ethernet_frame(pkt.data()) {
-            Ok(flow) => (hasher.hash_flow(&flow) as usize) % n,
-            Err(_) => 0,
-        };
-        shards[idx].push(pkt);
+        shards[lane_of(&pkt, n)].push(pkt);
     }
     shards
 }
@@ -1124,6 +1146,38 @@ mod tests {
             assert_eq!(out.report.processed, 400, "regime {regime}");
             assert_eq!(out.egress[0].len(), 400, "regime {regime}");
             assert!(out.report.ledger.balances(), "regime {regime}");
+        }
+    }
+
+    /// `MtReport.elapsed` is the caller's clock: it starts at entry, so
+    /// replication, wiring and (push) sharding are inside it, and stops
+    /// with the outcome assembled. It started after wiring once, and a
+    /// quarter of a streaming run went unreported.
+    #[test]
+    fn report_elapsed_is_what_the_caller_measures() {
+        for regime in [Regime::Push, Regime::Spsc, Regime::PullCredit] {
+            let g = pooled_forwarder_graph(false, 1024);
+            let opts = GraphRunOpts::default();
+            // The box is shared: take the closest of a few attempts, but
+            // hold every attempt to the one-sided bound.
+            let mut closest = 0.0f64;
+            for _ in 0..8 {
+                let pkts = packets(4096);
+                let t = Instant::now();
+                let out = run_graph_regime(regime, &g, 2, pkts, &opts).unwrap();
+                let outer = t.elapsed();
+                assert_eq!(out.report.ledger.sourced, 4096);
+                assert!(
+                    out.report.elapsed <= outer,
+                    "{regime}: {:?} > {outer:?}",
+                    out.report.elapsed
+                );
+                closest = closest.max(out.report.elapsed.as_secs_f64() / outer.as_secs_f64());
+            }
+            assert!(
+                closest >= 0.9,
+                "{regime}: elapsed covers {closest:.2} of the call"
+            );
         }
     }
 

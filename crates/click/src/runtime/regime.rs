@@ -6,10 +6,10 @@
 //! *policy* — worker topology (which graph replica runs on which core),
 //! ring wiring (how packets enter and leave each worker), and the
 //! per-quantum step a worker executes — while [`run_scheduled`] is the
-//! *mechanism*, written once: spawn the workers, pump the dispatcher-side
-//! feeds, merge egress, join, and fold telemetry/ledger/trace/pool
-//! counters into one [`GraphRunOutcome`]. `driver.rs`'s single-core
-//! stride loop is the degenerate instance (one lane, no rings).
+//! *mechanism*, written once: spawn the workers, pump the `Dispatcher`,
+//! merge egress, join, and fold telemetry/ledger/trace/pool counters into
+//! one [`GraphRunOutcome`]. `driver.rs`'s single-core stride loop is the
+//! degenerate instance (one lane, no rings).
 //!
 //! Four regimes instantiate the trait:
 //!
@@ -30,33 +30,35 @@
 //! Each pull lane pairs its ingress ring with a [`CreditGate`] of
 //! `credit_window` packets ([`GraphRunOpts::credit_window`]; `0` sizes
 //! the window to the ring capacity). The dispatcher acquires credits for
-//! a whole batch before pushing it; on an empty gate it counts one
-//! *stall* and retries after yielding — the overload signal that replaces
-//! pool-exhaustion drops. The worker releases a packet's credit only
-//! after the graph has run it to completion (transmitted, or dropped by
-//! an element *for a reason the ledger records*), so
+//! a whole batch before pushing it; every attempt that finds the gate
+//! short counts one *stall* and is retried after yielding, so the count
+//! keeps growing for as long as a stall lasts — the overload signal that
+//! replaces pool-exhaustion drops. The worker releases a packet's credit
+//! only after the graph has run it to completion (transmitted, or dropped
+//! by an element *for a reason the ledger records*), so
 //! `window - available` always bounds packets in flight toward one core.
 //! On the worker side, admission is arena-aware: at most
-//! `slots - in_use` packets are injected per cycle and the remainder
-//! waits in a local buffer, so `FromDevice` never drops a frame to
-//! `NoRxDescriptor`.
+//! `slots - in_use` packets are injected per cycle, straight from the
+//! popped batches, and only the overflow waits in a local buffer, so
+//! `FromDevice` never drops a frame to `NoRxDescriptor`.
 //! The merger detaches received pooled egress frames onto the heap, so
-//! retained frames cannot pin arena slots forever. Stalls are *events*,
-//! not packet dispositions: a stalled packet is neither dropped nor
-//! in-flight, and the conservation [`rb_telemetry::Ledger`] balances
-//! under pull exactly as it does under push.
+//! retained frames cannot pin arena slots forever. Stalls are not packet
+//! dispositions: a stalled packet is neither dropped nor in-flight, and
+//! the conservation [`rb_telemetry::Ledger`] balances under pull exactly
+//! as it does under push.
 
 use crate::element::PacketBatch;
 use crate::elements::device::{FromDevice, ToDevice};
 use crate::graph::{ElementId, Graph, GraphError};
 use crate::runtime::driver::Router;
-use crate::runtime::mt::{shard_by_flow, GraphRunOpts, GraphRunOutcome, MtReport};
+use crate::runtime::mt::{lane_of, shard_by_flow, GraphRunOpts, GraphRunOutcome, MtReport};
 use crate::runtime::spsc::{self, Consumer, Producer};
 use rb_packet::{Packet, PoolStats};
 use rb_telemetry::{
     cycles, EventHarvester, EventLog, Harvester, Ledger, MetricsServer, MetricsSnapshot,
     MonitorSource, TraceKind, TraceLog, Tracer,
 };
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -231,6 +233,7 @@ pub(crate) fn make_replica(
 /// The wiring handed to one worker thread: how packets arrive (a preload
 /// or an ingress ring, possibly credit-gated) and where finished frames
 /// go (the egress merger and/or the next pipeline stage).
+#[derive(Default)]
 pub struct Lane {
     /// Whole-shard preload (push regime; empty otherwise).
     pub(crate) preload: Vec<Packet>,
@@ -247,75 +250,183 @@ pub struct Lane {
     /// reads the feeder's untraced input, every other ring is a real
     /// cross-core hop.
     pub(crate) trace_ring_recv: bool,
+    /// Way home for the [`Dispatcher`]'s batches: see [`inject_batch`].
+    pub(crate) spent: Option<Producer<PacketBatch>>,
 }
 
 impl Lane {
     fn streaming(rx: Consumer<PacketBatch>) -> Lane {
         Lane {
-            preload: Vec::new(),
             rx: Some(rx),
-            egress: None,
-            next: None,
-            credits: None,
             trace_ring_recv: true,
+            ..Lane::default()
         }
     }
 }
 
-/// One dispatcher-side input: pending batches bound for a worker's
-/// ingress ring, pushed as ring space (and credits, when gated) allow.
-pub(crate) struct Feed {
+/// One lane of the [`Dispatcher`]: the batch being filled, the finished
+/// batches waiting for ring space (and credits, when gated), and the
+/// worker's ingress ring.
+struct DispatchLane {
     tx: Producer<PacketBatch>,
-    pending: Vec<PacketBatch>,
     credits: Option<Arc<CreditGate>>,
+    open: PacketBatch,
+    staged: VecDeque<PacketBatch>,
 }
 
-impl Feed {
-    /// Pushes as much pending input as the ring (and the credit gate)
-    /// accepts; returns `true` once everything has been sent.
-    fn pump(&mut self) -> bool {
-        if self.pending.is_empty() {
-            return true;
-        }
-        match &self.credits {
-            None => {
-                self.tx.push_burst(&mut self.pending);
-            }
-            Some(gate) => {
-                // Admit whole batches from the front, up to the credits
-                // available right now; an empty gate is a counted stall.
-                let mut granted = 0usize;
-                for batch in &self.pending {
-                    if gate.try_acquire(batch.len() as u64) {
-                        granted += 1;
-                    } else {
-                        gate.note_stall();
-                        break;
-                    }
-                }
-                if granted > 0 {
-                    let mut burst: Vec<PacketBatch> = self.pending.drain(..granted).collect();
-                    self.tx.push_burst(&mut burst);
-                    if !burst.is_empty() {
-                        // Ring full: refund the unsent batches' credits
-                        // and keep them at the front, order preserved.
-                        gate.release(burst.iter().map(|b| b.len() as u64).sum());
-                        burst.append(&mut self.pending);
-                        self.pending = burst;
-                    }
+impl DispatchLane {
+    /// Pushes staged batches, oldest first, while the gate grants their
+    /// credits and the ring has room; `true` if any went out. A short gate
+    /// is a counted stall; a full ring refunds the batch's credits.
+    fn flush(&mut self) -> bool {
+        let mut sent = false;
+        while let Some(batch) = self.staged.pop_front() {
+            let credits = batch.len() as u64;
+            if let Some(gate) = &self.credits {
+                if !gate.try_acquire(credits) {
+                    gate.note_stall();
+                    self.staged.push_front(batch);
+                    break;
                 }
             }
+            if let Err(batch) = self.tx.push(batch) {
+                if let Some(gate) = &self.credits {
+                    gate.release(credits);
+                }
+                self.staged.push_front(batch);
+                break;
+            }
+            sent = true;
         }
-        self.pending.is_empty()
+        sent
+    }
+}
+
+/// What one [`Dispatcher::pump`] call achieved: the input is exhausted and
+/// every batch in a ring; packets were classified or batches pushed; or
+/// nothing moved, because a lane is full and its worker has to catch up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pump {
+    Done,
+    Progress,
+    Blocked,
+}
+
+/// The dispatcher thread's ingress side — the RSS stage of a multi-queue
+/// NIC, run beside the workers rather than as a prelude before them. Each
+/// [`Dispatcher::pump`] classifies a bounded round of the input into the
+/// lanes' open batches ([`lane_of`]), stages a batch when it reaches
+/// `batch_size` (partial batches only at end of input) and pushes staged
+/// batches as ring space and credits allow. While any lane holds
+/// `staging` finished batches nothing more is classified, so at most
+/// `staging + 1` batches per lane are buffered however slow a worker is:
+/// overload stalls the source iterator, per-lane order is the input's.
+pub(crate) struct Dispatcher {
+    source: std::vec::IntoIter<Packet>,
+    lanes: Vec<DispatchLane>,
+    batch_size: usize,
+    /// Finished batches a lane may hold: one ring interaction's worth.
+    staging: usize,
+    /// Stamp sampled packets and record the ingress hop (star regimes;
+    /// the pipeline's stage 0 samples its own input).
+    stamp: bool,
+}
+
+impl Dispatcher {
+    fn new(
+        packets: Vec<Packet>,
+        ingress: Vec<(Producer<PacketBatch>, Option<Arc<CreditGate>>)>,
+        opts: &GraphRunOpts,
+        stamp: bool,
+    ) -> Dispatcher {
+        let batch_size = opts.batch_size;
+        let lanes = ingress
+            .into_iter()
+            .map(|(tx, credits)| DispatchLane {
+                tx,
+                credits,
+                open: PacketBatch::with_capacity(batch_size),
+                staged: VecDeque::new(),
+            })
+            .collect();
+        Dispatcher {
+            source: packets.into_iter(),
+            lanes,
+            batch_size,
+            staging: opts.burst_batches().min(opts.ring_depth),
+            stamp,
+        }
+    }
+
+    /// One round: flush, then classify up to `staging` batches per lane —
+    /// bounded, so the caller's egress merge and telemetry harvest keep
+    /// their cadence however long the input is.
+    pub(crate) fn pump(&mut self, tracer: &mut Tracer) -> Pump {
+        let mut progress = false;
+        for lane in &mut self.lanes {
+            progress |= lane.flush();
+        }
+        let n = self.lanes.len();
+        if self.lanes.iter().all(|l| l.staged.len() < self.staging) {
+            for _ in 0..self.staging * self.batch_size * n {
+                let Some(pkt) = self.source.next() else {
+                    // End of input: partial batches go out as they are.
+                    for i in 0..n {
+                        if !self.lanes[i].open.is_empty() {
+                            self.seal(i, tracer);
+                        }
+                    }
+                    if self.lanes.iter().all(|l| l.staged.is_empty()) {
+                        return Pump::Done;
+                    }
+                    break;
+                };
+                progress = true;
+                let i = lane_of(&pkt, n);
+                self.lanes[i].open.push(pkt);
+                if self.lanes[i].open.len() == self.batch_size && !self.seal(i, tracer) {
+                    break;
+                }
+            }
+        }
+        if progress {
+            Pump::Progress
+        } else {
+            Pump::Blocked
+        }
+    }
+
+    /// Finishes lane `i`'s open batch: stamps sampled packets (so the ring
+    /// hop is part of the recorded path), stages the batch and tries to
+    /// push it. `false` when the lane is left at the staging bound.
+    fn seal(&mut self, i: usize, tracer: &mut Tracer) -> bool {
+        let lane = &mut self.lanes[i];
+        let fresh = PacketBatch::with_capacity(self.batch_size);
+        let mut batch = std::mem::replace(&mut lane.open, fresh);
+        if self.stamp && tracer.enabled() {
+            for pkt in batch.as_mut_slice() {
+                let id = tracer.maybe_assign();
+                if id != 0 {
+                    pkt.meta.trace_id = id;
+                }
+            }
+            record_tracer_hop(tracer, TraceKind::RingSend, batch.as_slice());
+        }
+        lane.staged.push_back(batch);
+        lane.flush();
+        lane.staged.len() < self.staging
     }
 }
 
 /// Everything a [`Scheduler::wire`] call produces: per-worker lanes, the
-/// dispatcher-side feeds, and the egress consumers the merger drains.
+/// dispatcher feeding them, and the egress consumers the merger drains.
 pub struct Wiring {
     pub(crate) lanes: Vec<Lane>,
-    pub(crate) feeds: Vec<Feed>,
+    /// The streaming regimes' ingress side (`None`: push preloads).
+    pub(crate) dispatcher: Option<Dispatcher>,
     pub(crate) consumers: Vec<Consumer<(usize, PacketBatch)>>,
+    /// Receiving ends of the lanes' [`Lane::spent`] rings.
+    pub(crate) spent: Vec<Consumer<PacketBatch>>,
     pub(crate) gates: Vec<Arc<CreditGate>>,
     /// Rebuffer received pooled egress frames onto the heap so retained
     /// frames cannot pin arena slots (pull regime).
@@ -343,17 +454,11 @@ pub trait Scheduler: Sync {
         opts: &GraphRunOpts,
     ) -> Result<Vec<Replica>, GraphError>;
 
-    /// Splits `packets` into per-lane input and creates the rings (and
-    /// gates) connecting dispatcher, workers, and merger. `tracer` is
-    /// the dispatcher thread's trace shard, for regimes that stamp
-    /// sampled packets before the ingress ring.
-    fn wire(
-        &self,
-        n: usize,
-        packets: Vec<Packet>,
-        opts: &GraphRunOpts,
-        tracer: &mut Tracer,
-    ) -> Wiring;
+    /// Creates the rings (and gates) connecting dispatcher, workers, and
+    /// merger, and hands `packets` to the `Dispatcher` that will stream
+    /// them in beside the running workers (push: preloads each lane's
+    /// shard instead).
+    fn wire(&self, n: usize, packets: Vec<Packet>, opts: &GraphRunOpts) -> Wiring;
 
     /// One worker's whole life: consume the lane's input, step the
     /// replica, emit frames, and summarize at hang-up.
@@ -425,18 +530,27 @@ fn worker_summary(
 // Shared worker-side plumbing.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn inject(
+/// Injects `batch` and hands what is left of it — the spent originals
+/// behind a pooled ingress, which copied them into its arena; otherwise
+/// the emptied buffer — back over `spent`, so the dispatcher's thread
+/// frees what it allocated. Freeing it here would put one cross-thread
+/// `free` per packet on the worker, which is the critical path,
+/// contending with the dispatcher's own allocations.
+fn inject_batch(
     router: &mut Router,
     ingress: ElementId,
-    pkts: impl IntoIterator<Item = Packet>,
+    mut batch: PacketBatch,
+    spent: &mut Option<Producer<PacketBatch>>,
 ) {
-    let dev = router
+    router
         .element_mut(ingress)
         .as_any_mut()
         .downcast_mut::<FromDevice>()
-        .expect("ingress id is a FromDevice");
-    for pkt in pkts {
-        dev.inject(pkt);
+        .expect("ingress id is a FromDevice")
+        .inject_batch(&mut batch);
+    if let Some(tx) = spent {
+        // A full ring only means the batch is freed here after all.
+        let _ = tx.push(batch);
     }
 }
 
@@ -572,6 +686,7 @@ fn forward_stage_frames(
 /// per-device output lists until all rings hang up.
 struct Merger {
     consumers: Vec<Consumer<(usize, PacketBatch)>>,
+    spent: Vec<Consumer<PacketBatch>>,
     done: Vec<bool>,
     egress: Vec<Vec<Packet>>,
     burst: usize,
@@ -581,6 +696,7 @@ struct Merger {
 impl Merger {
     fn new(
         consumers: Vec<Consumer<(usize, PacketBatch)>>,
+        spent: Vec<Consumer<PacketBatch>>,
         n_egress: usize,
         burst: usize,
         detach: bool,
@@ -588,6 +704,7 @@ impl Merger {
         let done = vec![false; consumers.len()];
         Merger {
             consumers,
+            spent,
             done,
             egress: (0..n_egress).map(|_| Vec::new()).collect(),
             burst,
@@ -619,6 +736,11 @@ impl Merger {
                 self.done[i] = true;
             }
         }
+        // Spent ingress batches come home to be freed on this thread; that
+        // is no reason for the caller not to yield.
+        for rx in &mut self.spent {
+            while rx.pop().is_some() {}
+        }
         moved
     }
 
@@ -639,6 +761,10 @@ fn detach_frame(pkt: Packet) -> Packet {
     heap
 }
 
+/// Idle turns the dispatcher/merger thread yields for before it naps.
+const IDLE_YIELDS: u32 = 2048;
+const IDLE_NAP: Duration = Duration::from_micros(50);
+
 /// Runs `packets` through `sched`'s topology over `graphs` — the one
 /// spawn/pump/merge/join loop every regime shares.
 ///
@@ -656,6 +782,8 @@ pub(crate) fn run_scheduled(
 ) -> Result<GraphRunOutcome, GraphError> {
     assert!(workers > 0, "need at least one worker");
     assert!(!graphs.is_empty(), "need at least one graph");
+    // The caller's clock: replication and wiring are part of a call.
+    let start = Instant::now();
     let replicas = sched.topology(graphs, workers, opts)?;
     let n = replicas.len();
     // Live telemetry: collect every worker's interval ring before the
@@ -695,14 +823,14 @@ pub(crate) fn run_scheduled(
     let mut main_tracer = Tracer::new(opts.trace_sample, n as u32);
     let Wiring {
         lanes,
-        mut feeds,
+        mut dispatcher,
         consumers,
+        spent,
         gates,
         detach_egress,
-    } = sched.wire(n, packets, opts, &mut main_tracer);
+    } = sched.wire(n, packets, opts);
     debug_assert_eq!(lanes.len(), n, "{}: one lane per replica", sched.name());
     let burst = opts.burst_batches();
-    let start = Instant::now();
     let (results, egress) = std::thread::scope(|scope| {
         let handles: Vec<_> = replicas
             .into_iter()
@@ -711,13 +839,14 @@ pub(crate) fn run_scheduled(
             .collect();
         // Main thread is dispatcher AND egress merger: pushing without
         // draining could deadlock once the egress rings fill up.
-        let mut merger = Merger::new(consumers, n_egress, burst, detach_egress);
+        let mut merger = Merger::new(consumers, spent, n_egress, burst, detach_egress);
+        let mut idle = 0u32;
         loop {
-            let mut all_sent = true;
-            for feed in &mut feeds {
-                if !feed.pump() {
-                    all_sent = false;
-                }
+            let pumped = dispatcher
+                .as_mut()
+                .map_or(Pump::Done, |d| d.pump(&mut main_tracer));
+            if pumped == Pump::Done {
+                dispatcher = None; // Hang up the ingress rings: workers flush and exit.
             }
             let moved = merger.drain_once(&mut main_tracer);
             if let Some(h) = harvester.as_mut() {
@@ -726,23 +855,21 @@ pub(crate) fn run_scheduled(
             if let Some(h) = event_harvester.as_mut() {
                 h.poll();
             }
-            if all_sent {
+            if pumped == Pump::Done && merger.finished() {
                 break;
             }
-            if !moved {
-                std::thread::yield_now();
-            }
-        }
-        drop(feeds); // Hang up every ingress ring: workers flush and exit.
-        while !merger.finished() {
-            if let Some(h) = harvester.as_mut() {
-                h.poll(true);
-            }
-            if let Some(h) = event_harvester.as_mut() {
-                h.poll();
-            }
-            if !merger.drain_once(&mut main_tracer) {
-                std::thread::yield_now();
+            // Nothing to do: yield while the wait is short, then nap. A
+            // thread that only ever yields looks busy to the OS scheduler,
+            // which then leaves two workers stacked on the other core.
+            idle = if pumped == Pump::Progress || moved {
+                0
+            } else {
+                idle + 1
+            };
+            match idle {
+                0 => {}
+                1..=IDLE_YIELDS => std::thread::yield_now(),
+                _ => std::thread::sleep(IDLE_NAP),
             }
         }
         let results: Vec<WorkerSummary> = handles
@@ -752,12 +879,10 @@ pub(crate) fn run_scheduled(
         (results, merger.egress)
     });
     let processed = sched.processed(&results);
-    let elapsed = start.elapsed();
     let mut outcome = assemble_outcome(
         results,
         egress,
         processed,
-        elapsed,
         main_tracer.drain(|_| String::new()),
     );
     for gate in gates {
@@ -773,6 +898,7 @@ pub(crate) fn run_scheduled(
     outcome.report.events = event_harvester
         .map(EventHarvester::finish)
         .unwrap_or_default();
+    outcome.report.elapsed = start.elapsed();
     Ok(outcome)
 }
 
@@ -780,7 +906,6 @@ fn assemble_outcome(
     results: Vec<WorkerSummary>,
     egress: Vec<Vec<Packet>>,
     processed: u64,
-    elapsed: Duration,
     main_trace: TraceLog,
 ) -> GraphRunOutcome {
     let per_worker: Vec<u64> = results.iter().map(|w| w.processed).collect();
@@ -804,7 +929,7 @@ fn assemble_outcome(
     GraphRunOutcome {
         report: MtReport {
             processed,
-            elapsed,
+            elapsed: Duration::ZERO, // `run_scheduled` stamps it last.
             per_worker,
             pushes,
             batch_calls,
@@ -848,56 +973,40 @@ fn star_topology(
         .collect()
 }
 
-/// Star wiring with streaming ingress: RSS-shard the packets, stamp
-/// sampled ones on the dispatcher (so the ring hop is part of the
-/// recorded path), and connect each worker with an ingress ring, an
-/// egress ring, and — when `credit_window` is nonzero — a credit gate.
+/// Star wiring with streaming ingress: connect each worker with an
+/// ingress ring, an egress ring, and — when `credit_window` is nonzero —
+/// a credit gate, and give the input to a [`Dispatcher`] over the rings.
 fn streamed_star_wiring(
     n: usize,
     packets: Vec<Packet>,
     opts: &GraphRunOpts,
-    tracer: &mut Tracer,
     credit_window: u64,
 ) -> Wiring {
-    let pending: Vec<Vec<PacketBatch>> = shard_by_flow(packets, n)
-        .into_iter()
-        .map(|mut shard| {
-            if tracer.enabled() {
-                for pkt in &mut shard {
-                    let id = tracer.maybe_assign();
-                    if id != 0 {
-                        pkt.meta.trace_id = id;
-                    }
-                }
-                record_tracer_hop(tracer, TraceKind::RingSend, &shard);
-            }
-            chunk_batches(shard, opts.batch_size)
-        })
-        .collect();
     let mut lanes = Vec::with_capacity(n);
-    let mut feeds = Vec::with_capacity(n);
+    let mut ingress = Vec::with_capacity(n);
     let mut consumers = Vec::with_capacity(n);
+    let mut spent = Vec::with_capacity(n);
     let mut gates = Vec::new();
-    for pending in pending {
+    for _ in 0..n {
         let (itx, irx) = spsc::ring::<PacketBatch>(opts.ring_depth);
         let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(opts.ring_depth);
+        let (stx, srx) = spsc::ring::<PacketBatch>(opts.ring_depth);
         let gate = (credit_window > 0).then(|| Arc::new(CreditGate::new(credit_window)));
         let mut lane = Lane::streaming(irx);
         lane.egress = Some(etx);
+        lane.spent = Some(stx);
         lane.credits = gate.clone();
         lanes.push(lane);
-        feeds.push(Feed {
-            tx: itx,
-            pending,
-            credits: gate.clone(),
-        });
+        spent.push(srx);
+        ingress.push((itx, gate.clone()));
         gates.extend(gate);
         consumers.push(erx);
     }
     Wiring {
         lanes,
-        feeds,
+        dispatcher: Some(Dispatcher::new(packets, ingress, opts, true)),
         consumers,
+        spent,
         gates,
         detach_egress: credit_window > 0,
     }
@@ -912,7 +1021,8 @@ fn preloaded_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> Worker
         egress_ids,
     } = replica;
     let mut etx = lane.egress.expect("push lane ships to the merger");
-    inject(&mut router, ingress, lane.preload);
+    let shard = PacketBatch::from_vec(lane.preload);
+    inject_batch(&mut router, ingress, shard, &mut None);
     router.run_until_idle(opts.max_quanta);
     ship_egress(&mut etx, &mut router, &egress_ids, opts.batch_size);
     worker_summary(&mut router, ingress, &egress_ids)
@@ -932,6 +1042,7 @@ fn streaming_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> Worker
         mut egress,
         mut next,
         trace_ring_recv,
+        mut spent,
         ..
     } = lane;
     let mut rx = rx.expect("streaming lane has an ingress ring");
@@ -953,7 +1064,7 @@ fn streaming_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> Worker
                 if trace_ring_recv {
                     record_router_hop(&mut router, TraceKind::RingRecv, batch.as_slice());
                 }
-                inject(&mut router, ingress, batch);
+                inject_batch(&mut router, ingress, batch, &mut spent);
             }
             cycle(&mut router);
         } else if rx.is_finished() {
@@ -967,12 +1078,14 @@ fn streaming_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> Worker
     // `egress`/`next` drop here, hanging up on the merger / next stage.
 }
 
-/// Pull worker body: arena-aware admission plus credit release. Packets
-/// the dispatcher sent (credits already debited) wait in a local buffer
-/// — bounded by the credit window — until the ingress arena has room;
-/// each cycle admits at most the free-slot count, runs the graph to
-/// idle (the sink's drain IS the step), ships egress, and only then
-/// releases the admitted packets' credits.
+/// Pull worker body: arena-aware admission plus credit release. Each
+/// cycle injects popped batches straight into the ingress while its
+/// arena has free slots — never more, so `FromDevice` cannot drop to
+/// `NoRxDescriptor` — and parks the overflow (credits already debited,
+/// so the credit window bounds it) in a local buffer that the next cycle
+/// admits first; it then runs the graph to idle (the sink's drain IS the
+/// step), ships egress, and only then releases the admitted packets'
+/// credits.
 fn pull_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSummary {
     let Replica {
         mut router,
@@ -982,22 +1095,29 @@ fn pull_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSumma
     let mut rx = lane.rx.expect("pull lane has an ingress ring");
     let mut etx = lane.egress.expect("pull lane ships to the merger");
     let gate = lane.credits.expect("pull lane is credit-gated");
+    let mut spent = lane.spent;
     let burst = opts.burst_batches();
     let mut buf: Vec<PacketBatch> = Vec::with_capacity(burst);
-    let mut waiting: std::collections::VecDeque<Packet> = std::collections::VecDeque::new();
+    let mut waiting = PacketBatch::new();
     loop {
         buf.clear();
         let popped = rx.pop_burst(burst, &mut buf) > 0;
-        for batch in buf.drain(..) {
-            record_router_hop(&mut router, TraceKind::RingRecv, batch.as_slice());
-            waiting.extend(batch);
-        }
-        // Arena-aware admission: inject only what free slots can hold so
-        // `FromDevice` never drops to `NoRxDescriptor`; the rest waits
-        // here (the dispatcher's credit window bounds this buffer).
-        let admit = ingress_room(&router, ingress).min(waiting.len());
+        let room = ingress_room(&router, ingress);
+        let mut admit = room.min(waiting.len());
         if admit > 0 {
-            inject(&mut router, ingress, waiting.drain(..admit));
+            let rest = waiting.split_off(admit);
+            let head = std::mem::replace(&mut waiting, rest);
+            inject_batch(&mut router, ingress, head, &mut spent);
+        }
+        for mut batch in buf.drain(..) {
+            record_router_hop(&mut router, TraceKind::RingRecv, batch.as_slice());
+            // Nothing overtakes the parked: while any are, no room is left.
+            let fits = (room - admit).min(batch.len());
+            waiting.append(&mut batch.split_off(fits));
+            admit += fits;
+            inject_batch(&mut router, ingress, batch, &mut spent);
+        }
+        if admit > 0 {
             // The gate's stall count is dispatcher-side state; mirror the
             // running total so interval buckets carry the stall deltas.
             router.note_credit_stalls(gate.stalls());
@@ -1037,13 +1157,7 @@ impl Scheduler for PushScheduler {
         star_topology(graphs, workers, opts)
     }
 
-    fn wire(
-        &self,
-        n: usize,
-        packets: Vec<Packet>,
-        opts: &GraphRunOpts,
-        _tracer: &mut Tracer,
-    ) -> Wiring {
+    fn wire(&self, n: usize, packets: Vec<Packet>, opts: &GraphRunOpts) -> Wiring {
         let shards = shard_by_flow(packets, n);
         let mut lanes = Vec::with_capacity(n);
         let mut consumers = Vec::with_capacity(n);
@@ -1051,18 +1165,16 @@ impl Scheduler for PushScheduler {
             let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(opts.ring_depth);
             lanes.push(Lane {
                 preload,
-                rx: None,
                 egress: Some(etx),
-                next: None,
-                credits: None,
-                trace_ring_recv: false,
+                ..Lane::default()
             });
             consumers.push(erx);
         }
         Wiring {
             lanes,
-            feeds: Vec::new(),
+            dispatcher: None,
             consumers,
+            spent: Vec::new(),
             gates: Vec::new(),
             detach_egress: false,
         }
@@ -1090,14 +1202,8 @@ impl Scheduler for SpscScheduler {
         star_topology(graphs, workers, opts)
     }
 
-    fn wire(
-        &self,
-        n: usize,
-        packets: Vec<Packet>,
-        opts: &GraphRunOpts,
-        tracer: &mut Tracer,
-    ) -> Wiring {
-        streamed_star_wiring(n, packets, opts, tracer, 0)
+    fn wire(&self, n: usize, packets: Vec<Packet>, opts: &GraphRunOpts) -> Wiring {
+        streamed_star_wiring(n, packets, opts, 0)
     }
 
     fn worker(&self, replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSummary {
@@ -1147,13 +1253,7 @@ impl Scheduler for PipelineScheduler {
         Ok(replicas)
     }
 
-    fn wire(
-        &self,
-        n: usize,
-        packets: Vec<Packet>,
-        opts: &GraphRunOpts,
-        _tracer: &mut Tracer,
-    ) -> Wiring {
+    fn wire(&self, n: usize, packets: Vec<Packet>, opts: &GraphRunOpts) -> Wiring {
         // Ring i feeds stage i; the last stage ships to the egress ring.
         let mut txs = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
@@ -1163,10 +1263,14 @@ impl Scheduler for PipelineScheduler {
             rxs.push(rx);
         }
         let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(opts.ring_depth);
+        let (stx, srx) = spsc::ring::<PacketBatch>(opts.ring_depth);
         let mut etx = Some(etx);
+        let mut stx = Some(stx);
         let mut lanes = Vec::with_capacity(n);
         for (i, rx) in rxs.into_iter().enumerate() {
             let mut lane = Lane::streaming(rx);
+            // Only stage 0's batches are the dispatcher's to take back.
+            lane.spent = stx.take();
             // Stage 0 reads the feeder's (untraced) input; later rings
             // are real core hops.
             lane.trace_ring_recv = i > 0;
@@ -1177,15 +1281,13 @@ impl Scheduler for PipelineScheduler {
             }
             lanes.push(lane);
         }
-        let feed = Feed {
-            tx: txs[0].take().expect("stage 0 input ring"),
-            pending: chunk_batches(packets, opts.batch_size),
-            credits: None,
-        };
+        // The dispatcher's one-lane case: stage 0's ring, ungated.
+        let stage0 = vec![(txs[0].take().expect("stage 0 input ring"), None)];
         Wiring {
             lanes,
-            feeds: vec![feed],
+            dispatcher: Some(Dispatcher::new(packets, stage0, opts, false)),
             consumers: vec![erx],
+            spent: vec![srx],
             gates: Vec::new(),
             detach_egress: false,
         }
@@ -1217,17 +1319,300 @@ impl Scheduler for PullCreditScheduler {
         star_topology(graphs, workers, opts)
     }
 
-    fn wire(
-        &self,
-        n: usize,
-        packets: Vec<Packet>,
-        opts: &GraphRunOpts,
-        tracer: &mut Tracer,
-    ) -> Wiring {
-        streamed_star_wiring(n, packets, opts, tracer, opts.effective_credit_window())
+    fn wire(&self, n: usize, packets: Vec<Packet>, opts: &GraphRunOpts) -> Wiring {
+        streamed_star_wiring(n, packets, opts, opts.effective_credit_window())
     }
 
     fn worker(&self, replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSummary {
         pull_worker(replica, lane, opts)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rb_packet::builder::PacketSpec;
+
+    /// `n` distinct one-packet UDP flows, so a sequence identifies its
+    /// packets and the Toeplitz hash spreads them over the lanes.
+    fn flows(n: usize) -> Vec<Packet> {
+        (0..n)
+            .map(|i| {
+                PacketSpec::udp()
+                    .src(&format!("10.{}.{}.7:{}", i >> 8, i & 0xff, 1024 + i))
+                    .unwrap()
+                    .build()
+            })
+            .collect()
+    }
+
+    fn frames<'a>(pkts: impl IntoIterator<Item = &'a Packet>) -> Vec<Vec<u8>> {
+        pkts.into_iter().map(|p| p.data().to_vec()).collect()
+    }
+
+    /// A dispatcher over `lanes` rings of `ring_depth` batches, each gated
+    /// by a `window`-batch credit window when one is given, with the
+    /// consuming ends and gates a test plays the workers with.
+    struct Rig {
+        dispatcher: Dispatcher,
+        rxs: Vec<Consumer<PacketBatch>>,
+        gates: Vec<Option<Arc<CreditGate>>>,
+        tracer: Tracer,
+        got: Vec<Vec<PacketBatch>>,
+    }
+
+    impl Rig {
+        fn new(
+            packets: Vec<Packet>,
+            lanes: usize,
+            batch_size: usize,
+            ring_depth: usize,
+            window: Option<usize>,
+        ) -> Rig {
+            let opts = GraphRunOpts {
+                batch_size,
+                poll_burst: batch_size,
+                ring_depth,
+                ..GraphRunOpts::default()
+            };
+            let mut ingress = Vec::new();
+            let mut rxs = Vec::new();
+            let mut gates = Vec::new();
+            for _ in 0..lanes {
+                let (tx, rx) = spsc::ring::<PacketBatch>(ring_depth);
+                let gate = window.map(|w| Arc::new(CreditGate::new((w * batch_size) as u64)));
+                ingress.push((tx, gate.clone()));
+                rxs.push(rx);
+                gates.push(gate);
+            }
+            Rig {
+                dispatcher: Dispatcher::new(packets, ingress, &opts, true),
+                rxs,
+                gates,
+                tracer: Tracer::off(),
+                got: (0..lanes).map(|_| Vec::new()).collect(),
+            }
+        }
+
+        fn pump(&mut self) -> Pump {
+            self.dispatcher.pump(&mut self.tracer)
+        }
+
+        /// Plays lane `i`'s worker for one batch: pop it, finish it,
+        /// release its credits.
+        fn consume(&mut self, i: usize) -> bool {
+            let Some(batch) = self.rxs[i].pop() else {
+                return false;
+            };
+            if let Some(gate) = &self.gates[i] {
+                gate.release(batch.len() as u64);
+            }
+            self.got[i].push(batch);
+            true
+        }
+
+        /// Packets the dispatcher itself is holding (open and staged).
+        fn held(&self, i: usize) -> usize {
+            let lane = &self.dispatcher.lanes[i];
+            lane.open.len() + lane.staged.iter().map(PacketBatch::len).sum::<usize>()
+        }
+
+        /// Pumps and consumes (one batch a lane a turn, so rings and
+        /// windows do fill up) until the input is through.
+        fn run_to_end(&mut self) {
+            let lanes = self.rxs.len();
+            for _ in 0..1_000_000 {
+                let state = self.pump();
+                let mut moved = false;
+                for i in 0..lanes {
+                    moved |= self.consume(i);
+                }
+                if state == Pump::Done && !moved {
+                    return;
+                }
+            }
+            panic!("dispatcher never finished");
+        }
+
+        /// What lane `i` received must be `shard_by_flow`'s shard for it,
+        /// in order, in full batches but for the last.
+        fn assert_lane_is_shard(&self, i: usize, shard: &[Packet], batch_size: usize) {
+            let got = &self.got[i];
+            assert_eq!(
+                frames(got.iter().flat_map(PacketBatch::as_slice)),
+                frames(shard),
+                "lane {i} sequence"
+            );
+            for batch in &got[..got.len().saturating_sub(1)] {
+                assert_eq!(batch.len(), batch_size, "lane {i}: partial batch mid-run");
+            }
+            assert!(got.iter().all(|b| !b.is_empty()), "lane {i}: empty batch");
+        }
+    }
+
+    #[test]
+    fn lanes_receive_their_shards_in_order_through_tiny_rings() {
+        let input = flows(500);
+        for lanes in [1usize, 2, 3, 4, 7] {
+            let shards = shard_by_flow(input.clone(), lanes);
+            for batch_size in [1usize, 8, 32] {
+                for ring_depth in [1usize, 2] {
+                    // A one-batch window binds before the ring does; a
+                    // four-batch one lets the ring fill, so acquired
+                    // credits get refunded; `None` is the spsc regime.
+                    for window in [Some(1usize), Some(4), None] {
+                        let mut rig =
+                            Rig::new(input.clone(), lanes, batch_size, ring_depth, window);
+                        rig.run_to_end();
+                        for (i, shard) in shards.iter().enumerate() {
+                            rig.assert_lane_is_shard(i, shard, batch_size);
+                            assert_eq!(rig.held(i), 0);
+                            if let Some(gate) = &rig.gates[i] {
+                                let window = gate.window();
+                                assert_eq!(
+                                    gate.available.load(Ordering::Acquire),
+                                    window,
+                                    "lanes {lanes} kp {batch_size} ring {ring_depth}: \
+                                     every credit acquired was released or refunded"
+                                );
+                                assert!(gate.peak_outstanding() <= window);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_ring_refunds_the_credits_it_could_not_use() {
+        // One lane, one-slot ring, a window of four batches: the second
+        // batch acquires its credits, finds the ring full and must give
+        // them back, or the window would leak away.
+        let mut rig = Rig::new(flows(64), 1, 8, 1, Some(4));
+        while rig.pump() == Pump::Progress {}
+        let gate = rig.gates[0].clone().unwrap();
+        assert_eq!(gate.available.load(Ordering::Acquire), 32 - 8);
+        assert_eq!(gate.peak_outstanding(), 16, "second batch was acquired");
+        assert_eq!(rig.dispatcher.lanes[0].staged.len(), 1);
+    }
+
+    #[test]
+    fn dispatcher_classifies_no_further_than_its_staging_bound() {
+        let total = 1000;
+        let (lanes, batch_size) = (2usize, 8usize);
+        let mut rig = Rig::new(flows(total), lanes, batch_size, 1, None);
+        assert_eq!(rig.dispatcher.staging, 1);
+        // Nobody consumes: the first pumps fill the one-slot rings and
+        // the staging slots, and then the input is left where it is.
+        while rig.pump() == Pump::Progress {}
+        assert_eq!(rig.pump(), Pump::Blocked);
+        let unread = rig.dispatcher.source.len();
+        let mut held = 0;
+        for i in 0..lanes {
+            let lane = &rig.dispatcher.lanes[i];
+            assert!(lane.staged.len() <= rig.dispatcher.staging);
+            assert!(lane.open.len() < batch_size);
+            held += rig.held(i);
+        }
+        // At most one batch staged and one open a lane, one in its ring.
+        assert!(held <= lanes * (2 * batch_size - 1), "held {held}");
+        let in_rings: usize = rig.dispatcher.lanes.iter().map(|l| l.tx.len()).sum();
+        assert!(in_rings <= lanes);
+        assert_eq!(unread + held + in_rings * batch_size, total);
+        for _ in 0..10 {
+            assert_eq!(rig.pump(), Pump::Blocked);
+        }
+        assert_eq!(rig.dispatcher.source.len(), unread, "blocked pumps read on");
+        // The same input finishes once somebody consumes.
+        rig.run_to_end();
+        let shards = shard_by_flow(flows(total), lanes);
+        for (i, shard) in shards.iter().enumerate() {
+            rig.assert_lane_is_shard(i, shard, batch_size);
+        }
+    }
+
+    #[test]
+    fn a_stuck_lane_stalls_the_source_and_loses_nothing() {
+        let total = 600;
+        let (lanes, batch_size) = (3usize, 4usize);
+        let shards = shard_by_flow(flows(total), lanes);
+        let mut rig = Rig::new(flows(total), lanes, batch_size, 2, Some(2));
+        // Lane 0's worker is stuck; the others keep consuming.
+        for _ in 0..10_000 {
+            rig.pump();
+            rig.consume(1);
+            rig.consume(2);
+        }
+        assert!(rig.got[0].is_empty());
+        assert_eq!(
+            rig.pump(),
+            Pump::Blocked,
+            "lane 0 at its bound stops everyone"
+        );
+        let unread = rig.dispatcher.source.len();
+        assert!(unread > 0, "stall, not buffer: the source keeps the rest");
+        // What the live lanes got so far is a prefix of their shards.
+        for i in [1usize, 2] {
+            let got = frames(rig.got[i].iter().flat_map(PacketBatch::as_slice));
+            assert!(!got.is_empty());
+            assert_eq!(got, frames(&shards[i][..got.len()]), "lane {i} prefix");
+        }
+        // Lane 0 wakes up: everything arrives, in order, on every lane.
+        rig.run_to_end();
+        for (i, shard) in shards.iter().enumerate() {
+            rig.assert_lane_is_shard(i, shard, batch_size);
+        }
+    }
+
+    #[test]
+    fn one_lane_takes_everything_unparsed() {
+        // Frames too short for an IPv4 header still go to lane 0 of one
+        // (no parse), and of many (the parse fails).
+        let junk: Vec<Packet> = (0..40u8).map(|i| Packet::from_slice(&[i; 9])).collect();
+        for lanes in [1usize, 3] {
+            let mut rig = Rig::new(junk.clone(), lanes, 16, 4, None);
+            rig.run_to_end();
+            rig.assert_lane_is_shard(0, &junk, 16);
+            assert!(rig.got[1..].iter().all(Vec::is_empty));
+        }
+    }
+
+    #[test]
+    fn pooled_ingress_hands_its_spent_batches_back() {
+        use rb_packet::PacketPool;
+        let mut g = Graph::new();
+        let rx = g.add("rx", Box::new(FromDevice::new(0, 32))).unwrap();
+        let sink = crate::elements::sink::Discard::new();
+        let d = g.add("sink", Box::new(sink)).unwrap();
+        g.connect(rx, 0, d, 0).unwrap();
+        for pooled in [true, false] {
+            let mut graph = g.replicate().unwrap();
+            if pooled {
+                graph
+                    .element_mut(rx)
+                    .as_any_mut()
+                    .downcast_mut::<FromDevice>()
+                    .unwrap()
+                    .set_pool(PacketPool::new(64, 2048));
+            }
+            let mut router = Router::new(graph).unwrap();
+            let (tx, mut home) = spsc::ring::<PacketBatch>(4);
+            let mut spent = Some(tx);
+            let sent = flows(8);
+            let batch = PacketBatch::from_vec(sent.clone());
+            inject_batch(&mut router, rx, batch, &mut spent);
+            let back = home.pop().expect("the batch comes home");
+            if pooled {
+                // The originals, untouched: the arena holds copies.
+                assert_eq!(frames(back.as_slice()), frames(&sent));
+                assert!(back.as_slice().iter().all(|p| !p.is_pooled()));
+            } else {
+                assert!(back.is_empty(), "a heap ingress takes the packets");
+            }
+            let dev = router.element_as::<FromDevice>("rx").unwrap();
+            assert_eq!(dev.injected(), 8);
+            assert_eq!(dev.pending(), 8);
+        }
     }
 }
