@@ -4,6 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use routebricks::builder::{BuiltRouter, RouterBuilder};
+use routebricks::packet::builder::PacketSpec;
+use routebricks::packet::Packet;
 
 const PACKETS: u64 = 10_000;
 
@@ -107,5 +109,58 @@ fn bench_dataplane(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dataplane, bench_batch_sweep);
+/// What a port costs: the IP router at 1 and at 32 ports, one busy ingress
+/// (512-frame rounds into port 0, `kp` 32, scattered destinations — the
+/// repo benchmark's `route64` round with a one-route-a-port FIB). Time per
+/// round ÷ 512 is ns per packet; the two rows differ by what 31 idle
+/// sources, 31 more drains and a 32-way split of every batch cost.
+fn bench_wide_router(c: &mut Criterion) {
+    const ROUND: u32 = 512;
+    let mut group = c.benchmark_group("wide_router");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(u64::from(ROUND)));
+    for ports in [1u32, 32] {
+        let mut builder = RouterBuilder::ip_router()
+            .ports(ports as usize)
+            .batch_size(32)
+            .nic_batch(16)
+            .pool_slots(1024)
+            .slot_size(256);
+        for p in 0..ports {
+            builder = builder.route(&format!("{}.0.0.0/8", 10 + p), p as u16);
+        }
+        let mut router = builder.build().expect("builder config is valid");
+        let frames: Vec<Packet> = (0..ROUND)
+            .map(|i| {
+                let port = (i.wrapping_mul(0x9e37_79b9) >> 16) % ports;
+                let dst = format!("{}.0.{}.1:80", 10 + port, i % 200);
+                let spec = PacketSpec::udp().dst(&dst).expect("valid address");
+                spec.frame_len(64).build()
+            })
+            .collect();
+        group.bench_function(format!("{ports}_ports"), |b| {
+            b.iter_batched(
+                || frames.clone(),
+                |round| {
+                    for pkt in round {
+                        router.inject(0, pkt);
+                    }
+                    router.run_until_idle(u64::MAX).quanta
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        let sent: u64 = (0..router.ports()).map(|p| router.transmitted(p)).sum();
+        assert_eq!(sent % u64::from(ROUND), 0, "every round forwards whole");
+        assert!(sent > 0);
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_dataplane,
+    bench_batch_sweep,
+    bench_wide_router
+);
 criterion_main!(benches);

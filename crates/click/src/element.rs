@@ -301,16 +301,21 @@ pub trait Element: Send {
         moved
     }
 
-    /// Cheap hint: could a [`Element::pull`] on output `port` yield a
-    /// packet right now? The driver asks the source of a drain's pull
-    /// chain before it sets up the pull, and skips the pull on `false`.
+    /// Cheap hint from the element a pull chain ends in: `(backlog,
+    /// room)` — how many packets a pull on output `port` could yield
+    /// right now, and how many more a push could add before the element
+    /// starts dropping.
     ///
-    /// `false` is a promise that the pull would come back empty and
-    /// change nothing; `true` promises nothing, so the default is always
-    /// correct. Queues answer from their occupancy.
-    fn pull_ready(&self, port: usize) -> bool {
+    /// The driver schedules a drain from it: a drain whose source reports
+    /// no backlog is parked until a push into the source wakes it, and a
+    /// woken drain waits for a full burst while there is room for one
+    /// (see [`crate::runtime::driver`]). An element that answers must be
+    /// exact and must feed one drain. `None`, the default, promises
+    /// nothing: such a drain is polled like a source. Queues answer from
+    /// their occupancy and capacity.
+    fn pull_backlog(&self, port: usize) -> Option<(usize, usize)> {
         let _ = port;
-        true
+        None
     }
 
     /// Runs one scheduling quantum for an active element.

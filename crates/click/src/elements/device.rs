@@ -119,16 +119,18 @@ impl FromDevice {
     }
 
     /// Delivers a frame onto the wire (what the link peer's transmit
-    /// would do). Pooled devices re-buffer into an arena slot here; no
-    /// free slot means the NIC had no posted receive buffer, and the
-    /// frame drops as [`DropCause::NoRxDescriptor`].
-    pub fn inject(&mut self, pkt: Packet) {
+    /// would do) and reports whether it landed. Pooled devices re-buffer
+    /// into an arena slot here; no free slot means the NIC had no posted
+    /// receive buffer, and the frame drops as
+    /// [`DropCause::NoRxDescriptor`] — `false`, counted in
+    /// [`FromDevice::rx_dropped`].
+    pub fn inject(&mut self, pkt: Packet) -> bool {
         if self.pool.is_some() {
-            self.land(&pkt);
-        } else {
-            self.injected += 1;
-            self.wire.push_back(pkt);
+            return self.land(&pkt);
         }
+        self.injected += 1;
+        self.wire.push_back(pkt);
+        true
     }
 
     /// Delivers every frame of `batch`, in order, as [`inject`] would. A
@@ -151,20 +153,21 @@ impl FromDevice {
         }
     }
 
-    /// The DMA of a pooled device: copies `frame` into a free arena slot.
-    fn land(&mut self, frame: &Packet) {
+    /// The DMA of a pooled device: copies `frame` into a free arena slot,
+    /// or reports `false` when there is none.
+    fn land(&mut self, frame: &Packet) -> bool {
         self.injected += 1;
         let pool = self.pool.as_ref().expect("pooled device");
-        match Packet::try_from_slice_in(pool, frame.data()) {
-            Some(mut pooled) => {
-                pooled.meta = frame.meta.clone();
-                self.wire.push_back(pooled);
-            }
+        let Some(mut pooled) = Packet::try_from_slice_in(pool, frame.data()) else {
             // No free receive buffer: the NIC drops the frame on the
             // floor. The arena's exhaustion counter already ticked in
             // the pool stats; the ledger books it once, here.
-            None => self.rx_dropped += 1,
-        }
+            self.rx_dropped += 1;
+            return false;
+        };
+        pooled.meta = frame.meta.clone();
+        self.wire.push_back(pooled);
+        true
     }
 
     /// Frames waiting to be polled (on the wire plus in the RX ring).

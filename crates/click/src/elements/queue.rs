@@ -34,7 +34,7 @@ impl Queue {
     /// Click's default queue capacity.
     pub const DEFAULT_CAPACITY: usize = 1000;
 
-    /// Creates a queue holding at most `capacity` packets.
+    /// Creates a queue bounded at `capacity` packets, stored on demand.
     ///
     /// # Panics
     ///
@@ -43,7 +43,7 @@ impl Queue {
     pub fn new(capacity: usize) -> Queue {
         assert!(capacity > 0, "queue capacity must be positive");
         Queue {
-            buf: VecDeque::with_capacity(capacity.min(1 << 16)),
+            buf: VecDeque::new(),
             capacity,
             stats: QueueStats::default(),
         }
@@ -129,8 +129,8 @@ impl Element for Queue {
         n
     }
 
-    fn pull_ready(&self, _port: usize) -> bool {
-        !self.buf.is_empty()
+    fn pull_backlog(&self, _port: usize) -> Option<(usize, usize)> {
+        Some((self.buf.len(), self.capacity - self.buf.len()))
     }
 
     fn ledger(&self) -> Option<Ledger> {

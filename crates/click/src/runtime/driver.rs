@@ -113,46 +113,63 @@ impl RunStats {
 /// Cap on pooled batch buffers; beyond this, excess buffers are freed.
 const BATCH_POOL_LIMIT: usize = 64;
 
-/// Resolves the task table: for every element, `Some(pull chain)` when it
-/// is a drain — its first input is a pull port, so as a task it runs by
-/// pulling that chain rather than by `run_task` — and `None` otherwise.
-///
-/// A chain lists edges drain side first: `chain[0]` enters the drain's
-/// input 0, every later edge enters the through-element the edge before
-/// it leaves (an agnostic element in a pull path, e.g. a `Counter`), and
-/// the last edge leaves the terminal pull source (a `Queue`). A chain
-/// that reaches no source is empty: there is never anything to pull.
+/// What the driver resolved about one drain (see [`plan_tasks`]).
+struct Drain {
+    /// Its pull chain, drain side first: `chain[0]` enters the drain's
+    /// input 0, every later edge enters the through-element the edge
+    /// before it leaves (an agnostic element in a pull path, e.g. a
+    /// `Counter`), and the last edge leaves the terminal pull source (a
+    /// `Queue`).
+    chain: Vec<Edge>,
+    /// Packets it pulls a quantum: its device's burst, else the graph `kp`.
+    burst: usize,
+    /// Its source answers [`crate::Element::pull_backlog`].
+    hinted: bool,
+    /// The backlog it sits on while deferred; zero when it is not.
+    held: usize,
+}
+
+/// Resolves the task table: for every element, `Some(Drain)` when it is a
+/// drain — its first input is a pull port, so as a task it runs by pulling
+/// its chain rather than by `run_task` — and `None` otherwise, or if the
+/// chain reaches no source: there is never anything to pull.
 ///
 /// The driver reads this table instead of asking
 /// [`crate::Element::ports`] (two `Vec` allocations an answer) on every
 /// quantum and pull hop.
-fn plan_tasks(graph: &Graph) -> Vec<Option<Vec<Edge>>> {
+fn plan_tasks(graph: &Graph, kp: usize) -> Vec<Option<Drain>> {
     let inputs: Vec<Vec<PortKind>> = (0..graph.len())
         .map(|id| graph.element(id).ports().inputs)
         .collect();
-    let pull_chain = |drain: ElementId| {
-        let mut chain = Vec::new();
+    let plan = |drain: ElementId| {
+        let dev = graph.element(drain).as_any().downcast_ref::<ToDevice>();
+        let mut plan = Drain {
+            chain: Vec::new(),
+            burst: dev.map_or(kp, |dev| dev.pull_burst_or(kp)),
+            hinted: false,
+            held: 0,
+        };
         let mut to = drain;
         // At most one hop per element; the bound only ends a walk around
         // a malformed cyclic pull path.
         for _ in 0..graph.len() {
-            let Some(&edge) = graph.edges_into(to, 0).first() else {
-                break;
-            };
-            chain.push(edge);
+            let &edge = graph.edges_into(to, 0).first()?;
+            plan.chain.push(edge);
             // All-push inputs (or none): the element hands out packets of
             // its own instead of pulling them through from upstream.
             if inputs[edge.from].iter().all(|k| *k == PortKind::Push) {
-                return chain;
+                let hint = graph.element(edge.from).pull_backlog(edge.from_port);
+                plan.hinted = hint.is_some();
+                return Some(plan);
             }
             to = edge.from;
         }
-        Vec::new()
+        None
     };
     inputs
         .iter()
         .enumerate()
-        .map(|(id, kinds)| (kinds.first() == Some(&PortKind::Pull)).then(|| pull_chain(id)))
+        .map(|(id, kinds)| (kinds.first() == Some(&PortKind::Pull)).then(|| plan(id))?)
         .collect()
 }
 
@@ -161,9 +178,24 @@ pub struct Router {
     graph: Graph,
     scheduler: StrideScheduler,
     /// Task table by element id (see [`plan_tasks`]).
-    tasks: Vec<Option<Vec<Edge>>>,
-    /// [`Router::graph_mut`] was handed out since `tasks` was resolved;
-    /// the next quantum resolves it again.
+    tasks: Vec<Option<Drain>>,
+    /// The wake map: by element id, the hinted drain whose chain ends
+    /// there — a push into that element makes the drain runnable.
+    wakes: Vec<Option<ElementId>>,
+    /// The tasks no push can wake: sources and unhinted drains.
+    pollers: Vec<ElementId>,
+    /// Drains deferred since the last release (one that ran since is
+    /// still listed, its `held` zero), the packets they hold between
+    /// them, and the bound on that: half the smallest attached arena.
+    deferred: Vec<ElementId>,
+    held: usize,
+    held_cap: usize,
+    /// Useful poller quanta so far, and the count at which the deferred
+    /// are released whatever they hold (`u64::MAX`: none is deferred).
+    poller_quanta: u64,
+    release_at: u64,
+    /// [`Router::graph_mut`] was handed out, or `kp` set, since `tasks`
+    /// was resolved; the next quantum resolves it again.
     tasks_stale: bool,
     stats: RunStats,
     /// Dispatch batch size `kp`: max packets per work-queue entry.
@@ -172,9 +204,11 @@ pub struct Router {
     work: VecDeque<(ElementId, usize, PacketBatch)>,
     /// Recycled batch buffers (capacity retained across quanta).
     pool: Vec<PacketBatch>,
-    /// Reused per-port accumulator of `enqueue_emissions` (empty between
-    /// calls; only its capacity is kept).
-    groups: Vec<(usize, PacketBatch)>,
+    /// Reused accumulator of `enqueue_emissions`, indexed by output port
+    /// (every batch empty between calls).
+    groups: Vec<PacketBatch>,
+    /// The output ports `groups` holds packets for, first seen first.
+    group_ports: Vec<usize>,
     /// Reused emission collector for the inner dispatch loop.
     scratch: Output,
     /// Reused emission collector for task/drain quanta.
@@ -252,12 +286,20 @@ impl Router {
             graph,
             scheduler: StrideScheduler::new(),
             tasks: Vec::new(),
+            wakes: Vec::new(),
+            pollers: Vec::new(),
+            deferred: Vec::new(),
+            held: 0,
+            held_cap: usize::MAX,
+            poller_quanta: 0,
+            release_at: u64::MAX,
             tasks_stale: false,
             stats: RunStats::default(),
             batch_size: Self::DEFAULT_BATCH_SIZE,
             work: VecDeque::new(),
             pool: Vec::new(),
             groups: Vec::new(),
+            group_ports: Vec::new(),
             scratch: Output::new(),
             task_out: Output::new(),
             metrics: CoreMetrics::new(TelemetryLevel::Off, n),
@@ -277,14 +319,28 @@ impl Router {
     /// construction; after a [`Router::graph_mut`] edit the ones added
     /// since (a graph only grows), which join at the current minimum pass.
     fn replan_tasks(&mut self) {
+        // The table that says what the deferred drains hold is replaced.
+        self.release_deferred();
         let known = self.tasks.len();
-        self.tasks = plan_tasks(&self.graph);
-        for id in known..self.graph.len() {
+        self.tasks = plan_tasks(&self.graph, self.batch_size);
+        self.wakes = vec![None; self.graph.len()];
+        self.pollers.clear();
+        for (id, task) in self.tasks.iter().enumerate() {
             let el = self.graph.element(id);
-            if el.is_active() {
+            if !el.is_active() {
+                continue;
+            }
+            if id >= known {
                 self.scheduler.add(id, el.tickets());
             }
+            match task.as_ref().filter(|drain| drain.hinted) {
+                Some(drain) => self.wakes[drain.chain[drain.chain.len() - 1].from] = Some(id),
+                None => self.pollers.push(id),
+            }
         }
+        // A deferred packet pins an arena slot: cap what deferral may pin.
+        let smallest = self.pool_rows().iter().map(|p| p.slots).min();
+        self.held_cap = smallest.map_or(usize::MAX, |slots| slots / 2);
         self.metrics.grow(self.graph.len());
         self.tasks_stale = false;
     }
@@ -690,6 +746,7 @@ impl Router {
     pub fn set_batch_size(&mut self, kp: usize) {
         assert!(kp > 0, "batch size must be positive");
         self.batch_size = kp;
+        self.tasks_stale = true;
     }
 
     /// Builder-style variant of [`Router::set_batch_size`].
@@ -727,18 +784,26 @@ impl Router {
         self
     }
 
-    /// Runs until every active element reports idle for a full scheduler
-    /// cycle, or `max_quanta` quanta elapse. Returns the run statistics;
-    /// `RunStats::fused` distinguishes a blown fuse (quanta budget spent
-    /// with runnable work left) from a clean drain — a fuse-out is not a
-    /// verified drain and can mask livelock if read as one. `quanta` is
-    /// cumulative across calls; `fused` reflects only this call.
+    /// Runs until every active element has reported idle since the last
+    /// useful quantum — parked drains by their empty queues, the pollers
+    /// by being armed and polled once more — or `max_quanta` quanta
+    /// elapse. Returns the run statistics; `RunStats::fused` distinguishes
+    /// a blown fuse (quanta budget spent with runnable work left) from a
+    /// clean drain — a fuse-out is not a verified drain and can mask
+    /// livelock if read as one. `quanta` is cumulative across calls;
+    /// `fused` reflects only this call.
     pub fn run_until_idle(&mut self, max_quanta: u64) -> RunStats {
         self.stats.fused = false;
-        let mut consecutive_idle = 0usize;
+        let mut settled = false;
         loop {
-            if self.scheduler.is_empty() {
-                break;
+            if self.scheduler.is_empty() && !self.release_deferred() {
+                // Idle, if the pollers all said so since the last useful
+                // quantum.
+                if settled {
+                    break;
+                }
+                settled = true;
+                self.arm_pollers();
             }
             if self.stats.quanta >= max_quanta {
                 self.stats.fused = true;
@@ -749,21 +814,66 @@ impl Router {
                 }
                 break;
             }
-            let did_work = self.run_quantum();
-            if did_work {
-                consecutive_idle = 0;
-            } else {
-                consecutive_idle += 1;
-                if consecutive_idle >= self.scheduler.len() {
-                    break;
-                }
-            }
+            settled &= !self.run_quantum();
         }
         self.stats()
     }
 
+    fn arm_pollers(&mut self) {
+        for &id in &self.pollers {
+            self.scheduler.wake(id);
+        }
+    }
+
+    /// Makes every deferred drain runnable; `false` when there was none.
+    fn release_deferred(&mut self) -> bool {
+        let mut woken = false;
+        for id in self.deferred.drain(..) {
+            let drain = self.tasks[id].as_mut().expect("only drains are deferred");
+            woken |= std::mem::take(&mut drain.held) > 0 && self.scheduler.wake(id);
+        }
+        self.held = 0;
+        self.release_at = u64::MAX;
+        woken
+    }
+
+    /// Decides what the parked, hinted drain `id` does about its backlog,
+    /// after a push into its source or a quantum of its own. Holding less
+    /// than its own burst it is *deferred* — left parked while the sources
+    /// fill the burst, so the device is rung for a whole batch — if its
+    /// queue would take another burst on top; else it runs. The deferred
+    /// are released together: when nothing else is runnable, `burst`
+    /// useful poller quanta after the first deferral, or at `held_cap`.
+    fn wake_drain(&mut self, id: ElementId) {
+        if !self.scheduler.is_parked(id) {
+            return;
+        }
+        let drain = self.tasks[id].as_mut().expect("the wake map names drains");
+        let burst = drain.burst;
+        let src = drain.chain[drain.chain.len() - 1];
+        let hint = self.graph.element(src.from).pull_backlog(src.from_port);
+        let (backlog, room) = hint.expect("hinted at plan time");
+        let was = std::mem::take(&mut drain.held);
+        self.held -= was;
+        if backlog >= burst || backlog > 0 && room < burst {
+            self.scheduler.wake(id);
+        } else if backlog > 0 {
+            drain.held = backlog;
+            self.held += backlog;
+            if was == 0 {
+                self.deferred.push(id);
+                self.release_at = self.release_at.min(self.poller_quanta + burst as u64);
+            }
+            if self.held >= self.held_cap {
+                self.release_deferred();
+            }
+        }
+    }
+
     /// Runs exactly one scheduling quantum; returns `true` if the task did
-    /// useful work.
+    /// useful work. With nothing runnable it releases the deferred drains
+    /// or else arms the pollers, so stepping quanta by hand polls them
+    /// round-robin and finds work injected from outside.
     pub fn run_quantum(&mut self) -> bool {
         // Interval clock span: read even when cycle telemetry is off —
         // the disabled clock pays exactly one predictable branch here.
@@ -775,6 +885,9 @@ impl Router {
         if self.tasks_stale {
             self.replan_tasks();
         }
+        if self.scheduler.is_empty() && !self.release_deferred() {
+            self.arm_pollers();
+        }
         let Some(id) = self.scheduler.next() else {
             if self.interval.is_some() {
                 let now = cycles::now();
@@ -784,28 +897,18 @@ impl Router {
         };
         self.stats.quanta += 1;
         let q0 = self.tm_start();
-        let did_work = if self.tasks[id].is_some() {
-            self.run_drain(id)
-        } else {
-            let mut out = std::mem::take(&mut self.task_out);
-            let t0 = self.tm_start();
-            let tr0 = self.tr_start();
-            let did_work = self.graph.element_mut(id).run_task(&mut out);
-            let emitted = out.len() as u64;
-            if emitted > 0 {
-                // Attribute source work to the source's own row; idle
-                // polls are covered by the quantum's empty-poll counter.
-                self.tm_dispatch(id, emitted, t0);
+        let did_work = self.run_task(id);
+        // The pick is parked. A hinted drain's backlog decides whether it
+        // runs again; anything else does if it found something to do.
+        if self.tasks[id].as_ref().is_some_and(|drain| drain.hinted) {
+            self.wake_drain(id);
+        } else if did_work {
+            self.scheduler.wake(id);
+            self.poller_quanta += 1;
+            if self.poller_quanta >= self.release_at {
+                self.release_deferred();
             }
-            // Source boundary: assign trace IDs to sampled emissions and
-            // open each traced packet's path with a span on the source.
-            self.tr_stamp_source(&mut out);
-            self.tr_dispatch(id, tr0);
-            self.stats.dropped_default += out.take_default_dropped();
-            self.route(id, &mut out);
-            self.task_out = out;
-            did_work
-        };
+        }
         if self.metrics.enabled() {
             let span = if self.metrics.cycles_on() {
                 cycles::now().wrapping_sub(q0)
@@ -821,26 +924,36 @@ impl Router {
         did_work
     }
 
+    /// One quantum of task `id`, whatever the scheduler thinks of it.
+    fn run_task(&mut self, id: ElementId) -> bool {
+        if self.tasks[id].is_some() {
+            return self.run_drain(id);
+        }
+        let mut out = std::mem::take(&mut self.task_out);
+        let t0 = self.tm_start();
+        let tr0 = self.tr_start();
+        let did_work = self.graph.element_mut(id).run_task(&mut out);
+        let emitted = out.len() as u64;
+        if emitted > 0 {
+            // Attribute source work to the source's own row; idle
+            // polls are covered by the quantum's empty-poll counter.
+            self.tm_dispatch(id, emitted, t0);
+        }
+        // Source boundary: assign trace IDs to sampled emissions and
+        // open each traced packet's path with a span on the source.
+        self.tr_stamp_source(&mut out);
+        self.tr_dispatch(id, tr0);
+        self.stats.dropped_default += out.take_default_dropped();
+        self.route(id, &mut out);
+        self.task_out = out;
+        did_work
+    }
+
     /// Pulls one burst of packets into drain element `id` as a batch.
     fn run_drain(&mut self, id: ElementId) -> bool {
-        // Ask the chain's source first: with nothing queued the pull
-        // below would move zero packets and report the same idle quantum,
-        // after a downcast, a batch buffer and a call per hop.
-        let ready = self.tasks[id]
-            .as_ref()
-            .and_then(|chain| chain.last())
-            .is_some_and(|src| self.graph.element(src.from).pull_ready(src.from_port));
-        if !ready {
-            return false;
-        }
         // Unified `kp`: a drain follows the graph batch size unless the
         // device carries an explicit per-device burst override.
-        let burst = self
-            .graph
-            .element(id)
-            .as_any()
-            .downcast_ref::<ToDevice>()
-            .map_or(self.batch_size, |dev| dev.pull_burst_or(self.batch_size));
+        let burst = self.tasks[id].as_ref().expect("drains have a plan").burst;
         let mut batch = self.take_batch();
         let moved = self.resolve_pull_batch(id, 0, burst, &mut batch);
         if moved == 0 {
@@ -884,8 +997,8 @@ impl Router {
         max: usize,
         into: &mut PacketBatch,
     ) -> usize {
-        let chain = self.tasks[drain].as_ref().expect("drains have a chain");
-        let (edge, terminal) = (chain[hop], hop + 1 == chain.len());
+        let plan = self.tasks[drain].as_ref().expect("drains have a plan");
+        let (edge, terminal) = (plan.chain[hop], hop + 1 == plan.chain.len());
         if terminal {
             // Terminal pull source (Queue or similar): bulk drain.
             let t0 = self.tm_start();
@@ -972,6 +1085,9 @@ impl Router {
             self.stats.pushes += n;
             self.stats.batch_calls += 1;
             self.recycle(batch);
+            if let Some(drain) = self.wakes[id] {
+                self.wake_drain(drain);
+            }
             let mut emitted = std::mem::take(&mut self.scratch);
             self.stats.dropped_default += emitted.take_default_dropped();
             self.enqueue_emissions(id, &mut emitted);
@@ -986,20 +1102,20 @@ impl Router {
         if out.is_empty() {
             return;
         }
-        // Per-port accumulation; elements have a handful of ports, so a
-        // linear scan beats a map.
-        let mut groups = std::mem::take(&mut self.groups);
         for (port, pkt) in out.drain() {
-            match groups.iter_mut().find(|(p, _)| *p == port) {
-                Some((_, batch)) => batch.push(pkt),
-                None => {
-                    let mut batch = self.pool.pop().unwrap_or_default();
-                    batch.push(pkt);
-                    groups.push((port, batch));
-                }
+            if port >= self.groups.len() {
+                self.groups.resize_with(port + 1, PacketBatch::new);
             }
+            let group = &mut self.groups[port];
+            if group.is_empty() {
+                *group = self.pool.pop().unwrap_or_default();
+                self.group_ports.push(port);
+            }
+            group.push(pkt);
         }
-        for (port, mut batch) in groups.drain(..) {
+        let mut ports = std::mem::take(&mut self.group_ports);
+        for port in ports.drain(..) {
+            let mut batch = std::mem::take(&mut self.groups[port]);
             let Some(edge) = self.graph.edge_from(from, port) else {
                 self.stats.leaked += batch.len() as u64;
                 self.recycle(batch);
@@ -1022,7 +1138,7 @@ impl Router {
                 self.recycle(batch);
             }
         }
-        self.groups = groups;
+        self.group_ports = ports;
     }
 
     /// Fetches a pooled batch buffer (or a fresh one).
@@ -1661,11 +1777,19 @@ mod tests {
 
     #[test]
     fn schedule_is_identical_to_the_linear_scan_driver() {
-        // `(kp, quanta, pushes, batch_calls, egress order)` as the driver
-        // produced them before the scheduler became a heap and the task
-        // table was cached (`min_by_key` pick, `ports()` asked on every
-        // quantum, no empty-queue early return), measured on that commit
-        // with this same test. A scheduling decision that moved shows here.
+        // `(kp, quanta, pushes, batch_calls, egress order)`. `pushes`,
+        // `batch_calls` and the egress order are as the driver produced
+        // them when it picked by `min_by_key` over every task, asked
+        // `ports()` on every quantum and polled empty queues: a
+        // scheduling decision that moved shows there. `quanta` was 1184
+        // and 288 then too, made of other quanta: per round 32 idle
+        // polls of the devices, a useful quantum per poll and per burst
+        // drained, and 64 more polls to see everything idle. The run list
+        // spends them on the sources alone — once when their rings run
+        // dry and once more before the run is declared idle — plus the 32
+        // drains polled once, empty, because tasks start out runnable.
+        // More than that is a regression: a probe that polls drains too
+        // read 1248 and 352.
         let expected = [
             (1usize, 1184u64, 2304u64, 2304u64, 0x5478_95f6_912b_04a5u64),
             (32, 288, 2304, 736, 0x1234_0c03_1cb0_80e5),
@@ -1708,5 +1832,292 @@ mod tests {
             assert_eq!(order.len(), 512, "kp {kp}");
             assert_eq!(fnv1a(order), egress_order, "kp {kp}: egress order");
         }
+    }
+
+    /// The scheduling loop before the run list, kept as the reference:
+    /// every active element in id order, round after round, until a whole
+    /// round is idle. Like the scheduler it stood on, it resumes where the
+    /// last call stopped.
+    #[derive(Default)]
+    struct RoundRobin {
+        at: usize,
+    }
+
+    impl RoundRobin {
+        fn run_until_idle(&mut self, router: &mut Router) {
+            if router.tasks_stale {
+                router.replan_tasks();
+            }
+            let graph = router.graph();
+            let active: Vec<ElementId> = (0..graph.len())
+                .filter(|&id| graph.element(id).is_active())
+                .collect();
+            let mut idle = 0;
+            while idle < active.len() {
+                let id = active[self.at % active.len()];
+                self.at += 1;
+                idle = if router.run_task(id) { 0 } else { idle + 1 };
+            }
+        }
+    }
+
+    /// `rx -> hs`, every `HashSwitch` output `o` into `q<o> -> tx<o>`.
+    fn fan_out(
+        ports: usize,
+        capacity: usize,
+        rx_burst: usize,
+        tx_burst: usize,
+        arena: usize,
+    ) -> Router {
+        use crate::elements::switch::HashSwitch;
+        let mut g = Graph::new();
+        let mut dev = FromDevice::new(0, rx_burst);
+        if arena > 0 {
+            dev.set_pool(rb_packet::PacketPool::new(arena, 2048));
+        }
+        let rx = g.add("rx", Box::new(dev)).unwrap();
+        let hs = g.add("hs", Box::new(HashSwitch::new(ports))).unwrap();
+        g.connect(rx, 0, hs, 0).unwrap();
+        for p in 0..ports {
+            let q = g
+                .add(format!("q{p}"), Box::new(Queue::new(capacity)))
+                .unwrap();
+            let tx = g
+                .add(format!("tx{p}"), Box::new(ToDevice::new(tx_burst, true)))
+                .unwrap();
+            g.connect(hs, p, q, 0).unwrap();
+            g.connect(q, 0, tx, 0).unwrap();
+        }
+        Router::new(g).unwrap()
+    }
+
+    /// Frame `i` of a run: its own flow, `i` as ingress sequence and in
+    /// its payload length, so a frame is told from any other by its bytes.
+    fn flow_frame(i: u64) -> rb_packet::Packet {
+        let mut pkt = PacketSpec::udp()
+            .src(&format!("172.16.{}.{}:{}", i >> 8, i & 255, 1024 + i))
+            .unwrap()
+            .frame_len(64 + (i % 64) as usize)
+            .build();
+        pkt.meta.ingress_seq = i;
+        pkt
+    }
+
+    /// What a finished run let out: per port, every transmitted frame's
+    /// sequence number and bytes, in order.
+    fn egress(router: &Router, ports: usize) -> Vec<Vec<(u64, Vec<u8>)>> {
+        (0..ports)
+            .map(|p| {
+                let tx = router.element_as::<ToDevice>(&format!("tx{p}")).unwrap();
+                let sent = tx.tx_log().iter();
+                sent.map(|f| (f.meta.ingress_seq, f.data().to_vec()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// One source fanned out over 1–32 ports, whatever the queue
+        /// capacity, the bursts and the arena: the run list lets out the
+        /// same bytes in the same order on every port as polling every
+        /// task in turn, accounts for every frame, and drops no more to
+        /// any cause.
+        #[test]
+        fn run_list_lets_out_what_round_robin_does(
+            ports in proptest::prop_oneof![1usize..=3, 1usize..=32],
+            capacity in proptest::prop_oneof![1usize..=64, proptest::strategy::Just(1000usize)],
+            rx_burst in 1usize..=64,
+            tx_burst in 1usize..=64,
+            arena in proptest::prop_oneof![
+                proptest::strategy::Just(0usize),
+                2usize..=64,
+                proptest::strategy::Just(4096usize)
+            ],
+            rounds in proptest::collection::vec(1u64..=300, 1..4),
+            kp_idx in 0usize..3,
+        ) {
+            // Deferral sits on up to `tx_burst - 1` packets, in a queue
+            // with room for `tx_burst` more; what a poll may add on top
+            // of that must fit (or the queue be too small to defer in).
+            proptest::prop_assume!(capacity < tx_burst || capacity + 1 >= rx_burst + tx_burst);
+            let kp = [1usize, 8, 32][kp_idx];
+            let build = || fan_out(ports, capacity, rx_burst, tx_burst, arena).with_batch_size(kp);
+            let (mut listed, mut polled) = (build(), build());
+            let mut reference = RoundRobin::default();
+            let mut next = 0;
+            for frames in rounds {
+                for i in next..next + frames {
+                    for router in [&mut listed, &mut polled] {
+                        router.element_as_mut::<FromDevice>("rx").unwrap().inject(flow_frame(i));
+                    }
+                }
+                next += frames;
+                // A budget, so that a livelock fails the case instead of
+                // hanging it: a frame costs a handful of quanta at most.
+                let budget = listed.stats().quanta + 100_000;
+                proptest::prop_assert!(!listed.run_until_idle(budget).fused);
+                reference.run_until_idle(&mut polled);
+            }
+            let (led, reference_led) = (listed.ledger(), polled.ledger());
+            proptest::prop_assert!(led.balances(), "{}", led.to_json());
+            proptest::prop_assert_eq!(led.in_flight, 0);
+            proptest::prop_assert_eq!(led.sourced, reference_led.sourced);
+            for cause in DropCause::ALL {
+                proptest::prop_assert!(
+                    led.dropped(cause) <= reference_led.dropped(cause),
+                    "{:?}: {} against {}", cause, led.dropped(cause), reference_led.dropped(cause)
+                );
+            }
+            proptest::prop_assert_eq!(egress(&listed, ports), egress(&polled, ports));
+        }
+    }
+
+    #[test]
+    fn a_trickle_to_a_quiet_port_waits_one_burst_of_source_quanta() {
+        // Four sources that hand over one frame a poll, never idle while
+        // the test looks; nearly everything goes to port 0, whose drain
+        // fills its burst of 8 every other round. One frame in 97 goes to
+        // port 1, whose drain would wait for seven more that never come.
+        const BURST: u64 = 8;
+        let mut g = Graph::new();
+        let rt = g
+            .add(
+                "rt",
+                Box::new(LookupIPRoute::from_spec("10.0.0.0/8 1, 0.0.0.0/0 0").unwrap()),
+            )
+            .unwrap();
+        let miss = g.add("miss", Box::new(Discard::new())).unwrap();
+        g.connect(rt, 2, miss, 0).unwrap();
+        for p in 0..2 {
+            let q = g.add(format!("q{p}"), Box::new(Queue::new(1000))).unwrap();
+            let tx = g
+                .add(
+                    format!("tx{p}"),
+                    Box::new(ToDevice::new(BURST as usize, true)),
+                )
+                .unwrap();
+            g.connect(rt, p, q, 0).unwrap();
+            g.connect(q, 0, tx, 0).unwrap();
+        }
+        for s in 0..4u64 {
+            let mut dev = FromDevice::new(s as u16, 1);
+            for i in 0..2000 {
+                let seq = 4 * i + s;
+                let dst = if seq % 97 == 5 {
+                    "10.1.1.1:9"
+                } else {
+                    "192.0.2.1:9"
+                };
+                let mut pkt = PacketSpec::udp().dst(dst).unwrap().build();
+                pkt.meta.ingress_seq = seq;
+                dev.inject(pkt);
+            }
+            let rx = g.add(format!("rx{s}"), Box::new(dev)).unwrap();
+            g.connect(rx, 0, rt, 0).unwrap();
+        }
+        let mut router = Router::new(g).unwrap();
+        // Frames the sources have handed over so far.
+        let polled = |r: &Router| -> u64 {
+            (0..4)
+                .map(|s| {
+                    r.element_as::<FromDevice>(&format!("rx{s}"))
+                        .unwrap()
+                        .received()
+                })
+                .sum()
+        };
+        let mut waits = Vec::new();
+        let mut queued_at = None;
+        for _ in 0..6000 {
+            router.run_quantum();
+            let now = polled(&router);
+            let (queued, sent) = (
+                router.queue_stats("q1").unwrap().enqueued,
+                router.element_as::<ToDevice>("tx1").unwrap().sent_packets(),
+            );
+            if queued > sent {
+                queued_at.get_or_insert(now);
+            } else if let Some(at) = queued_at.take() {
+                waits.push(now - at);
+            }
+        }
+        assert!(waits.len() > 10, "the quiet port saw traffic: {waits:?}");
+        // Every source quantum here is one frame: the wait in frames
+        // polled is the wait in useful source quanta.
+        let longest = *waits.iter().max().unwrap();
+        assert!(longest <= BURST, "waits {waits:?}");
+        assert!(longest > 1, "the drain did wait for company: {waits:?}");
+        // The busy port meanwhile ships whole bursts.
+        let tx0 = router.telemetry_snapshot();
+        let _ = tx0;
+        let sent0 = router.element_as::<ToDevice>("tx0").unwrap().sent_packets();
+        let rings = router
+            .element_as::<ToDevice>("tx0")
+            .unwrap()
+            .tx_ring_stats();
+        assert!(sent0 > 1000 && rings.posted == sent0);
+    }
+
+    #[test]
+    fn a_push_into_a_parked_drains_queue_runs_it_before_the_run_ends() {
+        let mut router = fan_out(1, 1000, 32, 32, 0);
+        router.run_until_idle(u64::MAX);
+        let tx = router.graph().id_of("tx0").unwrap();
+        assert!(
+            router.scheduler.is_parked(tx),
+            "an empty queue parks its drain"
+        );
+        // Three frames: less than the drain's burst, so it is deferred
+        // first and released when the source has nothing more.
+        for i in 0..3 {
+            router
+                .element_as_mut::<FromDevice>("rx")
+                .unwrap()
+                .inject(flow_frame(i));
+        }
+        let before = router.stats().quanta;
+        let stats = router.run_until_idle(u64::MAX);
+        assert!(!stats.fused);
+        assert_eq!(
+            router.element_as::<ToDevice>("tx0").unwrap().sent_packets(),
+            3
+        );
+        assert!(router.scheduler.is_parked(tx) && router.deferred.is_empty());
+        // The source twice (frames, then nothing), the drain once, the
+        // source once more: nobody polled the drain to find it empty.
+        assert_eq!(stats.quanta - before, 4);
+    }
+
+    #[test]
+    fn quanta_stepped_by_hand_find_an_injected_frame() {
+        let mut router = Router::new(wide_graph(32, 32)).unwrap();
+        router.run_until_idle(u64::MAX);
+        assert!(
+            router.scheduler.is_empty(),
+            "an idle router has no runnable task"
+        );
+        router
+            .element_as_mut::<FromDevice>("rx17")
+            .unwrap()
+            .inject(flow_frame(0));
+        let sent = |r: &Router| -> u64 {
+            (0..32)
+                .map(|p| {
+                    r.element_as::<ToDevice>(&format!("tx{p}"))
+                        .unwrap()
+                        .sent_packets()
+                })
+                .sum()
+        };
+        let calls = (1..=2 * 64).find(|_| {
+            router.run_quantum();
+            sent(&router) == 1
+        });
+        assert!(
+            calls.is_some(),
+            "64 tasks, 128 quanta, and the frame is still inside"
+        );
     }
 }

@@ -1,20 +1,22 @@
 //! Stride scheduling, Click's task scheduler.
 //!
 //! Each task has a number of *tickets*; its *stride* is `STRIDE1 /
-//! tickets`. The scheduler always runs the task with the smallest *pass*
-//! value and advances that task's pass by its stride, giving each task CPU
-//! share proportional to its tickets — deterministic, and exactly what
-//! Click uses to arbitrate between polling tasks.
+//! tickets`. The scheduler always runs the runnable task with the smallest
+//! *pass* value and advances that task's pass by its stride, giving each
+//! task CPU share proportional to its tickets — deterministic, and exactly
+//! what Click uses to arbitrate between polling tasks.
 //!
-//! Tasks sit in a deque kept sorted by `(pass, id)`, so the next task is
-//! the front. [`StrideScheduler::next`] pops it, charges it and puts it
-//! back in order. Where the charged pass is the largest it goes to the
-//! back, O(1) — always so when every task holds the same tickets, which
-//! is every router this repo builds (no element overrides
-//! [`crate::Element::tickets`]): equal strides make the schedule a
-//! round-robin. With unequal tickets the slot is found by binary search,
-//! O(log n) comparisons, and opened by moving at most n/2 entries of 24
-//! bytes. [`StrideScheduler::add`] costs the same as that general case;
+//! Runnable tasks sit in a deque kept sorted by `(pass, id)`, so the next
+//! task is the front. [`StrideScheduler::next`] pops, charges and *parks*
+//! it — one store — and [`StrideScheduler::wake`] puts a parked task back
+//! in order: the caller wakes its pick again if the quantum was useful,
+//! and a round costs what its runnable tasks cost. Where a rejoining pass
+//! is the largest it goes to the back, O(1) — always so for the last pick
+//! when every task holds the same tickets, which is every router this
+//! repo builds (no element overrides [`crate::Element::tickets`]): equal
+//! strides make the schedule a round-robin. Otherwise the slot is found
+//! by binary search and opened by moving at most n/2 entries of 24 bytes;
+//! [`StrideScheduler::add`] costs the same.
 //! [`StrideScheduler::remove`] filters the deque, O(n).
 
 use std::collections::VecDeque;
@@ -38,8 +40,13 @@ struct TaskState {
 /// A stride scheduler over tasks identified by `usize` ids.
 #[derive(Debug, Default)]
 pub struct StrideScheduler {
-    /// Ascending in [`TaskState`]'s order: the front runs next.
+    /// Runnable tasks, ascending in [`TaskState`]'s order: the front runs
+    /// next.
     tasks: VecDeque<TaskState>,
+    /// Parked tasks by id (ids are small: element ids).
+    parked: Vec<Option<TaskState>>,
+    /// Pass of the last pick before its charge; `tasks` sorts after it.
+    now: u64,
 }
 
 impl StrideScheduler {
@@ -60,7 +67,7 @@ impl StrideScheduler {
         }
     }
 
-    /// Adds a task with the given ticket count.
+    /// Adds a runnable task with the given ticket count.
     ///
     /// # Panics
     ///
@@ -71,7 +78,7 @@ impl StrideScheduler {
         let stride = STRIDE1 / u64::from(tickets);
         // New tasks join at the current minimum pass so they cannot
         // monopolise the scheduler on entry.
-        let pass = self.tasks.front().map_or(0, |t| t.pass);
+        let pass = self.tasks.front().map_or(self.now, |t| t.pass);
         self.insert(TaskState {
             pass,
             id,
@@ -79,28 +86,53 @@ impl StrideScheduler {
         });
     }
 
-    /// Returns the id of the next task to run and charges it one quantum.
+    /// Takes the next runnable task off the run list, charges it one
+    /// quantum, parks it and returns its id: it runs again once
+    /// [`StrideScheduler::wake`] names it.
     ///
-    /// Returns `None` when no tasks are registered.
+    /// Returns `None` when no task is runnable.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<usize> {
         let mut task = self.tasks.pop_front()?;
+        self.now = task.pass;
         task.pass += task.stride;
-        self.insert(task);
+        if task.id >= self.parked.len() {
+            self.parked.resize(task.id + 1, None);
+        }
+        self.parked[task.id] = Some(task);
         Some(task.id)
     }
 
-    /// Removes a task (e.g. a source that finished).
-    pub fn remove(&mut self, id: usize) {
-        self.tasks.retain(|t| t.id != id);
+    /// Whether task `id` is parked.
+    pub fn is_parked(&self, id: usize) -> bool {
+        self.parked.get(id).is_some_and(Option::is_some)
     }
 
-    /// Number of registered tasks.
+    /// Makes a parked task runnable again, at its own pass or the last
+    /// pick's, whichever is later; `false` when `id` is not parked.
+    pub fn wake(&mut self, id: usize) -> bool {
+        let Some(mut task) = self.parked.get_mut(id).and_then(Option::take) else {
+            return false;
+        };
+        task.pass = task.pass.max(self.now);
+        self.insert(task);
+        true
+    }
+
+    /// Removes a task (e.g. a source that finished), runnable or parked.
+    pub fn remove(&mut self, id: usize) {
+        self.tasks.retain(|t| t.id != id);
+        if let Some(slot) = self.parked.get_mut(id) {
+            *slot = None;
+        }
+    }
+
+    /// Number of runnable tasks.
     pub fn len(&self) -> usize {
         self.tasks.len()
     }
 
-    /// Returns `true` when no tasks remain.
+    /// Returns `true` when no task is runnable.
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
     }
@@ -110,6 +142,14 @@ impl StrideScheduler {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One quantum of a task that always has work: picked, then woken
+    /// again, as the driver does after a useful quantum.
+    fn run_next(sched: &mut StrideScheduler) -> Option<usize> {
+        let id = sched.next()?;
+        assert!(sched.wake(id), "the pick is parked");
+        Some(id)
+    }
 
     /// The scheduler this module shipped before the sorted deque: a
     /// linear `min_by_key` scan over a `Vec`. Kept as the reference the
@@ -179,13 +219,13 @@ mod tests {
                             naive.remove(min);
                         }
                     }
-                    _ => prop_assert_eq!(sched.next(), naive.next()),
+                    _ => prop_assert_eq!(run_next(&mut sched), naive.next()),
                 }
                 prop_assert_eq!(sched.len(), naive.tasks.len());
             }
             // Drain a full tail so late divergence in pass values shows.
             for _ in 0..64 {
-                prop_assert_eq!(sched.next(), naive.next());
+                prop_assert_eq!(run_next(&mut sched), naive.next());
             }
         }
     }
@@ -197,7 +237,7 @@ mod tests {
         s.add(1, 1);
         let mut counts = [0usize; 2];
         for _ in 0..100 {
-            counts[s.next().unwrap()] += 1;
+            counts[run_next(&mut s).unwrap()] += 1;
         }
         assert_eq!(counts, [50, 50]);
     }
@@ -209,7 +249,7 @@ mod tests {
         s.add(1, 1);
         let mut counts = [0usize; 2];
         for _ in 0..400 {
-            counts[s.next().unwrap()] += 1;
+            counts[run_next(&mut s).unwrap()] += 1;
         }
         // Task 0 should run ~3x as often as task 1.
         let ratio = counts[0] as f64 / counts[1] as f64;
@@ -223,7 +263,7 @@ mod tests {
         s.add(8, 1);
         s.remove(7);
         for _ in 0..10 {
-            assert_eq!(s.next(), Some(8));
+            assert_eq!(run_next(&mut s), Some(8));
         }
         s.remove(8);
         assert!(s.is_empty());
@@ -235,12 +275,12 @@ mod tests {
         let mut s = StrideScheduler::new();
         s.add(0, 1);
         for _ in 0..50 {
-            s.next();
+            run_next(&mut s);
         }
         s.add(1, 1);
         let mut counts = [0usize; 2];
         for _ in 0..100 {
-            counts[s.next().unwrap()] += 1;
+            counts[run_next(&mut s).unwrap()] += 1;
         }
         assert!(counts[1] >= 45 && counts[1] <= 55, "counts {counts:?}");
     }
@@ -249,5 +289,28 @@ mod tests {
     #[should_panic(expected = "at least one ticket")]
     fn zero_tickets_rejected() {
         StrideScheduler::new().add(0, 0);
+    }
+
+    #[test]
+    fn a_pick_stays_parked_until_it_is_woken() {
+        let mut s = StrideScheduler::new();
+        s.add(3, 1);
+        s.add(5, 1);
+        assert_eq!(s.next(), Some(3));
+        assert!(s.is_parked(3) && !s.is_parked(5));
+        // Only task 5 is runnable now, however often it runs.
+        assert_eq!(
+            (s.len(), run_next(&mut s), run_next(&mut s)),
+            (1, Some(5), Some(5))
+        );
+        assert!(s.wake(3));
+        assert!(!s.wake(3), "a runnable task is not woken twice");
+        // Sleeping earned no credit: 3 rejoins at the pass 5 last ran at,
+        // one stride behind 5 and not the two it sat out.
+        let picks: Vec<_> = (0..5).map(|_| run_next(&mut s).unwrap()).collect();
+        assert_eq!(picks, [3, 3, 5, 3, 5]);
+        s.next();
+        s.remove(3);
+        assert!(!s.wake(3), "removal reaches parked tasks too");
     }
 }

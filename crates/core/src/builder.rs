@@ -864,19 +864,16 @@ impl BuiltRouter {
         self.inner.run_until_idle(max_quanta)
     }
 
-    /// Injects a frame into input port `port` (FromDevice mode only).
+    /// Injects a frame into input port `port` and reports whether it
+    /// landed: `false` when there is no such `FromDevice`, or when a pooled
+    /// one had no free arena slot and dropped the frame to
+    /// `NoRxDescriptor` (it is counted in the ledger either way).
     pub fn inject(&mut self, port: usize, pkt: Packet) -> bool {
         let dev = self.rx.get(port).and_then(|&id| {
             let el = self.inner.element_mut(id).as_any_mut();
             el.downcast_mut::<FromDevice>()
         });
-        match dev {
-            Some(dev) => {
-                dev.inject(pkt);
-                true
-            }
-            None => false,
-        }
+        dev.is_some_and(|dev| dev.inject(pkt))
     }
 
     /// The element of type `T` behind `ids[idx]`, if there is one.
@@ -1051,6 +1048,28 @@ mod tests {
         }
         r.run_until_idle(1_000_000);
         assert_eq!(r.transmitted(1), 5);
+    }
+
+    #[test]
+    fn inject_reports_a_frame_the_arena_had_no_slot_for() {
+        let mut r = RouterBuilder::minimal_forwarder()
+            .pool_slots(4)
+            .build()
+            .unwrap();
+        let landed: Vec<bool> = (0..6)
+            .map(|_| r.inject(0, PacketSpec::udp().build()))
+            .collect();
+        assert_eq!(landed, [true, true, true, true, false, false]);
+        assert!(!r.inject(9, PacketSpec::udp().build()), "no such port");
+        r.run_until_idle(1_000_000);
+        assert_eq!(r.transmitted(1), 4);
+        // The two refusals are booked where they always were.
+        let led = r.ledger();
+        assert_eq!(led.sourced, 6);
+        assert_eq!(led.forwarded, 4);
+        assert_eq!(led.dropped(DropCause::NoRxDescriptor), 2);
+        assert!(led.balances(), "{}", led.to_json());
+        assert_eq!(r.click().stats().pool_exhausted, 2);
     }
 
     #[test]

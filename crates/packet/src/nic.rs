@@ -9,7 +9,7 @@
 //! the paper's Table 1 does.
 //!
 //! A [`DescRing`] is a fixed-depth ring of descriptors over packet
-//! buffers with three monotonically increasing indices:
+//! buffers with three cursors that chase each other round the ring:
 //!
 //! ```text
 //!   reclaim <= head <= tail        tail - reclaim <= depth
@@ -36,6 +36,7 @@
 //! queue" rule), so per-core replicas share no descriptor state.
 
 use crate::Packet;
+use std::collections::VecDeque;
 
 /// Default descriptor-ring depth (descriptors per RX or TX ring).
 pub const DEFAULT_RING_DEPTH: usize = 512;
@@ -92,15 +93,6 @@ impl NicStats {
     }
 }
 
-/// One descriptor: a status word plus the frame it carries.
-#[derive(Debug, Default)]
-struct Desc {
-    /// Device-visible status word; written back on reclaim like the DD
-    /// ("descriptor done") bit a driver polls on real hardware.
-    status: u8,
-    frame: Option<Packet>,
-}
-
 const DESC_FREE: u8 = 0;
 const DESC_FULL: u8 = 1;
 const DESC_SPENT: u8 = 2;
@@ -108,13 +100,22 @@ const DESC_SPENT: u8 = 2;
 /// A fixed-depth descriptor ring with `kn`-batched writeback.
 #[derive(Debug)]
 pub struct DescRing {
-    descs: Vec<Desc>,
-    /// First full descriptor (next to consume). Monotonic.
-    head: u64,
-    /// First free descriptor (next to post). Monotonic.
-    tail: u64,
-    /// First spent descriptor awaiting writeback. Monotonic.
-    reclaim: u64,
+    /// One status word per descriptor: what the device writes back on
+    /// reclaim, like the DD ("descriptor done") bit a driver polls on
+    /// real hardware. A descriptor is nothing else — the ring's footprint
+    /// is `depth` bytes however large a frame handle is.
+    status: Vec<u8>,
+    /// The frames of the full descriptors `[head, tail)`, oldest first:
+    /// it holds what is posted and unconsumed, not `depth` slots.
+    frames: VecDeque<Packet>,
+    /// Physical slots of the `head`, `tail` and `reclaim` indices. They
+    /// wrap by comparison, so no depth needs to be a power of two and no
+    /// descriptor costs a division.
+    head: usize,
+    tail: usize,
+    reclaim: usize,
+    /// Spent descriptors awaiting writeback: `head - reclaim`.
+    spent: usize,
     kn: usize,
     stats: NicStats,
 }
@@ -129,10 +130,12 @@ impl DescRing {
     pub fn new(depth: usize, kn: usize) -> DescRing {
         assert!(depth > 0, "descriptor ring depth must be positive");
         DescRing {
-            descs: (0..depth).map(|_| Desc::default()).collect(),
+            status: vec![DESC_FREE; depth],
+            frames: VecDeque::new(),
             head: 0,
             tail: 0,
             reclaim: 0,
+            spent: 0,
             kn: kn.clamp(1, depth),
             stats: NicStats::default(),
         }
@@ -140,7 +143,7 @@ impl DescRing {
 
     /// Ring depth in descriptors.
     pub fn depth(&self) -> usize {
-        self.descs.len()
+        self.status.len()
     }
 
     /// The NIC batching factor `kn` this ring reclaims with.
@@ -150,13 +153,13 @@ impl DescRing {
 
     /// Frames posted but not yet consumed.
     pub fn pending(&self) -> usize {
-        (self.tail - self.head) as usize
+        self.frames.len()
     }
 
     /// Descriptors not yet reclaimed (full + spent): the conservation
     /// identity is `stats.posted == stats.reclaimed + in_ring()`.
     pub fn in_ring(&self) -> usize {
-        (self.tail - self.reclaim) as usize
+        self.frames.len() + self.spent
     }
 
     /// Descriptors a `post` can still take without failing: free slots
@@ -170,9 +173,15 @@ impl DescRing {
         self.stats
     }
 
-    fn slot(&mut self, index: u64) -> &mut Desc {
-        let at = (index % self.descs.len() as u64) as usize;
-        &mut self.descs[at]
+    /// Writes `status` into the descriptor at `cursor` and returns the
+    /// slot after it.
+    fn mark(&mut self, cursor: usize, status: u8) -> usize {
+        self.status[cursor] = status;
+        if cursor + 1 == self.status.len() {
+            0
+        } else {
+            cursor + 1
+        }
     }
 
     /// Posts a frame into the next free descriptor.
@@ -185,22 +194,18 @@ impl DescRing {
     /// owns the drop-or-retry decision.
     pub fn post(&mut self, pkt: Packet) -> Result<(), Packet> {
         if self.in_ring() == self.depth() {
-            if self.head == self.reclaim {
+            self.stats.stalls += 1;
+            if self.spent == 0 {
                 // Every descriptor holds an unconsumed frame.
-                self.stats.stalls += 1;
                 return Err(pkt);
             }
             // Free descriptors exist but have not been written back yet:
             // stall on an early, under-sized writeback chunk.
-            self.stats.stalls += 1;
             self.flush_reclaim();
         }
-        let at = self.tail;
         self.stats.dma_bytes += pkt.data().len() as u64;
-        let desc = self.slot(at);
-        desc.status = DESC_FULL;
-        desc.frame = Some(pkt);
-        self.tail += 1;
+        self.tail = self.mark(self.tail, DESC_FULL);
+        self.frames.push_back(pkt);
         self.stats.posted += 1;
         Ok(())
     }
@@ -213,15 +218,12 @@ impl DescRing {
     /// Returns the number of frames popped.
     pub fn consume(&mut self, max: usize, out: &mut Vec<Packet>) -> usize {
         let take = max.min(self.pending());
+        out.extend(self.frames.drain(..take));
         for _ in 0..take {
-            let at = self.head;
-            let desc = self.slot(at);
-            desc.status = DESC_SPENT;
-            let frame = desc.frame.take().expect("full descriptor holds a frame");
-            out.push(frame);
-            self.head += 1;
+            self.head = self.mark(self.head, DESC_SPENT);
         }
-        while (self.head - self.reclaim) as usize >= self.kn {
+        self.spent += take;
+        while self.spent >= self.kn {
             self.writeback_chunk(self.kn);
         }
         take
@@ -231,29 +233,26 @@ impl DescRing {
     /// used by shutdown paths and forced stalls. No-op when nothing is
     /// spent.
     pub fn flush_reclaim(&mut self) {
-        let spent = (self.head - self.reclaim) as usize;
-        if spent > 0 {
-            self.writeback_chunk(spent);
+        if self.spent > 0 {
+            self.writeback_chunk(self.spent);
         }
     }
 
     /// One descriptor writeback + doorbell: the unit of cost `kn`
     /// amortises. Burns real CPU so wall-clock measurements see it.
     fn writeback_chunk(&mut self, n: usize) {
-        debug_assert!(n >= 1 && (self.head - self.reclaim) as usize >= n);
+        debug_assert!(n >= 1 && self.spent >= n);
         for _ in 0..n {
-            let at = self.reclaim;
-            let desc = self.slot(at);
-            debug_assert_eq!(desc.status, DESC_SPENT);
-            desc.status = DESC_FREE;
+            debug_assert_eq!(self.status[self.reclaim], DESC_SPENT);
+            self.reclaim = self.mark(self.reclaim, DESC_FREE);
             for _ in 0..WRITEBACK_SPINS_PER_DESC {
                 std::hint::spin_loop();
             }
-            self.reclaim += 1;
         }
         for _ in 0..DOORBELL_SPINS {
             std::hint::spin_loop();
         }
+        self.spent -= n;
         self.stats.doorbells += 1;
         self.stats.reclaim_batches += 1;
         self.stats.reclaimed += n as u64;

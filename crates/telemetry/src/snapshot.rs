@@ -89,7 +89,11 @@ impl CoreMetrics {
 
     /// Records one scheduler quantum: its cycle span and whether it did
     /// useful work (idle polls are tracked separately so the paper's
-    /// empty-poll correction can be applied to end-to-end cycles).
+    /// empty-poll correction can be applied to end-to-end cycles). The
+    /// driver parks an idle task instead of polling it every round, so
+    /// the empty quanta it reports are probes — a source polled as a run
+    /// starts and once more before it is declared idle — not a standing
+    /// share of every round taken by the tasks that have nothing to do.
     #[inline]
     pub fn record_quantum(&mut self, span: u64, did_work: bool) {
         self.total_cycles += span;
@@ -184,7 +188,9 @@ pub struct MetricsSnapshot {
     pub workers: u32,
     /// Cycles across all scheduler quanta, summed over workers.
     pub total_cycles: u64,
-    /// Quanta that did no useful work (the paper's "empty polls").
+    /// Quanta that did no useful work (the paper's "empty polls"). Idle
+    /// tasks are parked, not polled, so on a busy router these are the
+    /// probes around each run — they do not grow with the port count.
     pub empty_polls: u64,
     /// Cycles spent in empty quanta.
     pub empty_cycles: u64,

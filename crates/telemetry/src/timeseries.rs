@@ -60,7 +60,9 @@ pub struct IntervalStats {
     pub end_tick: u64,
     /// Driver quanta executed in the interval.
     pub quanta: u64,
-    /// Quanta that moved no packets.
+    /// Quanta that moved no packets: probes of parked tasks (a source
+    /// polled at the start and the end of a run), not a per-round count
+    /// of idle tasks — the driver does not poll those.
     pub empty_polls: u64,
     /// Packets that entered the dataplane this interval.
     pub sourced: u64,
