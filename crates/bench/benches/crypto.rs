@@ -16,36 +16,58 @@ use routebricks::packet::{Packet, PacketPool};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
-fn bench_primitives(c: &mut Criterion) {
-    let aes = Aes128::new(b"benchmarkkey0000");
-    c.bench_function("aes128_block", |b| {
-        let mut block = [0x42u8; 16];
-        b.iter(|| {
-            aes.encrypt_block(black_box(&mut block));
-            block[0]
-        })
-    });
+/// The two backends as bench rows: `hw` is whatever `new()` finds on this
+/// CPU (the table code again where it finds nothing — the rows then read
+/// the same), `tables` the portable code regardless.
+const BACKENDS: [&str; 2] = ["tables", "hw"];
 
-    let mut group = c.benchmark_group("aes128_cbc");
-    for size in [64usize, 256, 1024, 1504] {
-        group.throughput(Throughput::Bytes(size as u64));
-        group.bench_function(BenchmarkId::from_parameter(size), |b| {
-            let mut data = vec![0xa5u8; size];
+fn bench_primitives(c: &mut Criterion) {
+    let key = b"benchmarkkey0000";
+    let ciphers = [Aes128::portable(key), Aes128::new(key)];
+    println!("crypto backend: {:?}", routebricks::crypto::hardware());
+
+    let mut group = c.benchmark_group("aes128_block");
+    for (backend, aes) in BACKENDS.iter().zip(&ciphers) {
+        group.bench_function(BenchmarkId::from_parameter(backend), |b| {
+            let mut block = [0x42u8; 16];
             b.iter(|| {
-                cbc_encrypt(&aes, &[7u8; 16], black_box(&mut data)).expect("block aligned");
-                data[0]
+                aes.encrypt_block(black_box(&mut block));
+                block[0]
             })
         });
     }
     group.finish();
 
-    let mut group = c.benchmark_group("sha1");
-    for size in [64usize, 1024] {
+    // One CBC chain over the ESP bodies of 64 B, Abilene-mean and MTU
+    // frames: the per-packet cost `esp_seal_batch` interleaves away.
+    let mut group = c.benchmark_group("aes128_cbc");
+    for size in [64usize, 752, 1488] {
         group.throughput(Throughput::Bytes(size as u64));
-        group.bench_function(BenchmarkId::from_parameter(size), |b| {
-            let data = vec![0x5au8; size];
-            b.iter(|| Sha1::digest(black_box(&data)))
-        });
+        for (backend, aes) in BACKENDS.iter().zip(&ciphers) {
+            group.bench_function(BenchmarkId::new(backend, size), |b| {
+                let mut data = vec![0xa5u8; size];
+                b.iter(|| {
+                    cbc_encrypt(aes, &[7u8; 16], black_box(&mut data)).expect("block aligned");
+                    data[0]
+                })
+            });
+        }
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("sha1");
+    for size in [64usize, 1500] {
+        group.throughput(Throughput::Bytes(size as u64));
+        for (backend, fresh) in BACKENDS.iter().zip([Sha1::portable(), Sha1::new()]) {
+            group.bench_function(BenchmarkId::new(backend, size), |b| {
+                let data = vec![0x5au8; size];
+                b.iter(|| {
+                    let mut h = fresh.clone();
+                    h.update(black_box(&data));
+                    h.finalize()
+                })
+            });
+        }
     }
     group.finish();
 
@@ -85,6 +107,39 @@ fn bench_esp(c: &mut Criterion) {
                 buf[ESP_PREFIX_LEN]
             })
         });
+    }
+    group.finish();
+
+    // 32 Abilene-mix packets (45 % 64 B, 10 % 576 B, 45 % 1500 B frames)
+    // sealed in batches of 1, 4 and 32. On `hw`, 32 ÷ 1 is what
+    // interleaving four packets' CBC chains buys; on `tables` the batch
+    // form is the plain loop and the three rows read the same.
+    let lengths: Vec<usize> = (0..32)
+        .map(|i| match (i * 7) % 32 {
+            0..=13 => 50,
+            14..=17 => 562,
+            _ => 1486,
+        })
+        .collect();
+    let mut group = c.benchmark_group("esp_seal_batch");
+    group.throughput(Throughput::Bytes(lengths.iter().sum::<usize>() as u64));
+    for batch in [1usize, 4, 32] {
+        let encryptors = [EspEncryptor::portable(&sa), EspEncryptor::new(&sa)];
+        for (backend, mut enc) in BACKENDS.iter().zip(encryptors) {
+            group.bench_function(BenchmarkId::new(backend, batch), |b| {
+                let mut bufs: Vec<(Vec<u8>, usize)> = lengths
+                    .iter()
+                    .map(|&len| (vec![0x17u8; sealed_len(len)], len))
+                    .collect();
+                b.iter(|| {
+                    for bufs in bufs.chunks_mut(batch) {
+                        let jobs = bufs.iter_mut().map(|(buf, len)| (&mut buf[..], *len));
+                        assert_eq!(enc.seal_batch_into(black_box(jobs)), batch);
+                    }
+                    bufs[0].0[ESP_PREFIX_LEN]
+                })
+            });
+        }
     }
     group.finish();
 

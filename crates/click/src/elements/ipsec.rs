@@ -17,7 +17,7 @@
 //!            |<------------- push(44) ------------>|                        |<----- put ------->|
 //! ```
 
-use crate::element::{Element, Output, Ports};
+use crate::element::{Element, Output, PacketBatch, Ports};
 use rb_crypto::esp::{trailer_len, ESP_PREFIX_LEN};
 use rb_crypto::{EspDecryptor, EspEncryptor, SecurityAssociation};
 use rb_packet::ethernet::{EtherType, EthernetHeader, HEADER_LEN as ETH_HLEN};
@@ -42,10 +42,51 @@ fn grow(buf: &mut PacketBuf, front: usize, back: usize) {
     buf.put(back).expect("room checked or promoted");
 }
 
+/// The frame's Ethernet header, if `IpsecEncap` takes the frame: IPv4 by
+/// its ethertype and long enough to hold an IPv4 header.
+fn tunnel_candidate(pkt: &Packet) -> Option<EthernetHeader> {
+    if pkt.len() < ETH_HLEN + IP_HLEN {
+        return None;
+    }
+    EthernetHeader::parse(pkt.data())
+        .ok()
+        .filter(|eth| eth.ethertype == EtherType::Ipv4)
+}
+
+/// Grows `pkt` to its tunnel size and writes the two cleartext headers.
+/// Returns what is left to do as `seal_into` takes it: the ESP part of the
+/// frame and the length of the inner datagram inside it.
+///
+/// The arriving Ethernet header lies where the IV will go; `eth` is its
+/// parsed copy. Nothing from the old header on is written here, so until
+/// the seal the frame can still be had back with `pull` and `trim`.
+fn open_tunnel(
+    pkt: &mut Packet,
+    eth: EthernetHeader,
+    tunnel_src: Ipv4Addr,
+    tunnel_dst: Ipv4Addr,
+) -> (&mut [u8], usize) {
+    let inner_len = pkt.len() - ETH_HLEN;
+    grow(pkt.buf_mut(), ENCAP_PUSH, trailer_len(inner_len));
+    let (headers, esp) = pkt.data_mut().split_at_mut(ETH_HLEN + IP_HLEN);
+    eth.emit(headers).expect("frame sized for headers");
+    Ipv4Header::new(tunnel_src, tunnel_dst, IpProto::Esp, esp.len())
+        .emit(&mut headers[ETH_HLEN..])
+        .expect("frame sized for headers");
+    (esp, inner_len)
+}
+
 /// Encrypts IPv4-in-Ethernet frames into ESP tunnel packets.
 ///
 /// Output 0 carries the tunnel frames; malformed input, and every frame
-/// once the SA's sequence numbers are used up, goes to output 1.
+/// once the SA's sequence numbers are used up, goes to output 1 as it
+/// came.
+///
+/// A batch is sealed as a batch ([`EspEncryptor::seal_batch_into`]): the
+/// per-packet work — room, headers, IV, padding — is done as each frame's
+/// turn comes, and where the cipher runs on AES-NI the CBC chains of four
+/// frames are walked in step. The frames and their order on the outputs
+/// are those of `push` called on each in turn.
 pub struct IpsecEncap {
     /// Retained so per-core replicas can derive a fresh encryptor.
     sa: SecurityAssociation,
@@ -74,6 +115,20 @@ impl IpsecEncap {
     pub fn counts(&self) -> (u64, u64) {
         (self.sealed, self.failed)
     }
+
+    /// [`IpsecEncap::new`] on the portable cipher and hash, for running
+    /// the wire-format pins on both.
+    #[cfg(test)]
+    fn portable(
+        sa: &SecurityAssociation,
+        tunnel_src: Ipv4Addr,
+        tunnel_dst: Ipv4Addr,
+    ) -> IpsecEncap {
+        IpsecEncap {
+            esp: EspEncryptor::portable(sa),
+            ..IpsecEncap::new(sa, tunnel_src, tunnel_dst)
+        }
+    }
 }
 
 impl Element for IpsecEncap {
@@ -94,41 +149,49 @@ impl Element for IpsecEncap {
     }
 
     fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
-        if pkt.len() < ETH_HLEN + IP_HLEN {
+        let Some(eth) = tunnel_candidate(&pkt) else {
             self.failed += 1;
             out.push(1, pkt);
             return;
-        }
-        let eth = match EthernetHeader::parse(pkt.data()) {
-            Ok(e) if e.ethertype == EtherType::Ipv4 => e,
-            _ => {
-                self.failed += 1;
-                out.push(1, pkt);
-                return;
-            }
         };
-        let inner_len = pkt.len() - ETH_HLEN;
-        let back = trailer_len(inner_len);
-        grow(pkt.buf_mut(), ENCAP_PUSH, back);
-        let frame = pkt.data_mut();
-        let (headers, esp) = frame.split_at_mut(ETH_HLEN + IP_HLEN);
+        let (esp, inner_len) = open_tunnel(&mut pkt, eth, self.tunnel_src, self.tunnel_dst);
         if self.esp.seal_into(esp, inner_len).is_err() {
             // Out of sequence numbers: hand the frame back as it came.
             let buf = pkt.buf_mut();
             buf.pull(ENCAP_PUSH).expect("just pushed");
-            buf.trim(back).expect("just put");
+            buf.trim(trailer_len(inner_len)).expect("just put");
             self.failed += 1;
             out.push(1, pkt);
             return;
         }
-        // The arriving Ethernet header now lies under the IV; `eth` is its
-        // parsed copy.
-        eth.emit(headers).expect("frame sized for headers");
-        Ipv4Header::new(self.tunnel_src, self.tunnel_dst, IpProto::Esp, esp.len())
-            .emit(&mut headers[ETH_HLEN..])
-            .expect("frame sized for headers");
         self.sealed += 1;
         out.push(0, pkt);
+    }
+
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        let (src, dst) = (self.tunnel_src, self.tunnel_dst);
+        // Frames are opened into tunnels as the encryptor asks for them, so
+        // one it has no sequence number for is never touched.
+        let sealed = self
+            .esp
+            .seal_batch_into(pkts.as_mut_slice().iter_mut().filter_map(|pkt| {
+                let eth = tunnel_candidate(pkt)?;
+                Some(open_tunnel(pkt, eth, src, dst))
+            }));
+        // The sealed ones are the first `sealed` candidates, and still
+        // read as candidates: IPv4 by their ethertype, and longer.
+        let total = pkts.len();
+        let mut unrouted = sealed;
+        for pkt in pkts.drain() {
+            if unrouted > 0 && tunnel_candidate(&pkt).is_some() {
+                unrouted -= 1;
+                out.push(0, pkt);
+            } else {
+                out.push(1, pkt);
+            }
+        }
+        self.sealed += sealed as u64;
+        self.failed += (total - sealed) as u64;
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -298,17 +361,63 @@ mod tests {
             .collect()
     }
 
-    /// Pushes `frames` through a fresh `IpsecEncap` and checks the tunnel
+    /// One way of getting frames sealed: on the CPU's crypto instructions
+    /// or the portable code, a frame at a time or as one batch.
+    #[derive(Debug, Clone, Copy)]
+    struct Sealer {
+        portable: bool,
+        batched: bool,
+    }
+
+    impl Sealer {
+        /// All four, or — with a note — the portable two on a CPU where the
+        /// others would be the same code.
+        fn all() -> Vec<Sealer> {
+            let hw = rb_crypto::hardware();
+            if !(hw.aes && hw.sha) {
+                eprintln!("skipped: no aes/sha (aes: {}, sha: {})", hw.aes, hw.sha);
+            }
+            let mut all = Vec::new();
+            for portable in [false, true] {
+                for batched in [false, true] {
+                    if portable || hw.aes || hw.sha {
+                        all.push(Sealer { portable, batched });
+                    }
+                }
+            }
+            all
+        }
+
+        fn encap(self) -> IpsecEncap {
+            let (src, dst) = (Ipv4Addr::new(1, 1, 1, 1), Ipv4Addr::new(2, 2, 2, 2));
+            if self.portable {
+                IpsecEncap::portable(&sa(), src, dst)
+            } else {
+                IpsecEncap::new(&sa(), src, dst)
+            }
+        }
+
+        /// What `enc` emits for `frames`, in order.
+        fn seal(self, enc: &mut IpsecEncap, frames: Vec<Packet>) -> Vec<(usize, Packet)> {
+            let mut out = Output::new();
+            if self.batched {
+                enc.push_batch(0, &mut PacketBatch::from_vec(frames), &mut out);
+            } else {
+                for pkt in frames {
+                    enc.push(0, pkt, &mut out);
+                }
+            }
+            out.drain().collect()
+        }
+    }
+
+    /// Seals `frames` with a fresh `IpsecEncap` and checks the tunnel
     /// frames against literals taken from the copy-out element this one
     /// replaced (same SA, same addresses, same input).
-    fn assert_pinned_tunnel_frames(frames: Vec<Packet>) -> Vec<Packet> {
-        let (mut enc, _) = tunnel_pair();
-        let mut out = Output::new();
-        for pkt in frames {
-            enc.push(0, pkt, &mut out);
-        }
-        let tunnel: Vec<Packet> = out
-            .drain()
+    fn assert_pinned_tunnel_frames(sealer: Sealer, frames: Vec<Packet>) -> Vec<Packet> {
+        let tunnel: Vec<Packet> = sealer
+            .seal(&mut sealer.encap(), frames)
+            .into_iter()
             .map(|(port, pkt)| {
                 assert_eq!(port, 0);
                 pkt
@@ -320,7 +429,8 @@ mod tests {
              0202800195ec0000000145d48326f7fc9e3bfac2817a14afe15131c065206e4e\
              22c9526a55fd577bf676718fcd284ebd9c0f950d6928d64b1881009a2c5a51cd\
              6da7a5f418c5816ec87c3ba19664d3d0b5c37b4f3ec6b7a8721b144a5d316a90\
-             6fe72e2cf247"
+             6fe72e2cf247",
+            "{sealer:?}"
         );
         let mut all = rb_crypto::Sha1::new();
         for pkt in &tunnel {
@@ -328,67 +438,156 @@ mod tests {
         }
         assert_eq!(
             hex(&all.finalize()),
-            "162c69b80ad3f34fac5ba1a9807cc8b0e4f88e46"
+            "162c69b80ad3f34fac5ba1a9807cc8b0e4f88e46",
+            "{sealer:?}"
         );
         tunnel
     }
 
     #[test]
     fn heap_frames_are_encapsulated_in_place() {
-        let tunnel = assert_pinned_tunnel_frames(pinned_frames());
-        // 64 bytes of room either side came with the frame; 44 and at most
-        // 29 of them are now packet.
-        assert!(tunnel.iter().all(|p| p.buf().headroom() == 64 - ENCAP_PUSH));
+        for sealer in Sealer::all() {
+            let tunnel = assert_pinned_tunnel_frames(sealer, pinned_frames());
+            // 64 bytes of room either side came with the frame; 44 and at
+            // most 29 of them are now packet.
+            assert!(tunnel.iter().all(|p| p.buf().headroom() == 64 - ENCAP_PUSH));
+        }
     }
 
     #[test]
     fn pooled_frames_stay_pooled_through_both_directions() {
-        let pool = PacketPool::new(8, 2048);
-        let pooled = pinned_frames()
-            .iter()
-            .map(|p| Packet::try_from_slice_in(&pool, p.data()).unwrap())
-            .collect();
-        let tunnel = assert_pinned_tunnel_frames(pooled);
-        assert!(tunnel.iter().all(Packet::is_pooled));
+        for sealer in Sealer::all() {
+            let pool = PacketPool::new(8, 2048);
+            let pooled = pinned_frames()
+                .iter()
+                .map(|p| Packet::try_from_slice_in(&pool, p.data()).unwrap())
+                .collect();
+            let tunnel = assert_pinned_tunnel_frames(sealer, pooled);
+            assert!(tunnel.iter().all(Packet::is_pooled));
 
-        let (_, mut dec) = tunnel_pair();
-        let mut out = Output::new();
-        for pkt in tunnel {
-            dec.push(0, pkt, &mut out);
+            let (_, mut dec) = tunnel_pair();
+            let mut out = Output::new();
+            for pkt in tunnel {
+                dec.push(0, pkt, &mut out);
+            }
+            for ((port, got), sent) in out.drain().zip(pinned_frames()) {
+                assert_eq!(port, 0);
+                assert!(got.is_pooled());
+                assert_eq!(got.data()[ETH_HLEN..], sent.data()[ETH_HLEN..]);
+            }
+            let stats = pool.stats();
+            assert_eq!((stats.allocs, stats.heap_fallbacks), (4, 0));
         }
-        for ((port, got), sent) in out.drain().zip(pinned_frames()) {
-            assert_eq!(port, 0);
-            assert!(got.is_pooled());
-            assert_eq!(got.data()[ETH_HLEN..], sent.data()[ETH_HLEN..]);
-        }
-        let stats = pool.stats();
-        assert_eq!((stats.allocs, stats.heap_fallbacks), (4, 0));
     }
 
     #[test]
     fn frames_without_room_are_moved_not_failed() {
-        // Pooled, but an earlier encapsulation used 40 of the 64 bytes of
-        // headroom: `push` promotes the buffer to the heap.
-        let pool = PacketPool::new(8, 2048);
-        let crowded = pinned_frames()
-            .iter()
-            .map(|p| {
-                let mut pkt = Packet::try_from_slice_in(&pool, &p.data()[40..]).unwrap();
-                let head = pkt.buf_mut().push(40).unwrap();
-                head.copy_from_slice(&p.data()[..40]);
-                pkt
-            })
-            .collect();
-        let tunnel = assert_pinned_tunnel_frames(crowded);
-        assert!(!tunnel.iter().any(Packet::is_pooled));
-        assert_eq!(pool.stats().heap_fallbacks, 4);
+        for sealer in Sealer::all() {
+            // Pooled, but an earlier encapsulation used 40 of the 64 bytes
+            // of headroom: `push` promotes the buffer to the heap.
+            let pool = PacketPool::new(8, 2048);
+            let crowded = pinned_frames()
+                .iter()
+                .map(|p| {
+                    let mut pkt = Packet::try_from_slice_in(&pool, &p.data()[40..]).unwrap();
+                    let head = pkt.buf_mut().push(40).unwrap();
+                    head.copy_from_slice(&p.data()[..40]);
+                    pkt
+                })
+                .collect();
+            let tunnel = assert_pinned_tunnel_frames(sealer, crowded);
+            assert!(!tunnel.iter().any(Packet::is_pooled));
+            assert_eq!(pool.stats().heap_fallbacks, 4);
 
-        // Heap buffers built with no room at all.
-        let bare = pinned_frames()
-            .iter()
-            .map(|p| Packet::new(PacketBuf::with_room(p.data(), 0, 0)))
-            .collect();
-        assert_pinned_tunnel_frames(bare);
+            // Heap buffers built with no room at all.
+            let bare = pinned_frames()
+                .iter()
+                .map(|p| Packet::new(PacketBuf::with_room(p.data(), 0, 0)))
+                .collect();
+            assert_pinned_tunnel_frames(sealer, bare);
+        }
+    }
+
+    /// Abilene's three sizes and the padding extremes, with frames
+    /// `IpsecEncap` refuses mixed in.
+    fn mixed_frames(n: usize) -> Vec<Packet> {
+        (0..n)
+            .map(|i| match i % 7 {
+                3 => Packet::from_slice(&[0u8; 20]),
+                5 => {
+                    let mut arp = PacketSpec::udp().frame_len(64).build();
+                    arp.data_mut()[13] = 0x06;
+                    arp
+                }
+                k => PacketSpec::udp()
+                    .frame_len([64, 1500, 65, 576, 79, 80, 1499][k])
+                    .build(),
+            })
+            .collect()
+    }
+
+    /// `push_batch` is `push` on each frame in turn: same frames, same
+    /// ports, same order, same counts, for 1..=40 frames.
+    #[test]
+    fn a_batch_is_sealed_like_its_frames_one_by_one() {
+        for portable in [false, true] {
+            let (single, batch) = (
+                Sealer {
+                    portable,
+                    batched: false,
+                },
+                Sealer {
+                    portable,
+                    batched: true,
+                },
+            );
+            let (mut single_enc, mut batch_enc) = (single.encap(), batch.encap());
+            for n in 1..=40 {
+                let expected = single.seal(&mut single_enc, mixed_frames(n));
+                let got = batch.seal(&mut batch_enc, mixed_frames(n));
+                assert_eq!(got.len(), n);
+                for (i, (got, expected)) in got.iter().zip(&expected).enumerate() {
+                    assert_eq!(got.0, expected.0, "port of frame {i} of {n}");
+                    assert_eq!(got.1.data(), expected.1.data(), "frame {i} of {n}");
+                }
+                assert_eq!(batch_enc.counts(), single_enc.counts());
+            }
+        }
+    }
+
+    /// An SA that runs dry inside a batch: the numbered frames leave as
+    /// tunnel frames, the rest leave output 1 exactly as they came, pooled
+    /// ones still pooled.
+    #[test]
+    fn a_batch_that_outlives_the_sa_fails_the_rest_untouched() {
+        for sealer in Sealer::all() {
+            let pool = PacketPool::new(16, 2048);
+            let frames: Vec<Packet> = mixed_frames(14)
+                .iter()
+                .map(|p| Packet::try_from_slice_in(&pool, p.data()).unwrap())
+                .collect();
+            // 14 frames, 10 of them sealable; sequence numbers for 6.
+            let mut enc = sealer.encap();
+            enc.esp = enc.esp.resuming_at(u32::MAX - 5);
+            let out = sealer.seal(&mut enc, frames);
+            assert_eq!(out.len(), 14);
+            let mut sealed = 0;
+            for ((port, got), sent) in out.iter().zip(mixed_frames(14)) {
+                let candidate = tunnel_candidate(&sent).is_some();
+                if candidate && sealed < 6 {
+                    sealed += 1;
+                    assert_eq!(*port, 0, "{sealer:?}");
+                    assert!(got.len() > sent.len());
+                } else {
+                    assert_eq!(*port, 1, "{sealer:?}");
+                    assert_eq!(got.data(), sent.data(), "{sealer:?}: left as it came");
+                    assert_eq!(got.buf().headroom(), 64, "{sealer:?}: never grown");
+                }
+                assert!(got.is_pooled());
+            }
+            assert_eq!(enc.counts(), (6, 8));
+            assert_eq!(pool.stats().heap_fallbacks, 0);
+        }
     }
 
     #[test]

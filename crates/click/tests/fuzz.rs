@@ -4,12 +4,13 @@
 
 use proptest::prelude::*;
 use rb_click::config::parse;
-use rb_click::element::{Element, Output};
+use rb_click::element::{Element, Output, PacketBatch};
 use rb_click::elements::ip::{CheckIPHeader, DecIPTTL};
 use rb_click::elements::route::LookupIPRoute;
-use rb_click::elements::Classifier;
+use rb_click::elements::{Classifier, IpsecDecap, IpsecEncap};
 use rb_click::registry::Registry;
-use rb_packet::Packet;
+use rb_crypto::SecurityAssociation;
+use rb_packet::{MacAddr, Packet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
@@ -46,6 +47,48 @@ proptest! {
         rt.push(0, Packet::from_slice(&frame), &mut out);
         // Every packet comes out somewhere; none vanish or duplicate.
         prop_assert_eq!(out.len(), 3);
+    }
+
+    /// The IPsec elements face the wire on both sides: arbitrary bytes
+    /// behind a plausible Ethernet + IPv4/ESP header, one at a time and as
+    /// a batch, never panic and every frame comes out of some port.
+    #[test]
+    fn ipsec_elements_handle_garbage(
+        frames in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 1..9),
+        plausible in any::<bool>(),
+    ) {
+        let sa = SecurityAssociation::from_seed(7);
+        let addr = std::net::Ipv4Addr::new(192, 0, 2, 1);
+        let frames: Vec<Packet> = frames
+            .into_iter()
+            .map(|mut bytes| {
+                if plausible && bytes.len() >= 34 {
+                    // IPv4 ethertype, version 4 with some IHL, protocol ESP.
+                    bytes[12..14].copy_from_slice(&[0x08, 0x00]);
+                    bytes[14] = 0x40 | (bytes[14] & 0x0f);
+                    bytes[23] = 50;
+                }
+                Packet::from_slice(&bytes)
+            })
+            .collect();
+        let mut out = Output::new();
+        let mut enc = IpsecEncap::new(&sa, addr, addr);
+        let mut dec = IpsecDecap::new(&sa, MacAddr([2; 6]), MacAddr([3; 6]));
+        for pkt in &frames {
+            enc.push(0, pkt.clone(), &mut out);
+            dec.push(0, pkt.clone(), &mut out);
+        }
+        enc.push_batch(0, &mut PacketBatch::from_vec(frames.clone()), &mut out);
+        dec.push_batch(0, &mut PacketBatch::from_vec(frames.clone()), &mut out);
+        prop_assert_eq!(out.len(), 4 * frames.len());
+        // What the encapsulator let through, the decapsulator takes back.
+        let sealed: Vec<Packet> = out.drain().filter(|(port, _)| *port == 0).map(|(_, p)| p).collect();
+        let (n_sealed, _) = enc.counts();
+        prop_assert_eq!(sealed.len() as u64, n_sealed);
+        for pkt in sealed {
+            dec.push(0, pkt, &mut out);
+        }
+        prop_assert!(out.drain().all(|(port, _)| port == 0));
     }
 
     /// The element registry rejects malformed arguments with errors,

@@ -13,6 +13,14 @@
 //! The tables (8 KiB plus the two S-boxes) are computed from [`SBOX`] at
 //! compile time. Their lookups are indexed by secret state bytes, so this
 //! cipher is **not** cache-timing hardened (see the crate-level note).
+//!
+//! On an x86-64 CPU with AES-NI the tables are not what runs:
+//! [`Aes128::new`] asks the CPU once, keeps the same key schedule in the
+//! form `aesenc`/`aesdec` take beside the table one, and every operation
+//! on that key — here and in [`crate::modes`] — goes to `crate::x86`. The
+//! table form is then the 2009-faithful fallback for every other CPU and
+//! the reference the hardware is held equal to ([`Aes128::portable`]
+//! forces it); `Aes128`'s `Debug` output names the one in use.
 
 /// AES block size in bytes.
 pub const BLOCK_SIZE: usize = 16;
@@ -136,11 +144,36 @@ pub struct Aes128 {
     /// `enc_keys` reversed, InvMixColumns applied to rounds 1..=9, so
     /// decryption rounds have the same lookup-and-XOR shape.
     dec_keys: [[u32; 4]; 11],
+    /// The same schedule as AES-NI round keys, when the CPU has the
+    /// instructions and the key was not built by [`Aes128::portable`].
+    #[cfg(target_arch = "x86_64")]
+    hw: Option<crate::x86::AesNi>,
 }
 
 impl Aes128 {
-    /// Expands a 128-bit key into the round-key schedule.
+    /// Expands a 128-bit key into the round-key schedule, for the CPU's
+    /// AES instructions if it has them and for the tables if not.
     pub fn new(key: &[u8; 16]) -> Aes128 {
+        let aes = Aes128::portable(key);
+        #[cfg(target_arch = "x86_64")]
+        let aes = Aes128 {
+            hw: crate::x86::detect().0.map(|detected| {
+                let mut schedule = [[0u8; 16]; 11];
+                for (bytes, words) in schedule.iter_mut().zip(aes.enc_keys) {
+                    store_words(words, bytes);
+                }
+                crate::x86::AesNi::new(detected, &schedule)
+            }),
+            ..aes
+        };
+        aes
+    }
+
+    /// [`Aes128::new`] without asking the CPU: the table cipher whatever
+    /// the machine. It is what the differential tests hold the hardware
+    /// rounds equal to and what the `tables` bench rows time; a router has
+    /// no reason to call it.
+    pub fn portable(key: &[u8; 16]) -> Aes128 {
         let mut w = [0u32; 44];
         w[..4].copy_from_slice(&load_words(key));
         let mut rcon = 1u8;
@@ -170,16 +203,36 @@ impl Aes128 {
                     ^ TD[3][usize::from(SBOX[byte(*k, 3)])];
             }
         }
-        Aes128 { enc_keys, dec_keys }
+        Aes128 {
+            enc_keys,
+            dec_keys,
+            #[cfg(target_arch = "x86_64")]
+            hw: None,
+        }
+    }
+
+    /// The AES-NI form of this key, when that is what it runs on.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    pub(crate) fn hw(&self) -> Option<&crate::x86::AesNi> {
+        self.hw.as_ref()
     }
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = self.hw() {
+            return hw.encrypt_block(block);
+        }
         store_words(self.encrypt_words(load_words(block)), block);
     }
 
     /// Decrypts one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = self.hw() {
+            return hw.decrypt_block(block);
+        }
         store_words(self.decrypt_words(load_words(block)), block);
     }
 
@@ -238,8 +291,12 @@ impl Aes128 {
 
 impl core::fmt::Debug for Aes128 {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // Never print key material.
-        f.write_str("Aes128 { round_keys: [redacted] }")
+        // Never print key material; do say which rounds run.
+        #[cfg(target_arch = "x86_64")]
+        if self.hw.is_some() {
+            return f.write_str("Aes128 { round_keys: [redacted], rounds: aes-ni }");
+        }
+        f.write_str("Aes128 { round_keys: [redacted], rounds: tables }")
     }
 }
 
@@ -385,24 +442,28 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::each_backend;
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The table rounds and the equivalent-inverse key schedule agree
-        /// with the byte-at-a-time cipher on every key and block.
+        /// The table rounds and the equivalent-inverse key schedule — and
+        /// the CPU's rounds and `aesimc` schedule, where it has them —
+        /// agree with the byte-at-a-time cipher on every key and block.
         #[test]
         fn table_form_matches_the_byte_form(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
-            let (fast, slow) = (Aes128::new(&key), reference::Aes128::new(&key));
-            let (mut a, mut b) = (block, block);
-            fast.encrypt_block(&mut a);
-            slow.encrypt_block(&mut b);
-            prop_assert_eq!(a, b);
-            let (mut a, mut b) = (block, block);
-            fast.decrypt_block(&mut a);
-            slow.decrypt_block(&mut b);
-            prop_assert_eq!(a, b);
+            let slow = reference::Aes128::new(&key);
+            for fast in [Aes128::portable(&key), Aes128::new(&key)] {
+                let (mut a, mut b) = (block, block);
+                fast.encrypt_block(&mut a);
+                slow.encrypt_block(&mut b);
+                prop_assert_eq!(a, b);
+                let (mut a, mut b) = (block, block);
+                fast.decrypt_block(&mut a);
+                slow.decrypt_block(&mut b);
+                prop_assert_eq!(a, b);
+            }
         }
     }
 
@@ -413,7 +474,7 @@ mod tests {
             0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
             0x4f, 0x3c,
         ];
-        let mut block = [
+        let block = [
             0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
             0x07, 0x34,
         ];
@@ -421,33 +482,38 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
             0x0b, 0x32,
         ];
-        let aes = Aes128::new(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(block, expected);
-        aes.decrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-                0x07, 0x34
-            ]
-        );
+        each_backend(|backend| {
+            let aes = backend.aes(&key);
+            let mut block = block;
+            aes.encrypt_block(&mut block);
+            assert_eq!(block, expected);
+            aes.decrypt_block(&mut block);
+            assert_eq!(
+                block,
+                [
+                    0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0,
+                    0x37, 0x07, 0x34
+                ]
+            );
+        });
     }
 
     /// FIPS-197 Appendix C.1 known-answer test.
     #[test]
     fn fips197_appendix_c1() {
         let key: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let mut block: [u8; 16] = core::array::from_fn(|i| (i as u8) * 0x11);
-        let aes = Aes128::new(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-                0xc5, 0x5a
-            ]
-        );
+        each_backend(|backend| {
+            let mut block: [u8; 16] = core::array::from_fn(|i| (i as u8) * 0x11);
+            let aes = backend.aes(&key);
+            aes.encrypt_block(&mut block);
+            assert_eq!(
+                block,
+                [
+                    0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70,
+                    0xb4, 0xc5, 0x5a
+                ]
+            );
+        });
     }
 
     #[test]
@@ -478,7 +544,21 @@ mod tests {
 
     #[test]
     fn debug_does_not_leak_key() {
+        // The only thing `Debug` gives away is which rounds the key runs on.
+        let aes = Aes128::portable(b"supersecretkey!!");
+        assert_eq!(
+            format!("{aes:?}"),
+            "Aes128 { round_keys: [redacted], rounds: tables }"
+        );
+        let rounds = if crate::hardware().aes {
+            "aes-ni"
+        } else {
+            "tables"
+        };
         let aes = Aes128::new(b"supersecretkey!!");
-        assert_eq!(format!("{aes:?}"), "Aes128 { round_keys: [redacted] }");
+        assert_eq!(
+            format!("{aes:?}"),
+            format!("Aes128 {{ round_keys: [redacted], rounds: {rounds} }}")
+        );
     }
 }

@@ -16,6 +16,20 @@
 //! [`ESP_PREFIX_LEN`] bytes of headroom and [`trailer_len`] bytes of
 //! tailroom is encapsulated without its payload moving; `seal` and `open`
 //! are the same code behind a `Vec`.
+//!
+//! [`EspEncryptor::seal_batch_into`] seals a batch of such buffers to the
+//! same bytes. Where the cipher runs on AES-NI it walks four packets' CBC
+//! chains in step, which is the one thing a batch gives this transform:
+//! within a packet CBC is serial, and a single `aesenc` chain waits out
+//! the instruction's latency on every block.
+//!
+//! Opening is the untrusted side. Nothing is decrypted, and the replay
+//! window is not consulted, before the ICV verifies; a packet rejected for
+//! its ICV, its sequence number or its length is left byte-identical. The
+//! one rejected packet that is modified is one that authenticates but
+//! whose trailer is malformed: it has been decrypted in place by the time
+//! that shows, and its sequence number is not recorded
+//! (`tests/untrusted.rs` pins the bytes).
 
 use core::ops::Range;
 
@@ -112,6 +126,24 @@ impl EspEncryptor {
         }
     }
 
+    /// [`EspEncryptor::new`] on the portable cipher and hash whatever the
+    /// CPU: the reference side of the differential tests.
+    pub fn portable(sa: &SecurityAssociation) -> EspEncryptor {
+        EspEncryptor {
+            aes: Aes128::portable(&sa.enc_key),
+            hmac: HmacSha1::portable(&sa.auth_key),
+            ..EspEncryptor::new(sa)
+        }
+    }
+
+    /// Continues an SA whose sequence numbers below `next_seq` are already
+    /// used — state handed over from another sender of the same SA, or a
+    /// test of what happens at the end of the number space. 0 means none
+    /// are left.
+    pub fn resuming_at(self, next_seq: u32) -> EspEncryptor {
+        EspEncryptor { next_seq, ..self }
+    }
+
     /// Returns the sequence number the next packet will carry, or 0 when
     /// the SA has none left.
     pub fn next_seq(&self) -> u32 {
@@ -154,41 +186,121 @@ impl EspEncryptor {
     ///   RFC 4303 §3.3.3 forbids cycling the counter, so the SA must be
     ///   replaced. `buf` is untouched.
     pub fn seal_into(&mut self, buf: &mut [u8], payload_len: usize) -> Result<()> {
-        if buf.len() != sealed_len(payload_len) {
-            return Err(CryptoError::BadLength(buf.len()));
-        }
-        let seq = self.next_seq;
-        if seq == 0 {
-            return Err(CryptoError::SeqExhausted);
-        }
-        self.next_seq = seq.checked_add(1).unwrap_or(0);
-
-        let (authed, icv) = buf.split_at_mut(buf.len() - ICV_LEN);
-        let (prefix, body) = authed.split_at_mut(ESP_PREFIX_LEN);
-        prefix[..4].copy_from_slice(&self.spi.to_be_bytes());
-        prefix[4..ESP_HEADER_LEN].copy_from_slice(&seq.to_be_bytes());
-
-        let mut iv = [0u8; BLOCK_SIZE];
-        iv[..4].copy_from_slice(&seq.to_be_bytes());
-        iv[4..8].copy_from_slice(&self.spi.to_be_bytes());
-        self.aes.encrypt_block(&mut iv);
-        prefix[ESP_HEADER_LEN..].copy_from_slice(&iv);
-
-        // RFC 4303 padding bytes are 1, 2, 3, ...
-        let pad_len = body.len() - payload_len - 2;
-        for (i, b) in body[payload_len..payload_len + pad_len]
-            .iter_mut()
-            .enumerate()
-        {
-            *b = (i + 1) as u8;
-        }
-        body[payload_len + pad_len] = pad_len as u8;
-        body[payload_len + pad_len + 1] = NEXT_HEADER_IPV4;
-        cbc_encrypt(&self.aes, &iv, body).expect("padded body is block-aligned");
-
-        icv.copy_from_slice(&self.hmac.mac96(authed));
+        let seq = claim_seq(&mut self.next_seq, buf.len(), payload_len)?;
+        let iv = frame(self.spi, seq, &self.aes, buf, payload_len);
+        let end = buf.len() - ICV_LEN;
+        cbc_encrypt(&self.aes, &iv, &mut buf[ESP_PREFIX_LEN..end])
+            .expect("padded body is block-aligned");
+        authenticate(&self.hmac, buf);
         Ok(())
     }
+
+    /// [`seal_into`](Self::seal_into) over `(buf, payload_len)` pairs, in
+    /// order, stopping in front of the first one it would refuse: returns
+    /// how many were sealed, and every buffer after those is untouched.
+    /// When the SA is out of sequence numbers the next pair is not even
+    /// taken from `bufs`, so an iterator that prepares buffers as it goes
+    /// prepares none it cannot have sealed.
+    ///
+    /// The bytes written are exactly those of that many `seal_into` calls.
+    /// What differs is the order of the work when the cipher runs on
+    /// AES-NI: a CBC chain is serial within a packet but the packets of a
+    /// batch are independent, so four packets' chains are walked in step —
+    /// a lane that finishes its packet authenticates it while it is still
+    /// in L1 and takes the next one from `bufs`, which keeps the lanes full
+    /// on a mix of short and long packets. One `aesenc` chain leaves the
+    /// unit idle three cycles in four; this is what `kp` buys IPsec. On
+    /// the table cipher, which is bound by load ports and not by latency,
+    /// interleaving measured slower (ROADMAP, "Cross-packet crypto") and
+    /// the batch is the plain loop.
+    pub fn seal_batch_into<'a>(
+        &mut self,
+        bufs: impl IntoIterator<Item = (&'a mut [u8], usize)>,
+    ) -> usize {
+        let mut bufs = bufs.into_iter();
+        let mut sealed = 0;
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = self.aes.hw() {
+            let (spi, aes, hmac, next_seq) = (self.spi, &self.aes, &self.hmac, &mut self.next_seq);
+            hw.cbc_encrypt_lanes(
+                || {
+                    // Looked at before `bufs` is: see above.
+                    if *next_seq == 0 {
+                        return None;
+                    }
+                    let (buf, payload_len) = bufs.next()?;
+                    let seq = claim_seq(next_seq, buf.len(), payload_len).ok()?;
+                    let iv = frame(spi, seq, aes, buf, payload_len);
+                    let body = ESP_PREFIX_LEN..buf.len() - ICV_LEN;
+                    Some(crate::x86::CbcJob { buf, body, iv })
+                },
+                |buf| {
+                    authenticate(hmac, buf);
+                    sealed += 1;
+                },
+            );
+            return sealed;
+        }
+        while self.next_seq != 0 {
+            let Some((buf, payload_len)) = bufs.next() else {
+                break;
+            };
+            if self.seal_into(buf, payload_len).is_err() {
+                break;
+            }
+            sealed += 1;
+        }
+        sealed
+    }
+}
+
+/// Checks `buf_len` against `payload_len` and takes the next sequence
+/// number; an error leaves the counter as it was.
+fn claim_seq(next_seq: &mut u32, buf_len: usize, payload_len: usize) -> Result<u32> {
+    if buf_len != sealed_len(payload_len) {
+        return Err(CryptoError::BadLength(buf_len));
+    }
+    let seq = *next_seq;
+    if seq == 0 {
+        return Err(CryptoError::SeqExhausted);
+    }
+    *next_seq = seq.checked_add(1).unwrap_or(0);
+    Ok(seq)
+}
+
+/// Writes the cleartext of an ESP packet around the payload `buf` holds —
+/// SPI, sequence number and IV in front, padding, pad length and next
+/// header behind — and returns the IV. The ICV is left for
+/// [`authenticate`].
+fn frame(spi: u32, seq: u32, aes: &Aes128, buf: &mut [u8], payload_len: usize) -> [u8; BLOCK_SIZE] {
+    let end = buf.len() - ICV_LEN;
+    let (prefix, body) = buf[..end].split_at_mut(ESP_PREFIX_LEN);
+    prefix[..4].copy_from_slice(&spi.to_be_bytes());
+    prefix[4..ESP_HEADER_LEN].copy_from_slice(&seq.to_be_bytes());
+
+    let mut iv = [0u8; BLOCK_SIZE];
+    iv[..4].copy_from_slice(&seq.to_be_bytes());
+    iv[4..8].copy_from_slice(&spi.to_be_bytes());
+    aes.encrypt_block(&mut iv);
+    prefix[ESP_HEADER_LEN..].copy_from_slice(&iv);
+
+    // RFC 4303 padding bytes are 1, 2, 3, ...
+    let pad_len = body.len() - payload_len - 2;
+    for (i, b) in body[payload_len..payload_len + pad_len]
+        .iter_mut()
+        .enumerate()
+    {
+        *b = (i + 1) as u8;
+    }
+    body[payload_len + pad_len] = pad_len as u8;
+    body[payload_len + pad_len + 1] = NEXT_HEADER_IPV4;
+    iv
+}
+
+/// Writes the ICV over everything in front of it.
+fn authenticate(hmac: &HmacSha1, buf: &mut [u8]) {
+    let (authed, icv) = buf.split_at_mut(buf.len() - ICV_LEN);
+    icv.copy_from_slice(&hmac.mac96(authed));
 }
 
 /// Size of the anti-replay window in sequence numbers.
@@ -212,6 +324,16 @@ impl EspDecryptor {
             hmac: HmacSha1::new(&sa.auth_key),
             highest_seq: 0,
             window: 0,
+        }
+    }
+
+    /// [`EspDecryptor::new`] on the portable cipher and hash whatever the
+    /// CPU: the reference side of the differential tests.
+    pub fn portable(sa: &SecurityAssociation) -> EspDecryptor {
+        EspDecryptor {
+            aes: Aes128::portable(&sa.enc_key),
+            hmac: HmacSha1::portable(&sa.auth_key),
+            ..EspDecryptor::new(sa)
         }
     }
 
@@ -316,6 +438,7 @@ impl EspDecryptor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::each_backend;
 
     fn pair() -> (EspEncryptor, EspDecryptor) {
         let sa = SecurityAssociation::from_seed(0xfeed);
@@ -433,46 +556,146 @@ mod tests {
     /// not allowed to move with the implementation.
     #[test]
     fn seal_wire_format_is_pinned() {
-        let mut enc = EspEncryptor::new(&SecurityAssociation::from_seed(0x5eed));
-        let mut all = crate::Sha1::new();
-        for len in pinned_lengths() {
-            let sealed = enc.seal(&pinned_payload(len));
-            assert_eq!(sealed.len(), sealed_len(len));
-            if len == 20 {
-                assert_eq!(
-                    hex(&sealed),
-                    "80005eed00000001034868aff2c0bb41368f8c9cb4b6d1cd8d5f4f5726e087b7\
-                     973058877eebeb7f80c2dd347413ace58c1d8209b7a361698d4f54205c304755\
-                     e30dc43b"
-                );
+        each_backend(|backend| {
+            let (mut enc, _) = backend.esp(&SecurityAssociation::from_seed(0x5eed));
+            let mut all = crate::Sha1::new();
+            for len in pinned_lengths() {
+                let sealed = enc.seal(&pinned_payload(len));
+                assert_eq!(sealed.len(), sealed_len(len));
+                if len == 20 {
+                    assert_eq!(
+                        hex(&sealed),
+                        "80005eed00000001034868aff2c0bb41368f8c9cb4b6d1cd8d5f4f5726e087b7\
+                         973058877eebeb7f80c2dd347413ace58c1d8209b7a361698d4f54205c304755\
+                         e30dc43b"
+                    );
+                }
+                all.update(&sealed);
             }
-            all.update(&sealed);
-        }
-        assert_eq!(
-            hex(&all.finalize()),
-            "ed8f91a3aa317b8bf14a0dea678f68d95a1c9e24"
-        );
+            assert_eq!(
+                hex(&all.finalize()),
+                "ed8f91a3aa317b8bf14a0dea678f68d95a1c9e24"
+            );
+        });
     }
 
     #[test]
     fn in_place_forms_match_seal_and_open() {
-        let sa = SecurityAssociation::from_seed(0x5eed);
-        let (mut enc, mut enc_in_place) = (EspEncryptor::new(&sa), EspEncryptor::new(&sa));
-        let (mut dec, mut dec_in_place) = (EspDecryptor::new(&sa), EspDecryptor::new(&sa));
-        for len in pinned_lengths() {
-            let payload = pinned_payload(len);
-            let sealed = enc.seal(&payload);
+        each_backend(|backend| {
+            let sa = SecurityAssociation::from_seed(0x5eed);
+            let ((mut enc, mut dec), (mut enc_in_place, mut dec_in_place)) =
+                (backend.esp(&sa), backend.esp(&sa));
+            for len in pinned_lengths() {
+                let payload = pinned_payload(len);
+                let sealed = enc.seal(&payload);
 
-            // Stale bytes around the payload must not leak into the packet.
-            let mut buf = vec![0xeeu8; sealed_len(len)];
-            buf[ESP_PREFIX_LEN..ESP_PREFIX_LEN + len].copy_from_slice(&payload);
-            enc_in_place.seal_into(&mut buf, len).unwrap();
-            assert_eq!(buf, sealed, "len {len}");
+                // Stale bytes around the payload must not leak into the packet.
+                let mut buf = vec![0xeeu8; sealed_len(len)];
+                buf[ESP_PREFIX_LEN..ESP_PREFIX_LEN + len].copy_from_slice(&payload);
+                enc_in_place.seal_into(&mut buf, len).unwrap();
+                assert_eq!(buf, sealed, "len {len}");
 
-            let range = dec_in_place.open_in_place(&mut buf).unwrap();
-            assert_eq!(range, ESP_PREFIX_LEN..ESP_PREFIX_LEN + len);
-            assert_eq!(buf[range], dec.open(&sealed).unwrap()[..], "len {len}");
-        }
+                let range = dec_in_place.open_in_place(&mut buf).unwrap();
+                assert_eq!(range, ESP_PREFIX_LEN..ESP_PREFIX_LEN + len);
+                assert_eq!(buf[range], dec.open(&sealed).unwrap()[..], "len {len}");
+            }
+        });
+    }
+
+    /// Buffers laid out for `seal_into`, stale bytes around the payloads.
+    fn laid_out(lengths: &[usize]) -> Vec<(Vec<u8>, usize)> {
+        lengths
+            .iter()
+            .map(|&len| {
+                let mut buf = vec![0xeeu8; sealed_len(len)];
+                buf[ESP_PREFIX_LEN..ESP_PREFIX_LEN + len].copy_from_slice(&pinned_payload(len));
+                (buf, len)
+            })
+            .collect()
+    }
+
+    fn seal_batch(enc: &mut EspEncryptor, bufs: &mut [(Vec<u8>, usize)]) -> usize {
+        enc.seal_batch_into(bufs.iter_mut().map(|(buf, len)| (&mut buf[..], *len)))
+    }
+
+    /// Inner lengths at the padding extremes, the 64 B / Abilene-mean /
+    /// MTU frames, and the empty payload.
+    const MIXED: [usize; 7] = [0, 1, 15, 16, 50, 746, 1486];
+
+    /// A batch is N `seal_into` calls, byte for byte and sequence number
+    /// for sequence number, whatever the batch's size and mix of lengths
+    /// and whichever backend seals it: the single seals it is held to are
+    /// the portable ones.
+    #[test]
+    fn batch_seal_is_n_single_seals() {
+        each_backend(|backend| {
+            let sa = SecurityAssociation::from_seed(0xba7c4);
+            let ((mut batch_enc, _), mut single_enc) =
+                (backend.esp(&sa), EspEncryptor::portable(&sa));
+            for n in 1..=40usize {
+                // Rotate the mix so every lane sees every length.
+                let lengths: Vec<usize> = (0..n).map(|i| MIXED[(i * 3 + n) % 7]).collect();
+                let (mut batch, mut single) = (laid_out(&lengths), laid_out(&lengths));
+                assert_eq!(seal_batch(&mut batch_enc, &mut batch), n);
+                for (buf, len) in &mut single {
+                    single_enc.seal_into(buf, *len).unwrap();
+                }
+                assert_eq!(batch, single, "{backend:?}, {n} packets");
+                assert_eq!(batch_enc.next_seq(), single_enc.next_seq());
+            }
+        });
+    }
+
+    /// A batch that runs out of sequence numbers midway seals the numbered
+    /// prefix, says where it stopped and leaves the rest alone — including
+    /// not taking them from the iterator.
+    #[test]
+    fn batch_seal_stops_where_the_sequence_numbers_do() {
+        each_backend(|backend| {
+            let sa = SecurityAssociation::from_seed(0xba7c4);
+            let ((mut enc, mut dec), (mut single_enc, _)) = (backend.esp(&sa), backend.esp(&sa));
+            enc.next_seq = u32::MAX - 5;
+            single_enc.next_seq = u32::MAX - 5;
+            let lengths = MIXED.repeat(2);
+            let (mut batch, untouched) = (laid_out(&lengths), laid_out(&lengths));
+
+            let mut taken = 0;
+            let sealed = enc.seal_batch_into(batch.iter_mut().map(|(buf, len)| {
+                taken += 1;
+                (&mut buf[..], *len)
+            }));
+            assert_eq!((sealed, taken), (6, 6), "{backend:?}");
+            assert_eq!(enc.next_seq(), 0);
+            for (i, (buf, len)) in batch.iter().enumerate() {
+                if i < 6 {
+                    let mut expected = untouched[i].0.clone();
+                    single_enc.seal_into(&mut expected, *len).unwrap();
+                    assert_eq!(buf, &expected, "packet {i}");
+                    assert_eq!(dec.open(buf).unwrap(), pinned_payload(*len));
+                } else {
+                    assert_eq!(buf, &untouched[i].0, "packet {i} must be untouched");
+                }
+            }
+            // Spent: a further batch seals nothing and takes nothing.
+            assert_eq!(seal_batch(&mut enc, &mut batch[6..]), 0);
+            assert_eq!(batch[6..], untouched[6..]);
+        });
+    }
+
+    /// A mis-sized buffer stops a batch like it fails a `seal_into`: the
+    /// ones in front are sealed, it and the ones behind are not.
+    #[test]
+    fn batch_seal_stops_at_a_mis_sized_buffer() {
+        each_backend(|backend| {
+            let (mut enc, _) = backend.esp(&SecurityAssociation::from_seed(0xba7c4));
+            let mut batch = laid_out(&MIXED);
+            batch[3].0.push(0xee);
+            let before = batch.clone();
+            assert_eq!(seal_batch(&mut enc, &mut batch), 3, "{backend:?}");
+            assert_eq!(enc.next_seq(), 4);
+            assert_eq!(batch[3..], before[3..]);
+            assert!(batch[..3].iter().zip(&before).all(|(a, b)| a != b));
+        });
     }
 
     #[test]

@@ -1,4 +1,12 @@
 //! SHA-1 (RFC 3174), the hash inside ESP's HMAC-SHA1-96 authenticator.
+//!
+//! Two compression functions sit behind [`Sha1`]: the unrolled portable
+//! one below, and on an x86-64 CPU with the SHA extensions `crate::x86`'s
+//! `sha1rnds4` one. [`Sha1::new`] asks the CPU once and the hasher (and
+//! every clone of it, which is how [`crate::hmac`] resumes its midstates)
+//! remembers the answer; `update` and `finalize` look at it once per call
+//! and hand over all the whole blocks they have. [`Sha1::portable`] is
+//! the reference the hardware is held equal to.
 
 /// SHA-1 digest length in bytes.
 pub const DIGEST_LEN: usize = 20;
@@ -13,6 +21,9 @@ pub struct Sha1 {
     buffer: [u8; BLOCK_LEN],
     buffered: usize,
     length_bits: u64,
+    /// Set when the CPU's SHA-1 instructions do the compressing.
+    #[cfg(target_arch = "x86_64")]
+    hw: Option<crate::x86::HasSha>,
 }
 
 impl Default for Sha1 {
@@ -22,8 +33,20 @@ impl Default for Sha1 {
 }
 
 impl Sha1 {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher, on the CPU's SHA-1 instructions if it has
+    /// them.
     pub fn new() -> Sha1 {
+        Sha1 {
+            #[cfg(target_arch = "x86_64")]
+            hw: crate::x86::detect().1,
+            ..Sha1::portable()
+        }
+    }
+
+    /// [`Sha1::new`] without asking the CPU: the portable compression
+    /// function whatever the machine, for the differential tests and the
+    /// `tables` bench rows.
+    pub fn portable() -> Sha1 {
         Sha1 {
             state: [
                 0x6745_2301,
@@ -35,7 +58,26 @@ impl Sha1 {
             buffer: [0u8; BLOCK_LEN],
             buffered: 0,
             length_bits: 0,
+            #[cfg(target_arch = "x86_64")]
+            hw: None,
         }
+    }
+
+    /// Compresses the whole blocks of `blocks` into the state.
+    fn compress_blocks(&mut self, blocks: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(detected) = self.hw {
+            return crate::x86::sha1_compress(detected, &mut self.state, blocks);
+        }
+        for block in blocks.chunks_exact(BLOCK_LEN) {
+            compress(&mut self.state, block.try_into().expect("exact chunk"));
+        }
+    }
+
+    /// Compresses the (full) buffer into the state.
+    fn compress_buffer(&mut self) {
+        let buffer = self.buffer;
+        self.compress_blocks(&buffer);
     }
 
     /// Absorbs `data`.
@@ -49,15 +91,12 @@ impl Sha1 {
             if self.buffered < BLOCK_LEN {
                 return;
             }
-            compress(&mut self.state, &self.buffer);
+            self.compress_buffer();
             self.buffered = 0;
         }
         // Whole blocks are hashed where they lie.
-        let mut chunks = data.chunks_exact(BLOCK_LEN);
-        for chunk in &mut chunks {
-            compress(&mut self.state, chunk.try_into().expect("exact chunk"));
-        }
-        let rest = chunks.remainder();
+        let (whole, rest) = data.split_at(data.len() - data.len() % BLOCK_LEN);
+        self.compress_blocks(whole);
         self.buffer[..rest.len()].copy_from_slice(rest);
         self.buffered = rest.len();
     }
@@ -69,11 +108,11 @@ impl Sha1 {
         self.buffer[self.buffered] = 0x80;
         self.buffer[self.buffered + 1..].fill(0);
         if self.buffered + 1 > BLOCK_LEN - 8 {
-            compress(&mut self.state, &self.buffer);
+            self.compress_buffer();
             self.buffer.fill(0);
         }
         self.buffer[BLOCK_LEN - 8..].copy_from_slice(&self.length_bits.to_be_bytes());
-        compress(&mut self.state, &self.buffer);
+        self.compress_buffer();
         let mut out = [0u8; DIGEST_LEN];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
             chunk.copy_from_slice(&word.to_be_bytes());
@@ -186,30 +225,33 @@ fn compress(state: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{each_backend, Backend};
 
-    fn hexdigest(data: &[u8]) -> String {
-        Sha1::digest(data)
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect()
+    fn hexdigest_on(backend: Backend, data: &[u8]) -> String {
+        let mut h = backend.sha1();
+        h.update(data);
+        h.finalize().iter().map(|b| format!("{b:02x}")).collect()
     }
 
     /// RFC 3174 / FIPS 180 standard test vectors.
     #[test]
     fn standard_vectors() {
-        assert_eq!(hexdigest(b""), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-        assert_eq!(
-            hexdigest(b"abc"),
-            "a9993e364706816aba3e25717850c26c9cd0d89d"
-        );
-        assert_eq!(
-            hexdigest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-        );
-        assert_eq!(
-            hexdigest(&[b'a'; 1_000_000]),
-            "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
-        );
+        each_backend(|backend| {
+            let hexdigest = |data: &[u8]| hexdigest_on(backend, data);
+            assert_eq!(hexdigest(b""), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+            assert_eq!(
+                hexdigest(b"abc"),
+                "a9993e364706816aba3e25717850c26c9cd0d89d"
+            );
+            assert_eq!(
+                hexdigest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+                "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
+            );
+            assert_eq!(
+                hexdigest(&[b'a'; 1_000_000]),
+                "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+            );
+        });
     }
 
     #[test]
@@ -240,22 +282,28 @@ mod tests {
             (119, "791fa3ef300032b7b8efab39b22dead4327cba55"),
             (120, "856ffb270b6b9340b620653753dfc5bafaff0a1f"),
         ];
-        for (len, expected) in cases {
-            let data = vec![b'Z'; len];
-            assert_eq!(hexdigest(&data), expected, "one-shot, len {len}");
-            // Split so that the buffer is part-filled, exactly filled and
-            // empty when the second piece arrives.
-            for split in [1, 55, 56, 63, 64, len - 1] {
-                let (head, tail) = data.split_at(split.min(len));
-                let mut h = Sha1::new();
-                h.update(head);
-                h.update(tail);
+        each_backend(|backend| {
+            for (len, expected) in cases {
+                let data = vec![b'Z'; len];
                 assert_eq!(
-                    h.finalize(),
-                    Sha1::digest(&data),
-                    "len {len} split at {split}"
+                    hexdigest_on(backend, &data),
+                    expected,
+                    "one-shot, len {len}"
                 );
+                // Split so that the buffer is part-filled, exactly filled
+                // and empty when the second piece arrives.
+                for split in [1, 55, 56, 63, 64, len - 1] {
+                    let (head, tail) = data.split_at(split.min(len));
+                    let mut h = backend.sha1();
+                    h.update(head);
+                    h.update(tail);
+                    assert_eq!(
+                        h.finalize(),
+                        Sha1::digest(&data),
+                        "len {len} split at {split}"
+                    );
+                }
             }
-        }
+        });
     }
 }

@@ -40,11 +40,12 @@ fn main() {
     let tunnel_frames = egress.tx_frames(1).to_vec();
     let tunnel_bytes: u64 = tunnel_frames.iter().map(|f| f.len() as u64).sum();
     println!(
-        "gateway A sealed {} frames ({} bytes of ESP) in {:?} — {:.2} Gbps software AES-128-CBC + HMAC-SHA1",
+        "gateway A sealed {} frames ({} bytes of ESP) in {:?} — {:.2} Gbps AES-128-CBC + HMAC-SHA1 on {:?}",
         tunnel_frames.len(),
         tunnel_bytes,
         dt,
-        (packets * size as u64) as f64 * 8.0 / dt.as_secs_f64() / 1e9
+        (packets * size as u64) as f64 * 8.0 / dt.as_secs_f64() / 1e9,
+        routebricks::crypto::hardware()
     );
 
     // Gateway B: terminate the tunnel with the decap element directly.

@@ -19,6 +19,29 @@ if [ "$cores" -lt 4 ]; then
     echo "         runtime will not reflect real per-core scaling."      >&2
 fi
 
+# What the crypto tests and the benchmark smoke below exercise depends on
+# the CPU: rb-crypto takes AES-NI and the SHA extensions when it finds them.
+cargo test -q -p rb-crypto --test backends detected_backend -- --nocapture 2>/dev/null |
+    grep '^crypto backend:' >&2 || echo "crypto backend: unknown (probe test did not run)" >&2
+
+echo "==> rb-crypto unsafe gate (unsafe and core::arch only in x86.rs, every block under a SAFETY line)"
+# Code lines only: comments may talk about `unsafe`; `unsafe_code` in the
+# crate's lint attributes is a different word.
+if grep -nE '(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)|(core|std)::arch' crates/crypto/src/*.rs |
+    grep -v '^crates/crypto/src/x86\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+    echo "unsafe or core::arch outside crates/crypto/src/x86.rs" >&2
+    exit 1
+fi
+awk '
+    /^[[:space:]]*\/\// { if ($0 ~ /\/\/ SAFETY:/) safety = 1; comment = 1; next }
+    /(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/ && !(comment && safety) {
+        printf "%s:%d: unsafe without a // SAFETY: comment directly above\n", FILENAME, NR
+        bad = 1
+    }
+    { comment = 0; safety = 0 }
+    END { exit bad }
+' crates/crypto/src/x86.rs
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
