@@ -1,25 +1,22 @@
-//! Real-thread benchmark: the Fig. 6 regimes on today's hardware —
-//! parallel (one core per packet) vs pipelined (packet crosses cores) vs
-//! a lock-shared queue (no multi-queue NICs).
-//!
-//! Two tiers: the `threading_regimes` group runs an opaque per-packet
-//! closure (pure regime overhead), and `graph_regimes` runs the REAL
-//! minimal-forwarding element graph — replicated once per worker core,
-//! ingress RSS-sharded, `PacketBatch`es carried over SPSC rings — under
-//! parallel, pipeline and streaming-SPSC layouts.
+//! Real-thread benchmark: the Fig. 6 core layouts on today's hardware,
+//! on the REAL minimal-forwarding element graph (FromDevice ->
+//! CheckIPHeader -> Counter -> Queue -> ToDevice) — one row per
+//! [`Regime`], the graph fixed and only the layout selected: parallel
+//! replicas (one core per packet), streaming SPSC ingress, a stage chain
+//! (every packet crosses cores) and credit-gated pull. `PacketBatch`es
+//! cross the cores over SPSC rings in all of them.
 //!
 //! Absolute numbers differ from the paper's 2009 Nehalem, but the
-//! *ordering* (parallel ≥ pipeline > shared-lock) is the claim under
-//! test; the `threading_overheads_are_real` integration test asserts it.
+//! *ordering* (parallel ≥ pipeline) is the claim under test; the
+//! `graph_replicas_scale_like_fig6` integration test asserts it where
+//! each worker can have a core. The lock-shared queue of Fig. 6 has no
+//! real-thread row: it is modelled in `rb_hw::scenarios` (`--bin fig6`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use routebricks::builder::RouterBuilder;
-use routebricks::click::runtime::mt::{
-    run_graph_parallel, run_graph_pipeline, run_graph_spsc, run_parallel, run_pipeline,
-    run_shared_queue, run_spsc_rings, shard_by_flow, GraphRunOpts, StageFn,
-};
 use routebricks::packet::builder::PacketSpec;
 use routebricks::packet::Packet;
+use routebricks::Regime;
 
 const PACKETS: usize = 20_000;
 const WORKERS: usize = 4;
@@ -54,95 +51,35 @@ fn packets() -> Vec<Packet> {
         .collect()
 }
 
-/// The per-packet work: TTL decrement + checksum patch (the routing fast
-/// path minus the lookup, which needs shared state).
-fn stage() -> StageFn {
-    Box::new(|mut pkt: Packet| {
-        routebricks::packet::ipv4::fast::dec_ttl(&mut pkt.data_mut()[14..]).ok()?;
-        Some(pkt)
-    })
-}
-
-fn bench_threading(c: &mut Criterion) {
-    warn_if_undersized();
-    let mut group = c.benchmark_group("threading_regimes");
-    group.sample_size(15);
-    group.throughput(Throughput::Elements(PACKETS as u64));
-
-    group.bench_function("parallel_per_flow_shards", |b| {
-        b.iter(|| {
-            let shards = shard_by_flow(packets(), WORKERS);
-            run_parallel(WORKERS, shards, stage).processed
-        })
-    });
-
-    group.bench_function("pipeline_4_stages", |b| {
-        b.iter(|| {
-            let stages: Vec<StageFn> = (0..WORKERS).map(|_| stage()).collect();
-            run_pipeline(stages, packets(), 256).processed
-        })
-    });
-
-    group.bench_function("shared_locked_queue", |b| {
-        b.iter(|| run_shared_queue(WORKERS, packets(), stage).processed)
-    });
-
-    // The "one core per queue" fix for the shared-lock regime: one
-    // bounded lock-free SPSC ring per worker, burst-drained.
-    group.bench_function("spsc_rings_per_worker", |b| {
-        b.iter(|| run_spsc_rings(WORKERS, packets(), stage, 256, 32).processed)
-    });
-
-    group.finish();
-}
-
-/// The same regimes on the real minimal-forwarding graph (FromDevice ->
-/// CheckIPHeader -> Counter -> Queue -> ToDevice), replicated per core.
 fn bench_graph_regimes(c: &mut Criterion) {
     warn_if_undersized();
     let mut group = c.benchmark_group("graph_regimes");
     group.sample_size(10);
     group.throughput(Throughput::Elements(PACKETS as u64));
 
-    let graph = || {
-        RouterBuilder::minimal_forwarder()
-            .build_graph()
-            .expect("graph builds")
-    };
-    let opts = GraphRunOpts::default();
-
-    group.bench_function("parallel_replicas", |b| {
-        let g = graph();
-        b.iter(|| {
-            run_graph_parallel(&g, WORKERS, packets(), &opts)
-                .expect("graph replicates")
-                .report
-                .processed
-        })
-    });
-
-    group.bench_function("spsc_streaming_replicas", |b| {
-        let g = graph();
-        b.iter(|| {
-            run_graph_spsc(&g, WORKERS, packets(), &opts)
-                .expect("graph replicates")
-                .report
-                .processed
-        })
-    });
-
-    group.bench_function("pipeline_stage_chain", |b| {
-        let stages: Vec<_> = (0..WORKERS).map(|_| graph()).collect();
-        b.iter(|| {
-            run_graph_pipeline(&stages, packets(), &opts)
-                .expect("stages replicate")
-                .report
-                .processed
-        })
-    });
+    for (name, regime) in [
+        ("parallel_replicas", Regime::Push),
+        ("spsc_streaming_replicas", Regime::Spsc),
+        ("pipeline_stage_chain", Regime::Pipeline),
+        ("pull_credit_replicas", Regime::PullCredit),
+    ] {
+        let mt = RouterBuilder::minimal_forwarder()
+            .workers(WORKERS)
+            .regime(regime)
+            .build_mt()
+            .expect("graph builds");
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                mt.run(packets())
+                    .expect("graph replicates")
+                    .report
+                    .processed
+            })
+        });
+    }
 
     group.finish();
 }
 
-criterion_group!(benches, bench_threading, bench_graph_regimes);
+criterion_group!(benches, bench_graph_regimes);
 criterion_main!(benches);

@@ -11,6 +11,7 @@ use routebricks::cluster::sim::{Policy, ReorderExperiment};
 use routebricks::packet::builder::PacketSpec;
 use routebricks::packet::Packet;
 use routebricks::telemetry::{cycles, json, TraceKind, TraceLog};
+use routebricks::Regime;
 
 /// Varied-flow traffic so RSS sharding spreads packets across workers.
 fn traffic(count: usize) -> Vec<Packet> {
@@ -107,9 +108,10 @@ fn mt_smoke() {
         .workers(2)
         .batch_size(32)
         .trace_sample(8)
+        .regime(Regime::Spsc)
         .build_mt()
         .expect("builder config is valid");
-    let outcome = mt.run_spsc(traffic(PACKETS)).expect("graph runs");
+    let outcome = mt.run(traffic(PACKETS)).expect("graph runs");
 
     let ledger = outcome.report.ledger;
     assert!(

@@ -74,10 +74,8 @@ pub mod measured {
     //! regimes (per-core parallel replicas, chained pipeline stages,
     //! streaming SPSC ingress) and report what the host actually did.
 
-    use routebricks::click::runtime::mt::{
-        run_graph_parallel, run_graph_pipeline, run_graph_spsc, GraphRunOpts,
-    };
-    use routebricks::click::Graph;
+    use routebricks::click::runtime::mt::run_graph;
+    use routebricks::click::{Graph, Knobs, Regime};
     use routebricks::packet::builder::PacketSpec;
     use routebricks::packet::Packet;
 
@@ -137,7 +135,11 @@ pub mod measured {
         workers: usize,
         packets: &[Packet],
     ) -> Vec<RegimeRow> {
-        let opts = GraphRunOpts::default();
+        let on = |regime| Knobs {
+            regime,
+            workers,
+            ..Knobs::default()
+        };
         let row = |regime, outcome: routebricks::click::GraphRunOutcome| RegimeRow {
             regime,
             pps: outcome.report.pps(),
@@ -145,13 +147,12 @@ pub mod measured {
             imbalance: outcome.report.imbalance(),
         };
         let graph = make_graph();
-        let parallel = run_graph_parallel(&graph, workers, packets.to_vec(), &opts)
+        let parallel = run_graph(&[&graph], packets.to_vec(), &on(Regime::Push), None)
             .expect("graph must replicate");
-        let spsc =
-            run_graph_spsc(&graph, workers, packets.to_vec(), &opts).expect("graph must replicate");
-        let stages: Vec<Graph> = (0..workers).map(|_| make_graph()).collect();
-        let pipeline =
-            run_graph_pipeline(&stages, packets.to_vec(), &opts).expect("stages must replicate");
+        let spsc = run_graph(&[&graph], packets.to_vec(), &on(Regime::Spsc), None)
+            .expect("graph must replicate");
+        let pipeline = run_graph(&[&graph], packets.to_vec(), &on(Regime::Pipeline), None)
+            .expect("stages must replicate");
         vec![
             row("parallel replicas", parallel),
             row("spsc streaming", spsc),

@@ -19,16 +19,18 @@
 use crate::graph::Graph;
 use crate::registry::Registry;
 use crate::runtime::driver::Router;
-use crate::runtime::mt::GraphRunOpts;
 use crate::runtime::regime::Regime;
 use crate::ConfigError;
 
-/// Runtime knobs settable from configuration text.
+/// The runtime knobs — the one struct that declares them.
 ///
 /// The pseudo-element statement `RuntimeConfig(batch_size 64, workers 4,
 /// ring_depth 512, poll_burst 32, nic_batch 16, pool_slots 4096,
-/// slot_size 2048, telemetry cycles);` sets them; it declares no element and may not be
-/// connected. Keys take `key value` or `key=value` form, comma-separated.
+/// slot_size 2048, telemetry cycles);` parses into it (it declares no
+/// element and may not be connected), `RouterBuilder` holds one and its
+/// setters write through, and [`Router::configured`] and
+/// [`crate::runtime::mt::run_graph`] consume it. Keys take `key value` or
+/// `key=value` form, comma-separated.
 /// Every value must be a positive integer except `telemetry`, which takes
 /// `off`, `on` (counters only) or `cycles` (counters plus per-element
 /// cycle accounting), `fib_rcu`, which takes `on` or `off`, `regime`,
@@ -40,39 +42,49 @@ use crate::ConfigError;
 /// window" / "interval clock off". Repeated `RuntimeConfig` statements
 /// apply in order (later wins per key).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RuntimeKnobs {
-    /// Dispatch batch size `kp` of the driver ([`Router::batch_size`]).
+pub struct Knobs {
+    /// Dispatch batch size `kp` of every [`Router`], and the size of the
+    /// [`PacketBatch`](crate::element::PacketBatch)es carried across core
+    /// boundaries.
     pub batch_size: usize,
-    /// Packets moved per inter-core ring interaction.
-    pub poll_burst: usize,
+    /// Packets moved per device poll and per inter-core ring interaction
+    /// (rounded to whole batches); `None` (the default, and what an
+    /// absent `poll_burst` key means) follows `kp` — the paper tunes one
+    /// batching knob, not one per device.
+    pub poll_burst: Option<usize>,
     /// Capacity of each inter-core SPSC ring, in batches.
     pub ring_depth: usize,
-    /// Worker cores for the multi-threaded graph runners.
+    /// Worker cores of a multi-threaded run.
     pub workers: usize,
     /// Slots in each packet-arena pool; `0` leaves sources heap-backed.
     pub pool_slots: usize,
     /// Bytes per arena slot (headroom + payload + tailroom).
     pub slot_size: usize,
-    /// Telemetry level of every router built from this configuration.
+    /// Telemetry level of every router (each worker gets its own shard;
+    /// shards merge into `MtReport::telemetry` at join).
     pub telemetry: rb_telemetry::TelemetryLevel,
     /// Path-trace sampling interval (`trace_sample 64` stamps every
-    /// 64th sourced packet); `0` — like `fib_routes`, allowed to be
-    /// zero — disables tracing.
+    /// 64th sourced packet and follows it across element dispatches and
+    /// ring hops); `0` disables tracing. Each worker's tracer records as
+    /// its worker index; the dispatcher/merger thread as core `workers`.
     pub trace_sample: u64,
-    /// Synthetic-RIB size for routing apps built from this
-    /// configuration: `fib_routes 65536` asks the builder to synthesize
-    /// a full table of that many prefixes instead of using the app's
-    /// inline routes. `0` (default) keeps inline routes.
+    /// Synthetic-RIB size for routing apps: `fib_routes 65536` asks the
+    /// builder to synthesize a full table of that many prefixes instead
+    /// of using the app's inline routes. `0` (default) keeps inline
+    /// routes.
     pub fib_routes: usize,
     /// `fib_rcu on` routes lookups through an `rb_lookup::RcuFib` (live
     /// route churn supported via a `RouteControl` handle) instead of an
     /// immutable compiled table.
     pub fib_rcu: bool,
-    /// Multi-threaded scheduling regime (`regime push|spsc|pipeline|pull`)
-    /// used by routers built from this configuration.
+    /// Multi-threaded scheduling regime (`regime push|spsc|pipeline|pull`).
     pub regime: Regime,
     /// Credit window of the pull regime, in packets per lane (`credits
     /// 256`); `0` (the default) auto-sizes to `ring_depth * batch_size`.
+    /// The dispatcher may have at most this many packets outstanding
+    /// toward one worker; an exhausted window stalls the source
+    /// (`MtReport::credit_stalls`) instead of dropping. Ignored by the
+    /// push/spsc/pipeline regimes.
     pub credit_window: usize,
     /// NIC batching factor `kn` of every device element's descriptor
     /// ring (`nic_batch 16`): writeback + doorbell cost is charged once
@@ -81,7 +93,9 @@ pub struct RuntimeKnobs {
     pub nic_batch: usize,
     /// Live interval-clock bucket width in milliseconds (`interval_ms
     /// 100`); `0` (the default) keeps the clock off — one predictable
-    /// branch per quantum, like `telemetry off`.
+    /// branch per quantum, like `telemetry off`. When set, every router
+    /// rolls per-quantum deltas into its own wait-free interval ring; a
+    /// multi-threaded run harvests them live into `MtReport::timeseries`.
     pub interval_ms: u64,
     /// Service-level objectives graded against the live interval series
     /// (`slo p99us:5000/loss:0.01/floor:1000000`); the empty default
@@ -95,11 +109,11 @@ pub struct RuntimeKnobs {
     pub serve_metrics: Option<std::net::SocketAddr>,
 }
 
-impl Default for RuntimeKnobs {
-    fn default() -> RuntimeKnobs {
-        RuntimeKnobs {
+impl Default for Knobs {
+    fn default() -> Knobs {
+        Knobs {
             batch_size: Router::DEFAULT_BATCH_SIZE,
-            poll_burst: 32,
+            poll_burst: None,
             ring_depth: 1024,
             workers: 1,
             pool_slots: 0,
@@ -118,20 +132,41 @@ impl Default for RuntimeKnobs {
     }
 }
 
-impl RuntimeKnobs {
-    /// Graph-runner options with these knobs applied.
-    pub fn run_opts(&self) -> GraphRunOpts {
-        GraphRunOpts {
-            batch_size: self.batch_size,
-            poll_burst: self.poll_burst,
-            ring_depth: self.ring_depth,
-            telemetry: self.telemetry,
-            trace_sample: self.trace_sample,
-            credit_window: self.credit_window,
-            nic_batch: self.nic_batch,
-            interval_ms: self.interval_ms,
+impl Knobs {
+    /// Whole batches per ring interaction.
+    pub(crate) fn burst_batches(&self) -> usize {
+        (self.poll_burst.unwrap_or(self.batch_size) / self.batch_size).max(1)
+    }
+
+    /// The pull regime's effective per-lane credit window in packets:
+    /// the configured value, or `ring_depth * batch_size` when unset —
+    /// never below one whole batch, because the dispatcher grants whole
+    /// batches and a smaller window could never be acquired (livelock).
+    pub(crate) fn effective_credit_window(&self) -> u64 {
+        let auto = self.ring_depth.saturating_mul(self.batch_size);
+        let w = if self.credit_window > 0 {
+            self.credit_window
+        } else {
+            auto
+        };
+        w.max(self.batch_size).max(1) as u64
+    }
+
+    /// What a scrape endpoint needs to observe one run under these
+    /// knobs: the run's live rings plus its clock and its objectives
+    /// (an empty `slo` leaves `/healthz` always-ok).
+    pub fn monitor_source(
+        &self,
+        interval_rings: Vec<std::sync::Arc<rb_telemetry::IntervalRing>>,
+        event_rings: Vec<std::sync::Arc<rb_telemetry::EventRing>>,
+        interval_ticks: u64,
+    ) -> rb_telemetry::MonitorSource {
+        rb_telemetry::MonitorSource {
+            interval_rings,
+            event_rings,
+            interval_ticks,
+            ticks_per_sec: rb_telemetry::cycles::ticks_per_sec(),
             slo: (!self.slo.is_empty()).then_some(self.slo),
-            ..GraphRunOpts::default()
         }
     }
 
@@ -227,7 +262,7 @@ impl RuntimeKnobs {
             }
             match key {
                 "batch_size" => self.batch_size = value,
-                "poll_burst" => self.poll_burst = value,
+                "poll_burst" => self.poll_burst = Some(value),
                 "ring_depth" => self.ring_depth = value,
                 "nic_batch" => self.nic_batch = value,
                 "workers" => self.workers = value,
@@ -327,22 +362,18 @@ pub fn build_router(text: &str) -> Result<Router, ConfigError> {
 /// See [`build_router`].
 pub fn build_router_with(text: &str, registry: &Registry) -> Result<Router, ConfigError> {
     let (graph, knobs) = build_graph_with(text, registry)?;
-    Ok(Router::new(graph)?
-        .with_batch_size(knobs.batch_size)
-        .with_nic_batch(knobs.nic_batch)
-        .with_telemetry(knobs.telemetry)
-        .with_trace(knobs.trace_sample))
+    Ok(Router::configured(graph, &knobs, 0)?)
 }
 
 /// Parses `text` into an (unvalidated) element graph plus the runtime
 /// knobs its `RuntimeConfig(...)` statements set, using the default
 /// registry. The graph form is what the multi-threaded runtime replicates
-/// per core (`rb_click::runtime::mt::run_graph_parallel` and friends).
+/// per core ([`crate::runtime::mt::run_graph`]).
 ///
 /// # Errors
 ///
 /// See [`build_router`].
-pub fn build_graph(text: &str) -> Result<(Graph, RuntimeKnobs), ConfigError> {
+pub fn build_graph(text: &str) -> Result<(Graph, Knobs), ConfigError> {
     build_graph_with(text, &Registry::standard())
 }
 
@@ -351,13 +382,10 @@ pub fn build_graph(text: &str) -> Result<(Graph, RuntimeKnobs), ConfigError> {
 /// # Errors
 ///
 /// See [`build_router`].
-pub fn build_graph_with(
-    text: &str,
-    registry: &Registry,
-) -> Result<(Graph, RuntimeKnobs), ConfigError> {
+pub fn build_graph_with(text: &str, registry: &Registry) -> Result<(Graph, Knobs), ConfigError> {
     let parsed = parse(text)?;
     let mut graph = Graph::new();
-    let mut knobs = RuntimeKnobs::default();
+    let mut knobs = Knobs::default();
     for decl in &parsed.decls {
         // `RuntimeConfig` is a pseudo-element: it configures the runtime
         // and never enters the graph.
@@ -731,19 +759,16 @@ mod tests {
         .unwrap();
         assert_eq!(
             knobs,
-            RuntimeKnobs {
+            Knobs {
                 batch_size: 64,
-                poll_burst: 16,
+                poll_burst: Some(16),
                 ring_depth: 512,
                 workers: 4,
-                ..RuntimeKnobs::default()
+                ..Knobs::default()
             }
         );
         // The pseudo-element must not enter the graph.
         assert_eq!(graph.len(), 2);
-        let opts = knobs.run_opts();
-        assert_eq!(opts.batch_size, 64);
-        assert_eq!(opts.ring_depth, 512);
     }
 
     #[test]
@@ -764,16 +789,9 @@ mod tests {
             .element_as::<crate::elements::ToDevice>("out")
             .unwrap();
         assert_eq!(tx.nic_batch(), 16);
-        // Default leaves kn at 1 (NIC-driven batching off), and the knob
-        // flows into the MT runner options.
+        // Default leaves kn at 1 (NIC-driven batching off).
         let (_, knobs) = build_graph("InfiniteSource(64, 1) -> Discard;").unwrap();
         assert_eq!(knobs.nic_batch, 1);
-        let (_, knobs) = build_graph(
-            "RuntimeConfig(nic_batch 4);
-             InfiniteSource(64, 1) -> Discard;",
-        )
-        .unwrap();
-        assert_eq!(knobs.run_opts().nic_batch, 4);
     }
 
     #[test]
@@ -785,11 +803,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(knobs.workers, 2);
-        assert_eq!(knobs.batch_size, RuntimeKnobs::default().batch_size);
+        assert_eq!(knobs.batch_size, Knobs::default().batch_size);
         // No RuntimeConfig at all → defaults.
         let (_, knobs) =
             build_graph("c :: Counter; InfiniteSource(64, 1) -> c -> Discard;").unwrap();
-        assert_eq!(knobs, RuntimeKnobs::default());
+        assert_eq!(knobs, Knobs::default());
     }
 
     #[test]
@@ -854,7 +872,6 @@ mod tests {
             );
             let (_, knobs) = build_graph(&text).unwrap();
             assert_eq!(knobs.telemetry, level, "word `{word}`");
-            assert_eq!(knobs.run_opts().telemetry, level);
             let router = build_router(&text).unwrap();
             assert_eq!(router.telemetry_level(), level);
         }
@@ -867,7 +884,6 @@ mod tests {
              src -> Discard;";
         let (_, knobs) = build_graph(text).unwrap();
         assert_eq!(knobs.trace_sample, 16);
-        assert_eq!(knobs.run_opts().trace_sample, 16);
         assert_eq!(build_router(text).unwrap().trace_sample(), 16);
         // 0 = off is legal, unlike every other integer knob.
         let off = "RuntimeConfig(trace_sample 0);
@@ -921,7 +937,6 @@ mod tests {
             let (_, knobs) = build_graph(&text).unwrap();
             assert_eq!(knobs.regime, regime, "word `{word}`");
             assert_eq!(knobs.credit_window, 256);
-            assert_eq!(knobs.run_opts().credit_window, 256);
         }
         // `credits 0` = auto-size is legal; omitting both keeps defaults.
         let (_, knobs) = build_graph(
@@ -941,7 +956,6 @@ mod tests {
              src -> Discard;";
         let (_, knobs) = build_graph(text).unwrap();
         assert_eq!(knobs.interval_ms, 100);
-        assert_eq!(knobs.run_opts().interval_ms, 100);
         assert_eq!(knobs.slo.p99_latency_us, Some(5000.0));
         assert_eq!(knobs.slo.max_loss, Some(0.01));
         assert_eq!(knobs.slo.min_pps, Some(1_000_000.0));
@@ -968,6 +982,23 @@ mod tests {
             Some(ConfigError::BadArguments { class, .. }) => assert_eq!(class, "RuntimeConfig"),
             other => panic!("expected BadArguments, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn runtime_config_interval_reaches_router() {
+        // The key used to parse and then be dropped on the way to the
+        // single-threaded `Router`.
+        let mut router = build_router(
+            "RuntimeConfig(interval_ms 5);
+             src :: InfiniteSource(64, 300);
+             src -> Discard;",
+        )
+        .unwrap();
+        assert!(router.interval_ticks() > 0, "interval clock is on");
+        router.run_until_idle(100_000);
+        let series = router.timeseries().expect("clock on, series harvested");
+        assert!(!series.is_empty());
+        assert_eq!(series.ledger().sourced, 300);
     }
 
     #[test]

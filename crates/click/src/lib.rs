@@ -44,11 +44,11 @@ pub mod graph;
 pub mod registry;
 pub mod runtime;
 
-pub use config::{build_graph, build_router, RuntimeKnobs};
+pub use config::{build_graph, build_router, Knobs};
 pub use element::{Element, Output, PortKind};
 pub use graph::{Graph, GraphError};
 pub use runtime::driver::Router;
-pub use runtime::mt::{GraphRunOpts, GraphRunOutcome};
+pub use runtime::mt::{run_graph, GraphRunOutcome};
 pub use runtime::regime::Regime;
 
 /// Errors raised while parsing or instantiating configurations.

@@ -17,6 +17,7 @@
 //! batched execution produce byte-identical output streams on merge-free
 //! graphs (see the `batch_differential` test).
 
+use crate::config::Knobs;
 use crate::element::{Output, PacketBatch, PortKind};
 use crate::elements::device::{FromDevice, ToDevice};
 use crate::elements::queue::QueueStats;
@@ -314,6 +315,27 @@ impl Router {
         Ok(router)
     }
 
+    /// [`Router::new`] with every knob a `Router` reads applied — `kp`,
+    /// `kn`, telemetry level, interval clock, path tracing — recording as
+    /// `core` (0 single-threaded; the worker index in a multi-threaded
+    /// run). The one place knobs become router state.
+    ///
+    /// # Errors
+    ///
+    /// See [`Router::new`].
+    pub fn configured(graph: Graph, knobs: &Knobs, core: u32) -> Result<Router, crate::GraphError> {
+        let mut router = Router::new(graph)?
+            .with_batch_size(knobs.batch_size)
+            .with_telemetry(knobs.telemetry);
+        router.set_nic_batch(knobs.nic_batch);
+        // Off is the state it is in; on pays the tick-rate calibration.
+        if knobs.interval_ms > 0 {
+            router.set_interval_ms(knobs.interval_ms, core as usize);
+        }
+        router.set_trace(knobs.trace_sample, core);
+        Ok(router)
+    }
+
     /// Resolves the task table from the graph as it is now and schedules
     /// the active elements it did not cover before — every one of them at
     /// construction; after a [`Router::graph_mut`] edit the ones added
@@ -490,13 +512,6 @@ impl Router {
     pub fn set_interval_ms(&mut self, ms: u64, core: usize) {
         let ticks = (ms as f64 * cycles::ticks_per_sec() / 1e3) as u64;
         self.set_interval_ticks(ticks, core);
-    }
-
-    /// Builder-style variant of [`Router::set_interval_ms`] for core 0.
-    #[must_use]
-    pub fn with_interval_ms(mut self, ms: u64) -> Router {
-        self.set_interval_ms(ms, 0);
-        self
     }
 
     /// Nominal interval width in ticks (0 when the clock is off).
@@ -775,13 +790,6 @@ impl Router {
                 dev.set_nic_batch(kn);
             }
         }
-    }
-
-    /// Builder-style variant of [`Router::set_nic_batch`].
-    #[must_use]
-    pub fn with_nic_batch(mut self, kn: usize) -> Router {
-        self.set_nic_batch(kn);
-        self
     }
 
     /// Runs until every active element has reported idle since the last

@@ -1,26 +1,25 @@
-//! Pluggable scheduling regimes: one harness, four policies.
+//! Scheduling regimes: one harness, four policies.
 //!
 //! §4.2 of the paper compares ways of spreading packet processing over
-//! cores, and PR history grew three hand-rolled run loops for them. This
-//! module splits that policy out of the runtime: a [`Scheduler`] is the
-//! *policy* — worker topology (which graph replica runs on which core),
-//! ring wiring (how packets enter and leave each worker), and the
-//! per-quantum step a worker executes — while [`run_scheduled`] is the
-//! *mechanism*, written once: spawn the workers, pump the `Dispatcher`,
-//! merge egress, join, and fold telemetry/ledger/trace/pool counters into
-//! one [`GraphRunOutcome`]. `driver.rs`'s single-core stride loop is the
-//! degenerate instance (one lane, no rings).
+//! cores, and PR history grew three hand-rolled run loops for them. Here
+//! the *mechanism* is written once — [`run_scheduled`]: spawn the
+//! workers, pump the `Dispatcher`, merge egress, join, and fold
+//! telemetry/ledger/trace/pool counters into one [`GraphRunOutcome`] —
+//! and the *policy* is a [`Regime`], matched on where the regimes
+//! differ: worker topology (which graph replica runs on which core),
+//! ring wiring (how packets enter and leave each worker), the body a
+//! worker executes, and whose packets count as processed. `driver.rs`'s
+//! single-core stride loop is the degenerate instance (one lane, no
+//! rings).
 //!
-//! Four regimes instantiate the trait:
-//!
-//! * [`PushScheduler`] — §4.2 "one core per packet": preload each
+//! * [`Regime::Push`] — §4.2 "one core per packet": preload each
 //!   worker's whole RSS shard, run to idle, merge egress.
-//! * [`SpscScheduler`] — streaming push: a dispatcher feeds bounded SPSC
+//! * [`Regime::Spsc`] — streaming push: a dispatcher feeds bounded SPSC
 //!   ingress rings incrementally, so ring back-pressure is part of the
 //!   run.
-//! * [`PipelineScheduler`] — cores chained; stage `i`'s transmitted
+//! * [`Regime::Pipeline`] — cores chained; stage `i`'s transmitted
 //!   frames are the inter-stage link into stage `i+1`'s `FromDevice`.
-//! * [`PullCreditScheduler`] — sink-driven pull with credit
+//! * [`Regime::PullCredit`] — sink-driven pull with credit
 //!   back-pressure: the dispatcher may only push what the credit window
 //!   allows, the worker admits only what its ingress arena can hold, and
 //!   overload therefore *stalls* the source instead of dropping packets.
@@ -28,7 +27,7 @@
 //! # The credit protocol
 //!
 //! Each pull lane pairs its ingress ring with a [`CreditGate`] of
-//! `credit_window` packets ([`GraphRunOpts::credit_window`]; `0` sizes
+//! `credit_window` packets ([`Knobs::credit_window`]; `0` sizes
 //! the window to the ring capacity). The dispatcher acquires credits for
 //! a whole batch before pushing it; every attempt that finds the gate
 //! short counts one *stall* and is retried after yielding, so the count
@@ -47,16 +46,17 @@
 //! the conservation [`rb_telemetry::Ledger`] balances under pull exactly
 //! as it does under push.
 
+use crate::config::Knobs;
 use crate::element::PacketBatch;
 use crate::elements::device::{FromDevice, ToDevice};
 use crate::graph::{ElementId, Graph, GraphError};
 use crate::runtime::driver::Router;
-use crate::runtime::mt::{lane_of, shard_by_flow, GraphRunOpts, GraphRunOutcome, MtReport};
+use crate::runtime::mt::{lane_of, shard_by_flow, GraphRunOutcome, MtReport};
 use crate::runtime::spsc::{self, Consumer, Producer};
 use rb_packet::{Packet, PoolStats};
 use rb_telemetry::{
-    cycles, EventHarvester, EventLog, Harvester, Ledger, MetricsServer, MetricsSnapshot,
-    MonitorSource, TraceKind, TraceLog, Tracer,
+    cycles, EventHarvester, EventLog, Harvester, Ledger, MetricsServer, MetricsSnapshot, TraceKind,
+    TraceLog, Tracer,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,16 +99,6 @@ impl Regime {
             Regime::Spsc => "spsc",
             Regime::Pipeline => "pipeline",
             Regime::PullCredit => "pull",
-        }
-    }
-
-    /// The scheduler implementing this regime.
-    pub(crate) fn scheduler(&self) -> &'static dyn Scheduler {
-        match self {
-            Regime::Push => &PushScheduler,
-            Regime::Spsc => &SpscScheduler,
-            Regime::Pipeline => &PipelineScheduler,
-            Regime::PullCredit => &PullCreditScheduler,
         }
     }
 }
@@ -194,37 +184,23 @@ impl CreditGate {
 }
 
 /// One worker's replica of the graph, ready to run.
-pub struct Replica {
-    pub(crate) router: Router,
-    pub(crate) ingress: ElementId,
-    pub(crate) egress_ids: Vec<ElementId>,
+struct Replica {
+    router: Router,
+    ingress: ElementId,
+    egress_ids: Vec<ElementId>,
 }
 
 /// Replicates `graph` for worker `core`: fresh mutable state, shared
 /// read-only structures, the first `FromDevice` as ingress.
-pub(crate) fn make_replica(
-    graph: &Graph,
-    opts: &GraphRunOpts,
-    core: u32,
-) -> Result<Replica, GraphError> {
+fn make_replica(graph: &Graph, knobs: &Knobs, core: u32) -> Result<Replica, GraphError> {
     let g = graph.replicate()?;
     let ingress = *g
         .elements_of_type::<FromDevice>()
         .first()
         .ok_or(GraphError::MissingIngress)?;
     let egress_ids = g.elements_of_type::<ToDevice>();
-    let mut router = Router::new(g)?
-        .with_batch_size(opts.batch_size)
-        .with_telemetry(opts.telemetry);
-    if opts.nic_batch > 0 {
-        router.set_nic_batch(opts.nic_batch);
-    }
-    if opts.interval_ms > 0 {
-        router.set_interval_ms(opts.interval_ms, core as usize);
-    }
-    router.set_trace(opts.trace_sample, core);
     Ok(Replica {
-        router,
+        router: Router::configured(g, knobs, core)?,
         ingress,
         egress_ids,
     })
@@ -234,24 +210,24 @@ pub(crate) fn make_replica(
 /// or an ingress ring, possibly credit-gated) and where finished frames
 /// go (the egress merger and/or the next pipeline stage).
 #[derive(Default)]
-pub struct Lane {
+struct Lane {
     /// Whole-shard preload (push regime; empty otherwise).
-    pub(crate) preload: Vec<Packet>,
+    preload: Vec<Packet>,
     /// Streaming ingress ring (`None` for the preloaded push regime).
-    pub(crate) rx: Option<Consumer<PacketBatch>>,
+    rx: Option<Consumer<PacketBatch>>,
     /// Ring to the egress merger (`None` for intermediate pipeline
     /// stages, whose frames feed the next stage instead).
-    pub(crate) egress: Option<Producer<(usize, PacketBatch)>>,
+    egress: Option<Producer<(usize, PacketBatch)>>,
     /// Next pipeline stage's ingress (intermediate stages only).
-    pub(crate) next: Option<Producer<PacketBatch>>,
+    next: Option<Producer<PacketBatch>>,
     /// Credit gate shared with the dispatcher (pull regime only).
-    pub(crate) credits: Option<Arc<CreditGate>>,
+    credits: Option<Arc<CreditGate>>,
     /// Whether ring receives count as trace hops: the pipeline's stage 0
     /// reads the feeder's untraced input, every other ring is a real
     /// cross-core hop.
-    pub(crate) trace_ring_recv: bool,
+    trace_ring_recv: bool,
     /// Way home for the [`Dispatcher`]'s batches: see [`inject_batch`].
-    pub(crate) spent: Option<Producer<PacketBatch>>,
+    spent: Option<Producer<PacketBatch>>,
 }
 
 impl Lane {
@@ -336,10 +312,10 @@ impl Dispatcher {
     fn new(
         packets: Vec<Packet>,
         ingress: Vec<(Producer<PacketBatch>, Option<Arc<CreditGate>>)>,
-        opts: &GraphRunOpts,
+        knobs: &Knobs,
         stamp: bool,
     ) -> Dispatcher {
-        let batch_size = opts.batch_size;
+        let batch_size = knobs.batch_size;
         let lanes = ingress
             .into_iter()
             .map(|(tx, credits)| DispatchLane {
@@ -353,7 +329,7 @@ impl Dispatcher {
             source: packets.into_iter(),
             lanes,
             batch_size,
-            staging: opts.burst_batches().min(opts.ring_depth),
+            staging: knobs.burst_batches().min(knobs.ring_depth),
             stamp,
         }
     }
@@ -418,64 +394,26 @@ impl Dispatcher {
     }
 }
 
-/// Everything a [`Scheduler::wire`] call produces: per-worker lanes, the
+/// Everything wiring a regime produces: per-worker lanes, the
 /// dispatcher feeding them, and the egress consumers the merger drains.
-pub struct Wiring {
-    pub(crate) lanes: Vec<Lane>,
+struct Wiring {
+    lanes: Vec<Lane>,
     /// The streaming regimes' ingress side (`None`: push preloads).
-    pub(crate) dispatcher: Option<Dispatcher>,
-    pub(crate) consumers: Vec<Consumer<(usize, PacketBatch)>>,
+    dispatcher: Option<Dispatcher>,
+    consumers: Vec<Consumer<(usize, PacketBatch)>>,
     /// Receiving ends of the lanes' [`Lane::spent`] rings.
-    pub(crate) spent: Vec<Consumer<PacketBatch>>,
-    pub(crate) gates: Vec<Arc<CreditGate>>,
+    spent: Vec<Consumer<PacketBatch>>,
+    gates: Vec<Arc<CreditGate>>,
     /// Rebuffer received pooled egress frames onto the heap so retained
     /// frames cannot pin arena slots (pull regime).
-    pub(crate) detach_egress: bool,
-}
-
-/// A scheduling policy: worker topology, ring wiring, and the
-/// per-quantum step each worker runs. [`run_scheduled`] supplies the
-/// spawn/pump/merge/join mechanism shared by every regime.
-///
-/// The wiring types ([`Lane`], [`Wiring`], [`Replica`]) keep their
-/// fields crate-private, so the trait is effectively sealed to this
-/// crate; external code selects a policy via [`Regime`].
-pub trait Scheduler: Sync {
-    /// Regime name for labels and panics.
-    fn name(&self) -> &'static str;
-
-    /// Builds one replica per worker lane. Star regimes replicate
-    /// `graphs[0]` `workers` times; the pipeline replicates one stage
-    /// graph per lane.
-    fn topology(
-        &self,
-        graphs: &[&Graph],
-        workers: usize,
-        opts: &GraphRunOpts,
-    ) -> Result<Vec<Replica>, GraphError>;
-
-    /// Creates the rings (and gates) connecting dispatcher, workers, and
-    /// merger, and hands `packets` to the `Dispatcher` that will stream
-    /// them in beside the running workers (push: preloads each lane's
-    /// shard instead).
-    fn wire(&self, n: usize, packets: Vec<Packet>, opts: &GraphRunOpts) -> Wiring;
-
-    /// One worker's whole life: consume the lane's input, step the
-    /// replica, emit frames, and summarize at hang-up.
-    fn worker(&self, replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSummary;
-
-    /// Aggregate processed count from the joined workers (star regimes
-    /// sum; the pipeline counts its last stage).
-    fn processed(&self, results: &[WorkerSummary]) -> u64 {
-        results.iter().map(|w| w.processed).sum()
-    }
+    detach_egress: bool,
 }
 
 /// Everything one worker reports back at join: its packet count, driver
 /// statistics, telemetry shard (frozen to a labeled snapshot on the
 /// worker thread — the drain point), and per-arena pool rows so the
 /// aggregator can dedupe arenas shared across replicas.
-pub struct WorkerSummary {
+pub(crate) struct WorkerSummary {
     pub(crate) processed: u64,
     pub(crate) stats: crate::runtime::driver::RunStats,
     pub(crate) telemetry: MetricsSnapshot,
@@ -765,26 +703,33 @@ fn detach_frame(pkt: Packet) -> Packet {
 const IDLE_YIELDS: u32 = 2048;
 const IDLE_NAP: Duration = Duration::from_micros(50);
 
-/// Runs `packets` through `sched`'s topology over `graphs` — the one
-/// spawn/pump/merge/join loop every regime shares.
+/// Runs `packets` through `knobs.regime`'s topology over `graphs` — the
+/// one spawn/pump/merge/join loop every regime shares. The pipeline takes
+/// one stage graph per worker; the star regimes replicate `graphs[0]`
+/// `knobs.workers` times.
 ///
 /// # Errors
 ///
 /// [`GraphError::NotReplicable`] when an element lacks `replicate()`;
 /// [`GraphError::MissingIngress`] when a stage graph has no `FromDevice`.
 pub(crate) fn run_scheduled(
-    sched: &dyn Scheduler,
     graphs: &[&Graph],
-    workers: usize,
     packets: Vec<Packet>,
-    opts: &GraphRunOpts,
+    knobs: &Knobs,
     monitor: Option<&MetricsServer>,
 ) -> Result<GraphRunOutcome, GraphError> {
-    assert!(workers > 0, "need at least one worker");
+    let regime = knobs.regime;
     assert!(!graphs.is_empty(), "need at least one graph");
     // The caller's clock: replication and wiring are part of a call.
     let start = Instant::now();
-    let replicas = sched.topology(graphs, workers, opts)?;
+    let replicas = match regime {
+        Regime::Pipeline => pipeline_topology(graphs, knobs)?,
+        _ => {
+            assert_eq!(graphs.len(), 1, "{regime}: one template graph");
+            assert!(knobs.workers > 0, "need at least one worker");
+            star_topology(graphs[0], knobs)?
+        }
+    };
     let n = replicas.len();
     // Live telemetry: collect every worker's interval ring before the
     // replicas move to their threads; the main thread polls them while
@@ -806,13 +751,7 @@ pub(crate) fn run_scheduled(
     // our local harvest — readers keep private cursors, so neither
     // pauses the workers nor perturbs the other.
     if let Some(server) = monitor {
-        server.attach(MonitorSource {
-            interval_rings,
-            event_rings,
-            interval_ticks,
-            ticks_per_sec: cycles::ticks_per_sec(),
-            slo: opts.slo,
-        });
+        server.attach(knobs.monitor_source(interval_rings, event_rings, interval_ticks));
     }
     let n_egress = graphs
         .last()
@@ -820,7 +759,7 @@ pub(crate) fn run_scheduled(
         .elements_of_type::<ToDevice>()
         .len();
     // The dispatcher/merger thread's trace shard records as core `n`.
-    let mut main_tracer = Tracer::new(opts.trace_sample, n as u32);
+    let mut main_tracer = Tracer::new(knobs.trace_sample, n as u32);
     let Wiring {
         lanes,
         mut dispatcher,
@@ -828,14 +767,26 @@ pub(crate) fn run_scheduled(
         spent,
         gates,
         detach_egress,
-    } = sched.wire(n, packets, opts);
-    debug_assert_eq!(lanes.len(), n, "{}: one lane per replica", sched.name());
-    let burst = opts.burst_batches();
+    } = match regime {
+        Regime::Push => preloaded_star_wiring(n, packets, knobs),
+        Regime::Spsc => streamed_star_wiring(n, packets, knobs, 0),
+        Regime::Pipeline => pipeline_wiring(n, packets, knobs),
+        Regime::PullCredit => {
+            streamed_star_wiring(n, packets, knobs, knobs.effective_credit_window())
+        }
+    };
+    debug_assert_eq!(lanes.len(), n, "{regime}: one lane per replica");
+    let worker = match regime {
+        Regime::Push => preloaded_worker,
+        Regime::Spsc | Regime::Pipeline => streaming_worker,
+        Regime::PullCredit => pull_worker,
+    };
+    let burst = knobs.burst_batches();
     let (results, egress) = std::thread::scope(|scope| {
         let handles: Vec<_> = replicas
             .into_iter()
             .zip(lanes)
-            .map(|(replica, lane)| scope.spawn(move || sched.worker(replica, lane, opts)))
+            .map(|(replica, lane)| scope.spawn(move || worker(replica, lane, knobs)))
             .collect();
         // Main thread is dispatcher AND egress merger: pushing without
         // draining could deadlock once the egress rings fill up.
@@ -878,7 +829,11 @@ pub(crate) fn run_scheduled(
             .collect();
         (results, merger.egress)
     });
-    let processed = sched.processed(&results);
+    // Star regimes sum their workers; the pipeline counts its last stage.
+    let processed = match regime {
+        Regime::Pipeline => results.last().map_or(0, |w| w.processed),
+        _ => results.iter().map(|w| w.processed).sum(),
+    };
     let mut outcome = assemble_outcome(
         results,
         egress,
@@ -902,7 +857,7 @@ pub(crate) fn run_scheduled(
     Ok(outcome)
 }
 
-fn assemble_outcome(
+pub(crate) fn assemble_outcome(
     results: Vec<WorkerSummary>,
     egress: Vec<Vec<Packet>>,
     processed: u64,
@@ -958,18 +913,13 @@ fn assemble_outcome(
 }
 
 // ---------------------------------------------------------------------------
-// Shared wiring and worker bodies the concrete regimes compose.
+// Shared wiring and worker bodies the regimes compose.
 // ---------------------------------------------------------------------------
 
-/// Star topology: `workers` replicas of the one template graph.
-fn star_topology(
-    graphs: &[&Graph],
-    workers: usize,
-    opts: &GraphRunOpts,
-) -> Result<Vec<Replica>, GraphError> {
-    let graph = graphs[0];
-    (0..workers)
-        .map(|core| make_replica(graph, opts, core as u32))
+/// Star topology: `knobs.workers` replicas of the one template graph.
+fn star_topology(graph: &Graph, knobs: &Knobs) -> Result<Vec<Replica>, GraphError> {
+    (0..knobs.workers)
+        .map(|core| make_replica(graph, knobs, core as u32))
         .collect()
 }
 
@@ -979,7 +929,7 @@ fn star_topology(
 fn streamed_star_wiring(
     n: usize,
     packets: Vec<Packet>,
-    opts: &GraphRunOpts,
+    knobs: &Knobs,
     credit_window: u64,
 ) -> Wiring {
     let mut lanes = Vec::with_capacity(n);
@@ -988,9 +938,9 @@ fn streamed_star_wiring(
     let mut spent = Vec::with_capacity(n);
     let mut gates = Vec::new();
     for _ in 0..n {
-        let (itx, irx) = spsc::ring::<PacketBatch>(opts.ring_depth);
-        let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(opts.ring_depth);
-        let (stx, srx) = spsc::ring::<PacketBatch>(opts.ring_depth);
+        let (itx, irx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
+        let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(knobs.ring_depth);
+        let (stx, srx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
         let gate = (credit_window > 0).then(|| Arc::new(CreditGate::new(credit_window)));
         let mut lane = Lane::streaming(irx);
         lane.egress = Some(etx);
@@ -1004,7 +954,7 @@ fn streamed_star_wiring(
     }
     Wiring {
         lanes,
-        dispatcher: Some(Dispatcher::new(packets, ingress, opts, true)),
+        dispatcher: Some(Dispatcher::new(packets, ingress, knobs, true)),
         consumers,
         spent,
         gates,
@@ -1014,7 +964,7 @@ fn streamed_star_wiring(
 
 /// Preloaded worker body (push regime): inject the whole shard, run to
 /// idle once, ship egress, summarize.
-fn preloaded_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSummary {
+fn preloaded_worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
     let Replica {
         mut router,
         ingress,
@@ -1023,15 +973,15 @@ fn preloaded_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> Worker
     let mut etx = lane.egress.expect("push lane ships to the merger");
     let shard = PacketBatch::from_vec(lane.preload);
     inject_batch(&mut router, ingress, shard, &mut None);
-    router.run_until_idle(opts.max_quanta);
-    ship_egress(&mut etx, &mut router, &egress_ids, opts.batch_size);
+    router.run_until_idle(u64::MAX);
+    ship_egress(&mut etx, &mut router, &egress_ids, knobs.batch_size);
     worker_summary(&mut router, ingress, &egress_ids)
     // `etx` drops here, closing the egress ring.
 }
 
 /// Streaming worker body (spsc and pipeline regimes): pop ingress bursts,
 /// inject, run to idle, emit frames to the merger and/or the next stage.
-fn streaming_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSummary {
+fn streaming_worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
     let Replica {
         mut router,
         ingress,
@@ -1046,15 +996,15 @@ fn streaming_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> Worker
         ..
     } = lane;
     let mut rx = rx.expect("streaming lane has an ingress ring");
-    let burst = opts.burst_batches();
+    let burst = knobs.burst_batches();
     let mut buf: Vec<PacketBatch> = Vec::with_capacity(burst);
     let mut cycle = |router: &mut Router| {
-        router.run_until_idle(opts.max_quanta);
+        router.run_until_idle(u64::MAX);
         if let Some(tx) = egress.as_mut() {
-            ship_egress(tx, router, &egress_ids, opts.batch_size);
+            ship_egress(tx, router, &egress_ids, knobs.batch_size);
         }
         if let Some(tx) = next.as_mut() {
-            forward_stage_frames(tx, router, &egress_ids, opts.batch_size);
+            forward_stage_frames(tx, router, &egress_ids, knobs.batch_size);
         }
     };
     loop {
@@ -1086,7 +1036,7 @@ fn streaming_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> Worker
 /// admits first; it then runs the graph to idle (the sink's drain IS the
 /// step), ships egress, and only then releases the admitted packets'
 /// credits.
-fn pull_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSummary {
+fn pull_worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
     let Replica {
         mut router,
         ingress,
@@ -1096,7 +1046,7 @@ fn pull_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSumma
     let mut etx = lane.egress.expect("pull lane ships to the merger");
     let gate = lane.credits.expect("pull lane is credit-gated");
     let mut spent = lane.spent;
-    let burst = opts.burst_batches();
+    let burst = knobs.burst_batches();
     let mut buf: Vec<PacketBatch> = Vec::with_capacity(burst);
     let mut waiting = PacketBatch::new();
     loop {
@@ -1121,8 +1071,8 @@ fn pull_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSumma
             // The gate's stall count is dispatcher-side state; mirror the
             // running total so interval buckets carry the stall deltas.
             router.note_credit_stalls(gate.stalls());
-            router.run_until_idle(opts.max_quanta);
-            ship_egress(&mut etx, &mut router, &egress_ids, opts.batch_size);
+            router.run_until_idle(u64::MAX);
+            ship_egress(&mut etx, &mut router, &egress_ids, knobs.batch_size);
             gate.release(admit as u64);
         } else if !popped {
             if waiting.is_empty() && rx.is_finished() {
@@ -1137,194 +1087,96 @@ fn pull_worker(replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSumma
 }
 
 // ---------------------------------------------------------------------------
-// The four regimes.
+// Wiring and topology only one regime uses.
 // ---------------------------------------------------------------------------
 
-/// §4.2 parallel push: preloaded shards, one run to idle per worker.
-pub struct PushScheduler;
-
-impl Scheduler for PushScheduler {
-    fn name(&self) -> &'static str {
-        "push"
+/// Push wiring (§4.2 parallel push): each lane is preloaded with its
+/// whole RSS shard and ships egress to the merger; nothing streams.
+fn preloaded_star_wiring(n: usize, packets: Vec<Packet>, knobs: &Knobs) -> Wiring {
+    let shards = shard_by_flow(packets, n);
+    let mut lanes = Vec::with_capacity(n);
+    let mut consumers = Vec::with_capacity(n);
+    for preload in shards {
+        let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(knobs.ring_depth);
+        lanes.push(Lane {
+            preload,
+            egress: Some(etx),
+            ..Lane::default()
+        });
+        consumers.push(erx);
     }
-
-    fn topology(
-        &self,
-        graphs: &[&Graph],
-        workers: usize,
-        opts: &GraphRunOpts,
-    ) -> Result<Vec<Replica>, GraphError> {
-        star_topology(graphs, workers, opts)
-    }
-
-    fn wire(&self, n: usize, packets: Vec<Packet>, opts: &GraphRunOpts) -> Wiring {
-        let shards = shard_by_flow(packets, n);
-        let mut lanes = Vec::with_capacity(n);
-        let mut consumers = Vec::with_capacity(n);
-        for preload in shards {
-            let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(opts.ring_depth);
-            lanes.push(Lane {
-                preload,
-                egress: Some(etx),
-                ..Lane::default()
-            });
-            consumers.push(erx);
-        }
-        Wiring {
-            lanes,
-            dispatcher: None,
-            consumers,
-            spent: Vec::new(),
-            gates: Vec::new(),
-            detach_egress: false,
-        }
-    }
-
-    fn worker(&self, replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSummary {
-        preloaded_worker(replica, lane, opts)
+    Wiring {
+        lanes,
+        dispatcher: None,
+        consumers,
+        spent: Vec::new(),
+        gates: Vec::new(),
+        detach_egress: false,
     }
 }
 
-/// Streaming push over bounded SPSC ingress rings.
-pub struct SpscScheduler;
-
-impl Scheduler for SpscScheduler {
-    fn name(&self) -> &'static str {
-        "spsc"
-    }
-
-    fn topology(
-        &self,
-        graphs: &[&Graph],
-        workers: usize,
-        opts: &GraphRunOpts,
-    ) -> Result<Vec<Replica>, GraphError> {
-        star_topology(graphs, workers, opts)
-    }
-
-    fn wire(&self, n: usize, packets: Vec<Packet>, opts: &GraphRunOpts) -> Wiring {
-        streamed_star_wiring(n, packets, opts, 0)
-    }
-
-    fn worker(&self, replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSummary {
-        streaming_worker(replica, lane, opts)
-    }
-}
-
-/// Stage-chained pipeline: one replica per stage graph, frames forwarded
-/// stage-to-stage over rings.
-pub struct PipelineScheduler;
-
-impl Scheduler for PipelineScheduler {
-    fn name(&self) -> &'static str {
-        "pipeline"
-    }
-
-    fn topology(
-        &self,
-        graphs: &[&Graph],
-        workers: usize,
-        opts: &GraphRunOpts,
-    ) -> Result<Vec<Replica>, GraphError> {
-        assert_eq!(
-            graphs.len(),
-            workers,
-            "pipeline: one stage graph per worker"
-        );
-        let n = graphs.len();
-        let mut replicas = Vec::with_capacity(n);
-        for (i, stage) in graphs.iter().enumerate() {
-            let mut replica = make_replica(stage, opts, i as u32)?;
-            if i + 1 < n {
-                // Intermediate stages feed the next stage from their tx
-                // log, so frame retention is forced on.
-                for &id in &replica.egress_ids {
-                    replica
-                        .router
-                        .element_mut(id)
-                        .as_any_mut()
-                        .downcast_mut::<ToDevice>()
-                        .expect("egress id is a ToDevice")
-                        .set_keep_frames(true);
-                }
+/// Pipeline topology: one replica per stage graph, in chain order.
+fn pipeline_topology(graphs: &[&Graph], knobs: &Knobs) -> Result<Vec<Replica>, GraphError> {
+    let n = graphs.len();
+    let mut replicas = Vec::with_capacity(n);
+    for (i, stage) in graphs.iter().enumerate() {
+        let mut replica = make_replica(stage, knobs, i as u32)?;
+        if i + 1 < n {
+            // Intermediate stages feed the next stage from their tx
+            // log, so frame retention is forced on.
+            for &id in &replica.egress_ids {
+                replica
+                    .router
+                    .element_mut(id)
+                    .as_any_mut()
+                    .downcast_mut::<ToDevice>()
+                    .expect("egress id is a ToDevice")
+                    .set_keep_frames(true);
             }
-            replicas.push(replica);
         }
-        Ok(replicas)
+        replicas.push(replica);
     }
-
-    fn wire(&self, n: usize, packets: Vec<Packet>, opts: &GraphRunOpts) -> Wiring {
-        // Ring i feeds stage i; the last stage ships to the egress ring.
-        let mut txs = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = spsc::ring::<PacketBatch>(opts.ring_depth);
-            txs.push(Some(tx));
-            rxs.push(rx);
-        }
-        let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(opts.ring_depth);
-        let (stx, srx) = spsc::ring::<PacketBatch>(opts.ring_depth);
-        let mut etx = Some(etx);
-        let mut stx = Some(stx);
-        let mut lanes = Vec::with_capacity(n);
-        for (i, rx) in rxs.into_iter().enumerate() {
-            let mut lane = Lane::streaming(rx);
-            // Only stage 0's batches are the dispatcher's to take back.
-            lane.spent = stx.take();
-            // Stage 0 reads the feeder's (untraced) input; later rings
-            // are real core hops.
-            lane.trace_ring_recv = i > 0;
-            if i + 1 < n {
-                lane.next = txs[i + 1].take();
-            } else {
-                lane.egress = etx.take();
-            }
-            lanes.push(lane);
-        }
-        // The dispatcher's one-lane case: stage 0's ring, ungated.
-        let stage0 = vec![(txs[0].take().expect("stage 0 input ring"), None)];
-        Wiring {
-            lanes,
-            dispatcher: Some(Dispatcher::new(packets, stage0, opts, false)),
-            consumers: vec![erx],
-            spent: vec![srx],
-            gates: Vec::new(),
-            detach_egress: false,
-        }
-    }
-
-    fn worker(&self, replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSummary {
-        streaming_worker(replica, lane, opts)
-    }
-
-    fn processed(&self, results: &[WorkerSummary]) -> u64 {
-        results.last().map_or(0, |w| w.processed)
-    }
+    Ok(replicas)
 }
 
-/// Sink-driven pull with credit back-pressure.
-pub struct PullCreditScheduler;
-
-impl Scheduler for PullCreditScheduler {
-    fn name(&self) -> &'static str {
-        "pull"
+/// Pipeline wiring: frames forwarded stage-to-stage over rings.
+fn pipeline_wiring(n: usize, packets: Vec<Packet>, knobs: &Knobs) -> Wiring {
+    // Ring i feeds stage i; the last stage ships to the egress ring.
+    let mut txs = Vec::with_capacity(n);
+    let mut rxs = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (tx, rx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
+        txs.push(Some(tx));
+        rxs.push(rx);
     }
-
-    fn topology(
-        &self,
-        graphs: &[&Graph],
-        workers: usize,
-        opts: &GraphRunOpts,
-    ) -> Result<Vec<Replica>, GraphError> {
-        star_topology(graphs, workers, opts)
+    let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(knobs.ring_depth);
+    let (stx, srx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
+    let mut etx = Some(etx);
+    let mut stx = Some(stx);
+    let mut lanes = Vec::with_capacity(n);
+    for (i, rx) in rxs.into_iter().enumerate() {
+        let mut lane = Lane::streaming(rx);
+        // Only stage 0's batches are the dispatcher's to take back.
+        lane.spent = stx.take();
+        // Stage 0 reads the feeder's (untraced) input; later rings
+        // are real core hops.
+        lane.trace_ring_recv = i > 0;
+        if i + 1 < n {
+            lane.next = txs[i + 1].take();
+        } else {
+            lane.egress = etx.take();
+        }
+        lanes.push(lane);
     }
-
-    fn wire(&self, n: usize, packets: Vec<Packet>, opts: &GraphRunOpts) -> Wiring {
-        streamed_star_wiring(n, packets, opts, opts.effective_credit_window())
-    }
-
-    fn worker(&self, replica: Replica, lane: Lane, opts: &GraphRunOpts) -> WorkerSummary {
-        pull_worker(replica, lane, opts)
+    // The dispatcher's one-lane case: stage 0's ring, ungated.
+    let stage0 = vec![(txs[0].take().expect("stage 0 input ring"), None)];
+    Wiring {
+        lanes,
+        dispatcher: Some(Dispatcher::new(packets, stage0, knobs, false)),
+        consumers: vec![erx],
+        spent: vec![srx],
+        gates: Vec::new(),
+        detach_egress: false,
     }
 }
 
@@ -1369,11 +1221,10 @@ mod tests {
             ring_depth: usize,
             window: Option<usize>,
         ) -> Rig {
-            let opts = GraphRunOpts {
+            let knobs = Knobs {
                 batch_size,
-                poll_burst: batch_size,
                 ring_depth,
-                ..GraphRunOpts::default()
+                ..Knobs::default()
             };
             let mut ingress = Vec::new();
             let mut rxs = Vec::new();
@@ -1386,7 +1237,7 @@ mod tests {
                 gates.push(gate);
             }
             Rig {
-                dispatcher: Dispatcher::new(packets, ingress, &opts, true),
+                dispatcher: Dispatcher::new(packets, ingress, &knobs, true),
                 rxs,
                 gates,
                 tracer: Tracer::off(),

@@ -21,14 +21,14 @@ use rb_click::elements::sink::Discard;
 use rb_click::elements::source::{SpecSource, VecSource};
 use rb_click::elements::{Counter, IpsecEncap};
 use rb_click::graph::{ElementId, Graph};
-use rb_click::runtime::mt::{run_graph_regime_monitored, run_graph_spsc, GraphRunOutcome};
-use rb_click::{ConfigError, GraphError, GraphRunOpts, Regime, Router, RuntimeKnobs};
+use rb_click::runtime::mt::{run_graph, GraphRunOutcome};
+use rb_click::{ConfigError, GraphError, Knobs, Regime, Router};
 use rb_crypto::SecurityAssociation;
 use rb_lookup::{Dir24_8, Prefix, RcuFib, RouteControl, RouteTable};
 use rb_packet::builder::PacketSpec;
 use rb_packet::{Packet, PacketPool};
 use rb_telemetry::{
-    cycles, DropCause, MetricsServer, MonitorSource, SloReport, SloSpec, TelemetryLevel, TimeSeries,
+    cycles, DropCause, MetricsServer, SloReport, SloSpec, TelemetryLevel, TimeSeries,
 };
 use std::sync::Arc;
 
@@ -40,52 +40,24 @@ enum App {
     Ipsec { sa_seed: u64 },
 }
 
-/// Fluent builder for single-server router instances.
+/// Fluent builder for single-server router instances: the graph's shape
+/// (application, ports, queues, routes) plus one [`Knobs`] that every
+/// runtime setter writes through to.
 #[derive(Debug, Clone)]
 pub struct RouterBuilder {
     app: App,
     ports: usize,
     queue_capacity: usize,
-    /// Per-device burst; `None` means "follow the graph `kp`"
-    /// ([`RouterBuilder::batch_size`]), the paper's single batching knob.
-    poll_burst: Option<usize>,
-    batch_size: usize,
     source: Option<(usize, u64)>,
     keep_tx_frames: bool,
-    workers: usize,
-    /// Packet-arena slots per source/ingress element; 0 = heap-backed.
-    pool_slots: usize,
-    /// Bytes per arena slot.
-    slot_size: usize,
-    /// Telemetry level for the built router(s).
-    telemetry: TelemetryLevel,
-    /// Path-trace sampling interval (0 = off).
-    trace_sample: u64,
-    /// Route lookups go through an [`rb_lookup::RcuFib`] (live route
-    /// churn via [`BuiltRouter::route_control`]) instead of an
-    /// immutable compiled table.
-    fib_rcu: bool,
-    /// `(n_prefixes, seed)` for a synthesized Internet-like RIB
-    /// ([`rb_workload::rib_full_table`]) replacing inline routes.
-    synthetic_fib: Option<(usize, u64)>,
+    /// Seed of the synthesized Internet-like RIB
+    /// ([`rb_workload::rib_full_table`]) that replaces inline routes
+    /// when [`Knobs::fib_routes`] is non-zero.
+    rib_seed: u64,
     /// A caller-supplied [`RouteTable`] replacing inline routes; wins
-    /// over `synthetic_fib`.
+    /// over a synthesized RIB.
     prebuilt_table: Option<RouteTable>,
-    /// Scheduling regime for [`RouterBuilder::build_mt`] routers.
-    regime: Regime,
-    /// Ingress/egress ring depth (batches) for streaming regimes.
-    ring_depth: usize,
-    /// Credit window for the pull regime; 0 = auto-size to the ring.
-    credit_window: usize,
-    /// NIC batching factor `kn`: descriptor writeback + doorbell cost
-    /// once per `kn` descriptors on every device ring. Default 1.
-    nic_batch: usize,
-    /// Live time-series interval width in milliseconds (0 = clock off).
-    interval_ms: u64,
-    /// Service-level objectives graded against the interval series.
-    slo: SloSpec,
-    /// Embedded scrape-endpoint address (`None` = no HTTP server).
-    serve_metrics: Option<std::net::SocketAddr>,
+    knobs: Knobs,
 }
 
 impl RouterBuilder {
@@ -96,25 +68,11 @@ impl RouterBuilder {
             app: App::Forward,
             ports: 2,
             queue_capacity: Queue::DEFAULT_CAPACITY,
-            poll_burst: None,
-            batch_size: Router::DEFAULT_BATCH_SIZE,
             source: None,
             keep_tx_frames: false,
-            workers: 1,
-            pool_slots: 0,
-            slot_size: rb_packet::pool::DEFAULT_SLOT_SIZE,
-            telemetry: TelemetryLevel::Off,
-            trace_sample: 0,
-            fib_rcu: false,
-            synthetic_fib: None,
+            rib_seed: Self::DEFAULT_RIB_SEED,
             prebuilt_table: None,
-            regime: Regime::Push,
-            ring_depth: GraphRunOpts::default().ring_depth,
-            credit_window: 0,
-            nic_batch: 1,
-            interval_ms: 0,
-            slo: SloSpec::default(),
-            serve_metrics: None,
+            knobs: Knobs::default(),
         }
     }
 
@@ -166,7 +124,7 @@ impl RouterBuilder {
     /// builder accepts an empty initial route list (everything misses
     /// until routes are published).
     pub fn rcu_fib(mut self, enable: bool) -> RouterBuilder {
-        self.fib_rcu = enable;
+        self.knobs.fib_rcu = enable;
         self
     }
 
@@ -183,7 +141,8 @@ impl RouterBuilder {
             matches!(self.app, App::Route { .. }),
             "synthetic_routes() only applies to RouterBuilder::ip_router()"
         );
-        self.synthetic_fib = Some((n_prefixes, seed));
+        self.knobs.fib_routes = n_prefixes;
+        self.rib_seed = seed;
         self
     }
 
@@ -204,29 +163,11 @@ impl RouterBuilder {
         self
     }
 
-    /// Applies a parsed [`RuntimeKnobs`] (from `RuntimeConfig(...)`
-    /// configuration text) onto this builder: batching, workers, pools,
-    /// telemetry, tracing and the FIB knobs (`fib_routes` → a
-    /// synthesized RIB, `fib_rcu` → live route churn).
-    pub fn apply_knobs(mut self, knobs: &RuntimeKnobs) -> RouterBuilder {
-        self.batch_size = knobs.batch_size;
-        self.poll_burst = Some(knobs.poll_burst);
-        self.workers = knobs.workers;
-        self.pool_slots = knobs.pool_slots;
-        self.slot_size = knobs.slot_size;
-        self.telemetry = knobs.telemetry;
-        self.trace_sample = knobs.trace_sample;
-        self.fib_rcu = knobs.fib_rcu;
-        self.regime = knobs.regime;
-        self.ring_depth = knobs.ring_depth;
-        self.credit_window = knobs.credit_window;
-        self.nic_batch = knobs.nic_batch;
-        self.interval_ms = knobs.interval_ms;
-        self.slo = knobs.slo;
-        self.serve_metrics = knobs.serve_metrics;
-        if knobs.fib_routes > 0 && matches!(self.app, App::Route { .. }) {
-            self.synthetic_fib = Some((knobs.fib_routes, Self::DEFAULT_RIB_SEED));
-        }
+    /// Replaces this builder's runtime knobs with a parsed [`Knobs`]
+    /// (from `RuntimeConfig(...)` configuration text). `fib_routes`
+    /// synthesizes a RIB only for [`RouterBuilder::ip_router`].
+    pub fn apply_knobs(mut self, knobs: &Knobs) -> RouterBuilder {
+        self.knobs = *knobs;
         self
     }
 
@@ -254,7 +195,7 @@ impl RouterBuilder {
     /// knob per device.
     pub fn poll_burst(mut self, burst: usize) -> RouterBuilder {
         assert!(burst > 0, "poll burst must be positive");
-        self.poll_burst = Some(burst);
+        self.knobs.poll_burst = Some(burst);
         self
     }
 
@@ -263,7 +204,7 @@ impl RouterBuilder {
     /// per-core replica under [`RouterBuilder::build_mt`] — gets its own
     /// pool, so allocation never contends across cores.
     pub fn pool_slots(mut self, n: usize) -> RouterBuilder {
-        self.pool_slots = n;
+        self.knobs.pool_slots = n;
         self
     }
 
@@ -272,7 +213,7 @@ impl RouterBuilder {
     /// outgrow a slot fall back to heap buffers, counted in the pool
     /// stats.
     pub fn slot_size(mut self, bytes: usize) -> RouterBuilder {
-        self.slot_size = bytes;
+        self.knobs.slot_size = bytes;
         self
     }
 
@@ -280,7 +221,7 @@ impl RouterBuilder {
     /// per-packet dispatch). See [`Router::set_batch_size`].
     pub fn batch_size(mut self, kp: usize) -> RouterBuilder {
         assert!(kp > 0, "batch size must be positive");
-        self.batch_size = kp;
+        self.knobs.batch_size = kp;
         self
     }
 
@@ -290,7 +231,7 @@ impl RouterBuilder {
     /// input to [`crate::bottleneck::BottleneckReport`]. With telemetry
     /// off the hot path pays one predictable branch per dispatch.
     pub fn telemetry(mut self, level: TelemetryLevel) -> RouterBuilder {
-        self.telemetry = level;
+        self.knobs.telemetry = level;
         self
     }
 
@@ -301,7 +242,7 @@ impl RouterBuilder {
     /// [`rb_click::runtime::mt::GraphRunOutcome::trace`]. With tracing
     /// off the hot path pays one predictable branch per dispatch.
     pub fn trace_sample(mut self, n: u64) -> RouterBuilder {
-        self.trace_sample = n;
+        self.knobs.trace_sample = n;
         self
     }
 
@@ -323,7 +264,7 @@ impl RouterBuilder {
     /// is sharded by flow, §4.2's parallel layout.
     pub fn workers(mut self, n: usize) -> RouterBuilder {
         assert!(n >= 1, "need at least one worker");
-        self.workers = n;
+        self.knobs.workers = n;
         self
     }
 
@@ -333,22 +274,22 @@ impl RouterBuilder {
     /// worker, and `PullCredit` adds credit backpressure so sources
     /// stall instead of dropping when a replica's arena fills.
     pub fn regime(mut self, regime: Regime) -> RouterBuilder {
-        self.regime = regime;
+        self.knobs.regime = regime;
         self
     }
 
     /// Sets the SPSC ring depth, in batches, used by the streaming
-    /// regimes (default [`GraphRunOpts::default`]'s `ring_depth`).
+    /// regimes (default [`Knobs::default`]'s `ring_depth`).
     pub fn ring_depth(mut self, depth: usize) -> RouterBuilder {
         assert!(depth >= 1, "ring depth must be positive");
-        self.ring_depth = depth;
+        self.knobs.ring_depth = depth;
         self
     }
 
     /// Sets the pull-regime credit window in packets. `0` (the default)
     /// auto-sizes the window to `ring_depth * batch_size`.
     pub fn credit_window(mut self, packets: usize) -> RouterBuilder {
-        self.credit_window = packets;
+        self.knobs.credit_window = packets;
         self
     }
 
@@ -359,7 +300,7 @@ impl RouterBuilder {
     /// [`Router::set_nic_batch`].
     pub fn nic_batch(mut self, kn: usize) -> RouterBuilder {
         assert!(kn > 0, "nic batch must be positive");
-        self.nic_batch = kn;
+        self.knobs.nic_batch = kn;
         self
     }
 
@@ -370,7 +311,7 @@ impl RouterBuilder {
     /// the merged series with [`BuiltRouter::timeseries`] /
     /// [`rb_click::runtime::mt::MtReport`]'s `timeseries`.
     pub fn interval_ms(mut self, ms: u64) -> RouterBuilder {
-        self.interval_ms = ms;
+        self.knobs.interval_ms = ms;
         self
     }
 
@@ -379,7 +320,7 @@ impl RouterBuilder {
     /// [`BuiltRouter::slo_report`] and [`MtRouter::slo_report`].
     /// Meaningful only with [`RouterBuilder::interval_ms`] > 0.
     pub fn slo(mut self, spec: SloSpec) -> RouterBuilder {
-        self.slo = spec;
+        self.knobs.slo = spec;
         self
     }
 
@@ -391,13 +332,13 @@ impl RouterBuilder {
     /// [`MtRouter::metrics_addr`]. Meaningful only with
     /// [`RouterBuilder::interval_ms`] > 0 (the rings ride the clock).
     pub fn serve_metrics(mut self, addr: std::net::SocketAddr) -> RouterBuilder {
-        self.serve_metrics = Some(addr);
+        self.knobs.serve_metrics = Some(addr);
         self
     }
 
     /// Binds the configured scrape endpoint, if any.
     fn bind_monitor(&self) -> Result<Option<MetricsServer>, ConfigError> {
-        let Some(addr) = self.serve_metrics else {
+        let Some(addr) = self.knobs.serve_metrics else {
             return Ok(None);
         };
         MetricsServer::bind(&addr.to_string())
@@ -418,8 +359,6 @@ impl RouterBuilder {
     pub fn build(self) -> Result<BuiltRouter, ConfigError> {
         let ports = self.ports;
         let monitor = self.bind_monitor()?;
-        let slo = self.slo;
-        let interval_ms = self.interval_ms;
         let (g, route_control) = self.build_graph_inner()?;
         // `<stem>0`, `<stem>1`, … in index order: the per-port elements
         // `BuiltRouter`'s accessors would otherwise find by formatting a
@@ -430,22 +369,13 @@ impl RouterBuilder {
                 .collect()
         };
         let (rx, tx, cnt) = (ids_of("rx"), ids_of("tx"), ids_of("cnt"));
-        let mut inner = Router::new(g)?
-            .with_batch_size(self.batch_size)
-            .with_nic_batch(self.nic_batch)
-            .with_telemetry(self.telemetry)
-            .with_trace(self.trace_sample);
-        if interval_ms > 0 {
-            inner.set_interval_ms(interval_ms, 0);
-        }
+        let inner = Router::configured(g, &self.knobs, 0)?;
         if let Some(server) = &monitor {
-            server.attach(MonitorSource {
-                interval_rings: inner.interval_ring().into_iter().collect(),
-                event_rings: inner.event_ring().into_iter().collect(),
-                interval_ticks: inner.interval_ticks(),
-                ticks_per_sec: cycles::ticks_per_sec(),
-                slo: (!slo.is_empty()).then_some(slo),
-            });
+            server.attach(self.knobs.monitor_source(
+                inner.interval_ring().into_iter().collect(),
+                inner.event_ring().into_iter().collect(),
+                inner.interval_ticks(),
+            ));
         }
         Ok(BuiltRouter {
             inner,
@@ -454,7 +384,7 @@ impl RouterBuilder {
             tx,
             cnt,
             route_control,
-            slo,
+            slo: self.knobs.slo,
             monitor,
         })
     }
@@ -471,9 +401,9 @@ impl RouterBuilder {
         Ok(self.build_graph_inner()?.0)
     }
 
-    /// The route table an IP router forwards with: the synthesized full
-    /// table when [`RouterBuilder::synthetic_routes`] is set, the inline
-    /// [`RouterBuilder::route`] list otherwise.
+    /// The route table an IP router forwards with: a caller-supplied one,
+    /// else the synthesized full table when `fib_routes` is set, else the
+    /// inline [`RouterBuilder::route`] list.
     fn route_table(&self, routes: &[(String, u16)]) -> Result<RouteTable, ConfigError> {
         let bad = |message: String| ConfigError::BadArguments {
             class: "RouterBuilder".into(),
@@ -482,8 +412,11 @@ impl RouterBuilder {
         if let Some(table) = &self.prebuilt_table {
             return Ok(table.clone());
         }
-        if let Some((n, seed)) = self.synthetic_fib {
-            return Ok(rb_workload::rib_full_table(n, seed));
+        if self.knobs.fib_routes > 0 {
+            return Ok(rb_workload::rib_full_table(
+                self.knobs.fib_routes,
+                self.rib_seed,
+            ));
         }
         let mut table = RouteTable::new();
         for (prefix, hop) in routes {
@@ -492,7 +425,7 @@ impl RouterBuilder {
                 .map_err(|e| bad(format!("route `{prefix}`: {e}")))?;
             table.insert(parsed, *hop);
         }
-        if table.is_empty() && !self.fib_rcu {
+        if table.is_empty() && !self.knobs.fib_rcu {
             return Err(bad("ip_router needs at least one route".into()));
         }
         Ok(table)
@@ -505,15 +438,16 @@ impl RouterBuilder {
         };
         let mut g = Graph::new();
         let ports = self.ports;
+        let knobs = &self.knobs;
         // Devices inherit the graph kp unless a burst was pinned.
-        let device_burst = self.poll_burst.unwrap_or(self.batch_size);
-        let new_pool = || PacketPool::new(self.pool_slots, self.slot_size);
+        let device_burst = knobs.poll_burst.unwrap_or(knobs.batch_size);
+        let new_pool = || PacketPool::new(knobs.pool_slots, knobs.slot_size);
 
         // Per-port egress: Queue -> ToDevice.
         let mut queues = Vec::new();
         for p in 0..ports {
             let q = g.add(format!("q{p}"), Box::new(Queue::new(self.queue_capacity)))?;
-            let tx = match self.poll_burst {
+            let tx = match knobs.poll_burst {
                 Some(burst) => ToDevice::new(burst, self.keep_tx_frames),
                 None => ToDevice::with_graph_burst(self.keep_tx_frames),
             };
@@ -546,7 +480,7 @@ impl RouterBuilder {
                 })
                 .collect();
             let mut src = SpecSource::new(specs);
-            if self.pool_slots > 0 {
+            if knobs.pool_slots > 0 {
                 src.set_pool(new_pool());
             }
             vec![g.add("src0", Box::new(src))?]
@@ -554,7 +488,7 @@ impl RouterBuilder {
             (0..ports)
                 .map(|p| {
                     let mut dev = FromDevice::new(p as u16, device_burst);
-                    if self.pool_slots > 0 {
+                    if knobs.pool_slots > 0 {
                         dev.set_pool(new_pool());
                     }
                     g.add(format!("rx{p}"), Box::new(dev))
@@ -576,11 +510,11 @@ impl RouterBuilder {
                 let table = self.route_table(routes)?;
                 let max_hop = table.iter().map(|(_, h)| *h).max().unwrap_or(0);
                 let mut n_hops = usize::from(max_hop) + 1;
-                if self.fib_rcu {
+                if knobs.fib_rcu {
                     // Live churn can announce routes for any port later,
                     // so an RCU router exposes every port as a next hop.
                     n_hops = n_hops.max(ports);
-                    let readers = 64.max(2 * ports * self.workers.max(1));
+                    let readers = 64.max(2 * ports * knobs.workers.max(1));
                     let rcu = RcuFib::with_max_readers(&table, readers)
                         .map_err(|e| bad(e.to_string()))?;
                     BuiltFib::Rcu(rcu, n_hops)
@@ -672,8 +606,8 @@ impl RouterBuilder {
         Ok((g, route_control))
     }
 
-    /// Builds a multi-threaded router: the graph plus the worker count
-    /// and run options, ready for [`MtRouter::run`]. Requires injection
+    /// Builds a multi-threaded router: the graph plus the knobs every
+    /// run reads, ready for [`MtRouter::run`]. Requires injection
     /// mode — the MT runtime shards externally supplied packets across
     /// per-core replicas, so a self-contained source makes no sense here.
     ///
@@ -685,32 +619,13 @@ impl RouterBuilder {
             self.source.is_none(),
             "build_mt() requires injection mode, not source_packets()"
         );
-        let ports = self.ports;
-        let workers = self.workers;
-        let opts = GraphRunOpts {
-            batch_size: self.batch_size,
-            poll_burst: self.poll_burst.unwrap_or(self.batch_size),
-            telemetry: self.telemetry,
-            trace_sample: self.trace_sample,
-            ring_depth: self.ring_depth,
-            credit_window: self.credit_window,
-            nic_batch: self.nic_batch,
-            interval_ms: self.interval_ms,
-            slo: (!self.slo.is_empty()).then_some(self.slo),
-            ..GraphRunOpts::default()
-        };
-        let regime = self.regime;
-        let slo = self.slo;
         let monitor = self.bind_monitor()?;
         let (graph, route_control) = self.build_graph_inner()?;
         Ok(MtRouter {
             graph,
-            workers,
-            opts,
-            ports,
-            regime,
+            ports: self.ports,
+            knobs: self.knobs,
             route_control,
-            slo,
             monitor,
         })
     }
@@ -724,12 +639,9 @@ impl RouterBuilder {
 /// replication preserves element order.
 pub struct MtRouter {
     graph: Graph,
-    workers: usize,
-    opts: GraphRunOpts,
     ports: usize,
-    regime: Regime,
+    knobs: Knobs,
     route_control: Option<RouteControl>,
-    slo: SloSpec,
     /// Embedded scrape endpoint; every [`MtRouter::run`] attaches its
     /// live rings here before the workers spawn.
     monitor: Option<MetricsServer>,
@@ -743,22 +655,22 @@ impl MtRouter {
 
     /// Number of worker cores used per run.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.knobs.workers
     }
 
-    /// The graph-runner options in effect.
-    pub fn opts(&self) -> GraphRunOpts {
-        self.opts
+    /// The runtime knobs every [`MtRouter::run`] reads.
+    pub fn knobs(&self) -> &Knobs {
+        &self.knobs
     }
 
     /// The scheduling regime [`MtRouter::run`] dispatches to.
     pub fn regime(&self) -> Regime {
-        self.regime
+        self.knobs.regime
     }
 
     /// The service-level objectives graded by [`MtRouter::slo_report`].
     pub fn slo(&self) -> &SloSpec {
-        &self.slo
+        &self.knobs.slo
     }
 
     /// Grades the configured objectives ([`RouterBuilder::slo`]) against
@@ -766,12 +678,12 @@ impl MtRouter {
     /// or the run had no interval clock
     /// ([`RouterBuilder::interval_ms`] 0).
     pub fn slo_report(&self, outcome: &GraphRunOutcome) -> Option<SloReport> {
-        if self.slo.is_empty() {
+        if self.knobs.slo.is_empty() {
             return None;
         }
         let series = outcome.report.timeseries.as_ref()?;
         Some(SloReport::evaluate(
-            &self.slo,
+            &self.knobs.slo,
             &series.intervals,
             cycles::ticks_per_sec(),
         ))
@@ -800,16 +712,9 @@ impl MtRouter {
     /// # Errors
     ///
     /// Propagates replication failures (see
-    /// [`rb_click::runtime::mt::run_graph_regime`]).
+    /// [`rb_click::runtime::mt::run_graph`]).
     pub fn run(&self, packets: Vec<Packet>) -> Result<GraphRunOutcome, GraphError> {
-        run_graph_regime_monitored(
-            self.regime,
-            &self.graph,
-            self.workers,
-            packets,
-            &self.opts,
-            self.monitor.as_ref(),
-        )
+        run_graph(&[&self.graph], packets, &self.knobs, self.monitor.as_ref())
     }
 
     /// The embedded scrape endpoint's bound address (`None` unless built
@@ -823,17 +728,6 @@ impl MtRouter {
     /// [`RouterBuilder::serve_metrics`]).
     pub fn metrics_server(&self) -> Option<&MetricsServer> {
         self.monitor.as_ref()
-    }
-
-    /// Runs `packets` with streaming SPSC ingress rings instead of
-    /// pre-loaded shards (see
-    /// [`rb_click::runtime::mt::run_graph_spsc`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`MtRouter::run`].
-    pub fn run_spsc(&self, packets: Vec<Packet>) -> Result<GraphRunOutcome, GraphError> {
-        run_graph_spsc(&self.graph, self.workers, packets, &self.opts)
     }
 }
 
@@ -1182,8 +1076,129 @@ mod tests {
             .build_mt()
             .unwrap();
         assert_eq!(mt.regime(), Regime::PullCredit);
-        assert_eq!(mt.opts().credit_window, 128);
-        assert_eq!(mt.opts().ring_depth, 16);
+        assert_eq!(mt.knobs().credit_window, 128);
+        assert_eq!(mt.knobs().ring_depth, 16);
+    }
+
+    /// A builder-made graph's `tx0` burst override, and the frames its
+    /// `rx0` hands downstream in one poll — its burst, observed.
+    fn device_bursts(builder: &RouterBuilder) -> (Option<usize>, usize) {
+        use rb_click::{Element, Output};
+        let mut g = builder.build_graph().unwrap();
+        let tx = g.element(g.id_of("tx0").unwrap()).as_any();
+        let pinned = tx.downcast_ref::<ToDevice>().unwrap().configured_burst();
+        let rx = g.element_mut(g.id_of("rx0").unwrap()).as_any_mut();
+        let rx = rx.downcast_mut::<FromDevice>().unwrap();
+        for _ in 0..64 {
+            rx.inject(PacketSpec::udp().build());
+        }
+        let mut out = Output::new();
+        rx.run_task(&mut out);
+        (pinned, out.len())
+    }
+
+    /// The knobs one `RuntimeConfig(...)` statement parses into.
+    fn knobs_from(args: &str) -> Knobs {
+        let text = format!("RuntimeConfig({args}); InfiniteSource(64, 1) -> Discard;");
+        rb_click::config::build_graph(&text).unwrap().1
+    }
+
+    #[test]
+    fn batch_size_alone_leaves_device_bursts_following_kp() {
+        // `apply_knobs` used to pin every device at 32 whatever the text
+        // said: `kp` is the single batching knob unless a burst is named.
+        let follows = RouterBuilder::minimal_forwarder().apply_knobs(&knobs_from("batch_size 16"));
+        assert_eq!(device_bursts(&follows), (None, 16));
+        let pinned = RouterBuilder::minimal_forwarder()
+            .apply_knobs(&knobs_from("batch_size 16, poll_burst 8"));
+        assert_eq!(device_bursts(&pinned), (Some(8), 8));
+    }
+
+    #[test]
+    fn dsl_built_and_setter_built_mt_routers_hold_equal_knobs() {
+        let text = "batch_size 16, workers 2, regime spsc, ring_depth 64, nic_batch 4, \
+                    interval_ms 5, trace_sample 8, telemetry on, pool_slots 128";
+        let dsl = RouterBuilder::minimal_forwarder()
+            .apply_knobs(&knobs_from(text))
+            .build_mt()
+            .unwrap();
+        let set = RouterBuilder::minimal_forwarder()
+            .batch_size(16)
+            .workers(2)
+            .regime(Regime::Spsc)
+            .ring_depth(64)
+            .nic_batch(4)
+            .interval_ms(5)
+            .trace_sample(8)
+            .telemetry(TelemetryLevel::Counts)
+            .pool_slots(128)
+            .build_mt()
+            .unwrap();
+        assert_eq!(dsl.knobs(), set.knobs());
+    }
+
+    #[test]
+    fn every_knob_has_a_dsl_key_and_a_setter_that_agree() {
+        // No `..`: a new `Knobs` field does not compile here until it is
+        // named, and an unused binding fails the lint gate until the
+        // field has a row — one DSL key, one setter, both landing in it.
+        let Knobs {
+            batch_size,
+            poll_burst,
+            ring_depth,
+            workers,
+            pool_slots,
+            slot_size,
+            telemetry,
+            trace_sample,
+            fib_routes,
+            fib_rcu,
+            regime,
+            credit_window,
+            nic_batch,
+            interval_ms,
+            slo,
+            serve_metrics,
+        } = Knobs::default();
+        let b = RouterBuilder::ip_router;
+        macro_rules! row {
+            ($field:ident, $text:expr, $set:expr) => {
+                let parsed = knobs_from($text);
+                assert_ne!(parsed.$field, $field, "`{}` left the default", $text);
+                assert_eq!(parsed, $set.knobs, "`{}` and its setter disagree", $text);
+            };
+        }
+        row!(batch_size, "batch_size 16", b().batch_size(16));
+        row!(poll_burst, "poll_burst 8", b().poll_burst(8));
+        row!(ring_depth, "ring_depth 64", b().ring_depth(64));
+        row!(workers, "workers 3", b().workers(3));
+        row!(pool_slots, "pool_slots 128", b().pool_slots(128));
+        row!(slot_size, "slot_size 512", b().slot_size(512));
+        row!(
+            telemetry,
+            "telemetry cycles",
+            b().telemetry(TelemetryLevel::Cycles)
+        );
+        row!(trace_sample, "trace_sample 8", b().trace_sample(8));
+        let seed = RouterBuilder::DEFAULT_RIB_SEED;
+        row!(
+            fib_routes,
+            "fib_routes 500",
+            b().synthetic_routes(500, seed)
+        );
+        row!(fib_rcu, "fib_rcu on", b().rcu_fib(true));
+        row!(regime, "regime pull", b().regime(Regime::PullCredit));
+        row!(credit_window, "credits 256", b().credit_window(256));
+        row!(nic_batch, "nic_batch 4", b().nic_batch(4));
+        row!(interval_ms, "interval_ms 5", b().interval_ms(5));
+        let spec = SloSpec::parse("loss:0.02").unwrap();
+        row!(slo, "slo loss:0.02", b().slo(spec));
+        let addr = "127.0.0.1:9898".parse().unwrap();
+        row!(
+            serve_metrics,
+            "serve_metrics \"127.0.0.1:9898\"",
+            b().serve_metrics(addr)
+        );
     }
 
     #[test]
@@ -1210,8 +1225,8 @@ mod tests {
         // A healthy idle-to-idle run must not be burning.
         assert_ne!(report.state, rb_telemetry::SloState::Burning);
 
-        // MT: the knob rides GraphRunOpts into every replica and the
-        // merged series lands on the report.
+        // MT: the knob rides into every replica and the merged series
+        // lands on the report.
         let packets: Vec<Packet> = (0..300)
             .map(|i| {
                 PacketSpec::udp()
@@ -1226,7 +1241,7 @@ mod tests {
             .slo(SloSpec::parse("p99us:1000000").unwrap())
             .build_mt()
             .unwrap();
-        assert_eq!(mt.opts().interval_ms, 1);
+        assert_eq!(mt.knobs().interval_ms, 1);
         let out = mt.run(packets).unwrap();
         let series = out.report.timeseries.as_ref().expect("series on");
         assert_eq!(series.ledger().forwarded, out.report.ledger.forwarded);
@@ -1300,7 +1315,7 @@ mod tests {
             .apply_knobs(&knobs)
             .build_mt()
             .unwrap();
-        assert_eq!(mt.opts().interval_ms, 5);
+        assert_eq!(mt.knobs().interval_ms, 5);
         assert_eq!(mt.slo().p99_latency_us, Some(2500.0));
         assert_eq!(mt.slo().max_loss, Some(0.01));
     }
@@ -1319,7 +1334,7 @@ mod tests {
             .build_mt()
             .unwrap();
         assert_eq!(mt.workers(), 3);
-        assert_eq!(mt.opts().batch_size, 16);
+        assert_eq!(mt.knobs().batch_size, 16);
         let ctl = mt.route_control().expect("fib_rcu on wires RCU");
         assert!(ctl.route_count() >= 500, "got {}", ctl.route_count());
     }

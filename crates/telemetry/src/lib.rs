@@ -73,8 +73,8 @@ pub use trace::{TraceEvent, TraceKind, TraceLog, TraceSpan, Tracer, DEFAULT_TRAC
 
 /// How much the runtime measures.
 ///
-/// `Copy + Eq` so it can ride inside the runtime's option structs
-/// (`GraphRunOpts`, `RuntimeKnobs`) without breaking their derives.
+/// `Copy + Eq` so it can ride inside the runtime's knob struct
+/// (`rb_click::Knobs`) without breaking its derives.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TelemetryLevel {
     /// No measurement; every dispatch site pays one branch.

@@ -1,14 +1,20 @@
-//! Parallelism *within* a server, for real: the same routing workload
-//! run under the paper's three core layouts on actual OS threads.
+//! Parallelism *within* a server, for real: one IP-router graph (64K
+//! routes) run under each of the paper's core layouts on actual OS
+//! threads — the Click configuration held fixed, only the layout
+//! selected, as in §4.2.
 //!
-//! * parallel — flows sharded by RSS hash, each worker owns its shard
-//!   end-to-end ("one core per packet", "one core per queue");
-//! * pipeline — every packet crosses all worker threads via bounded
-//!   queues;
-//! * shared queue — all workers contend on one locked queue.
+//! * push — flows sharded by RSS hash up front, each worker owns its
+//!   shard end-to-end ("one core per packet", "one core per queue");
+//! * spsc — the same layout fed incrementally over bounded rings;
+//! * pipeline — every packet crosses all worker threads, each a full
+//!   stage of the graph;
+//! * pull — the streamed layout with credit back-pressure.
 //!
 //! The absolute rates are your machine's, not the 2009 Nehalem's; the
-//! *ordering* is the paper's §4.2 claim.
+//! *ordering* (parallel ≥ pipeline) is the paper's §4.2 claim. Fig. 6's
+//! third column — all cores contending on one locked queue — has no
+//! real-thread runner here; `cargo run -p rb-bench --bin fig6` prints it
+//! from the hardware model.
 //!
 //! Run with:
 //!
@@ -16,15 +22,11 @@
 //! cargo run --release --example parallel_server [workers]
 //! ```
 
-use routebricks::click::runtime::mt::{
-    run_parallel, run_pipeline, run_shared_queue, shard_by_flow, MtReport, StageFn,
-};
+use routebricks::builder::RouterBuilder;
 use routebricks::lookup::gen::{generate_table, TableGenConfig};
-use routebricks::lookup::{Dir24_8, LpmLookup};
-use routebricks::packet::ipv4::fast;
 use routebricks::packet::Packet;
 use routebricks::workload::{SynthTrace, TraceConfig};
-use std::sync::Arc;
+use routebricks::Regime;
 
 const PACKETS: usize = 200_000;
 
@@ -42,7 +44,6 @@ fn main() {
         next_hops: 16,
         ..TableGenConfig::default()
     });
-    let fib: Arc<Dir24_8> = Arc::new(Dir24_8::compile(&table).expect("table compiles"));
     // Many flows with a moderate tail: RSS load-balancing (and the
     // paper's one-core-per-queue rule) assumes no single flow exceeds a
     // core; a handful of mega-elephants would serialise on one shard.
@@ -57,68 +58,53 @@ fn main() {
     });
     let packets: Vec<Packet> = trace.packets.iter().map(|p| p.materialize()).collect();
 
-    // The per-packet stage: TTL decrement + LPM lookup — the routing
-    // fast path, with the FIB shared read-only across cores exactly as
-    // Click threads share a routing table.
-    let make_stage = {
-        let fib = Arc::clone(&fib);
-        move || -> StageFn {
-            let fib = Arc::clone(&fib);
-            Box::new(move |mut pkt: Packet| {
-                fast::dec_ttl(&mut pkt.data_mut()[14..]).ok()?;
-                let dst = fast::dst(&pkt.data()[14..]).ok()?;
-                pkt.meta.output_port = fib.lookup(dst);
-                Some(pkt)
-            })
-        }
-    };
-
-    let print = |name: &str, r: MtReport| {
-        println!(
-            "  {name:<22} {:>7.2} Mpps  ({} packets in {:?})",
-            r.pps() / 1e6,
-            r.processed,
-            r.elapsed
-        );
-        r.pps()
-    };
+    // CheckIPHeader -> DecIPTTL -> LookupIPRoute per port, the FIB
+    // compiled once and shared read-only across cores exactly as Click
+    // threads share a routing table.
+    let router = RouterBuilder::ip_router()
+        .ports(4)
+        .routes_from_table(table)
+        .workers(workers);
 
     println!("\nrouting {PACKETS} packets with {workers} workers:\n");
-    // "One core per packet" also means one *worker per core*: running
-    // more parallel workers than cores only adds context switching.
-    let par_workers = workers.min(cores);
-    let shards = shard_by_flow(packets.clone(), par_workers);
-    let sizes: Vec<usize> = shards.iter().map(Vec::len).collect();
-    println!("  RSS shard sizes: {sizes:?}");
-    let parallel = print(
-        "parallel (RSS shards)",
-        run_parallel(par_workers, shards, &make_stage),
-    );
-    let pipeline = {
-        let stages: Vec<StageFn> = (0..workers).map(|_| make_stage()).collect();
-        print("pipeline", run_pipeline(stages, packets.clone(), 1024))
-    };
-    let shared = print(
-        "shared locked queue",
-        run_shared_queue(workers, packets, &make_stage),
-    );
+    let mut rates = Vec::new();
+    for regime in [
+        Regime::Push,
+        Regime::Spsc,
+        Regime::Pipeline,
+        Regime::PullCredit,
+    ] {
+        let mt = router.clone().regime(regime).build_mt().expect("builds");
+        let report = mt.run(packets.clone()).expect("graph replicates").report;
+        println!(
+            "  {:<10} {:>7.2} Mpps  ({} packets in {:?}, shard imbalance {:.2})",
+            regime.as_str(),
+            report.pps() / 1e6,
+            report.processed,
+            report.elapsed,
+            report.imbalance()
+        );
+        rates.push(report.pps());
+    }
 
     println!(
-        "\nrelative to parallel: pipeline {:.2}x, shared queue {:.2}x",
-        pipeline / parallel,
-        shared / parallel
+        "\nrelative to push: spsc {:.2}x, pipeline {:.2}x, pull {:.2}x",
+        rates[1] / rates[0],
+        rates[2] / rates[0],
+        rates[3] / rates[0]
     );
     println!(
-        "\nThe paper's §4.2 rules in action: the parallel layout touches each\n\
-         packet on one core with no shared queues, so it pays neither the\n\
-         inter-core handoff cost of the pipeline nor the lock/cache-bounce\n\
-         cost of the shared queue."
+        "\nThe paper's §4.2 rules in action: the parallel layouts touch each\n\
+         packet on one core with no shared queues, so they do not pay the\n\
+         pipeline's inter-core handoff per stage. The locked shared queue\n\
+         the rules also rule out is modelled, not run: `--bin fig6`."
     );
-    if cores == 1 {
+    if cores < workers + 1 {
         println!(
-            "note: this host has a single core, so the comparison measures the\n\
-         pure per-packet overheads (the Fig. 6 story); on a multi-core host\n\
-         the parallel layout additionally scales with the core count."
+            "note: {workers} workers plus the dispatcher thread share {cores} core(s), so\n\
+         the comparison measures per-packet overheads (the Fig. 6 story); with\n\
+         a core per thread the parallel layouts additionally scale with the\n\
+         core count."
         );
     }
 }

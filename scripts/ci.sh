@@ -42,6 +42,14 @@ awk '
     END { exit bad }
 ' crates/crypto/src/x86.rs
 
+echo "==> name gate (one Knobs, one run_graph: the collapsed names stay gone)"
+if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler' \
+    crates/ examples/ tests/; then
+    echo "a knob struct, MT entry point or scheduler type that PR 21 collapsed is back" >&2
+    exit 1
+fi
+echo "rb-click + rb-core lines: $(find crates/click crates/core -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -175,80 +175,15 @@ fn rb4_reordering_gap() {
 }
 
 #[test]
-fn threading_overheads_are_real() {
-    // Fig. 6 on real threads: a per-core parallel layout must beat both
-    // the cross-core pipeline and the shared locked queue, even on a
-    // single-core host where the comparison reduces to pure per-packet
-    // handoff/lock overhead.
-    use routebricks::click::runtime::mt::{
-        run_parallel, run_pipeline, run_shared_queue, shard_by_flow, StageFn,
-    };
-    use routebricks::packet::Packet;
-    use routebricks::workload::{SynthTrace, TraceConfig};
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let packets: Vec<Packet> = SynthTrace::generate(&TraceConfig {
-        packets: 60_000,
-        ..TraceConfig::default()
-    })
-    .packets
-    .iter()
-    .map(|p| p.materialize())
-    .collect();
-
-    let stage = || -> StageFn {
-        Box::new(|mut pkt: Packet| {
-            routebricks::packet::ipv4::fast::dec_ttl(&mut pkt.data_mut()[14..]).ok()?;
-            Some(pkt)
-        })
-    };
-
-    let par_workers = cores.clamp(1, 4);
-    let parallel = run_parallel(
-        par_workers,
-        shard_by_flow(packets.clone(), par_workers),
-        stage,
-    );
-    let stages: Vec<StageFn> = (0..4).map(|_| stage()).collect();
-    let pipeline = run_pipeline(stages, packets.clone(), 512);
-    let shared = run_shared_queue(4, packets, stage);
-
-    assert_eq!(parallel.processed, 60_000);
-    assert_eq!(parallel.per_worker.iter().sum::<u64>(), 60_000);
-    assert_eq!(pipeline.processed, 60_000);
-    assert_eq!(shared.processed, 60_000);
-    if cores < 4 {
-        eprintln!(
-            "WARNING: only {cores} core(s) available (< 4); skipping the \
-             threading-regime pps ordering assertions — they are only \
-             meaningful when each worker gets its own core."
-        );
-        return;
-    }
-    assert!(
-        parallel.pps() > pipeline.pps(),
-        "parallel {:.2e} vs pipeline {:.2e}",
-        parallel.pps(),
-        pipeline.pps()
-    );
-    assert!(
-        parallel.pps() > shared.pps(),
-        "parallel {:.2e} vs shared {:.2e}",
-        parallel.pps(),
-        shared.pps()
-    );
-}
-
-#[test]
 fn graph_replicas_scale_like_fig6() {
-    // The same Fig. 6 comparison on REAL element graphs: per-core graph
+    // Fig. 6 on real threads and REAL element graphs: per-core graph
     // replicas (parallel) vs a stage-per-core chain (pipeline), both
     // moving PacketBatches over SPSC rings. Counts are asserted always;
     // the pps ordering only when each worker can have its own core.
     use routebricks::builder::RouterBuilder;
-    use routebricks::click::runtime::mt::{run_graph_pipeline, GraphRunOpts};
     use routebricks::packet::builder::PacketSpec;
     use routebricks::packet::Packet;
+    use routebricks::Regime;
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = cores.clamp(1, 4);
@@ -283,14 +218,13 @@ fn graph_replicas_scale_like_fig6() {
     );
 
     // Pipeline: the same total work split into `workers` chained stages.
-    let stage_graphs: Vec<_> = (0..workers)
-        .map(|_| {
-            RouterBuilder::minimal_forwarder()
-                .build_graph()
-                .expect("stage graph")
-        })
-        .collect();
-    let pipeline = run_graph_pipeline(&stage_graphs, packets, &GraphRunOpts::default()).unwrap();
+    let pipeline = RouterBuilder::minimal_forwarder()
+        .workers(workers)
+        .regime(Regime::Pipeline)
+        .build_mt()
+        .unwrap()
+        .run(packets)
+        .unwrap();
     assert_eq!(pipeline.report.processed, n as u64);
     assert_eq!(pipeline.report.per_worker.len(), workers);
 

@@ -11,8 +11,8 @@
 use rb_packet::builder::PacketSpec;
 use rb_packet::Packet;
 use routebricks::builder::RouterBuilder;
-use routebricks::click::runtime::mt::run_graph_spsc;
-use routebricks::click::GraphRunOpts;
+use routebricks::click::runtime::mt::run_graph;
+use routebricks::click::{Knobs, Regime};
 use routebricks::telemetry::Ledger;
 
 /// Every MT run must conserve packets exactly: sourced = forwarded +
@@ -143,8 +143,13 @@ fn spsc_streaming_matches_parallel_multiset() {
     let packets = traffic(1500);
     for (name, builder) in presets() {
         let reference = reference_streams(builder.clone(), &packets);
-        let mt = builder.keep_tx_frames(true).workers(3).build_mt().unwrap();
-        let outcome = mt.run_spsc(packets.clone()).unwrap();
+        let mt = builder
+            .keep_tx_frames(true)
+            .workers(3)
+            .regime(Regime::Spsc)
+            .build_mt()
+            .unwrap();
+        let outcome = mt.run(packets.clone()).unwrap();
         for (port, expect) in reference.iter().enumerate() {
             let mut expect: Vec<Vec<u8>> = expect.clone();
             let mut got: Vec<Vec<u8>> = outcome.egress[port]
@@ -170,13 +175,14 @@ fn tiny_ring_backpressure_conserves_packets() {
     let packets = traffic(1200);
     let mt = RouterBuilder::minimal_forwarder()
         .workers(2)
+        .regime(Regime::Spsc)
         .build_mt()
         .unwrap();
-    let opts = GraphRunOpts {
+    let knobs = Knobs {
         ring_depth: 2,
-        ..mt.opts()
+        ..*mt.knobs()
     };
-    let outcome = run_graph_spsc(mt.graph(), mt.workers(), packets, &opts).unwrap();
+    let outcome = run_graph(&[mt.graph()], packets, &knobs, None).unwrap();
     assert_eq!(outcome.report.processed, 1200);
     assert_conserved("tiny_ring", &outcome.report.ledger, 1200);
 }
