@@ -4,7 +4,7 @@
 //! Points at a router built with `serve_metrics` (or the
 //! `RuntimeConfig(serve_metrics ...)` knob), polls the JSON routes and
 //! redraws the interval table, per-stage shares, and journal tail with
-//! [`render_top_with_events`] — the same formatter the in-process
+//! [`render_top`] — the same formatter the in-process
 //! harvest path uses, fed from the wire instead of from shared rings.
 //!
 //!     rb_top 127.0.0.1:9898              # redraw every second
@@ -18,8 +18,8 @@
 
 use routebricks::telemetry::http::http_get;
 use routebricks::telemetry::{
-    json, render_top_with_events, DropCause, Event, EventKind, EventLog, IntervalStats,
-    Log2Histogram, SloState, StageDelta,
+    json, render_top, DropCause, Event, EventKind, EventLog, IntervalStats, Log2Histogram,
+    SloState, StageDelta,
 };
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -187,7 +187,7 @@ fn main() {
                 );
                 print!(
                     "{}",
-                    render_top_with_events(&series, None, tps, ROWS, Some((&log, &names)))
+                    render_top(&series, None, tps, ROWS, &names, Some(&log))
                 );
                 if health.1 == SloState::Burning.as_str() {
                     println!("ALERT: SLO burning — see /events.json for the transition arc");

@@ -130,10 +130,13 @@ fn main() {
         report.graded_intervals,
         report.state.as_str()
     );
-    eprint!("{}", render_top(&series.intervals, Some(&report), tps, 5));
+    eprint!(
+        "{}",
+        render_top(&series.intervals, Some(&report), tps, 5, &[], None)
+    );
 
     // 2. Exporters: Prometheus lints + re-parses, JSON round-trips.
-    let prom = prometheus::render(series, Some(&report), tps);
+    let prom = prometheus::render(series, Some(&report), tps, None);
     prometheus::lint(&prom).expect("exposition must lint clean");
     assert!(prom.contains("rb_sourced_packets_total"));
     assert!(prom.contains("rb_quantum_latency_seconds_bucket{le=\"+Inf\"}"));

@@ -134,7 +134,9 @@ fn mt_smoke() {
             .any(|s| s.event.kind == TraceKind::Element),
         "mt: element-level spans present"
     );
-    let chrome = outcome.trace.to_chrome_json(cycles::ticks_per_sec() / 1e6);
+    let chrome = outcome
+        .trace
+        .to_chrome_json(cycles::ticks_per_sec() / 1e6, None);
     check_chrome_json("mt", &chrome, true);
     eprint!(
         "{}",
@@ -162,7 +164,7 @@ fn cluster_smoke() {
     );
     check_span_nesting("cluster", &run.trace);
     // The simulator records complete cluster-hop spans, not ring edges.
-    check_chrome_json("cluster", &run.trace.to_chrome_json(1000.0), false);
+    check_chrome_json("cluster", &run.trace.to_chrome_json(1000.0, None), false);
     eprint!(
         "{}",
         routebricks::trace_report(&run.trace, &run.ledger, 1000.0)

@@ -978,9 +978,19 @@ mod tests {
         .unwrap();
         assert_eq!(knobs.interval_ms, 50);
         assert_eq!(knobs.slo.max_loss, Some(0.02));
-        match build_graph("RuntimeConfig(slo nonsense);").err() {
-            Some(ConfigError::BadArguments { class, .. }) => assert_eq!(class, "RuntimeConfig"),
-            other => panic!("expected BadArguments, got {other:?}"),
+        // So are targets that parse as floats but are not numbers JSON
+        // has (`/healthz` prints them back) or that no run can meet.
+        for spec in [
+            "nonsense",
+            "p99us:inf",
+            "floor:nan",
+            "loss:-0.01",
+            "floor:1e999",
+        ] {
+            match build_graph(&format!("RuntimeConfig(slo {spec});")).err() {
+                Some(ConfigError::BadArguments { class, .. }) => assert_eq!(class, "RuntimeConfig"),
+                other => panic!("`slo {spec}`: expected BadArguments, got {other:?}"),
+            }
         }
     }
 

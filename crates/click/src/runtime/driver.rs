@@ -25,10 +25,11 @@ use crate::elements::route::LookupIPRoute;
 use crate::elements::sink::{Counter, CounterStats};
 use crate::graph::{Edge, ElementId, Graph};
 use crate::runtime::stride::StrideScheduler;
+use rb_packet::Packet;
 use rb_telemetry::{
-    cycles, CoreMetrics, CumulativeTotals, DropCause, EventHarvester, EventKind, EventLog,
-    EventRecorder, EventRing, Harvester, IntervalRecorder, IntervalRing, Ledger, MetricsSnapshot,
-    TelemetryLevel, TimeSeries, TraceKind, TraceLog, Tracer,
+    cycles, json, CoreMetrics, CumulativeTotals, DropCause, EventKind, EventLog, EventRecorder,
+    EventRing, Harvest, IntervalRecorder, IntervalRing, Ledger, MetricsSnapshot, TelemetryLevel,
+    TimeSeries, TraceKind, TraceLog, Tracer,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -85,29 +86,28 @@ pub struct RunStats {
 impl RunStats {
     /// Serializes the counters as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"quanta\": {}, \"pushes\": {}, \"batch_calls\": {}, \"leaked\": {}, \
-             \"dropped_default\": {}, \"pool_allocs\": {}, \"pool_recycles\": {}, \
-             \"pool_bulk_recycles\": {}, \"pool_exhausted\": {}, \"pool_fallbacks\": {}, \
-             \"pool_peak_in_use\": {}, \"nic_doorbells\": {}, \"nic_reclaim_batches\": {}, \
-             \"nic_desc_stalls\": {}, \"nic_dma_bytes\": {}, \"fused\": {}}}",
-            self.quanta,
-            self.pushes,
-            self.batch_calls,
-            self.leaked,
-            self.dropped_default,
-            self.pool_allocs,
-            self.pool_recycles,
-            self.pool_bulk_recycles,
-            self.pool_exhausted,
-            self.pool_fallbacks,
-            self.pool_peak_in_use,
-            self.nic_doorbells,
-            self.nic_reclaim_batches,
-            self.nic_desc_stalls,
-            self.nic_dma_bytes,
-            self.fused,
-        )
+        json::object(|w| {
+            for (key, v) in [
+                ("quanta", self.quanta),
+                ("pushes", self.pushes),
+                ("batch_calls", self.batch_calls),
+                ("leaked", self.leaked),
+                ("dropped_default", self.dropped_default),
+                ("pool_allocs", self.pool_allocs),
+                ("pool_recycles", self.pool_recycles),
+                ("pool_bulk_recycles", self.pool_bulk_recycles),
+                ("pool_exhausted", self.pool_exhausted),
+                ("pool_fallbacks", self.pool_fallbacks),
+                ("pool_peak_in_use", self.pool_peak_in_use),
+                ("nic_doorbells", self.nic_doorbells),
+                ("nic_reclaim_batches", self.nic_reclaim_batches),
+                ("nic_desc_stalls", self.nic_desc_stalls),
+                ("nic_dma_bytes", self.nic_dma_bytes),
+            ] {
+                w.key(key).int(v);
+            }
+            w.key("fused").bool(self.fused);
+        })
     }
 }
 
@@ -242,30 +242,53 @@ pub struct Router {
     episodes: EpisodeState,
 }
 
-/// Counter snapshots from the previous interval boundary, used to turn
-/// monotone stall totals into journaled episode onset/end edges.
+/// One monotone counter watched from interval boundary to boundary: its
+/// value at the last one and whether an episode is open on it.
 #[derive(Debug, Default)]
-struct EpisodeState {
-    /// A NIC descriptor-stall episode is open (start journaled, no end).
-    nic_open: bool,
-    /// A credit-gate stall episode is open.
-    credit_open: bool,
-    /// A pool-exhaustion episode is open (onset-only event; the flag
-    /// de-duplicates onsets across consecutive exhausted intervals).
-    pool_open: bool,
-    nic_stalls: u64,
-    credit_stalls: u64,
-    pool_exhausted: u64,
-    fib_delta_publishes: u64,
-    fib_recompiles: u64,
+struct Episode {
+    last: u64,
+    open: bool,
 }
 
-/// Collects the nonzero trace IDs of `batch` into `ids` (cleared first).
-fn traced_ids(batch: &PacketBatch, ids: &mut Vec<u64>) {
+impl Episode {
+    /// Steps to this boundary's `total`: the counter's movement since the
+    /// last one, and `Some(opened)` when that makes an edge — it moved
+    /// with no episode open, or held still a full interval with one open.
+    fn step(&mut self, total: u64) -> (u64, Option<bool>) {
+        let moved = total.saturating_sub(self.last);
+        let edge = (self.open != (moved > 0)).then_some(moved > 0);
+        (self.last, self.open) = (total, moved > 0);
+        (moved, edge)
+    }
+}
+
+/// The counters [`Router::journal_episodes`] turns into journaled edges.
+#[derive(Debug, Default)]
+struct EpisodeState {
+    nic_stalls: Episode,
+    credit_stalls: Episode,
+    pool_exhausted: Episode,
+    fib_delta_publishes: Episode,
+    fib_recompiles: Episode,
+}
+
+/// Collects the nonzero trace IDs of `pkts` into `ids` (cleared first).
+fn traced_ids(pkts: &[Packet], ids: &mut Vec<u64>) {
     ids.clear();
-    for pkt in batch.as_slice() {
-        if pkt.meta.trace_id != 0 {
-            ids.push(pkt.meta.trace_id);
+    ids.extend(pkts.iter().map(|p| p.meta.trace_id).filter(|&id| id != 0));
+}
+
+/// Records one side of a ring hop on `tracer` for every traced packet in
+/// `pkts`, timestamped now (no-op with tracing off). The MT runtime calls
+/// this on both sides of an SPSC hop — on a worker's router and on the
+/// dispatcher thread's own shard — so exported traces carry cross-core
+/// edges.
+pub(crate) fn trace_hop(tracer: &mut Tracer, kind: TraceKind, pkts: &[Packet]) {
+    if tracer.enabled() {
+        let mut ids = Vec::new();
+        traced_ids(pkts, &mut ids);
+        if !ids.is_empty() {
+            tracer.record_hop(kind, &ids, cycles::now());
         }
     }
 }
@@ -387,13 +410,9 @@ impl Router {
         self.tracer.sample()
     }
 
-    /// Records a ring-hop endpoint for each traced packet in `ids`,
-    /// timestamped now. The MT runtime calls this on both sides of an
-    /// SPSC hop so exported traces carry cross-core edges.
-    pub fn trace_hop(&mut self, kind: TraceKind, ids: &[u64]) {
-        if self.tracer.enabled() && !ids.is_empty() {
-            self.tracer.record_hop(kind, ids, cycles::now());
-        }
+    /// [`trace_hop`] on this router's trace shard.
+    pub fn trace_hop(&mut self, kind: TraceKind, pkts: &[Packet]) {
+        trace_hop(&mut self.tracer, kind, pkts);
     }
 
     /// Drains the trace shard into a labeled [`TraceLog`] (empty when
@@ -532,14 +551,17 @@ impl Router {
         self.events.as_ref().map(|rec| rec.ring())
     }
 
+    /// Everything this router's own rings hold, read the way the MT
+    /// harness reads its workers'. `None` when the clock is off.
+    fn harvest(&self) -> Option<(TimeSeries, EventLog)> {
+        let (rec, events) = (self.interval.as_ref()?, self.events.as_ref()?);
+        Some(Harvest::new(vec![rec.ring()], vec![events.ring()]).finish(rec.interval_ticks()))
+    }
+
     /// Harvests every journaled event published so far into an
-    /// [`EventLog`] (the single-threaded analogue of the MT harvester
-    /// path). `None` when the journal is off.
+    /// [`EventLog`]. `None` when the journal is off.
     pub fn event_log(&self) -> Option<EventLog> {
-        let rec = self.events.as_ref()?;
-        let mut harvester = EventHarvester::new(vec![rec.ring()]);
-        harvester.poll();
-        Some(harvester.finish())
+        Some(self.harvest()?.1)
     }
 
     /// Closes the open partial bucket (if it saw any activity) so the
@@ -561,10 +583,7 @@ impl Router {
     /// (flushing the open bucket first). `None` when the clock is off.
     pub fn timeseries(&mut self) -> Option<TimeSeries> {
         self.interval_flush();
-        let rec = self.interval.as_ref()?;
-        let mut harvester = Harvester::new(vec![rec.ring()]);
-        harvester.poll(false);
-        Some(harvester.finish(rec.interval_ticks()))
+        Some(self.harvest()?.0)
     }
 
     /// Cumulative run totals sampled at an interval boundary: the ledger
@@ -650,43 +669,31 @@ impl Router {
             return;
         };
         let ep = &mut self.episodes;
-        let d = totals.nic_desc_stalls.saturating_sub(ep.nic_stalls);
-        if d > 0 && !ep.nic_open {
-            events.record(now, EventKind::NicStallStart, d);
-            ep.nic_open = true;
-        } else if d == 0 && ep.nic_open {
-            events.record(now, EventKind::NicStallEnd, 0);
-            ep.nic_open = false;
+        let (moved, edge) = ep.nic_stalls.step(totals.nic_desc_stalls);
+        match edge {
+            Some(true) => events.record(now, EventKind::NicStallStart, moved),
+            Some(false) => events.record(now, EventKind::NicStallEnd, 0),
+            None => {}
         }
-        ep.nic_stalls = totals.nic_desc_stalls;
-        let d = totals.credit_stalls.saturating_sub(ep.credit_stalls);
-        if d > 0 && !ep.credit_open {
-            events.record(now, EventKind::CreditStallStart, d);
-            ep.credit_open = true;
-        } else if d == 0 && ep.credit_open {
-            events.record(now, EventKind::CreditStallEnd, 0);
-            ep.credit_open = false;
+        let (moved, edge) = ep.credit_stalls.step(totals.credit_stalls);
+        match edge {
+            Some(true) => events.record(now, EventKind::CreditStallStart, moved),
+            Some(false) => events.record(now, EventKind::CreditStallEnd, 0),
+            None => {}
         }
-        ep.credit_stalls = totals.credit_stalls;
-        let d = pool.saturating_sub(ep.pool_exhausted);
-        if d > 0 && !ep.pool_open {
-            events.record(now, EventKind::PoolExhaustedOnset, d);
-            ep.pool_open = true;
-        } else if d == 0 {
-            // Recovery is implied by the drops stopping; re-arm the onset.
-            ep.pool_open = false;
+        // Onset only: recovery is implied by the drops stopping, which
+        // re-arms it.
+        if let (moved, Some(true)) = ep.pool_exhausted.step(pool) {
+            events.record(now, EventKind::PoolExhaustedOnset, moved);
         }
-        ep.pool_exhausted = pool;
-        let d = fib_deltas.saturating_sub(ep.fib_delta_publishes);
-        if d > 0 {
-            events.record(now, EventKind::FibDeltaPublish, d);
+        let (moved, _) = ep.fib_delta_publishes.step(fib_deltas);
+        if moved > 0 {
+            events.record(now, EventKind::FibDeltaPublish, moved);
         }
-        ep.fib_delta_publishes = fib_deltas;
-        let d = fib_recompiles.saturating_sub(ep.fib_recompiles);
-        if d > 0 {
-            events.record(now, EventKind::FibRecompile, d);
+        let (moved, _) = ep.fib_recompiles.step(fib_recompiles);
+        if moved > 0 {
+            events.record(now, EventKind::FibRecompile, moved);
         }
-        ep.fib_recompiles = fib_recompiles;
     }
 
     /// Timestamp for a dispatch span, or 0 when cycle accounting is off.
@@ -969,23 +976,32 @@ impl Router {
             return false;
         }
         let mut out = std::mem::take(&mut self.task_out);
-        if self.tracer.enabled() {
-            traced_ids(&batch, &mut self.trace_ids);
-        }
-        let t0 = self.tm_start();
-        let tr0 = self.tr_start();
-        self.graph
-            .element_mut(id)
-            .push_batch(0, &mut batch, &mut out);
-        self.tm_dispatch(id, moved as u64, t0);
-        self.tr_dispatch(id, tr0);
-        self.stats.pushes += moved as u64;
-        self.stats.batch_calls += 1;
-        self.stats.dropped_default += out.take_default_dropped();
-        self.recycle(batch);
+        self.dispatch(id, 0, batch, &mut out);
         self.route(id, &mut out);
         self.task_out = out;
         true
+    }
+
+    /// The dispatch bracket — the driver's one `push_batch` call: hands
+    /// `batch` to input `port` of element `id` with its emissions going to
+    /// `out`, inside the cycle span and the trace span that attribute the
+    /// call to the element, then books the packets and the call, folds in
+    /// what the element's default `push` dropped, and recycles the buffer.
+    #[inline]
+    fn dispatch(&mut self, id: ElementId, port: usize, mut batch: PacketBatch, out: &mut Output) {
+        let n = batch.len() as u64;
+        if self.tracer.enabled() {
+            traced_ids(batch.as_slice(), &mut self.trace_ids);
+        }
+        let t0 = self.tm_start();
+        let tr0 = self.tr_start();
+        self.graph.element_mut(id).push_batch(port, &mut batch, out);
+        self.tm_dispatch(id, n, t0);
+        self.tr_dispatch(id, tr0);
+        self.stats.pushes += n;
+        self.stats.batch_calls += 1;
+        self.stats.dropped_default += out.take_default_dropped();
+        self.recycle(batch);
     }
 
     /// Resolves `drain`'s pull chain from hop `hop` upstream, moving up
@@ -1020,12 +1036,8 @@ impl Router {
                 if self.tracer.enabled() {
                     // Only the packets this pull moved (the batch may
                     // already hold earlier pulls).
-                    self.trace_ids.clear();
-                    for pkt in &into.as_slice()[into.len() - n..] {
-                        if pkt.meta.trace_id != 0 {
-                            self.trace_ids.push(pkt.meta.trace_id);
-                        }
-                    }
+                    let moved = &into.as_slice()[into.len() - n..];
+                    traced_ids(moved, &mut self.trace_ids);
                     self.tr_dispatch(edge.from, tr0);
                 }
             }
@@ -1039,20 +1051,7 @@ impl Router {
             return 0;
         }
         let mut out = Output::new();
-        if self.tracer.enabled() {
-            traced_ids(&upstream, &mut self.trace_ids);
-        }
-        let t0 = self.tm_start();
-        let tr0 = self.tr_start();
-        self.graph
-            .element_mut(edge.from)
-            .push_batch(0, &mut upstream, &mut out);
-        self.tm_dispatch(edge.from, n as u64, t0);
-        self.tr_dispatch(edge.from, tr0);
-        self.stats.pushes += n as u64;
-        self.stats.batch_calls += 1;
-        self.stats.dropped_default += out.take_default_dropped();
-        self.recycle(upstream);
+        self.dispatch(edge.from, 0, upstream, &mut out);
         let mut moved = 0;
         let mut side = Output::new();
         for (port, pkt) in out.drain() {
@@ -1078,26 +1077,12 @@ impl Router {
         debug_assert!(self.work.is_empty(), "route() re-entered with queued work");
         self.stats.dropped_default += out.take_default_dropped();
         self.enqueue_emissions(from, out);
-        while let Some((id, port, mut batch)) = self.work.pop_front() {
-            let n = batch.len() as u64;
-            if self.tracer.enabled() {
-                traced_ids(&batch, &mut self.trace_ids);
-            }
-            let t0 = self.tm_start();
-            let tr0 = self.tr_start();
-            self.graph
-                .element_mut(id)
-                .push_batch(port, &mut batch, &mut self.scratch);
-            self.tm_dispatch(id, n, t0);
-            self.tr_dispatch(id, tr0);
-            self.stats.pushes += n;
-            self.stats.batch_calls += 1;
-            self.recycle(batch);
+        while let Some((id, port, batch)) = self.work.pop_front() {
+            let mut emitted = std::mem::take(&mut self.scratch);
+            self.dispatch(id, port, batch, &mut emitted);
             if let Some(drain) = self.wakes[id] {
                 self.wake_drain(drain);
             }
-            let mut emitted = std::mem::take(&mut self.scratch);
-            self.stats.dropped_default += emitted.take_default_dropped();
             self.enqueue_emissions(id, &mut emitted);
             self.scratch = emitted;
         }

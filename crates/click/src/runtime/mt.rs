@@ -29,7 +29,7 @@ use crate::runtime::driver::RunStats;
 use crate::runtime::regime::{run_scheduled, Regime};
 use rb_packet::Packet;
 use rb_telemetry::{
-    cycles, EventLog, Ledger, MetricsServer, MetricsSnapshot, TimeSeries, TraceLog,
+    cycles, json, EventLog, Ledger, MetricsServer, MetricsSnapshot, TimeSeries, TraceLog,
 };
 use std::time::Duration;
 
@@ -135,50 +135,43 @@ impl MtReport {
     /// as one JSON object. `elapsed_secs` and `pps` are the caller's-clock
     /// figures of [`MtReport::elapsed`].
     pub fn to_json(&self) -> String {
-        use rb_telemetry::json::num;
-        let per_worker = self
-            .per_worker
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"processed\": {}, \"elapsed_secs\": {}, \"pps\": {}, \
-             \"per_worker\": [{per_worker}], \"imbalance\": {}, \
-             \"pushes\": {}, \"batch_calls\": {}, \"achieved_batch\": {}, \
-             \"pool_allocs\": {}, \"pool_recycles\": {}, \"pool_bulk_recycles\": {}, \
-             \"pool_exhausted\": {}, \"pool_fallbacks\": {}, \
-             \"nic_doorbells\": {}, \"nic_reclaim_batches\": {}, \"nic_desc_stalls\": {}, \
-             \"nic_dma_bytes\": {}, \
-             \"credit_stalls\": {}, \"credit_peak_outstanding\": {}, \
-             \"telemetry\": {}, \"ledger\": {}, \"timeseries\": {}, \
-             \"events\": {}}}",
-            self.processed,
-            num(self.elapsed.as_secs_f64()),
-            num(self.pps()),
-            num(self.imbalance()),
-            self.pushes,
-            self.batch_calls,
-            num(self.achieved_batch()),
-            self.pool_allocs,
-            self.pool_recycles,
-            self.pool_bulk_recycles,
-            self.pool_exhausted,
-            self.pool_fallbacks,
-            self.nic_doorbells,
-            self.nic_reclaim_batches,
-            self.nic_desc_stalls,
-            self.nic_dma_bytes,
-            self.credit_stalls,
-            self.credit_peak_outstanding,
-            self.telemetry.to_json(),
-            self.ledger.to_json(),
-            self.timeseries.as_ref().map_or_else(
-                || "null".to_string(),
-                |ts| ts.to_json(cycles::ticks_per_sec())
-            ),
-            self.events.len(),
-        )
+        json::object(|w| {
+            w.key("processed").int(self.processed);
+            w.key("elapsed_secs").float(self.elapsed.as_secs_f64(), 3);
+            w.key("pps").float(self.pps(), 3);
+            w.key("per_worker").arr(|w| {
+                for &n in &self.per_worker {
+                    w.int(n);
+                }
+            });
+            w.key("imbalance").float(self.imbalance(), 3);
+            w.key("pushes").int(self.pushes);
+            w.key("batch_calls").int(self.batch_calls);
+            w.key("achieved_batch").float(self.achieved_batch(), 3);
+            for (key, v) in [
+                ("pool_allocs", self.pool_allocs),
+                ("pool_recycles", self.pool_recycles),
+                ("pool_bulk_recycles", self.pool_bulk_recycles),
+                ("pool_exhausted", self.pool_exhausted),
+                ("pool_fallbacks", self.pool_fallbacks),
+                ("nic_doorbells", self.nic_doorbells),
+                ("nic_reclaim_batches", self.nic_reclaim_batches),
+                ("nic_desc_stalls", self.nic_desc_stalls),
+                ("nic_dma_bytes", self.nic_dma_bytes),
+                ("credit_stalls", self.credit_stalls),
+                ("credit_peak_outstanding", self.credit_peak_outstanding),
+            ] {
+                w.key(key).int(v);
+            }
+            w.key("telemetry").raw(&self.telemetry.to_json());
+            w.key("ledger").raw(&self.ledger.to_json());
+            w.key("timeseries")
+                .raw(&self.timeseries.as_ref().map_or_else(
+                    || "null".to_string(),
+                    |ts| ts.to_json(cycles::ticks_per_sec()),
+                ));
+            w.key("events").int(self.events.len() as u64);
+        })
     }
 }
 
@@ -802,7 +795,7 @@ mod tests {
             "traced packet saw element dispatches"
         );
         // The export is valid Chrome trace-event JSON.
-        let v = json::parse(&out.trace.to_chrome_json(1.0)).expect("chrome JSON parses");
+        let v = json::parse(&out.trace.to_chrome_json(1.0, None)).expect("chrome JSON parses");
         let events = v
             .get("traceEvents")
             .and_then(json::Value::as_array)

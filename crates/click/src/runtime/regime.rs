@@ -7,10 +7,11 @@
 //! telemetry/ledger/trace/pool counters into one [`GraphRunOutcome`] —
 //! and the *policy* is a [`Regime`], matched on where the regimes
 //! differ: worker topology (which graph replica runs on which core),
-//! ring wiring (how packets enter and leave each worker), the body a
-//! worker executes, and whose packets count as processed. `driver.rs`'s
-//! single-core stride loop is the degenerate instance (one lane, no
-//! rings).
+//! ring wiring (how packets enter and leave each worker), and whose
+//! packets count as processed. What a worker thread executes is not among
+//! them: every core runs the one `worker` body over the `Lane` its
+//! regime wired. `driver.rs`'s single-core stride loop is the degenerate
+//! instance (one lane, no rings).
 //!
 //! * [`Regime::Push`] — §4.2 "one core per packet": preload each
 //!   worker's whole RSS shard, run to idle, merge egress.
@@ -50,13 +51,12 @@ use crate::config::Knobs;
 use crate::element::PacketBatch;
 use crate::elements::device::{FromDevice, ToDevice};
 use crate::graph::{ElementId, Graph, GraphError};
-use crate::runtime::driver::Router;
+use crate::runtime::driver::{trace_hop, Router};
 use crate::runtime::mt::{lane_of, shard_by_flow, GraphRunOutcome, MtReport};
 use crate::runtime::spsc::{self, Consumer, Producer};
 use rb_packet::{Packet, PoolStats};
 use rb_telemetry::{
-    cycles, EventHarvester, EventLog, Harvester, Ledger, MetricsServer, MetricsSnapshot, TraceKind,
-    TraceLog, Tracer,
+    EventLog, Harvest, Ledger, MetricsServer, MetricsSnapshot, TraceKind, TraceLog, Tracer,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,20 +206,23 @@ fn make_replica(graph: &Graph, knobs: &Knobs, core: u32) -> Result<Replica, Grap
     })
 }
 
+/// Where a worker's transmitted frames go.
+enum Sink {
+    /// The egress merger, as `(egress index, batch)` pairs.
+    Merger(Producer<(usize, PacketBatch)>),
+    /// The next pipeline stage's ingress ring (intermediate stages).
+    Next(Producer<PacketBatch>),
+}
+
 /// The wiring handed to one worker thread: how packets arrive (a preload
 /// or an ingress ring, possibly credit-gated) and where finished frames
-/// go (the egress merger and/or the next pipeline stage).
-#[derive(Default)]
+/// go.
 struct Lane {
     /// Whole-shard preload (push regime; empty otherwise).
     preload: Vec<Packet>,
     /// Streaming ingress ring (`None` for the preloaded push regime).
     rx: Option<Consumer<PacketBatch>>,
-    /// Ring to the egress merger (`None` for intermediate pipeline
-    /// stages, whose frames feed the next stage instead).
-    egress: Option<Producer<(usize, PacketBatch)>>,
-    /// Next pipeline stage's ingress (intermediate stages only).
-    next: Option<Producer<PacketBatch>>,
+    sink: Sink,
     /// Credit gate shared with the dispatcher (pull regime only).
     credits: Option<Arc<CreditGate>>,
     /// Whether ring receives count as trace hops: the pipeline's stage 0
@@ -228,16 +231,6 @@ struct Lane {
     trace_ring_recv: bool,
     /// Way home for the [`Dispatcher`]'s batches: see [`inject_batch`].
     spent: Option<Producer<PacketBatch>>,
-}
-
-impl Lane {
-    fn streaming(rx: Consumer<PacketBatch>) -> Lane {
-        Lane {
-            rx: Some(rx),
-            trace_ring_recv: true,
-            ..Lane::default()
-        }
-    }
 }
 
 /// One lane of the [`Dispatcher`]: the batch being filled, the finished
@@ -386,7 +379,7 @@ impl Dispatcher {
                     pkt.meta.trace_id = id;
                 }
             }
-            record_tracer_hop(tracer, TraceKind::RingSend, batch.as_slice());
+            trace_hop(tracer, TraceKind::RingSend, batch.as_slice());
         }
         lane.staged.push_back(batch);
         lane.flush();
@@ -521,34 +514,6 @@ fn push_blocking<T>(tx: &mut Producer<T>, mut item: T) {
     }
 }
 
-/// Nonzero trace IDs carried by `pkts` (stamped packets only).
-fn traced_ids(pkts: &[Packet]) -> Vec<u64> {
-    pkts.iter()
-        .map(|p| p.meta.trace_id)
-        .filter(|&id| id != 0)
-        .collect()
-}
-
-/// Records one side of a ring hop for every traced packet in `pkts` on a
-/// worker router's tracer (no-op with tracing off).
-fn record_router_hop(router: &mut Router, kind: TraceKind, pkts: &[Packet]) {
-    if router.trace_sample() != 0 {
-        let ids = traced_ids(pkts);
-        router.trace_hop(kind, &ids);
-    }
-}
-
-/// Records one side of a ring hop on a standalone tracer (the
-/// dispatcher/merger thread's shard).
-fn record_tracer_hop(tracer: &mut Tracer, kind: TraceKind, pkts: &[Packet]) {
-    if tracer.enabled() {
-        let ids = traced_ids(pkts);
-        if !ids.is_empty() {
-            tracer.record_hop(kind, &ids, cycles::now());
-        }
-    }
-}
-
 /// Splits a packet list into `PacketBatch`es of at most `batch_size`.
 pub(crate) fn chunk_batches(pkts: Vec<Packet>, batch_size: usize) -> Vec<PacketBatch> {
     let mut out = Vec::with_capacity(pkts.len().div_ceil(batch_size.max(1)));
@@ -563,14 +528,11 @@ pub(crate) fn chunk_batches(pkts: Vec<Packet>, batch_size: usize) -> Vec<PacketB
     out
 }
 
-/// Ships retained transmit frames of every egress device into the egress
-/// ring as `(egress index, batch)` pairs.
-fn ship_egress(
-    tx: &mut Producer<(usize, PacketBatch)>,
-    router: &mut Router,
-    egress_ids: &[ElementId],
-    batch_size: usize,
-) {
+/// Ships the retained transmit frames of every egress device, in device
+/// order, into the lane's sink. An intermediate pipeline stage retains
+/// every device's frames (`pipeline_topology` forces it on): its transmit
+/// log is the inter-stage link.
+fn ship(sink: &mut Sink, router: &mut Router, egress_ids: &[ElementId], batch_size: usize) {
     for (idx, &id) in egress_ids.iter().enumerate() {
         let dev = router
             .element_mut(id)
@@ -584,34 +546,12 @@ fn ship_egress(
         if frames.is_empty() {
             continue;
         }
-        record_router_hop(router, TraceKind::RingSend, &frames);
+        router.trace_hop(TraceKind::RingSend, &frames);
         for batch in chunk_batches(frames, batch_size) {
-            push_blocking(tx, (idx, batch));
-        }
-    }
-}
-
-/// Forwards an intermediate pipeline stage's transmitted frames (all
-/// egress devices, in device order) into the next stage's ingress ring.
-fn forward_stage_frames(
-    tx: &mut Producer<PacketBatch>,
-    router: &mut Router,
-    egress_ids: &[ElementId],
-    batch_size: usize,
-) {
-    for &id in egress_ids {
-        let dev = router
-            .element_mut(id)
-            .as_any_mut()
-            .downcast_mut::<ToDevice>()
-            .expect("egress id is a ToDevice");
-        let frames = dev.take_tx_log();
-        if frames.is_empty() {
-            continue;
-        }
-        record_router_hop(router, TraceKind::RingSend, &frames);
-        for batch in chunk_batches(frames, batch_size) {
-            push_blocking(tx, batch);
+            match sink {
+                Sink::Merger(tx) => push_blocking(tx, (idx, batch)),
+                Sink::Next(tx) => push_blocking(tx, batch),
+            }
         }
     }
 }
@@ -663,7 +603,7 @@ impl Merger {
             if rx.pop_burst(self.burst, &mut buf) > 0 {
                 moved = true;
                 for (idx, batch) in buf.drain(..) {
-                    record_tracer_hop(tracer, TraceKind::RingRecv, batch.as_slice());
+                    trace_hop(tracer, TraceKind::RingRecv, batch.as_slice());
                     if self.detach {
                         self.egress[idx].extend(batch.into_iter().map(detach_frame));
                     } else {
@@ -743,9 +683,7 @@ pub(crate) fn run_scheduled(
         .iter()
         .filter_map(|r| r.router.event_ring())
         .collect();
-    let mut harvester = (interval_ticks > 0).then(|| Harvester::new(interval_rings.clone()));
-    let mut event_harvester =
-        (!event_rings.is_empty()).then(|| EventHarvester::new(event_rings.clone()));
+    let mut harvest = Harvest::new(interval_rings.clone(), event_rings.clone());
     // Hand the same rings to the embedded scrape endpoint (if one is
     // attached): its thread reads the seqlock rings concurrently with
     // our local harvest — readers keep private cursors, so neither
@@ -776,11 +714,6 @@ pub(crate) fn run_scheduled(
         }
     };
     debug_assert_eq!(lanes.len(), n, "{regime}: one lane per replica");
-    let worker = match regime {
-        Regime::Push => preloaded_worker,
-        Regime::Spsc | Regime::Pipeline => streaming_worker,
-        Regime::PullCredit => pull_worker,
-    };
     let burst = knobs.burst_batches();
     let (results, egress) = std::thread::scope(|scope| {
         let handles: Vec<_> = replicas
@@ -800,12 +733,7 @@ pub(crate) fn run_scheduled(
                 dispatcher = None; // Hang up the ingress rings: workers flush and exit.
             }
             let moved = merger.drain_once(&mut main_tracer);
-            if let Some(h) = harvester.as_mut() {
-                h.poll(true);
-            }
-            if let Some(h) = event_harvester.as_mut() {
-                h.poll();
-            }
+            harvest.poll(true);
             if pumped == Pump::Done && merger.finished() {
                 break;
             }
@@ -849,10 +777,9 @@ pub(crate) fn run_scheduled(
     }
     // Final harvest after join: workers flushed their partial buckets in
     // `worker_summary`, so the finished series accounts for every packet.
-    outcome.report.timeseries = harvester.map(|h| h.finish(interval_ticks));
-    outcome.report.events = event_harvester
-        .map(EventHarvester::finish)
-        .unwrap_or_default();
+    let (series, events) = harvest.finish(interval_ticks);
+    outcome.report.timeseries = (interval_ticks > 0).then_some(series);
+    outcome.report.events = events;
     outcome.report.elapsed = start.elapsed();
     Ok(outcome)
 }
@@ -942,11 +869,14 @@ fn streamed_star_wiring(
         let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(knobs.ring_depth);
         let (stx, srx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
         let gate = (credit_window > 0).then(|| Arc::new(CreditGate::new(credit_window)));
-        let mut lane = Lane::streaming(irx);
-        lane.egress = Some(etx);
-        lane.spent = Some(stx);
-        lane.credits = gate.clone();
-        lanes.push(lane);
+        lanes.push(Lane {
+            preload: Vec::new(),
+            rx: Some(irx),
+            sink: Sink::Merger(etx),
+            credits: gate.clone(),
+            trace_ring_recv: true,
+            spent: Some(stx),
+        });
         spent.push(srx);
         ingress.push((itx, gate.clone()));
         gates.extend(gate);
@@ -962,97 +892,46 @@ fn streamed_star_wiring(
     }
 }
 
-/// Preloaded worker body (push regime): inject the whole shard, run to
-/// idle once, ship egress, summarize.
-fn preloaded_worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
-    let Replica {
-        mut router,
-        ingress,
-        egress_ids,
-    } = replica;
-    let mut etx = lane.egress.expect("push lane ships to the merger");
-    let shard = PacketBatch::from_vec(lane.preload);
-    inject_batch(&mut router, ingress, shard, &mut None);
-    router.run_until_idle(u64::MAX);
-    ship_egress(&mut etx, &mut router, &egress_ids, knobs.batch_size);
-    worker_summary(&mut router, ingress, &egress_ids)
-    // `etx` drops here, closing the egress ring.
-}
-
-/// Streaming worker body (spsc and pipeline regimes): pop ingress bursts,
-/// inject, run to idle, emit frames to the merger and/or the next stage.
-fn streaming_worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
+/// The worker body every regime runs: admit, run the graph to idle (the
+/// sink's drain IS the step), ship what it transmitted, repeat until the
+/// ingress ring hangs up.
+///
+/// Admission is where a credit gate changes it. A gated lane is
+/// arena-aware: each cycle injects popped batches straight into the
+/// ingress while its arena has free slots — never more, so `FromDevice`
+/// cannot drop to `NoRxDescriptor` — and parks the overflow (credits
+/// already debited, so the credit window bounds it) in a local buffer
+/// that the next cycle admits first; the admitted packets' credits are
+/// released only after the graph has finished them. An ungated lane has
+/// nothing bounding what arrives, so it parks nothing: everything popped
+/// — or, on a push lane, the whole preload, which starts out parked — is
+/// injected at once and the ingress sheds what its arena cannot hold.
+fn worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
     let Replica {
         mut router,
         ingress,
         egress_ids,
     } = replica;
     let Lane {
-        rx,
-        mut egress,
-        mut next,
+        preload,
+        mut rx,
+        mut sink,
+        credits: gate,
         trace_ring_recv,
         mut spent,
-        ..
     } = lane;
-    let mut rx = rx.expect("streaming lane has an ingress ring");
     let burst = knobs.burst_batches();
     let mut buf: Vec<PacketBatch> = Vec::with_capacity(burst);
-    let mut cycle = |router: &mut Router| {
-        router.run_until_idle(u64::MAX);
-        if let Some(tx) = egress.as_mut() {
-            ship_egress(tx, router, &egress_ids, knobs.batch_size);
-        }
-        if let Some(tx) = next.as_mut() {
-            forward_stage_frames(tx, router, &egress_ids, knobs.batch_size);
-        }
-    };
+    let mut waiting = PacketBatch::from_vec(preload);
     loop {
         buf.clear();
-        if rx.pop_burst(burst, &mut buf) > 0 {
-            for batch in buf.drain(..) {
-                if trace_ring_recv {
-                    record_router_hop(&mut router, TraceKind::RingRecv, batch.as_slice());
-                }
-                inject_batch(&mut router, ingress, batch, &mut spent);
-            }
-            cycle(&mut router);
-        } else if rx.is_finished() {
-            break;
-        } else {
-            std::thread::yield_now();
-        }
-    }
-    cycle(&mut router);
-    worker_summary(&mut router, ingress, &egress_ids)
-    // `egress`/`next` drop here, hanging up on the merger / next stage.
-}
-
-/// Pull worker body: arena-aware admission plus credit release. Each
-/// cycle injects popped batches straight into the ingress while its
-/// arena has free slots — never more, so `FromDevice` cannot drop to
-/// `NoRxDescriptor` — and parks the overflow (credits already debited,
-/// so the credit window bounds it) in a local buffer that the next cycle
-/// admits first; it then runs the graph to idle (the sink's drain IS the
-/// step), ships egress, and only then releases the admitted packets'
-/// credits.
-fn pull_worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
-    let Replica {
-        mut router,
-        ingress,
-        egress_ids,
-    } = replica;
-    let mut rx = lane.rx.expect("pull lane has an ingress ring");
-    let mut etx = lane.egress.expect("pull lane ships to the merger");
-    let gate = lane.credits.expect("pull lane is credit-gated");
-    let mut spent = lane.spent;
-    let burst = knobs.burst_batches();
-    let mut buf: Vec<PacketBatch> = Vec::with_capacity(burst);
-    let mut waiting = PacketBatch::new();
-    loop {
-        buf.clear();
-        let popped = rx.pop_burst(burst, &mut buf) > 0;
-        let room = ingress_room(&router, ingress);
+        let popped = rx
+            .as_mut()
+            .is_some_and(|rx| rx.pop_burst(burst, &mut buf) > 0);
+        let room = match gate {
+            Some(_) => ingress_room(&router, ingress),
+            None => usize::MAX,
+        };
         let mut admit = room.min(waiting.len());
         if admit > 0 {
             let rest = waiting.split_off(admit);
@@ -1060,7 +939,9 @@ fn pull_worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
             inject_batch(&mut router, ingress, head, &mut spent);
         }
         for mut batch in buf.drain(..) {
-            record_router_hop(&mut router, TraceKind::RingRecv, batch.as_slice());
+            if trace_ring_recv {
+                router.trace_hop(TraceKind::RingRecv, batch.as_slice());
+            }
             // Nothing overtakes the parked: while any are, no room is left.
             let fits = (room - admit).min(batch.len());
             waiting.append(&mut batch.split_off(fits));
@@ -1068,14 +949,18 @@ fn pull_worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
             inject_batch(&mut router, ingress, batch, &mut spent);
         }
         if admit > 0 {
-            // The gate's stall count is dispatcher-side state; mirror the
-            // running total so interval buckets carry the stall deltas.
-            router.note_credit_stalls(gate.stalls());
+            if let Some(gate) = &gate {
+                // The gate's stall count is dispatcher-side state; mirror
+                // the running total so interval buckets carry the deltas.
+                router.note_credit_stalls(gate.stalls());
+            }
             router.run_until_idle(u64::MAX);
-            ship_egress(&mut etx, &mut router, &egress_ids, knobs.batch_size);
-            gate.release(admit as u64);
+            ship(&mut sink, &mut router, &egress_ids, knobs.batch_size);
+            if let Some(gate) = &gate {
+                gate.release(admit as u64);
+            }
         } else if !popped {
-            if waiting.is_empty() && rx.is_finished() {
+            if waiting.is_empty() && rx.as_mut().is_none_or(Consumer::is_finished) {
                 break;
             }
             // No input and no room (egress frames still pin slots until
@@ -1084,6 +969,7 @@ fn pull_worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
         }
     }
     worker_summary(&mut router, ingress, &egress_ids)
+    // The sink drops here, hanging up on the merger / next stage.
 }
 
 // ---------------------------------------------------------------------------
@@ -1100,8 +986,11 @@ fn preloaded_star_wiring(n: usize, packets: Vec<Packet>, knobs: &Knobs) -> Wirin
         let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(knobs.ring_depth);
         lanes.push(Lane {
             preload,
-            egress: Some(etx),
-            ..Lane::default()
+            rx: None,
+            sink: Sink::Merger(etx),
+            credits: None,
+            trace_ring_recv: false,
+            spent: None,
         });
         consumers.push(erx);
     }
@@ -1155,18 +1044,21 @@ fn pipeline_wiring(n: usize, packets: Vec<Packet>, knobs: &Knobs) -> Wiring {
     let mut stx = Some(stx);
     let mut lanes = Vec::with_capacity(n);
     for (i, rx) in rxs.into_iter().enumerate() {
-        let mut lane = Lane::streaming(rx);
-        // Only stage 0's batches are the dispatcher's to take back.
-        lane.spent = stx.take();
-        // Stage 0 reads the feeder's (untraced) input; later rings
-        // are real core hops.
-        lane.trace_ring_recv = i > 0;
-        if i + 1 < n {
-            lane.next = txs[i + 1].take();
-        } else {
-            lane.egress = etx.take();
-        }
-        lanes.push(lane);
+        let sink = match txs.get_mut(i + 1) {
+            Some(next) => Sink::Next(next.take().expect("each ring has one producer")),
+            None => Sink::Merger(etx.take().expect("one last stage")),
+        };
+        lanes.push(Lane {
+            preload: Vec::new(),
+            rx: Some(rx),
+            sink,
+            credits: None,
+            // Stage 0 reads the feeder's (untraced) input; later rings
+            // are real core hops.
+            trace_ring_recv: i > 0,
+            // Only stage 0's batches are the dispatcher's to take back.
+            spent: stx.take(),
+        });
     }
     // The dispatcher's one-lane case: stage 0's ring, ungated.
     let stage0 = vec![(txs[0].take().expect("stage 0 input ring"), None)];
@@ -1184,6 +1076,7 @@ fn pipeline_wiring(n: usize, packets: Vec<Packet>, knobs: &Knobs) -> Wiring {
 mod tests {
     use super::*;
     use rb_packet::builder::PacketSpec;
+    use rb_telemetry::DropCause;
 
     /// `n` distinct one-packet UDP flows, so a sequence identifies its
     /// packets and the Toeplitz hash spreads them over the lanes.
@@ -1427,6 +1320,86 @@ mod tests {
             rig.assert_lane_is_shard(0, &junk, 16);
             assert!(rig.got[1..].iter().all(Vec::is_empty));
         }
+    }
+
+    /// Runs the one [`worker`] over `lane_of(egress producer)` on a
+    /// forwarder whose ingress arena has four slots, with this thread
+    /// playing the merger (receiving a frame is what frees its slot).
+    /// Returns the worker's ledger and the frames that came out.
+    fn run_lane(lane_of: impl FnOnce(Producer<(usize, PacketBatch)>) -> Lane) -> (Ledger, usize) {
+        use rb_packet::PacketPool;
+        let mut g = Graph::new();
+        let mut dev = FromDevice::new(0, 32);
+        dev.set_pool(PacketPool::new(4, 2048));
+        let rx = g.add("rx", Box::new(dev)).unwrap();
+        let q = g
+            .add("q", Box::new(crate::elements::Queue::new(64)))
+            .unwrap();
+        let tx = g.add("tx", Box::new(ToDevice::new(32, true))).unwrap();
+        g.connect(rx, 0, q, 0).unwrap();
+        g.connect(q, 0, tx, 0).unwrap();
+        let knobs = Knobs::default();
+        let replica = make_replica(&g, &knobs, 0).unwrap();
+        let (etx, mut erx) = spsc::ring::<(usize, PacketBatch)>(8);
+        let lane = lane_of(etx);
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| worker(replica, lane, &knobs));
+            let mut frames = 0;
+            loop {
+                match erx.pop() {
+                    Some((idx, batch)) => {
+                        assert_eq!(idx, 0);
+                        frames += batch.len();
+                    }
+                    None if erx.is_finished() => break,
+                    None => std::thread::yield_now(),
+                }
+            }
+            (handle.join().expect("worker").ledger, frames)
+        })
+    }
+
+    /// Twelve frames as one ring batch, the producer hung up behind it.
+    fn one_batch_ring(pkts: Vec<Packet>) -> Consumer<PacketBatch> {
+        let (mut tx, rx) = spsc::ring::<PacketBatch>(2);
+        assert!(tx.push(PacketBatch::from_vec(pkts)).is_ok(), "room");
+        rx
+    }
+
+    #[test]
+    fn one_worker_body_parks_under_a_gate_what_it_sheds_without_one() {
+        let lane = |preload, rx, credits, sink| Lane {
+            preload,
+            rx,
+            sink,
+            credits,
+            trace_ring_recv: true,
+            spent: None,
+        };
+        // Push: the whole shard is injected at once; four slots, four in.
+        let (led, frames) = run_lane(|etx| lane(flows(12), None, None, Sink::Merger(etx)));
+        assert_eq!((led.sourced, led.forwarded, frames), (12, 4, 4));
+        assert_eq!(led.dropped(DropCause::NoRxDescriptor), 8);
+        assert!(led.balances(), "{led:?}");
+        // Spsc: the same twelve off a ring, no gate: the same eight shed.
+        let (led, frames) = run_lane(|etx| {
+            let rx = one_batch_ring(flows(12));
+            lane(Vec::new(), Some(rx), None, Sink::Merger(etx))
+        });
+        assert_eq!((led.sourced, led.forwarded, frames), (12, 4, 4));
+        assert_eq!(led.dropped(DropCause::NoRxDescriptor), 8);
+        // Pull: a gate, its twelve credits debited as the dispatcher
+        // would: the eight that do not fit wait their turn, none is shed,
+        // and every credit comes back.
+        let gate = Arc::new(CreditGate::new(12));
+        assert!(gate.try_acquire(12));
+        let (led, frames) = run_lane(|etx| {
+            let rx = one_batch_ring(flows(12));
+            lane(Vec::new(), Some(rx), Some(gate.clone()), Sink::Merger(etx))
+        });
+        assert_eq!((led.sourced, led.forwarded, frames), (12, 12, 12));
+        assert_eq!(led.dropped_total(), 0, "{led:?}");
+        assert_eq!(gate.available.load(Ordering::Acquire), 12);
     }
 
     #[test]

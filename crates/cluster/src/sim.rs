@@ -91,7 +91,7 @@ pub struct ReorderResult {
 pub struct ClusterRunTrace {
     /// Cluster-hop spans of sampled packets. Timestamps and durations
     /// are **nanoseconds** (the simulator's clock), so export with
-    /// `to_chrome_json(1000.0)`; `node` is the hop's destination server.
+    /// `to_chrome_json(1000.0, None)`; `node` is the hop's destination server.
     pub trace: TraceLog,
     /// Packets each inter-node link carried, indexed by the link's
     /// destination node (index 1 is the direct ingress→egress link).
@@ -439,7 +439,7 @@ mod tests {
             assert!(*peak <= tr.link_packets[link], "epoch peak ≤ total");
         }
         // Nanosecond clock → microseconds at 1000 ticks/µs.
-        let v = rb_telemetry::json::parse(&tr.trace.to_chrome_json(1000.0))
+        let v = rb_telemetry::json::parse(&tr.trace.to_chrome_json(1000.0, None))
             .expect("cluster chrome JSON parses");
         assert!(v.get("traceEvents").is_some());
     }

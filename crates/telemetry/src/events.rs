@@ -8,16 +8,16 @@
 //! rings a harvester merges into one time-ordered journal, exported as
 //! JSON lines and injected into the Chrome trace as instant events.
 //!
-//! The concurrency contract mirrors [`crate::timeseries::IntervalRing`]:
-//! one writer per ring (the owning core), any number of readers, a
-//! seqlock version word per slot so a torn copy is a retry rather than
-//! undefined behaviour, and a bounded capacity so a lagging reader
-//! loses overwritten history instead of the dataplane ever waiting.
-//! Overwritten (lapped) events are **counted** by the harvesting side
-//! and exported — observability drops are themselves observable.
+//! The concurrency contract is [`SeqRing`]'s, shared with the interval
+//! series: one writer per ring (the owning core), any number of readers,
+//! a torn copy is a retry rather than undefined behaviour, and a bounded
+//! capacity so a lagging reader loses overwritten history instead of the
+//! dataplane ever waiting. Lost events are **counted** by the harvesting
+//! side and exported — observability drops are themselves observable.
 
-use crate::json::esc;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use crate::json;
+use crate::seqring::{Record, SeqRing};
+use crate::timeseries::{Harvester, IntervalRing, TimeSeries};
 use std::sync::Arc;
 
 /// Default event-ring capacity: events are rare (episode edges, not
@@ -98,12 +98,6 @@ impl EventKind {
             .position(|k| *k == self)
             .expect("kind present in ALL")
     }
-
-    /// Inverse of [`EventKind::index`] for ring decoding; out-of-range
-    /// codes (a torn read the seqlock will reject anyway) map to `None`.
-    fn from_code(code: u64) -> Option<EventKind> {
-        Self::ALL.get(code as usize).copied()
-    }
 }
 
 /// Packs an SLO burn-state transition into an event `arg`:
@@ -137,147 +131,41 @@ pub struct Event {
 impl Event {
     /// One JSON object on one line (the `/events.json` line format).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"tick\": {}, \"core\": {}, \"kind\": \"{}\", \"arg\": {}}}",
-            self.tick,
-            self.core,
-            esc(self.kind.as_str()),
-            self.arg
-        )
-    }
-}
-
-/// Word offsets of a flattened event inside a slot.
-const W_SEQ: usize = 0;
-const W_TICK: usize = 1;
-const W_KIND: usize = 2;
-const W_ARG: usize = 3;
-const SLOT_WORDS: usize = 4;
-
-/// One seqlock-protected event slot.
-struct Slot {
-    /// Even = stable, odd = writer mid-publish.
-    version: AtomicU64,
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            version: AtomicU64::new(0),
-            words: [0u64; SLOT_WORDS].map(AtomicU64::new),
-        }
+        json::object(|w| {
+            w.key("tick").int(self.tick);
+            w.key("core").int(self.core as u64);
+            w.key("kind").str(self.kind.as_str());
+            w.key("arg").int(self.arg);
+        })
     }
 }
 
 /// A single-writer, multi-reader ring of journaled events.
-pub struct EventRing {
-    core: usize,
-    cap: usize,
-    /// Events published so far (== next seq to publish).
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-}
+pub type EventRing = SeqRing<Event>;
 
-impl std::fmt::Debug for EventRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventRing")
-            .field("core", &self.core)
-            .field("cap", &self.cap)
-            .field("head", &self.head.load(Ordering::Relaxed))
-            .finish()
+impl Record for Event {
+    type Shape = ();
+
+    fn width(_: &()) -> usize {
+        3
     }
-}
 
-impl EventRing {
-    /// Creates a ring of `cap` slots for `core`.
-    pub fn new(core: usize, cap: usize) -> EventRing {
-        let cap = cap.max(2);
-        EventRing {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn encode(&self, _: &()) -> impl Iterator<Item = u64> {
+        [self.tick, self.kind.index() as u64, self.arg].into_iter()
+    }
+
+    fn decode(seq: u64, core: usize, w: &[u64]) -> Option<Event> {
+        Some(Event {
+            seq,
             core,
-            cap,
-            head: AtomicU64::new(0),
-            slots: (0..cap).map(|_| Slot::new()).collect(),
-        }
-    }
-
-    /// The owning core id.
-    pub fn core(&self) -> usize {
-        self.core
-    }
-
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Events published so far.
-    pub fn published(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Publishes an event. Single-writer, wait-free (same seqlock
-    /// protocol as `IntervalRing::publish`).
-    pub fn publish(&self, e: &Event) {
-        let slot = &self.slots[(e.seq % self.cap as u64) as usize];
-        let v = slot.version.load(Ordering::Relaxed);
-        slot.version.store(v.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.words[W_SEQ].store(e.seq, Ordering::Relaxed);
-        slot.words[W_TICK].store(e.tick, Ordering::Relaxed);
-        slot.words[W_KIND].store(e.kind.index() as u64, Ordering::Relaxed);
-        slot.words[W_ARG].store(e.arg, Ordering::Relaxed);
-        slot.version.store(v.wrapping_add(2), Ordering::Release);
-        self.head.store(e.seq + 1, Ordering::Release);
-    }
-
-    /// Copies event `seq` out of the ring, or `None` when it was never
-    /// published, already overwritten, or persistently mid-overwrite.
-    pub fn read(&self, seq: u64) -> Option<Event> {
-        let slot = &self.slots[(seq % self.cap as u64) as usize];
-        for _ in 0..64 {
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let got_seq = slot.words[W_SEQ].load(Ordering::Relaxed);
-            let tick = slot.words[W_TICK].load(Ordering::Relaxed);
-            let kind = slot.words[W_KIND].load(Ordering::Relaxed);
-            let arg = slot.words[W_ARG].load(Ordering::Relaxed);
-            fence(Ordering::Acquire);
-            let v2 = slot.version.load(Ordering::Relaxed);
-            if v1 == v2 {
-                if got_seq != seq {
-                    return None; // Lapped: the slot holds a later event.
-                }
-                return EventKind::from_code(kind).map(|kind| Event {
-                    seq,
-                    core: self.core,
-                    tick,
-                    kind,
-                    arg,
-                });
-            }
-        }
-        None
-    }
-
-    /// Copies every still-available event with `seq >= from`, oldest
-    /// first. Returns `(next_unread, overflowed, events)`, where
-    /// `overflowed` counts events the reader lost to overwrite since
-    /// `from` — journal drops are themselves journaled.
-    pub fn harvest(&self, from: u64) -> (u64, u64, Vec<Event>) {
-        let head = self.published();
-        let lo = from.max(head.saturating_sub(self.cap as u64));
-        let overflowed = lo.saturating_sub(from);
-        let mut out = Vec::with_capacity((head - lo) as usize);
-        for seq in lo..head {
-            if let Some(e) = self.read(seq) {
-                out.push(e);
-            }
-        }
-        (head, overflowed, out)
+            tick: w[0],
+            kind: EventKind::ALL.get(w[1] as usize).copied()?,
+            arg: w[2],
+        })
     }
 }
 
@@ -369,17 +257,6 @@ impl EventHarvester {
         self.events.push(e);
     }
 
-    /// Final poll plus conversion into an owned, time-sorted journal.
-    pub fn finish(mut self) -> EventLog {
-        self.poll();
-        let mut log = EventLog {
-            events: self.events,
-            overflow: self.overflow,
-        };
-        log.sort();
-        log
-    }
-
     /// Time-sorted copy of everything harvested so far (live view).
     pub fn log(&self) -> EventLog {
         let mut log = EventLog {
@@ -388,6 +265,48 @@ impl EventHarvester {
         };
         log.sort();
         log
+    }
+
+    /// Final poll plus conversion into an owned, time-sorted journal.
+    pub fn finish(mut self) -> EventLog {
+        self.poll();
+        self.log()
+    }
+}
+
+/// One run's interval and event readers as a pair: whoever observes a run
+/// — the single-threaded router reading itself, the MT harness's
+/// dispatcher thread, the monitor behind `/metrics` — polls both at one
+/// cadence and finishes both after the writers stop.
+#[derive(Debug, Default)]
+pub struct Harvest {
+    /// The interval side.
+    pub intervals: Harvester,
+    /// The journal side.
+    pub events: EventHarvester,
+}
+
+impl Harvest {
+    /// A harvest over one run's rings (one of each per core).
+    pub fn new(intervals: Vec<Arc<IntervalRing>>, events: Vec<Arc<EventRing>>) -> Harvest {
+        Harvest {
+            intervals: Harvester::new(intervals),
+            events: EventHarvester::new(events),
+        }
+    }
+
+    /// Reads what both sets of rings published since the last poll.
+    /// `live` marks buckets read while the writers were still running.
+    pub fn poll(&mut self, live: bool) {
+        self.intervals.poll(live);
+        self.events.poll();
+    }
+
+    /// One last poll — the writers have stopped and flushed — then the
+    /// series (at the run's nominal `interval_ticks`) and the journal.
+    pub fn finish(mut self, interval_ticks: u64) -> (TimeSeries, EventLog) {
+        self.poll(false);
+        (self.intervals.timeseries(interval_ticks), self.events.log())
     }
 }
 
@@ -444,12 +363,11 @@ impl EventLog {
     /// JSON-lines export: one object per line, first line a header
     /// carrying the overflow count (the `/events.json` body).
     pub fn to_json_lines(&self) -> String {
-        let mut out = String::with_capacity(64 + 80 * self.events.len());
-        out.push_str(&format!(
-            "{{\"events\": {}, \"overflow\": {}}}\n",
-            self.events.len(),
-            self.overflow
-        ));
+        let mut out = json::object(|w| {
+            w.key("events").int(self.events.len() as u64);
+            w.key("overflow").int(self.overflow);
+        });
+        out.push('\n');
         for e in &self.events {
             out.push_str(&e.to_json());
             out.push('\n');
@@ -537,55 +455,5 @@ mod tests {
             let v = crate::json::parse(line).expect("every line parses");
             assert!(v.get("kind").is_some() || v.get("events").is_some());
         }
-    }
-
-    #[test]
-    fn concurrent_harvest_during_publish_never_tears() {
-        // Same stress shape as the interval-ring test: writer laps a
-        // tiny ring while a reader harvests; every decoded event must be
-        // internally consistent (arg mirrors seq, tick mirrors 2*seq).
-        let ring = Arc::new(EventRing::new(0, 4));
-        let writer_ring = Arc::clone(&ring);
-        let stop = Arc::new(AtomicU64::new(0));
-        let stop_w = Arc::clone(&stop);
-        let writer = std::thread::spawn(move || {
-            let mut seq = 0u64;
-            while stop_w.load(Ordering::Relaxed) == 0 {
-                writer_ring.publish(&Event {
-                    seq,
-                    core: 0,
-                    tick: seq * 2,
-                    kind: EventKind::ALL[(seq % EventKind::COUNT as u64) as usize],
-                    arg: seq,
-                });
-                seq += 1;
-            }
-            seq
-        });
-        let mut cursor = 0u64;
-        let mut seen = 0u64;
-        for _ in 0..20_000 {
-            let (next, _, got) = ring.harvest(cursor);
-            cursor = next;
-            if got.is_empty() {
-                // See the interval-ring twin: on a single-CPU host the
-                // writer may not be scheduled until the reader yields.
-                std::thread::yield_now();
-            }
-            for e in got {
-                assert_eq!(e.arg, e.seq, "torn event: {e:?}");
-                assert_eq!(e.tick, e.seq * 2, "torn event: {e:?}");
-                assert_eq!(
-                    e.kind,
-                    EventKind::ALL[(e.seq % EventKind::COUNT as u64) as usize],
-                    "torn event: {e:?}"
-                );
-                seen += 1;
-            }
-        }
-        stop.store(1, Ordering::Relaxed);
-        let produced = writer.join().expect("writer thread");
-        assert!(seen > 0, "reader harvested nothing in 20k polls");
-        assert!(produced > 0);
     }
 }

@@ -19,17 +19,16 @@
 //! grades the merged series after every poll and journals a
 //! [`EventKind::SloTransition`] whenever the verdict changes.
 
-use crate::cycles;
-use crate::events::{encode_slo_transition, Event, EventHarvester, EventKind, EventLog, EventRing};
-use crate::prometheus;
+use crate::events::{encode_slo_transition, Event, EventKind, EventLog, EventRing, Harvest};
 use crate::slo::{SloReport, SloSpec, SloState};
-use crate::timeseries::{Harvester, IntervalRing, TimeSeries};
+use crate::timeseries::{IntervalRing, TimeSeries};
+use crate::{cycles, json, prometheus};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything the monitor needs to observe one run: the shared rings
 /// plus the run's clock and objective configuration.
@@ -51,8 +50,8 @@ pub struct MonitorSource {
 /// touches this — workers publish into rings; only the monitor thread
 /// and scrape handlers lock it.
 struct State {
-    harvester: Option<Harvester>,
-    events: Option<EventHarvester>,
+    /// The currently attached run's rings.
+    live: Option<Harvest>,
     /// Folded series of every previously attached (finished) run.
     history: TimeSeries,
     /// Folded journal of previous runs plus monitor-authored events.
@@ -69,31 +68,23 @@ struct State {
 }
 
 impl State {
-    /// Polls the live harvesters and returns the full merged series:
-    /// history plus the currently-attached run, seqs continuous.
-    fn snapshot_series(&mut self) -> TimeSeries {
+    /// Polls the live rings and returns the full merged series: history
+    /// plus the currently-attached run, seqs continuous.
+    fn series(&mut self) -> TimeSeries {
         let mut out = self.history.clone();
-        if let Some(h) = self.harvester.as_mut() {
-            h.poll(true);
-            let live = TimeSeries {
-                interval_ticks: self.interval_ticks,
-                live_harvested: 0,
-                stage_names: h.stage_labels(),
-                intervals: h.series(),
-            };
-            out.extend(&live);
+        if let Some(live) = self.live.as_mut() {
+            live.poll(true);
+            out.extend(&live.intervals.timeseries(self.interval_ticks));
         }
         out
     }
 
-    /// Polls the live event rings and returns the full merged journal.
-    fn snapshot_events(&mut self) -> EventLog {
+    /// Polls the live rings and returns the full merged journal.
+    fn events(&mut self) -> EventLog {
         let mut out = self.event_history.clone();
-        if let Some(h) = self.events.as_mut() {
-            h.poll();
-            out.merge(&h.log());
-        } else {
-            out.sort();
+        if let Some(live) = self.live.as_mut() {
+            live.poll(true);
+            out.merge(&live.events.log());
         }
         out
     }
@@ -104,7 +95,7 @@ impl State {
         let Some(spec) = self.slo else {
             return (SloState::Ok, None);
         };
-        let series = self.snapshot_series();
+        let series = self.series();
         let report = SloReport::evaluate(&spec, &series.intervals, self.ticks_per_sec);
         let state = report.state;
         if state != self.last_state {
@@ -129,16 +120,12 @@ impl State {
     /// Folds the currently attached run into history and installs the
     /// new source.
     fn attach(&mut self, source: MonitorSource) {
-        if let Some(h) = self.harvester.take() {
-            let finished = h.finish(self.interval_ticks);
-            self.history.extend(&finished);
-        }
-        if let Some(h) = self.events.take() {
-            self.event_history.merge(&h.finish());
+        if let Some(finished) = self.live.take() {
+            let (series, events) = finished.finish(self.interval_ticks);
+            self.history.extend(&series);
+            self.event_history.merge(&events);
         }
         self.monitor_core = self.monitor_core.max(source.interval_rings.len());
-        self.harvester = Some(Harvester::new(source.interval_rings));
-        self.events = Some(EventHarvester::new(source.event_rings));
         if source.interval_ticks > 0 {
             self.interval_ticks = source.interval_ticks;
         }
@@ -148,6 +135,7 @@ impl State {
         if source.slo.is_some() {
             self.slo = source.slo;
         }
+        self.live = Some(Harvest::new(source.interval_rings, source.event_rings));
     }
 }
 
@@ -182,8 +170,7 @@ impl MetricsServer {
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             state: Mutex::new(State {
-                harvester: None,
-                events: None,
+                live: None,
                 history: TimeSeries::default(),
                 event_history: EventLog::default(),
                 interval_ticks: 0,
@@ -257,11 +244,17 @@ fn serve_loop(shared: &Shared, listener: &TcpListener) {
     }
 }
 
+/// How long a client has to deliver its request, from accept to the
+/// blank line. The monitor thread serves one connection at a time and is
+/// also the thread that grades the SLO and harvests rings that lap in
+/// [`crate::DEFAULT_RING_CAP`] intervals, so the bound is on the whole
+/// request: a per-read timeout would restart with every dribbled byte.
+const REQUEST_DEADLINE: Duration = Duration::from_millis(250);
+
 /// Reads one request, routes it, writes one response, closes.
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(1000)));
-    let Some(path) = read_request_path(&mut stream) else {
+    let Some(path) = read_request_path(&mut stream, Instant::now() + REQUEST_DEADLINE) else {
         let _ = write_response(&mut stream, 400, "text/plain", "bad request\n");
         return;
     };
@@ -270,10 +263,17 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
 }
 
 /// Parses the request line out of an HTTP/1.x request, draining headers.
-fn read_request_path(stream: &mut TcpStream) -> Option<String> {
+/// `None` — a 400 — for anything but a `GET` that arrived in full by
+/// `deadline`.
+fn read_request_path(stream: &mut TcpStream, deadline: Instant) -> Option<String> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        // Each read may take what is left of the one deadline, no more.
+        let left = deadline.checked_duration_since(Instant::now())?;
+        stream
+            .set_read_timeout(Some(left.max(Duration::from_millis(1))))
+            .ok()?;
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
@@ -282,7 +282,7 @@ fn read_request_path(stream: &mut TcpStream) -> Option<String> {
                     break;
                 }
             }
-            Err(_) => break,
+            Err(_) => return None,
         }
     }
     let text = String::from_utf8_lossy(&buf);
@@ -302,14 +302,9 @@ fn route(shared: &Shared, path: &str) -> (u16, &'static str, String) {
     match path {
         "/metrics" => {
             let (_, report) = state.grade();
-            let series = state.snapshot_series();
-            let events = state.snapshot_events();
-            let text = prometheus::render_with_events(
-                &series,
-                report.as_ref(),
-                state.ticks_per_sec,
-                Some(&events),
-            );
+            let (series, events) = (state.series(), state.events());
+            let text =
+                prometheus::render(&series, report.as_ref(), state.ticks_per_sec, Some(&events));
             (200, "text/plain; version=0.0.4", text)
         }
         "/healthz" => {
@@ -319,22 +314,21 @@ fn route(shared: &Shared, path: &str) -> (u16, &'static str, String) {
             } else {
                 200
             };
-            let slo_json = report
-                .as_ref()
-                .map_or("null".to_string(), SloReport::to_json);
-            let body = format!(
-                "{{\"state\": \"{}\", \"slo\": {slo_json}}}\n",
-                verdict.as_str()
-            );
+            let slo = report.map_or("null".to_string(), |r| r.to_json());
+            let mut body = json::object(|w| {
+                w.key("state").str(verdict.as_str());
+                w.key("slo").raw(&slo);
+            });
+            body.push('\n');
             (status, "application/json", body)
         }
         "/timeseries.json" => {
-            let series = state.snapshot_series();
+            let series = state.series();
             (200, "application/json", series.to_json(state.ticks_per_sec))
         }
         "/events.json" => {
             state.grade();
-            let events = state.snapshot_events();
+            let events = state.events();
             (200, "application/x-ndjson", events.to_json_lines())
         }
         _ => (404, "text/plain", "not found\n".to_string()),
@@ -466,6 +460,84 @@ mod tests {
 
         let (status, _) = http_get(addr, "/nonsense").expect("404 route");
         assert_eq!(status, 404);
+    }
+
+    /// The request deadline is on the whole request. With a per-read
+    /// timeout a client sending a byte every 150 ms never timed out, and
+    /// held the one monitor thread — scrapes, SLO grading and ring
+    /// harvesting with it — for as long as it liked.
+    #[test]
+    fn a_dribbling_client_cannot_hold_the_monitor() {
+        let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
+        let addr = server.local_addr();
+        let mut slow = TcpStream::connect(addr).expect("connect");
+        slow.write_all(b"G").expect("first byte");
+        let started = Instant::now();
+        // The dribbler connected first, so the accept queue hands it to
+        // the monitor first: the scrape below waits behind it.
+        let scraper = thread::spawn(move || {
+            let t = Instant::now();
+            let answer = http_get(addr, "/healthz");
+            (answer, t.elapsed())
+        });
+        // A byte whenever 150 ms pass without an answer: each one used to
+        // restart the 200 ms read timeout, so the request below, never
+        // finished, held the thread for three seconds.
+        slow.set_read_timeout(Some(Duration::from_millis(150)))
+            .unwrap();
+        let mut dribble = b"ET /healthz HTTP/1.1".iter();
+        let (mut response, mut chunk) = (Vec::new(), [0u8; 256]);
+        loop {
+            match slow.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => response.extend_from_slice(&chunk[..n]),
+                Err(_) => match dribble.next() {
+                    Some(byte) => slow.write_all(&[*byte]).expect("server still reading"),
+                    None => break,
+                },
+            }
+        }
+        let response = String::from_utf8_lossy(&response);
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response:?}");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the dribbler itself was cut off at the deadline"
+        );
+        let (answer, waited) = scraper.join().expect("scraper");
+        let (status, body) = answer.expect("second client is answered");
+        assert_eq!(status, 200);
+        json::parse(&body).expect("healthz is JSON");
+        assert!(
+            waited < Duration::from_secs(1),
+            "scrape waited {waited:?} behind a client that never finished"
+        );
+    }
+
+    /// `SloSpec`'s fields are public, so a spec need not have come through
+    /// `parse`: whatever it holds, `/healthz` answers with JSON.
+    #[test]
+    fn healthz_is_json_whatever_the_spec_holds() {
+        let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
+        let rec = IntervalRecorder::with_capacity(0, 10, 0, 8);
+        server.attach(MonitorSource {
+            interval_rings: vec![rec.ring()],
+            event_rings: vec![],
+            interval_ticks: 10,
+            ticks_per_sec: 1e9,
+            slo: Some(SloSpec {
+                p99_latency_us: Some(f64::INFINITY),
+                min_pps: Some(f64::NAN),
+                ..SloSpec::default()
+            }),
+        });
+        let (status, body) = http_get(server.local_addr(), "/healthz").expect("healthz");
+        assert_eq!(status, 200);
+        let v = json::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+        let objectives = v.get("slo").and_then(|s| s.get("objectives"));
+        assert_eq!(
+            objectives.and_then(json::Value::as_array).map(<[_]>::len),
+            Some(2)
+        );
     }
 
     #[test]

@@ -1,9 +1,17 @@
-//! Dependency-free JSON: emit helpers plus a minimal parser.
+//! Dependency-free JSON: one writer, one minimal parser.
 //!
-//! The workspace is offline and carries no serde; report types hand-roll
-//! their JSON with [`esc`]/[`num`], and the CI smoke test round-trips the
-//! output through [`parse`] to prove the hand-rolled writer emits valid
-//! JSON with the fields the schema promises.
+//! The workspace is offline and carries no serde. Every exporter in the
+//! tree — `RunStats`, `MtReport`, `Ledger`, `MetricsSnapshot`,
+//! `TimeSeries`, `SloReport`, the event journal and the Chrome trace —
+//! emits through [`Writer`], which owns the three things a hand-formatted
+//! document gets wrong: separators, key and string escaping, and floats
+//! (JSON has no NaN or Infinity; [`num`] prints both as `0`). [`parse`]
+//! reads any of those documents back; tests and smoke bins round-trip
+//! through it, and it faces untrusted bytes (`rb_top` parses what a
+//! socket sent), so it bounds nesting depth instead of trusting the
+//! stack.
+
+use std::fmt::Write as _;
 
 /// Escapes `s` for use inside a JSON string literal (quotes not included).
 pub fn esc(s: &str) -> String {
@@ -22,14 +30,95 @@ pub fn esc(s: &str) -> String {
     out
 }
 
-/// Formats a float as a JSON number (JSON has no NaN/Infinity; both
-/// collapse to 0).
-pub fn num(v: f64) -> String {
+/// Formats a float as a JSON number with `decimals` fractional digits
+/// (JSON has no NaN/Infinity; both collapse to 0).
+pub fn num(v: f64, decimals: usize) -> String {
     if v.is_finite() {
-        format!("{v:.3}")
+        format!("{v:.decimals$}")
     } else {
         "0".to_string()
     }
+}
+
+/// Streaming JSON writer, started by [`object`]: values are appended in
+/// document order and the writer places the separators. [`Writer::obj`]
+/// and [`Writer::arr`] take the body as a closure, so brackets balance by
+/// construction; inside an object every value follows a [`Writer::key`].
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// The next value at this nesting level needs a `, ` before it.
+    comma: bool,
+}
+
+impl Writer {
+    fn value(&mut self, text: std::fmt::Arguments<'_>) -> &mut Writer {
+        if self.comma {
+            self.out.push_str(", ");
+        }
+        self.comma = true;
+        self.out.write_fmt(text).expect("writing to a String");
+        self
+    }
+
+    fn nested(&mut self, open: char, close: char, body: impl FnOnce(&mut Writer)) -> &mut Writer {
+        self.value(format_args!("{open}"));
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+        self
+    }
+
+    /// An object member's name; the member's value comes next.
+    pub fn key(&mut self, name: &str) -> &mut Writer {
+        self.value(format_args!("\"{}\": ", esc(name)));
+        self.comma = false;
+        self
+    }
+
+    /// `{ … }`: `body` writes the members, each a `key` and a value.
+    pub fn obj(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Writer {
+        self.nested('{', '}', body)
+    }
+
+    /// `[ … ]`: `body` writes the items.
+    pub fn arr(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Writer {
+        self.nested('[', ']', body)
+    }
+
+    /// An integer (`usize` callers widen with `as u64`).
+    pub fn int(&mut self, v: impl Into<i128>) -> &mut Writer {
+        self.value(format_args!("{}", v.into()))
+    }
+
+    /// A float printed with `decimals` fractional digits (see [`num`]).
+    pub fn float(&mut self, v: f64, decimals: usize) -> &mut Writer {
+        self.value(format_args!("{}", num(v, decimals)))
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Writer {
+        self.value(format_args!("\"{}\"", esc(s)))
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Writer {
+        self.value(format_args!("{b}"))
+    }
+
+    /// A value that is already JSON text: `null`, or a document another
+    /// exporter produced with this writer.
+    pub fn raw(&mut self, json: &str) -> &mut Writer {
+        self.value(format_args!("{json}"))
+    }
+}
+
+/// One object as a document: `body` writes its members.
+pub fn object(body: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::default();
+    w.obj(body);
+    w.out
 }
 
 /// A parsed JSON value.
@@ -83,16 +172,21 @@ impl Value {
     }
 }
 
+/// Arrays and objects may nest this deep; every document in the tree
+/// needs five levels. The parser recurses once per level, so without a
+/// bound a few megabytes of `[` from a socket would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a message with a byte offset on malformed input or trailing
-/// garbage.
+/// Returns a message with a byte offset on malformed input, trailing
+/// garbage, or nesting deeper than 128 levels.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -115,11 +209,14 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting too deep at byte {}", *pos))
+        }
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -199,7 +296,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -208,7 +305,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -221,7 +318,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -234,7 +331,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         members.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -282,10 +379,48 @@ mod tests {
         assert!(parse("\"open").is_err());
     }
 
+    /// Before the depth bound this input did not fail the test, it killed
+    /// the test process: `parse_value` recursed once per `[` and the
+    /// thread's stack overflowed (SIGABRT, "has overflowed its stack").
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(2_000_000)).unwrap_err();
+        assert_eq!(err, "nesting too deep at byte 128");
+        let err = parse(&"{\"k\": ".repeat(200)).unwrap_err();
+        assert!(err.starts_with("nesting too deep at byte "), "{err}");
+        // The bound is on depth, not on size: 128 levels parse, and so
+        // does any number of siblings.
+        let deep = format!("{}{}", "[".repeat(128), "]".repeat(128));
+        assert!(parse(&deep).is_ok());
+        assert!(parse(&format!("{}1{}", "[".repeat(129), "]".repeat(129))).is_err());
+        let wide = format!("[{}[]]", "[], ".repeat(10_000));
+        assert_eq!(parse(&wide).unwrap().as_array().unwrap().len(), 10_001);
+    }
+
+    #[test]
+    fn writer_places_separators_and_escapes_keys() {
+        let text = object(|w| {
+            w.key("a\"b").int(-3);
+            w.key("list").arr(|w| {
+                w.int(1u64).float(f64::NAN, 2).str("x\ny").bool(true);
+                w.obj(|_| {}).arr(|_| {});
+            });
+            w.key("f").float(2.0 / 3.0, 4).key("n").raw("null");
+        });
+        assert_eq!(
+            text,
+            r#"{"a\"b": -3, "list": [1, 0, "x\ny", true, {}, []], "f": 0.6667, "n": null}"#
+        );
+        let v = parse(&text).unwrap();
+        assert_eq!(v.get("a\"b").and_then(Value::as_f64), Some(-3.0));
+        assert_eq!(v.get("n"), Some(&Value::Null));
+    }
+
     #[test]
     fn num_is_json_safe() {
-        assert_eq!(num(f64::NAN), "0");
-        assert_eq!(num(f64::INFINITY), "0");
-        assert_eq!(num(1.5), "1.500");
+        assert_eq!(num(f64::NAN, 3), "0");
+        assert_eq!(num(f64::INFINITY, 6), "0");
+        assert_eq!(num(1.5, 3), "1.500");
+        assert_eq!(num(2.5e9, 0), "2500000000");
     }
 }

@@ -19,7 +19,7 @@
 //! scattered drop counters (`dropped_default`, `pool_exhausted`, element
 //! `dropped`) unify behind.
 
-use crate::json::esc;
+use crate::json;
 
 /// Why a packet left the dataplane without being forwarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -164,33 +164,29 @@ impl Ledger {
             .collect()
     }
 
-    /// Hand-rolled JSON object (see `rb_telemetry::json`): totals, a
-    /// per-cause `drops` map, the residual and the balance verdict.
+    /// JSON object: totals, a per-cause `drops` map, the residual and the
+    /// balance verdict.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"sourced\": {}, \"forwarded\": {}, \"in_flight\": {}, \"drops\": {{",
-            self.sourced, self.forwarded, self.in_flight
-        ));
-        let mut first = true;
-        for cause in DropCause::ALL {
-            let n = self.dropped(cause);
-            if n == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{}\": {n}", esc(cause.as_str())));
+        json::object(|w| {
+            w.key("sourced").int(self.sourced);
+            w.key("forwarded").int(self.forwarded);
+            w.key("in_flight").int(self.in_flight);
+            w.key("drops").obj(|w| write_drops(w, &self.dropped));
+            w.key("dropped_total").int(self.dropped_total());
+            w.key("residual").int(self.residual());
+            w.key("balanced").bool(self.balances());
+        })
+    }
+}
+
+/// The members of a `drops` object: one per cause with a nonzero count,
+/// in [`DropCause::ALL`] order — the one spelling the ledger and the
+/// interval series share.
+pub(crate) fn write_drops(w: &mut json::Writer, drops: &[u64; DropCause::COUNT]) {
+    for (cause, &n) in DropCause::ALL.iter().zip(drops) {
+        if n > 0 {
+            w.key(cause.as_str()).int(n);
         }
-        out.push_str(&format!(
-            "}}, \"dropped_total\": {}, \"residual\": {}, \"balanced\": {}}}",
-            self.dropped_total(),
-            self.residual(),
-            self.balances()
-        ));
-        out
     }
 }
 

@@ -16,8 +16,10 @@
 //!   [`MetricsSnapshot`] only at drain points (end of run, worker join);
 //! * [`MetricsSnapshot`] — the mergeable, exportable result: per-element
 //!   calls/packets/cycles plus run-level totals, with
-//!   [`MetricsSnapshot::to_json`] for machine consumers and a tiny
-//!   dependency-free [`json`] validator for smoke tests;
+//!   [`MetricsSnapshot::to_json`] for machine consumers;
+//! * [`json`] — the one dependency-free JSON writer every exporter in
+//!   the tree emits through, and the depth-bounded parser that reads
+//!   their output back;
 //! * [`Tracer`]/[`TraceLog`] — sampled per-packet path tracing: per-core
 //!   span shards recorded at element dispatches and ring/cluster hops,
 //!   exported as Chrome trace-event JSON;
@@ -26,7 +28,9 @@
 //!   silent packet loss into a checkable identity;
 //! * [`IntervalRecorder`]/[`IntervalRing`]/[`Harvester`] — the *live*
 //!   layer: per-core wait-free interval rings a reader thread harvests
-//!   into a [`TimeSeries`] while workers keep forwarding;
+//!   into a [`TimeSeries`] while workers keep forwarding. The seqlock
+//!   protocol under this ring and the event journal's is written once,
+//!   in `seqring.rs`;
 //! * [`SloSpec`]/[`SloReport`] — multi-window burn-rate grading
 //!   (ok / warning / burning) of an interval series against latency,
 //!   loss, and throughput objectives, with [`prometheus`] text
@@ -35,6 +39,8 @@
 //!   event journal: per-core seqlock rings of timestamped discrete
 //!   events (stall episodes, FIB publishes, SLO transitions, the
 //!   dispatcher fuse) merged into an [`EventLog`];
+//! * [`Harvest`] — one run's interval and event harvesters as a pair,
+//!   polled and finished together by whoever observes the run;
 //! * [`MetricsServer`] — a dependency-free embedded HTTP/1.1 endpoint
 //!   (`/metrics`, `/healthz`, `/timeseries.json`, `/events.json`)
 //!   served from a dedicated harvester thread that never pauses
@@ -51,6 +57,7 @@ pub mod http;
 pub mod json;
 mod ledger;
 pub mod prometheus;
+mod seqring;
 mod slo;
 mod snapshot;
 mod timeseries;
@@ -58,12 +65,13 @@ mod trace;
 
 pub use events::{
     decode_slo_transition, encode_slo_transition, Event, EventHarvester, EventKind, EventLog,
-    EventRecorder, EventRing, DEFAULT_EVENT_RING_CAP,
+    EventRecorder, EventRing, Harvest, DEFAULT_EVENT_RING_CAP,
 };
 pub use hist::Log2Histogram;
 pub use http::{MetricsServer, MonitorSource};
 pub use ledger::{DropCause, Ledger};
-pub use slo::{render_top, render_top_with_events, ObjectiveReport, SloReport, SloSpec, SloState};
+pub use seqring::{Record, SeqRing};
+pub use slo::{render_top, ObjectiveReport, SloReport, SloSpec, SloState};
 pub use snapshot::{CoreMetrics, MetricsSnapshot, StageStats};
 pub use timeseries::{
     CumulativeTotals, Harvester, IntervalRecorder, IntervalRing, IntervalStats, StageDelta,

@@ -15,255 +15,204 @@ use crate::ledger::DropCause;
 use crate::slo::SloReport;
 use crate::timeseries::TimeSeries;
 
-/// Renders `series` (and optionally its SLO grading) as Prometheus text
-/// exposition. `ticks_per_sec` converts sketch ticks to seconds.
-pub fn render(series: &TimeSeries, slo: Option<&SloReport>, ticks_per_sec: f64) -> String {
-    render_with_events(series, slo, ticks_per_sec, None)
+/// One metric family. `head` is the family as its `# HELP` line spells
+/// it — name, a space, the help text; the `# TYPE` line and one sample
+/// per row follow. A row is `(selector, value)`; the selector is what
+/// follows the family name on the sample line — nothing, a [`labels`]
+/// set, or a histogram suffix with its labels.
+fn family<V: std::fmt::Display>(
+    out: &mut String,
+    kind: &str,
+    head: &str,
+    rows: impl IntoIterator<Item = (String, V)>,
+) {
+    let name = head.split(' ').next().unwrap_or(head);
+    out.push_str(&format!("# HELP {head}\n# TYPE {name} {kind}\n"));
+    for (selector, value) in rows {
+        out.push_str(&format!("{name}{selector} {value}\n"));
+    }
 }
 
-/// As [`render`], additionally exporting the structured event journal's
-/// per-kind counters and its overflow counter — the exposition the live
-/// `/metrics` endpoint serves.
-pub fn render_with_events(
+/// `{k="v",…}` with the values escaped.
+fn labels(pairs: &[(&str, &str)]) -> String {
+    let body: Vec<String> = pairs
+        .iter()
+        .map(|(k, v)| format!("{k}=\"{}\"", esc(v)))
+        .collect();
+    format!("{{{}}}", body.join(","))
+}
+
+/// The one row of an unlabelled family.
+fn scalar<V>(value: V) -> [(String, V); 1] {
+    [(String::new(), value)]
+}
+
+/// Renders `series` (and optionally its SLO grading and the structured
+/// event journal's per-kind and overflow counters) as Prometheus text
+/// exposition — what the live `/metrics` endpoint serves.
+/// `ticks_per_sec` converts sketch ticks to seconds.
+pub fn render(
     series: &TimeSeries,
     slo: Option<&SloReport>,
     ticks_per_sec: f64,
     events: Option<&EventLog>,
 ) -> String {
-    let mut out = String::with_capacity(4096);
+    let mut text = String::with_capacity(4096);
+    let out = &mut text;
     let led = series.ledger();
-    // Run-total counters.
-    out.push_str(&header(
-        "rb_sourced_packets_total",
-        "Packets that entered the dataplane.",
-        "counter",
-    ));
-    out.push_str(&format!("rb_sourced_packets_total {}\n", led.sourced));
-    out.push_str(&header(
-        "rb_forwarded_packets_total",
-        "Packets transmitted out of the router.",
-        "counter",
-    ));
-    out.push_str(&format!("rb_forwarded_packets_total {}\n", led.forwarded));
-    out.push_str(&header(
-        "rb_tx_bytes_total",
-        "Bytes transmitted out of the router.",
-        "counter",
-    ));
-    out.push_str(&format!("rb_tx_bytes_total {}\n", series.tx_bytes()));
-    out.push_str(&header(
-        "rb_dropped_packets_total",
-        "Packets dropped, by cause.",
-        "counter",
-    ));
-    for cause in DropCause::ALL {
-        out.push_str(&format!(
-            "rb_dropped_packets_total{{cause=\"{}\"}} {}\n",
-            cause.as_str(),
-            led.dropped(cause)
-        ));
-    }
-    out.push_str(&header(
-        "rb_quanta_total",
-        "Driver quanta executed.",
-        "counter",
-    ));
-    out.push_str(&format!("rb_quanta_total {}\n", series.quanta()));
-    out.push_str(&header(
-        "rb_empty_polls_total",
-        "Driver quanta that moved no packets.",
-        "counter",
-    ));
-    out.push_str(&format!("rb_empty_polls_total {}\n", series.empty_polls()));
     let (credit, nic): (u64, u64) = series.intervals.iter().fold((0, 0), |(c, n), b| {
         (c + b.credit_stalls, n + b.nic_desc_stalls)
     });
-    out.push_str(&header(
-        "rb_credit_stalls_total",
-        "Pull-regime admission stalls.",
+    // Run-total counters.
+    for (head, value) in [
+        (
+            "rb_sourced_packets_total Packets that entered the dataplane.",
+            led.sourced,
+        ),
+        (
+            "rb_forwarded_packets_total Packets transmitted out of the router.",
+            led.forwarded,
+        ),
+        (
+            "rb_tx_bytes_total Bytes transmitted out of the router.",
+            series.tx_bytes(),
+        ),
+        ("rb_quanta_total Driver quanta executed.", series.quanta()),
+        (
+            "rb_empty_polls_total Driver quanta that moved no packets.",
+            series.empty_polls(),
+        ),
+        (
+            "rb_credit_stalls_total Pull-regime admission stalls.",
+            credit,
+        ),
+        (
+            "rb_nic_desc_stalls_total NIC descriptor-ring full events.",
+            nic,
+        ),
+        (
+            "rb_intervals_total Telemetry intervals closed.",
+            series.intervals.len() as u64,
+        ),
+        (
+            "rb_intervals_live_harvested_total Intervals read while workers were still running.",
+            series.live_harvested,
+        ),
+    ] {
+        family(out, "counter", head, scalar(value));
+    }
+    family(
+        out,
         "counter",
-    ));
-    out.push_str(&format!("rb_credit_stalls_total {credit}\n"));
-    out.push_str(&header(
-        "rb_nic_desc_stalls_total",
-        "NIC descriptor-ring full events.",
-        "counter",
-    ));
-    out.push_str(&format!("rb_nic_desc_stalls_total {nic}\n"));
-    out.push_str(&header(
-        "rb_intervals_total",
-        "Telemetry intervals closed.",
-        "counter",
-    ));
-    out.push_str(&format!("rb_intervals_total {}\n", series.intervals.len()));
-    out.push_str(&header(
-        "rb_intervals_live_harvested_total",
-        "Intervals read while workers were still running.",
-        "counter",
-    ));
-    out.push_str(&format!(
-        "rb_intervals_live_harvested_total {}\n",
-        series.live_harvested
-    ));
+        "rb_dropped_packets_total Packets dropped, by cause.",
+        DropCause::ALL.map(|cause| (labels(&[("cause", cause.as_str())]), led.dropped(cause))),
+    );
 
     // Per-stage families: the streaming twin of the bottleneck table.
+    let stage = |(name, class): &(String, String)| labels(&[("element", name), ("class", class)]);
     if !series.stage_names.is_empty() {
         let totals = series.stage_totals();
-        out.push_str(&header(
-            "rb_stage_packets_total",
-            "Packets dispatched through each element.",
+        let rows = || series.stage_names.iter().zip(totals.iter());
+        family(
+            out,
             "counter",
-        ));
-        for ((name, class), d) in series.stage_names.iter().zip(totals.iter()) {
-            out.push_str(&format!(
-                "rb_stage_packets_total{{element=\"{}\",class=\"{}\"}} {}\n",
-                esc(name),
-                esc(class),
-                d.packets
-            ));
-        }
-        out.push_str(&header(
-            "rb_stage_cycles_total",
-            "Cycles spent inside each element's dispatch calls.",
+            "rb_stage_packets_total Packets dispatched through each element.",
+            rows().map(|(label, d)| (stage(label), d.packets)),
+        );
+        family(
+            out,
             "counter",
-        ));
-        for ((name, class), d) in series.stage_names.iter().zip(totals.iter()) {
-            out.push_str(&format!(
-                "rb_stage_cycles_total{{element=\"{}\",class=\"{}\"}} {}\n",
-                esc(name),
-                esc(class),
-                d.cycles
-            ));
-        }
-        if let Some(last) = series.intervals.last() {
-            let interval_cycles: u64 = last.stages.iter().map(|d| d.cycles).sum();
-            if interval_cycles > 0 {
-                out.push_str(&header(
-                    "rb_stage_cycle_share",
-                    "Each element's share of dataplane cycles over the latest interval.",
-                    "gauge",
-                ));
-                for ((name, class), d) in series.stage_names.iter().zip(last.stages.iter()) {
-                    out.push_str(&format!(
-                        "rb_stage_cycle_share{{element=\"{}\",class=\"{}\"}} {:.6}\n",
-                        esc(name),
-                        esc(class),
-                        d.cycles as f64 / interval_cycles as f64
-                    ));
-                }
-            }
+            "rb_stage_cycles_total Cycles spent inside each element's dispatch calls.",
+            rows().map(|(label, d)| (stage(label), d.cycles)),
+        );
+        let last = series.intervals.last().map_or(&[][..], |b| &b.stages[..]);
+        let interval_cycles: u64 = last.iter().map(|d| d.cycles).sum();
+        if interval_cycles > 0 {
+            family(
+                out,
+                "gauge",
+                "rb_stage_cycle_share Each element's share of dataplane cycles over the latest interval.",
+                series.stage_names.iter().zip(last).map(|(label, d)| {
+                    let share = d.cycles as f64 / interval_cycles as f64;
+                    (stage(label), format!("{share:.6}"))
+                }),
+            );
         }
     }
 
     // Latest-interval gauges.
     if let Some(last) = series.intervals.last() {
-        out.push_str(&header(
-            "rb_interval_pps",
-            "Forwarding rate over the latest interval, packets/second.",
-            "gauge",
-        ));
-        out.push_str(&format!("rb_interval_pps {:.3}\n", last.pps(ticks_per_sec)));
-        out.push_str(&header(
-            "rb_interval_loss_ratio",
-            "Drop fraction over the latest interval.",
-            "gauge",
-        ));
-        out.push_str(&format!("rb_interval_loss_ratio {:.6}\n", last.loss_rate()));
+        let pps = format!("{:.3}", last.pps(ticks_per_sec));
+        let head = "rb_interval_pps Forwarding rate over the latest interval, packets/second.";
+        family(out, "gauge", head, scalar(pps));
+        let loss = format!("{:.6}", last.loss_rate());
+        let head = "rb_interval_loss_ratio Drop fraction over the latest interval.";
+        family(out, "gauge", head, scalar(loss));
         if let Some(p99) = last.latency.quantile(0.99) {
-            out.push_str(&header(
-                "rb_interval_p99_latency_seconds",
-                "Quantum-sketch p99 over the latest interval.",
-                "gauge",
-            ));
-            out.push_str(&format!(
-                "rb_interval_p99_latency_seconds {:.9}\n",
-                p99 as f64 / ticks_per_sec
-            ));
+            let p99 = format!("{:.9}", p99 as f64 / ticks_per_sec);
+            let head =
+                "rb_interval_p99_latency_seconds Quantum-sketch p99 over the latest interval.";
+            family(out, "gauge", head, scalar(p99));
         }
     }
 
     // The whole-run latency sketch as a cumulative histogram.
     let merged = series.merged_latency();
     if !merged.is_empty() {
-        out.push_str(&header(
-            "rb_quantum_latency_seconds",
-            "Per-quantum processing time, log2-bucketed.",
-            "histogram",
-        ));
+        let bucket =
+            |le: &str, n: u64| (format!("_bucket{}", labels(&[("le", le)])), n.to_string());
         let mut cumulative = 0u64;
         let mut sum_ticks = 0.0f64;
+        let mut rows = Vec::new();
         for (lo, hi, count) in merged.buckets() {
             cumulative += count;
             sum_ticks += lo as f64 * count as f64;
-            out.push_str(&format!(
-                "rb_quantum_latency_seconds_bucket{{le=\"{:.9}\"}} {cumulative}\n",
-                hi as f64 / ticks_per_sec
+            rows.push(bucket(
+                &format!("{:.9}", hi as f64 / ticks_per_sec),
+                cumulative,
             ));
         }
-        out.push_str(&format!(
-            "rb_quantum_latency_seconds_bucket{{le=\"+Inf\"}} {cumulative}\n"
+        rows.push(bucket("+Inf", cumulative));
+        rows.push((
+            "_sum".to_string(),
+            format!("{:.9}", sum_ticks / ticks_per_sec),
         ));
-        out.push_str(&format!(
-            "rb_quantum_latency_seconds_sum {:.9}\n",
-            sum_ticks / ticks_per_sec
-        ));
-        out.push_str(&format!(
-            "rb_quantum_latency_seconds_count {}\n",
-            merged.count()
-        ));
+        rows.push(("_count".to_string(), merged.count().to_string()));
+        let head = "rb_quantum_latency_seconds Per-quantum processing time, log2-bucketed.";
+        family(out, "histogram", head, rows);
     }
 
     // SLO verdict.
     if let Some(report) = slo {
-        out.push_str(&header(
-            "rb_slo_state",
-            "Overall SLO verdict: 0 ok, 1 warning, 2 burning.",
+        let head = "rb_slo_state Overall SLO verdict: 0 ok, 1 warning, 2 burning.";
+        family(out, "gauge", head, scalar(report.state.severity()));
+        family(
+            out,
             "gauge",
-        ));
-        out.push_str(&format!("rb_slo_state {}\n", report.state.severity()));
-        out.push_str(&header(
-            "rb_slo_burn_rate",
-            "Error-budget burn rate per objective and window.",
-            "gauge",
-        ));
-        for o in &report.objectives {
-            out.push_str(&format!(
-                "rb_slo_burn_rate{{objective=\"{}\",window=\"fast\"}} {:.3}\n",
-                o.objective, o.fast_burn
-            ));
-            out.push_str(&format!(
-                "rb_slo_burn_rate{{objective=\"{}\",window=\"slow\"}} {:.3}\n",
-                o.objective, o.slow_burn
-            ));
-        }
+            "rb_slo_burn_rate Error-budget burn rate per objective and window.",
+            report.objectives.iter().flat_map(|o| {
+                [("fast", o.fast_burn), ("slow", o.slow_burn)].map(|(window, burn)| {
+                    let selector = labels(&[("objective", o.objective), ("window", window)]);
+                    (selector, format!("{burn:.3}"))
+                })
+            }),
+        );
     }
 
     // Structured event journal counters.
     if let Some(log) = events {
-        let counts = log.counts();
-        out.push_str(&header(
-            "rb_events_total",
-            "Journaled discrete events, by kind.",
+        let kinds = EventKind::ALL.iter().zip(log.counts());
+        family(
+            out,
             "counter",
-        ));
-        for (kind, n) in EventKind::ALL.iter().zip(counts.iter()) {
-            out.push_str(&format!(
-                "rb_events_total{{kind=\"{}\"}} {n}\n",
-                kind.as_str()
-            ));
-        }
-        out.push_str(&header(
-            "rb_events_overflow_total",
-            "Events lost to ring overwrite before any reader saw them.",
-            "counter",
-        ));
-        out.push_str(&format!("rb_events_overflow_total {}\n", log.overflow));
+            "rb_events_total Journaled discrete events, by kind.",
+            kinds.map(|(kind, n)| (labels(&[("kind", kind.as_str())]), n)),
+        );
+        let head =
+            "rb_events_overflow_total Events lost to ring overwrite before any reader saw them.";
+        family(out, "counter", head, scalar(log.overflow));
     }
-    out
-}
-
-fn header(name: &str, help: &str, kind: &str) -> String {
-    format!("# HELP {name} {help}\n# TYPE {name} {kind}\n")
+    text
 }
 
 /// Base family name of a sample line: the metric name with any
@@ -415,7 +364,7 @@ mod tests {
         let s = series();
         let spec = SloSpec::parse("loss:0.5/floor:1").unwrap();
         let report = SloReport::evaluate(&spec, &s.intervals, 1e9);
-        let text = render(&s, Some(&report), 1e9);
+        let text = render(&s, Some(&report), 1e9, None);
         lint(&text).expect("exporter output must lint clean");
         assert!(text.contains("rb_sourced_packets_total 303"), "{text}");
         assert!(text.contains("rb_forwarded_packets_total 300"));
@@ -459,7 +408,7 @@ mod tests {
             arg: 4,
         });
         log.overflow = 3;
-        let text = render_with_events(&series(), None, 1e9, Some(&log));
+        let text = render(&series(), None, 1e9, Some(&log));
         lint(&text).expect("event-counter exposition lints");
         assert!(
             text.contains("rb_events_total{kind=\"credit_stall_start\"} 1"),
@@ -474,14 +423,14 @@ mod tests {
 
     #[test]
     fn exposition_without_slo_still_lints() {
-        let text = render(&series(), None, 1e9);
+        let text = render(&series(), None, 1e9, None);
         lint(&text).expect("no-SLO output lints");
         assert!(!text.contains("rb_slo_state"));
     }
 
     #[test]
     fn empty_series_renders_minimal_but_valid_output() {
-        let text = render(&TimeSeries::default(), None, 1e9);
+        let text = render(&TimeSeries::default(), None, 1e9, None);
         lint(&text).expect("empty series output lints");
         assert!(text.contains("rb_sourced_packets_total 0"));
         assert!(!text.contains("rb_interval_pps"), "no latest interval");

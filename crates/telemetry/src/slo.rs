@@ -17,6 +17,8 @@
 //! repair an objective (an idle router is not "meeting" a throughput
 //! floor, and grading silence would make short runs flap).
 
+use crate::events::EventLog;
+use crate::json;
 use crate::timeseries::IntervalStats;
 
 /// Error budget: tolerated violating-interval fraction (99 % compliance).
@@ -74,15 +76,22 @@ impl SloSpec {
     /// Parses the configuration-DSL spelling: `/`-separated
     /// `key:value` terms (no commas or spaces — the config grammar
     /// reserves both), e.g. `p99us:5000/loss:0.01/floor:1000000` or
-    /// with window overrides `p99us:200/fast:3/slow:12`.
+    /// with window overrides `p99us:200/fast:3/slow:12`. A target must be
+    /// a finite, non-negative number: `inf` and `nan` parse as floats but
+    /// are not objectives, and would leave `/healthz` printing a number
+    /// JSON does not have.
     pub fn parse(spec: &str) -> Option<SloSpec> {
+        let target = |value: &str| {
+            let v = value.parse::<f64>().ok()?;
+            (v.is_finite() && v >= 0.0).then_some(v)
+        };
         let mut out = SloSpec::default();
         for term in spec.split('/').filter(|t| !t.is_empty()) {
             let (key, value) = term.split_once(':')?;
             match key {
-                "p99us" => out.p99_latency_us = Some(value.parse::<f64>().ok()?),
-                "loss" => out.max_loss = Some(value.parse::<f64>().ok()?),
-                "floor" => out.min_pps = Some(value.parse::<f64>().ok()?),
+                "p99us" => out.p99_latency_us = Some(target(value)?),
+                "loss" => out.max_loss = Some(target(value)?),
+                "floor" => out.min_pps = Some(target(value)?),
                 "fast" => out.fast_window = value.parse::<usize>().ok()?,
                 "slow" => out.slow_window = value.parse::<usize>().ok()?,
                 _ => return None,
@@ -303,104 +312,39 @@ impl SloReport {
             .collect()
     }
 
-    /// Hand-rolled JSON object (see `rb_telemetry::json`).
+    /// JSON object: the verdict and one row per objective.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"state\": \"{}\", \"graded_intervals\": {}, \"objectives\": [",
-            self.state.as_str(),
-            self.graded_intervals
-        ));
-        for (i, o) in self.objectives.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"objective\": \"{}\", \"target\": {:.6}, \"worst\": {:.6}, \
-                 \"fast_burn\": {:.3}, \"slow_burn\": {:.3}, \"state\": \"{}\"}}",
-                o.objective,
-                o.target,
-                o.worst,
-                o.fast_burn,
-                o.slow_burn,
-                o.state.as_str()
-            ));
-        }
-        out.push_str("]}");
-        out
+        json::object(|w| {
+            w.key("state").str(self.state.as_str());
+            w.key("graded_intervals").int(self.graded_intervals as u64);
+            w.key("objectives").arr(|w| {
+                for o in &self.objectives {
+                    w.obj(|w| {
+                        w.key("objective").str(o.objective);
+                        w.key("target").float(o.target, 6);
+                        w.key("worst").float(o.worst, 6);
+                        w.key("fast_burn").float(o.fast_burn, 3);
+                        w.key("slow_burn").float(o.slow_burn, 3);
+                        w.key("state").str(o.state.as_str());
+                    });
+                }
+            });
+        })
     }
 }
 
 /// `rb_top`-style live view: the last few intervals as a refreshing
-/// table plus the SLO verdict line. Pure formatting — callers print it
-/// per harvest tick.
+/// table plus the SLO verdict line, then — when `stage_names` label the
+/// intervals' stage rows — each stage's share of the latest interval,
+/// and the tail of the structured event journal when one is given. Pure
+/// formatting — callers print it per harvest tick.
 pub fn render_top(
     series: &[IntervalStats],
     slo: Option<&SloReport>,
     ticks_per_sec: f64,
     rows: usize,
-) -> String {
-    render_top_with_events(series, slo, ticks_per_sec, rows, None)
-}
-
-/// As [`render_top`], additionally rendering the per-stage share of the
-/// latest interval and the tail of the structured event journal — the
-/// full live view `rb_top` redraws per poll.
-pub fn render_top_with_events(
-    series: &[IntervalStats],
-    slo: Option<&SloReport>,
-    ticks_per_sec: f64,
-    rows: usize,
-    events: Option<(&crate::events::EventLog, &[(String, String)])>,
-) -> String {
-    let mut out = render_intervals(series, slo, ticks_per_sec, rows);
-    let Some((log, stage_names)) = events else {
-        return out;
-    };
-    // Per-stage share of the latest interval: the streaming twin of the
-    // bottleneck table.
-    if let Some(last) = series.last() {
-        let total_cycles: u64 = last.stages.iter().map(|d| d.cycles).sum();
-        if !stage_names.is_empty() && total_cycles > 0 {
-            out.push_str("stages (latest interval):\n");
-            for ((name, class), d) in stage_names.iter().zip(last.stages.iter()) {
-                let share = if total_cycles == 0 {
-                    0.0
-                } else {
-                    d.cycles as f64 / total_cycles as f64 * 100.0
-                };
-                out.push_str(&format!(
-                    "  {:>12} {:>16} {:>10} pkts {:>6.1}% cycles\n",
-                    name, class, d.packets, share
-                ));
-            }
-        }
-    }
-    if !log.is_empty() {
-        out.push_str(&format!(
-            "events ({} journaled, {} overflowed):\n",
-            log.len(),
-            log.overflow
-        ));
-        let skip = log.events.len().saturating_sub(rows);
-        for e in &log.events[skip..] {
-            out.push_str(&format!(
-                "  t={:>14} core {:>2} {:<22} arg={}\n",
-                e.tick,
-                e.core,
-                e.kind.as_str(),
-                e.arg
-            ));
-        }
-    }
-    out
-}
-
-fn render_intervals(
-    series: &[IntervalStats],
-    slo: Option<&SloReport>,
-    ticks_per_sec: f64,
-    rows: usize,
+    stage_names: &[(String, String)],
+    events: Option<&EventLog>,
 ) -> String {
     let ticks_per_us = ticks_per_sec / 1e6;
     let mut out = String::new();
@@ -440,13 +384,44 @@ fn render_intervals(
         }
         None => out.push_str("SLO: (no spec)\n"),
     }
+    // Per-stage share of the latest interval: the streaming twin of the
+    // bottleneck table.
+    if let Some(last) = series.last() {
+        let total_cycles: u64 = last.stages.iter().map(|d| d.cycles).sum();
+        if !stage_names.is_empty() && total_cycles > 0 {
+            out.push_str("stages (latest interval):\n");
+            for ((name, class), d) in stage_names.iter().zip(last.stages.iter()) {
+                let share = d.cycles as f64 / total_cycles as f64 * 100.0;
+                out.push_str(&format!(
+                    "  {:>12} {:>16} {:>10} pkts {:>6.1}% cycles\n",
+                    name, class, d.packets, share
+                ));
+            }
+        }
+    }
+    if let Some(log) = events.filter(|log| !log.is_empty()) {
+        out.push_str(&format!(
+            "events ({} journaled, {} overflowed):\n",
+            log.len(),
+            log.overflow
+        ));
+        let skip = log.events.len().saturating_sub(rows);
+        for e in &log.events[skip..] {
+            out.push_str(&format!(
+                "  t={:>14} core {:>2} {:<22} arg={}\n",
+                e.tick,
+                e.core,
+                e.kind.as_str(),
+                e.arg
+            ));
+        }
+    }
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     /// A one-second interval at `tps = 1e9` with the given traffic.
     fn interval(seq: u64, forwarded: u64, dropped: u64, lat_ticks: u64) -> IntervalStats {
@@ -487,6 +462,19 @@ mod tests {
         assert_eq!(SloSpec::parse(""), None, "empty spec names no objective");
         assert_eq!(SloSpec::parse("p9:1"), None, "unknown keys rejected");
         assert_eq!(SloSpec::parse("loss:x"), None, "bad numbers rejected");
+        for bad in [
+            "p99us:inf",
+            "floor:nan",
+            "loss:-0.5",
+            "p99us:-inf",
+            "floor:1e999",
+        ] {
+            assert_eq!(SloSpec::parse(bad), None, "`{bad}` is not an objective");
+        }
+        assert!(
+            SloSpec::parse("loss:0/floor:1e300").is_some(),
+            "extreme but finite"
+        );
     }
 
     #[test]
@@ -608,16 +596,32 @@ mod tests {
     }
 
     #[test]
+    fn report_json_parses_at_the_extremes() {
+        // The largest targets `parse` lets through, graded over nothing:
+        // every number in the `/healthz` body must still be a JSON number.
+        let spec = SloSpec::parse("p99us:1e300/loss:0/floor:1.7976931348623157e308").unwrap();
+        let r = SloReport::evaluate(&spec, &[], TPS);
+        assert_eq!(r.graded_intervals, 0);
+        let v = json::parse(&r.to_json()).expect("slo JSON parses");
+        let objs = v.get("objectives").and_then(json::Value::as_array).unwrap();
+        assert_eq!(objs.len(), 3);
+        assert_eq!(
+            objs[2].get("target").and_then(json::Value::as_f64),
+            Some(f64::MAX)
+        );
+    }
+
+    #[test]
     fn render_top_prints_rows_and_verdict() {
         let series: Vec<IntervalStats> = (0..4).map(|s| interval(s, 1000, 10, 100)).collect();
         let spec = SloSpec::parse("loss:0.5").unwrap();
         let r = SloReport::evaluate(&spec, &series, TPS);
-        let view = render_top(&series, Some(&r), TPS, 3);
+        let view = render_top(&series, Some(&r), TPS, 3, &[], None);
         assert!(view.contains("pps"), "{view}");
         assert!(view.contains("SLO: OK"), "{view}");
         // Only the last 3 of 4 rows are shown.
         assert!(!view.contains("\n    0 "), "{view}");
-        let no_spec = render_top(&series, None, TPS, 3);
+        let no_spec = render_top(&series, None, TPS, 3, &[], None);
         assert!(no_spec.contains("(no spec)"));
     }
 
@@ -646,7 +650,7 @@ mod tests {
             kind: crate::EventKind::PoolExhaustedOnset,
             arg: 3,
         });
-        let view = render_top_with_events(&series, None, TPS, 4, Some((&log, &names)));
+        let view = render_top(&series, None, TPS, 4, &names, Some(&log));
         assert!(view.contains("stages (latest interval):"), "{view}");
         assert!(view.contains("FromDevice"), "{view}");
         assert!(view.contains("75.0%"), "{view}");

@@ -298,51 +298,42 @@ impl MetricsSnapshot {
 
     /// Serializes the snapshot (see DESIGN.md §8 for the schema).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"level\": \"{}\",\n  \"tick_unit\": \"{}\",\n  \"workers\": {},\n",
-            self.level.as_str(),
-            if cycles::is_cycle_counter() {
+        let percentiles = |w: &mut json::Writer, prefix: &str, h: &Log2Histogram| {
+            let (p50, p90, p99) = h.percentiles().unwrap_or((0, 0, 0));
+            for (name, v) in [("p50", p50), ("p90", p90), ("p99", p99)] {
+                w.key(&format!("{prefix}{name}")).int(v);
+            }
+        };
+        json::object(|w| {
+            w.key("level").str(self.level.as_str());
+            w.key("tick_unit").str(if cycles::is_cycle_counter() {
                 "tsc"
             } else {
                 "ns"
-            },
-            self.workers
-        ));
-        out.push_str(&format!(
-            "  \"total_cycles\": {},\n  \"busy_cycles\": {},\n  \"empty_polls\": {},\n",
-            self.total_cycles,
-            self.busy_cycles(),
-            self.empty_polls
-        ));
-        let (p50, p90, p99) = self.batch_sizes.percentiles().unwrap_or((0, 0, 0));
-        out.push_str(&format!(
-            "  \"batch_sizes\": {{\"count\": {}, \"p50\": {p50}, \"p90\": {p90}, \"p99\": {p99}}},\n",
-            self.batch_sizes.count()
-        ));
-        out.push_str(&format!(
-            "  \"route_lookups\": {}, \"route_misses\": {},\n",
-            self.route_lookups, self.route_misses
-        ));
-        out.push_str("  \"stages\": [\n");
-        for (i, s) in self.stages.iter().enumerate() {
-            let comma = if i + 1 < self.stages.len() { "," } else { "" };
-            let (l50, l90, l99) = s.lat.percentiles().unwrap_or((0, 0, 0));
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"class\": \"{}\", \"calls\": {}, \"packets\": {}, \
-                 \"cycles\": {}, \"cycles_per_packet\": {}, \"cycles_p50\": {l50}, \
-                 \"cycles_p90\": {l90}, \"cycles_p99\": {l99}}}{comma}\n",
-                json::esc(&s.name),
-                json::esc(&s.class),
-                s.calls,
-                s.packets,
-                s.cycles,
-                json::num(s.cycles_per_packet()),
-            ));
-        }
-        out.push_str("  ]\n}");
-        out
+            });
+            w.key("workers").int(self.workers);
+            w.key("total_cycles").int(self.total_cycles);
+            w.key("busy_cycles").int(self.busy_cycles());
+            w.key("empty_polls").int(self.empty_polls);
+            w.key("batch_sizes").obj(|w| {
+                w.key("count").int(self.batch_sizes.count());
+                percentiles(w, "", &self.batch_sizes);
+            });
+            w.key("route_lookups").int(self.route_lookups);
+            w.key("route_misses").int(self.route_misses);
+            w.key("stages").arr(|w| {
+                for s in &self.stages {
+                    w.obj(|w| {
+                        w.key("name").str(&s.name).key("class").str(&s.class);
+                        w.key("calls").int(s.calls);
+                        w.key("packets").int(s.packets);
+                        w.key("cycles").int(s.cycles);
+                        w.key("cycles_per_packet").float(s.cycles_per_packet(), 3);
+                        percentiles(w, "cycles_", &s.lat);
+                    });
+                }
+            });
+        })
     }
 }
 

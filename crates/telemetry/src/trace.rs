@@ -6,13 +6,14 @@
 //! cluster hop the packet crosses. Shards are per-core and non-atomic —
 //! the same discipline as [`crate::CoreMetrics`] — and are drained into a
 //! mergeable [`TraceLog`] at run end, which exports Chrome trace-event
-//! JSON (`chrome://tracing` / Perfetto loadable) through the hand-rolled
+//! JSON (`chrome://tracing` / Perfetto loadable) through the
 //! [`crate::json`] writer.
 //!
 //! With sampling off (`sample == 0`) the hot path pays one predictable
 //! branch per site and records nothing.
 
-use crate::json::{esc, num};
+use crate::events::EventLog;
+use crate::json;
 
 /// What a span record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -321,95 +322,70 @@ impl TraceLog {
     /// ring hops become flow-event pairs (`ph: "s"` / `ph: "f"`) keyed by
     /// trace ID, which Perfetto draws as cross-track arrows. Track IDs:
     /// `pid` is the cluster node (0 on a single server), `tid` the core.
-    pub fn to_chrome_json(&self, ticks_per_us: f64) -> String {
-        self.to_chrome_json_with_events(ticks_per_us, None)
-    }
-
-    /// As [`TraceLog::to_chrome_json`], additionally injecting the
-    /// structured event journal as instant events (`ph: "i"`, global
-    /// scope) — stall episode edges, FIB publishes, SLO transitions and
-    /// the dispatcher fuse appear as flags across all tracks, lined up
-    /// against the packet spans on the same clock.
-    pub fn to_chrome_json_with_events(
-        &self,
-        ticks_per_us: f64,
-        events: Option<&crate::events::EventLog>,
-    ) -> String {
+    ///
+    /// With `events`, the structured event journal is injected as instant
+    /// events (`ph: "i"`, global scope) — stall episode edges, FIB
+    /// publishes, SLO transitions and the dispatcher fuse appear as flags
+    /// across all tracks, lined up against the packet spans on the same
+    /// clock.
+    pub fn to_chrome_json(&self, ticks_per_us: f64, events: Option<&EventLog>) -> String {
         let scale = if ticks_per_us > 0.0 {
             1.0 / ticks_per_us
         } else {
             1.0
         };
+        let journal = events.map_or(&[][..], |log| &log.events[..]);
         // Normalize to the earliest span so timestamps start near zero.
         let t0 = self
             .spans
             .iter()
             .map(|s| s.event.ts)
-            .chain(
-                events
-                    .iter()
-                    .flat_map(|log| log.events.iter().map(|e| e.tick)),
-            )
+            .chain(journal.iter().map(|e| e.tick))
             .min()
             .unwrap_or(0);
-        let us = |ticks: u64| num(ticks.saturating_sub(t0) as f64 * scale);
-        let mut out = String::with_capacity(self.spans.len() * 96 + 64);
-        out.push_str("{\"traceEvents\": [");
-        let mut first = true;
-        if let Some(log) = events {
-            for e in &log.events {
-                if !first {
-                    out.push_str(", ");
+        let us = |ticks: u64| ticks.saturating_sub(t0) as f64 * scale;
+        json::object(|w| {
+            w.key("traceEvents").arr(|w| {
+                for e in journal {
+                    w.obj(|w| {
+                        w.key("name").str(e.kind.as_str());
+                        w.key("cat").str("journal").key("ph").str("i");
+                        w.key("s").str("g");
+                        w.key("ts").float(us(e.tick), 3);
+                        w.key("pid").int(0).key("tid").int(e.core as u64);
+                        w.key("args").obj(|w| {
+                            w.key("arg").int(e.arg);
+                        });
+                    });
                 }
-                first = false;
-                out.push_str(&format!(
-                    "{{\"name\": \"{}\", \"cat\": \"journal\", \"ph\": \"i\", \"s\": \"g\", \
-                     \"ts\": {}, \"pid\": 0, \"tid\": {}, \"args\": {{\"arg\": {}}}}}",
-                    esc(e.kind.as_str()),
-                    us(e.tick),
-                    e.core,
-                    e.arg,
-                ));
-            }
-        }
-        for span in self.spans.iter() {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            let e = &span.event;
-            let common = format!(
-                "\"name\": \"{}\", \"cat\": \"{}\", \"ts\": {}, \"pid\": {}, \"tid\": {}",
-                esc(&span.label),
-                esc(e.kind.name()),
-                us(e.ts),
-                e.node,
-                e.core,
-            );
-            match e.kind {
-                TraceKind::Element | TraceKind::ClusterHop => {
-                    out.push_str(&format!(
-                        "{{{common}, \"ph\": \"X\", \"dur\": {}, \"args\": {{\"trace_id\": {}}}}}",
-                        num(e.dur as f64 * scale),
-                        e.trace_id,
-                    ));
+                for span in &self.spans {
+                    let e = &span.event;
+                    w.obj(|w| {
+                        w.key("name").str(&span.label);
+                        w.key("cat").str(e.kind.name());
+                        w.key("ts").float(us(e.ts), 3);
+                        w.key("pid").int(e.node).key("tid").int(e.core);
+                        match e.kind {
+                            TraceKind::Element | TraceKind::ClusterHop => {
+                                w.key("ph").str("X");
+                                w.key("dur").float(e.dur as f64 * scale, 3);
+                                w.key("args").obj(|w| {
+                                    w.key("trace_id").int(e.trace_id);
+                                });
+                            }
+                            TraceKind::RingSend => {
+                                w.key("ph").str("s").key("id").int(e.trace_id);
+                            }
+                            TraceKind::RingRecv => {
+                                w.key("ph").str("f").key("bp").str("e");
+                                w.key("id").int(e.trace_id);
+                            }
+                        }
+                    });
                 }
-                TraceKind::RingSend => {
-                    out.push_str(&format!(
-                        "{{{common}, \"ph\": \"s\", \"id\": {}}}",
-                        e.trace_id
-                    ));
-                }
-                TraceKind::RingRecv => {
-                    out.push_str(&format!(
-                        "{{{common}, \"ph\": \"f\", \"bp\": \"e\", \"id\": {}}}",
-                        e.trace_id
-                    ));
-                }
-            }
-        }
-        out.push_str(&format!("], \"trace_overflow\": {}}}", self.overflow));
-        out
+            });
+            w.key("trace_overflow").int(self.overflow);
+        })
     }
 }
 
@@ -498,7 +474,7 @@ mod tests {
         t.record_hop(TraceKind::RingRecv, &[id], 200);
         t.record_element(1, &[id], 210, 30);
         let log = t.drain(|s| format!("stage{s}"));
-        let text = log.to_chrome_json(1.0);
+        let text = log.to_chrome_json(1.0, None);
         let v = json::parse(&text).expect("chrome JSON parses");
         let events = v
             .get("traceEvents")
@@ -538,7 +514,7 @@ mod tests {
             kind: crate::events::EventKind::DispatcherFuse,
             arg: 42,
         });
-        let text = log.to_chrome_json_with_events(1.0, Some(&journal));
+        let text = log.to_chrome_json(1.0, Some(&journal));
         let v = json::parse(&text).expect("chrome JSON with instants parses");
         let events = v
             .get("traceEvents")

@@ -218,3 +218,141 @@ proptest! {
         );
     }
 }
+
+// -- rb_telemetry::json: the parser faces bytes from a socket ---------------
+
+use rb_telemetry::json::{self, Value};
+
+/// Decimals the round-trip writer prints floats with.
+const DECIMALS: usize = 6;
+
+fn next(seed: &mut std::slice::Iter<'_, u8>) -> u8 {
+    seed.next().copied().unwrap_or(0)
+}
+
+/// Up to seven characters: ASCII — control characters, `"` and `\\`
+/// among them — and multi-byte and non-BMP text.
+fn string_from(seed: &mut std::slice::Iter<'_, u8>) -> String {
+    const WIDE: [char; 6] = ['é', '\u{7f}', '\u{2028}', '\u{fffd}', '😀', '\u{10ffff}'];
+    (0..next(seed) % 8)
+        .map(|_| match next(seed) {
+            b @ 0..=127 => b as char,
+            b => WIDE[b as usize % WIDE.len()],
+        })
+        .collect()
+}
+
+/// Builds a JSON value from a byte string read as a little program: each
+/// byte picks a constructor or feeds one. Numbers include raw bit
+/// patterns, so NaN, the infinities, subnormals and 1e300s all turn up.
+fn value_from(seed: &mut std::slice::Iter<'_, u8>, depth: usize) -> Value {
+    match next(seed) % if depth < 5 { 7 } else { 5 } {
+        0 => Value::Null,
+        1 => Value::Bool(next(seed) < 128),
+        2 => Value::Num(f64::from_bits(u64::from_le_bytes(
+            [(); 8].map(|()| next(seed)),
+        ))),
+        3 => Value::Num(f64::from(next(seed)) - 100.5),
+        4 => Value::Str(string_from(seed)),
+        5 => Value::Arr(
+            (0..next(seed) % 5)
+                .map(|_| value_from(seed, depth + 1))
+                .collect(),
+        ),
+        _ => Value::Obj(
+            (0..next(seed) % 5)
+                .map(|_| (string_from(seed), value_from(seed, depth + 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// Writes `v` through the crate's one writer.
+fn write(v: &Value, w: &mut json::Writer) {
+    match v {
+        Value::Null => w.raw("null"),
+        Value::Bool(b) => w.bool(*b),
+        Value::Num(n) => w.float(*n, DECIMALS),
+        Value::Str(s) => w.str(s),
+        Value::Arr(items) => w.arr(|w| items.iter().for_each(|item| write(item, w))),
+        Value::Obj(members) => w.obj(|w| {
+            for (key, member) in members {
+                write(member, w.key(key));
+            }
+        }),
+    };
+}
+
+/// What `v` reads back as: floats at the written precision, a non-finite
+/// float as the 0 `json::num` prints for it.
+fn as_written(v: &Value) -> Value {
+    match v {
+        Value::Num(n) => Value::Num(json::num(*n, DECIMALS).parse().expect("a number")),
+        Value::Arr(items) => Value::Arr(items.iter().map(as_written).collect()),
+        Value::Obj(members) => Value::Obj(
+            members
+                .iter()
+                .map(|(k, member)| (k.clone(), as_written(member)))
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+/// A generated value under the key `v` of a one-member document.
+fn document(seed: &[u8]) -> (Value, String) {
+    let value = value_from(&mut seed.iter(), 0);
+    let text = json::object(|w| write(&value, w.key("v")));
+    (Value::Obj(vec![("v".to_string(), value)]), text)
+}
+
+proptest! {
+    /// Whatever the bytes, `parse` answers — `Ok` or `Err`, never a panic,
+    /// an abort or a hang. Brackets and quotes are over-represented so
+    /// the input gets past the first byte.
+    #[test]
+    fn json_parse_survives_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..400),
+        bias in any::<bool>(),
+    ) {
+        const SYNTAX: &[u8] = b"[]{}\",:\\ue-+.0123456789tfn \n";
+        let bytes: Vec<u8> = if bias {
+            bytes.iter().map(|b| SYNTAX[*b as usize % SYNTAX.len()]).collect()
+        } else {
+            bytes
+        };
+        let _ = json::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Valid documents with bytes overwritten, inserted and deleted: the
+    /// inputs that reach deepest into the parser before going wrong.
+    #[test]
+    fn json_parse_survives_mutated_documents(
+        seed in prop::collection::vec(any::<u8>(), 0..300),
+        edits in prop::collection::vec((any::<usize>(), any::<u8>(), 0u8..3), 1..8),
+    ) {
+        let (_, text) = document(&seed);
+        let mut bytes = text.into_bytes();
+        for (at, byte, how) in edits {
+            let at = at % (bytes.len() + 1);
+            match how {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 if at < bytes.len() => drop(bytes.remove(at)),
+                _ => bytes.insert(at, byte),
+            }
+        }
+        let _ = json::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// `parse(write(v)) == v` for generated values — control characters,
+    /// quotes, backslashes and non-BMP text in strings and keys included —
+    /// with floats compared at the written precision.
+    #[test]
+    fn json_write_then_parse_is_the_identity(
+        seed in prop::collection::vec(any::<u8>(), 0..400),
+    ) {
+        let (value, text) = document(&seed);
+        let parsed = json::parse(&text);
+        prop_assert_eq!(parsed, Ok(as_written(&value)), "{}", text);
+    }
+}

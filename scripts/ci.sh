@@ -42,13 +42,28 @@ awk '
     END { exit bad }
 ' crates/crypto/src/x86.rs
 
-echo "==> name gate (one Knobs, one run_graph: the collapsed names stay gone)"
-if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler' \
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper: the collapsed names stay gone)"
+if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b' \
     crates/ examples/ tests/; then
-    echo "a knob struct, MT entry point or scheduler type that PR 21 collapsed is back" >&2
+    echo "a knob struct, MT entry point, scheduler type, worker body, shipper or X_with_events fork that PRs 21-22 collapsed is back" >&2
+    exit 1
+fi
+
+echo "==> JSON gate (exporters emit through rb_telemetry::json::Writer, not format strings)"
+# Non-test code only: a test may spell out the text it expects.
+if ! find crates/click/src crates/core/src crates/telemetry/src -name '*.rs' \
+    ! -path crates/telemetry/src/json.rs -print0 |
+    xargs -0 awk '
+        FNR == 1 { tests = 0 }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        !tests && /\\":/ { printf "%s:%d: %s\n", FILENAME, FNR, $0; bad = 1 }
+        END { exit bad }'; then
+    echo "an escaped \": in a string literal: hand-rolled JSON outside crates/telemetry/src/json.rs" >&2
     exit 1
 fi
 echo "rb-click + rb-core lines: $(find crates/click crates/core -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+echo "rb-telemetry lines: $(find crates/telemetry -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+echo "Ordering:: sites in crates/: $(grep -r 'Ordering::' crates/ --include='*.rs' | wc -l)"
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
