@@ -112,6 +112,12 @@ impl PacketBatch {
         &mut self.pkts
     }
 
+    /// The packet list itself, for a producer that appends to a `Vec`
+    /// (a descriptor ring's `consume`).
+    pub(crate) fn as_mut_vec(&mut self) -> &mut Vec<Packet> {
+        &mut self.pkts
+    }
+
     /// Removes and yields all packets in FIFO order.
     pub fn drain(&mut self) -> impl Iterator<Item = Packet> + '_ {
         self.pkts.drain(..)
@@ -123,9 +129,15 @@ impl PacketBatch {
         PacketBatch::from_vec(self.pkts.split_off(at))
     }
 
-    /// Moves all packets of `other` to the back of `self`.
+    /// Moves all packets of `other` to the back of `self`, leaving
+    /// `other` empty. An empty `self` trades buffers with `other` instead
+    /// of moving the packets: a pointer swap, whatever the batch holds.
     pub fn append(&mut self, other: &mut PacketBatch) {
-        self.pkts.append(&mut other.pkts);
+        if self.pkts.is_empty() {
+            std::mem::swap(&mut self.pkts, &mut other.pkts);
+        } else {
+            self.pkts.append(&mut other.pkts);
+        }
     }
 
     /// Empties the batch, dropping its packets but keeping capacity (for
@@ -166,8 +178,10 @@ impl IntoIterator for PacketBatch {
 /// Collector for packets an element emits during one call.
 ///
 /// Elements never call each other directly (that would need aliasing
-/// `&mut` access across the graph); they emit `(output port, packet)`
-/// pairs and the driver routes them along the configured edges.
+/// `&mut` access across the graph); they emit into one [`PacketBatch`] per
+/// output port and the driver queues those batches along the configured
+/// edges as they are — ports in the order they were first touched, FIFO
+/// within a port.
 ///
 /// It also accounts packets consumed by the *default* [`Element::push`]:
 /// a packet reaching an element that does not handle pushes is a wiring
@@ -175,7 +189,10 @@ impl IntoIterator for PacketBatch {
 /// instead of losing packets silently.
 #[derive(Debug, Default)]
 pub struct Output {
-    emitted: Vec<(usize, Packet)>,
+    /// One batch per output port, indexed by port.
+    batches: Vec<PacketBatch>,
+    /// The ports whose batch holds packets, first touched first.
+    touched: Vec<usize>,
     default_dropped: u64,
 }
 
@@ -185,15 +202,32 @@ impl Output {
         Output::default()
     }
 
-    /// Emits `pkt` on output port `port`.
-    pub fn push(&mut self, port: usize, pkt: Packet) {
-        self.emitted.push((port, pkt));
+    /// Runs `fill` on output port `port`'s batch, which may only add to
+    /// it, and notes the port as touched if that put the first packet in.
+    pub(crate) fn fill<R>(&mut self, port: usize, fill: impl FnOnce(&mut PacketBatch) -> R) -> R {
+        if port >= self.batches.len() {
+            self.batches.resize_with(port + 1, PacketBatch::new);
+        }
+        let batch = &mut self.batches[port];
+        let was_empty = batch.is_empty();
+        let ret = fill(batch);
+        if was_empty && !batch.is_empty() {
+            self.touched.push(port);
+        }
+        ret
     }
 
-    /// Emits every packet of `batch` on output port `port`, in order.
+    /// Emits `pkt` on output port `port`.
+    pub fn push(&mut self, port: usize, pkt: Packet) {
+        self.fill(port, |slot| slot.push(pkt));
+    }
+
+    /// Emits every packet of `batch` on output port `port`, in order,
+    /// leaving `batch` empty. The first emission on a port trades buffers
+    /// with `batch` (see [`PacketBatch::append`]): a pass-through element
+    /// forwards its whole input for one pointer swap.
     pub fn push_batch(&mut self, port: usize, batch: &mut PacketBatch) {
-        self.emitted.reserve(batch.len());
-        self.emitted.extend(batch.drain().map(|pkt| (port, pkt)));
+        self.fill(port, |slot| slot.append(batch));
     }
 
     /// Records `pkt` as eaten by the default [`Element::push`]; the
@@ -208,26 +242,74 @@ impl Output {
         std::mem::take(&mut self.default_dropped)
     }
 
-    /// Drains the collected packets.
-    pub fn drain(&mut self) -> impl Iterator<Item = (usize, Packet)> + '_ {
-        self.emitted.drain(..)
+    /// Moves what was emitted on `port` to the back of `into`.
+    pub(crate) fn take_port(&mut self, port: usize, into: &mut PacketBatch) {
+        if let Some(at) = self.touched.iter().position(|&p| p == port) {
+            self.touched.remove(at);
+            into.append(&mut self.batches[port]);
+        }
     }
 
-    /// Mutable view of the collected packets (port assignment fixed).
-    /// The driver uses this to stamp trace IDs onto fresh source
+    /// Hands every touched port's batch to `take`, first touched first,
+    /// which must leave it empty (by swapping a buffer in, or draining).
+    pub(crate) fn take_batches(&mut self, mut take: impl FnMut(usize, &mut PacketBatch)) {
+        for port in self.touched.drain(..) {
+            take(port, &mut self.batches[port]);
+            debug_assert!(self.batches[port].is_empty(), "port {port} not taken");
+        }
+    }
+
+    /// Drains the collected packets as `(port, packet)`: ports in the
+    /// order they were first touched, FIFO within a port. What the
+    /// iterator has not yielded when it is dropped is dropped with it.
+    pub fn drain(&mut self) -> impl Iterator<Item = (usize, Packet)> + '_ {
+        // Yielding pops from the back, of the port list and of each batch.
+        self.touched.reverse();
+        for &port in &self.touched {
+            self.batches[port].pkts.reverse();
+        }
+        Drain(self)
+    }
+
+    /// Mutable view of the collected packets, by port (port assignment
+    /// fixed). The driver uses this to stamp trace IDs onto fresh source
     /// emissions before routing them.
     pub fn packets_mut(&mut self) -> impl Iterator<Item = &mut Packet> + '_ {
-        self.emitted.iter_mut().map(|(_, pkt)| pkt)
+        self.batches.iter_mut().flat_map(|b| b.pkts.iter_mut())
     }
 
     /// Number of packets currently collected.
     pub fn len(&self) -> usize {
-        self.emitted.len()
+        self.touched.iter().map(|&p| self.batches[p].len()).sum()
     }
 
     /// Returns `true` when nothing was emitted.
     pub fn is_empty(&self) -> bool {
-        self.emitted.is_empty()
+        self.touched.is_empty()
+    }
+}
+
+/// The iterator behind [`Output::drain`], over an `Output` whose port
+/// list and batches were reversed for it.
+struct Drain<'a>(&'a mut Output);
+
+impl Iterator for Drain<'_> {
+    type Item = (usize, Packet);
+
+    fn next(&mut self) -> Option<(usize, Packet)> {
+        let &port = self.0.touched.last()?;
+        let batch = &mut self.0.batches[port];
+        let pkt = batch.pkts.pop().expect("touched ports hold packets");
+        if batch.is_empty() {
+            self.0.touched.pop();
+        }
+        Some((port, pkt))
+    }
+}
+
+impl Drop for Drain<'_> {
+    fn drop(&mut self) {
+        self.0.take_batches(|_, batch| batch.clear());
     }
 }
 
@@ -333,11 +415,6 @@ pub trait Element: Send {
         false
     }
 
-    /// Scheduling weight (stride tickets); higher = more frequent.
-    fn tickets(&self) -> u32 {
-        1
-    }
-
     /// Reports the stats of a packet arena this element owns, if any.
     ///
     /// Ingress elements that allocate from a [`rb_packet::PacketPool`]
@@ -399,6 +476,7 @@ pub trait Element: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn port_kind_compatibility_matrix() {
@@ -423,6 +501,158 @@ mod tests {
         let drained: Vec<usize> = out.drain().map(|(p, _)| p).collect();
         assert_eq!(drained, vec![0, 1]);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn output_drains_port_by_port_first_touched_first() {
+        let mut out = Output::new();
+        for (port, id) in [(2, 0), (0, 1), (2, 2), (1, 3), (0, 4)] {
+            out.push(port, Packet::from_slice(&[id]));
+        }
+        let drained: Vec<(usize, u8)> = out.drain().map(|(p, pkt)| (p, pkt.data()[0])).collect();
+        assert_eq!(drained, vec![(2, 0), (2, 2), (0, 1), (0, 4), (1, 3)]);
+    }
+
+    #[test]
+    fn a_dropped_drain_takes_the_rest_with_it() {
+        let mut out = Output::new();
+        for port in [1, 0, 1, 2] {
+            out.push(port, Packet::from_slice(&[0]));
+        }
+        assert_eq!(out.drain().next().map(|(p, _)| p), Some(1));
+        assert!(out.is_empty());
+        assert_eq!(out.len(), 0);
+        out.push(2, Packet::from_slice(&[9]));
+        let rest: Vec<(usize, u8)> = out.drain().map(|(p, pkt)| (p, pkt.data()[0])).collect();
+        assert_eq!(rest, vec![(2, 9)]);
+    }
+
+    #[test]
+    fn push_batch_into_an_empty_port_trades_buffers() {
+        let mut batch = PacketBatch::with_capacity(32);
+        batch.push(Packet::from_slice(&[1]));
+        let buffer = batch.as_slice().as_ptr();
+        let mut out = Output::new();
+        out.push_batch(0, &mut batch);
+        assert!(batch.is_empty());
+        let mut taken = Vec::new();
+        out.take_batches(|port, b| taken.push((port, std::mem::take(b))));
+        assert_eq!(taken.len(), 1);
+        assert_eq!(taken[0].1.as_slice().as_ptr(), buffer, "moved, not copied");
+        // An empty batch touches nothing.
+        out.push_batch(3, &mut batch);
+        assert!(out.is_empty());
+    }
+
+    /// The `Output` this one replaced, and the driver pass that went with
+    /// it: emissions kept as a `(port, packet)` list in call order, then
+    /// regrouped into per-port batches, ports in first-seen order. Kept as
+    /// the reference the per-port container must agree with.
+    fn regroup(pairs: Vec<(usize, Packet)>) -> Vec<(usize, Vec<Packet>)> {
+        let mut groups: Vec<(usize, Vec<Packet>)> = Vec::new();
+        for (port, pkt) in pairs {
+            match groups.iter_mut().find(|(p, _)| *p == port) {
+                Some((_, group)) => group.push(pkt),
+                None => groups.push((port, vec![pkt])),
+            }
+        }
+        groups
+    }
+
+    fn ids(groups: &[(usize, Vec<Packet>)]) -> Vec<(usize, Vec<u32>)> {
+        let id = |pkt: &Packet| u32::from_le_bytes(pkt.data().try_into().unwrap());
+        groups
+            .iter()
+            .map(|(port, pkts)| (*port, pkts.iter().map(id).collect()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of `push`, `push_batch` (empty batches
+        /// included) and default drops over 1–33 ports, two rounds on one
+        /// `Output` so a round starts from what the last one left: the
+        /// driver's view (`take_batches`) and `drain` both give the port
+        /// order and per-port FIFO of the regrouped pair list, every
+        /// packet exactly once, and the default-drop count is the pair
+        /// list's.
+        #[test]
+        fn per_port_batches_match_the_regrouped_pair_list(
+            ports in 1usize..=33,
+            rounds in prop::collection::vec(
+                prop::collection::vec((0u8..8, 0usize..33, 0usize..40), 0..60),
+                2..3,
+            ),
+            by_drain in any::<bool>(),
+        ) {
+            let mut out = Output::new();
+            let mut next_id = 0u32;
+            let mut fresh = || {
+                next_id += 1;
+                Packet::from_slice(&next_id.to_le_bytes())
+            };
+            for round in rounds {
+                let mut pairs = Vec::new();
+                let mut dropped = 0;
+                for (op, port, n) in round {
+                    let port = port % ports;
+                    match op {
+                        0..=3 => {
+                            let pkt = fresh();
+                            pairs.push((port, pkt.clone()));
+                            out.push(port, pkt);
+                        }
+                        4..=6 => {
+                            let mut batch = PacketBatch::from_vec((0..n).map(|_| fresh()).collect());
+                            pairs.extend(batch.as_slice().iter().map(|p| (port, p.clone())));
+                            out.push_batch(port, &mut batch);
+                            prop_assert!(batch.is_empty());
+                        }
+                        _ => {
+                            dropped += 1;
+                            out.default_drop(fresh());
+                        }
+                    }
+                }
+                prop_assert_eq!(out.len(), pairs.len());
+                prop_assert_eq!(out.is_empty(), pairs.is_empty());
+                prop_assert_eq!(out.packets_mut().count(), pairs.len());
+                let mut got: Vec<(usize, Vec<Packet>)> = Vec::new();
+                if by_drain {
+                    for (port, pkt) in out.drain() {
+                        match got.last_mut().filter(|(p, _)| *p == port) {
+                            Some((_, group)) => group.push(pkt),
+                            None => got.push((port, vec![pkt])),
+                        }
+                    }
+                } else {
+                    out.take_batches(|port, batch| got.push((port, batch.drain().collect())));
+                }
+                let want = regroup(pairs);
+                prop_assert_eq!(ids(&got), ids(&want));
+                prop_assert_eq!(out.take_default_dropped(), dropped);
+                prop_assert_eq!(out.take_default_dropped(), 0);
+                prop_assert!(out.is_empty());
+                prop_assert_eq!(out.len(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn take_port_moves_one_port_and_leaves_the_rest() {
+        let mut out = Output::new();
+        for (port, id) in [(1, 0), (0, 1), (1, 2), (2, 3)] {
+            out.push(port, Packet::from_slice(&[id]));
+        }
+        let mut into = PacketBatch::new();
+        out.take_port(5, &mut into);
+        assert!(into.is_empty(), "nothing was emitted on port 5");
+        out.take_port(1, &mut into);
+        let got: Vec<u8> = into.drain().map(|p| p.data()[0]).collect();
+        assert_eq!(got, vec![0, 2]);
+        let rest: Vec<(usize, u8)> = out.drain().map(|(p, pkt)| (p, pkt.data()[0])).collect();
+        assert_eq!(rest, vec![(0, 1), (2, 3)]);
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub struct FromDevice {
     injected: u64,
     pool: Option<PacketPool>,
     rx_dropped: u64,
-    scratch: Vec<Packet>,
 }
 
 impl FromDevice {
@@ -67,7 +66,6 @@ impl FromDevice {
             injected: 0,
             pool: None,
             rx_dropped: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -224,13 +222,16 @@ impl Element for FromDevice {
                 break;
             }
         }
-        // Poll up to `kp` frames; spent descriptors write back in
-        // `kn`-sized chunks inside `consume`.
-        let polled = self.rx.consume(self.burst, &mut self.scratch);
-        for mut pkt in self.scratch.drain(..) {
-            pkt.meta.input_port = self.port_no;
-            out.push(0, pkt);
-        }
+        // Poll up to `kp` frames straight into the port-0 batch; spent
+        // descriptors write back in `kn`-sized chunks inside `consume`.
+        let polled = out.fill(0, |batch| {
+            let polled = self.rx.consume(self.burst, batch.as_mut_vec());
+            let at = batch.len() - polled;
+            for pkt in &mut batch.as_mut_slice()[at..] {
+                pkt.meta.input_port = self.port_no;
+            }
+            polled
+        });
         self.received += polled as u64;
         polled > 0
     }

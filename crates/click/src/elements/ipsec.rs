@@ -397,7 +397,7 @@ mod tests {
             }
         }
 
-        /// What `enc` emits for `frames`, in order.
+        /// What `enc` emits for `frames`, port by port, in order.
         fn seal(self, enc: &mut IpsecEncap, frames: Vec<Packet>) -> Vec<(usize, Packet)> {
             let mut out = Output::new();
             if self.batched {
@@ -571,20 +571,29 @@ mod tests {
             enc.esp = enc.esp.resuming_at(u32::MAX - 5);
             let out = sealer.seal(&mut enc, frames);
             assert_eq!(out.len(), 14);
+            // What each port carries, in the order it came: the first six
+            // candidates sealed on port 0, everything else on port 1.
+            let sent = mixed_frames(14);
             let mut sealed = 0;
-            for ((port, got), sent) in out.iter().zip(mixed_frames(14)) {
-                let candidate = tunnel_candidate(&sent).is_some();
-                if candidate && sealed < 6 {
-                    sealed += 1;
-                    assert_eq!(*port, 0, "{sealer:?}");
-                    assert!(got.len() > sent.len());
+            let (sealable, rest): (Vec<_>, Vec<_>) = sent.iter().partition(|frame| {
+                let seals = tunnel_candidate(frame).is_some() && sealed < 6;
+                sealed += usize::from(seals);
+                seals
+            });
+            let (mut sealable, mut rest) = (sealable.into_iter(), rest.into_iter());
+            for (port, got) in &out {
+                if *port == 0 {
+                    let sent = sealable.next().expect("six frames sealed");
+                    assert!(got.len() > sent.len(), "{sealer:?}");
                 } else {
                     assert_eq!(*port, 1, "{sealer:?}");
+                    let sent = rest.next().expect("eight frames failed");
                     assert_eq!(got.data(), sent.data(), "{sealer:?}: left as it came");
                     assert_eq!(got.buf().headroom(), 64, "{sealer:?}: never grown");
                 }
                 assert!(got.is_pooled());
             }
+            assert!(sealable.next().is_none() && rest.next().is_none());
             assert_eq!(enc.counts(), (6, 8));
             assert_eq!(pool.stats().heap_fallbacks, 0);
         }

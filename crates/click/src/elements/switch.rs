@@ -360,11 +360,12 @@ mod tests {
     fn round_robin_cycles() {
         let mut sw = RoundRobinSwitch::new(3);
         let mut out = Output::new();
-        for _ in 0..6 {
-            sw.push(0, Packet::from_slice(&[0]), &mut out);
+        for i in 0..6 {
+            sw.push(0, Packet::from_slice(&[i]), &mut out);
         }
-        let ports: Vec<usize> = out.drain().map(|(p, _)| p).collect();
-        assert_eq!(ports, vec![0, 1, 2, 0, 1, 2]);
+        // Per port, in arrival order: packet `i` went out port `i % 3`.
+        let got: Vec<(usize, u8)> = out.drain().map(|(p, pkt)| (p, pkt.data()[0])).collect();
+        assert_eq!(got, vec![(0, 0), (0, 3), (1, 1), (1, 4), (2, 2), (2, 5)]);
     }
 
     #[test]
@@ -375,9 +376,14 @@ mod tests {
         let mut out = Output::new();
         sw.push(0, a.clone(), &mut out);
         sw.push(0, b, &mut out);
-        sw.push(0, a, &mut out);
-        let ports: Vec<usize> = out.drain().map(|(p, _)| p).collect();
-        assert_eq!(ports[0], ports[2], "same flow must hash to same port");
+        sw.push(0, a.clone(), &mut out);
+        let of_a: Vec<usize> = out
+            .drain()
+            .filter(|(_, pkt)| pkt.data() == a.data())
+            .map(|(p, _)| p)
+            .collect();
+        assert_eq!(of_a.len(), 2);
+        assert_eq!(of_a[0], of_a[1], "same flow must hash to same port");
     }
 
     #[test]

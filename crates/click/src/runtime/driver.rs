@@ -11,11 +11,12 @@
 //! Batching is the paper's `kp` parameter applied to graph dispatch: one
 //! `push_batch` call, one work-queue round-trip and one statistics update
 //! move up to [`Router::batch_size`] packets, instead of paying those
-//! costs per packet. Emissions are regrouped into per-output-port batches
-//! after every element, so relative packet order *within an edge* is
-//! identical for every batch size — which is what makes scalar and
-//! batched execution produce byte-identical output streams on merge-free
-//! graphs (see the `batch_differential` test).
+//! costs per packet. An element emits into one batch per output port
+//! ([`Output`]), and those batches are what the work queue carries, so
+//! relative packet order *within an edge* is identical for every batch
+//! size — which is what makes scalar and batched execution produce
+//! byte-identical output streams on merge-free graphs (see the
+//! `batch_differential` test).
 
 use crate::config::Knobs;
 use crate::element::{Output, PacketBatch, PortKind};
@@ -27,9 +28,9 @@ use crate::graph::{Edge, ElementId, Graph};
 use crate::runtime::stride::StrideScheduler;
 use rb_packet::Packet;
 use rb_telemetry::{
-    cycles, json, CoreMetrics, CumulativeTotals, DropCause, EventKind, EventLog, EventRecorder,
-    EventRing, Harvest, IntervalRecorder, IntervalRing, Ledger, MetricsSnapshot, TelemetryLevel,
-    TimeSeries, TraceKind, TraceLog, Tracer,
+    cycles, json, CoreMetrics, CumulativeTotals, DropCause, EventKind, EventRecorder, EventRing,
+    Harvest, IntervalRecorder, IntervalRing, Ledger, MetricsSnapshot, TelemetryLevel, TimeSeries,
+    TraceKind, TraceLog, Tracer,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -205,15 +206,9 @@ pub struct Router {
     work: VecDeque<(ElementId, usize, PacketBatch)>,
     /// Recycled batch buffers (capacity retained across quanta).
     pool: Vec<PacketBatch>,
-    /// Reused accumulator of `enqueue_emissions`, indexed by output port
-    /// (every batch empty between calls).
-    groups: Vec<PacketBatch>,
-    /// The output ports `groups` holds packets for, first seen first.
-    group_ports: Vec<usize>,
-    /// Reused emission collector for the inner dispatch loop.
-    scratch: Output,
-    /// Reused emission collector for task/drain quanta.
-    task_out: Output,
+    /// The emission collector every dispatch of a quantum writes to
+    /// (empty between quanta).
+    out: Output,
     /// This core's telemetry shard (level [`TelemetryLevel::Off`] unless
     /// configured; every record is guarded by one branch on the level).
     metrics: CoreMetrics,
@@ -322,10 +317,7 @@ impl Router {
             batch_size: Self::DEFAULT_BATCH_SIZE,
             work: VecDeque::new(),
             pool: Vec::new(),
-            groups: Vec::new(),
-            group_ports: Vec::new(),
-            scratch: Output::new(),
-            task_out: Output::new(),
+            out: Output::new(),
             metrics: CoreMetrics::new(TelemetryLevel::Off, n),
             tracer: Tracer::off(),
             trace_ids: Vec::new(),
@@ -376,7 +368,7 @@ impl Router {
                 continue;
             }
             if id >= known {
-                self.scheduler.add(id, el.tickets());
+                self.scheduler.add(id);
             }
             match task.as_ref().filter(|drain| drain.hinted) {
                 Some(drain) => self.wakes[drain.chain[drain.chain.len() - 1].from] = Some(id),
@@ -396,13 +388,6 @@ impl Router {
     /// space when several routers stamp concurrently (one per worker).
     pub fn set_trace(&mut self, sample: u64, core: u32) {
         self.tracer = Tracer::new(sample, core);
-    }
-
-    /// Builder-style variant of [`Router::set_trace`] for core 0.
-    #[must_use]
-    pub fn with_trace(mut self, sample: u64) -> Router {
-        self.set_trace(sample, 0);
-        self
     }
 
     /// The configured trace sampling interval (0 = off).
@@ -551,19 +536,6 @@ impl Router {
         self.events.as_ref().map(|rec| rec.ring())
     }
 
-    /// Everything this router's own rings hold, read the way the MT
-    /// harness reads its workers'. `None` when the clock is off.
-    fn harvest(&self) -> Option<(TimeSeries, EventLog)> {
-        let (rec, events) = (self.interval.as_ref()?, self.events.as_ref()?);
-        Some(Harvest::new(vec![rec.ring()], vec![events.ring()]).finish(rec.interval_ticks()))
-    }
-
-    /// Harvests every journaled event published so far into an
-    /// [`EventLog`]. `None` when the journal is off.
-    pub fn event_log(&self) -> Option<EventLog> {
-        Some(self.harvest()?.1)
-    }
-
     /// Closes the open partial bucket (if it saw any activity) so the
     /// series accounts for every packet. Deliberately *not* called by
     /// [`Router::run_until_idle`] — MT workers run to idle once per ring
@@ -580,10 +552,13 @@ impl Router {
     }
 
     /// Harvests everything published so far into a [`TimeSeries`]
-    /// (flushing the open bucket first). `None` when the clock is off.
+    /// (flushing the open bucket first), read the way the MT harness reads
+    /// its workers' rings. `None` when the clock is off.
     pub fn timeseries(&mut self) -> Option<TimeSeries> {
         self.interval_flush();
-        Some(self.harvest()?.0)
+        let (rec, events) = (self.interval.as_ref()?, self.events.as_ref()?);
+        let harvest = Harvest::new(vec![rec.ring()], vec![events.ring()]);
+        Some(harvest.finish(rec.interval_ticks()).0)
     }
 
     /// Cumulative run totals sampled at an interval boundary: the ledger
@@ -696,46 +671,52 @@ impl Router {
         }
     }
 
-    /// Timestamp for a dispatch span, or 0 when cycle accounting is off.
+    /// Whether a dispatch span is measured: by the cycle account, the
+    /// path trace, or both.
     #[inline]
-    fn tm_start(&self) -> u64 {
-        if self.metrics.cycles_on() {
+    fn spans_clocked(&self) -> bool {
+        self.metrics.cycles_on() || self.tracer.enabled()
+    }
+
+    /// Opens a dispatch span: the one clock read the cycle account and the
+    /// path trace both start from, or 0 when neither measures it.
+    #[inline]
+    fn span_open(&self) -> u64 {
+        if self.spans_clocked() {
             cycles::now()
         } else {
             0
         }
     }
 
-    /// Closes the span opened by [`Router::tm_start`] and records one
-    /// dispatch into `stage`. One branch when telemetry is off.
+    /// Closes the span opened at `t0` around a dispatch of `packets`
+    /// packets into `stage`: one clock read, booked to the stage's metrics
+    /// row and, for the traced IDs collected before the dispatch, to the
+    /// trace. One branch when telemetry and tracing are both off.
     #[inline]
-    fn tm_dispatch(&mut self, stage: ElementId, packets: u64, t0: u64) {
+    fn span_close(&mut self, stage: ElementId, packets: u64, t0: u64) {
+        if !self.metrics.enabled() && !self.tracer.enabled() {
+            return;
+        }
+        let span = if self.spans_clocked() {
+            cycles::now().wrapping_sub(t0)
+        } else {
+            0
+        };
         if self.metrics.enabled() {
-            let span = if self.metrics.cycles_on() {
-                cycles::now().wrapping_sub(t0)
-            } else {
-                0
-            };
             self.metrics.record_dispatch(stage, packets, span);
         }
-    }
-
-    /// Timestamp for a trace span, or 0 when tracing is off (the one
-    /// branch disabled tracing pays per site).
-    #[inline]
-    fn tr_start(&self) -> u64 {
-        if self.tracer.enabled() {
-            cycles::now()
-        } else {
-            0
+        if self.tracer.enabled() && !self.trace_ids.is_empty() {
+            self.tracer
+                .record_element(stage as u32, &self.trace_ids, t0, span);
         }
     }
 
     /// Stamps trace IDs onto fresh source emissions (every `sample`-th
     /// untraced packet) and collects the batch's traced IDs into the
-    /// scratch list for the span record that follows routing.
+    /// scratch list for the span record that follows.
     #[inline]
-    fn tr_stamp_source(&mut self, out: &mut Output) {
+    fn stamp_source(&mut self, out: &mut Output) {
         if !self.tracer.enabled() {
             return;
         }
@@ -748,19 +729,6 @@ impl Router {
                 self.trace_ids.push(pkt.meta.trace_id);
             }
         }
-    }
-
-    /// Records an element span for the traced IDs collected before the
-    /// dispatch bracketed by `tr0`.
-    #[inline]
-    fn tr_dispatch(&mut self, stage: ElementId, tr0: u64) {
-        if !self.tracer.enabled() || self.trace_ids.is_empty() {
-            return;
-        }
-        let dur = cycles::now().wrapping_sub(tr0);
-        let ids = std::mem::take(&mut self.trace_ids);
-        self.tracer.record_element(stage as u32, &ids, tr0, dur);
-        self.trace_ids = ids;
     }
 
     /// Sets the dispatch batch size `kp` (panics on zero). `kp == 1`
@@ -801,12 +769,15 @@ impl Router {
 
     /// Runs until every active element has reported idle since the last
     /// useful quantum — parked drains by their empty queues, the pollers
-    /// by being armed and polled once more — or `max_quanta` quanta
-    /// elapse. Returns the run statistics; `RunStats::fused` distinguishes
-    /// a blown fuse (quanta budget spent with runnable work left) from a
-    /// clean drain — a fuse-out is not a verified drain and can mask
-    /// livelock if read as one. `quanta` is cumulative across calls;
-    /// `fused` reflects only this call.
+    /// by being armed and polled once more — or the router's cumulative
+    /// quantum count, [`RunStats::quanta`] over every call so far, reaches
+    /// `max_quanta`: the fuse is a ceiling on that counter, not a budget
+    /// for this call, so `run_until_idle(0)` runs nothing and a caller
+    /// that wants `n` more quanta passes `stats().quanta + n`. Returns the
+    /// run statistics; `RunStats::fused` distinguishes a blown fuse
+    /// (ceiling reached with runnable work left) from a clean drain — a
+    /// fuse-out is not a verified drain and can mask livelock if read as
+    /// one. `fused` reflects only this call.
     pub fn run_until_idle(&mut self, max_quanta: u64) -> RunStats {
         self.stats.fused = false;
         let mut settled = false;
@@ -911,7 +882,7 @@ impl Router {
             return false;
         };
         self.stats.quanta += 1;
-        let q0 = self.tm_start();
+        let q0 = self.span_open();
         let did_work = self.run_task(id);
         // The pick is parked. A hinted drain's backlog decides whether it
         // runs again; anything else does if it found something to do.
@@ -941,44 +912,39 @@ impl Router {
 
     /// One quantum of task `id`, whatever the scheduler thinks of it.
     fn run_task(&mut self, id: ElementId) -> bool {
-        if self.tasks[id].is_some() {
-            return self.run_drain(id);
-        }
-        let mut out = std::mem::take(&mut self.task_out);
-        let t0 = self.tm_start();
-        let tr0 = self.tr_start();
-        let did_work = self.graph.element_mut(id).run_task(&mut out);
-        let emitted = out.len() as u64;
-        if emitted > 0 {
-            // Attribute source work to the source's own row; idle
-            // polls are covered by the quantum's empty-poll counter.
-            self.tm_dispatch(id, emitted, t0);
-        }
-        // Source boundary: assign trace IDs to sampled emissions and
-        // open each traced packet's path with a span on the source.
-        self.tr_stamp_source(&mut out);
-        self.tr_dispatch(id, tr0);
-        self.stats.dropped_default += out.take_default_dropped();
+        let mut out = std::mem::take(&mut self.out);
+        let did_work = if let Some(drain) = &self.tasks[id] {
+            // Unified `kp`: a drain follows the graph batch size unless
+            // the device carries an explicit per-device burst override.
+            let burst = drain.burst;
+            self.run_drain(id, burst, &mut out)
+        } else {
+            let t0 = self.span_open();
+            let did_work = self.graph.element_mut(id).run_task(&mut out);
+            let emitted = out.len() as u64;
+            if emitted > 0 {
+                // Source boundary: assign trace IDs to sampled emissions,
+                // and open each traced packet's path with a span on the
+                // source. Source work goes to the source's own row; idle
+                // polls are covered by the quantum's empty-poll counter.
+                self.stamp_source(&mut out);
+                self.span_close(id, emitted, t0);
+            }
+            did_work
+        };
         self.route(id, &mut out);
-        self.task_out = out;
+        self.out = out;
         did_work
     }
 
     /// Pulls one burst of packets into drain element `id` as a batch.
-    fn run_drain(&mut self, id: ElementId) -> bool {
-        // Unified `kp`: a drain follows the graph batch size unless the
-        // device carries an explicit per-device burst override.
-        let burst = self.tasks[id].as_ref().expect("drains have a plan").burst;
+    fn run_drain(&mut self, id: ElementId, burst: usize, out: &mut Output) -> bool {
         let mut batch = self.take_batch();
-        let moved = self.resolve_pull_batch(id, 0, burst, &mut batch);
-        if moved == 0 {
+        if self.resolve_pull_batch(id, 0, burst, &mut batch, out) == 0 {
             self.recycle(batch);
             return false;
         }
-        let mut out = std::mem::take(&mut self.task_out);
-        self.dispatch(id, 0, batch, &mut out);
-        self.route(id, &mut out);
-        self.task_out = out;
+        self.dispatch(id, 0, batch, out);
         true
     }
 
@@ -993,11 +959,9 @@ impl Router {
         if self.tracer.enabled() {
             traced_ids(batch.as_slice(), &mut self.trace_ids);
         }
-        let t0 = self.tm_start();
-        let tr0 = self.tr_start();
+        let t0 = self.span_open();
         self.graph.element_mut(id).push_batch(port, &mut batch, out);
-        self.tm_dispatch(id, n, t0);
-        self.tr_dispatch(id, tr0);
+        self.span_close(id, n, t0);
         self.stats.pushes += n;
         self.stats.batch_calls += 1;
         self.stats.dropped_default += out.take_default_dropped();
@@ -1013,125 +977,92 @@ impl Router {
     /// [`crate::element::Element::pull_batch`]; the hops before it leave
     /// agnostic through-elements (e.g. `Counter` in a pull path), driven
     /// by pulling a batch from their upstream and applying their push
-    /// transform to the whole batch.
+    /// transform to the whole batch, with `out` — empty between hops — as
+    /// the collector.
     fn resolve_pull_batch(
         &mut self,
         drain: ElementId,
         hop: usize,
         max: usize,
         into: &mut PacketBatch,
+        out: &mut Output,
     ) -> usize {
         let plan = self.tasks[drain].as_ref().expect("drains have a plan");
         let (edge, terminal) = (plan.chain[hop], hop + 1 == plan.chain.len());
         if terminal {
             // Terminal pull source (Queue or similar): bulk drain.
-            let t0 = self.tm_start();
-            let tr0 = self.tr_start();
+            let t0 = self.span_open();
             let n = self
                 .graph
                 .element_mut(edge.from)
                 .pull_batch(edge.from_port, max, into);
             if n > 0 {
-                self.tm_dispatch(edge.from, n as u64, t0);
                 if self.tracer.enabled() {
                     // Only the packets this pull moved (the batch may
                     // already hold earlier pulls).
                     let moved = &into.as_slice()[into.len() - n..];
                     traced_ids(moved, &mut self.trace_ids);
-                    self.tr_dispatch(edge.from, tr0);
                 }
+                self.span_close(edge.from, n as u64, t0);
             }
             return n;
         }
         // Through-element: pull a batch upstream, push it through.
         let mut upstream = self.take_batch();
-        let n = self.resolve_pull_batch(drain, hop + 1, max, &mut upstream);
+        let n = self.resolve_pull_batch(drain, hop + 1, max, &mut upstream, out);
         if n == 0 {
             self.recycle(upstream);
             return 0;
         }
-        let mut out = Output::new();
-        self.dispatch(edge.from, 0, upstream, &mut out);
-        let mut moved = 0;
-        let mut side = Output::new();
-        for (port, pkt) in out.drain() {
-            if port == edge.from_port {
-                into.push(pkt);
-                moved += 1;
-            } else {
-                side.push(port, pkt);
-            }
-        }
+        self.dispatch(edge.from, 0, upstream, out);
+        let held = into.len();
+        out.take_port(edge.from_port, into);
         // Any side-channel emissions (e.g. an error output) are routed as
         // ordinary pushes.
-        if !side.is_empty() {
-            self.route(edge.from, &mut side);
-        }
-        moved
+        self.route(edge.from, out);
+        into.len() - held
     }
 
     /// Routes all packets in `out` (emitted by element `from`) along the
     /// graph edges, cascading batches through push elements until the
-    /// work queue drains.
+    /// work queue drains. Queueing empties `out`, so it collects every
+    /// dispatch of the cascade in turn and comes back empty.
     fn route(&mut self, from: ElementId, out: &mut Output) {
         debug_assert!(self.work.is_empty(), "route() re-entered with queued work");
         self.stats.dropped_default += out.take_default_dropped();
         self.enqueue_emissions(from, out);
         while let Some((id, port, batch)) = self.work.pop_front() {
-            let mut emitted = std::mem::take(&mut self.scratch);
-            self.dispatch(id, port, batch, &mut emitted);
+            self.dispatch(id, port, batch, out);
             if let Some(drain) = self.wakes[id] {
                 self.wake_drain(drain);
             }
-            self.enqueue_emissions(id, &mut emitted);
-            self.scratch = emitted;
+            self.enqueue_emissions(id, out);
         }
     }
 
-    /// Groups `out`'s `(port, packet)` emissions into per-port batches
-    /// (first-seen port order, FIFO within a port), chunks them at
-    /// `batch_size`, and appends them to the work queue.
+    /// Appends `out`'s per-port batches to the work queue as they stand
+    /// (first-touched port order, FIFO within a port), a recycled buffer
+    /// swapped in for each; one longer than `batch_size` goes in chunks.
     fn enqueue_emissions(&mut self, from: ElementId, out: &mut Output) {
-        if out.is_empty() {
-            return;
-        }
-        for (port, pkt) in out.drain() {
-            if port >= self.groups.len() {
-                self.groups.resize_with(port + 1, PacketBatch::new);
-            }
-            let group = &mut self.groups[port];
-            if group.is_empty() {
-                *group = self.pool.pop().unwrap_or_default();
-                self.group_ports.push(port);
-            }
-            group.push(pkt);
-        }
-        let mut ports = std::mem::take(&mut self.group_ports);
-        for port in ports.drain(..) {
-            let mut batch = std::mem::take(&mut self.groups[port]);
+        out.take_batches(|port, batch| {
             let Some(edge) = self.graph.edge_from(from, port) else {
                 self.stats.leaked += batch.len() as u64;
-                self.recycle(batch);
-                continue;
+                batch.clear();
+                return;
             };
             if batch.len() <= self.batch_size {
-                self.work.push_back((edge.to, edge.to_port, batch));
-            } else {
-                // Chunk off the front so FIFO order survives splitting.
-                let mut remaining = batch.len();
-                let mut packets = batch.drain();
-                while remaining > 0 {
-                    let take = remaining.min(self.batch_size);
-                    let mut chunk = self.pool.pop().unwrap_or_default();
-                    chunk.extend(packets.by_ref().take(take));
-                    self.work.push_back((edge.to, edge.to_port, chunk));
-                    remaining -= take;
-                }
-                drop(packets);
-                self.recycle(batch);
+                let whole = std::mem::replace(batch, self.take_batch());
+                self.work.push_back((edge.to, edge.to_port, whole));
+                return;
             }
-        }
-        self.group_ports = ports;
+            // Chunk off the front so FIFO order survives splitting.
+            let mut packets = batch.drain().peekable();
+            while packets.peek().is_some() {
+                let mut chunk = self.take_batch();
+                chunk.extend(packets.by_ref().take(self.batch_size));
+                self.work.push_back((edge.to, edge.to_port, chunk));
+            }
+        });
     }
 
     /// Fetches a pooled batch buffer (or a fresh one).
@@ -1649,7 +1580,8 @@ mod tests {
         g.connect(s, 0, c, 0).unwrap();
         g.connect(c, 0, q, 0).unwrap();
         g.connect(q, 0, t, 0).unwrap();
-        let mut router = Router::new(g).unwrap().with_trace(8);
+        let mut router = Router::new(g).unwrap();
+        router.set_trace(8, 0);
         router.run_until_idle(10_000);
         let traced = {
             let tx = router.element_as::<ToDevice>("tx").unwrap();

@@ -1,40 +1,33 @@
-//! Stride scheduling, Click's task scheduler.
+//! Stride scheduling, Click's task scheduler, at one ticket a task.
 //!
-//! Each task has a number of *tickets*; its *stride* is `STRIDE1 /
-//! tickets`. The scheduler always runs the runnable task with the smallest
-//! *pass* value and advances that task's pass by its stride, giving each
-//! task CPU share proportional to its tickets — deterministic, and exactly
-//! what Click uses to arbitrate between polling tasks.
+//! The scheduler always runs the runnable task with the smallest *pass*
+//! value (ties by id) and advances that task's pass by one stride, so
+//! every task that stays runnable gets the same share — deterministic, and
+//! what Click uses to arbitrate between polling tasks. Click's tasks can
+//! hold unequal *tickets* (stride = a constant ÷ tickets); no element here
+//! ever did, so every stride is 1 and the schedule is a round-robin over
+//! the runnable tasks.
 //!
 //! Runnable tasks sit in a deque kept sorted by `(pass, id)`, so the next
 //! task is the front. [`StrideScheduler::next`] pops, charges and *parks*
 //! it — one store — and [`StrideScheduler::wake`] puts a parked task back
 //! in order: the caller wakes its pick again if the quantum was useful,
 //! and a round costs what its runnable tasks cost. Where a rejoining pass
-//! is the largest it goes to the back, O(1) — always so for the last pick
-//! when every task holds the same tickets, which is every router this
-//! repo builds (no element overrides [`crate::Element::tickets`]): equal
-//! strides make the schedule a round-robin. Otherwise the slot is found
-//! by binary search and opened by moving at most n/2 entries of 24 bytes;
-//! [`StrideScheduler::add`] costs the same.
+//! is the largest it goes to the back, O(1) — always so for the last
+//! pick. A task that sat parked through later picks rejoins at the last
+//! pick's pass: its slot is found by binary search and opened by moving at
+//! most n/2 entries of 16 bytes; [`StrideScheduler::add`] costs the same.
 //! [`StrideScheduler::remove`] filters the deque, O(n).
 
 use std::collections::VecDeque;
 
-/// The stride constant (any large number divisible by common ticket
-/// counts; Click uses 1<<16 too).
-const STRIDE1: u64 = 1 << 16;
-
 /// One schedulable task. The derived order — `pass`, then `id` — is the
-/// scheduling order. `stride` only separates tasks registered under one
-/// id at one pass, and which of those is charged first cannot be told
-/// from outside: the other runs next, at the same pass, under the same id.
+/// scheduling order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct TaskState {
     pass: u64,
     /// Caller-supplied identifier (e.g. element id).
     id: usize,
-    stride: u64,
 }
 
 /// A stride scheduler over tasks identified by `usize` ids.
@@ -67,23 +60,12 @@ impl StrideScheduler {
         }
     }
 
-    /// Adds a runnable task with the given ticket count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero tickets — such a task would never run, which is a
-    /// configuration error.
-    pub fn add(&mut self, id: usize, tickets: u32) {
-        assert!(tickets > 0, "tasks need at least one ticket");
-        let stride = STRIDE1 / u64::from(tickets);
+    /// Adds a runnable task.
+    pub fn add(&mut self, id: usize) {
         // New tasks join at the current minimum pass so they cannot
         // monopolise the scheduler on entry.
         let pass = self.tasks.front().map_or(self.now, |t| t.pass);
-        self.insert(TaskState {
-            pass,
-            id,
-            stride: stride.max(1),
-        });
+        self.insert(TaskState { pass, id });
     }
 
     /// Takes the next runnable task off the run list, charges it one
@@ -95,7 +77,7 @@ impl StrideScheduler {
     pub fn next(&mut self) -> Option<usize> {
         let mut task = self.tasks.pop_front()?;
         self.now = task.pass;
-        task.pass += task.stride;
+        task.pass += 1;
         if task.id >= self.parked.len() {
             self.parked.resize(task.id + 1, None);
         }
@@ -156,15 +138,14 @@ mod tests {
     /// deque must agree with call for call.
     #[derive(Default)]
     struct NaiveScheduler {
-        /// `(id, pass, stride)` in insertion order.
-        tasks: Vec<(usize, u64, u64)>,
+        /// `(id, pass)` in insertion order.
+        tasks: Vec<(usize, u64)>,
     }
 
     impl NaiveScheduler {
-        fn add(&mut self, id: usize, tickets: u32) {
-            let stride = (STRIDE1 / u64::from(tickets)).max(1);
+        fn add(&mut self, id: usize) {
             let pass = self.tasks.iter().map(|t| t.1).min().unwrap_or(0);
-            self.tasks.push((id, pass, stride));
+            self.tasks.push((id, pass));
         }
 
         fn next(&mut self) -> Option<usize> {
@@ -174,7 +155,7 @@ mod tests {
                 .enumerate()
                 .min_by_key(|(_, t)| (t.1, t.0))?;
             let task = &mut self.tasks[idx];
-            task.1 += task.2;
+            task.1 += 1;
             Some(task.0)
         }
 
@@ -191,21 +172,21 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random interleavings of `add` (unequal tickets, ids reused so
-        /// duplicates occur), `next`, and `remove` — of an arbitrary id
+        /// Random interleavings of `add` (ids reused so duplicates
+        /// occur), `next`, and `remove` — of an arbitrary id
         /// and of the task that would run next — return the same id
         /// sequence from the sorted deque and from the linear scan.
         #[test]
         fn sorted_deque_matches_linear_scan(
-            ops in prop::collection::vec((0u8..8, 0usize..12, 1u32..=8), 1..400),
+            ops in prop::collection::vec((0u8..8, 0usize..12), 1..400),
         ) {
             let mut sched = StrideScheduler::new();
             let mut naive = NaiveScheduler::default();
-            for (op, id, tickets) in ops {
+            for (op, id) in ops {
                 match op {
                     0 | 1 => {
-                        sched.add(id, tickets);
-                        naive.add(id, tickets);
+                        sched.add(id);
+                        naive.add(id);
                     }
                     2 => {
                         sched.remove(id);
@@ -233,8 +214,8 @@ mod tests {
     #[test]
     fn equal_tickets_alternate_fairly() {
         let mut s = StrideScheduler::new();
-        s.add(0, 1);
-        s.add(1, 1);
+        s.add(0);
+        s.add(1);
         let mut counts = [0usize; 2];
         for _ in 0..100 {
             counts[run_next(&mut s).unwrap()] += 1;
@@ -243,24 +224,10 @@ mod tests {
     }
 
     #[test]
-    fn tickets_give_proportional_share() {
-        let mut s = StrideScheduler::new();
-        s.add(0, 3);
-        s.add(1, 1);
-        let mut counts = [0usize; 2];
-        for _ in 0..400 {
-            counts[run_next(&mut s).unwrap()] += 1;
-        }
-        // Task 0 should run ~3x as often as task 1.
-        let ratio = counts[0] as f64 / counts[1] as f64;
-        assert!((2.8..3.2).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
     fn removal_stops_scheduling() {
         let mut s = StrideScheduler::new();
-        s.add(7, 1);
-        s.add(8, 1);
+        s.add(7);
+        s.add(8);
         s.remove(7);
         for _ in 0..10 {
             assert_eq!(run_next(&mut s), Some(8));
@@ -273,11 +240,11 @@ mod tests {
     #[test]
     fn late_joiner_is_not_starved_nor_dominant() {
         let mut s = StrideScheduler::new();
-        s.add(0, 1);
+        s.add(0);
         for _ in 0..50 {
             run_next(&mut s);
         }
-        s.add(1, 1);
+        s.add(1);
         let mut counts = [0usize; 2];
         for _ in 0..100 {
             counts[run_next(&mut s).unwrap()] += 1;
@@ -286,16 +253,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one ticket")]
-    fn zero_tickets_rejected() {
-        StrideScheduler::new().add(0, 0);
-    }
-
-    #[test]
     fn a_pick_stays_parked_until_it_is_woken() {
         let mut s = StrideScheduler::new();
-        s.add(3, 1);
-        s.add(5, 1);
+        s.add(3);
+        s.add(5);
         assert_eq!(s.next(), Some(3));
         assert!(s.is_parked(3) && !s.is_parked(5));
         // Only task 5 is runnable now, however often it runs.

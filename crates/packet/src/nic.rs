@@ -162,12 +162,6 @@ impl DescRing {
         self.frames.len() + self.spent
     }
 
-    /// Descriptors a `post` can still take without failing: free slots
-    /// plus spent ones recoverable by a forced writeback.
-    pub fn recoverable_room(&self) -> usize {
-        self.depth() - self.pending()
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> NicStats {
         self.stats

@@ -175,7 +175,6 @@ struct PoolInner {
 // `PoolSlot` at a time; distinct slots cover disjoint byte ranges, so no
 // two threads alias the same bytes mutably.
 unsafe impl Sync for PoolInner {}
-unsafe impl Send for PoolInner {}
 
 impl PoolInner {
     /// Detaches up to `max` slots from the free-list with one CAS,

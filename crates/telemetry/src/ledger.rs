@@ -155,15 +155,6 @@ impl Ledger {
         self.residual() == 0
     }
 
-    /// `(cause name, count)` rows with nonzero counts, for reports.
-    pub fn drop_rows(&self) -> Vec<(&'static str, u64)> {
-        DropCause::ALL
-            .iter()
-            .filter(|c| self.dropped(**c) > 0)
-            .map(|c| (c.as_str(), self.dropped(*c)))
-            .collect()
-    }
-
     /// JSON object: totals, a per-cause `drops` map, the residual and the
     /// balance verdict.
     pub fn to_json(&self) -> String {

@@ -11,6 +11,9 @@ cd "$(dirname "$0")/.."
 
 quick="${1:-}"
 
+# A source file's non-test lines: those above its first `#[cfg(test)]`.
+non_test() { awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+
 cores="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 if [ "$cores" -lt 4 ]; then
     echo "WARNING: only $cores core(s) detected (< 4). Multi-threaded" >&2
@@ -24,28 +27,38 @@ fi
 cargo test -q -p rb-crypto --test backends detected_backend -- --nocapture 2>/dev/null |
     grep '^crypto backend:' >&2 || echo "crypto backend: unknown (probe test did not run)" >&2
 
-echo "==> rb-crypto unsafe gate (unsafe and core::arch only in x86.rs, every block under a SAFETY line)"
+echo "==> unsafe gate (rb-crypto: unsafe and core::arch only in x86.rs; every crate: each unsafe under a SAFETY line)"
 # Code lines only: comments may talk about `unsafe`; `unsafe_code` in the
 # crate's lint attributes is a different word.
-if grep -nE '(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)|(core|std)::arch' crates/crypto/src/*.rs |
+unsafe_word='(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)'
+if grep -nE "$unsafe_word|(core|std)::arch" crates/crypto/src/*.rs |
     grep -v '^crates/crypto/src/x86\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
     echo "unsafe or core::arch outside crates/crypto/src/x86.rs" >&2
     exit 1
 fi
-awk '
+# Every source file that says `unsafe` (x86.rs, pool.rs, spsc.rs, rcu.rs,
+# prefetch.rs, cycles.rs today; a new one is gated the day it appears).
+grep -rlE "$unsafe_word" crates/*/src --include='*.rs' | xargs awk '
+    FNR == 1 { comment = 0; safety = 0 }
     /^[[:space:]]*\/\// { if ($0 ~ /\/\/ SAFETY:/) safety = 1; comment = 1; next }
     /(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/ && !(comment && safety) {
-        printf "%s:%d: unsafe without a // SAFETY: comment directly above\n", FILENAME, NR
+        printf "%s:%d: unsafe without a // SAFETY: comment directly above\n", FILENAME, FNR
         bad = 1
     }
     { comment = 0; safety = 0 }
     END { exit bad }
-' crates/crypto/src/x86.rs
+'
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper: the collapsed names stay gone)"
-if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b' \
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements: the collapsed names stay gone)"
+if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
-    echo "a knob struct, MT entry point, scheduler type, worker body, shipper or X_with_events fork that PRs 21-22 collapsed is back" >&2
+    echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
+    exit 1
+fi
+# `Output` is per-port batches; the pair list survives only as the
+# reference in element.rs's tests.
+if grep -n 'Vec<(usize, Packet)>' <(non_test crates/click/src/element.rs); then
+    echo "crates/click/src/element.rs holds a (port, packet) pair list again" >&2
     exit 1
 fi
 
@@ -61,6 +74,9 @@ if ! find crates/click/src crates/core/src crates/telemetry/src -name '*.rs' \
     echo "an escaped \": in a string literal: hand-rolled JSON outside crates/telemetry/src/json.rs" >&2
     exit 1
 fi
+echo "rb-click non-test lines: $(find crates/click/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)" \
+    "(runtime/driver.rs $(non_test crates/click/src/runtime/driver.rs | wc -l)," \
+    "runtime/stride.rs $(non_test crates/click/src/runtime/stride.rs | wc -l))"
 echo "rb-click + rb-core lines: $(find crates/click crates/core -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "rb-telemetry lines: $(find crates/telemetry -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "Ordering:: sites in crates/: $(grep -r 'Ordering::' crates/ --include='*.rs' | wc -l)"

@@ -1,6 +1,6 @@
-//! Allocation guard for the scheduling quantum, the ingress call and the
-//! IPsec tunnel path, and a count gate on what a round of a wide router
-//! costs in quanta.
+//! Allocation guard for the scheduling quantum, the ingress call, the
+//! IPsec tunnel path and a through-element in a pull path, and a count
+//! gate on what a round of a wide router costs in quanta.
 //!
 //! A 32-port IP router runs 64 tasks, and an idle one spends all its time
 //! picking them and learning that they have nothing to do; `inject` is
@@ -8,12 +8,17 @@
 //! fails if a `ports()` call (two `Vec`s an answer) or a `format!`-ed
 //! element name creeps back into either path. The IPsec gateway
 //! encapsulates inside the arena slot a frame arrived in; its test fails
-//! if sealing goes back through a `Vec` or a second packet buffer.
+//! if sealing goes back through a `Vec` or a second packet buffer. The
+//! builder's graphs pull straight from a queue, so the drain that pulls
+//! through a `Counter` is wired by hand; its test fails if resolving the
+//! pull chain builds a collector of its own for each hop again.
 //!
 //! The counting allocator counts per thread, so the tests in this file
 //! can run side by side.
 
 use routebricks::builder::{BuiltRouter, RouterBuilder};
+use routebricks::click::elements::{Counter, FromDevice, Queue, ToDevice};
+use routebricks::click::{Graph, Router};
 use routebricks::packet::builder::PacketSpec;
 use routebricks::packet::Packet;
 use routebricks::telemetry::TelemetryLevel;
@@ -218,4 +223,38 @@ fn ipsec_gateway_encapsulates_without_allocating() {
     let stats = r.click().stats();
     assert_eq!(stats.pool_fallbacks, 0, "every tunnel frame stayed pooled");
     assert_eq!(stats.pool_allocs, 512);
+}
+
+#[test]
+fn a_counter_in_a_pull_path_does_not_allocate() {
+    let mut g = Graph::new();
+    let rx = g.add("rx", Box::new(FromDevice::new(0, 32))).unwrap();
+    let q = g.add("q", Box::new(Queue::new(1024))).unwrap();
+    let cnt = g.add("cnt", Box::new(Counter::new())).unwrap();
+    let tx = g.add("tx", Box::new(ToDevice::new(32, false))).unwrap();
+    g.connect(rx, 0, q, 0).unwrap();
+    g.connect(q, 0, cnt, 0).unwrap();
+    g.connect(cnt, 0, tx, 0).unwrap();
+    let mut router = Router::new(g).unwrap();
+    let inject = |router: &mut Router, n: usize| {
+        let rx = router.element_as_mut::<FromDevice>("rx").unwrap();
+        for pkt in frames(n) {
+            assert!(rx.inject(pkt));
+        }
+    };
+    inject(&mut router, 512);
+    router.run_until_idle(u64::MAX);
+    assert_eq!(router.counter("cnt").unwrap().packets, 512);
+
+    inject(&mut router, 256);
+    let allocs = allocations_in(|| {
+        let mut idle = 0;
+        while idle < 8 {
+            idle = if router.run_quantum() { 0 } else { idle + 1 };
+        }
+    });
+    assert_eq!(allocs, 0, "256 frames pulled through a Counter");
+    assert_eq!(router.counter("cnt").unwrap().packets, 768);
+    let sent = router.element_as::<ToDevice>("tx").unwrap().sent_packets();
+    assert_eq!(sent, 768);
 }
