@@ -157,7 +157,7 @@ impl Aes128 {
         let aes = Aes128::portable(key);
         #[cfg(target_arch = "x86_64")]
         let aes = Aes128 {
-            hw: crate::x86::detect().0.map(|detected| {
+            hw: crate::x86::detect().aes.map(|detected| {
                 let mut schedule = [[0u8; 16]; 11];
                 for (bytes, words) in schedule.iter_mut().zip(aes.enc_keys) {
                     store_words(words, bytes);

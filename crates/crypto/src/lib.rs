@@ -18,14 +18,19 @@
 //!
 //! The cipher and the hash each have two implementations behind the same
 //! types. [`Aes128::new`] and [`Sha1::new`] ask the CPU once, at
-//! construction, whether it has AES-NI and the SHA extensions (two
-//! independent answers; [`hardware`] reports them) and from then on run
-//! the instructions in `x86.rs`; on every other CPU, and on any other
+//! construction, whether it has AES-NI and the SHA extensions (independent
+//! answers; [`hardware`] reports them) and from then on run the
+//! instructions in `x86.rs`; on every other CPU, and on any other
 //! architecture, they run the portable code in [`aes`] and [`sha1`] — the
-//! table cipher and unrolled hash a 2009 router ran. There is no feature,
-//! environment variable or setting to choose with. The `portable()`
-//! constructors skip the question so that tests can hold the two paths
-//! bit-equal and benches can time both on one machine.
+//! table cipher and unrolled hash a 2009 router ran. [`HmacSha1::new`]
+//! also asks for AVX-512: with it, [`HmacSha1::mac96_batch`] hashes
+//! sixteen messages at once, one per 32-bit lane, which is how a sealed
+//! batch is authenticated — one `sha1rnds4` chain is bound by the
+//! instruction's throughput, not its latency, so interleaving chains
+//! buys nothing and width does. There is no feature, environment
+//! variable or setting to choose with. The `portable()` constructors skip
+//! the question so that tests can hold the paths bit-equal and benches
+//! can time them on one machine.
 //!
 //! `x86.rs` is the only file of the crate allowed `unsafe` (the crate is
 //! `deny(unsafe_code)` with that one exception, and `scripts/ci.sh` checks
@@ -60,26 +65,36 @@ pub use esp::{EspDecryptor, EspEncryptor, SecurityAssociation};
 pub use hmac::HmacSha1;
 pub use sha1::Sha1;
 
-/// Which of the CPU's crypto instructions [`Aes128::new`] and
-/// [`Sha1::new`] found.
+/// Which of the CPU's crypto instructions [`Aes128::new`], [`Sha1::new`]
+/// and [`HmacSha1::new`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hardware {
     /// AES-NI: `aesenc`/`aesdec` do the cipher's rounds.
     pub aes: bool,
     /// SHA extensions (with SSSE3 and SSE4.1): `sha1rnds4` does the hash's.
     pub sha: bool,
+    /// AVX-512F and AVX-512BW: [`HmacSha1::mac96_batch`] hashes sixteen
+    /// messages at once, one per 32-bit lane.
+    pub avx512: bool,
 }
 
-/// What this CPU gives the crate; `false` twice off x86-64.
+/// What this CPU gives the crate; all `false` off x86-64.
 pub fn hardware() -> Hardware {
     #[cfg(target_arch = "x86_64")]
-    let (aes, sha) = {
-        let (aes, sha) = x86::detect();
-        (aes.is_some(), sha.is_some())
-    };
+    {
+        let found = x86::detect();
+        Hardware {
+            aes: found.aes.is_some(),
+            sha: found.sha.is_some(),
+            avx512: found.avx512.is_some(),
+        }
+    }
     #[cfg(not(target_arch = "x86_64"))]
-    let (aes, sha) = (false, false);
-    Hardware { aes, sha }
+    Hardware {
+        aes: false,
+        sha: false,
+        avx512: false,
+    }
 }
 
 /// For the vector and wire-format tests: runs `case` once with the
@@ -88,7 +103,7 @@ pub fn hardware() -> Hardware {
 /// is replaced by a note, so a log never reads as if hardware was tested.
 #[cfg(test)]
 pub(crate) fn each_backend(case: impl Fn(Backend)) {
-    let Hardware { aes, sha } = hardware();
+    let Hardware { aes, sha, .. } = hardware();
     if aes || sha {
         case(Backend::Native);
     }

@@ -38,7 +38,7 @@ impl Sha1 {
     pub fn new() -> Sha1 {
         Sha1 {
             #[cfg(target_arch = "x86_64")]
-            hw: crate::x86::detect().1,
+            hw: crate::x86::detect().sha,
             ..Sha1::portable()
         }
     }
@@ -63,15 +63,29 @@ impl Sha1 {
         }
     }
 
-    /// Compresses the whole blocks of `blocks` into the state.
-    fn compress_blocks(&mut self, blocks: &[u8]) {
+    /// The chaining value: the state after the whole blocks absorbed so
+    /// far, which for an HMAC midstate is all of them.
+    pub(crate) fn state(&self) -> [u32; 5] {
+        self.state
+    }
+
+    /// Compresses the whole blocks of `blocks` into `state` with this
+    /// hasher's compression function.
+    pub(crate) fn compress_into(&self, state: &mut [u32; 5], blocks: &[u8]) {
         #[cfg(target_arch = "x86_64")]
         if let Some(detected) = self.hw {
-            return crate::x86::sha1_compress(detected, &mut self.state, blocks);
+            return crate::x86::sha1_compress(detected, state, blocks);
         }
         for block in blocks.chunks_exact(BLOCK_LEN) {
-            compress(&mut self.state, block.try_into().expect("exact chunk"));
+            compress(state, block.try_into().expect("exact chunk"));
         }
+    }
+
+    /// Compresses the whole blocks of `blocks` into the state.
+    fn compress_blocks(&mut self, blocks: &[u8]) {
+        let mut state = self.state;
+        self.compress_into(&mut state, blocks);
+        self.state = state;
     }
 
     /// Compresses the (full) buffer into the state.

@@ -5,7 +5,8 @@
 //! `new()` constructors take whatever the CPU offers and `portable()` ones
 //! never ask, so on a machine with the instructions every case below
 //! compares two implementations. On one without, both sides are the same
-//! code: such a run says `skipped: no aes/sha` and checks nothing.
+//! code: such a run says `skipped: no aes/sha` (or `skipped: no avx512`
+//! for the sixteen-lane HMAC) and checks nothing.
 
 use proptest::prelude::*;
 use rb_crypto::aes::Aes128;
@@ -29,6 +30,14 @@ fn sha_hardware() -> bool {
     hardware().sha
 }
 
+/// Whether the batch HMAC cases compare the lanes with anything.
+fn avx512_hardware() -> bool {
+    if !hardware().avx512 {
+        eprintln!("skipped: no avx512");
+    }
+    hardware().avx512
+}
+
 /// What `scripts/ci.sh` prints next to its core count, so a log says what
 /// the crypto tests and the benchmark smoke exercised.
 #[test]
@@ -36,9 +45,10 @@ fn detected_backend_is_reported() {
     let yes_no = |b| if b { "yes" } else { "no" };
     let hw = hardware();
     println!(
-        "crypto backend: aes {}, sha {}; {:?}",
+        "crypto backend: aes {}, sha {}, avx512 {}; {:?}",
         yes_no(hw.aes),
         yes_no(hw.sha),
+        yes_no(hw.avx512),
         Aes128::new(&[0; 16])
     );
     let rounds = if hw.aes { "aes-ni" } else { "tables" };
@@ -158,5 +168,36 @@ proptest! {
         let icv = hw.mac96(&msg);
         prop_assert_eq!(icv, portable.mac96(&msg));
         prop_assert!(portable.verify96(&msg, &icv));
+    }
+
+    /// A batch of 1–40 messages (lanes refill past 16, the batch is taken
+    /// in two past 32) of lengths 0–1,600, a third of them at the lengths
+    /// where the inner hash's padding changes shape: the ICVs are those
+    /// of one portable `mac96` per message.
+    #[test]
+    fn hmac_sha1_96_batch_agrees(
+        key in prop::collection::vec(any::<u8>(), 0..100),
+        lens in prop::collection::vec((0..1_601usize, 0..3u8), 1..41),
+        seed in any::<u8>(),
+    ) {
+        if !avx512_hardware() {
+            return Ok(());
+        }
+        const BOUNDARIES: [usize; 6] = [55, 56, 63, 64, 119, 120];
+        let msgs: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &(len, pick))| {
+                let len = if pick == 0 { BOUNDARIES[len % 6] } else { len };
+                (0..len).map(|b| (b * 7 + i) as u8 ^ seed).collect()
+            })
+            .collect();
+        let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+        let mut icvs = vec![[0u8; 12]; msgs.len()];
+        HmacSha1::new(&key).mac96_batch(&refs, &mut icvs);
+        let portable = HmacSha1::portable(&key);
+        for (i, msg) in msgs.iter().enumerate() {
+            prop_assert_eq!(icvs[i], portable.mac96(msg), "message {} of {} bytes", i, msg.len());
+        }
     }
 }

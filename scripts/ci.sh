@@ -23,9 +23,32 @@ if [ "$cores" -lt 4 ]; then
 fi
 
 # What the crypto tests and the benchmark smoke below exercise depends on
-# the CPU: rb-crypto takes AES-NI and the SHA extensions when it finds them.
-cargo test -q -p rb-crypto --test backends detected_backend -- --nocapture 2>/dev/null |
-    grep '^crypto backend:' >&2 || echo "crypto backend: unknown (probe test did not run)" >&2
+# the CPU: rb-crypto takes AES-NI, the SHA extensions and AVX-512 when it
+# finds them.
+backend="$(cargo test -q -p rb-crypto --test backends detected_backend -- --nocapture 2>/dev/null |
+    grep '^crypto backend:' || echo "crypto backend: unknown (probe test did not run)")"
+echo "$backend" >&2
+case "$backend" in
+    *"avx512 "*) ;;
+    *) echo "the crypto backend line does not say whether the AVX-512 lanes ran" >&2; exit 1 ;;
+esac
+
+echo "==> detect gate (is_x86_feature_detected! only inside x86.rs's detect())"
+# Code lines only; inside x86.rs, only between `fn detect` and its closing brace.
+if grep -rn 'is_x86_feature_detected' crates/ examples/ tests/ --include='*.rs' |
+    grep -v '^crates/crypto/src/x86\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+    echo "is_x86_feature_detected! outside crates/crypto/src/x86.rs" >&2
+    exit 1
+fi
+awk '
+    /^[[:space:]]*\/\// { next }
+    /^pub\(crate\) fn detect\(/ { inside = 1 }
+    /is_x86_feature_detected/ && !inside {
+        printf "%s:%d: is_x86_feature_detected! outside detect()\n", FILENAME, FNR; bad = 1
+    }
+    inside && /^}/ { inside = 0 }
+    END { exit bad }
+' crates/crypto/src/x86.rs
 
 echo "==> unsafe gate (rb-crypto: unsafe and core::arch only in x86.rs; every crate: each unsafe under a SAFETY line)"
 # Code lines only: comments may talk about `unsafe`; `unsafe_code` in the
