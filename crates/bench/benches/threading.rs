@@ -10,7 +10,7 @@
 //! *ordering* (parallel ≥ pipeline) is the claim under test; the
 //! `graph_replicas_scale_like_fig6` integration test asserts it where
 //! each worker can have a core. The lock-shared queue of Fig. 6 has no
-//! real-thread row: it is modelled in `rb_hw::scenarios` (`--bin fig6`).
+//! real-thread row: it is modelled in `rb_hw::scenarios` (`paper fig6`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use routebricks::builder::RouterBuilder;

@@ -1,9 +1,15 @@
-//! Shared infrastructure for the table/figure regenerators.
-//!
-//! Every binary in `src/bin/` regenerates one table or figure from the
-//! paper's evaluation, printing the paper's reported number next to the
-//! model's output. The paper's numbers live in [`paper`] so integration
-//! tests can assert the reproduction quality in one place.
+//! The paper's evaluation as library functions: one per table or figure
+//! (§5–§6, plus the §3.3, §4.2 and §8 side results), each returning the
+//! tables it prints. `cargo run -p rb-bench --bin paper <name>` prints
+//! one ([`TABLES`] lists the names); `tests/golden.rs` holds the
+//! paper-vs-reproduction sections of EXPERIMENTS.md to what they return.
+//! The paper's own numbers live in [`paper`].
+
+use routebricks::report::TextTable;
+use std::fmt;
+
+mod tables;
+pub use tables::*;
 
 pub mod paper {
     //! The numbers the paper reports, transcribed from the text.
@@ -48,12 +54,18 @@ pub mod paper {
         ("IPsec", 1.4, 4.45),
     ];
 
-    /// §5.3 next-generation projections (Gbps at 64 B).
+    /// §5.3 next-generation projections (Gbps at 64 B), and the current
+    /// server's Abilene rate had it not been limited to two NIC slots.
     pub const SCALING: [(&str, f64); 3] = [
         ("Minimal forwarding", 38.8),
         ("IP routing", 19.9),
         ("IPsec", 5.8),
     ];
+    pub const SCALING_UNCONSTRAINED_ABILENE_GBPS: f64 = 70.0;
+
+    /// §6.2 per-server latency terms in µs: 4 DMA transfers of 2.56 µs,
+    /// the 16-packet batch wait, processing.
+    pub const LATENCY_TERMS_US: [f64; 3] = [4.0 * 2.56, 12.8, 0.8];
 
     /// §6.2 RB4 results.
     pub const RB4_64B_GBPS: f64 = 12.0;
@@ -63,101 +75,75 @@ pub mod paper {
     pub const RB4_REORDER_WITHOUT: f64 = 0.055;
     pub const RB4_PER_SERVER_LATENCY_US: f64 = 24.0;
     pub const RB4_CLUSTER_LATENCY_US: (f64, f64) = (47.6, 66.4);
-
-    /// §3.3 mesh feasibility limits per server configuration.
-    pub const FIG3_MESH_LIMITS: [usize; 2] = [32, 128];
 }
 
-pub mod measured {
-    //! Measured counterpart to the analytic tables: run the REAL element
-    //! graphs on the multi-threaded runtime under the three Fig. 6
-    //! regimes (per-core parallel replicas, chained pipeline stages,
-    //! streaming SPSC ingress) and report what the host actually did.
+/// A function that computes one table or figure.
+pub type TableFn = fn() -> Vec<Table>;
 
-    use routebricks::click::runtime::mt::run_graph;
-    use routebricks::click::{Graph, Knobs, Regime};
-    use routebricks::packet::builder::PacketSpec;
-    use routebricks::packet::Packet;
+/// Every table function by the name `paper <name>` takes, in the
+/// paper's order. `regimes` is the one measured on this host; the rest
+/// are model, DES and simulation output and deterministic.
+pub const TABLES: [(&str, TableFn); 16] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("fig3", fig3),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("regimes", regimes),
+    ("numa", numa),
+    ("latency", latency),
+    ("topologies", topologies),
+    ("discussion", discussion),
+    ("scaling", scaling),
+    ("rb4", rb4),
+];
 
-    /// One regime's outcome on a real graph.
-    pub struct RegimeRow {
-        pub regime: &'static str,
-        pub pps: f64,
-        pub achieved_batch: f64,
-        pub imbalance: f64,
-    }
+/// One printed table: a title, the column headers, the rows as printed
+/// (every number already at print precision) and a closing note.
+#[derive(Debug, Clone, Default)]
+pub struct Table {
+    pub title: String,
+    pub header: Vec<&'static str>,
+    pub rows: Vec<Vec<String>>,
+    pub note: String,
+}
 
-    /// Worker count for the measured runs: one per core, capped at the
-    /// paper's 4 forwarding cores.
-    pub fn workers() -> usize {
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .clamp(1, 4)
-    }
-
-    /// Prints the single-core caveat (and returns the core count) so the
-    /// bins stop producing misleading regime orderings on small hosts.
-    pub fn warn_if_undersized() -> usize {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores < 4 {
-            eprintln!(
-                "WARNING: only {cores} core(s) available (< 4); measured \
-                 regime numbers reflect per-packet overheads, not per-core \
-                 scaling, and their ordering is not meaningful."
-            );
+impl Table {
+    /// `header` names the columns, separated by ` | `.
+    fn new(title: impl Into<String>, header: &'static str) -> Table {
+        Table {
+            title: title.into(),
+            header: header.split(" | ").collect(),
+            ..Table::default()
         }
-        cores
     }
 
-    /// 64 B UDP traffic with varied 5-tuples so RSS sharding spreads
-    /// flows across the replicas.
-    pub fn traffic(count: usize) -> Vec<Packet> {
-        (0..count)
-            .map(|i| {
-                PacketSpec::udp()
-                    .endpoints(
-                        std::net::SocketAddrV4::new(
-                            std::net::Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 1),
-                            1024 + (i % 50_000) as u16,
-                        ),
-                        std::net::SocketAddrV4::new(std::net::Ipv4Addr::new(192, 168, 0, 1), 80),
-                    )
-                    .frame_len(64)
-                    .build()
-            })
-            .collect()
+    fn rows<R: Into<Vec<String>>>(mut self, rows: impl IntoIterator<Item = R>) -> Table {
+        self.rows.extend(rows.into_iter().map(Into::into));
+        self
     }
 
-    /// Runs one graph under all three regimes and reports pps, achieved
-    /// kp batch size across the thread hop, and shard imbalance.
-    pub fn run_regimes(
-        make_graph: &dyn Fn() -> Graph,
-        workers: usize,
-        packets: &[Packet],
-    ) -> Vec<RegimeRow> {
-        let on = |regime| Knobs {
-            regime,
-            workers,
-            ..Knobs::default()
-        };
-        let row = |regime, outcome: routebricks::click::GraphRunOutcome| RegimeRow {
-            regime,
-            pps: outcome.report.pps(),
-            achieved_batch: outcome.report.achieved_batch(),
-            imbalance: outcome.report.imbalance(),
-        };
-        let graph = make_graph();
-        let parallel = run_graph(&[&graph], packets.to_vec(), &on(Regime::Push), None)
-            .expect("graph must replicate");
-        let spsc = run_graph(&[&graph], packets.to_vec(), &on(Regime::Spsc), None)
-            .expect("graph must replicate");
-        let pipeline = run_graph(&[&graph], packets.to_vec(), &on(Regime::Pipeline), None)
-            .expect("stages must replicate");
-        vec![
-            row("parallel replicas", parallel),
-            row("spsc streaming", spsc),
-            row("pipeline stages", pipeline),
-        ]
+    fn note(mut self, note: impl Into<String>) -> Table {
+        self.note = note.into();
+        self
+    }
+}
+
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut text = TextTable::new(self.header.iter().copied());
+        for row in &self.rows {
+            text.row(row.iter().cloned());
+        }
+        write!(f, "{}\n\n{text}", self.title)?;
+        if !self.note.is_empty() {
+            write!(f, "\n{}\n", self.note)?;
+        }
+        Ok(())
     }
 }
 

@@ -1,7 +1,7 @@
 //! Plain-text table formatting for the benchmark harness.
 //!
-//! The `rb-bench` binaries print the paper's tables and figure series as
-//! aligned text; this helper keeps them consistent and testable. It also
+//! `rb-bench`'s `paper` binary prints the paper's tables and figure
+//! series as aligned text; this helper keeps them consistent. It also
 //! hosts [`trace_report`], the `rb-top`-style observability summary built
 //! from a drained [`TraceLog`] and a conservation [`Ledger`].
 

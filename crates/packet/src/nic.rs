@@ -28,8 +28,9 @@
 //! benchmark observe `kn` in wall-clock numbers rather than only in
 //! counters.
 //!
-//! Conservation holds by construction and is checked by the `nic_smoke`
-//! CI gate: `posted == reclaimed + in_ring` at every point in time.
+//! Conservation holds by construction and is checked by
+//! `tests/nic_differential.rs::rings_conserve_descriptors_and_amortise_per_ring`:
+//! `posted == reclaimed + in_ring` at every point in time.
 //!
 //! [`NicPort`] models one multi-queue port: each worker core asks it
 //! for a private RX/TX [`NicQueue`] pair (RSS, §4.2's "one core per

@@ -6,8 +6,7 @@
 //! `# HELP` and one `# TYPE` line, names are unique and well-formed,
 //! histogram buckets are cumulative with a trailing `+Inf`. [`lint`]
 //! re-checks those invariants so exporters and CI share one definition
-//! of "well-formed" (mirrored by `scripts/promlint.sh` for the shell
-//! gate).
+//! of "well-formed".
 
 use crate::events::{EventKind, EventLog};
 use crate::json::esc;
@@ -238,13 +237,23 @@ fn well_formed_name(name: &str) -> bool {
 }
 
 /// Checks `text` for the exposition-format invariants the exporter
-/// promises: unique, well-formed families, `HELP`+`TYPE` before any
-/// sample, valid types, and every sample belonging to a declared
-/// family. Returns the first violation.
+/// promises — the one definition of "well-formed" the tests, the live
+/// endpoint's tests and CI share. Every family has a well-formed name,
+/// one `HELP` and then one `TYPE` of a known kind, both before its
+/// first sample, and at least one sample; a family's samples form one
+/// contiguous block with numeric values; counter samples end in
+/// `_total`; a histogram has an `le="+Inf"` bucket, a `_sum` and a
+/// `_count`. Text with no family fails. Returns the first violation.
 pub fn lint(text: &str) -> Result<(), String> {
-    use std::collections::HashMap;
-    let mut types: HashMap<String, String> = HashMap::new();
-    let mut helps: HashMap<String, String> = HashMap::new();
+    use std::collections::{BTreeMap, HashSet};
+    let mut types: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut helps: HashSet<&str> = HashSet::new();
+    // Every sample name seen and every family a sample resolved to, the
+    // family of the previous sample line, and the histograms that have
+    // shown their `le="+Inf"` bucket.
+    let mut sampled: HashSet<&str> = HashSet::new();
+    let mut last = "";
+    let mut inf: HashSet<&str> = HashSet::new();
     for (lineno, line) in text.lines().enumerate() {
         let lineno = lineno + 1;
         let line = line.trim_end();
@@ -252,9 +261,7 @@ pub fn lint(text: &str) -> Result<(), String> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.splitn(2, ' ');
-            let name = parts.next().unwrap_or("");
-            let kind = parts.next().unwrap_or("");
+            let (name, kind) = rest.split_once(' ').unwrap_or((rest, ""));
             if !well_formed_name(name) {
                 return Err(format!("line {lineno}: malformed family name `{name}`"));
             }
@@ -264,14 +271,20 @@ pub fn lint(text: &str) -> Result<(), String> {
             ) {
                 return Err(format!("line {lineno}: invalid type `{kind}` for `{name}`"));
             }
-            if types.insert(name.to_string(), kind.to_string()).is_some() {
+            if !helps.contains(name) {
+                return Err(format!("line {lineno}: TYPE before HELP for `{name}`"));
+            }
+            if sampled.contains(name) {
+                return Err(format!("line {lineno}: TYPE after `{name}` samples"));
+            }
+            if types.insert(name, kind).is_some() {
                 return Err(format!("line {lineno}: duplicate TYPE for `{name}`"));
             }
             continue;
         }
         if let Some(rest) = line.strip_prefix("# HELP ") {
             let name = rest.split(' ').next().unwrap_or("");
-            if helps.insert(name.to_string(), rest.to_string()).is_some() {
+            if !helps.insert(name) {
                 return Err(format!("line {lineno}: duplicate HELP for `{name}`"));
             }
             continue;
@@ -287,20 +300,48 @@ pub fn lint(text: &str) -> Result<(), String> {
         if !well_formed_name(name) {
             return Err(format!("line {lineno}: malformed metric name `{name}`"));
         }
-        let fam = family_of(name);
         // A histogram's `_bucket`/`_sum`/`_count` samples belong to the
         // base family; everything else must match exactly.
-        let declared = types.contains_key(name) || types.contains_key(fam);
-        if !declared {
+        let fam = if types.contains_key(name) {
+            name
+        } else {
+            family_of(name)
+        };
+        let Some(&kind) = types.get(fam) else {
             return Err(format!("line {lineno}: sample `{name}` has no TYPE"));
-        }
-        let fam_key = if types.contains_key(name) { name } else { fam };
-        if !helps.contains_key(fam_key) {
-            return Err(format!("line {lineno}: sample `{name}` has no HELP"));
-        }
+        };
         let value = line.rsplit(' ').next().unwrap_or("");
         if value.parse::<f64>().is_err() && value != "+Inf" && value != "-Inf" && value != "NaN" {
             return Err(format!("line {lineno}: non-numeric value `{value}`"));
+        }
+        if kind == "counter" && !name.ends_with("_total") {
+            return Err(format!("line {lineno}: counter `{name}` lacks `_total`"));
+        }
+        if fam != last && sampled.contains(fam) {
+            return Err(format!("line {lineno}: family `{fam}` split in two"));
+        }
+        if kind == "histogram" && name.ends_with("_bucket") && line.contains("le=\"+Inf\"") {
+            inf.insert(fam);
+        }
+        sampled.extend([fam, name]);
+        last = fam;
+    }
+    if types.is_empty() {
+        return Err("no metric families".to_string());
+    }
+    for (&fam, &kind) in &types {
+        if !sampled.contains(fam) {
+            return Err(format!("family `{fam}` declared but has no samples"));
+        }
+        if kind == "histogram" {
+            if !inf.contains(fam) {
+                return Err(format!("histogram `{fam}` has no le=\"+Inf\" bucket"));
+            }
+            for part in ["_sum", "_count"] {
+                if !sampled.contains(format!("{fam}{part}").as_str()) {
+                    return Err(format!("histogram `{fam}` has no {part}"));
+                }
+            }
         }
     }
     Ok(())
@@ -460,14 +501,72 @@ mod tests {
             lint("# HELP rb_x x.\n# TYPE rb_x counter\nrb_x pancake\n").is_err(),
             "non-numeric value"
         );
-        let ok = "# HELP rb_x x.\n# TYPE rb_x counter\nrb_x{cause=\"a\"} 1\nrb_x{cause=\"b\"} 2\n";
+        let ok = "# HELP rb_x_total x.\n# TYPE rb_x_total counter\n\
+                  rb_x_total{cause=\"a\"} 1\nrb_x_total{cause=\"b\"} 2\n";
         lint(ok).expect("labelled samples of one family are fine");
     }
 
+    const HISTOGRAM: &str = "# HELP rb_h h.\n# TYPE rb_h histogram\n\
+                             rb_h_bucket{le=\"1\"} 1\nrb_h_bucket{le=\"+Inf\"} 2\nrb_h_sum 3\nrb_h_count 2\n";
+
     #[test]
     fn histogram_suffixes_resolve_to_base_family() {
-        let text = "# HELP rb_h h.\n# TYPE rb_h histogram\n\
-                    rb_h_bucket{le=\"1\"} 1\nrb_h_bucket{le=\"+Inf\"} 2\nrb_h_sum 3\nrb_h_count 2\n";
-        lint(text).expect("histogram sample suffixes lint");
+        lint(HISTOGRAM).expect("histogram sample suffixes lint");
+    }
+
+    /// Asserts `lint` rejects `text` with an error that says `want`.
+    fn rejects(text: &str, want: &str) {
+        let err = lint(text).expect_err(want);
+        assert!(err.contains(want), "{err}");
+    }
+
+    // The rules below were the shell lint's alone until it folded in
+    // here: each input is one the lint passed before.
+
+    #[test]
+    fn counter_samples_end_in_total() {
+        rejects(
+            "# HELP rb_x x.\n# TYPE rb_x counter\nrb_x 1\n",
+            "lacks `_total`",
+        );
+    }
+
+    #[test]
+    fn histograms_close_with_inf_sum_and_count() {
+        rejects(
+            &HISTOGRAM.replace("rb_h_bucket{le=\"+Inf\"} 2\n", ""),
+            "le=\"+Inf\"",
+        );
+        rejects(&HISTOGRAM.replace("rb_h_sum 3\n", ""), "no _sum");
+        rejects(&HISTOGRAM.replace("rb_h_count 2\n", ""), "no _count");
+    }
+
+    #[test]
+    fn a_family_is_one_contiguous_block() {
+        let text = "# HELP rb_a a.\n# TYPE rb_a gauge\n# HELP rb_b b.\n# TYPE rb_b gauge\n\
+                    rb_a 1\nrb_b 1\nrb_a 2\n";
+        rejects(text, "line 7: family `rb_a` split");
+    }
+
+    #[test]
+    fn type_comes_after_help() {
+        rejects(
+            "# TYPE rb_x gauge\n# HELP rb_x x.\nrb_x 1\n",
+            "line 1: TYPE before HELP",
+        );
+    }
+
+    #[test]
+    fn no_type_comes_after_its_familys_samples() {
+        // `rb_h_sum` first resolves to gauge `rb_h`, then is declared.
+        let text = "# HELP rb_h h.\n# TYPE rb_h gauge\nrb_h_sum 1\n\
+                    # HELP rb_h_sum s.\n# TYPE rb_h_sum gauge\nrb_h_sum 2\n";
+        rejects(text, "line 5: TYPE after `rb_h_sum` samples");
+    }
+
+    #[test]
+    fn empty_text_and_sampleless_families_fail() {
+        rejects("", "no metric families");
+        rejects("# HELP rb_x x.\n# TYPE rb_x gauge\n", "has no samples");
     }
 }

@@ -13,7 +13,7 @@
 //! The absolute rates are your machine's, not the 2009 Nehalem's; the
 //! *ordering* (parallel ≥ pipeline) is the paper's §4.2 claim. Fig. 6's
 //! third column — all cores contending on one locked queue — has no
-//! real-thread runner here; `cargo run -p rb-bench --bin fig6` prints it
+//! real-thread runner here; `cargo run -p rb-bench --bin paper fig6` prints it
 //! from the hardware model.
 //!
 //! Run with:
@@ -97,7 +97,7 @@ fn main() {
         "\nThe paper's §4.2 rules in action: the parallel layouts touch each\n\
          packet on one core with no shared queues, so they do not pay the\n\
          pipeline's inter-core handoff per stage. The locked shared queue\n\
-         the rules also rule out is modelled, not run: `--bin fig6`."
+         the rules also rule out is modelled, not run: `paper fig6`."
     );
     if cores < workers + 1 {
         println!(

@@ -51,6 +51,6 @@ fn main() {
          DMA transfers plus the kn-deep transmit batch wait the paper's §6.2\n\
          latency estimate is built from); past the analytic rate, rings fill,\n\
          drops appear and latency explodes — a loss-free rate measurement in\n\
-         the making. Batching ablations: `cargo run -p rb-bench --bin table1`."
+         the making. Batching ablations: `cargo run -p rb-bench --bin paper table1`."
     );
 }

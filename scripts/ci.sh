@@ -72,7 +72,7 @@ grep -rlE "$unsafe_word" crates/*/src --include='*.rs' | xargs awk '
     END { exit bad }
 '
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements: the collapsed names stay gone)"
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -82,6 +82,12 @@ fi
 # reference in element.rs's tests.
 if grep -n 'Vec<(usize, Packet)>' <(non_test crates/click/src/element.rs); then
     echo "crates/click/src/element.rs holds a (port, packet) pair list again" >&2
+    exit 1
+fi
+# Since PR 26 the smoke checks are `cargo test` tests and one `paper`
+# binary prints every table and figure.
+if find crates -path '*/src/bin/*' \( -name '*_smoke.rs' -o -name 'fig*.rs' -o -name 'table*.rs' \) | grep .; then
+    echo "a *_smoke or per-figure binary is back: smoke checks are tests, figures are \`paper <name>\`" >&2
     exit 1
 fi
 
@@ -100,6 +106,7 @@ fi
 echo "rb-click non-test lines: $(find crates/click/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)" \
     "(runtime/driver.rs $(non_test crates/click/src/runtime/driver.rs | wc -l)," \
     "runtime/stride.rs $(non_test crates/click/src/runtime/stride.rs | wc -l))"
+echo "rb-bench non-test lines: $(find crates/bench/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)"
 echo "rb-click + rb-core lines: $(find crates/click crates/core -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "rb-telemetry lines: $(find crates/telemetry -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "Ordering:: sites in crates/: $(grep -r 'Ordering::' crates/ --include='*.rs' | wc -l)"
@@ -119,33 +126,6 @@ if [ "$quick" != "quick" ]; then
 
     echo "==> bench smoke (harness + BENCH_dataplane.json schema)"
     ./scripts/bench.sh smoke
-
-    echo "==> telemetry smoke (cycle accounting + JSON round trip)"
-    cargo run --release -q -p rb-bench --bin telemetry_smoke
-
-    echo "==> trace smoke (span nesting + cross-core edges + ledger)"
-    cargo run --release -q -p rb-bench --bin trace_smoke
-
-    echo "==> fib churn smoke (RCU FIB under concurrent route updates)"
-    cargo run --release -q -p rb-bench --bin fib_churn_smoke
-
-    echo "==> backpressure smoke (pull regime: zero drops at 2x overload)"
-    cargo run --release -q -p rb-bench --bin backpressure_smoke
-
-    echo "==> nic smoke (descriptor rings: conservation, stalls, kn amortisation)"
-    cargo run --release -q -p rb-bench --bin nic_smoke
-
-    echo "==> slo smoke (interval conservation, exporters, burn-rate flips)"
-    cargo run --release -q -p rb-bench --bin slo_smoke
-
-    echo "==> promlint (Prometheus exposition format)"
-    ./scripts/promlint.sh target/slo_smoke.prom
-
-    echo "==> http scrape smoke (live endpoint: healthz arc, stage series, journal)"
-    cargo run --release -q -p rb-bench --bin http_scrape_smoke
-
-    echo "==> promlint (live scrape exposition)"
-    ./scripts/promlint.sh target/http_scrape_smoke.prom
 
     # The repo benchmark is a package of its own (benchmark/Cargo.toml, own
     # lock file); both steps build into target/benchmark, as run.sh does.

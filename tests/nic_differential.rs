@@ -8,12 +8,15 @@
 //! per-port frame multiset** as the `kn = 1` baseline, with the
 //! conservation ledger balancing exactly on both sides. The only
 //! permitted differences are in the NIC counters themselves: higher `kn`
-//! must ring *fewer* doorbells for the same number of posted frames.
+//! must ring *fewer* doorbells for the same number of posted frames —
+//! on each ring, as the element-level test below pins.
 
 use proptest::prelude::*;
 use rb_packet::builder::PacketSpec;
 use rb_packet::Packet;
 use routebricks::builder::RouterBuilder;
+use routebricks::click::elements::{FromDevice, ToDevice};
+use routebricks::click::{Element, Output};
 use routebricks::telemetry::Ledger;
 use routebricks::Regime;
 
@@ -122,6 +125,78 @@ proptest! {
             }
         }
     }
+}
+
+/// The ring invariants below the scheduler, on `FromDevice` / `ToDevice`
+/// driven directly: across `kn` and ~64 wraparounds of a 64-deep ring,
+/// every posted descriptor is reclaimed or still in the ring, every frame
+/// arrives and none drops — the overflow waits on the wire as descriptor
+/// stalls — and `kn = 16` rings at least 8x fewer doorbells than `kn = 1`
+/// on each ring separately.
+#[test]
+fn rings_conserve_descriptors_and_amortise_per_ring() {
+    const FRAMES: usize = 4_096;
+    let frame = |i: usize| Packet::from_slice(&(i as u32).to_be_bytes());
+    let mut doorbells = Vec::new();
+    for kn in [1usize, 4, 16] {
+        let mut rx = FromDevice::new(0, 32);
+        rx.set_ring_depth(64);
+        rx.set_nic_batch(kn);
+        for i in 0..FRAMES {
+            rx.inject(frame(i));
+        }
+        let mut out = Output::new();
+        let mut polled = 0;
+        while rx.run_task(&mut out) {
+            polled += out.len();
+            out.drain().for_each(drop);
+        }
+        let stats = rx.rx_ring_stats();
+        assert_eq!(
+            stats.posted,
+            stats.reclaimed + rx.pending() as u64,
+            "RX kn={kn}: posted != reclaimed + in-ring"
+        );
+        assert_eq!(polled, FRAMES, "RX kn={kn}: every frame polled");
+        assert_eq!(
+            rx.rx_dropped(),
+            0,
+            "RX kn={kn}: overload waits, never drops"
+        );
+        if kn == 1 {
+            assert!(
+                stats.stalls > 0,
+                "a {FRAMES}-frame burst against a 64-deep ring must stall"
+            );
+        }
+
+        let mut tx = ToDevice::new(32, false);
+        tx.set_ring_depth(64);
+        tx.set_nic_batch(kn);
+        for i in 0..FRAMES {
+            tx.push(0, frame(i), &mut out);
+        }
+        let tx_stats = tx.tx_ring_stats();
+        assert_eq!(
+            tx_stats.posted, tx_stats.reclaimed,
+            "TX kn={kn}: posted != reclaimed with the ring drained"
+        );
+        assert_eq!(
+            tx.sent_packets() as usize,
+            FRAMES,
+            "TX kn={kn}: every frame sent"
+        );
+        doorbells.push((stats.doorbells, tx_stats.doorbells));
+    }
+    let ((rx1, tx1), (rx16, tx16)) = (doorbells[0], doorbells[2]);
+    assert!(
+        rx16 * 8 <= rx1,
+        "RX doorbells must amortise: kn=1 {rx1} vs kn=16 {rx16}"
+    );
+    assert!(
+        tx16 * 8 <= tx1,
+        "TX doorbells must amortise: kn=1 {tx1} vs kn=16 {tx16}"
+    );
 }
 
 /// The doorbell count shrinks roughly in proportion to `kn` on a
