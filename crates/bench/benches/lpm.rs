@@ -77,7 +77,7 @@ criterion_main!(benches);
 /// Route churn: incremental DIR-24-8 updates vs full recompiles — the
 /// control-plane side of the paper's extensibility story.
 fn bench_updates(c: &mut Criterion) {
-    use routebricks::lookup::{DynamicDir24_8, Prefix, RouteTable};
+    use routebricks::lookup::{DynamicDir24_8, Prefix, RcuFib, RouteTable};
     let table = generate_table(&TableGenConfig {
         routes: 64 * 1024,
         ..TableGenConfig::default()
@@ -99,4 +99,20 @@ fn bench_updates(c: &mut Criterion) {
         let rib: RouteTable = table.iter().map(|(p, h)| (*p, *h)).collect();
         b.iter(|| Dir24_8::compile(black_box(&rib)).expect("table compiles"))
     });
+
+    // The three FIB builds a 1M-route router pays at set-up, on the
+    // benchmark's `route64_fib1m_churn` table shape.
+    let full = routebricks::workload::rib_full_table(1_000_000, 1);
+    let mut builds = c.benchmark_group("fib_build");
+    builds.sample_size(10);
+    builds.bench_function(BenchmarkId::new("compile", "1m"), |b| {
+        b.iter(|| Dir24_8::compile(black_box(&full)).expect("table compiles"))
+    });
+    builds.bench_function(BenchmarkId::new("dynamic", "1m"), |b| {
+        b.iter(|| DynamicDir24_8::from_table(black_box(&full)).expect("table compiles"))
+    });
+    builds.bench_function(BenchmarkId::new("rcu", "1m"), |b| {
+        b.iter(|| RcuFib::new(black_box(&full)).expect("table compiles"))
+    });
+    builds.finish();
 }

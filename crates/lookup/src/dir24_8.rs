@@ -18,14 +18,19 @@
 
 use crate::prefetch::prefetch_slice;
 use crate::prefix::Prefix;
+use crate::sweep::sweep24;
 use crate::table::RouteTable;
-use crate::{LookupError, LpmLookup, NextHop, MAX_NEXT_HOP};
+use crate::{LookupError, LpmLookup, NextHop};
 
 /// Number of entries in the first-level table.
-const TBL24_SIZE: usize = 1 << 24;
+pub(crate) const TBL24_SIZE: usize = 1 << 24;
 
 /// High bit marking a `TBL24` entry as a `TBLlong` segment index.
-const LONG_FLAG: u16 = 0x8000;
+pub(crate) const LONG_FLAG: u16 = 0x8000;
+
+/// Most `TBLlong` segments an entry can address: the index has the 15
+/// bits below the `LONG_FLAG` bit, so one more would alias segment 0.
+pub const MAX_SEGMENTS: usize = 1 << 15;
 
 /// A compiled DIR-24-8 forwarding table.
 pub struct Dir24_8 {
@@ -37,72 +42,56 @@ pub struct Dir24_8 {
 impl Dir24_8 {
     /// Compiles a forwarding table from `routes`.
     ///
-    /// Prefixes are written in ascending length order so that longer
-    /// prefixes overwrite the ranges of shorter ones — the invariant the
-    /// encoding relies on.
+    /// One address-ordered sweep writes every `TBL24` slot once with the
+    /// longest ≤ /24 prefix covering it; the prefixes longer than /24
+    /// then spill their slots into `TBLlong` segments, in address order.
     ///
     /// # Errors
     ///
     /// Returns [`LookupError::NextHopTooLarge`] when a next hop exceeds
-    /// [`MAX_NEXT_HOP`] (the 15-bit encoding limit).
+    /// [`crate::MAX_NEXT_HOP`] (the 15-bit encoding limit), and
+    /// [`LookupError::TooManySegments`] when the prefixes longer than /24
+    /// fall in more than [`MAX_SEGMENTS`] distinct /24s.
     pub fn compile(routes: &RouteTable) -> Result<Dir24_8, LookupError> {
+        let mut tbl24 = Vec::with_capacity(TBL24_SIZE);
+        let long = sweep24(routes, |slots, entry, _| {
+            tbl24.resize(tbl24.len() + slots, entry)
+        })?;
         let mut fib = Dir24_8 {
-            tbl24: vec![0u16; TBL24_SIZE],
+            tbl24,
             tbl_long: Vec::new(),
             route_count: routes.len(),
         };
-        for (prefix, next_hop) in routes.by_ascending_length() {
-            if next_hop > MAX_NEXT_HOP {
-                return Err(LookupError::NextHopTooLarge(next_hop));
-            }
-            fib.write_prefix(prefix, next_hop);
+        for (prefix, encoded) in long {
+            fib.write_long(prefix, encoded)?;
         }
         Ok(fib)
     }
 
-    /// Writes one prefix into the tables (longer prefixes must be written
-    /// after shorter ones).
-    fn write_prefix(&mut self, prefix: Prefix, next_hop: NextHop) {
-        let encoded = next_hop + 1;
-        if prefix.len() <= 24 {
-            let start = (prefix.first() >> 8) as usize;
-            let end = (prefix.last() >> 8) as usize;
-            for slot in &mut self.tbl24[start..=end] {
-                if *slot & LONG_FLAG != 0 {
-                    // The slot already spilled to TBLlong (a longer prefix
-                    // cannot have been written yet, but a previous same-pass
-                    // long prefix of an earlier shorter route can exist only
-                    // in ascending-length order if len > 24, so this arm is
-                    // unreachable during ascending compilation). Keep it
-                    // correct anyway: overwrite non-overridden segment slots.
-                    let seg = usize::from(*slot & !LONG_FLAG) * 256;
-                    for e in &mut self.tbl_long[seg..seg + 256] {
-                        *e = encoded;
-                    }
-                } else {
-                    *slot = encoded;
-                }
-            }
+    /// Writes one prefix longer than /24 into its `TBL24` slot's segment,
+    /// allocating the segment on the slot's first spill. Prefixes sharing
+    /// a slot must come covers first.
+    fn write_long(&mut self, prefix: Prefix, encoded: u16) -> Result<(), LookupError> {
+        let idx24 = (prefix.first() >> 8) as usize;
+        let slot = self.tbl24[idx24];
+        let seg_index = if slot & LONG_FLAG != 0 {
+            usize::from(slot & !LONG_FLAG)
         } else {
-            let idx24 = (prefix.first() >> 8) as usize;
-            let slot = self.tbl24[idx24];
-            let seg_index = if slot & LONG_FLAG != 0 {
-                usize::from(slot & !LONG_FLAG)
-            } else {
-                // Allocate a fresh segment seeded with the current ≤ /24
-                // result so uncovered low-byte values keep their answer.
-                let seg_index = self.tbl_long.len() / 256;
-                self.tbl_long.extend(std::iter::repeat_n(slot, 256));
-                self.tbl24[idx24] = LONG_FLAG | seg_index as u16;
-                seg_index
-            };
-            let lo_start = (prefix.first() & 0xff) as usize;
-            let lo_end = (prefix.last() & 0xff) as usize;
-            let base = seg_index * 256;
-            for e in &mut self.tbl_long[base + lo_start..=base + lo_end] {
-                *e = encoded;
+            let seg_index = self.tbl_long.len() / 256;
+            if seg_index == MAX_SEGMENTS {
+                return Err(LookupError::TooManySegments);
             }
-        }
+            // Seed the fresh segment with the slot's ≤ /24 result so
+            // uncovered low-byte values keep their answer.
+            self.tbl_long.extend(std::iter::repeat_n(slot, 256));
+            self.tbl24[idx24] = LONG_FLAG | seg_index as u16;
+            seg_index
+        };
+        let lo_start = (prefix.first() & 0xff) as usize;
+        let lo_end = (prefix.last() & 0xff) as usize;
+        let base = seg_index * 256;
+        self.tbl_long[base + lo_start..=base + lo_end].fill(encoded);
+        Ok(())
     }
 
     /// Returns the number of `TBLlong` segments allocated.
@@ -203,6 +192,7 @@ impl LpmLookup for Dir24_8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_NEXT_HOP;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -323,6 +313,22 @@ mod tests {
             Dir24_8::compile(&table),
             Err(LookupError::NextHopTooLarge(_))
         ));
+    }
+
+    #[test]
+    fn segment_index_overflow_is_refused() {
+        use crate::sweep::tests::one_25_per_24;
+        let full = Dir24_8::compile(&one_25_per_24(MAX_SEGMENTS)).unwrap();
+        assert_eq!(full.long_segments(), MAX_SEGMENTS);
+        // The last segment answers for itself, not through segment 0.
+        for i in [0, 1, MAX_SEGMENTS as u32 - 1] {
+            assert_eq!(full.lookup(i << 8 | 0x80), Some((i % 5) as NextHop));
+            assert_eq!(full.lookup(i << 8), None);
+        }
+        assert_eq!(
+            Dir24_8::compile(&one_25_per_24(40_000)).err(),
+            Some(LookupError::TooManySegments)
+        );
     }
 
     #[test]

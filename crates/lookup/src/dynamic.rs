@@ -11,14 +11,11 @@
 //! Memory: one extra byte per entry (≈16 MiB for `TBL24`), the price of
 //! O(affected-range) updates instead of a full 2²⁴-entry rebuild.
 
+use crate::dir24_8::{LONG_FLAG, MAX_SEGMENTS, TBL24_SIZE};
 use crate::prefix::Prefix;
+use crate::sweep::{sweep24, NO_OWNER};
 use crate::table::RouteTable;
 use crate::{LookupError, LpmLookup, NextHop, MAX_NEXT_HOP};
-
-const TBL24_SIZE: usize = 1 << 24;
-const LONG_FLAG: u16 = 0x8000;
-/// Owner length sentinel for "no route".
-const NO_OWNER: u8 = 0xff;
 
 /// Entry budget past which a [`DirtyDelta`] degrades to "clone
 /// everything": copying more than this many table slots individually
@@ -159,14 +156,37 @@ impl DynamicDir24_8 {
 
     /// Builds from an existing route table.
     ///
+    /// The same address-ordered sweep as [`crate::Dir24_8::compile`]
+    /// writes every `TBL24` slot and its owner once, and the prefixes
+    /// longer than /24 spill into segments in address order; the RIB is
+    /// one clone of `table`. The dirty set starts empty: the build is the
+    /// baseline a first snapshot copies whole.
+    ///
     /// # Errors
     ///
-    /// Returns [`LookupError::NextHopTooLarge`] for unencodable hops.
+    /// Returns [`LookupError::NextHopTooLarge`] for unencodable hops and
+    /// [`LookupError::TooManySegments`] when the prefixes longer than /24
+    /// fall in more than [`MAX_SEGMENTS`] distinct /24s.
     pub fn from_table(table: &RouteTable) -> Result<DynamicDir24_8, LookupError> {
-        let mut fib = DynamicDir24_8::new();
-        for (prefix, hop) in table.by_ascending_length() {
-            fib.insert(prefix, hop)?;
+        let mut tbl24 = Vec::with_capacity(TBL24_SIZE);
+        let mut owner24 = Vec::with_capacity(TBL24_SIZE);
+        let long = sweep24(table, |slots, entry, owner| {
+            tbl24.resize(tbl24.len() + slots, entry);
+            owner24.resize(owner24.len() + slots, owner);
+        })?;
+        let mut fib = DynamicDir24_8 {
+            rib: table.clone(),
+            tbl24,
+            owner24,
+            tbl_long: Vec::new(),
+            owner_long: Vec::new(),
+            free_segments: Vec::new(),
+            dirty: DirtyDelta::default(),
+        };
+        for (prefix, encoded) in long {
+            fib.write_long(prefix, encoded)?;
         }
+        fib.dirty = DirtyDelta::default();
         Ok(fib)
     }
 
@@ -175,12 +195,13 @@ impl DynamicDir24_8 {
     /// # Errors
     ///
     /// Returns [`LookupError::NextHopTooLarge`] when the hop does not fit
-    /// the 15-bit encoding.
+    /// the 15-bit encoding, and [`LookupError::TooManySegments`] when a
+    /// prefix longer than /24 would spill a new /24 past
+    /// [`MAX_SEGMENTS`] live segments. A refused insert changes nothing.
     pub fn insert(&mut self, prefix: Prefix, hop: NextHop) -> Result<(), LookupError> {
         if hop > MAX_NEXT_HOP {
             return Err(LookupError::NextHopTooLarge(hop));
         }
-        self.rib.insert(prefix, hop);
         let encoded = hop + 1;
         if prefix.len() <= 24 {
             let start = (prefix.first() >> 8) as usize;
@@ -208,17 +229,26 @@ impl DynamicDir24_8 {
                 }
             }
         } else {
-            let idx24 = (prefix.first() >> 8) as usize;
-            let seg_index = self.ensure_segment(idx24);
-            self.dirty.mark_seg(seg_index as u32);
-            let base = seg_index * 256;
-            let lo_start = (prefix.first() & 0xff) as usize;
-            let lo_end = (prefix.last() & 0xff) as usize;
-            for i in base + lo_start..=base + lo_end {
-                if self.owner_long[i] == NO_OWNER || self.owner_long[i] <= prefix.len() {
-                    self.tbl_long[i] = encoded;
-                    self.owner_long[i] = prefix.len();
-                }
+            self.write_long(prefix, encoded)?;
+        }
+        self.rib.insert(prefix, hop);
+        Ok(())
+    }
+
+    /// Writes a prefix longer than /24 into its slot's segment, spilling
+    /// the slot first if needed; entries owned by longer prefixes keep
+    /// theirs.
+    fn write_long(&mut self, prefix: Prefix, encoded: u16) -> Result<(), LookupError> {
+        let idx24 = (prefix.first() >> 8) as usize;
+        let seg_index = self.ensure_segment(idx24)?;
+        self.dirty.mark_seg(seg_index as u32);
+        let base = seg_index * 256;
+        let lo_start = (prefix.first() & 0xff) as usize;
+        let lo_end = (prefix.last() & 0xff) as usize;
+        for i in base + lo_start..=base + lo_end {
+            if self.owner_long[i] == NO_OWNER || self.owner_long[i] <= prefix.len() {
+                self.tbl_long[i] = encoded;
+                self.owner_long[i] = prefix.len();
             }
         }
         Ok(())
@@ -295,9 +325,11 @@ impl DynamicDir24_8 {
     }
 
     /// Ensures slot `idx24` spills to a segment; returns the segment id.
-    fn ensure_segment(&mut self, idx24: usize) -> usize {
+    /// Fails, changing nothing, when no segment is free and
+    /// [`MAX_SEGMENTS`] are allocated.
+    fn ensure_segment(&mut self, idx24: usize) -> Result<usize, LookupError> {
         if self.tbl24[idx24] & LONG_FLAG != 0 {
-            return usize::from(self.tbl24[idx24] & !LONG_FLAG);
+            return Ok(usize::from(self.tbl24[idx24] & !LONG_FLAG));
         }
         let background = self.tbl24[idx24];
         let owner = self.owner24[idx24];
@@ -305,6 +337,9 @@ impl DynamicDir24_8 {
             Some(seg) => seg,
             None => {
                 let seg = self.tbl_long.len() / 256;
+                if seg == MAX_SEGMENTS {
+                    return Err(LookupError::TooManySegments);
+                }
                 self.tbl_long.extend(std::iter::repeat_n(0, 256));
                 self.owner_long.extend(std::iter::repeat_n(NO_OWNER, 256));
                 seg
@@ -318,7 +353,7 @@ impl DynamicDir24_8 {
         self.tbl24[idx24] = LONG_FLAG | seg_index as u16;
         self.dirty.mark24(idx24 as u32, idx24 as u32);
         self.dirty.mark_seg(seg_index as u32);
-        seg_index
+        Ok(seg_index)
     }
 
     /// Releases a segment whose entries all fell back to ≤24-bit owners.
@@ -443,6 +478,14 @@ impl LpmLookup for DynamicDir24_8 {
 
     fn memory_bytes(&self) -> usize {
         self.tbl24.len() * 2 + self.owner24.len() + self.tbl_long.len() * 2 + self.owner_long.len()
+    }
+}
+
+#[cfg(test)]
+impl DynamicDir24_8 {
+    /// `(tbl24, owner24, tbl_long, owner_long)`, for the build oracles.
+    pub(crate) fn tables(&self) -> (&[u16], &[u8], &[u16], &[u8]) {
+        (&self.tbl24, &self.owner24, &self.tbl_long, &self.owner_long)
     }
 }
 
@@ -573,6 +616,36 @@ mod tests {
         for addr in addresses_within(&table, 3_000, 23) {
             assert_eq!(snap.lookup(addr), dynamic.lookup(addr), "at {addr:#010x}");
         }
+    }
+
+    #[test]
+    fn segment_overflow_is_refused_and_changes_nothing() {
+        use crate::sweep::tests::one_25_per_24;
+        assert!(matches!(
+            DynamicDir24_8::from_table(&one_25_per_24(40_000)),
+            Err(LookupError::TooManySegments)
+        ));
+        let mut fib = DynamicDir24_8::from_table(&one_25_per_24(MAX_SEGMENTS)).unwrap();
+        assert_eq!(fib.long_segments(), MAX_SEGMENTS);
+        let before = (fib.tbl24.clone(), fib.owner24.clone(), fib.tbl_long.clone());
+        let extra = Prefix::new((MAX_SEGMENTS as u32) << 8, 26);
+        assert_eq!(fib.insert(extra, 3), Err(LookupError::TooManySegments));
+        assert_eq!(fib.routes().get(&extra), None, "the RIB did not take it");
+        assert_eq!(fib.routes().len(), MAX_SEGMENTS);
+        assert!(fib.take_dirty().is_empty(), "nothing marked dirty");
+        assert!(
+            before == (fib.tbl24.clone(), fib.owner24.clone(), fib.tbl_long.clone()),
+            "tables untouched"
+        );
+        assert_eq!(fib.lookup(extra.first()), None);
+        // A /24 that already spilled still takes routes, and a freed
+        // segment is reused.
+        fib.insert(Prefix::new(0, 26), 6).unwrap();
+        assert_eq!(fib.lookup(0x10), Some(6));
+        fib.remove(&Prefix::new(1 << 8 | 0x80, 25));
+        fib.insert(extra, 3).unwrap();
+        assert_eq!(fib.lookup(extra.first()), Some(3));
+        assert_eq!(fib.long_segments(), MAX_SEGMENTS);
     }
 
     #[test]

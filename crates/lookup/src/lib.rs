@@ -42,6 +42,7 @@ pub mod linear;
 pub mod prefetch;
 pub mod prefix;
 pub mod rcu;
+mod sweep;
 pub mod table;
 pub mod trie;
 
@@ -70,6 +71,10 @@ pub enum LookupError {
     NextHopTooLarge(NextHop),
     /// A prefix string failed to parse.
     BadPrefix(&'static str),
+    /// Prefixes longer than /24 fall in more distinct /24s than the
+    /// 15-bit `TBLlong` segment index can address
+    /// ([`dir24_8::MAX_SEGMENTS`]).
+    TooManySegments,
 }
 
 impl core::fmt::Display for LookupError {
@@ -82,6 +87,11 @@ impl core::fmt::Display for LookupError {
                 )
             }
             LookupError::BadPrefix(why) => write!(f, "bad prefix: {why}"),
+            LookupError::TooManySegments => write!(
+                f,
+                "prefixes longer than /24 need more than {} TBLlong segments",
+                dir24_8::MAX_SEGMENTS
+            ),
         }
     }
 }

@@ -7,6 +7,10 @@ use crate::LookupError;
 /// The address is stored in host byte order with the host bits zeroed
 /// (enforced by the constructor), so two equal prefixes always compare
 /// equal bitwise.
+///
+/// The derived order is by address, then by length, so a prefix sorts
+/// before every prefix it covers: the DIR-24-8 builds sweep a
+/// [`crate::RouteTable`] in this order and rely on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Prefix {
     addr: u32,
@@ -157,6 +161,29 @@ mod tests {
         assert!(eight.covers(&eight));
         let other: Prefix = "11.0.0.0/16".parse().unwrap();
         assert!(!eight.covers(&other));
+    }
+
+    #[test]
+    fn order_is_address_then_length_so_covers_come_first() {
+        let p = |s: &str| s.parse::<Prefix>().unwrap();
+        let sorted = [
+            p("0.0.0.0/0"),
+            p("10.0.0.0/8"),
+            p("10.0.0.0/16"),
+            p("10.0.0.0/32"),
+            p("10.0.1.0/24"),
+            p("10.255.255.255/32"),
+            p("11.0.0.0/8"),
+            p("255.255.255.255/32"),
+        ];
+        for pair in sorted.windows(2) {
+            assert!(pair[0] < pair[1], "{} sorts before {}", pair[0], pair[1]);
+        }
+        for (i, a) in sorted.iter().enumerate() {
+            for b in &sorted[i + 1..] {
+                assert!(!b.covers(a), "{b} covers {a} yet sorts after it");
+            }
+        }
     }
 
     #[test]

@@ -153,7 +153,8 @@ impl RcuFib {
     ///
     /// # Errors
     ///
-    /// Returns [`LookupError::NextHopTooLarge`] for unencodable hops.
+    /// As [`DynamicDir24_8::from_table`]: unencodable hops, or more
+    /// spilled /24s than [`crate::dir24_8::MAX_SEGMENTS`].
     pub fn new(initial: &RouteTable) -> Result<RcuFib, LookupError> {
         RcuFib::with_max_readers(initial, DEFAULT_MAX_READERS)
     }
@@ -162,16 +163,15 @@ impl RcuFib {
     ///
     /// # Errors
     ///
-    /// Returns [`LookupError::NextHopTooLarge`] for unencodable hops.
+    /// As [`RcuFib::new`].
     pub fn with_max_readers(
         initial: &RouteTable,
         max_readers: usize,
     ) -> Result<RcuFib, LookupError> {
         assert!(max_readers > 0, "need at least one reader slot");
-        let mut rib = DynamicDir24_8::from_table(initial)?;
-        // The first snapshot is taken right here, so the dirt the initial
-        // build left behind is already reflected in it.
-        let _ = rib.take_dirty();
+        // One address-ordered sweep builds the working table, with an
+        // empty dirty set: the first snapshot below copies it whole.
+        let rib = DynamicDir24_8::from_table(initial)?;
         let first = Arc::new(rib.snapshot());
         // Prime the spare with a second clone (construction is off the
         // hot path) so even the very first publish is delta-patched —
@@ -455,7 +455,9 @@ impl RouteControl {
     ///
     /// # Errors
     ///
-    /// Returns [`LookupError::NextHopTooLarge`] for unencodable hops.
+    /// As [`DynamicDir24_8::insert`]: unencodable hops, or a prefix longer
+    /// than /24 that would spill a /24 past
+    /// [`crate::dir24_8::MAX_SEGMENTS`]. A refused route changes nothing.
     pub fn insert(&self, prefix: Prefix, hop: NextHop) -> Result<(), LookupError> {
         let mut w = self.shared.writer.lock();
         w.rib.insert(prefix, hop)?;
@@ -737,6 +739,28 @@ mod tests {
         let reader = fib.reader();
         let _g1 = reader.pin();
         let _g2 = reader.pin();
+    }
+
+    #[test]
+    fn segment_overflow_is_refused_at_build_and_on_insert() {
+        use crate::dir24_8::MAX_SEGMENTS;
+        use crate::sweep::tests::one_25_per_24;
+        assert!(matches!(
+            RcuFib::new(&one_25_per_24(MAX_SEGMENTS + 1)),
+            Err(LookupError::TooManySegments)
+        ));
+        let fib = RcuFib::new(&one_25_per_24(MAX_SEGMENTS)).unwrap();
+        let ctl = fib.control();
+        let extra = Prefix::new((MAX_SEGMENTS as u32) << 8, 26);
+        assert_eq!(ctl.insert(extra, 3), Err(LookupError::TooManySegments));
+        assert_eq!(
+            ctl.apply(&[RouteUpdate::Announce(extra, 3)]),
+            Err(LookupError::TooManySegments)
+        );
+        assert_eq!(fib.stats().installs, 0);
+        assert_eq!(ctl.route_count(), MAX_SEGMENTS);
+        ctl.publish();
+        assert_eq!(fib.reader().pin().lookup(extra.first()), None);
     }
 
     #[test]

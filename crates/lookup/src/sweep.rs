@@ -1,0 +1,365 @@
+//! The address-ordered sweep both DIR-24-8 builds fill `TBL24` with.
+//!
+//! [`RouteTable`] keeps its routes in `Prefix` order, which is `(addr,
+//! len)`: a prefix sorts before every prefix it covers, since those have
+//! the same or a larger address and, at the same address, a longer mask;
+//! and prefix ranges are laminar (nested or disjoint). Walking the table
+//! in that order with a stack of the covers still open, the innermost
+//! open cover of every `TBL24` slot is known the moment the walk passes
+//! it, so each of the 2²⁴ slots is emitted exactly once, in slot order:
+//! O(2²⁴ + routes) writes and no sort, where painting prefixes shortest
+//! first costs Σ 2^(24 − len) writes.
+
+use crate::dir24_8::TBL24_SIZE;
+use crate::prefix::Prefix;
+use crate::table::RouteTable;
+use crate::{LookupError, MAX_NEXT_HOP};
+
+/// Owner length of a slot no route covers.
+pub(crate) const NO_OWNER: u8 = 0xff;
+
+/// Walks `routes` once and calls `run(slots, entry, owner)` for
+/// consecutive runs of `TBL24` slots, in slot order, covering all 2²⁴
+/// slots exactly once. `entry` is the encoded next hop (`hop + 1`, or `0`
+/// for no route) of the longest prefix of at most /24 covering the run and
+/// `owner` its length ([`NO_OWNER`] when none does).
+///
+/// Returns the routes longer than /24, in address order with their encoded
+/// hops, for the caller's segment painter: each spills one `TBL24` slot,
+/// which must hold its final ≤ /24 entry before the segment is seeded
+/// from it.
+///
+/// # Errors
+///
+/// Returns [`LookupError::NextHopTooLarge`] for a hop above
+/// [`MAX_NEXT_HOP`], before `run` sees any slot past that route.
+pub(crate) fn sweep24(
+    routes: &RouteTable,
+    mut run: impl FnMut(usize, u16, u8),
+) -> Result<Vec<(Prefix, u16)>, LookupError> {
+    // Covers still open, outermost first: (last slot, entry, owner).
+    let mut open: Vec<(usize, u16, u8)> = Vec::with_capacity(25);
+    // First slot not emitted yet.
+    let mut next = 0usize;
+    // Emits every slot before `upto`: each open cover that ends first
+    // closes on its own entry, and the gap up to `upto` takes the entry
+    // of the cover still enclosing it.
+    let mut advance = |open: &mut Vec<(usize, u16, u8)>, upto: usize| {
+        while let Some(&(last, entry, owner)) = open.last() {
+            if last >= upto {
+                break;
+            }
+            if last >= next {
+                run(last + 1 - next, entry, owner);
+                next = last + 1;
+            }
+            open.pop();
+        }
+        if upto > next {
+            let (entry, owner) = open.last().map_or((0, NO_OWNER), |&(_, e, o)| (e, o));
+            run(upto - next, entry, owner);
+            next = upto;
+        }
+    };
+    let mut long = Vec::new();
+    for (&prefix, &hop) in routes.iter() {
+        if hop > MAX_NEXT_HOP {
+            return Err(LookupError::NextHopTooLarge(hop));
+        }
+        if prefix.len() > 24 {
+            long.push((prefix, hop + 1));
+            continue;
+        }
+        advance(&mut open, (prefix.first() >> 8) as usize);
+        open.push(((prefix.last() >> 8) as usize, hop + 1, prefix.len()));
+    }
+    advance(&mut open, TBL24_SIZE);
+    Ok(long)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::dir24_8::LONG_FLAG;
+    use crate::{Dir24_8, DynamicDir24_8, LpmLookup, NextHop};
+    use proptest::prelude::*;
+
+    /// `n` /25s, each in a /24 of its own: `n` spill segments.
+    pub(crate) fn one_25_per_24(n: usize) -> RouteTable {
+        (0..n as u32)
+            .map(|i| (Prefix::new(i << 8 | 0x80, 25), (i % 5) as NextHop))
+            .collect()
+    }
+
+    /// DIR-24-8 tables with segments renumbered in slot order and the
+    /// unreachable ones dropped, so that two builds which allocated
+    /// segments in different orders compare slot for slot. The static
+    /// FIB keeps no owners, so its owner arrays stay empty.
+    #[derive(Debug, Default)]
+    struct Tables {
+        tbl24: Vec<u16>,
+        owner24: Vec<u8>,
+        tbl_long: Vec<u16>,
+        owner_long: Vec<u8>,
+    }
+
+    impl Tables {
+        /// `spilled` lists the slots that should spill, ascending: those
+        /// holding a prefix longer than /24. Looking only there keeps the
+        /// check from scanning 2²⁴ entries per table in a debug build; a
+        /// slot spilled anywhere else, or not spilled here, still differs
+        /// from the reference's entry.
+        fn canonical(
+            tbl24: &[u16],
+            owner24: &[u8],
+            tbl_long: &[u16],
+            owner_long: &[u8],
+            spilled: &[usize],
+        ) -> Tables {
+            let mut out = Tables {
+                tbl24: tbl24.to_vec(),
+                owner24: owner24.to_vec(),
+                ..Tables::default()
+            };
+            for &slot in spilled {
+                let entry = out.tbl24[slot];
+                if entry & LONG_FLAG == 0 {
+                    continue;
+                }
+                let seg = usize::from(entry & !LONG_FLAG) * 256;
+                out.tbl24[slot] = LONG_FLAG | (out.tbl_long.len() / 256) as u16;
+                out.tbl_long.extend_from_slice(&tbl_long[seg..seg + 256]);
+                if !owner_long.is_empty() {
+                    out.owner_long
+                        .extend_from_slice(&owner_long[seg..seg + 256]);
+                }
+            }
+            out
+        }
+
+        fn of_static(fib: Dir24_8, routes: &RouteTable) -> Tables {
+            let (tbl24, tbl_long) = fib.into_parts();
+            Tables::canonical(&tbl24, &[], &tbl_long, &[], &spilled_slots(routes))
+        }
+
+        fn of_dynamic(fib: &DynamicDir24_8) -> Tables {
+            let (tbl24, owner24, tbl_long, owner_long) = fib.tables();
+            let spilled = spilled_slots(fib.routes());
+            Tables::canonical(tbl24, owner24, tbl_long, owner_long, &spilled)
+        }
+
+        /// The first entry where `self` and `other` differ, table by
+        /// table; owner arrays only when both have them.
+        fn first_difference(&self, other: &Tables) -> Option<String> {
+            fn diff<T: PartialEq + core::fmt::Debug>(
+                name: &str,
+                a: &[T],
+                b: &[T],
+            ) -> Option<String> {
+                if a.is_empty() || b.is_empty() || a == b {
+                    return None;
+                }
+                if a.len() != b.len() {
+                    return Some(format!("{name}: {} entries against {}", a.len(), b.len()));
+                }
+                let i = a.iter().zip(b).position(|(x, y)| x != y)?;
+                Some(format!("{name}[{i:#x}]: {:?} against {:?}", a[i], b[i]))
+            }
+            diff("tbl24", &self.tbl24, &other.tbl24)
+                .or_else(|| diff("owner24", &self.owner24, &other.owner24))
+                .or_else(|| diff("tbl_long", &self.tbl_long, &other.tbl_long))
+                .or_else(|| diff("owner_long", &self.owner_long, &other.owner_long))
+        }
+    }
+
+    /// The slots of the prefixes longer than /24 in `routes`, ascending.
+    fn spilled_slots(routes: &RouteTable) -> Vec<usize> {
+        let mut slots: Vec<usize> = routes
+            .iter()
+            .filter(|(p, _)| p.len() > 24)
+            .map(|(p, _)| (p.first() >> 8) as usize)
+            .collect();
+        slots.dedup();
+        slots
+    }
+
+    /// The painter `Dir24_8::compile` used before the sweep, with the
+    /// owner lengths the dynamic FIB keeps: every prefix in ascending
+    /// length order overwrites its whole range, so the longest cover of
+    /// a slot writes last; a prefix longer than /24 seeds its slot's
+    /// segment from the slot on first spill.
+    fn painted(routes: &RouteTable) -> Tables {
+        let mut by_length: Vec<(Prefix, NextHop)> = routes.iter().map(|(p, h)| (*p, *h)).collect();
+        by_length.sort_by_key(|(p, _)| (p.len(), p.addr()));
+        let mut t = Tables {
+            tbl24: vec![0; TBL24_SIZE],
+            owner24: vec![NO_OWNER; TBL24_SIZE],
+            ..Tables::default()
+        };
+        for (prefix, hop) in by_length {
+            let idx24 = (prefix.first() >> 8) as usize;
+            if prefix.len() <= 24 {
+                let slots = idx24..=(prefix.last() >> 8) as usize;
+                t.tbl24[slots.clone()].fill(hop + 1);
+                t.owner24[slots].fill(prefix.len());
+                continue;
+            }
+            if t.tbl24[idx24] & LONG_FLAG == 0 {
+                let seg = t.tbl_long.len() / 256;
+                t.tbl_long.extend(std::iter::repeat_n(t.tbl24[idx24], 256));
+                t.owner_long
+                    .extend(std::iter::repeat_n(t.owner24[idx24], 256));
+                t.tbl24[idx24] = LONG_FLAG | seg as u16;
+            }
+            let base = usize::from(t.tbl24[idx24] & !LONG_FLAG) * 256;
+            let entries =
+                base + (prefix.first() & 0xff) as usize..=base + (prefix.last() & 0xff) as usize;
+            t.tbl_long[entries.clone()].fill(hop + 1);
+            t.owner_long[entries].fill(prefix.len());
+        }
+        Tables::canonical(
+            &t.tbl24,
+            &t.owner24,
+            &t.tbl_long,
+            &t.owner_long,
+            &spilled_slots(routes),
+        )
+    }
+
+    /// Builds `routes` with the reference painter and with both sweeps,
+    /// and checks that they agree slot for slot, and with the reference
+    /// scan at `probes` and around both ends of every route.
+    fn check_builds_agree(
+        routes: &[(Prefix, NextHop)],
+        probes: &[u32],
+    ) -> Result<(), TestCaseError> {
+        let table: RouteTable = routes.iter().copied().collect();
+        let fib = Dir24_8::compile(&table).unwrap();
+        let mut swept = DynamicDir24_8::from_table(&table).unwrap();
+        prop_assert!(swept.take_dirty().is_empty(), "a fresh build starts clean");
+        let mut addrs = probes.to_vec();
+        for (p, _) in routes {
+            addrs.extend([
+                p.first(),
+                p.last(),
+                p.first().wrapping_sub(1),
+                p.last().wrapping_add(1),
+            ]);
+        }
+        for &addr in &addrs {
+            let expected = table.lookup_reference(addr);
+            prop_assert_eq!(fib.lookup(addr), expected, "static at {:#010x}", addr);
+            prop_assert_eq!(swept.lookup(addr), expected, "dynamic at {:#010x}", addr);
+        }
+        let reference = painted(&table);
+        for (name, built) in [
+            ("static sweep", Tables::of_static(fib, &table)),
+            ("dynamic sweep", Tables::of_dynamic(&swept)),
+        ] {
+            let difference = built.first_difference(&reference);
+            prop_assert!(
+                difference.is_none(),
+                "{} against the painter: {:?}",
+                name,
+                difference
+            );
+        }
+        Ok(())
+    }
+
+    /// A route near one of a few anchors, so that generated tables nest
+    /// prefixes on a shared address, put runs side by side, reach both
+    /// ends of the address space and hang /25–/32s under shorter covers.
+    fn route() -> impl Strategy<Value = (Prefix, NextHop)> {
+        let anchor = prop_oneof![
+            Just(0u32),
+            Just(u32::MAX),
+            Just(0x0a01_0200u32),
+            any::<u32>()
+        ];
+        (anchor, 0u8..=32, any::<u32>(), 0u8..4, 0 as NextHop..64).prop_map(
+            |(anchor, len, jitter, shape, hop)| {
+                let addr = match shape {
+                    // Nested on the anchor's own address.
+                    0 => anchor,
+                    // The sibling run right beside the anchor's prefix.
+                    1 => anchor ^ 1u32.checked_shl(32 - u32::from(len)).unwrap_or(0),
+                    // Somewhere in the anchor's /16.
+                    2 => anchor ^ (jitter & 0xffff),
+                    _ => jitter,
+                };
+                (Prefix::new(addr, len), hop)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn sweep_builds_match_the_painter_slot_for_slot(
+            routes in prop::collection::vec(route(), 0..48),
+            default_route in (any::<bool>(), 0 as NextHop..64),
+            probes in prop::collection::vec(any::<u32>(), 64..65),
+        ) {
+            let mut routes = routes;
+            routes.retain(|(p, _)| !p.is_default());
+            if default_route.0 {
+                routes.push((Prefix::DEFAULT, default_route.1));
+            }
+            check_builds_agree(&routes, &probes)?;
+        }
+    }
+
+    #[test]
+    fn sweep_built_and_insert_built_stay_equal_under_churn() {
+        // rb-workload links this crate's non-test build, whose types differ
+        // from the ones under test: prefixes cross over as (address, length).
+        let full_table = rb_workload::rib_full_table(4_000, 11);
+        let stream = rb_workload::churn_stream(
+            &full_table,
+            &rb_workload::ChurnConfig {
+                updates: 6_000,
+                ..Default::default()
+            },
+        );
+        let base: RouteTable = full_table
+            .iter()
+            .map(|(p, h)| (Prefix::new(p.addr(), p.len()), *h))
+            .collect();
+        let mut swept = DynamicDir24_8::from_table(&base).unwrap();
+        // More-specifics before their covers: the out-of-order insert path.
+        let mut inserted = DynamicDir24_8::new();
+        let routes: Vec<(Prefix, NextHop)> = base.iter().map(|(p, h)| (*p, *h)).collect();
+        for &(prefix, hop) in routes.iter().rev() {
+            inserted.insert(prefix, hop).unwrap();
+        }
+        let assert_equal = |swept: &DynamicDir24_8, inserted: &DynamicDir24_8, when: &str| {
+            assert!(
+                swept.routes().iter().eq(inserted.routes().iter()),
+                "RIBs {when}"
+            );
+            assert_eq!(swept.long_segments(), inserted.long_segments(), "{when}");
+            let difference =
+                Tables::of_dynamic(swept).first_difference(&Tables::of_dynamic(inserted));
+            assert!(difference.is_none(), "{when}: {difference:?}");
+        };
+        assert_equal(&swept, &inserted, "after the build");
+        for (i, chunk) in stream.chunks(1_500).enumerate() {
+            for update in chunk {
+                match *update {
+                    rb_workload::RouteUpdate::Announce(p, hop) => {
+                        let prefix = Prefix::new(p.addr(), p.len());
+                        swept.insert(prefix, hop).unwrap();
+                        inserted.insert(prefix, hop).unwrap();
+                    }
+                    rb_workload::RouteUpdate::Withdraw(p) => {
+                        let prefix = Prefix::new(p.addr(), p.len());
+                        assert_eq!(swept.remove(&prefix), inserted.remove(&prefix));
+                    }
+                }
+            }
+            assert_equal(&swept, &inserted, &format!("after churn chunk {i}"));
+        }
+    }
+}

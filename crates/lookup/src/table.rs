@@ -47,19 +47,10 @@ impl RouteTable {
         self.routes.is_empty()
     }
 
-    /// Iterates over routes in prefix order.
+    /// Iterates over routes in prefix order: by address, then by length,
+    /// so a prefix comes before every prefix it covers.
     pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &NextHop)> {
         self.routes.iter()
-    }
-
-    /// Returns routes sorted by ascending prefix length.
-    ///
-    /// This is the order FIB compilers want: writing shorter prefixes first
-    /// lets longer ones simply overwrite their range.
-    pub fn by_ascending_length(&self) -> Vec<(Prefix, NextHop)> {
-        let mut v: Vec<(Prefix, NextHop)> = self.routes.iter().map(|(p, h)| (*p, *h)).collect();
-        v.sort_by_key(|(p, _)| (p.len(), p.addr()));
-        v
     }
 
     /// Performs a reference longest-prefix-match by scanning all routes.
@@ -118,23 +109,6 @@ mod tests {
         assert_eq!(t.lookup_reference(a("10.1.3.0")), Some(2));
         assert_eq!(t.lookup_reference(a("10.2.0.0")), Some(1));
         assert_eq!(t.lookup_reference(a("11.0.0.0")), Some(9));
-    }
-
-    #[test]
-    fn ascending_length_order() {
-        let t: RouteTable = [
-            (p("10.1.2.0/24"), 3),
-            (p("0.0.0.0/0"), 9),
-            (p("10.1.0.0/16"), 2),
-        ]
-        .into_iter()
-        .collect();
-        let lens: Vec<u8> = t
-            .by_ascending_length()
-            .iter()
-            .map(|(p, _)| p.len())
-            .collect();
-        assert_eq!(lens, vec![0, 16, 24]);
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub mod trace;
 
 pub use flows::{FlowGenConfig, FlowGenerator};
 pub use matrix::TrafficMatrix;
-pub use rib::{churn_stream, rib_full_table, ChurnConfig};
+pub use rib::{churn_stream, rib_full_table, ChurnConfig, RouteUpdate};
 pub use sizes::SizeDist;
 pub use trace::{Arrivals, SynthTrace, TraceConfig, TracePacket};

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rb_lookup::gen::{generate_table, TableGenConfig};
-use rb_lookup::rcu::RouteUpdate;
+pub use rb_lookup::rcu::RouteUpdate;
 use rb_lookup::{NextHop, Prefix, RouteTable};
 
 /// Generates a full-table RIB of `n_prefixes` routes (plus the default

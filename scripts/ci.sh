@@ -72,7 +72,7 @@ grep -rlE "$unsafe_word" crates/*/src --include='*.rs' | xargs awk '
     END { exit bad }
 '
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary: the collapsed names stay gone)"
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one DIR-24-8 sweep: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -91,6 +91,13 @@ if find crates -path '*/src/bin/*' \( -name '*_smoke.rs' -o -name 'fig*.rs' -o -
     exit 1
 fi
 
+# Since PR 30 one address-ordered sweep builds every DIR-24-8; the sort
+# by length it replaced stays gone.
+if grep -rn 'by_ascending_length' crates/ examples/ tests/; then
+    echo "RouteTable::by_ascending_length is back: DIR-24-8 builds sweep the table in address order" >&2
+    exit 1
+fi
+
 echo "==> JSON gate (exporters emit through rb_telemetry::json::Writer, not format strings)"
 # Non-test code only: a test may spell out the text it expects.
 if ! find crates/click/src crates/core/src crates/telemetry/src -name '*.rs' \
@@ -106,6 +113,7 @@ fi
 echo "rb-click non-test lines: $(find crates/click/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)" \
     "(runtime/driver.rs $(non_test crates/click/src/runtime/driver.rs | wc -l)," \
     "runtime/stride.rs $(non_test crates/click/src/runtime/stride.rs | wc -l))"
+echo "rb-lookup non-test lines: $(find crates/lookup/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)"
 echo "rb-bench non-test lines: $(find crates/bench/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)"
 echo "rb-click + rb-core lines: $(find crates/click crates/core -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "rb-telemetry lines: $(find crates/telemetry -name '*.rs' -print0 | xargs -0 cat | wc -l)"
