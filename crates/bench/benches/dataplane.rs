@@ -56,7 +56,7 @@ fn bench_batch_sweep(c: &mut Criterion) {
             .batch_size(kp)
     };
     // Slot geometry matched to the 64 B workload (frame + head/tailroom in
-    // 256 B) keeps the arena's hot set cache-resident, as in bench_dataplane.
+    // 256 B) keeps the arena's hot set cache-resident.
     let arena = |b: RouterBuilder| b.pool_slots(4096).slot_size(256);
     for kp in [1usize, 8, 32, 256] {
         group.bench_function(BenchmarkId::new("minimal_forwarding", kp), |b| {
@@ -83,7 +83,7 @@ fn bench_batch_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dataplane(c: &mut Criterion) {
+fn bench_router_apps(c: &mut Criterion) {
     let mut group = c.benchmark_group("router_apps");
     group.sample_size(20);
     for size in [64usize, 760] {
@@ -159,7 +159,7 @@ fn bench_wide_router(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_dataplane,
+    bench_router_apps,
     bench_batch_sweep,
     bench_wide_router
 );

@@ -48,9 +48,10 @@ fn bench_lpm(c: &mut Criterion) {
     });
     group.finish();
 
-    // Table-size sweep for DIR-24-8: lookup cost should stay flat.
+    // Table-size sweep for DIR-24-8, one lookup at a time and in
+    // prefetched batches of 32: lookup cost should stay flat.
     let mut sweep = c.benchmark_group("dir24_8_table_size");
-    for routes in [1_000usize, 16_000, 256 * 1024] {
+    for routes in [1_000usize, 16_000, 256 * 1024, 1_000_000] {
         let table = generate_table(&TableGenConfig {
             routes,
             ..TableGenConfig::default()
@@ -63,6 +64,18 @@ fn bench_lpm(c: &mut Criterion) {
                 let mut acc = 0u32;
                 for &addr in &probes {
                     acc = acc.wrapping_add(u32::from(fib.lookup(black_box(addr)).unwrap_or(0)));
+                }
+                acc
+            })
+        });
+        let mut hops = [None; 32];
+        sweep.bench_function(BenchmarkId::new("lookup_batch", routes), |b| {
+            b.iter(|| {
+                let mut acc = 0u32;
+                for batch in probes.chunks(hops.len()) {
+                    fib.lookup_batch(black_box(batch), &mut hops);
+                    let hits = hops[..batch.len()].iter().flatten();
+                    acc = hits.fold(acc, |acc, &hop| acc.wrapping_add(u32::from(hop)));
                 }
                 acc
             })

@@ -1,14 +1,16 @@
 //! The paper's evaluation as library functions: one per table or figure
 //! (§5–§6, plus the §3.3, §4.2 and §8 side results), each returning the
 //! tables it prints. `cargo run -p rb-bench --bin paper <name>` prints
-//! one ([`TABLES`] lists the names); `tests/golden.rs` holds the
-//! paper-vs-reproduction sections of EXPERIMENTS.md to what they return.
-//! The paper's own numbers live in [`paper`].
+//! one ([`TABLES`] and [`MEASURED`] list the names); `tests/golden.rs`
+//! holds the paper-vs-reproduction sections of EXPERIMENTS.md to what the
+//! [`TABLES`] functions return. The paper's own numbers live in [`paper`].
 
 use routebricks::report::TextTable;
 use std::fmt;
 
+mod measured;
 mod tables;
+pub use measured::*;
 pub use tables::*;
 
 pub mod paper {
@@ -80,10 +82,9 @@ pub mod paper {
 /// A function that computes one table or figure.
 pub type TableFn = fn() -> Vec<Table>;
 
-/// Every table function by the name `paper <name>` takes, in the
-/// paper's order. `regimes` is the one measured on this host; the rest
-/// are model, DES and simulation output and deterministic.
-pub const TABLES: [(&str, TableFn); 16] = [
+/// Every model, DES and simulation table function by the name
+/// `paper <name>` takes, in the paper's order; each is deterministic.
+pub const TABLES: [(&str, TableFn); 15] = [
     ("table1", table1),
     ("table2", table2),
     ("table3", table3),
@@ -93,7 +94,6 @@ pub const TABLES: [(&str, TableFn); 16] = [
     ("fig8", fig8),
     ("fig9", fig9),
     ("fig10", fig10),
-    ("regimes", regimes),
     ("numa", numa),
     ("latency", latency),
     ("topologies", topologies),
@@ -101,6 +101,10 @@ pub const TABLES: [(&str, TableFn); 16] = [
     ("scaling", scaling),
     ("rb4", rb4),
 ];
+
+/// The tables measured on this host, by name: `paper <name>` prints
+/// them after the [`TABLES`] entry of the same name, if there is one.
+pub const MEASURED: [(&str, TableFn); 2] = [("table1", table1_measured), ("regimes", regimes)];
 
 /// One printed table: a title, the column headers, the rows as printed
 /// (every number already at print precision) and a closing note.

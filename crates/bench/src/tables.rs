@@ -2,9 +2,6 @@
 //! prints.
 
 use crate::{compare, paper, Table};
-use routebricks::builder::RouterBuilder;
-use routebricks::click::runtime::mt::run_graph;
-use routebricks::click::{Knobs, Regime};
 use routebricks::cluster::model::{ClusterModel, REORDER_AVOIDANCE_CYCLES};
 use routebricks::cluster::Rb4Results;
 use routebricks::hw::accounting::load_series;
@@ -14,12 +11,10 @@ use routebricks::hw::numa;
 use routebricks::hw::scenarios::{evaluate, evaluate_all, Scenario};
 use routebricks::hw::sim::{SimConfig, Simulator};
 use routebricks::hw::spec::{Capacity, Component, ServerSpec};
-use routebricks::packet::builder::PacketSpec;
 use routebricks::vlb::sizing::{fig3_dataset, layout, Layout, ServerConfig};
 use routebricks::vlb::topology::{KAryNFly, Topology};
 use routebricks::vlb::torus::{torus_processing_factor, KAryNCube};
 use routebricks::workload::SizeDist;
-use std::net::{Ipv4Addr, SocketAddrV4};
 
 /// The three applications of Tables 1–3, in the paper's order, with the
 /// short names the load tables use.
@@ -431,74 +426,6 @@ pub fn fig10() -> Vec<Table> {
     let title = "Fig. 10 — bus loads (bytes/packet) vs input rate (64 B packets)";
     let header = "component | rate (Mpps) | fwd B/pkt | rtr B/pkt | ipsec B/pkt \
                   | empirical bound | nominal bound";
-    vec![Table::new(title, header).rows(rows).note(note)]
-}
-
-/// The measured counterpart of Figs. 6 and 9: the REAL element graphs of
-/// the three applications, replicated per worker core on the MT runtime
-/// under the push, SPSC-streaming and pipeline regimes, on this host.
-pub fn regimes() -> Vec<Table> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // One worker per core, capped at the paper's 4 forwarding cores.
-    let workers = cores.clamp(1, 4);
-    // 64 B UDP with varied 5-tuples so RSS sharding spreads the flows.
-    let packets: Vec<_> = (0..40_000usize)
-        .map(|i| {
-            let src = Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 1);
-            let src = SocketAddrV4::new(src, 1024 + (i % 50_000) as u16);
-            let dst = SocketAddrV4::new(Ipv4Addr::new(192, 168, 0, 1), 80);
-            PacketSpec::udp().endpoints(src, dst).build()
-        })
-        .collect();
-    let router = || {
-        RouterBuilder::ip_router()
-            .route("10.0.0.0/9", 0)
-            .route("0.0.0.0/0", 1)
-    };
-    let graphs = [
-        ("fwd", RouterBuilder::minimal_forwarder()),
-        ("rtr", router()),
-        ("ipsec", RouterBuilder::ipsec_gateway()),
-    ];
-    let regimes = [
-        ("parallel replicas", Regime::Push),
-        ("spsc streaming", Regime::Spsc),
-        ("pipeline stages", Regime::Pipeline),
-    ];
-    let mut rows = Vec::new();
-    for (app, builder) in graphs {
-        let graph = builder.build_graph().expect("preset graph builds");
-        for (name, regime) in regimes {
-            let knobs = Knobs {
-                regime,
-                workers,
-                ..Knobs::default()
-            };
-            let run = run_graph(&[&graph], packets.clone(), &knobs, None);
-            let report = run.expect("graph must replicate").report;
-            rows.push([
-                app.to_string(),
-                name.to_string(),
-                format!("{:.2}", report.pps() / 1e6),
-                format!("{:.1}", report.achieved_batch()),
-                format!("{:.2}", report.imbalance()),
-            ]);
-        }
-    }
-    let mut note = "An achieved kp > 1 under every regime shows poll batching survives\n\
-                    the core-to-core hop (PacketBatches, not packets, cross the SPSC\n\
-                    rings); imbalance near 1.0 shows RSS flow sharding spreads the load."
-        .to_string();
-    if cores < 4 {
-        note += &format!(
-            "\nWARNING: only {cores} core(s) (< 4): these rows reflect per-packet\n\
-             overheads, not per-core scaling, and their ordering is not meaningful."
-        );
-    }
-    let title = format!(
-        "Measured — real graphs on the MT runtime ({workers} worker(s), {cores} core(s), 64 B)"
-    );
-    let header = "app | regime | Mpps | achieved kp | imbalance";
     vec![Table::new(title, header).rows(rows).note(note)]
 }
 

@@ -3,8 +3,8 @@
 //! function's tables as markdown: every row (and header) it quotes must
 //! be one the function returns, cell for cell at print precision. The
 //! model, DES and sim numbers its prose quotes are rebuilt below from
-//! the same rows and must appear verbatim. `regimes` is measured on this
-//! host and is held to nothing here.
+//! the same rows and must appear verbatim. What `rb_bench::MEASURED`
+//! prints is measured on this host and is held to nothing here.
 
 use rb_bench::{paper, Table, TABLES};
 use std::collections::HashMap;
@@ -50,7 +50,6 @@ fn experiments_md_quotes_what_paper_prints() {
     let tables: HashMap<&str, Vec<Table>> = std::thread::scope(|s| {
         let running: Vec<_> = TABLES
             .iter()
-            .filter(|(name, _)| *name != "regimes")
             .map(|(name, table)| (*name, s.spawn(table)))
             .collect();
         running

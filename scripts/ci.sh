@@ -72,7 +72,7 @@ grep -rlE "$unsafe_word" crates/*/src --include='*.rs' | xargs awk '
     END { exit bad }
 '
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one DIR-24-8 sweep: the collapsed names stay gone)"
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -88,6 +88,17 @@ fi
 # binary prints every table and figure.
 if find crates -path '*/src/bin/*' \( -name '*_smoke.rs' -o -name 'fig*.rs' -o -name 'table*.rs' \) | grep .; then
     echo "a *_smoke or per-figure binary is back: smoke checks are tests, figures are \`paper <name>\`" >&2
+    exit 1
+fi
+
+# There is one benchmark: the deleted second one's measured tables are
+# `paper table1` and `paper regimes`, its asserts are tests, and its binary,
+# script and JSON stay gone (the brackets keep this file from matching).
+gone='[b]ench_dataplane|[B]ENCH_dataplane|scripts/[b]ench\.sh'
+if grep -rnE "$gone" crates/ examples/ tests/ scripts/ README.md DESIGN.md ||
+    find . scripts crates/bench/src/bin -maxdepth 1 \( -name '[B]ENCH_dataplane.json' \
+        -o -name '[b]ench.sh' -o -name '[b]ench_dataplane.rs' \) | grep .; then
+    echo "the second benchmark is back: measured tables are \`paper <name>\`, the benchmark is benchmark/" >&2
     exit 1
 fi
 
@@ -131,9 +142,6 @@ cargo test -q
 if [ "$quick" != "quick" ]; then
     echo "==> cargo build --release"
     cargo build --release
-
-    echo "==> bench smoke (harness + BENCH_dataplane.json schema)"
-    ./scripts/bench.sh smoke
 
     # The repo benchmark is a package of its own (benchmark/Cargo.toml, own
     # lock file); both steps build into target/benchmark, as run.sh does.

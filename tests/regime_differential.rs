@@ -125,12 +125,14 @@ proptest! {
 /// Tiny-arena overload: each replica's 8-slot pool is hit with 64-packet
 /// bursts. Push sheds the excess as `NoRxDescriptor` drops; pull holds it
 /// behind the credit window and stalls instead, delivering every frame.
-/// Both ledgers balance — the difference shows up in *which* column.
+/// Both ledgers balance — the difference shows up in *which* column —
+/// and the frames pull holds back wait: on ≥ 4 cores its p99 is not
+/// below push's.
 #[test]
 fn overload_pull_stalls_where_push_drops() {
     let count = 600usize;
     let packets = traffic(count);
-    let overloaded = |regime: Regime| {
+    let overloaded = |regime: Regime, trace: u64| {
         RouterBuilder::minimal_forwarder()
             .workers(2)
             .batch_size(32)
@@ -139,13 +141,14 @@ fn overload_pull_stalls_where_push_drops() {
             .keep_tx_frames(true)
             .regime(regime)
             .credit_window(32)
+            .trace_sample(trace)
             .build_mt()
             .unwrap()
             .run(packets.clone())
             .unwrap()
     };
 
-    let push = overloaded(Regime::Push);
+    let push = overloaded(Regime::Push, 0);
     assert_conserved("push", &push.report.ledger, count as u64);
     assert!(
         push.report.ledger.dropped(DropCause::NoRxDescriptor) > 0,
@@ -154,7 +157,7 @@ fn overload_pull_stalls_where_push_drops() {
     );
     assert_eq!(push.report.credit_stalls, 0, "push never stalls");
 
-    let pull = overloaded(Regime::PullCredit);
+    let pull = overloaded(Regime::PullCredit, 0);
     assert_conserved("pull", &pull.report.ledger, count as u64);
     assert_eq!(
         pull.report.ledger.dropped(DropCause::NoRxDescriptor),
@@ -176,4 +179,20 @@ fn overload_pull_stalls_where_push_drops() {
     for stats in &pull.worker_stats {
         assert!(!stats.fused, "no worker may exit on the quanta fuse");
     }
+
+    // Tail latency, from separate runs that trace every packet (push
+    // delivers too few for a sample to hold one). With fewer cores than
+    // threads the scheduler's noise swamps the regimes' difference.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 4 {
+        eprintln!("skipped: pull p99 >= push p99 needs 4 cores, this host has {cores}");
+        return;
+    }
+    let p99 = |regime| overloaded(regime, 1).trace.latency_percentiles().1;
+    let (push_p99, pull_p99) = (p99(Regime::Push), p99(Regime::PullCredit));
+    assert!(push_p99 > 0, "push's survivors carry latencies");
+    assert!(
+        pull_p99 >= push_p99,
+        "pull p99 {pull_p99} ticks undercuts push p99 {push_p99} ticks under 2x overload"
+    );
 }
