@@ -175,16 +175,22 @@ fn bench_esp(c: &mut Criterion) {
     }
     group.finish();
 
-    // 32 Abilene-mix packets sealed in batches of 1, 4 and 32. On `hw`,
-    // 32 ÷ 1 is what interleaving the packets' CBC chains and hashing
-    // their HMACs in AVX-512 lanes buy; on `tables` the batch form is the
+    // 32 Abilene-mix packets sealed in batches of 1, 16 and 32. `aesni4`
+    // runs a batch's CBC chains in four `xmm` lanes (VAES withheld),
+    // `vaes16` in sixteen `zmm` lanes where the CPU has VAES (and is
+    // `aesni4` again where it does not); both hash the HMACs in AVX-512
+    // lanes where the CPU has them. On `tables` the batch form is the
     // plain loop and the three rows read the same.
     let lengths = abilene_mix();
     let mut group = c.benchmark_group("esp_seal_batch");
     group.throughput(Throughput::Bytes(lengths.iter().sum::<usize>() as u64));
-    for batch in [1usize, 4, 32] {
-        let encryptors = [EspEncryptor::portable(&sa), EspEncryptor::new(&sa)];
-        for (backend, mut enc) in BACKENDS.iter().zip(encryptors) {
+    for batch in [1usize, 16, 32] {
+        let encryptors = [
+            ("tables", EspEncryptor::portable(&sa)),
+            ("aesni4", EspEncryptor::without_vaes(&sa)),
+            ("vaes16", EspEncryptor::new(&sa)),
+        ];
+        for (backend, mut enc) in encryptors {
             group.bench_function(BenchmarkId::new(backend, batch), |b| {
                 let mut bufs: Vec<(Vec<u8>, usize)> = lengths
                     .iter()

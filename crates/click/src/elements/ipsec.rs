@@ -83,10 +83,11 @@ fn open_tunnel(
 /// came.
 ///
 /// A batch is sealed as a batch ([`EspEncryptor::seal_batch_into`]): the
-/// per-packet work — room, headers, IV, padding — is done as each frame's
-/// turn comes, and where the cipher runs on AES-NI the CBC chains of four
-/// frames are walked in step. The frames and their order on the outputs
-/// are those of `push` called on each in turn.
+/// per-packet work — room, headers, IV block, padding — is done as each
+/// frame's turn comes, and where the cipher runs on AES-NI the CBC chains
+/// of up to 32 frames then run side by side in lanes, sixteen where the
+/// CPU has VAES. The frames and their order on the outputs are those of
+/// `push` called on each in turn.
 pub struct IpsecEncap {
     /// Retained so per-core replicas can derive a fresh encryptor.
     sa: SecurityAssociation,
@@ -195,9 +196,12 @@ impl Element for IpsecEncap {
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
-        // The SA (keys) is shared configuration; each core gets its own
-        // encryptor and thus its own ESP sequence-number stream, exactly
-        // like per-core SAs in a multi-queue IPsec gateway.
+        // Each copy gets its own encryptor under the same SA: one SPI and
+        // one key, each copy counting from sequence number 1. These are
+        // not per-core SAs — two copies emit the same sequence numbers and
+        // IVs under one key, and a peer's replay window drops the second
+        // copy's packets. ROADMAP, "Shard-safety derived, not declared",
+        // is where that gets fixed.
         Some(Box::new(IpsecEncap::new(
             &self.sa,
             self.tunnel_src,

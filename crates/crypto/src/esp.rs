@@ -18,15 +18,18 @@
 //! are the same code behind a `Vec`.
 //!
 //! [`EspEncryptor::seal_batch_into`] seals a batch of such buffers to the
-//! same bytes. A batch gives this transform two things, one per half.
-//! Where the cipher runs on AES-NI it walks four packets' CBC chains in
-//! step: within a packet CBC is serial, and a single `aesenc` chain waits
-//! out the instruction's latency on every block. And the sealed packets
-//! are authenticated together, with [`HmacSha1::mac96_batch`], which on a
-//! CPU with AVX-512 hashes sixteen of them at once: one `sha1rnds4` chain
-//! is not waiting on latency (more chains in flight measured no faster),
-//! but sixteen 32-bit lanes of a `zmm` register read about three times
-//! the bytes a second it does.
+//! same bytes, in three passes over at most 32 packets. It frames them,
+//! each with its plaintext IV block. On AES-NI it then CBC-encrypts them
+//! side by side: within a packet CBC is serial, and one `aesenc` chain
+//! waits out the instruction's latency on every block, so the packets'
+//! chains, IV block first, are placed on lanes before the first block
+//! (longest first, each to the least-loaded lane) and run sixteen to four
+//! `zmm` registers where the CPU has VAES, four `xmm` registers where it
+//! does not. Last it authenticates them together, with
+//! [`HmacSha1::mac96_batch`], which on a CPU with AVX-512 hashes sixteen
+//! at once: one `sha1rnds4` chain is not waiting on latency (more chains
+//! in flight measured no faster), but sixteen 32-bit lanes of a `zmm`
+//! register read about three times the bytes a second it does.
 //!
 //! Opening is the untrusted side. Nothing is decrypted, and the replay
 //! window is not consulted, before the ICV verifies; a packet rejected for
@@ -119,6 +122,10 @@ pub struct EspEncryptor {
     /// Sequence number of the next packet; 0 (never a valid ESP sequence
     /// number) once all 2³² − 1 have been used.
     next_seq: u32,
+    /// Set when [`EspEncryptor::seal_batch_into`] runs its CBC chains in
+    /// sixteen VAES lanes rather than four AES-NI ones.
+    #[cfg(target_arch = "x86_64")]
+    vaes: Option<crate::x86::HasVaes>,
 }
 
 impl EspEncryptor {
@@ -130,6 +137,20 @@ impl EspEncryptor {
             aes: Aes128::new(&sa.enc_key),
             hmac: HmacSha1::new(&sa.auth_key),
             next_seq: 1,
+            #[cfg(target_arch = "x86_64")]
+            vaes: crate::x86::detect().vaes,
+        }
+    }
+
+    /// [`EspEncryptor::new`] with the VAES lanes withheld, whatever the
+    /// CPU: where it has AES-NI, a batch's CBC chains run four `xmm` lanes
+    /// wide. It is what the differential tests and the `aesni4` bench
+    /// rows hold the sixteen lanes to; a router has no reason to call it.
+    pub fn without_vaes(sa: &SecurityAssociation) -> EspEncryptor {
+        EspEncryptor {
+            #[cfg(target_arch = "x86_64")]
+            vaes: None,
+            ..EspEncryptor::new(sa)
         }
     }
 
@@ -180,10 +201,12 @@ impl EspEncryptor {
     /// header and IV are written in front of it, padding, trailer and ICV
     /// behind it, and everything after the IV is encrypted where it lies.
     ///
-    /// The IV is derived by encrypting the sequence number under the
+    /// The IV is the sequence number and SPI block encrypted under the
     /// payload key — unpredictable to attackers without the key, and
     /// deterministic so tests and the simulator reproduce byte-exact
-    /// output.
+    /// output. That block is framed in the IV's place and the CBC chain
+    /// starts from zero on it: its first output is the IV, and the chain
+    /// goes on from there over the rest, as CBC under that IV does.
     ///
     /// # Errors
     ///
@@ -194,9 +217,8 @@ impl EspEncryptor {
     ///   replaced. `buf` is untouched.
     pub fn seal_into(&mut self, buf: &mut [u8], payload_len: usize) -> Result<()> {
         let seq = claim_seq(&mut self.next_seq, buf.len(), payload_len)?;
-        let iv = frame(self.spi, seq, &self.aes, buf, payload_len);
-        let end = buf.len() - ICV_LEN;
-        cbc_encrypt(&self.aes, &iv, &mut buf[ESP_PREFIX_LEN..end])
+        frame(self.spi, seq, buf, payload_len);
+        cbc_encrypt(&self.aes, &[0; BLOCK_SIZE], ciphered(buf))
             .expect("padded body is block-aligned");
         authenticate(&self.hmac, buf);
         Ok(())
@@ -210,19 +232,23 @@ impl EspEncryptor {
     /// prepares none it cannot have sealed.
     ///
     /// The bytes written are exactly those of that many `seal_into` calls.
-    /// What differs is the order of the work when the cipher runs on
-    /// AES-NI: a CBC chain is serial within a packet but the packets of a
-    /// batch are independent, so four packets' chains are walked in step —
-    /// a lane that finishes its packet parks it and takes the next one from
-    /// `bufs`, which keeps the lanes full on a mix of short and long
-    /// packets. One `aesenc` chain leaves the unit idle three cycles in
-    /// four. The parked packets are then authenticated with one
-    /// [`HmacSha1::mac96_batch`] call per 32, sixteen at a time in AVX-512
-    /// lanes where the CPU has them: SHA-1 is not latency-bound on the
-    /// SHA extensions, so the win there is width, not interleaving. Both
-    /// are what `kp` buys IPsec. On the table cipher, which is bound by
-    /// load ports and not by latency, interleaving measured slower
-    /// (ROADMAP, "Cross-packet crypto") and the batch is the plain loop.
+    /// What differs, when the cipher runs on AES-NI, is the order of the
+    /// work: up to 32 packets are framed, then encrypted, then
+    /// authenticated, each pass over all of them. A CBC chain is serial
+    /// within a packet but the packets of a batch are independent, so the
+    /// encryption pass places every packet's chain, IV block first, on a
+    /// lane before the first block — longest first, each to the lane with
+    /// the fewest blocks so far — and runs the lanes side by side: sixteen,
+    /// four to a `zmm` register, where the CPU has VAES, and four `xmm`
+    /// lanes where it has AES-NI alone (one `aesenc` chain leaves the unit
+    /// idle three cycles in four). The authentication pass is one
+    /// [`HmacSha1::mac96_batch`] call, sixteen messages at a time in
+    /// AVX-512 lanes where the CPU has them: SHA-1 is not latency-bound on
+    /// the SHA extensions, so the win there is width, not interleaving.
+    /// Both are what `kp` buys IPsec. On the table cipher, which is bound
+    /// by load ports and not by latency, interleaving measured slower
+    /// (EXPERIMENTS.md, "Real-code benchmarks") and the batch is the
+    /// plain loop.
     pub fn seal_batch_into<'a>(
         &mut self,
         bufs: impl IntoIterator<Item = (&'a mut [u8], usize)>,
@@ -231,34 +257,33 @@ impl EspEncryptor {
         let mut sealed = 0;
         #[cfg(target_arch = "x86_64")]
         if let Some(hw) = self.aes.hw() {
-            let (spi, aes, hmac, next_seq) = (self.spi, &self.aes, &self.hmac, &mut self.next_seq);
-            // Encrypted, not yet authenticated.
-            let mut parked: [&mut [u8]; MAC_BATCH] = Default::default();
-            let mut held = 0;
-            hw.cbc_encrypt_lanes(
-                || {
-                    // Looked at before `bufs` is: see above.
-                    if *next_seq == 0 {
-                        return None;
-                    }
-                    let (buf, payload_len) = bufs.next()?;
-                    let seq = claim_seq(next_seq, buf.len(), payload_len).ok()?;
-                    let iv = frame(spi, seq, aes, buf, payload_len);
-                    let body = ESP_PREFIX_LEN..buf.len() - ICV_LEN;
-                    Some(crate::x86::CbcJob { buf, body, iv })
-                },
-                |buf| {
-                    parked[held] = buf;
-                    held += 1;
-                    if held == MAC_BATCH {
-                        authenticate_batch(hmac, &mut parked);
-                        sealed += held;
-                        held = 0;
-                    }
-                },
-            );
-            authenticate_batch(hmac, &mut parked[..held]);
-            return sealed + held;
+            loop {
+                let mut batch: [&mut [u8]; MAC_BATCH] = Default::default();
+                let mut framed = 0;
+                // Looked at before `bufs` is: see above.
+                while framed < MAC_BATCH && self.next_seq != 0 {
+                    let Some((buf, payload_len)) = bufs.next() else {
+                        break;
+                    };
+                    let Ok(seq) = claim_seq(&mut self.next_seq, buf.len(), payload_len) else {
+                        break;
+                    };
+                    frame(self.spi, seq, buf, payload_len);
+                    batch[framed] = buf;
+                    framed += 1;
+                }
+                let batch = &mut batch[..framed];
+                let mut bodies: [&mut [u8]; MAC_BATCH] = Default::default();
+                for (body, buf) in bodies.iter_mut().zip(batch.iter_mut()) {
+                    *body = ciphered(buf);
+                }
+                hw.cbc_encrypt_batch(self.vaes, &mut bodies[..framed]);
+                authenticate_batch(&self.hmac, batch);
+                sealed += framed;
+                if framed < MAC_BATCH {
+                    return sealed;
+                }
+            }
         }
         while self.next_seq != 0 {
             let Some((buf, payload_len)) = bufs.next() else {
@@ -287,21 +312,19 @@ fn claim_seq(next_seq: &mut u32, buf_len: usize, payload_len: usize) -> Result<u
     Ok(seq)
 }
 
-/// Writes the cleartext of an ESP packet around the payload `buf` holds —
-/// SPI, sequence number and IV in front, padding, pad length and next
-/// header behind — and returns the IV. The ICV is left for
-/// [`authenticate`].
-fn frame(spi: u32, seq: u32, aes: &Aes128, buf: &mut [u8], payload_len: usize) -> [u8; BLOCK_SIZE] {
+/// Writes the cleartext of an ESP packet around the payload `buf` holds:
+/// SPI and sequence number in front, then the plaintext IV block
+/// `seq ‖ SPI ‖ 0`, and padding, pad length and next header behind.
+/// [`ciphered`] is then encrypted from a zero chain, which turns that block
+/// into the IV, and the ICV is left for [`authenticate`].
+fn frame(spi: u32, seq: u32, buf: &mut [u8], payload_len: usize) {
     let end = buf.len() - ICV_LEN;
     let (prefix, body) = buf[..end].split_at_mut(ESP_PREFIX_LEN);
     prefix[..4].copy_from_slice(&spi.to_be_bytes());
     prefix[4..ESP_HEADER_LEN].copy_from_slice(&seq.to_be_bytes());
-
-    let mut iv = [0u8; BLOCK_SIZE];
-    iv[..4].copy_from_slice(&seq.to_be_bytes());
-    iv[4..8].copy_from_slice(&spi.to_be_bytes());
-    aes.encrypt_block(&mut iv);
-    prefix[ESP_HEADER_LEN..].copy_from_slice(&iv);
+    prefix[ESP_HEADER_LEN..ESP_HEADER_LEN + 4].copy_from_slice(&seq.to_be_bytes());
+    prefix[ESP_HEADER_LEN + 4..ESP_HEADER_LEN + 8].copy_from_slice(&spi.to_be_bytes());
+    prefix[ESP_HEADER_LEN + 8..].fill(0);
 
     // RFC 4303 padding bytes are 1, 2, 3, ...
     let pad_len = body.len() - payload_len - 2;
@@ -313,7 +336,13 @@ fn frame(spi: u32, seq: u32, aes: &Aes128, buf: &mut [u8], payload_len: usize) -
     }
     body[payload_len + pad_len] = pad_len as u8;
     body[payload_len + pad_len + 1] = NEXT_HEADER_IPV4;
-    iv
+}
+
+/// What of a framed packet the cipher runs over: the IV block and the
+/// padded payload, between the header and the ICV.
+fn ciphered(buf: &mut [u8]) -> &mut [u8] {
+    let end = buf.len() - ICV_LEN;
+    &mut buf[ESP_HEADER_LEN..end]
 }
 
 /// Writes the ICV over everything in front of it.

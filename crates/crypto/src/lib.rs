@@ -27,7 +27,11 @@
 //! sixteen messages at once, one per 32-bit lane, which is how a sealed
 //! batch is authenticated — one `sha1rnds4` chain is bound by the
 //! instruction's throughput, not its latency, so interleaving chains
-//! buys nothing and width does. There is no feature, environment
+//! buys nothing and width does. [`EspEncryptor::new`] asks for VAES: with
+//! it, [`EspEncryptor::seal_batch_into`] runs sixteen packets' CBC chains
+//! at once, four to a `zmm` register, and without it four, one to an
+//! `xmm` register — one `aesenc` chain is bound by the instruction's
+//! latency. There is no feature, environment
 //! variable or setting to choose with. The `portable()` constructors skip
 //! the question so that tests can hold the paths bit-equal and benches
 //! can time them on one machine.
@@ -76,6 +80,9 @@ pub struct Hardware {
     /// AVX-512F and AVX-512BW: [`HmacSha1::mac96_batch`] hashes sixteen
     /// messages at once, one per 32-bit lane.
     pub avx512: bool,
+    /// AVX-512F and VAES: [`EspEncryptor::seal_batch_into`] runs sixteen
+    /// packets' CBC chains at once, four to a `zmm` register.
+    pub vaes: bool,
 }
 
 /// What this CPU gives the crate; all `false` off x86-64.
@@ -87,6 +94,7 @@ pub fn hardware() -> Hardware {
             aes: found.aes.is_some(),
             sha: found.sha.is_some(),
             avx512: found.avx512.is_some(),
+            vaes: found.vaes.is_some(),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -94,6 +102,7 @@ pub fn hardware() -> Hardware {
         aes: false,
         sha: false,
         avx512: false,
+        vaes: false,
     }
 }
 

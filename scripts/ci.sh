@@ -23,14 +23,18 @@ if [ "$cores" -lt 4 ]; then
 fi
 
 # What the crypto tests and the benchmark smoke below exercise depends on
-# the CPU: rb-crypto takes AES-NI, the SHA extensions and AVX-512 when it
-# finds them.
+# the CPU: rb-crypto takes AES-NI, VAES, the SHA extensions and AVX-512
+# when it finds them, and the line must say which lanes ran.
 backend="$(cargo test -q -p rb-crypto --test backends detected_backend -- --nocapture 2>/dev/null |
     grep '^crypto backend:' || echo "crypto backend: unknown (probe test did not run)")"
 echo "$backend" >&2
 case "$backend" in
     *"avx512 "*) ;;
     *) echo "the crypto backend line does not say whether the AVX-512 lanes ran" >&2; exit 1 ;;
+esac
+case "$backend" in
+    *"vaes "*) ;;
+    *) echo "the crypto backend line does not say whether the VAES lanes ran" >&2; exit 1 ;;
 esac
 
 echo "==> detect gate (is_x86_feature_detected! only inside x86.rs's detect())"
