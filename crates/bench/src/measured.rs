@@ -79,7 +79,7 @@ pub fn table1_measured() -> Vec<Table> {
             let pps = (0..REPS)
                 .map(|_| forward_pps(&mut router, &frames))
                 .fold(0.0, f64::max);
-            let doorbells = router.run_until_idle(0).nic_doorbells as f64 / (REPS * FRAMES) as f64;
+            let doorbells = router.click().stats().nic_doorbells as f64 / (REPS * FRAMES) as f64;
             let mut traced = table1_router(kp, kn, FRAMES, 16);
             forward_pps(&mut traced, &frames);
             let (_, p99, _) = traced.take_trace_log().latency_percentiles();

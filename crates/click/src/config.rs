@@ -1120,7 +1120,8 @@ mod tests {
              src -> cnt -> Discard;",
         )
         .unwrap();
-        let stats = router.run_until_idle(100_000);
+        router.run_until_idle(100_000);
+        let stats = router.stats();
         assert_eq!(router.counter("cnt").unwrap().packets, 200);
         assert_eq!(stats.pool_allocs, 200);
         assert_eq!(stats.pool_recycles, 200, "Discard recycles every handle");

@@ -409,6 +409,21 @@ pub trait Element: Send {
         false
     }
 
+    /// Whether a quantum of this active element could find work now.
+    ///
+    /// The driver polls a task no push can wake (a source, or a drain
+    /// whose source gives no [`Element::pull_backlog`]) only while it
+    /// answers `true`: it asks when it arms its pollers and after each
+    /// useful quantum, and a poller that answers `false` stays parked,
+    /// costing no quantum, until an arm finds it has work. An element that
+    /// answers must never say `false` while a `run_task` would do work, or
+    /// that work waits for a caller to ask again. `true`, the default,
+    /// promises nothing: such a task is polled at every arm. `FromDevice`
+    /// answers from its wire and RX ring.
+    fn has_work(&self) -> bool {
+        true
+    }
+
     /// Returns `true` for elements the driver must schedule (sources and
     /// pull-driving drains).
     fn is_active(&self) -> bool {

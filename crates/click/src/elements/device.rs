@@ -240,6 +240,13 @@ impl Element for FromDevice {
         true
     }
 
+    /// A poll finds work exactly when a frame is on the wire or in the RX
+    /// ring: with neither, it posts nothing, consumes nothing and writes
+    /// nothing back.
+    fn has_work(&self) -> bool {
+        self.pending() > 0
+    }
+
     fn pool_stats(&self) -> Option<PoolStats> {
         self.pool.as_ref().map(PacketPool::stats)
     }

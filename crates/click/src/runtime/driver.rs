@@ -35,7 +35,29 @@ use rb_telemetry::{
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Statistics of one run.
+/// What the driver itself counts, kept as it goes: what
+/// [`Router::run_until_idle`] returns. Every field is exact at no cost;
+/// the pool and descriptor-ring totals, which live in the elements, are
+/// summed only by [`Router::stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DriverStats {
+    /// Scheduling quanta executed.
+    pub quanta: u64,
+    /// Packets moved through element push handlers (batch or scalar).
+    pub pushes: u64,
+    /// Batch dispatches (`push_batch` invocations).
+    pub batch_calls: u64,
+    /// Packets that reached an unconnected output.
+    pub leaked: u64,
+    /// Packets consumed by the *default* `Element::push`.
+    pub dropped_default: u64,
+    /// Whether the most recent [`Router::run_until_idle`] call exited on
+    /// its fuse (see [`RunStats::fused`]).
+    pub fused: bool,
+}
+
+/// Statistics of one run: the driver's own counts plus the pool and
+/// descriptor-ring totals [`Router::stats`] sums over the elements.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Scheduling quanta executed.
@@ -199,7 +221,7 @@ pub struct Router {
     /// [`Router::graph_mut`] was handed out, or `kp` set, since `tasks`
     /// was resolved; the next quantum resolves it again.
     tasks_stale: bool,
-    stats: RunStats,
+    stats: DriverStats,
     /// Dispatch batch size `kp`: max packets per work-queue entry.
     batch_size: usize,
     /// FIFO of `(element, input port, batch)` awaiting dispatch.
@@ -313,7 +335,7 @@ impl Router {
             poller_quanta: 0,
             release_at: u64::MAX,
             tasks_stale: false,
-            stats: RunStats::default(),
+            stats: DriverStats::default(),
             batch_size: Self::DEFAULT_BATCH_SIZE,
             work: VecDeque::new(),
             pool: Vec::new(),
@@ -769,27 +791,41 @@ impl Router {
 
     /// Runs until every active element has reported idle since the last
     /// useful quantum — parked drains by their empty queues, the pollers
-    /// by being armed and polled once more — or the router's cumulative
-    /// quantum count, [`RunStats::quanta`] over every call so far, reaches
-    /// `max_quanta`: the fuse is a ceiling on that counter, not a budget
-    /// for this call, so `run_until_idle(0)` runs nothing and a caller
-    /// that wants `n` more quanta passes `stats().quanta + n`. Returns the
-    /// run statistics; `RunStats::fused` distinguishes a blown fuse
-    /// (ceiling reached with runnable work left) from a clean drain — a
-    /// fuse-out is not a verified drain and can mask livelock if read as
-    /// one. `fused` reflects only this call.
-    pub fn run_until_idle(&mut self, max_quanta: u64) -> RunStats {
+    /// by being armed once more, where each is polled only if it
+    /// [may have work](crate::Element::has_work) — or the router's
+    /// cumulative quantum count, [`DriverStats::quanta`] over every call so
+    /// far, reaches `max_quanta`: the fuse is a ceiling on that counter,
+    /// not a budget for this call, so `run_until_idle(0)` runs nothing and
+    /// a caller that wants `n` more quanta passes `stats().quanta + n`.
+    ///
+    /// Returns what the driver counted itself, cumulative over every call;
+    /// the pool and descriptor-ring totals are summed over the elements by
+    /// [`Router::stats`] alone, which a call here never pays for.
+    /// `DriverStats::fused` distinguishes a blown fuse (ceiling reached
+    /// with runnable work left) from a clean drain — a fuse-out is not a
+    /// verified drain and can mask livelock if read as one. `fused`
+    /// reflects only this call.
+    pub fn run_until_idle(&mut self, max_quanta: u64) -> DriverStats {
         self.stats.fused = false;
+        if self.tasks_stale {
+            self.replan_tasks();
+        }
         let mut settled = false;
         loop {
-            if self.scheduler.is_empty() && !self.release_deferred() {
+            if self.scheduler.is_empty() {
+                self.scheduler.settle();
                 // Idle, if the pollers all said so since the last useful
-                // quantum.
-                if settled {
-                    break;
+                // quantum, or if none of them may have work.
+                if !self.release_deferred() {
+                    if settled {
+                        break;
+                    }
+                    settled = true;
+                    self.arm_pollers();
+                    if self.scheduler.is_empty() {
+                        break;
+                    }
                 }
-                settled = true;
-                self.arm_pollers();
             }
             if self.stats.quanta >= max_quanta {
                 self.stats.fused = true;
@@ -802,12 +838,20 @@ impl Router {
             }
             settled &= !self.run_quantum();
         }
-        self.stats()
+        self.stats
     }
 
+    /// Wakes the pollers that may have work. The rest stay parked until
+    /// an arm finds that they do, each charged the empty poll it is spared
+    /// (see [`StrideScheduler::charge`]), so the tasks that do run are
+    /// picked in the order they would be if it had run.
     fn arm_pollers(&mut self) {
         for &id in &self.pollers {
-            self.scheduler.wake(id);
+            if self.graph.element(id).has_work() {
+                self.scheduler.wake(id);
+            } else {
+                self.scheduler.charge(id);
+            }
         }
     }
 
@@ -858,8 +902,9 @@ impl Router {
 
     /// Runs exactly one scheduling quantum; returns `true` if the task did
     /// useful work. With nothing runnable it releases the deferred drains
-    /// or else arms the pollers, so stepping quanta by hand polls them
-    /// round-robin and finds work injected from outside.
+    /// or else arms the pollers, so stepping quanta by hand polls the ones
+    /// that may have work round-robin and finds work injected from
+    /// outside; with none of them, the call runs no task.
     pub fn run_quantum(&mut self) -> bool {
         // Interval clock span: read even when cycle telemetry is off —
         // the disabled clock pays exactly one predictable branch here.
@@ -871,8 +916,11 @@ impl Router {
         if self.tasks_stale {
             self.replan_tasks();
         }
-        if self.scheduler.is_empty() && !self.release_deferred() {
-            self.arm_pollers();
+        if self.scheduler.is_empty() {
+            self.scheduler.settle();
+            if !self.release_deferred() {
+                self.arm_pollers();
+            }
         }
         let Some(id) = self.scheduler.next() else {
             if self.interval.is_some() {
@@ -885,11 +933,16 @@ impl Router {
         let q0 = self.span_open();
         let did_work = self.run_task(id);
         // The pick is parked. A hinted drain's backlog decides whether it
-        // runs again; anything else does if it found something to do.
+        // runs again; a poller does if it found something to do, and is
+        // charged the empty poll that would follow if it has no more.
         if self.tasks[id].as_ref().is_some_and(|drain| drain.hinted) {
             self.wake_drain(id);
         } else if did_work {
-            self.scheduler.wake(id);
+            if self.graph.element(id).has_work() {
+                self.scheduler.wake(id);
+            } else {
+                self.scheduler.charge(id);
+            }
             self.poller_quanta += 1;
             if self.poller_quanta >= self.release_at {
                 self.release_deferred();
@@ -1092,15 +1145,31 @@ impl Router {
     /// sharing a pool) are deduplicated before summing, so shared arenas
     /// are counted once.
     pub fn stats(&self) -> RunStats {
-        let mut stats = self.stats;
+        let DriverStats {
+            quanta,
+            pushes,
+            batch_calls,
+            leaked,
+            dropped_default,
+            fused,
+        } = self.stats;
         let rows = self.pool_rows();
         let ps = rb_packet::PoolStats::aggregate(rows.iter());
-        stats.pool_allocs += ps.allocs;
-        stats.pool_recycles += ps.recycles;
-        stats.pool_bulk_recycles += ps.bulk_recycles;
-        stats.pool_exhausted += ps.exhausted;
-        stats.pool_fallbacks += ps.heap_fallbacks;
-        stats.pool_peak_in_use += ps.peak_in_use as u64;
+        let mut stats = RunStats {
+            quanta,
+            pushes,
+            batch_calls,
+            leaked,
+            dropped_default,
+            fused,
+            pool_allocs: ps.allocs,
+            pool_recycles: ps.recycles,
+            pool_bulk_recycles: ps.bulk_recycles,
+            pool_exhausted: ps.exhausted,
+            pool_fallbacks: ps.heap_fallbacks,
+            pool_peak_in_use: ps.peak_in_use as u64,
+            ..RunStats::default()
+        };
         // Descriptor rings are per-element (per-queue), never shared, so
         // their counters sum without deduplication.
         for id in 0..self.graph.len() {
@@ -1213,7 +1282,7 @@ mod tests {
         assert!(!stats.fused, "clean drain must clear the flag");
         assert_eq!(router.counter("cnt").unwrap().packets, 100);
         // JSON carries the flag.
-        assert!(stats.to_json().contains("\"fused\": false"));
+        assert!(router.stats().to_json().contains("\"fused\": false"));
     }
 
     #[test]
@@ -1267,7 +1336,8 @@ mod tests {
         g.connect(s, 0, q, 0).unwrap();
         g.connect(q, 0, t, 0).unwrap();
         let mut router = Router::new(g).unwrap();
-        let stats = router.run_until_idle(u64::MAX);
+        router.run_until_idle(u64::MAX);
+        let stats = router.stats();
         // Every 64-byte frame crossed the TX descriptor ring once.
         assert_eq!(stats.nic_dma_bytes, 40 * 64);
         assert!(stats.to_json().contains("\"nic_dma_bytes\": 2560"));
@@ -1462,7 +1532,8 @@ mod tests {
         let d = g.add("sink", Box::new(Discard::new())).unwrap();
         g.connect(s, 0, d, 0).unwrap();
         let mut router = Router::new(g).unwrap();
-        let stats = router.run_until_idle(10_000);
+        router.run_until_idle(10_000);
+        let stats = router.stats();
         assert_eq!(stats.pool_allocs, 96);
         assert_eq!(stats.pool_recycles, 96);
         assert!(
@@ -1710,14 +1781,17 @@ mod tests {
         // and 288 then too, made of other quanta: per round 32 idle
         // polls of the devices, a useful quantum per poll and per burst
         // drained, and 64 more polls to see everything idle. The run list
-        // spends them on the sources alone — once when their rings run
-        // dry and once more before the run is declared idle — plus the 32
+        // spent those 64 on the sources alone — once when their rings ran
+        // dry and once more before the run was declared idle — and was at
+        // 1184 and 288 until a device with nothing pending stopped taking
+        // a quantum. What is left beyond the useful quanta are the 32
         // drains polled once, empty, because tasks start out runnable.
-        // More than that is a regression: a probe that polls drains too
-        // read 1248 and 352.
+        // More than that is a regression: polling the dry sources reads
+        // 1184 and 288, and a probe that polls drains too read 1248 and
+        // 352 on top of that.
         let expected = [
-            (1usize, 1184u64, 2304u64, 2304u64, 0x5478_95f6_912b_04a5u64),
-            (32, 288, 2304, 736, 0x1234_0c03_1cb0_80e5),
+            (1usize, 1056u64, 2304u64, 2304u64, 0x5478_95f6_912b_04a5u64),
+            (32, 160, 2304, 736, 0x1234_0c03_1cb0_80e5),
         ];
         for (kp, quanta, pushes, batch_calls, egress_order) in expected {
             let mut router = Router::new(wide_graph(32, kp)).unwrap().with_batch_size(kp);
@@ -2010,9 +2084,10 @@ mod tests {
             3
         );
         assert!(router.scheduler.is_parked(tx) && router.deferred.is_empty());
-        // The source twice (frames, then nothing), the drain once, the
-        // source once more: nobody polled the drain to find it empty.
-        assert_eq!(stats.quanta - before, 4);
+        // The source once, the drain once: nobody polled the drain to find
+        // it empty, nor the source once its wire and ring were (both were
+        // polled that way until idle devices stopped taking quanta: 4).
+        assert_eq!(stats.quanta - before, 2);
     }
 
     #[test]

@@ -569,6 +569,8 @@ struct Merger {
     egress: Vec<Vec<Packet>>,
     burst: usize,
     detach: bool,
+    /// The pass's pop buffer, kept with its capacity across passes.
+    popped: Vec<(usize, PacketBatch)>,
 }
 
 impl Merger {
@@ -587,6 +589,7 @@ impl Merger {
             egress: (0..n_egress).map(|_| Vec::new()).collect(),
             burst,
             detach,
+            popped: Vec::with_capacity(burst),
         }
     }
 
@@ -594,15 +597,13 @@ impl Merger {
     /// anything moved.
     fn drain_once(&mut self, tracer: &mut Tracer) -> bool {
         let mut moved = false;
-        let mut buf: Vec<(usize, PacketBatch)> = Vec::new();
         for (i, rx) in self.consumers.iter_mut().enumerate() {
             if self.done[i] {
                 continue;
             }
-            buf.clear();
-            if rx.pop_burst(self.burst, &mut buf) > 0 {
+            if rx.pop_burst(self.burst, &mut self.popped) > 0 {
                 moved = true;
-                for (idx, batch) in buf.drain(..) {
+                for (idx, batch) in self.popped.drain(..) {
                     trace_hop(tracer, TraceKind::RingRecv, batch.as_slice());
                     if self.detach {
                         self.egress[idx].extend(batch.into_iter().map(detach_frame));

@@ -40,6 +40,9 @@ pub struct StrideScheduler {
     parked: Vec<Option<TaskState>>,
     /// Pass of the last pick before its charge; `tasks` sorts after it.
     now: u64,
+    /// The latest pass a [`StrideScheduler::charge`] stood for a pick at;
+    /// `now` catches up with it at [`StrideScheduler::settle`].
+    charged: u64,
 }
 
 impl StrideScheduler {
@@ -99,6 +102,32 @@ impl StrideScheduler {
         task.pass = task.pass.max(self.now);
         self.insert(task);
         true
+    }
+
+    /// Charges parked task `id` a quantum it does not run, leaving it
+    /// parked: its pass moves as [`StrideScheduler::wake`] followed by the
+    /// [`StrideScheduler::next`] that picked it would move it, so it comes
+    /// back in the order that pick would have given it. A task that is
+    /// not parked is left as it is.
+    ///
+    /// The pick's other effect, raising `now` to its pass, is deferred:
+    /// a wake made while other tasks run sees `now` as they set it,
+    /// wherever the charged pick would have fallen among them, and once
+    /// nothing is runnable the pick would surely have been made — which
+    /// [`StrideScheduler::settle`] books.
+    pub fn charge(&mut self, id: usize) {
+        if let Some(task) = self.parked.get_mut(id).and_then(Option::as_mut) {
+            let pass = task.pass.max(self.now);
+            self.charged = self.charged.max(pass);
+            task.pass = pass + 1;
+        }
+    }
+
+    /// Books the picks charged so far as made; call it when no task is
+    /// runnable, before waking any.
+    pub fn settle(&mut self) {
+        debug_assert!(self.tasks.is_empty(), "settle with tasks runnable");
+        self.now = self.now.max(self.charged);
     }
 
     /// Removes a task (e.g. a source that finished), runnable or parked.
@@ -208,6 +237,87 @@ mod tests {
             for _ in 0..64 {
                 prop_assert_eq!(run_next(&mut sched), naive.next());
             }
+        }
+    }
+
+    /// Rounds of a driver over `work.len()` pollers and one drain (the
+    /// last id): a round arms the pollers, poller `i` has `work[round][i]`
+    /// useful quanta, each of which hands the drain a packet and wakes
+    /// it, and the drain takes one a quantum. `charge` decides what
+    /// happens to a poller with nothing to do: charged and left parked, or
+    /// woken and polled empty. Returns the useful picks in order.
+    fn useful_picks(work: &[Vec<u8>], charge: bool) -> Vec<usize> {
+        let drain = work[0].len();
+        let mut s = StrideScheduler::new();
+        for id in 0..=drain {
+            s.add(id);
+        }
+        let mut picks = Vec::new();
+        let mut backlog = 0;
+        for round in work {
+            let mut left = round.clone();
+            let mut settled = false;
+            loop {
+                if s.is_empty() {
+                    s.settle();
+                    if settled {
+                        break;
+                    }
+                    settled = true;
+                    for (id, &n) in left.iter().enumerate() {
+                        if n > 0 || !charge {
+                            s.wake(id);
+                        } else {
+                            s.charge(id);
+                        }
+                    }
+                    if s.is_empty() {
+                        break;
+                    }
+                }
+                let id = s.next().unwrap();
+                let useful = if id == drain {
+                    backlog > 0
+                } else {
+                    left[id] > 0
+                };
+                if !useful {
+                    continue;
+                }
+                settled = false;
+                picks.push(id);
+                if id == drain {
+                    backlog -= 1;
+                    if backlog > 0 {
+                        s.wake(drain);
+                    }
+                } else {
+                    left[id] -= 1;
+                    backlog += 1;
+                    s.wake(drain);
+                    if left[id] > 0 || !charge {
+                        s.wake(id);
+                    } else {
+                        s.charge(id);
+                    }
+                }
+            }
+        }
+        picks
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Charging a poller that has nothing to do, instead of polling
+        /// it empty, leaves every useful pick where it was.
+        #[test]
+        fn a_charged_poll_moves_no_useful_pick(
+            pollers in 1usize..6,
+            rounds in prop::collection::vec(prop::collection::vec(0u8..4, 6..7), 1..6),
+        ) {
+            let work: Vec<Vec<u8>> = rounds.iter().map(|r| r[..pollers].to_vec()).collect();
+            prop_assert_eq!(useful_picks(&work, true), useful_picks(&work, false));
         }
     }
 

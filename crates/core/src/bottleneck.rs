@@ -370,7 +370,8 @@ mod tests {
             .source_packets(64, 400)
             .build()
             .unwrap();
-        let stats = r.run_until_idle(1_000_000);
+        r.run_until_idle(1_000_000);
+        let stats = r.click().stats();
         let rep = BottleneckReport::from_snapshot(
             &r.telemetry_snapshot(),
             &ServerModel::prototype(),
@@ -405,7 +406,8 @@ mod tests {
             .source_packets(64, 400)
             .build()
             .unwrap();
-        let stats = r.run_until_idle(1_000_000);
+        r.run_until_idle(1_000_000);
+        let stats = r.click().stats();
         let base = BottleneckReport::from_snapshot(
             &r.telemetry_snapshot(),
             &ServerModel::prototype(),

@@ -753,8 +753,9 @@ impl BuiltRouter {
         self.ports
     }
 
-    /// Runs until idle (see [`Router::run_until_idle`]).
-    pub fn run_until_idle(&mut self, max_quanta: u64) -> rb_click::runtime::driver::RunStats {
+    /// Runs until idle (see [`Router::run_until_idle`]); the pool and
+    /// descriptor-ring totals are in `click().stats()`.
+    pub fn run_until_idle(&mut self, max_quanta: u64) -> rb_click::runtime::driver::DriverStats {
         self.inner.run_until_idle(max_quanta)
     }
 

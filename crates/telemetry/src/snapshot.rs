@@ -189,8 +189,9 @@ pub struct MetricsSnapshot {
     /// Cycles across all scheduler quanta, summed over workers.
     pub total_cycles: u64,
     /// Quanta that did no useful work (the paper's "empty polls"). Idle
-    /// tasks are parked, not polled, so on a busy router these are the
-    /// probes around each run — they do not grow with the port count.
+    /// tasks are parked and devices with no frames are not polled, so on
+    /// a busy router these are the few pollers that cannot tell they are
+    /// idle — they do not grow with the port count.
     pub empty_polls: u64,
     /// Cycles spent in empty quanta.
     pub empty_cycles: u64,

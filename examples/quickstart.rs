@@ -33,7 +33,10 @@ fn main() {
     ";
 
     let mut router = build_router(config).expect("configuration parses and validates");
-    let stats = router.run_until_idle(u64::MAX);
+    router.run_until_idle(u64::MAX);
+    // `stats()` adds the pool and descriptor-ring totals to the driver's
+    // own counts.
+    let stats = router.stats();
 
     let counted = router.counter("cnt").expect("cnt is a Counter");
     let queue = router

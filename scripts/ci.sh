@@ -113,6 +113,23 @@ if grep -rn 'by_ascending_length' crates/ examples/ tests/; then
     exit 1
 fi
 
+echo "==> sweep gate (run_until_idle returns the driver's own counts; only stats() sums the elements)"
+# A call to `run_until_idle` pays for no walk over the
+# elements' pool and descriptor-ring counters. Code lines only, as the
+# detect gate; from `pub fn run_until_idle` to its closing brace.
+awk '
+    /^[[:space:]]*\/\// { next }
+    /^    pub fn run_until_idle\(/ { inside = 1; seen = 1 }
+    inside && /(^|[^[:alnum:]_])(stats\(|pool_rows|nic_stats)/ {
+        printf "%s:%d: run_until_idle sums the elements: %s\n", FILENAME, FNR, $0; bad = 1
+    }
+    inside && /^    }/ { inside = 0 }
+    END {
+        if (!seen) { printf "%s: no pub fn run_until_idle to check\n", FILENAME; bad = 1 }
+        exit bad
+    }
+' crates/click/src/runtime/driver.rs
+
 echo "==> JSON gate (exporters emit through rb_telemetry::json::Writer, not format strings)"
 # Non-test code only: a test may spell out the text it expects.
 if ! find crates/click/src crates/core/src crates/telemetry/src -name '*.rs' \

@@ -121,7 +121,8 @@ fn oversize_frames_fall_back_to_heap_and_still_match() {
     for pkt in &packets {
         assert!(r.inject(0, pkt.clone()));
     }
-    let stats = r.run_until_idle(u64::MAX);
+    r.run_until_idle(u64::MAX);
+    let stats = r.click().stats();
     let arena: Vec<Vec<Vec<u8>>> = (0..r.ports())
         .map(|p| r.tx_frames(p).iter().map(|f| f.data().to_vec()).collect())
         .collect();
@@ -157,7 +158,8 @@ fn headroom_push_pull_path_matches_heap() {
             for pkt in &packets {
                 dev.inject(pkt.clone());
             }
-            let stats = router.run_until_idle(u64::MAX);
+            router.run_until_idle(u64::MAX);
+            let stats = router.stats();
             let frames: Vec<(Vec<u8>, bool)> = router
                 .element_as::<rb_click::elements::ToDevice>("tx")
                 .unwrap()
@@ -255,7 +257,8 @@ fn tiny_pool_counts_exhaustion_and_recovers() {
         .batch_size(16)
         .build()
         .unwrap();
-    let stats = r.run_until_idle(u64::MAX);
+    r.run_until_idle(u64::MAX);
+    let stats = r.click().stats();
     let sent = r.transmitted(1);
     assert!(stats.pool_exhausted > 0, "8 slots cannot cover a 32-burst");
     // The ledger sees the same story: every emission either forwarded or

@@ -1,12 +1,13 @@
-//! Allocation guard for the scheduling quantum, the ingress call, the
-//! IPsec tunnel path and a through-element in a pull path, and a count
-//! gate on what a round of a wide router costs in quanta.
+//! Allocation guard for the scheduling quantum, `run_until_idle`, the
+//! ingress call, the IPsec tunnel path and a through-element in a pull
+//! path, and count gates on what a round of a wide router costs in quanta
+//! and on what its idle ports cost: nothing.
 //!
-//! A 32-port IP router runs 64 tasks, and an idle one spends all its time
-//! picking them and learning that they have nothing to do; `inject` is
-//! paid once per frame. Neither may touch the heap: this is the test that
-//! fails if a `ports()` call (two `Vec`s an answer) or a `format!`-ed
-//! element name creeps back into either path. The IPsec gateway
+//! A 32-port IP router runs 64 tasks, and a caller asks an idle one for
+//! work over and over; `inject` is paid once per frame. None of it may
+//! touch the heap: this is the test that fails if a `ports()` call (two
+//! `Vec`s an answer), a `format!`-ed element name or a sweep of the
+//! elements' pool counters into a fresh `Vec` creeps back into a path. The IPsec gateway
 //! encapsulates inside the arena slot a frame arrived in; its test fails
 //! if sealing goes back through a `Vec` or a second packet buffer. The
 //! builder's graphs pull straight from a queue, so the drain that pulls
@@ -103,6 +104,7 @@ fn warm_up(r: &mut BuiltRouter, n: usize) {
 fn idle_quanta_do_not_allocate() {
     let mut r = router32(0);
     warm_up(&mut r, 512);
+    let quanta = r.click().stats().quanta;
     let mut busy = 0;
     let allocs = allocations_in(|| {
         for _ in 0..10_000 {
@@ -110,7 +112,75 @@ fn idle_quanta_do_not_allocate() {
         }
     });
     assert_eq!(busy, 0, "the router was drained");
-    assert_eq!(allocs, 0, "10,000 idle quanta over 64 tasks");
+    assert_eq!(allocs, 0, "10,000 run_quantum calls on a drained router");
+    assert_eq!(
+        r.click().stats().quanta,
+        quanta,
+        "a drained router's devices hold no frames: no task ran"
+    );
+}
+
+#[test]
+fn run_until_idle_on_a_drained_router_does_not_allocate() {
+    let mut r = router32(1024);
+    warm_up(&mut r, 512);
+    let quanta = r.click().stats().quanta;
+    let allocs = allocations_in(|| {
+        for _ in 0..1_000 {
+            assert!(!r.run_until_idle(u64::MAX).fused);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "1,000 calls: run_until_idle sums the pool counters into a Vec again"
+    );
+    assert_eq!(r.click().stats().quanta, quanta, "and no task ran");
+}
+
+/// 32 frames into port 0 of a drained `ports`-port forwarder, which sends
+/// them all out of port 1: the quanta the burst took, and port 1's frames.
+fn forward_burst(ports: usize) -> (u64, Vec<Vec<u8>>) {
+    let mut r = RouterBuilder::minimal_forwarder()
+        .ports(ports)
+        .keep_tx_frames(true)
+        .build()
+        .unwrap();
+    r.run_until_idle(u64::MAX);
+    let before = r.click().stats().quanta;
+    for pkt in frames(32) {
+        assert!(r.inject(0, pkt));
+    }
+    let quanta = r.run_until_idle(u64::MAX).quanta - before;
+    let sent = r.tx_frames(1).iter().map(|f| f.data().to_vec()).collect();
+    (quanta, sent)
+}
+
+#[test]
+fn idle_ports_take_no_quanta() {
+    let (narrow, wide) = (forward_burst(2), forward_burst(32));
+    assert_eq!(narrow.1.len(), 32, "every frame left port 1");
+    assert_eq!(narrow.1, wide.1, "both forwarders send the same frames");
+    // Port 0 polled once and port 1's queue pulled once, however many
+    // idle ports sit beside them; polling those took 6 and 66 quanta.
+    assert_eq!(
+        (narrow.0, wide.0),
+        (2, 2),
+        "quanta of a burst (2, 32 ports)"
+    );
+
+    // An idle device is parked, never stranded: a frame injected on port
+    // 17 of the drained router is found by stepping quanta by hand.
+    let mut r = RouterBuilder::minimal_forwarder()
+        .ports(32)
+        .build()
+        .unwrap();
+    r.run_until_idle(u64::MAX);
+    assert!(r.inject(17, frames(1).remove(0)));
+    let steps = (1..=4).find(|_| {
+        r.click().run_quantum();
+        r.transmitted(18) == 1
+    });
+    assert_eq!(steps, Some(2), "a poll of port 17, then its deferred drain");
 }
 
 #[test]
@@ -209,8 +279,8 @@ fn ipsec_gateway_encapsulates_without_allocating() {
         for pkt in batch {
             assert!(r.inject(0, pkt));
         }
-        // Quanta by hand: `run_until_idle` would also assemble the
-        // `RunStats` it returns, two `Vec`s a call whatever the load.
+        // Quanta by hand, as a caller stepping the router runs them
+        // (`run_until_idle` has its own test above).
         let mut idle = 0;
         while idle < 64 {
             idle = if r.click().run_quantum() { 0 } else { idle + 1 };
