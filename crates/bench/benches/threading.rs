@@ -2,9 +2,9 @@
 //! on the REAL minimal-forwarding element graph (FromDevice ->
 //! CheckIPHeader -> Counter -> Queue -> ToDevice) — one row per
 //! [`Regime`], the graph fixed and only the layout selected: parallel
-//! replicas (one core per packet), streaming SPSC ingress, a stage chain
-//! (every packet crosses cores) and credit-gated pull. `PacketBatch`es
-//! cross the cores over SPSC rings in all of them.
+//! replicas (one core per packet) and a stage chain (every packet
+//! crosses cores). `PacketBatch`es cross the cores over credit-gated
+//! SPSC rings in both.
 //!
 //! Absolute numbers differ from the paper's 2009 Nehalem, but the
 //! *ordering* (parallel ≥ pipeline) is the claim under test; the
@@ -58,10 +58,8 @@ fn bench_graph_regimes(c: &mut Criterion) {
     group.throughput(Throughput::Elements(PACKETS as u64));
 
     for (name, regime) in [
-        ("parallel_replicas", Regime::Push),
-        ("spsc_streaming_replicas", Regime::Spsc),
-        ("pipeline_stage_chain", Regime::Pipeline),
         ("pull_credit_replicas", Regime::PullCredit),
+        ("pipeline_stage_chain", Regime::Pipeline),
     ] {
         let mt = RouterBuilder::minimal_forwarder()
             .workers(WORKERS)

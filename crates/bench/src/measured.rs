@@ -116,8 +116,8 @@ pub fn table1_measured() -> Vec<Table> {
 
 /// The measured counterpart of Figs. 6 and 9: the REAL element graphs of
 /// the three applications, replicated per worker core on the MT runtime
-/// under the push, SPSC-streaming and pipeline regimes, on this host;
-/// then the four regimes under 2× overload.
+/// under the pull (parallel replicas) and pipeline regimes, on this
+/// host; then both regimes under 2× overload.
 pub fn regimes() -> Vec<Table> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // One worker per core, capped at the paper's 4 forwarding cores.
@@ -134,8 +134,7 @@ pub fn regimes() -> Vec<Table> {
         ("ipsec", RouterBuilder::ipsec_gateway()),
     ];
     let regimes = [
-        ("parallel replicas", Regime::Push),
-        ("spsc streaming", Regime::Spsc),
+        ("parallel replicas", Regime::PullCredit),
         ("pipeline stages", Regime::Pipeline),
     ];
     let mut rows = Vec::new();
@@ -178,18 +177,13 @@ pub fn regimes() -> Vec<Table> {
     ]
 }
 
-/// The four regimes under 2× overload: two workers, each replica's arena
-/// 32 slots, offered 64-frame bursts. Push, SPSC and pipeline shed the
-/// excess as `NoRxDescriptor`; pull holds it behind a 64-credit window and
-/// stalls instead. p99 comes from a separate 1/16-traced run.
+/// Both regimes under 2× overload: two workers, each replica's arena 32
+/// slots, offered 64-frame bursts. Every ring's 64-credit window holds
+/// the excess and its filler stalls instead of shedding it as
+/// `NoRxDescriptor`. p99 comes from a separate 1/16-traced run.
 fn overload(packets: &[Packet]) -> Table {
     const SLOTS: usize = 32;
-    let regimes = [
-        Regime::Push,
-        Regime::Spsc,
-        Regime::Pipeline,
-        Regime::PullCredit,
-    ];
+    let regimes = [Regime::PullCredit, Regime::Pipeline];
     let ticks_per_us = ticks_per_sec() / 1e6;
     let rows = regimes.map(|regime| {
         let run = |trace: u64| {
@@ -229,8 +223,9 @@ fn overload(packets: &[Packet]) -> Table {
     let header = "regime | delivered ÷ offered | NoRxDescriptor | credit stalls \
                   | peak outstanding | p99 µs";
     Table::new(title, header).rows(rows).note(
-        "Shedding keeps the survivors fast; credit backpressure delivers\n\
-         everything and queues it at the dispatcher. Stalled is an event, not\n\
-         a packet disposition: every ledger balances.",
+        "Credit backpressure delivers everything and queues it at the\n\
+         dispatcher (and, in the pipeline, at the stage before); nothing is\n\
+         shed. Stalled is an event, not a packet disposition: every ledger\n\
+         balances.",
     )
 }

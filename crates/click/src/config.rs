@@ -34,7 +34,7 @@ use crate::ConfigError;
 /// Every value must be a positive integer except `telemetry`, which takes
 /// `off`, `on` (counters only) or `cycles` (counters plus per-element
 /// cycle accounting), `fib_rcu`, which takes `on` or `off`, `regime`,
-/// which takes `push`, `spsc`, `pipeline` or `pull`, and
+/// which takes `pipeline` or `pull`, and
 /// `slo`, which takes a compact `/`-separated objective spec
 /// (`slo p99us:5000/loss:0.01/floor:1000000`), and
 /// `trace_sample`/`fib_routes`/`credits`/`interval_ms`, where `0` (the
@@ -77,14 +77,14 @@ pub struct Knobs {
     /// route churn supported via a `RouteControl` handle) instead of an
     /// immutable compiled table.
     pub fib_rcu: bool,
-    /// Multi-threaded scheduling regime (`regime push|spsc|pipeline|pull`).
+    /// Multi-threaded scheduling regime (`regime pipeline|pull`).
     pub regime: Regime,
-    /// Credit window of the pull regime, in packets per lane (`credits
+    /// Credit window of every worker's ingress ring, in packets (`credits
     /// 256`); `0` (the default) auto-sizes to `ring_depth * batch_size`.
-    /// The dispatcher may have at most this many packets outstanding
-    /// toward one worker; an exhausted window stalls the source
-    /// (`MtReport::credit_stalls`) instead of dropping. Ignored by the
-    /// push/spsc/pipeline regimes.
+    /// Whoever fills a ring — the dispatcher, or the previous pipeline
+    /// stage — may have at most this many packets outstanding toward its
+    /// worker; an exhausted window stalls the filler
+    /// (`MtReport::credit_stalls`) instead of dropping.
     pub credit_window: usize,
     /// NIC batching factor `kn` of every device element's descriptor
     /// ring (`nic_batch 16`): writeback + doorbell cost is charged once
@@ -122,7 +122,7 @@ impl Default for Knobs {
             trace_sample: 0,
             fib_routes: 0,
             fib_rcu: false,
-            regime: Regime::Push,
+            regime: Regime::PullCredit,
             credit_window: 0,
             nic_batch: 1,
             interval_ms: 0,
@@ -138,7 +138,7 @@ impl Knobs {
         (self.poll_burst.unwrap_or(self.batch_size) / self.batch_size).max(1)
     }
 
-    /// The pull regime's effective per-lane credit window in packets:
+    /// The effective per-ring credit window in packets:
     /// the configured value, or `ring_depth * batch_size` when unset —
     /// never below one whole batch, because the dispatcher grants whole
     /// batches and a smaller window could never be acquired (livelock).
@@ -209,9 +209,7 @@ impl Knobs {
             }
             if key == "regime" {
                 self.regime = Regime::parse(value).ok_or_else(|| {
-                    bad(format!(
-                        "`regime` must be push, spsc, pipeline or pull, not `{value}`"
-                    ))
+                    bad(format!("`regime` must be pipeline or pull, not `{value}`"))
                 })?;
                 continue;
             }
@@ -835,6 +833,8 @@ mod tests {
             "RuntimeConfig(telemetry);",
             "RuntimeConfig(regime sideways);",
             "RuntimeConfig(regime);",
+            "RuntimeConfig(regime push);",
+            "RuntimeConfig(regime spsc);",
         ] {
             match build_graph(text).err() {
                 Some(ConfigError::BadArguments { class, .. }) => {
@@ -922,9 +922,6 @@ mod tests {
     #[test]
     fn runtime_config_regime_and_credits_parse() {
         for (word, regime) in [
-            ("push", Regime::Push),
-            ("parallel", Regime::Push),
-            ("spsc", Regime::Spsc),
             ("pipeline", Regime::Pipeline),
             ("pull", Regime::PullCredit),
             ("pullcredit", Regime::PullCredit),
@@ -946,7 +943,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(knobs.credit_window, 0);
-        assert_eq!(knobs.regime, Regime::Push);
+        assert_eq!(knobs.regime, Regime::PullCredit);
     }
 
     #[test]

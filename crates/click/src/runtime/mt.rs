@@ -15,13 +15,12 @@
 //! state, `Arc`-shared read-only structures), under the [`Regime`] and
 //! worker count the [`Knobs`] name — the layout is *selected*, the graph
 //! is not re-coded. [`crate::runtime::regime`] holds the
-//! spawn/pump/merge/join mechanism and what differs between regimes.
-//! Ingress is split RSS-style by `lane_of` — up front by
-//! [`shard_by_flow`] where a regime preloads, packet by packet in the
-//! harness's dispatcher where it streams — and whole
-//! [`PacketBatch`](crate::element::PacketBatch)es cross the lock-free
-//! [`crate::runtime::spsc`] rings, so the `kp` batching survives the
-//! thread hop.
+//! spawn/pump/merge/join mechanism and what differs between the two
+//! regimes. Ingress is split RSS-style by `lane_of`, packet by packet in
+//! the harness's dispatcher beside the running workers, and whole
+//! [`PacketBatch`](crate::element::PacketBatch)es cross the lock-free,
+//! credit-gated [`crate::runtime::spsc`] rings, so the `kp` batching
+//! survives the thread hop.
 
 use crate::config::Knobs;
 use crate::graph::{Graph, GraphError};
@@ -39,8 +38,8 @@ pub struct MtReport {
     /// Packets that reached the end of the processing chain.
     pub processed: u64,
     /// Wall-clock time of the run, as its caller's clock sees it: from
-    /// entry — graph replication, ring wiring and (push regime) sharding
-    /// included — to the assembled outcome.
+    /// entry — graph replication and ring wiring included — to the
+    /// assembled outcome.
     pub elapsed: Duration,
     /// Packets handled by each worker (pipeline: each stage), so shard
     /// imbalance is visible, not just the aggregate rate.
@@ -72,16 +71,16 @@ pub struct MtReport {
     pub nic_desc_stalls: u64,
     /// Frame bytes DMA'd across every worker's descriptor rings.
     pub nic_dma_bytes: u64,
-    /// Dispatcher push attempts that found a lane's credit window short
-    /// (pull regime only; zero elsewhere) — attempts, not episodes: it
-    /// grows for as long as a stall lasts, which keeps the journal's
-    /// `credit_stall` episode open, and a dispatcher a window ahead of
-    /// its worker collects some without any overload (DESIGN.md §10).
-    /// Stalled packets are neither dropped nor in flight, so the ledger
-    /// balances identically under pull.
+    /// Push attempts that found a ring's credit window short, summed over
+    /// every gated ring (the dispatcher's, and under the pipeline each
+    /// stage's into the next) — attempts, not episodes: it grows for as
+    /// long as a stall lasts, which keeps the journal's `credit_stall`
+    /// episode open, and a filler a window ahead of its worker collects
+    /// some without any overload (DESIGN.md §10). Stalled packets are
+    /// neither dropped nor in flight, so the ledger balances identically.
     pub credit_stalls: u64,
     /// High-water mark of outstanding (acquired, unreleased) credits
-    /// across all pull lanes — the bounded-queueing evidence: never
+    /// across all gated rings — the bounded-queueing evidence: never
     /// exceeds the credit window.
     pub credit_peak_outstanding: u64,
     /// Merged per-element telemetry from every worker shard (empty when
@@ -192,8 +191,9 @@ pub(crate) fn lane_of(pkt: &Packet, n: usize) -> usize {
 
 /// Shards `packets` across `n` lists by flow hash, so each worker sees
 /// whole flows — what an RSS-capable multi-queue NIC does in hardware.
-/// The up-front form of the split (push preload); the streaming
-/// dispatcher applies `lane_of` beside the running workers.
+/// The up-front form of the split the dispatcher applies (`lane_of`)
+/// beside the running workers, and so the reference split its tests hold
+/// each lane's input to.
 pub fn shard_by_flow(packets: Vec<Packet>, n: usize) -> Vec<Vec<Packet>> {
     assert!(n > 0, "need at least one shard");
     if n == 1 {
@@ -229,21 +229,18 @@ pub struct GraphRunOutcome {
 /// the [`Regime`] and worker count `knobs` name — the one way to start a
 /// multi-threaded run.
 ///
-/// One graph is the usual form: under the star regimes it is replicated
-/// `knobs.workers` times behind an RSS split, under [`Regime::Pipeline`]
-/// it becomes a chain of `knobs.workers` identical stages. Several graphs
-/// are the stages of a pipeline, one worker each (`knobs.regime` must be
-/// [`Regime::Pipeline`]; `knobs.workers` is not read).
+/// One graph is the usual form: under [`Regime::PullCredit`] it is
+/// replicated `knobs.workers` times behind an RSS split, under
+/// [`Regime::Pipeline`] it becomes a chain of `knobs.workers` identical
+/// stages. Several graphs are the stages of a pipeline, one worker each
+/// (`knobs.regime` must be [`Regime::Pipeline`]; `knobs.workers` is not
+/// read).
 ///
-/// * [`Regime::Push`] (§4.2's "one core per packet"): ingress is sharded
-///   by flow up front, each worker injects its whole shard into its
-///   replica's first `FromDevice` and runs the batched `Router` to idle.
-///   With one worker the execution is byte-identical to injecting the
-///   same packets into a single-threaded `Router` over the same graph.
-/// * [`Regime::Spsc`]: the same sharded layout, but a dispatcher feeds
-///   each worker's bounded ingress ring incrementally (in
-///   `PacketBatch`es), so back-pressure and ring-size effects are part of
-///   the measurement.
+/// * [`Regime::PullCredit`] (the default; §4.2's "one core per packet"):
+///   a dispatcher splits ingress by flow and feeds each replica's
+///   ingress ring incrementally, in `PacketBatch`es. With one worker the
+///   execution is byte-identical to injecting the same packets into a
+///   single-threaded `Router` over the same graph.
 /// * [`Regime::Pipeline`]: stage `i`'s transmitted frames are forwarded
 ///   over an SPSC ring into stage `i+1`'s `FromDevice`, so every packet
 ///   crosses a core boundary per stage (the layout Fig. 6 shows losing to
@@ -251,20 +248,21 @@ pub struct GraphRunOutcome {
 ///   on (their transmit log *is* the inter-stage link).
 ///   `report.processed` counts the last stage's transmitted packets;
 ///   `report.per_worker[i]` is stage `i`'s count.
-/// * [`Regime::PullCredit`]: the streaming layout, sink-driven with
-///   credit back-pressure. The dispatcher may have at most
-///   [`Knobs::credit_window`] packets outstanding per lane; each worker
-///   admits only what its ingress arena can hold, runs the graph to
-///   completion, and releases credits when done. Under overload the
-///   source **stalls** ([`MtReport::credit_stalls`]) instead of dropping
-///   to pool exhaustion — bounded queueing traded for latency.
 ///
-/// Retained egress frames are merged back over SPSC rings in every
-/// regime. When `monitor` is given, the run's live interval and event
-/// rings are attached to the server before the workers spawn, so `GET
-/// /metrics`, `/healthz`, `/timeseries.json` and `/events.json` observe
-/// the run while it executes — the server thread reads the same seqlock
-/// rings the dispatcher harvests and never pauses a worker.
+/// Both are sink-driven with credit back-pressure: whoever fills a
+/// worker's ingress ring may have at most [`Knobs::credit_window`]
+/// packets outstanding on it; each worker admits only what its ingress
+/// arena can hold, runs the graph to completion, and releases credits
+/// when done. Under overload the source **stalls**
+/// ([`MtReport::credit_stalls`]) instead of dropping at the ingress —
+/// bounded queueing traded for latency.
+///
+/// Retained egress frames are merged back over SPSC rings. When
+/// `monitor` is given, the run's live interval and event rings are
+/// attached to the server before the workers spawn, so `GET /metrics`,
+/// `/healthz`, `/timeseries.json` and `/events.json` observe the run
+/// while it executes — the server thread reads the same seqlock rings
+/// the dispatcher harvests and never pauses a worker.
 ///
 /// # Errors
 ///
@@ -337,7 +335,7 @@ mod tests {
     }
 
     /// [`forwarder_graph`] with a `slots`-slot arena on the ingress, so
-    /// overload shows up as pool exhaustion (push) or stalls (pull).
+    /// overload shows up as stalls.
     fn pooled_forwarder_graph(keep_frames: bool, slots: usize) -> Graph {
         let mut g = forwarder_graph(keep_frames);
         let rx = g.id_of("rx").unwrap();
@@ -390,7 +388,7 @@ mod tests {
     fn graph_parallel_forwards_every_packet() {
         let g = forwarder_graph(true);
         let pkts = packets(2000);
-        let out = run_graph(&[&g], pkts.clone(), &on(Regime::Push, 2), None).unwrap();
+        let out = run_graph(&[&g], pkts.clone(), &on(Regime::PullCredit, 2), None).unwrap();
         assert_eq!(out.report.processed, 2000);
         assert_eq!(out.report.per_worker.iter().sum::<u64>(), 2000);
         assert_eq!(out.egress.len(), 1);
@@ -409,7 +407,7 @@ mod tests {
         let g = forwarder_graph(false);
         let knobs = Knobs {
             telemetry: TelemetryLevel::Cycles,
-            ..on(Regime::Push, 2)
+            ..on(Regime::PullCredit, 2)
         };
         let out = run_graph(&[&g], packets(1000), &knobs, None).unwrap();
         let snap = &out.report.telemetry;
@@ -434,10 +432,10 @@ mod tests {
     fn graph_parallel_telemetry_does_not_change_output() {
         let pkts = packets(800);
         let g = forwarder_graph(true);
-        let base = run_graph(&[&g], pkts.clone(), &on(Regime::Push, 2), None).unwrap();
+        let base = run_graph(&[&g], pkts.clone(), &on(Regime::PullCredit, 2), None).unwrap();
         let knobs = Knobs {
             telemetry: TelemetryLevel::Cycles,
-            ..on(Regime::Push, 2)
+            ..on(Regime::PullCredit, 2)
         };
         let measured = run_graph(&[&g], pkts, &knobs, None).unwrap();
         assert_eq!(base.report.processed, measured.report.processed);
@@ -453,7 +451,7 @@ mod tests {
     fn graph_parallel_single_worker_is_byte_identical_to_router() {
         let pkts = packets(700);
         let g = forwarder_graph(true);
-        let out = run_graph(&[&g], pkts.clone(), &on(Regime::Push, 1), None).unwrap();
+        let out = run_graph(&[&g], pkts.clone(), &on(Regime::PullCredit, 1), None).unwrap();
         let mut reference = Router::new(forwarder_graph(true)).unwrap();
         {
             let id = reference.graph().id_of("rx").unwrap();
@@ -485,7 +483,7 @@ mod tests {
         let pkts = packets(1500);
         let knobs = Knobs {
             ring_depth: 16, // Small ring: exercise back-pressure.
-            ..on(Regime::Spsc, 3)
+            ..on(Regime::PullCredit, 3)
         };
         let out = run_graph(&[&g], pkts.clone(), &knobs, None).unwrap();
         assert_eq!(out.report.processed, 1500);
@@ -523,8 +521,9 @@ mod tests {
     #[test]
     fn graph_pull_overload_stalls_where_push_drops() {
         // 2× offered load: 64-packet bursts into 32-slot ingress arenas.
-        // The push regimes preload/inject past the arena and drop to pool
-        // exhaustion; pull admits only what fits and stalls the source.
+        // Every ring is gated, so each worker admits only what fits and
+        // the filler of its ring stalls: the dispatcher, or under the
+        // pipeline the stage before.
         let pkts = packets(600);
         let under = |regime| Knobs {
             poll_burst: Some(64),
@@ -533,24 +532,19 @@ mod tests {
             ..on(regime, 2)
         };
         let g = pooled_forwarder_graph(true, 32);
-        let push = run_graph(&[&g], pkts.clone(), &under(Regime::Push), None).unwrap();
-        let pull = run_graph(&[&g], pkts.clone(), &under(Regime::PullCredit), None).unwrap();
-        assert!(
-            push.report.pool_exhausted > 0,
-            "push under overload must drop: {:?}",
-            push.report
-        );
-        assert_eq!(
-            pull.report.pool_exhausted, 0,
-            "pull must never exhaust the pool"
-        );
-        assert!(
-            pull.report.credit_stalls > 0,
-            "pull under overload must stall the source"
-        );
-        assert_eq!(pull.egress[0].len(), pkts.len(), "pull is zero-loss");
-        assert!(pull.report.ledger.balances(), "{:?}", pull.report.ledger);
-        assert!(push.report.ledger.balances(), "{:?}", push.report.ledger);
+        for regime in [Regime::PullCredit, Regime::Pipeline] {
+            let pull = run_graph(&[&g], pkts.clone(), &under(regime), None).unwrap();
+            assert_eq!(
+                pull.report.pool_exhausted, 0,
+                "{regime} must never exhaust the pool"
+            );
+            assert!(
+                pull.report.credit_stalls > 0,
+                "{regime} under overload must stall the source"
+            );
+            assert_eq!(pull.egress[0].len(), pkts.len(), "{regime} is zero-loss");
+            assert!(pull.report.ledger.balances(), "{:?}", pull.report.ledger);
+        }
     }
 
     #[test]
@@ -569,12 +563,7 @@ mod tests {
 
     #[test]
     fn interval_series_conserves_ledger_under_every_regime() {
-        for regime in [
-            Regime::Push,
-            Regime::Spsc,
-            Regime::Pipeline,
-            Regime::PullCredit,
-        ] {
+        for regime in [Regime::Pipeline, Regime::PullCredit] {
             let knobs = Knobs {
                 interval_ms: 1,
                 ..on(regime, 2)
@@ -598,7 +587,7 @@ mod tests {
             );
             // The JSON carries the series; with the clock off it is null.
             assert!(out.report.to_json().contains("\"timeseries\": {"));
-            let off = run_graph(&[&g], packets(10), &on(Regime::Push, 2), None).unwrap();
+            let off = run_graph(&[&g], packets(10), &on(Regime::PullCredit, 2), None).unwrap();
             assert!(off.report.timeseries.is_none());
             assert!(off.report.to_json().contains("\"timeseries\": null"));
         }
@@ -606,12 +595,7 @@ mod tests {
 
     #[test]
     fn graph_regime_dispatch_covers_all_regimes() {
-        for regime in [
-            Regime::Push,
-            Regime::Spsc,
-            Regime::Pipeline,
-            Regime::PullCredit,
-        ] {
+        for regime in [Regime::Pipeline, Regime::PullCredit] {
             let g = forwarder_graph(true);
             let out = run_graph(&[&g], packets(400), &on(regime, 2), None).unwrap();
             assert_eq!(out.report.processed, 400, "regime {regime}");
@@ -621,51 +605,47 @@ mod tests {
     }
 
     /// `MtReport.elapsed` is the caller's clock: it starts at entry, so
-    /// replication, wiring and (push) sharding are inside it, and stops
-    /// with the outcome assembled. It started after wiring once, and a
-    /// quarter of a streaming run went unreported.
+    /// replication and wiring are inside it, and stops with the outcome
+    /// assembled. It started after wiring once, and a quarter of a
+    /// streaming run went unreported.
     #[test]
     fn report_elapsed_is_what_the_caller_measures() {
-        for regime in [Regime::Push, Regime::Spsc, Regime::PullCredit] {
-            let g = pooled_forwarder_graph(false, 1024);
-            let knobs = on(regime, 2);
-            // The box is shared: take the closest of a few attempts, but
-            // hold every attempt to the one-sided bound.
-            let mut closest = 0.0f64;
-            for _ in 0..8 {
-                let pkts = packets(4096);
-                let t = Instant::now();
-                let out = run_graph(&[&g], pkts, &knobs, None).unwrap();
-                let outer = t.elapsed();
-                assert_eq!(out.report.ledger.sourced, 4096);
-                assert!(
-                    out.report.elapsed <= outer,
-                    "{regime}: {:?} > {outer:?}",
-                    out.report.elapsed
-                );
-                closest = closest.max(out.report.elapsed.as_secs_f64() / outer.as_secs_f64());
-            }
+        let regime = Regime::PullCredit;
+        let g = pooled_forwarder_graph(false, 1024);
+        let knobs = on(regime, 2);
+        // The box is shared: take the closest of a few attempts, but
+        // hold every attempt to the one-sided bound.
+        let mut closest = 0.0f64;
+        for _ in 0..8 {
+            let pkts = packets(4096);
+            let t = Instant::now();
+            let out = run_graph(&[&g], pkts, &knobs, None).unwrap();
+            let outer = t.elapsed();
+            assert_eq!(out.report.ledger.sourced, 4096);
             assert!(
-                closest >= 0.9,
-                "{regime}: elapsed covers {closest:.2} of the call"
+                out.report.elapsed <= outer,
+                "{regime}: {:?} > {outer:?}",
+                out.report.elapsed
             );
+            closest = closest.max(out.report.elapsed.as_secs_f64() / outer.as_secs_f64());
         }
+        assert!(
+            closest >= 0.9,
+            "{regime}: elapsed covers {closest:.2} of the call"
+        );
     }
 
     #[test]
     fn regime_words_round_trip() {
-        for regime in [
-            Regime::Push,
-            Regime::Spsc,
-            Regime::Pipeline,
-            Regime::PullCredit,
-        ] {
+        for regime in [Regime::Pipeline, Regime::PullCredit] {
             assert_eq!(Regime::parse(regime.as_str()), Some(regime));
         }
-        assert_eq!(Regime::parse("parallel"), Some(Regime::Push));
         assert_eq!(Regime::parse("pullcredit"), Some(Regime::PullCredit));
         assert_eq!(Regime::parse("sideways"), None);
-        assert_eq!(Regime::default(), Regime::Push);
+        for gone in ["push", "parallel", "spsc"] {
+            assert_eq!(Regime::parse(gone), None, "`{gone}` was removed");
+        }
+        assert_eq!(Regime::default(), Regime::PullCredit);
     }
 
     #[test]
@@ -682,7 +662,7 @@ mod tests {
             .unwrap();
         g.connect(s, 0, d, 0).unwrap();
         assert!(matches!(
-            run_graph(&[&g], Vec::new(), &on(Regime::Push, 2), None),
+            run_graph(&[&g], Vec::new(), &on(Regime::PullCredit, 2), None),
             Err(GraphError::MissingIngress)
         ));
     }
@@ -709,7 +689,7 @@ mod tests {
         let rx = g.add("rx", Box::new(FromDevice::new(0, 32))).unwrap();
         let o = g.add("mystery", Box::new(Opaque)).unwrap();
         g.connect(rx, 0, o, 0).unwrap();
-        match run_graph(&[&g], Vec::new(), &on(Regime::Push, 2), None) {
+        match run_graph(&[&g], Vec::new(), &on(Regime::PullCredit, 2), None) {
             Err(GraphError::NotReplicable { element, class }) => {
                 assert_eq!(element, "mystery");
                 assert_eq!(class, "Opaque");
@@ -738,7 +718,7 @@ mod tests {
         g.connect(rx, 0, rt, 0).unwrap();
         g.connect(rt, 0, d, 0).unwrap();
         g.connect(rt, 1, m, 0).unwrap();
-        let out = run_graph(&[&g], packets(300), &on(Regime::Push, 2), None).unwrap();
+        let out = run_graph(&[&g], packets(300), &on(Regime::PullCredit, 2), None).unwrap();
         // No ToDevice in this graph: processed falls back to ingress.
         assert_eq!(out.report.processed, 300);
         assert!(out.egress.is_empty());
@@ -748,7 +728,8 @@ mod tests {
     fn graph_runners_conserve_packets_across_worker_counts() {
         for workers in [1usize, 2, 4] {
             let g = forwarder_graph(true);
-            let out = run_graph(&[&g], packets(900), &on(Regime::Push, workers), None).unwrap();
+            let out =
+                run_graph(&[&g], packets(900), &on(Regime::PullCredit, workers), None).unwrap();
             let led = out.report.ledger;
             assert!(led.balances(), "workers={workers}: {led:?}");
             assert_eq!(led.sourced, 900);
@@ -763,7 +744,7 @@ mod tests {
         let knobs = Knobs {
             trace_sample: 8,
             ring_depth: 16,
-            ..on(Regime::Spsc, 2)
+            ..on(Regime::PullCredit, 2)
         };
         let out = run_graph(&[&forwarder_graph(true)], packets(640), &knobs, None).unwrap();
         assert_eq!(out.report.processed, 640);
@@ -815,8 +796,8 @@ mod tests {
         assert_eq!(out.report.processed, 640);
         assert!(out.report.ledger.balances(), "{:?}", out.report.ledger);
         assert!(out.trace.traced_packets() > 0, "sampling must trace some");
-        // Same trace shape as spsc: dispatcher stamps before the ingress
-        // ring, so the cross-core hop is part of the recorded path.
+        // The dispatcher stamps before the ingress ring, so the
+        // cross-core hop is part of the recorded path.
         let dispatcher_core = 2u32; // workers == 2
         let crossing = out
             .trace
@@ -855,7 +836,7 @@ mod tests {
     #[test]
     fn trace_off_mt_run_records_nothing() {
         let g = forwarder_graph(true);
-        let out = run_graph(&[&g], packets(300), &on(Regime::Spsc, 2), None).unwrap();
+        let out = run_graph(&[&g], packets(300), &on(Regime::PullCredit, 2), None).unwrap();
         assert!(out.trace.spans.is_empty());
         assert_eq!(out.trace.overflow, 0);
         assert!(out.egress[0].iter().all(|p| p.meta.trace_id == 0));

@@ -1,58 +1,52 @@
-//! Scheduling regimes: one harness, four policies.
+//! Scheduling regimes: one harness, two policies.
 //!
 //! §4.2 of the paper compares ways of spreading packet processing over
 //! cores, and PR history grew three hand-rolled run loops for them. Here
 //! the *mechanism* is written once — [`run_scheduled`]: spawn the
 //! workers, pump the `Dispatcher`, merge egress, join, and fold
 //! telemetry/ledger/trace/pool counters into one [`GraphRunOutcome`] —
-//! and the *policy* is a [`Regime`], matched on where the regimes
+//! and the *policy* is a [`Regime`], matched on where the two regimes
 //! differ: worker topology (which graph replica runs on which core),
-//! ring wiring (how packets enter and leave each worker), and whose
-//! packets count as processed. What a worker thread executes is not among
-//! them: every core runs the one `worker` body over the `Lane` its
-//! regime wired. `driver.rs`'s single-core stride loop is the degenerate
-//! instance (one lane, no rings).
+//! ring wiring (where each worker's ingress ring is filled from and where
+//! its frames go), and whose packets count as processed. What a worker
+//! thread executes is not among them: every core runs the one `worker`
+//! body over the `Lane` its regime wired. `driver.rs`'s single-core
+//! stride loop is the degenerate instance (one lane, no rings).
 //!
-//! * [`Regime::Push`] — §4.2 "one core per packet": preload each
-//!   worker's whole RSS shard, run to idle, merge egress.
-//! * [`Regime::Spsc`] — streaming push: a dispatcher feeds bounded SPSC
-//!   ingress rings incrementally, so ring back-pressure is part of the
-//!   run.
+//! * [`Regime::PullCredit`] — §4.2's parallel layout ("one core per
+//!   packet"): a dispatcher splits the input RSS-style over per-core
+//!   replicas, and overload *stalls* the source instead of dropping.
 //! * [`Regime::Pipeline`] — cores chained; stage `i`'s transmitted
 //!   frames are the inter-stage link into stage `i+1`'s `FromDevice`.
-//! * [`Regime::PullCredit`] — sink-driven pull with credit
-//!   back-pressure: the dispatcher may only push what the credit window
-//!   allows, the worker admits only what its ingress arena can hold, and
-//!   overload therefore *stalls* the source instead of dropping packets.
 //!
 //! # The credit protocol
 //!
-//! Each pull lane pairs its ingress ring with a [`CreditGate`] of
-//! `credit_window` packets ([`Knobs::credit_window`]; `0` sizes
-//! the window to the ring capacity). The dispatcher acquires credits for
+//! Every ring that carries packets toward a worker pairs with a
+//! [`CreditGate`] of `credit_window` packets ([`Knobs::credit_window`];
+//! `0` sizes the window to the ring capacity). Whoever fills the ring —
+//! the dispatcher, or the previous pipeline stage — acquires credits for
 //! a whole batch before pushing it; every attempt that finds the gate
 //! short counts one *stall* and is retried after yielding, so the count
 //! keeps growing for as long as a stall lasts — the overload signal that
-//! replaces pool-exhaustion drops. The worker releases a packet's credit
-//! only after the graph has run it to completion (transmitted, or dropped
-//! by an element *for a reason the ledger records*), so
-//! `window - available` always bounds packets in flight toward one core.
-//! On the worker side, admission is arena-aware: at most
-//! `slots - in_use` packets are injected per cycle, straight from the
-//! popped batches, and only the overflow waits in a local buffer, so
-//! `FromDevice` never drops a frame to `NoRxDescriptor`.
-//! The merger detaches received pooled egress frames onto the heap, so
-//! retained frames cannot pin arena slots forever. Stalls are not packet
-//! dispositions: a stalled packet is neither dropped nor in-flight, and
-//! the conservation [`rb_telemetry::Ledger`] balances under pull exactly
-//! as it does under push.
+//! replaces ingress drops. The worker releases a packet's credit only
+//! after the graph has run it to completion (transmitted, or dropped by
+//! an element *for a reason the ledger records*), so `window - available`
+//! always bounds packets in flight toward one core. On the worker side,
+//! admission is arena-aware: at most `slots - in_use` packets are
+//! injected per cycle, straight from the popped batches, and only the
+//! overflow waits in a local buffer, so `FromDevice` never drops a frame
+//! to `NoRxDescriptor`. The merger detaches received pooled egress frames
+//! onto the heap, so retained frames cannot pin arena slots forever.
+//! Stalls are not packet dispositions: a stalled packet is neither
+//! dropped nor in-flight, and the conservation [`rb_telemetry::Ledger`]
+//! balances under every regime.
 
 use crate::config::Knobs;
 use crate::element::PacketBatch;
 use crate::elements::device::{FromDevice, ToDevice};
 use crate::graph::{ElementId, Graph, GraphError};
 use crate::runtime::driver::{trace_hop, Router};
-use crate::runtime::mt::{lane_of, shard_by_flow, GraphRunOutcome, MtReport};
+use crate::runtime::mt::{lane_of, GraphRunOutcome, MtReport};
 use crate::runtime::spsc::{self, Consumer, Producer};
 use rb_packet::{Packet, PoolStats};
 use rb_telemetry::{
@@ -63,29 +57,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which multi-threaded scheduling regime a run uses.
+/// Which multi-threaded scheduling regime a run uses. Both gate every
+/// ring that carries packets toward a worker (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Regime {
-    /// Parallel push (§4.2 "one core per packet"): whole RSS shards are
-    /// preloaded into per-core replicas which run to idle.
-    #[default]
-    Push,
-    /// Streaming push over bounded SPSC ingress rings.
-    Spsc,
     /// Stage-chained pipeline; every packet crosses a core per stage.
     Pipeline,
-    /// Sink-driven pull with credit back-pressure: overload stalls the
-    /// source instead of dropping to pool exhaustion.
+    /// Parallel replicas (§4.2 "one core per packet") fed by sink-driven
+    /// pull with credit back-pressure: overload stalls the source
+    /// instead of dropping.
+    #[default]
     PullCredit,
 }
 
 impl Regime {
-    /// Parses a configuration word (`push`/`parallel`, `spsc`,
-    /// `pipeline`, `pull`/`pullcredit`).
+    /// Parses a configuration word (`pipeline`, `pull`/`pullcredit`).
     pub fn parse(word: &str) -> Option<Regime> {
         match word {
-            "push" | "parallel" => Some(Regime::Push),
-            "spsc" => Some(Regime::Spsc),
             "pipeline" => Some(Regime::Pipeline),
             "pull" | "pullcredit" | "pull_credit" => Some(Regime::PullCredit),
             _ => None,
@@ -95,8 +83,6 @@ impl Regime {
     /// The canonical configuration word.
     pub fn as_str(&self) -> &'static str {
         match self {
-            Regime::Push => "push",
-            Regime::Spsc => "spsc",
             Regime::Pipeline => "pipeline",
             Regime::PullCredit => "pull",
         }
@@ -109,9 +95,9 @@ impl std::fmt::Display for Regime {
     }
 }
 
-/// The credit counter carried by a pull lane's ingress ring: the
-/// dispatcher acquires before pushing, the worker releases after the
-/// graph has finished the packets. Single producer, single consumer —
+/// The credit counter carried by a worker's ingress ring: whoever fills
+/// the ring acquires before pushing, the worker releases after the graph
+/// has finished the packets. Single producer, single consumer —
 /// the atomics are uncontended in the fast path.
 #[derive(Debug)]
 pub struct CreditGate {
@@ -210,35 +196,33 @@ fn make_replica(graph: &Graph, knobs: &Knobs, core: u32) -> Result<Replica, Grap
 enum Sink {
     /// The egress merger, as `(egress index, batch)` pairs.
     Merger(Producer<(usize, PacketBatch)>),
-    /// The next pipeline stage's ingress ring (intermediate stages).
-    Next(Producer<PacketBatch>),
+    /// The next pipeline stage's ingress ring and the gate it is filled
+    /// under (intermediate stages).
+    Next(Producer<PacketBatch>, Arc<CreditGate>),
 }
 
-/// The wiring handed to one worker thread: how packets arrive (a preload
-/// or an ingress ring, possibly credit-gated) and where finished frames
-/// go.
+/// The wiring handed to one worker thread: the credit-gated ingress ring
+/// packets arrive on and where finished frames go.
 struct Lane {
-    /// Whole-shard preload (push regime; empty otherwise).
-    preload: Vec<Packet>,
-    /// Streaming ingress ring (`None` for the preloaded push regime).
-    rx: Option<Consumer<PacketBatch>>,
+    rx: Consumer<PacketBatch>,
     sink: Sink,
-    /// Credit gate shared with the dispatcher (pull regime only).
-    credits: Option<Arc<CreditGate>>,
+    /// The gate `rx` is filled under, shared with whoever fills it: they
+    /// acquire, this worker releases once the graph has run the packets.
+    credits: Arc<CreditGate>,
     /// Whether ring receives count as trace hops: the pipeline's stage 0
     /// reads the feeder's untraced input, every other ring is a real
     /// cross-core hop.
     trace_ring_recv: bool,
-    /// Way home for the [`Dispatcher`]'s batches: see [`inject_batch`].
-    spent: Option<Producer<PacketBatch>>,
+    /// Way home for injected batches: see [`inject_batch`].
+    spent: Producer<PacketBatch>,
 }
 
 /// One lane of the [`Dispatcher`]: the batch being filled, the finished
-/// batches waiting for ring space (and credits, when gated), and the
-/// worker's ingress ring.
+/// batches waiting for credits and ring space, and the worker's ingress
+/// ring.
 struct DispatchLane {
     tx: Producer<PacketBatch>,
-    credits: Option<Arc<CreditGate>>,
+    credits: Arc<CreditGate>,
     open: PacketBatch,
     staged: VecDeque<PacketBatch>,
 }
@@ -251,17 +235,13 @@ impl DispatchLane {
         let mut sent = false;
         while let Some(batch) = self.staged.pop_front() {
             let credits = batch.len() as u64;
-            if let Some(gate) = &self.credits {
-                if !gate.try_acquire(credits) {
-                    gate.note_stall();
-                    self.staged.push_front(batch);
-                    break;
-                }
+            if !self.credits.try_acquire(credits) {
+                self.credits.note_stall();
+                self.staged.push_front(batch);
+                break;
             }
             if let Err(batch) = self.tx.push(batch) {
-                if let Some(gate) = &self.credits {
-                    gate.release(credits);
-                }
+                self.credits.release(credits);
                 self.staged.push_front(batch);
                 break;
             }
@@ -286,7 +266,7 @@ pub(crate) enum Pump {
 /// [`Dispatcher::pump`] classifies a bounded round of the input into the
 /// lanes' open batches ([`lane_of`]), stages a batch when it reaches
 /// `batch_size` (partial batches only at end of input) and pushes staged
-/// batches as ring space and credits allow. While any lane holds
+/// batches as credits and ring space allow. While any lane holds
 /// `staging` finished batches nothing more is classified, so at most
 /// `staging + 1` batches per lane are buffered however slow a worker is:
 /// overload stalls the source iterator, per-lane order is the input's.
@@ -296,15 +276,15 @@ pub(crate) struct Dispatcher {
     batch_size: usize,
     /// Finished batches a lane may hold: one ring interaction's worth.
     staging: usize,
-    /// Stamp sampled packets and record the ingress hop (star regimes;
-    /// the pipeline's stage 0 samples its own input).
+    /// Stamp sampled packets and record the ingress hop (replicas; the
+    /// pipeline's stage 0 samples its own input).
     stamp: bool,
 }
 
 impl Dispatcher {
     fn new(
         packets: Vec<Packet>,
-        ingress: Vec<(Producer<PacketBatch>, Option<Arc<CreditGate>>)>,
+        ingress: Vec<(Producer<PacketBatch>, Arc<CreditGate>)>,
         knobs: &Knobs,
         stamp: bool,
     ) -> Dispatcher {
@@ -391,15 +371,10 @@ impl Dispatcher {
 /// dispatcher feeding them, and the egress consumers the merger drains.
 struct Wiring {
     lanes: Vec<Lane>,
-    /// The streaming regimes' ingress side (`None`: push preloads).
-    dispatcher: Option<Dispatcher>,
+    dispatcher: Dispatcher,
     consumers: Vec<Consumer<(usize, PacketBatch)>>,
     /// Receiving ends of the lanes' [`Lane::spent`] rings.
     spent: Vec<Consumer<PacketBatch>>,
-    gates: Vec<Arc<CreditGate>>,
-    /// Rebuffer received pooled egress frames onto the heap so retained
-    /// frames cannot pin arena slots (pull regime).
-    detach_egress: bool,
 }
 
 /// Everything one worker reports back at join: its packet count, driver
@@ -464,14 +439,15 @@ fn worker_summary(
 /// Injects `batch` and hands what is left of it — the spent originals
 /// behind a pooled ingress, which copied them into its arena; otherwise
 /// the emptied buffer — back over `spent`, so the dispatcher's thread
-/// frees what it allocated. Freeing it here would put one cross-thread
-/// `free` per packet on the worker, which is the critical path,
-/// contending with the dispatcher's own allocations.
+/// frees them (for a replica or stage 0, what it allocated itself).
+/// Freeing it here would put one cross-thread `free` per packet on the
+/// worker, which is the critical path, contending with the dispatcher's
+/// own allocations.
 fn inject_batch(
     router: &mut Router,
     ingress: ElementId,
     mut batch: PacketBatch,
-    spent: &mut Option<Producer<PacketBatch>>,
+    spent: &mut Producer<PacketBatch>,
 ) {
     router
         .element_mut(ingress)
@@ -479,10 +455,8 @@ fn inject_batch(
         .downcast_mut::<FromDevice>()
         .expect("ingress id is a FromDevice")
         .inject_batch(&mut batch);
-    if let Some(tx) = spent {
-        // A full ring only means the batch is freed here after all.
-        let _ = tx.push(batch);
-    }
+    // A full ring only means the batch is freed here after all.
+    let _ = spent.push(batch);
 }
 
 /// Free ingress-arena slots right now — how many packets the lane can
@@ -531,7 +505,9 @@ pub(crate) fn chunk_batches(pkts: Vec<Packet>, batch_size: usize) -> Vec<PacketB
 /// Ships the retained transmit frames of every egress device, in device
 /// order, into the lane's sink. An intermediate pipeline stage retains
 /// every device's frames (`pipeline_topology` forces it on): its transmit
-/// log is the inter-stage link.
+/// log is the inter-stage link, and it takes the next stage's credits for
+/// a batch before pushing it, as the dispatcher does for stage 0 — a
+/// short gate is a counted stall, retried after a yield.
 fn ship(sink: &mut Sink, router: &mut Router, egress_ids: &[ElementId], batch_size: usize) {
     for (idx, &id) in egress_ids.iter().enumerate() {
         let dev = router
@@ -550,7 +526,13 @@ fn ship(sink: &mut Sink, router: &mut Router, egress_ids: &[ElementId], batch_si
         for batch in chunk_batches(frames, batch_size) {
             match sink {
                 Sink::Merger(tx) => push_blocking(tx, (idx, batch)),
-                Sink::Next(tx) => push_blocking(tx, batch),
+                Sink::Next(tx, gate) => {
+                    while !gate.try_acquire(batch.len() as u64) {
+                        gate.note_stall();
+                        std::thread::yield_now();
+                    }
+                    push_blocking(tx, batch);
+                }
             }
         }
     }
@@ -568,7 +550,6 @@ struct Merger {
     done: Vec<bool>,
     egress: Vec<Vec<Packet>>,
     burst: usize,
-    detach: bool,
     /// The pass's pop buffer, kept with its capacity across passes.
     popped: Vec<(usize, PacketBatch)>,
 }
@@ -579,7 +560,6 @@ impl Merger {
         spent: Vec<Consumer<PacketBatch>>,
         n_egress: usize,
         burst: usize,
-        detach: bool,
     ) -> Merger {
         let done = vec![false; consumers.len()];
         Merger {
@@ -588,7 +568,6 @@ impl Merger {
             done,
             egress: (0..n_egress).map(|_| Vec::new()).collect(),
             burst,
-            detach,
             popped: Vec::with_capacity(burst),
         }
     }
@@ -605,11 +584,7 @@ impl Merger {
                 moved = true;
                 for (idx, batch) in self.popped.drain(..) {
                     trace_hop(tracer, TraceKind::RingRecv, batch.as_slice());
-                    if self.detach {
-                        self.egress[idx].extend(batch.into_iter().map(detach_frame));
-                    } else {
-                        self.egress[idx].extend(batch);
-                    }
+                    self.egress[idx].extend(batch.into_iter().map(detach_frame));
                 }
             } else if rx.is_finished() {
                 self.done[i] = true;
@@ -629,8 +604,8 @@ impl Merger {
 }
 
 /// Copies a pooled frame onto the heap so its arena slot recycles the
-/// moment the merger receives it (the pull regime's retained egress must
-/// not pin ingress-arena slots, or admission could starve forever).
+/// moment the merger receives it (retained egress must not pin
+/// ingress-arena slots, or admission could starve forever).
 fn detach_frame(pkt: Packet) -> Packet {
     if !pkt.is_pooled() {
         return pkt;
@@ -645,8 +620,8 @@ const IDLE_YIELDS: u32 = 2048;
 const IDLE_NAP: Duration = Duration::from_micros(50);
 
 /// Runs `packets` through `knobs.regime`'s topology over `graphs` — the
-/// one spawn/pump/merge/join loop every regime shares. The pipeline takes
-/// one stage graph per worker; the star regimes replicate `graphs[0]`
+/// one spawn/pump/merge/join loop both regimes share. The pipeline takes
+/// one stage graph per worker; pull replicates `graphs[0]`
 /// `knobs.workers` times.
 ///
 /// # Errors
@@ -665,7 +640,7 @@ pub(crate) fn run_scheduled(
     let start = Instant::now();
     let replicas = match regime {
         Regime::Pipeline => pipeline_topology(graphs, knobs)?,
-        _ => {
+        Regime::PullCredit => {
             assert_eq!(graphs.len(), 1, "{regime}: one template graph");
             assert!(knobs.workers > 0, "need at least one worker");
             star_topology(graphs[0], knobs)?
@@ -701,20 +676,17 @@ pub(crate) fn run_scheduled(
     let mut main_tracer = Tracer::new(knobs.trace_sample, n as u32);
     let Wiring {
         lanes,
-        mut dispatcher,
+        dispatcher,
         consumers,
         spent,
-        gates,
-        detach_egress,
     } = match regime {
-        Regime::Push => preloaded_star_wiring(n, packets, knobs),
-        Regime::Spsc => streamed_star_wiring(n, packets, knobs, 0),
         Regime::Pipeline => pipeline_wiring(n, packets, knobs),
-        Regime::PullCredit => {
-            streamed_star_wiring(n, packets, knobs, knobs.effective_credit_window())
-        }
+        Regime::PullCredit => star_wiring(n, packets, knobs),
     };
+    let mut dispatcher = Some(dispatcher);
     debug_assert_eq!(lanes.len(), n, "{regime}: one lane per replica");
+    // Every gated ring is some lane's ingress: the report's totals.
+    let gates: Vec<Arc<CreditGate>> = lanes.iter().map(|l| l.credits.clone()).collect();
     let burst = knobs.burst_batches();
     let (results, egress) = std::thread::scope(|scope| {
         let handles: Vec<_> = replicas
@@ -724,7 +696,7 @@ pub(crate) fn run_scheduled(
             .collect();
         // Main thread is dispatcher AND egress merger: pushing without
         // draining could deadlock once the egress rings fill up.
-        let mut merger = Merger::new(consumers, spent, n_egress, burst, detach_egress);
+        let mut merger = Merger::new(consumers, spent, n_egress, burst);
         let mut idle = 0u32;
         loop {
             let pumped = dispatcher
@@ -758,10 +730,10 @@ pub(crate) fn run_scheduled(
             .collect();
         (results, merger.egress)
     });
-    // Star regimes sum their workers; the pipeline counts its last stage.
+    // Replicas sum their workers; the pipeline counts its last stage.
     let processed = match regime {
         Regime::Pipeline => results.last().map_or(0, |w| w.processed),
-        _ => results.iter().map(|w| w.processed).sum(),
+        Regime::PullCredit => results.iter().map(|w| w.processed).sum(),
     };
     let mut outcome = assemble_outcome(
         results,
@@ -841,7 +813,7 @@ pub(crate) fn assemble_outcome(
 }
 
 // ---------------------------------------------------------------------------
-// Shared wiring and worker bodies the regimes compose.
+// Topology, wiring and the one worker body.
 // ---------------------------------------------------------------------------
 
 /// Star topology: `knobs.workers` replicas of the one template graph.
@@ -851,62 +823,60 @@ fn star_topology(graph: &Graph, knobs: &Knobs) -> Result<Vec<Replica>, GraphErro
         .collect()
 }
 
-/// Star wiring with streaming ingress: connect each worker with an
-/// ingress ring, an egress ring, and — when `credit_window` is nonzero —
-/// a credit gate, and give the input to a [`Dispatcher`] over the rings.
-fn streamed_star_wiring(
-    n: usize,
-    packets: Vec<Packet>,
+/// A worker's ingress ring and the gate it is filled under.
+fn gated_ring(
     knobs: &Knobs,
-    credit_window: u64,
-) -> Wiring {
+) -> (
+    Producer<PacketBatch>,
+    Consumer<PacketBatch>,
+    Arc<CreditGate>,
+) {
+    let (tx, rx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
+    let gate = Arc::new(CreditGate::new(knobs.effective_credit_window()));
+    (tx, rx, gate)
+}
+
+/// Star wiring: connect each worker with a gated ingress ring, an egress
+/// ring and a spent ring, and give the input to a [`Dispatcher`] over the
+/// ingress rings.
+fn star_wiring(n: usize, packets: Vec<Packet>, knobs: &Knobs) -> Wiring {
     let mut lanes = Vec::with_capacity(n);
     let mut ingress = Vec::with_capacity(n);
     let mut consumers = Vec::with_capacity(n);
     let mut spent = Vec::with_capacity(n);
-    let mut gates = Vec::new();
     for _ in 0..n {
-        let (itx, irx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
+        let (itx, irx, gate) = gated_ring(knobs);
         let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(knobs.ring_depth);
         let (stx, srx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
-        let gate = (credit_window > 0).then(|| Arc::new(CreditGate::new(credit_window)));
         lanes.push(Lane {
-            preload: Vec::new(),
-            rx: Some(irx),
+            rx: irx,
             sink: Sink::Merger(etx),
             credits: gate.clone(),
             trace_ring_recv: true,
-            spent: Some(stx),
+            spent: stx,
         });
         spent.push(srx);
-        ingress.push((itx, gate.clone()));
-        gates.extend(gate);
+        ingress.push((itx, gate));
         consumers.push(erx);
     }
     Wiring {
         lanes,
-        dispatcher: Some(Dispatcher::new(packets, ingress, knobs, true)),
+        dispatcher: Dispatcher::new(packets, ingress, knobs, true),
         consumers,
         spent,
-        gates,
-        detach_egress: credit_window > 0,
     }
 }
 
-/// The worker body every regime runs: admit, run the graph to idle (the
+/// The worker body both regimes run: admit, run the graph to idle (the
 /// sink's drain IS the step), ship what it transmitted, repeat until the
 /// ingress ring hangs up.
 ///
-/// Admission is where a credit gate changes it. A gated lane is
-/// arena-aware: each cycle injects popped batches straight into the
-/// ingress while its arena has free slots — never more, so `FromDevice`
-/// cannot drop to `NoRxDescriptor` — and parks the overflow (credits
-/// already debited, so the credit window bounds it) in a local buffer
-/// that the next cycle admits first; the admitted packets' credits are
-/// released only after the graph has finished them. An ungated lane has
-/// nothing bounding what arrives, so it parks nothing: everything popped
-/// — or, on a push lane, the whole preload, which starts out parked — is
-/// injected at once and the ingress sheds what its arena cannot hold.
+/// Admission is arena-aware: each cycle injects popped batches straight
+/// into the ingress while its arena has free slots — never more, so
+/// `FromDevice` cannot drop to `NoRxDescriptor` — and parks the overflow
+/// (credits already debited, so the credit window bounds it) in a local
+/// buffer that the next cycle admits first; the admitted packets' credits
+/// are released only after the graph has finished them.
 fn worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
     let Replica {
         mut router,
@@ -914,7 +884,6 @@ fn worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
         egress_ids,
     } = replica;
     let Lane {
-        preload,
         mut rx,
         mut sink,
         credits: gate,
@@ -923,16 +892,11 @@ fn worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
     } = lane;
     let burst = knobs.burst_batches();
     let mut buf: Vec<PacketBatch> = Vec::with_capacity(burst);
-    let mut waiting = PacketBatch::from_vec(preload);
+    let mut waiting = PacketBatch::default();
     loop {
         buf.clear();
-        let popped = rx
-            .as_mut()
-            .is_some_and(|rx| rx.pop_burst(burst, &mut buf) > 0);
-        let room = match gate {
-            Some(_) => ingress_room(&router, ingress),
-            None => usize::MAX,
-        };
+        let popped = rx.pop_burst(burst, &mut buf) > 0;
+        let room = ingress_room(&router, ingress);
         let mut admit = room.min(waiting.len());
         if admit > 0 {
             let rest = waiting.split_off(admit);
@@ -950,18 +914,14 @@ fn worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
             inject_batch(&mut router, ingress, batch, &mut spent);
         }
         if admit > 0 {
-            if let Some(gate) = &gate {
-                // The gate's stall count is dispatcher-side state; mirror
-                // the running total so interval buckets carry the deltas.
-                router.note_credit_stalls(gate.stalls());
-            }
+            // The gate's stall count is the filler's state; mirror the
+            // running total so interval buckets carry the deltas.
+            router.note_credit_stalls(gate.stalls());
             router.run_until_idle(u64::MAX);
             ship(&mut sink, &mut router, &egress_ids, knobs.batch_size);
-            if let Some(gate) = &gate {
-                gate.release(admit as u64);
-            }
+            gate.release(admit as u64);
         } else if !popped {
-            if waiting.is_empty() && rx.as_mut().is_none_or(Consumer::is_finished) {
+            if waiting.is_empty() && rx.is_finished() {
                 break;
             }
             // No input and no room (egress frames still pin slots until
@@ -971,38 +931,6 @@ fn worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
     }
     worker_summary(&mut router, ingress, &egress_ids)
     // The sink drops here, hanging up on the merger / next stage.
-}
-
-// ---------------------------------------------------------------------------
-// Wiring and topology only one regime uses.
-// ---------------------------------------------------------------------------
-
-/// Push wiring (§4.2 parallel push): each lane is preloaded with its
-/// whole RSS shard and ships egress to the merger; nothing streams.
-fn preloaded_star_wiring(n: usize, packets: Vec<Packet>, knobs: &Knobs) -> Wiring {
-    let shards = shard_by_flow(packets, n);
-    let mut lanes = Vec::with_capacity(n);
-    let mut consumers = Vec::with_capacity(n);
-    for preload in shards {
-        let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(knobs.ring_depth);
-        lanes.push(Lane {
-            preload,
-            rx: None,
-            sink: Sink::Merger(etx),
-            credits: None,
-            trace_ring_recv: false,
-            spent: None,
-        });
-        consumers.push(erx);
-    }
-    Wiring {
-        lanes,
-        dispatcher: None,
-        consumers,
-        spent: Vec::new(),
-        gates: Vec::new(),
-        detach_egress: false,
-    }
 }
 
 /// Pipeline topology: one replica per stage graph, in chain order.
@@ -1029,55 +957,55 @@ fn pipeline_topology(graphs: &[&Graph], knobs: &Knobs) -> Result<Vec<Replica>, G
     Ok(replicas)
 }
 
-/// Pipeline wiring: frames forwarded stage-to-stage over rings.
+/// Pipeline wiring: gated ring `i` feeds stage `i`. The dispatcher fills
+/// ring 0, stage `i` fills ring `i + 1`, and the last stage ships to the
+/// egress ring.
 fn pipeline_wiring(n: usize, packets: Vec<Packet>, knobs: &Knobs) -> Wiring {
-    // Ring i feeds stage i; the last stage ships to the egress ring.
-    let mut txs = Vec::with_capacity(n);
+    let mut feeds = Vec::with_capacity(n);
     let mut rxs = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
-        txs.push(Some(tx));
-        rxs.push(rx);
+        let (tx, rx, gate) = gated_ring(knobs);
+        feeds.push((tx, gate.clone()));
+        rxs.push((rx, gate));
     }
+    let mut feeds = feeds.into_iter();
+    let stage0 = feeds.next().expect("at least one stage");
     let (etx, erx) = spsc::ring::<(usize, PacketBatch)>(knobs.ring_depth);
-    let (stx, srx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
-    let mut etx = Some(etx);
-    let mut stx = Some(stx);
+    let sinks = feeds
+        .map(|(tx, gate)| Sink::Next(tx, gate))
+        .chain([Sink::Merger(etx)]);
+    let mut spent = Vec::with_capacity(n);
     let mut lanes = Vec::with_capacity(n);
-    for (i, rx) in rxs.into_iter().enumerate() {
-        let sink = match txs.get_mut(i + 1) {
-            Some(next) => Sink::Next(next.take().expect("each ring has one producer")),
-            None => Sink::Merger(etx.take().expect("one last stage")),
-        };
+    for (i, ((rx, credits), sink)) in rxs.into_iter().zip(sinks).enumerate() {
+        let (stx, srx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
+        spent.push(srx);
         lanes.push(Lane {
-            preload: Vec::new(),
-            rx: Some(rx),
+            rx,
             sink,
-            credits: None,
+            credits,
             // Stage 0 reads the feeder's (untraced) input; later rings
             // are real core hops.
             trace_ring_recv: i > 0,
-            // Only stage 0's batches are the dispatcher's to take back.
-            spent: stx.take(),
+            spent: stx,
         });
     }
-    // The dispatcher's one-lane case: stage 0's ring, ungated.
-    let stage0 = vec![(txs[0].take().expect("stage 0 input ring"), None)];
     Wiring {
         lanes,
-        dispatcher: Some(Dispatcher::new(packets, stage0, knobs, false)),
+        dispatcher: Dispatcher::new(packets, vec![stage0], knobs, false),
         consumers: vec![erx],
-        spent: vec![srx],
-        gates: Vec::new(),
-        detach_egress: false,
+        spent,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::mt::shard_by_flow;
     use rb_packet::builder::PacketSpec;
-    use rb_telemetry::DropCause;
+
+    /// A credit window, in batches, that no test input fills: only the
+    /// ring binds.
+    const WIDE: usize = 1 << 20;
 
     /// `n` distinct one-packet UDP flows, so a sequence identifies its
     /// packets and the Toeplitz hash spreads them over the lanes.
@@ -1097,12 +1025,12 @@ mod tests {
     }
 
     /// A dispatcher over `lanes` rings of `ring_depth` batches, each gated
-    /// by a `window`-batch credit window when one is given, with the
-    /// consuming ends and gates a test plays the workers with.
+    /// by a `window`-batch credit window, with the consuming ends and
+    /// gates a test plays the workers with.
     struct Rig {
         dispatcher: Dispatcher,
         rxs: Vec<Consumer<PacketBatch>>,
-        gates: Vec<Option<Arc<CreditGate>>>,
+        gates: Vec<Arc<CreditGate>>,
         tracer: Tracer,
         got: Vec<Vec<PacketBatch>>,
     }
@@ -1113,7 +1041,7 @@ mod tests {
             lanes: usize,
             batch_size: usize,
             ring_depth: usize,
-            window: Option<usize>,
+            window: usize,
         ) -> Rig {
             let knobs = Knobs {
                 batch_size,
@@ -1125,7 +1053,7 @@ mod tests {
             let mut gates = Vec::new();
             for _ in 0..lanes {
                 let (tx, rx) = spsc::ring::<PacketBatch>(ring_depth);
-                let gate = window.map(|w| Arc::new(CreditGate::new((w * batch_size) as u64)));
+                let gate = Arc::new(CreditGate::new((window * batch_size) as u64));
                 ingress.push((tx, gate.clone()));
                 rxs.push(rx);
                 gates.push(gate);
@@ -1149,9 +1077,7 @@ mod tests {
             let Some(batch) = self.rxs[i].pop() else {
                 return false;
             };
-            if let Some(gate) = &self.gates[i] {
-                gate.release(batch.len() as u64);
-            }
+            self.gates[i].release(batch.len() as u64);
             self.got[i].push(batch);
             true
         }
@@ -1204,24 +1130,24 @@ mod tests {
                 for ring_depth in [1usize, 2] {
                     // A one-batch window binds before the ring does; a
                     // four-batch one lets the ring fill, so acquired
-                    // credits get refunded; `None` is the spsc regime.
-                    for window in [Some(1usize), Some(4), None] {
+                    // credits get refunded; a wide one leaves the ring
+                    // the only bound.
+                    for window in [1usize, 4, WIDE] {
                         let mut rig =
                             Rig::new(input.clone(), lanes, batch_size, ring_depth, window);
                         rig.run_to_end();
                         for (i, shard) in shards.iter().enumerate() {
                             rig.assert_lane_is_shard(i, shard, batch_size);
                             assert_eq!(rig.held(i), 0);
-                            if let Some(gate) = &rig.gates[i] {
-                                let window = gate.window();
-                                assert_eq!(
-                                    gate.available.load(Ordering::Acquire),
-                                    window,
-                                    "lanes {lanes} kp {batch_size} ring {ring_depth}: \
-                                     every credit acquired was released or refunded"
-                                );
-                                assert!(gate.peak_outstanding() <= window);
-                            }
+                            let gate = &rig.gates[i];
+                            let window = gate.window();
+                            assert_eq!(
+                                gate.available.load(Ordering::Acquire),
+                                window,
+                                "lanes {lanes} kp {batch_size} ring {ring_depth}: \
+                                 every credit acquired was released or refunded"
+                            );
+                            assert!(gate.peak_outstanding() <= window);
                         }
                     }
                 }
@@ -1234,9 +1160,9 @@ mod tests {
         // One lane, one-slot ring, a window of four batches: the second
         // batch acquires its credits, finds the ring full and must give
         // them back, or the window would leak away.
-        let mut rig = Rig::new(flows(64), 1, 8, 1, Some(4));
+        let mut rig = Rig::new(flows(64), 1, 8, 1, 4);
         while rig.pump() == Pump::Progress {}
-        let gate = rig.gates[0].clone().unwrap();
+        let gate = rig.gates[0].clone();
         assert_eq!(gate.available.load(Ordering::Acquire), 32 - 8);
         assert_eq!(gate.peak_outstanding(), 16, "second batch was acquired");
         assert_eq!(rig.dispatcher.lanes[0].staged.len(), 1);
@@ -1246,7 +1172,7 @@ mod tests {
     fn dispatcher_classifies_no_further_than_its_staging_bound() {
         let total = 1000;
         let (lanes, batch_size) = (2usize, 8usize);
-        let mut rig = Rig::new(flows(total), lanes, batch_size, 1, None);
+        let mut rig = Rig::new(flows(total), lanes, batch_size, 1, WIDE);
         assert_eq!(rig.dispatcher.staging, 1);
         // Nobody consumes: the first pumps fill the one-slot rings and
         // the staging slots, and then the input is left where it is.
@@ -1282,7 +1208,7 @@ mod tests {
         let total = 600;
         let (lanes, batch_size) = (3usize, 4usize);
         let shards = shard_by_flow(flows(total), lanes);
-        let mut rig = Rig::new(flows(total), lanes, batch_size, 2, Some(2));
+        let mut rig = Rig::new(flows(total), lanes, batch_size, 2, 2);
         // Lane 0's worker is stuck; the others keep consuming.
         for _ in 0..10_000 {
             rig.pump();
@@ -1316,18 +1242,32 @@ mod tests {
         // (no parse), and of many (the parse fails).
         let junk: Vec<Packet> = (0..40u8).map(|i| Packet::from_slice(&[i; 9])).collect();
         for lanes in [1usize, 3] {
-            let mut rig = Rig::new(junk.clone(), lanes, 16, 4, None);
+            let mut rig = Rig::new(junk.clone(), lanes, 16, 4, WIDE);
             rig.run_to_end();
             rig.assert_lane_is_shard(0, &junk, 16);
             assert!(rig.got[1..].iter().all(Vec::is_empty));
         }
     }
 
-    /// Runs the one [`worker`] over `lane_of(egress producer)` on a
-    /// forwarder whose ingress arena has four slots, with this thread
-    /// playing the merger (receiving a frame is what frees its slot).
-    /// Returns the worker's ledger and the frames that came out.
-    fn run_lane(lane_of: impl FnOnce(Producer<(usize, PacketBatch)>) -> Lane) -> (Ledger, usize) {
+    /// Twelve frames as one ring batch, the producer hung up behind it.
+    fn one_batch_ring(pkts: Vec<Packet>) -> Consumer<PacketBatch> {
+        let (mut tx, rx) = spsc::ring::<PacketBatch>(2);
+        assert!(tx.push(PacketBatch::from_vec(pkts)).is_ok(), "room");
+        rx
+    }
+
+    /// Runs the one [`worker`] over `pkts`, read off a ring under `gate`,
+    /// on a forwarder whose ingress arena has four slots. The worker ships
+    /// to the egress merger or, given the next stage's gate, as an
+    /// intermediate pipeline stage; this thread plays the receiver
+    /// (receiving a frame is what frees its slot; a next stage also
+    /// releases its credits). Returns the worker's ledger and the frames
+    /// that came out.
+    fn run_lane(
+        pkts: Vec<Packet>,
+        gate: Arc<CreditGate>,
+        next: Option<Arc<CreditGate>>,
+    ) -> (Ledger, usize) {
         use rb_packet::PacketPool;
         let mut g = Graph::new();
         let mut dev = FromDevice::new(0, 32);
@@ -1341,66 +1281,77 @@ mod tests {
         g.connect(q, 0, tx, 0).unwrap();
         let knobs = Knobs::default();
         let replica = make_replica(&g, &knobs, 0).unwrap();
-        let (etx, mut erx) = spsc::ring::<(usize, PacketBatch)>(8);
-        let lane = lane_of(etx);
+        let (spent, _home) = spsc::ring::<PacketBatch>(4);
+        let lane = |sink| Lane {
+            rx: one_batch_ring(pkts),
+            sink,
+            credits: gate,
+            trace_ring_recv: true,
+            spent,
+        };
+        let mut frames = 0;
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| worker(replica, lane, &knobs));
-            let mut frames = 0;
-            loop {
-                match erx.pop() {
-                    Some((idx, batch)) => {
-                        assert_eq!(idx, 0);
-                        frames += batch.len();
+            let handle = match next {
+                Some(next) => {
+                    let (ntx, mut nrx) = spsc::ring::<PacketBatch>(8);
+                    let lane = lane(Sink::Next(ntx, next.clone()));
+                    let handle = scope.spawn(move || worker(replica, lane, &knobs));
+                    loop {
+                        match nrx.pop() {
+                            Some(batch) => {
+                                frames += batch.len();
+                                next.release(batch.len() as u64);
+                            }
+                            None if nrx.is_finished() => break,
+                            None => std::thread::yield_now(),
+                        }
                     }
-                    None if erx.is_finished() => break,
-                    None => std::thread::yield_now(),
+                    handle
                 }
-            }
+                None => {
+                    let (etx, mut erx) = spsc::ring::<(usize, PacketBatch)>(8);
+                    let lane = lane(Sink::Merger(etx));
+                    let handle = scope.spawn(move || worker(replica, lane, &knobs));
+                    loop {
+                        match erx.pop() {
+                            Some((idx, batch)) => {
+                                assert_eq!(idx, 0);
+                                frames += batch.len();
+                            }
+                            None if erx.is_finished() => break,
+                            None => std::thread::yield_now(),
+                        }
+                    }
+                    handle
+                }
+            };
             (handle.join().expect("worker").ledger, frames)
         })
     }
 
-    /// Twelve frames as one ring batch, the producer hung up behind it.
-    fn one_batch_ring(pkts: Vec<Packet>) -> Consumer<PacketBatch> {
-        let (mut tx, rx) = spsc::ring::<PacketBatch>(2);
-        assert!(tx.push(PacketBatch::from_vec(pkts)).is_ok(), "room");
-        rx
-    }
-
     #[test]
     fn one_worker_body_parks_under_a_gate_what_it_sheds_without_one() {
-        let lane = |preload, rx, credits, sink| Lane {
-            preload,
-            rx,
-            sink,
-            credits,
-            trace_ring_recv: true,
-            spent: None,
-        };
-        // Push: the whole shard is injected at once; four slots, four in.
-        let (led, frames) = run_lane(|etx| lane(flows(12), None, None, Sink::Merger(etx)));
-        assert_eq!((led.sourced, led.forwarded, frames), (12, 4, 4));
-        assert_eq!(led.dropped(DropCause::NoRxDescriptor), 8);
-        assert!(led.balances(), "{led:?}");
-        // Spsc: the same twelve off a ring, no gate: the same eight shed.
-        let (led, frames) = run_lane(|etx| {
-            let rx = one_batch_ring(flows(12));
-            lane(Vec::new(), Some(rx), None, Sink::Merger(etx))
-        });
-        assert_eq!((led.sourced, led.forwarded, frames), (12, 4, 4));
-        assert_eq!(led.dropped(DropCause::NoRxDescriptor), 8);
         // Pull: a gate, its twelve credits debited as the dispatcher
         // would: the eight that do not fit wait their turn, none is shed,
         // and every credit comes back.
         let gate = Arc::new(CreditGate::new(12));
         assert!(gate.try_acquire(12));
-        let (led, frames) = run_lane(|etx| {
-            let rx = one_batch_ring(flows(12));
-            lane(Vec::new(), Some(rx), Some(gate.clone()), Sink::Merger(etx))
-        });
+        let (led, frames) = run_lane(flows(12), gate.clone(), None);
         assert_eq!((led.sourced, led.forwarded, frames), (12, 12, 12));
         assert_eq!(led.dropped_total(), 0, "{led:?}");
         assert_eq!(gate.available.load(Ordering::Acquire), 12);
+        // A pipeline stage over the same arena: it parks the same way and
+        // takes the next stage's credits, a four-frame window, before each
+        // push; every credit on both gates comes back.
+        let gate = Arc::new(CreditGate::new(12));
+        assert!(gate.try_acquire(12));
+        let next = Arc::new(CreditGate::new(4));
+        let (led, frames) = run_lane(flows(12), gate.clone(), Some(next.clone()));
+        assert_eq!((led.sourced, led.forwarded, frames), (12, 12, 12));
+        assert_eq!(led.dropped_total(), 0, "{led:?}");
+        assert_eq!(gate.available.load(Ordering::Acquire), 12);
+        assert_eq!(next.available.load(Ordering::Acquire), 4);
+        assert!(next.peak_outstanding() <= 4);
     }
 
     #[test]
@@ -1422,8 +1373,7 @@ mod tests {
                     .set_pool(PacketPool::new(64, 2048));
             }
             let mut router = Router::new(graph).unwrap();
-            let (tx, mut home) = spsc::ring::<PacketBatch>(4);
-            let mut spent = Some(tx);
+            let (mut spent, mut home) = spsc::ring::<PacketBatch>(4);
             let sent = flows(8);
             let batch = PacketBatch::from_vec(sent.clone());
             inject_batch(&mut router, rx, batch, &mut spent);

@@ -269,25 +269,26 @@ impl RouterBuilder {
     }
 
     /// Selects the scheduling regime [`MtRouter::run`] uses (default
-    /// [`Regime::Push`]): `Push` preloads each replica's shard, `Spsc`
-    /// streams over ingress rings, `Pipeline` chains one stage per
-    /// worker, and `PullCredit` adds credit backpressure so sources
-    /// stall instead of dropping when a replica's arena fills.
+    /// [`Regime::PullCredit`]): `PullCredit` streams each replica's flow
+    /// shard over its ingress ring, `Pipeline` chains one stage per
+    /// worker. Every ring is credit-gated in both, so sources stall
+    /// instead of dropping when a worker's arena fills.
     pub fn regime(mut self, regime: Regime) -> RouterBuilder {
         self.knobs.regime = regime;
         self
     }
 
-    /// Sets the SPSC ring depth, in batches, used by the streaming
-    /// regimes (default [`Knobs::default`]'s `ring_depth`).
+    /// Sets the SPSC ring depth, in batches, of every inter-core ring
+    /// (default [`Knobs::default`]'s `ring_depth`).
     pub fn ring_depth(mut self, depth: usize) -> RouterBuilder {
         assert!(depth >= 1, "ring depth must be positive");
         self.knobs.ring_depth = depth;
         self
     }
 
-    /// Sets the pull-regime credit window in packets. `0` (the default)
-    /// auto-sizes the window to `ring_depth * batch_size`.
+    /// Sets the credit window of every worker's ingress ring, in packets.
+    /// `0` (the default) auto-sizes the window to `ring_depth *
+    /// batch_size`.
     pub fn credit_window(mut self, packets: usize) -> RouterBuilder {
         self.knobs.credit_window = packets;
         self
@@ -705,9 +706,10 @@ impl MtRouter {
 
     /// Runs `packets` through per-core replicas under the configured
     /// scheduling regime ([`RouterBuilder::regime`]; default
-    /// [`Regime::Push`] — shard up front, run each replica to idle,
-    /// merge egress). With `workers == 1` the per-port output streams
-    /// are byte-identical to the single-threaded [`BuiltRouter`].
+    /// [`Regime::PullCredit`] — split by flow, stream each replica its
+    /// shard under a credit window, merge egress). With `workers == 1`
+    /// the per-port output streams are byte-identical to the
+    /// single-threaded [`BuiltRouter`].
     ///
     /// # Errors
     ///
@@ -1043,12 +1045,7 @@ mod tests {
                     .build()
             })
             .collect();
-        for regime in [
-            Regime::Push,
-            Regime::Spsc,
-            Regime::Pipeline,
-            Regime::PullCredit,
-        ] {
+        for regime in [Regime::Pipeline, Regime::PullCredit] {
             let mt = RouterBuilder::minimal_forwarder()
                 .workers(2)
                 .regime(regime)
@@ -1117,7 +1114,7 @@ mod tests {
 
     #[test]
     fn dsl_built_and_setter_built_mt_routers_hold_equal_knobs() {
-        let text = "batch_size 16, workers 2, regime spsc, ring_depth 64, nic_batch 4, \
+        let text = "batch_size 16, workers 2, regime pull, ring_depth 64, nic_batch 4, \
                     interval_ms 5, trace_sample 8, telemetry on, pool_slots 128";
         let dsl = RouterBuilder::minimal_forwarder()
             .apply_knobs(&knobs_from(text))
@@ -1126,7 +1123,7 @@ mod tests {
         let set = RouterBuilder::minimal_forwarder()
             .batch_size(16)
             .workers(2)
-            .regime(Regime::Spsc)
+            .regime(Regime::PullCredit)
             .ring_depth(64)
             .nic_batch(4)
             .interval_ms(5)
@@ -1188,7 +1185,7 @@ mod tests {
             b().synthetic_routes(500, seed)
         );
         row!(fib_rcu, "fib_rcu on", b().rcu_fib(true));
-        row!(regime, "regime pull", b().regime(Regime::PullCredit));
+        row!(regime, "regime pipeline", b().regime(Regime::Pipeline));
         row!(credit_window, "credits 256", b().credit_window(256));
         row!(nic_batch, "nic_batch 4", b().nic_batch(4));
         row!(interval_ms, "interval_ms 5", b().interval_ms(5));

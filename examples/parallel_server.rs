@@ -3,12 +3,11 @@
 //! threads — the Click configuration held fixed, only the layout
 //! selected, as in §4.2.
 //!
-//! * push — flows sharded by RSS hash up front, each worker owns its
-//!   shard end-to-end ("one core per packet", "one core per queue");
-//! * spsc — the same layout fed incrementally over bounded rings;
+//! * pull — flows split by RSS hash, each worker owns its shard
+//!   end-to-end ("one core per packet", "one core per queue"), fed over
+//!   a credit-gated ring;
 //! * pipeline — every packet crosses all worker threads, each a full
-//!   stage of the graph;
-//! * pull — the streamed layout with credit back-pressure.
+//!   stage of the graph, over the same gated rings.
 //!
 //! The absolute rates are your machine's, not the 2009 Nehalem's; the
 //! *ordering* (parallel ≥ pipeline) is the paper's §4.2 claim. Fig. 6's
@@ -68,12 +67,7 @@ fn main() {
 
     println!("\nrouting {PACKETS} packets with {workers} workers:\n");
     let mut rates = Vec::new();
-    for regime in [
-        Regime::Push,
-        Regime::Spsc,
-        Regime::Pipeline,
-        Regime::PullCredit,
-    ] {
+    for regime in [Regime::PullCredit, Regime::Pipeline] {
         let mt = router.clone().regime(regime).build_mt().expect("builds");
         let report = mt.run(packets.clone()).expect("graph replicates").report;
         println!(
@@ -87,15 +81,10 @@ fn main() {
         rates.push(report.pps());
     }
 
+    println!("\npipeline relative to pull: {:.2}x", rates[1] / rates[0]);
     println!(
-        "\nrelative to push: spsc {:.2}x, pipeline {:.2}x, pull {:.2}x",
-        rates[1] / rates[0],
-        rates[2] / rates[0],
-        rates[3] / rates[0]
-    );
-    println!(
-        "\nThe paper's §4.2 rules in action: the parallel layouts touch each\n\
-         packet on one core with no shared queues, so they do not pay the\n\
+        "\nThe paper's §4.2 rules in action: the parallel layout touches each\n\
+         packet on one core with no shared queues, so it does not pay the\n\
          pipeline's inter-core handoff per stage. The locked shared queue\n\
          the rules also rule out is modelled, not run: `paper fig6`."
     );
@@ -103,7 +92,7 @@ fn main() {
         println!(
             "note: {workers} workers plus the dispatcher thread share {cores} core(s), so\n\
          the comparison measures per-packet overheads (the Fig. 6 story); with\n\
-         a core per thread the parallel layouts additionally scale with the\n\
+         a core per thread the parallel layout additionally scales with the\n\
          core count."
         );
     }

@@ -146,7 +146,7 @@ fn spsc_streaming_matches_parallel_multiset() {
         let mt = builder
             .keep_tx_frames(true)
             .workers(3)
-            .regime(Regime::Spsc)
+            .regime(Regime::PullCredit)
             .build_mt()
             .unwrap();
         let outcome = mt.run(packets.clone()).unwrap();
@@ -175,7 +175,7 @@ fn tiny_ring_backpressure_conserves_packets() {
     let packets = traffic(1200);
     let mt = RouterBuilder::minimal_forwarder()
         .workers(2)
-        .regime(Regime::Spsc)
+        .regime(Regime::PullCredit)
         .build_mt()
         .unwrap();
     let knobs = Knobs {

@@ -3,7 +3,7 @@
 //!
 //! The paper's Table 1 varies `kn` to amortise descriptor writeback and
 //! doorbell cost; throughput changes, the forwarded traffic does not.
-//! So for every scheduling regime (push, spsc, pipeline, pull) and
+//! So for both scheduling regimes (pull and pipeline) and every
 //! worker count, a run at `kn ∈ {4, 16}` must transmit the **identical
 //! per-port frame multiset** as the `kn = 1` baseline, with the
 //! conservation ledger balancing exactly on both sides. The only
@@ -81,7 +81,7 @@ fn run_with_kn(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Across all four regimes and worker counts, `kn ∈ {4, 16}` runs
+    /// Across both regimes and all worker counts, `kn ∈ {4, 16}` runs
     /// transmit the identical per-port frame multiset as the `kn = 1`
     /// baseline and conserve packets exactly — while ringing fewer
     /// doorbells for the same posted-frame volume.
@@ -92,7 +92,7 @@ proptest! {
     ) {
         let workers = [1usize, 2, 4][workers_idx];
         let packets = traffic(count);
-        for regime in [Regime::Push, Regime::Spsc, Regime::Pipeline, Regime::PullCredit] {
+        for regime in [Regime::Pipeline, Regime::PullCredit] {
             // Pipeline stages each re-source every packet at their own
             // ingress, so `sourced` scales with the stage count.
             let sourced = if regime == Regime::Pipeline {
@@ -200,16 +200,16 @@ fn rings_conserve_descriptors_and_amortise_per_ring() {
 }
 
 /// The doorbell count shrinks roughly in proportion to `kn` on a
-/// single-worker push run: every frame crosses one RX and one TX ring,
+/// single-worker run: every frame crosses one RX and one TX ring,
 /// so kn=1 rings ~2 doorbells per packet while kn=16 rings ~2/16.
 #[test]
 fn doorbells_amortise_by_kn() {
     let count = 512usize;
     let packets = traffic(count);
-    let d1 = run_with_kn(Regime::Push, 1, 1, &packets)
+    let d1 = run_with_kn(Regime::PullCredit, 1, 1, &packets)
         .report
         .nic_doorbells;
-    let d16 = run_with_kn(Regime::Push, 1, 16, &packets)
+    let d16 = run_with_kn(Regime::PullCredit, 1, 16, &packets)
         .report
         .nic_doorbells;
     assert!(

@@ -366,7 +366,7 @@ fn scrape_endpoint_walks_ok_burning_ok_on_a_live_router() {
 
 #[test]
 fn traced_spsc_run_pairs_ring_hops_across_cores() {
-    // Sampled tracing through the builder, 2 workers, streaming SPSC
+    // Sampled tracing through the builder, 2 workers, credit-gated SPSC
     // ingress: no traced packet leaves a ring before entering it, and the
     // Chrome export draws at least one ring hop as a flow start and
     // finish sharing an id on two different thread tracks.
@@ -375,7 +375,7 @@ fn traced_spsc_run_pairs_ring_hops_across_cores() {
         .workers(2)
         .batch_size(32)
         .trace_sample(8)
-        .regime(Regime::Spsc)
+        .regime(Regime::PullCredit)
         .build_mt()
         .expect("builder config is valid");
     let outcome = mt.run(traffic(PACKETS)).expect("graph runs");
