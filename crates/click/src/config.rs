@@ -1029,6 +1029,33 @@ mod tests {
     }
 
     #[test]
+    fn bare_from_device_polls_the_device_burst() {
+        // `FromDevice(port)` polls what the router's devices poll —
+        // `poll_burst`, else `kp` — and `FromDevice(port, N)` pins N.
+        let polled = |runtime: &str, device: &str| {
+            let mut router = build_router(&format!(
+                "RuntimeConfig({runtime});
+                 rx :: {device}; q :: Queue(1000); tx :: ToDevice;
+                 rx -> q -> tx;"
+            ))
+            .unwrap();
+            let rx = router
+                .element_as_mut::<crate::elements::FromDevice>("rx")
+                .unwrap();
+            for i in 0..100u8 {
+                rx.inject(rb_packet::Packet::from_slice(&[i; 60]));
+            }
+            let mut out = crate::Output::new();
+            crate::Element::run_task(rx, &mut out);
+            out.len()
+        };
+        assert_eq!(polled("batch_size 8", "FromDevice(0)"), 8);
+        assert_eq!(polled("batch_size 8, poll_burst 64", "FromDevice(0)"), 64);
+        assert_eq!(polled("batch_size 8", "FromDevice(0, 4)"), 4);
+        assert_eq!(polled("batch_size 32", "FromDevice(0)"), 32);
+    }
+
+    #[test]
     fn bare_to_device_inherits_graph_batch_size() {
         // Satellite: `kp` is the single batching knob. A bare `ToDevice`
         // pulls whatever the graph batch size says; an explicit burst wins.

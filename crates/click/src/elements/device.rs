@@ -43,6 +43,9 @@ pub struct FromDevice {
     /// replica owns its own, so queue state is never shared).
     rx: DescRing,
     burst: usize,
+    /// Whether `burst` was given at construction; an unpinned device
+    /// takes the router's device burst ([`FromDevice::follow_device_burst`]).
+    pinned: bool,
     port_no: u16,
     received: u64,
     injected: u64,
@@ -61,11 +64,33 @@ impl FromDevice {
             wire: VecDeque::new(),
             rx: DescRing::new(DEFAULT_RING_DEPTH, 1),
             burst,
+            pinned: true,
             port_no,
             received: 0,
             injected: 0,
             pool: None,
             rx_dropped: 0,
+        }
+    }
+
+    /// Creates a device source for router port `port_no` whose poll burst
+    /// follows the router it runs in — the configuration text's bare
+    /// `FromDevice(port)`. Until a router sets it, the burst is 32.
+    pub fn with_device_burst(port_no: u16) -> FromDevice {
+        FromDevice {
+            pinned: false,
+            ..FromDevice::new(port_no, 32)
+        }
+    }
+
+    /// Sets the poll burst to `burst` unless one was pinned at
+    /// construction: [`crate::Router::configured`] passes every device the
+    /// router's device burst (`poll_burst`, else `kp`), as the builder
+    /// does for the devices it creates.
+    pub fn follow_device_burst(&mut self, burst: usize) {
+        assert!(burst > 0, "poll burst must be positive");
+        if !self.pinned {
+            self.burst = burst;
         }
     }
 
@@ -272,6 +297,7 @@ impl Element for FromDevice {
         // gets a FRESH pool and a FRESH descriptor ring — the multi-queue
         // RSS layout, one uncontended queue pair per core.
         let mut fresh = FromDevice::new(self.port_no, self.burst);
+        fresh.pinned = self.pinned;
         fresh.rebuild_ring(self.rx.depth(), self.rx.kn());
         if let Some(pool) = &self.pool {
             fresh.set_pool(PacketPool::new(pool.slots(), pool.slot_size()));
@@ -694,5 +720,28 @@ mod tests {
         let r = pinned.replicate().unwrap();
         let r = r.as_any().downcast_ref::<ToDevice>().unwrap();
         assert_eq!(r.configured_burst(), Some(16));
+    }
+
+    #[test]
+    fn poll_burst_follows_the_router_unless_pinned() {
+        // How many of 100 waiting frames one poll takes.
+        let polled = |dev: &mut FromDevice| {
+            for i in 0..100u8 {
+                dev.inject(Packet::from_slice(&[i]));
+            }
+            let mut out = Output::new();
+            dev.run_task(&mut out);
+            out.len()
+        };
+        // A replica keeps following; a pinned one stays pinned.
+        for (dev, want) in [
+            (FromDevice::with_device_burst(0), 64),
+            (FromDevice::new(0, 8), 8),
+        ] {
+            let mut replica = dev.replicate().unwrap();
+            let replica = replica.as_any_mut().downcast_mut::<FromDevice>().unwrap();
+            replica.follow_device_burst(64);
+            assert_eq!(polled(replica), want);
+        }
     }
 }

@@ -17,6 +17,10 @@ use rb_packet::Packet;
 ///
 /// Output 0: conformant packets. Output 1: excess. The bucket holds
 /// `burst_bytes` and refills at `rate_bps`.
+///
+/// A meter does not replicate (`workers(n)` fails with
+/// [`crate::GraphError::NotReplicable`]): one bucket per core would
+/// police at `n` times the configured rate.
 pub struct Meter {
     rate_bps: f64,
     burst_bytes: f64,
@@ -87,17 +91,15 @@ impl Element for Meter {
             out.push(1, pkt);
         }
     }
-
-    fn replicate(&self) -> Option<Box<dyn Element>> {
-        Some(Box::new(Meter::new(self.rate_bps, self.burst_bytes)))
-    }
 }
 
 /// Forwards each packet with probability `p` (output 0), otherwise sends
 /// it to output 1. Deterministic per seed.
+///
+/// A sampler does not replicate: every core would restart the one seeded
+/// stream, so `n` cores would draw the same decisions `n` times over.
 pub struct RandomSample {
     p: f64,
-    seed: u64,
     rng: StdRng,
     sampled: u64,
     passed: u64,
@@ -113,7 +115,6 @@ impl RandomSample {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         RandomSample {
             p,
-            seed,
             rng: StdRng::seed_from_u64(seed),
             sampled: 0,
             passed: 0,
@@ -151,13 +152,6 @@ impl Element for RandomSample {
             self.passed += 1;
             out.push(1, pkt);
         }
-    }
-
-    fn replicate(&self) -> Option<Box<dyn Element>> {
-        // Each replica restarts the seeded RNG stream, keeping per-core
-        // runs deterministic (workers=1 byte-identical to the
-        // single-threaded router).
-        Some(Box::new(RandomSample::new(self.p, self.seed)))
     }
 }
 
@@ -286,6 +280,48 @@ mod tests {
         none.push(0, pkt_at(0, 64), &mut out);
         let ports: Vec<usize> = out.drain().map(|(p, _)| p).collect();
         assert_eq!(ports, vec![0, 1]);
+    }
+
+    /// What a two-worker run of `rx -> shaper -> q -> tx` reports, the
+    /// shaper's second output into a `Discard`.
+    fn two_workers_over(shaper: Box<dyn Element>) -> Result<(), crate::GraphError> {
+        use crate::elements::{Discard, FromDevice, Queue, ToDevice};
+        let mut g = crate::Graph::new();
+        let rx = g.add("rx", Box::new(FromDevice::new(0, 32))).unwrap();
+        let shaper = g.add("shaper", shaper).unwrap();
+        let q = g.add("q", Box::new(Queue::new(64))).unwrap();
+        let tx = g.add("tx", Box::new(ToDevice::new(32, false))).unwrap();
+        let sink = g.add("sink", Box::new(Discard::new())).unwrap();
+        g.connect(rx, 0, shaper, 0).unwrap();
+        g.connect(shaper, 0, q, 0).unwrap();
+        g.connect(shaper, 1, sink, 0).unwrap();
+        g.connect(q, 0, tx, 0).unwrap();
+        let knobs = crate::Knobs {
+            workers: 2,
+            ..crate::Knobs::default()
+        };
+        crate::runtime::mt::run_graph(&[&g], vec![pkt_at(0, 64)], &knobs, None).map(drop)
+    }
+
+    fn refused(class: &str) -> Result<(), crate::GraphError> {
+        Err(crate::GraphError::NotReplicable {
+            element: "shaper".into(),
+            class: class.into(),
+        })
+    }
+
+    #[test]
+    fn meter_refuses_replication() {
+        // One bucket per core would police at twice the rate.
+        let meter = Box::new(Meter::new(8e6, 2_000.0));
+        assert_eq!(two_workers_over(meter), refused("Meter"));
+    }
+
+    #[test]
+    fn random_sample_refuses_replication() {
+        // Both cores would replay the one seeded stream.
+        let sampler = Box::new(RandomSample::new(0.5, 7));
+        assert_eq!(two_workers_over(sampler), refused("RandomSample"));
     }
 
     #[test]

@@ -96,10 +96,12 @@ impl Registry {
                 Some(s) => parse_field::<u16>("FromDevice", s, "port")?,
                 None => 0,
             };
-            let burst = match parts.get(1) {
-                Some(s) => parse_field::<usize>("FromDevice", s, "burst")?,
-                None => 32,
+            // `FromDevice(port)` polls the router's device burst;
+            // `FromDevice(port, N)` pins N.
+            let Some(burst) = parts.get(1) else {
+                return Ok(Box::new(FromDevice::with_device_burst(port)));
             };
+            let burst = parse_field::<usize>("FromDevice", burst, "burst")?;
             if burst == 0 {
                 return Err(bad_args("FromDevice", "burst must be positive"));
             }

@@ -15,8 +15,8 @@
 //! ([`Output`]), and those batches are what the work queue carries, so
 //! relative packet order *within an edge* is identical for every batch
 //! size — which is what makes scalar and batched execution produce
-//! byte-identical output streams on merge-free graphs (see the
-//! `batch_differential` test).
+//! byte-identical output streams on merge-free graphs (see
+//! `tests/dataplane_oracle.rs`).
 
 use crate::config::Knobs;
 use crate::element::{Output, PacketBatch, PortKind};
@@ -353,7 +353,9 @@ impl Router {
     }
 
     /// [`Router::new`] with every knob a `Router` reads applied — `kp`,
-    /// `kn`, telemetry level, interval clock, path tracing — recording as
+    /// `kn`, the poll burst of every `FromDevice` built without one
+    /// (`poll_burst`, else `kp`), telemetry level, interval clock, path
+    /// tracing — recording as
     /// `core` (0 single-threaded; the worker index in a multi-threaded
     /// run). The one place knobs become router state.
     ///
@@ -365,6 +367,13 @@ impl Router {
             .with_batch_size(knobs.batch_size)
             .with_telemetry(knobs.telemetry);
         router.set_nic_batch(knobs.nic_batch);
+        let device_burst = knobs.poll_burst.unwrap_or(knobs.batch_size);
+        for id in 0..router.graph.len() {
+            let el = router.graph.element_mut(id).as_any_mut();
+            if let Some(dev) = el.downcast_mut::<FromDevice>() {
+                dev.follow_device_burst(device_burst);
+            }
+        }
         // Off is the state it is in; on pays the tick-rate calibration.
         if knobs.interval_ms > 0 {
             router.set_interval_ms(knobs.interval_ms, core as usize);

@@ -477,37 +477,22 @@ mod tests {
         assert_eq!(expect, got, "workers=1 must match the ST router exactly");
     }
 
-    #[test]
-    fn graph_spsc_matches_parallel_multiset() {
+    /// 1,500 packets through three pull replicas behind 16-batch rings,
+    /// with a credit window of `credit_window` packets (0: auto-sized):
+    /// back-pressure, and nothing lost.
+    fn small_rings_forward_every_packet(credit_window: usize) {
         let g = forwarder_graph(true);
         let pkts = packets(1500);
         let knobs = Knobs {
-            ring_depth: 16, // Small ring: exercise back-pressure.
-            ..on(Regime::PullCredit, 3)
-        };
-        let out = run_graph(&[&g], pkts.clone(), &knobs, None).unwrap();
-        assert_eq!(out.report.processed, 1500);
-        let mut sent: Vec<Vec<u8>> = pkts.iter().map(|p| p.data().to_vec()).collect();
-        let mut got: Vec<Vec<u8>> = out.egress[0].iter().map(|p| p.data().to_vec()).collect();
-        sent.sort();
-        got.sort();
-        assert_eq!(sent, got);
-    }
-
-    #[test]
-    fn graph_pull_matches_spsc_multiset() {
-        let g = forwarder_graph(true);
-        let pkts = packets(1500);
-        let knobs = Knobs {
-            ring_depth: 16, // Small ring AND small window: back-pressure.
-            credit_window: 64,
+            ring_depth: 16,
+            credit_window,
             ..on(Regime::PullCredit, 3)
         };
         let out = run_graph(&[&g], pkts.clone(), &knobs, None).unwrap();
         assert_eq!(out.report.processed, 1500);
         assert!(out.report.ledger.balances(), "{:?}", out.report.ledger);
         assert!(
-            out.report.credit_peak_outstanding <= 64,
+            out.report.credit_peak_outstanding <= knobs.effective_credit_window(),
             "window bounds in-flight credits: {}",
             out.report.credit_peak_outstanding
         );
@@ -515,11 +500,24 @@ mod tests {
         let mut got: Vec<Vec<u8>> = out.egress[0].iter().map(|p| p.data().to_vec()).collect();
         sent.sort();
         got.sort();
-        assert_eq!(sent, got);
+        assert_eq!(sent, got, "credit_window {credit_window}");
+    }
+
+    /// The SPSC rings with the auto-sized window.
+    #[test]
+    fn graph_spsc_matches_parallel_multiset() {
+        small_rings_forward_every_packet(0);
+    }
+
+    /// The SPSC rings with a 64-packet window: the ring and the window
+    /// both push back.
+    #[test]
+    fn graph_pull_matches_spsc_multiset() {
+        small_rings_forward_every_packet(64);
     }
 
     #[test]
-    fn graph_pull_overload_stalls_where_push_drops() {
+    fn graph_overload_stalls_the_filler_and_loses_nothing() {
         // 2× offered load: 64-packet bursts into 32-slot ingress arenas.
         // Every ring is gated, so each worker admits only what fits and
         // the filler of its ring stalls: the dispatcher, or under the
@@ -738,12 +736,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn traced_spsc_run_exports_cross_core_edges() {
+    /// A traced two-worker pull run behind 16-batch SPSC rings, with a
+    /// credit window of `credit_window` packets (0: auto-sized), records
+    /// the cross-core ring hops and exports them as Chrome trace JSON.
+    fn traced_run_exports_cross_core_edges(credit_window: usize) {
         use rb_telemetry::json;
         let knobs = Knobs {
             trace_sample: 8,
             ring_depth: 16,
+            credit_window,
             ..on(Regime::PullCredit, 2)
         };
         let out = run_graph(&[&forwarder_graph(true)], packets(640), &knobs, None).unwrap();
@@ -760,7 +761,8 @@ mod tests {
             "ingress/egress hop finish"
         );
         assert!(kinds.contains(&TraceKind::Element), "element-level spans");
-        // A dispatcher-stamped packet's path starts with the ingress ring
+        // The dispatcher stamps before the ingress ring, so a
+        // dispatcher-stamped packet's path starts with the cross-core
         // hop, then element spans on the worker core.
         let dispatcher_core = 2u32; // workers == 2
         let crossing = out
@@ -785,32 +787,13 @@ mod tests {
     }
 
     #[test]
+    fn traced_spsc_run_exports_cross_core_edges() {
+        traced_run_exports_cross_core_edges(0);
+    }
+
+    #[test]
     fn traced_pull_run_exports_cross_core_edges() {
-        let knobs = Knobs {
-            trace_sample: 8,
-            ring_depth: 16,
-            credit_window: 128,
-            ..on(Regime::PullCredit, 2)
-        };
-        let out = run_graph(&[&forwarder_graph(true)], packets(640), &knobs, None).unwrap();
-        assert_eq!(out.report.processed, 640);
-        assert!(out.report.ledger.balances(), "{:?}", out.report.ledger);
-        assert!(out.trace.traced_packets() > 0, "sampling must trace some");
-        // The dispatcher stamps before the ingress ring, so the
-        // cross-core hop is part of the recorded path.
-        let dispatcher_core = 2u32; // workers == 2
-        let crossing = out
-            .trace
-            .spans
-            .iter()
-            .find(|s| s.event.kind == TraceKind::RingSend && s.event.core == dispatcher_core)
-            .expect("dispatcher recorded an ingress ring_send");
-        let path = out.trace.path_of(crossing.event.trace_id);
-        assert!(path.len() >= 3, "hop + element spans: {path:?}");
-        assert!(
-            path.iter().any(|s| s.event.kind == TraceKind::Element),
-            "traced packet saw element dispatches"
-        );
+        traced_run_exports_cross_core_edges(128);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! counters.
 //!
 //! Conservation holds by construction and is checked by
-//! `tests/nic_differential.rs::rings_conserve_descriptors_and_amortise_per_ring`:
+//! `tests/dataplane_oracle.rs::rings_conserve_descriptors_and_amortise_per_ring`:
 //! `posted == reclaimed + in_ring` at every point in time.
 //!
 //! [`NicPort`] models one multi-queue port: each worker core asks it

@@ -76,7 +76,7 @@ grep -rlE "$unsafe_word" crates/*/src --include='*.rs' | xargs awk '
     END { exit bad }
 '
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes: the collapsed names stay gone)"
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -87,6 +87,17 @@ fi
 if grep -rnE 'Regime::(Push|Spsc)\b|preloaded_star_wiring' crates/ examples/ tests/ ||
     grep -nE '\bpreload:' crates/click/src/runtime/regime.rs; then
     echo "Regime::Push / Regime::Spsc or the preloaded lane is back: every ring is credit-gated" >&2
+    exit 1
+fi
+# One dataplane oracle (tests/oracle/mod.rs): every differential suite
+# over the runtime holds its runs to the one reference there, so the
+# per-suite copies of `traffic`, the conservation and sorted-multiset
+# helpers it replaced, and test names that outlived the push regime stay
+# gone.
+oracle_gone='(sorted|reference)_streams|fn assert_conserved|fn [a-z0-9_]*push_drops'
+if grep -rnE "$oracle_gone" tests/ crates/*/tests/ crates/click/src/runtime/mt.rs ||
+    grep -nE 'fn traffic\b' tests/*_differential.rs tests/dataplane_oracle.rs; then
+    echo "a per-suite traffic copy, multiset or conservation helper, or push-era test name the dataplane oracle replaced is back" >&2
     exit 1
 fi
 # `Output` is per-port batches; the pair list survives only as the

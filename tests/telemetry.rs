@@ -365,7 +365,7 @@ fn scrape_endpoint_walks_ok_burning_ok_on_a_live_router() {
 }
 
 #[test]
-fn traced_spsc_run_pairs_ring_hops_across_cores() {
+fn traced_pull_run_pairs_ring_hops_across_cores() {
     // Sampled tracing through the builder, 2 workers, credit-gated SPSC
     // ingress: no traced packet leaves a ring before entering it, and the
     // Chrome export draws at least one ring hop as a flow start and
