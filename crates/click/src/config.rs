@@ -158,12 +158,10 @@ impl Knobs {
     pub fn monitor_source(
         &self,
         interval_rings: Vec<std::sync::Arc<rb_telemetry::IntervalRing>>,
-        event_rings: Vec<std::sync::Arc<rb_telemetry::EventRing>>,
         interval_ticks: u64,
     ) -> rb_telemetry::MonitorSource {
         rb_telemetry::MonitorSource {
             interval_rings,
-            event_rings,
             interval_ticks,
             ticks_per_sec: rb_telemetry::cycles::ticks_per_sec(),
             slo: (!self.slo.is_empty()).then_some(self.slo),
@@ -657,6 +655,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Element;
 
     #[test]
     fn parses_declarations_and_chain() {

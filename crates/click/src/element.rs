@@ -430,21 +430,20 @@ pub trait Element: Send {
         false
     }
 
-    /// Reports the stats of a packet arena this element owns, if any.
+    /// The packet arena this element allocates from, if any.
     ///
     /// Ingress elements that allocate from a [`rb_packet::PacketPool`]
     /// (`FromDevice`, the sources) override this; the driver sums the
-    /// per-element snapshots into `RunStats`, and the MT runtime rolls
-    /// worker totals up into `MtReport`. One element owns one pool, so
-    /// summing never double-counts an arena.
-    fn pool_stats(&self) -> Option<rb_packet::PoolStats> {
+    /// arenas' counters into `RunStats`, and the MT runtime reads every
+    /// worker's arenas into `MtReport` once the workers have joined.
+    fn pool(&self) -> Option<&rb_packet::PacketPool> {
         None
     }
 
     /// Reports the counters of NIC descriptor rings this element owns,
     /// if any (`FromDevice`'s RX ring, `ToDevice`'s TX ring).
     ///
-    /// Like [`Element::pool_stats`], the driver sums the per-element
+    /// Like [`Element::pool`], the driver sums the per-element
     /// snapshots into `RunStats` and the MT runtime rolls worker totals
     /// up into `MtReport`; a ring is owned by exactly one element
     /// replica, so summing never double-counts.

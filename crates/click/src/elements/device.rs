@@ -29,7 +29,7 @@
 
 use crate::element::{Element, Output, PacketBatch, PortKind, Ports};
 use rb_packet::nic::{DescRing, DEFAULT_RING_DEPTH};
-use rb_packet::pool::{PacketPool, PoolStats};
+use rb_packet::pool::PacketPool;
 use rb_packet::{NicStats, Packet};
 use rb_telemetry::{DropCause, Ledger};
 use std::collections::VecDeque;
@@ -99,11 +99,6 @@ impl FromDevice {
     /// not queued, when the pool is exhausted.
     pub fn set_pool(&mut self, pool: PacketPool) {
         self.pool = Some(pool);
-    }
-
-    /// The attached arena, if any.
-    pub fn pool(&self) -> Option<&PacketPool> {
-        self.pool.as_ref()
     }
 
     /// Sets the NIC batching factor `kn`: descriptor writeback and
@@ -272,8 +267,8 @@ impl Element for FromDevice {
         self.pending() > 0
     }
 
-    fn pool_stats(&self) -> Option<PoolStats> {
-        self.pool.as_ref().map(PacketPool::stats)
+    fn pool(&self) -> Option<&PacketPool> {
+        self.pool.as_ref()
     }
 
     fn nic_stats(&self) -> Option<NicStats> {
@@ -564,7 +559,7 @@ mod tests {
         // Two receive buffers: frames 0 and 1 land, 2..4 drop at the NIC.
         assert_eq!(dev.pending(), 2);
         assert_eq!(dev.rx_dropped(), 3);
-        let stats = dev.pool_stats().unwrap();
+        let stats = dev.pool().unwrap().stats();
         assert_eq!(stats.exhausted, 3);
         assert_eq!(stats.allocs, 2);
         // The ledger books the drop once, as the NIC-boundary cause.

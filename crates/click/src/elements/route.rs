@@ -72,16 +72,6 @@ impl LookupIPRoute {
         }
     }
 
-    /// RCU publish counters when this element reads a live FIB (`None`
-    /// over an immutable table). The event journal polls this at
-    /// interval boundaries to journal delta publishes vs recompiles.
-    pub fn rcu_stats(&self) -> Option<rb_lookup::RcuStats> {
-        match &self.fib {
-            Fib::Rcu(reader) => Some(reader.stats()),
-            Fib::Static(_) => None,
-        }
-    }
-
     /// Builds the element from Click-style inline routes:
     /// `"10.0.0.0/8 0, 192.168.0.0/16 1, 0.0.0.0/0 2"`.
     ///

@@ -10,7 +10,7 @@
 
 use crate::element::{Element, Output, Ports};
 use rb_packet::builder::PacketSpec;
-use rb_packet::pool::{PacketPool, PoolStats};
+use rb_packet::pool::PacketPool;
 use rb_packet::Packet;
 use rb_telemetry::{DropCause, Ledger};
 
@@ -67,11 +67,6 @@ impl InfiniteSource {
     /// buffers, and an exhausted pool drops the emission (counted).
     pub fn set_pool(&mut self, pool: PacketPool) {
         self.pool = Some(pool);
-    }
-
-    /// The attached arena, if any.
-    pub fn pool(&self) -> Option<&PacketPool> {
-        self.pool.as_ref()
     }
 
     /// Total packets emitted so far (drops included — an exhausted-pool
@@ -131,8 +126,8 @@ impl Element for InfiniteSource {
         true
     }
 
-    fn pool_stats(&self) -> Option<PoolStats> {
-        self.pool.as_ref().map(PacketPool::stats)
+    fn pool(&self) -> Option<&PacketPool> {
+        self.pool.as_ref()
     }
 
     fn ledger(&self) -> Option<Ledger> {
@@ -278,11 +273,6 @@ impl SpecSource {
         self.pool = Some(pool);
     }
 
-    /// The attached arena, if any.
-    pub fn pool(&self) -> Option<&PacketPool> {
-        self.pool.as_ref()
-    }
-
     /// Specs still waiting to be emitted.
     pub fn remaining(&self) -> usize {
         self.specs.len() - self.next
@@ -336,8 +326,8 @@ impl Element for SpecSource {
         true
     }
 
-    fn pool_stats(&self) -> Option<PoolStats> {
-        self.pool.as_ref().map(PacketPool::stats)
+    fn pool(&self) -> Option<&PacketPool> {
+        self.pool.as_ref()
     }
 
     fn ledger(&self) -> Option<Ledger> {
@@ -422,7 +412,7 @@ mod tests {
         assert_eq!(out.len(), 4);
         assert_eq!(src.pool_dropped(), 6);
         assert_eq!(src.emitted(), 10);
-        let stats = src.pool_stats().unwrap();
+        let stats = src.pool().unwrap().stats();
         assert_eq!(stats.exhausted, 6);
         assert_eq!(stats.allocs, 4);
         assert_eq!(stats.peak_in_use, 4);

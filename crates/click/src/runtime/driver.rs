@@ -22,15 +22,13 @@ use crate::config::Knobs;
 use crate::element::{Output, PacketBatch, PortKind};
 use crate::elements::device::{FromDevice, ToDevice};
 use crate::elements::queue::QueueStats;
-use crate::elements::route::LookupIPRoute;
 use crate::elements::sink::{Counter, CounterStats};
 use crate::graph::{Edge, ElementId, Graph};
 use crate::runtime::stride::StrideScheduler;
 use rb_packet::Packet;
 use rb_telemetry::{
-    cycles, json, CoreMetrics, CumulativeTotals, DropCause, EventKind, EventRecorder, EventRing,
-    Harvest, IntervalRecorder, IntervalRing, Ledger, MetricsSnapshot, TelemetryLevel, TimeSeries,
-    TraceKind, TraceLog, Tracer,
+    cycles, json, CoreMetrics, CumulativeTotals, DropCause, Harvester, IntervalRecorder,
+    IntervalRing, Ledger, MetricsSnapshot, TelemetryLevel, TimeSeries, TraceKind, TraceLog, Tracer,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -249,44 +247,9 @@ pub struct Router {
     /// (the credit gate lives in the MT pump loop, not in the graph);
     /// folded into interval totals so stall deltas land in the buckets.
     extern_credit_stalls: u64,
-    /// Structured event journal shard (on iff the interval clock is on):
-    /// discrete operational events — stall-episode edges, FIB publishes,
-    /// the dispatcher fuse — recorded into a per-core seqlock ring a
-    /// harvester thread merges. Boxed for the same reasons as `interval`.
-    events: Option<Box<EventRecorder>>,
-    /// Last-boundary counter snapshots plus in-episode flags backing the
-    /// edge-triggered episode detection in [`Router::journal_episodes`].
-    episodes: EpisodeState,
-}
-
-/// One monotone counter watched from interval boundary to boundary: its
-/// value at the last one and whether an episode is open on it.
-#[derive(Debug, Default)]
-struct Episode {
-    last: u64,
-    open: bool,
-}
-
-impl Episode {
-    /// Steps to this boundary's `total`: the counter's movement since the
-    /// last one, and `Some(opened)` when that makes an edge — it moved
-    /// with no episode open, or held still a full interval with one open.
-    fn step(&mut self, total: u64) -> (u64, Option<bool>) {
-        let moved = total.saturating_sub(self.last);
-        let edge = (self.open != (moved > 0)).then_some(moved > 0);
-        (self.last, self.open) = (total, moved > 0);
-        (moved, edge)
-    }
-}
-
-/// The counters [`Router::journal_episodes`] turns into journaled edges.
-#[derive(Debug, Default)]
-struct EpisodeState {
-    nic_stalls: Episode,
-    credit_stalls: Episode,
-    pool_exhausted: Episode,
-    fib_delta_publishes: Episode,
-    fib_recompiles: Episode,
+    /// [`Router::run_until_idle`] calls that blew the fuse, for the
+    /// interval buckets (the journal's `dispatcher_fuse` edges).
+    fuses: u64,
 }
 
 /// Collects the nonzero trace IDs of `pkts` into `ids` (cleared first).
@@ -345,8 +308,7 @@ impl Router {
             trace_ids: Vec::new(),
             interval: None,
             extern_credit_stalls: 0,
-            events: None,
-            episodes: EpisodeState::default(),
+            fuses: 0,
         };
         router.replan_tasks();
         Ok(router)
@@ -535,10 +497,6 @@ impl Router {
                 labels,
             ))
         });
-        // The journal rides the interval clock: episode edges are
-        // detected at its boundaries, so one knob governs both.
-        self.events = (ticks > 0).then(|| Box::new(EventRecorder::new(core)));
-        self.episodes = EpisodeState::default();
     }
 
     /// Starts the live interval clock with `ms`-millisecond buckets on
@@ -554,17 +512,11 @@ impl Router {
         self.interval.as_ref().map_or(0, |rec| rec.interval_ticks())
     }
 
-    /// This router's interval ring, for a harvester thread to poll while
-    /// the router keeps running. `None` when the clock is off.
+    /// This router's interval ring — its one ring — for a harvester
+    /// thread to poll while the router keeps running; the harvester
+    /// derives the event journal from it. `None` when the clock is off.
     pub fn interval_ring(&self) -> Option<Arc<IntervalRing>> {
         self.interval.as_ref().map(|rec| rec.ring())
-    }
-
-    /// This router's event-journal ring, for a harvester thread to poll
-    /// while the router keeps running. `None` when the clock is off (the
-    /// journal rides the interval clock).
-    pub fn event_ring(&self) -> Option<Arc<EventRing>> {
-        self.events.as_ref().map(|rec| rec.ring())
     }
 
     /// Closes the open partial bucket (if it saw any activity) so the
@@ -587,15 +539,15 @@ impl Router {
     /// its workers' rings. `None` when the clock is off.
     pub fn timeseries(&mut self) -> Option<TimeSeries> {
         self.interval_flush();
-        let (rec, events) = (self.interval.as_ref()?, self.events.as_ref()?);
-        let harvest = Harvest::new(vec![rec.ring()], vec![events.ring()]);
-        Some(harvest.finish(rec.interval_ticks()).0)
+        let rec = self.interval.as_ref()?;
+        let (series, _) = Harvester::new(vec![rec.ring()]).finish(rec.interval_ticks());
+        Some(series)
     }
 
     /// Cumulative run totals sampled at an interval boundary: the ledger
-    /// plus wire bytes and device stalls. Boundary-to-boundary deltas of
-    /// these monotone totals telescope, which is what makes the summed
-    /// interval series equal the final ledger exactly.
+    /// plus wire bytes, device stalls and fuse-outs. Boundary-to-boundary
+    /// deltas of these monotone totals telescope, which is what makes the
+    /// summed interval series equal the final ledger exactly.
     fn interval_totals(&self) -> CumulativeTotals {
         let led = self.ledger();
         let mut tx_bytes = 0;
@@ -612,6 +564,7 @@ impl Router {
         let mut totals =
             CumulativeTotals::from_ledger(&led, self.extern_credit_stalls, nic_desc_stalls);
         totals.tx_bytes = tx_bytes;
+        totals.fuses = self.fuses;
         totals.stages = self.metrics.stage_totals();
         totals
     }
@@ -636,70 +589,8 @@ impl Router {
         if rec.due(now) {
             let totals = self.interval_totals();
             rec.roll(now, &totals);
-            self.journal_episodes(now, &totals);
         }
         self.interval = Some(rec);
-    }
-
-    /// Edge-triggered episode detection, run at each interval boundary:
-    /// compares this boundary's cumulative counters against the previous
-    /// boundary's and journals the transitions — a stall episode opens
-    /// when its counter moved inside the interval and closes when it held
-    /// still for a full interval; pool exhaustion journals onset only;
-    /// FIB control-plane activity (delta publishes vs full recompiles,
-    /// polled from RCU-backed lookup elements) journals per boundary.
-    /// The event `arg` carries the counter delta behind the edge.
-    fn journal_episodes(&mut self, now: u64, totals: &CumulativeTotals) {
-        if self.events.is_none() {
-            return;
-        }
-        let pool_idx = DropCause::ALL
-            .iter()
-            .position(|c| *c == DropCause::PoolExhausted)
-            .expect("PoolExhausted is a DropCause");
-        let pool = totals.drops[pool_idx];
-        let mut fib_deltas = 0;
-        let mut fib_recompiles = 0;
-        for id in 0..self.graph.len() {
-            let el = self.graph.element(id);
-            if let Some(stats) = el
-                .as_any()
-                .downcast_ref::<LookupIPRoute>()
-                .and_then(LookupIPRoute::rcu_stats)
-            {
-                fib_deltas += stats.delta_publishes;
-                fib_recompiles += stats.publishes.saturating_sub(stats.delta_publishes);
-            }
-        }
-        let Some(events) = self.events.as_mut() else {
-            return;
-        };
-        let ep = &mut self.episodes;
-        let (moved, edge) = ep.nic_stalls.step(totals.nic_desc_stalls);
-        match edge {
-            Some(true) => events.record(now, EventKind::NicStallStart, moved),
-            Some(false) => events.record(now, EventKind::NicStallEnd, 0),
-            None => {}
-        }
-        let (moved, edge) = ep.credit_stalls.step(totals.credit_stalls);
-        match edge {
-            Some(true) => events.record(now, EventKind::CreditStallStart, moved),
-            Some(false) => events.record(now, EventKind::CreditStallEnd, 0),
-            None => {}
-        }
-        // Onset only: recovery is implied by the drops stopping, which
-        // re-arms it.
-        if let (moved, Some(true)) = ep.pool_exhausted.step(pool) {
-            events.record(now, EventKind::PoolExhaustedOnset, moved);
-        }
-        let (moved, _) = ep.fib_delta_publishes.step(fib_deltas);
-        if moved > 0 {
-            events.record(now, EventKind::FibDeltaPublish, moved);
-        }
-        let (moved, _) = ep.fib_recompiles.step(fib_recompiles);
-        if moved > 0 {
-            events.record(now, EventKind::FibRecompile, moved);
-        }
     }
 
     /// Whether a dispatch span is measured: by the cycle account, the
@@ -838,11 +729,7 @@ impl Router {
             }
             if self.stats.quanta >= max_quanta {
                 self.stats.fused = true;
-                // A blown fuse is an operational anomaly worth a journal
-                // line: runnable work was left behind, not drained.
-                if let Some(events) = self.events.as_mut() {
-                    events.record(cycles::now(), EventKind::DispatcherFuse, max_quanta);
-                }
+                self.fuses += 1;
                 break;
             }
             settled &= !self.run_quantum();
@@ -1145,7 +1032,8 @@ impl Router {
     /// same `arena` id; [`rb_packet::PoolStats::aggregate`] dedupes them.
     pub fn pool_rows(&self) -> Vec<rb_packet::PoolStats> {
         (0..self.graph.len())
-            .filter_map(|id| self.graph.element(id).pool_stats())
+            .filter_map(|id| self.graph.element(id).pool())
+            .map(rb_packet::PacketPool::stats)
             .collect()
     }
 
@@ -1242,6 +1130,7 @@ mod tests {
     use super::*;
     use crate::elements::device::{FromDevice, ToDevice};
     use crate::elements::queue::Queue;
+    use crate::elements::route::LookupIPRoute;
     use crate::elements::sink::{Counter, Discard};
     use crate::elements::source::InfiniteSource;
     use rb_packet::builder::PacketSpec;

@@ -95,9 +95,9 @@ pub struct MtReport {
     /// Summed interval counters equal `ledger` exactly.
     pub timeseries: Option<TimeSeries>,
     /// Merged structured event journal across every worker core — stall
-    /// episode edges, FIB publishes, dispatcher fuses — harvested while
-    /// workers ran (empty when the interval clock was off; the journal
-    /// rides the clock).
+    /// episode edges, pool-exhaustion onsets, dispatcher fuses — derived
+    /// from the interval series as it was harvested (empty when the
+    /// interval clock was off).
     pub events: EventLog,
 }
 
@@ -258,8 +258,8 @@ pub struct GraphRunOutcome {
 /// bounded queueing traded for latency.
 ///
 /// Retained egress frames are merged back over SPSC rings. When
-/// `monitor` is given, the run's live interval and event rings are
-/// attached to the server before the workers spawn, so `GET /metrics`,
+/// `monitor` is given, the run's live interval rings are attached to
+/// the server before the workers spawn, so `GET /metrics`,
 /// `/healthz`, `/timeseries.json` and `/events.json` observe the run
 /// while it executes — the server thread reads the same seqlock rings
 /// the dispatcher harvests and never pauses a worker.

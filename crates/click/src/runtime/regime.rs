@@ -48,9 +48,9 @@ use crate::graph::{ElementId, Graph, GraphError};
 use crate::runtime::driver::{trace_hop, Router};
 use crate::runtime::mt::{lane_of, GraphRunOutcome, MtReport};
 use crate::runtime::spsc::{self, Consumer, Producer};
-use rb_packet::{Packet, PoolStats};
+use rb_packet::{Packet, PacketPool, PoolStats};
 use rb_telemetry::{
-    EventLog, Harvest, Ledger, MetricsServer, MetricsSnapshot, TraceKind, TraceLog, Tracer,
+    EventLog, Harvester, Ledger, MetricsServer, MetricsSnapshot, TraceKind, TraceLog, Tracer,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -379,13 +379,14 @@ struct Wiring {
 
 /// Everything one worker reports back at join: its packet count, driver
 /// statistics, telemetry shard (frozen to a labeled snapshot on the
-/// worker thread — the drain point), and per-arena pool rows so the
-/// aggregator can dedupe arenas shared across replicas.
+/// worker thread — the drain point), and handles on its arenas, read
+/// only after every worker has joined: the merger frees a kept egress
+/// frame's slot on the caller's thread, after its worker may have exited.
 pub(crate) struct WorkerSummary {
     pub(crate) processed: u64,
     pub(crate) stats: crate::runtime::driver::RunStats,
     pub(crate) telemetry: MetricsSnapshot,
-    pub(crate) pool_rows: Vec<PoolStats>,
+    pub(crate) pools: Vec<PacketPool>,
     pub(crate) ledger: Ledger,
     pub(crate) trace: TraceLog,
 }
@@ -426,7 +427,9 @@ fn worker_summary(
         processed,
         stats: router.stats(),
         telemetry: router.telemetry_snapshot(),
-        pool_rows: router.pool_rows(),
+        pools: (0..router.graph().len())
+            .filter_map(|id| router.graph().element(id).pool().cloned())
+            .collect(),
         ledger: router.ledger(),
         trace: router.take_trace_log(),
     }
@@ -463,13 +466,7 @@ fn inject_batch(
 /// admit without risking a `NoRxDescriptor` drop. Heap-backed ingress has
 /// no such bound.
 fn ingress_room(router: &Router, ingress: ElementId) -> usize {
-    let dev = router
-        .graph()
-        .element(ingress)
-        .as_any()
-        .downcast_ref::<FromDevice>()
-        .expect("ingress id is a FromDevice");
-    match dev.pool() {
+    match router.graph().element(ingress).pool() {
         Some(pool) => pool.slots().saturating_sub(pool.in_use()),
         None => usize::MAX,
     }
@@ -655,17 +652,13 @@ pub(crate) fn run_scheduled(
         .iter()
         .filter_map(|r| r.router.interval_ring())
         .collect();
-    let event_rings: Vec<_> = replicas
-        .iter()
-        .filter_map(|r| r.router.event_ring())
-        .collect();
-    let mut harvest = Harvest::new(interval_rings.clone(), event_rings.clone());
+    let mut harvest = Harvester::new(interval_rings.clone());
     // Hand the same rings to the embedded scrape endpoint (if one is
     // attached): its thread reads the seqlock rings concurrently with
     // our local harvest — readers keep private cursors, so neither
     // pauses the workers nor perturbs the other.
     if let Some(server) = monitor {
-        server.attach(knobs.monitor_source(interval_rings, event_rings, interval_ticks));
+        server.attach(knobs.monitor_source(interval_rings, interval_ticks));
     }
     let n_egress = graphs
         .last()
@@ -768,11 +761,17 @@ pub(crate) fn assemble_outcome(
         results.iter().map(|w| w.stats).collect();
     let pushes = worker_stats.iter().map(|s| s.pushes).sum();
     let batch_calls = worker_stats.iter().map(|s| s.batch_calls).sum();
-    // Pool counters: flatten every worker's per-arena rows and aggregate
-    // with arena dedupe. Summing the per-worker `RunStats` pool fields
-    // instead would double-count an arena visible to several replicas
-    // (e.g. a shared pool attached before replication).
-    let pool = PoolStats::aggregate(results.iter().flat_map(|w| w.pool_rows.iter()));
+    // Pool counters: every worker's arenas, read now that the merger has
+    // freed every slot it will, aggregated with arena dedupe. Summing the
+    // per-worker `RunStats` pool fields instead would double-count an
+    // arena visible to several replicas (e.g. a shared pool attached
+    // before replication).
+    let rows: Vec<PoolStats> = results
+        .iter()
+        .flat_map(|w| &w.pools)
+        .map(PacketPool::stats)
+        .collect();
+    let pool = PoolStats::aggregate(&rows);
     let mut telemetry = MetricsSnapshot::empty();
     let mut ledger = Ledger::default();
     let mut trace = main_trace;

@@ -327,8 +327,8 @@ impl RouterBuilder {
 
     /// Starts an embedded HTTP scrape endpoint on `addr` when the router
     /// is built (`GET /metrics`, `/healthz`, `/timeseries.json`,
-    /// `/events.json`): the server thread reads the live interval and
-    /// event rings without ever pausing the data plane. Port 0 picks a
+    /// `/events.json`): the server thread reads the live interval rings
+    /// without ever pausing the data plane. Port 0 picks a
     /// free port — read it back with [`BuiltRouter::metrics_addr`] /
     /// [`MtRouter::metrics_addr`]. Meaningful only with
     /// [`RouterBuilder::interval_ms`] > 0 (the rings ride the clock).
@@ -374,7 +374,6 @@ impl RouterBuilder {
         if let Some(server) = &monitor {
             server.attach(self.knobs.monitor_source(
                 inner.interval_ring().into_iter().collect(),
-                inner.event_ring().into_iter().collect(),
                 inner.interval_ticks(),
             ));
         }

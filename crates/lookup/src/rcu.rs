@@ -390,13 +390,6 @@ impl FibReader {
     pub fn generation(&self) -> u64 {
         self.shared.gen.load(Ordering::SeqCst)
     }
-
-    /// Control-plane counters for the FIB this reader covers. Lets a
-    /// data-plane journal spot delta publishes vs full recompiles
-    /// without holding a [`RouteControl`] handle.
-    pub fn stats(&self) -> RcuStats {
-        stats_of(&self.shared)
-    }
 }
 
 impl Drop for FibReader {

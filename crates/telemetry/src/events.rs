@@ -1,28 +1,27 @@
-//! Structured event journal: bounded per-core seqlock event rings.
+//! Structured event journal: what happened and exactly when.
 //!
 //! The interval series ([`crate::timeseries`]) answers "how much per
-//! interval"; this module answers "what happened and exactly when".
-//! Workers record timestamped discrete events — stall episode onset and
-//! end, pool-exhaustion onset, FIB delta publishes vs full recompiles,
-//! the dispatcher fuse, SLO burn-state transitions — into per-core
-//! rings a harvester merges into one time-ordered journal, exported as
-//! JSON lines and injected into the Chrome trace as instant events.
+//! interval"; the journal answers "what happened and when". Its dataplane
+//! events are not written by the dataplane: every one is an edge over a
+//! counter the interval ring already carries, and the [`Harvester`] that
+//! reads a core's buckets derives them there (`Edges`) — stall episode
+//! onset and end, pool-exhaustion onset, the dispatcher fuse — stamped
+//! with the tick the bucket closed at. The monitor thread journals SLO
+//! burn-state transitions and the cluster replay link congestion epochs
+//! into the same [`EventLog`], exported as JSON lines and injected into
+//! the Chrome trace as instant events.
 //!
-//! The concurrency contract is [`SeqRing`]'s, shared with the interval
-//! series: one writer per ring (the owning core), any number of readers,
-//! a torn copy is a retry rather than undefined behaviour, and a bounded
-//! capacity so a lagging reader loses overwritten history instead of the
-//! dataplane ever waiting. Lost events are **counted** by the harvesting
-//! side and exported — observability drops are themselves observable.
+//! A core that gets more than a ring's capacity ahead of every reader
+//! loses the lapped buckets and the edges in them; the harvester counts
+//! those buckets in [`EventLog::overflow`] — observability drops are
+//! themselves observable.
+//!
+//! [`Harvester`]: crate::Harvester
 
 use crate::json;
-use crate::seqring::{Record, SeqRing};
-use crate::timeseries::{Harvester, IntervalRing, TimeSeries};
-use std::sync::Arc;
-
-/// Default event-ring capacity: events are rare (episode edges, not
-/// per-packet), so a small ring covers minutes of history.
-pub const DEFAULT_EVENT_RING_CAP: usize = 1024;
+use crate::ledger::DropCause;
+use crate::slo::SloState;
+use crate::timeseries::IntervalStats;
 
 /// A discrete, timestamped occurrence worth journaling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,24 +29,21 @@ pub enum EventKind {
     /// SLO burn state changed; `arg` encodes the transition, see
     /// [`encode_slo_transition`].
     SloTransition,
-    /// A credit-gate stall episode began (`arg` = stalls so far).
+    /// A credit-gate stall episode began (`arg` = stalls in the interval
+    /// it began in).
     CreditStallStart,
-    /// The credit-gate stall episode ended (`arg` = stalls during it).
+    /// The credit-gate stall episode ended (`arg` = 0).
     CreditStallEnd,
-    /// A NIC descriptor-ring stall episode began (`arg` = stalls so far).
+    /// A NIC descriptor-ring stall episode began (`arg` = stalls in the
+    /// interval it began in).
     NicStallStart,
-    /// The NIC descriptor-ring stall episode ended (`arg` = stalls
-    /// during it).
+    /// The NIC descriptor-ring stall episode ended (`arg` = 0).
     NicStallEnd,
-    /// The FIB published an incremental delta (`arg` = routes changed).
-    FibDeltaPublish,
-    /// The FIB fell back to a full recompile (`arg` = routes total).
-    FibRecompile,
     /// Source-side pool exhaustion began dropping packets (`arg` =
-    /// drops so far).
+    /// drops in the interval it began in).
     PoolExhaustedOnset,
-    /// The dispatcher fuse tripped: the run was cut off at its quantum
-    /// bound with work still pending (`arg` = quanta executed).
+    /// The dispatcher fuse tripped: a run was cut off at its quantum
+    /// bound with work still pending (`arg` = fuse-outs in the interval).
     DispatcherFuse,
     /// A cluster link entered a congestion epoch (`arg` = link id).
     LinkCongestionStart,
@@ -57,14 +53,12 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in stable export order.
-    pub const ALL: [EventKind; 11] = [
+    pub const ALL: [EventKind; 9] = [
         EventKind::SloTransition,
         EventKind::CreditStallStart,
         EventKind::CreditStallEnd,
         EventKind::NicStallStart,
         EventKind::NicStallEnd,
-        EventKind::FibDeltaPublish,
-        EventKind::FibRecompile,
         EventKind::PoolExhaustedOnset,
         EventKind::DispatcherFuse,
         EventKind::LinkCongestionStart,
@@ -83,8 +77,6 @@ impl EventKind {
             EventKind::CreditStallEnd => "credit_stall_end",
             EventKind::NicStallStart => "nic_stall_start",
             EventKind::NicStallEnd => "nic_stall_end",
-            EventKind::FibDeltaPublish => "fib_delta_publish",
-            EventKind::FibRecompile => "fib_recompile",
             EventKind::PoolExhaustedOnset => "pool_exhausted_onset",
             EventKind::DispatcherFuse => "dispatcher_fuse",
             EventKind::LinkCongestionStart => "link_congestion_start",
@@ -100,21 +92,26 @@ impl EventKind {
     }
 }
 
-/// Packs an SLO burn-state transition into an event `arg`:
-/// `from`/`to` are [`crate::slo::SloState::severity`] values.
-pub fn encode_slo_transition(from: u8, to: u8) -> u64 {
-    (u64::from(from) << 8) | u64::from(to)
+/// Packs an SLO burn-state transition into an event `arg`: the
+/// [`SloState::severity`] of `from` in the second byte, of `to` in the
+/// first.
+pub fn encode_slo_transition(from: SloState, to: SloState) -> u64 {
+    (from.severity() << 8) | to.severity()
 }
 
-/// Inverse of [`encode_slo_transition`]: `(from, to)` severities.
-pub fn decode_slo_transition(arg: u64) -> (u8, u8) {
-    ((arg >> 8) as u8, (arg & 0xff) as u8)
+/// Inverse of [`encode_slo_transition`]; `None` for an `arg` no pair of
+/// states encodes — a bit set above the second byte, or a severity no
+/// state has.
+pub fn decode_slo_transition(arg: u64) -> Option<(SloState, SloState)> {
+    let from = SloState::from_severity(arg >> 8)?;
+    Some((from, SloState::from_severity(arg & 0xff)?))
 }
 
 /// One journaled occurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Ring-local sequence number (0-based, per writer).
+    /// Order within its writer: the interval bucket a dataplane edge was
+    /// derived from; the monitor's and the cluster replay's own count.
     pub seq: u64,
     /// Core that recorded the event (the monitor thread records as the
     /// core id it was given, conventionally past the worker range).
@@ -140,173 +137,57 @@ impl Event {
     }
 }
 
-/// A single-writer, multi-reader ring of journaled events.
-pub type EventRing = SeqRing<Event>;
-
-impl Record for Event {
-    type Shape = ();
-
-    fn width(_: &()) -> usize {
-        3
-    }
-
-    fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    fn encode(&self, _: &()) -> impl Iterator<Item = u64> {
-        [self.tick, self.kind.index() as u64, self.arg].into_iter()
-    }
-
-    fn decode(seq: u64, core: usize, w: &[u64]) -> Option<Event> {
-        Some(Event {
-            seq,
-            core,
-            tick: w[0],
-            kind: EventKind::ALL.get(w[1] as usize).copied()?,
-            arg: w[2],
-        })
-    }
-}
-
-/// The writer-side handle one driver embeds: owns the sequence counter
-/// and stamps events into the shared ring.
-#[derive(Debug)]
-pub struct EventRecorder {
-    ring: Arc<EventRing>,
-    next: u64,
-}
-
-impl EventRecorder {
-    /// Creates a recorder publishing into a fresh ring of
-    /// [`DEFAULT_EVENT_RING_CAP`] slots.
-    pub fn new(core: usize) -> EventRecorder {
-        Self::with_capacity(core, DEFAULT_EVENT_RING_CAP)
-    }
-
-    /// As [`EventRecorder::new`] with an explicit ring capacity.
-    pub fn with_capacity(core: usize, cap: usize) -> EventRecorder {
-        EventRecorder {
-            ring: Arc::new(EventRing::new(core, cap)),
-            next: 0,
-        }
-    }
-
-    /// The shared ring a harvester reads from.
-    pub fn ring(&self) -> Arc<EventRing> {
-        Arc::clone(&self.ring)
-    }
-
-    /// Journals one event at `tick`.
-    pub fn record(&mut self, tick: u64, kind: EventKind, arg: u64) {
-        let e = Event {
-            seq: self.next,
-            core: self.ring.core(),
-            tick,
-            kind,
-            arg,
-        };
-        self.ring.publish(&e);
-        self.next += 1;
-    }
-
-    /// Events recorded so far.
-    pub fn recorded(&self) -> u64 {
-        self.next
-    }
-}
-
-/// Reader-side accumulator: polls one or more cores' event rings and
-/// merges them into a time-ordered journal.
+/// The edge rule one core's buckets are read through, oldest first: a
+/// stall episode opens on a bucket whose counter moved and closes on the
+/// first one after it that held still; pool exhaustion journals its onset
+/// only (the drops stopping re-arms it); a bucket with fuse-outs journals
+/// one `dispatcher_fuse`.
 #[derive(Debug, Default)]
-pub struct EventHarvester {
-    rings: Vec<Arc<EventRing>>,
-    cursors: Vec<u64>,
-    events: Vec<Event>,
-    overflow: u64,
+pub(crate) struct Edges {
+    nic: bool,
+    credit: bool,
+    pool: bool,
 }
 
-impl EventHarvester {
-    /// A harvester over `rings` (one per recording core).
-    pub fn new(rings: Vec<Arc<EventRing>>) -> EventHarvester {
-        let cursors = vec![0; rings.len()];
-        EventHarvester {
-            rings,
-            cursors,
-            events: Vec::new(),
-            overflow: 0,
-        }
-    }
-
-    /// Drains every ring's new events. Returns how many were newly read.
-    pub fn poll(&mut self) -> usize {
-        let mut read = 0;
-        for (ring, cursor) in self.rings.iter().zip(self.cursors.iter_mut()) {
-            let (next, overflowed, events) = ring.harvest(*cursor);
-            *cursor = next;
-            self.overflow += overflowed;
-            read += events.len();
-            self.events.extend(events);
-        }
-        read
-    }
-
-    /// Injects an event produced outside any ring (e.g. the monitor
-    /// thread's SLO transitions, which have no dataplane writer).
-    pub fn push(&mut self, e: Event) {
-        self.events.push(e);
-    }
-
-    /// Time-sorted copy of everything harvested so far (live view).
-    pub fn log(&self) -> EventLog {
-        let mut log = EventLog {
-            events: self.events.clone(),
-            overflow: self.overflow,
+impl Edges {
+    /// Appends the events bucket `b` makes to `out`, stamped with the
+    /// tick it closed at and its seq.
+    pub(crate) fn step(&mut self, b: &IntervalStats, out: &mut Vec<Event>) {
+        let mut emit = |kind, arg| {
+            out.push(Event {
+                seq: b.seq,
+                core: b.core,
+                tick: b.end_tick,
+                kind,
+                arg,
+            });
         };
-        log.sort();
-        log
-    }
-
-    /// Final poll plus conversion into an owned, time-sorted journal.
-    pub fn finish(mut self) -> EventLog {
-        self.poll();
-        self.log()
-    }
-}
-
-/// One run's interval and event readers as a pair: whoever observes a run
-/// — the single-threaded router reading itself, the MT harness's
-/// dispatcher thread, the monitor behind `/metrics` — polls both at one
-/// cadence and finishes both after the writers stop.
-#[derive(Debug, Default)]
-pub struct Harvest {
-    /// The interval side.
-    pub intervals: Harvester,
-    /// The journal side.
-    pub events: EventHarvester,
-}
-
-impl Harvest {
-    /// A harvest over one run's rings (one of each per core).
-    pub fn new(intervals: Vec<Arc<IntervalRing>>, events: Vec<Arc<EventRing>>) -> Harvest {
-        Harvest {
-            intervals: Harvester::new(intervals),
-            events: EventHarvester::new(events),
+        let pool = b.drops[DropCause::PoolExhausted.index()];
+        for (open, moved, start, end) in [
+            (
+                &mut self.nic,
+                b.nic_desc_stalls,
+                EventKind::NicStallStart,
+                Some(EventKind::NicStallEnd),
+            ),
+            (
+                &mut self.credit,
+                b.credit_stalls,
+                EventKind::CreditStallStart,
+                Some(EventKind::CreditStallEnd),
+            ),
+            (&mut self.pool, pool, EventKind::PoolExhaustedOnset, None),
+        ] {
+            match (*open, moved > 0, end) {
+                (false, true, _) => emit(start, moved),
+                (true, false, Some(end)) => emit(end, 0),
+                _ => {}
+            }
+            *open = moved > 0;
         }
-    }
-
-    /// Reads what both sets of rings published since the last poll.
-    /// `live` marks buckets read while the writers were still running.
-    pub fn poll(&mut self, live: bool) {
-        self.intervals.poll(live);
-        self.events.poll();
-    }
-
-    /// One last poll — the writers have stopped and flushed — then the
-    /// series (at the run's nominal `interval_ticks`) and the journal.
-    pub fn finish(mut self, interval_ticks: u64) -> (TimeSeries, EventLog) {
-        self.poll(false);
-        (self.intervals.timeseries(interval_ticks), self.events.log())
+        if b.fuses > 0 {
+            emit(EventKind::DispatcherFuse, b.fuses);
+        }
     }
 }
 
@@ -315,7 +196,8 @@ impl Harvest {
 pub struct EventLog {
     /// Events in `(tick, core, seq)` order.
     pub events: Vec<Event>,
-    /// Events lost to ring overwrite before any reader saw them.
+    /// Records lost before any reader saw them: for a dataplane journal,
+    /// the interval buckets lapped in their ring, edges and all.
     pub overflow: u64,
 }
 
@@ -379,38 +261,48 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeseries::{CumulativeTotals, Harvester, IntervalRecorder};
 
     #[test]
     fn recorder_round_trips_events_in_order() {
-        let mut rec = EventRecorder::with_capacity(2, 16);
-        let ring = rec.ring();
-        rec.record(100, EventKind::CreditStallStart, 5);
-        rec.record(250, EventKind::CreditStallEnd, 12);
-        rec.record(300, EventKind::DispatcherFuse, 9999);
-        let (next, overflowed, got) = ring.harvest(0);
-        assert_eq!((next, overflowed), (3, 0));
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[0].kind, EventKind::CreditStallStart);
-        assert_eq!(got[0].tick, 100);
-        assert_eq!(got[0].core, 2);
-        assert_eq!(got[2].arg, 9999);
+        // Core 2: credit stalls in the first interval, none in the second,
+        // a fuse-out in the third.
+        let mut rec = IntervalRecorder::with_capacity(2, 100, 0, 16);
+        let mut totals = CumulativeTotals {
+            credit_stalls: 5,
+            ..CumulativeTotals::default()
+        };
+        rec.roll(100, &totals);
+        rec.roll(250, &totals);
+        totals.fuses = 1;
+        rec.roll(300, &totals);
+        let mut h = Harvester::new(vec![rec.ring()]);
+        assert_eq!(h.poll(true), 3);
+        let (_, log) = h.finish(100);
+        assert_eq!((log.len(), log.overflow), (3, 0));
+        assert_eq!(log.events[0].kind, EventKind::CreditStallStart);
+        assert_eq!((log.events[0].tick, log.events[0].arg), (100, 5));
+        assert_eq!(log.events[0].core, 2);
+        assert_eq!(log.events[1].kind, EventKind::CreditStallEnd);
+        assert_eq!(log.events[2].kind, EventKind::DispatcherFuse);
+        assert_eq!((log.events[2].tick, log.events[2].arg), (300, 1));
     }
 
     #[test]
     fn overflow_is_counted_not_silent() {
-        // Satellite requirement: journal drops are themselves counted
-        // and survive into the exported log.
-        let mut rec = EventRecorder::with_capacity(0, 4);
-        let ring = rec.ring();
+        // Journal drops are themselves counted and survive into the
+        // exported log: a bucket lapped before any reader saw it takes
+        // its edges with it, and counts once.
+        let mut rec = IntervalRecorder::with_capacity(0, 10, 0, 4);
+        let mut totals = CumulativeTotals::default();
         for i in 0..10 {
-            rec.record(i * 10, EventKind::FibDeltaPublish, i);
+            totals.fuses += 1;
+            rec.roll((i + 1) * 10, &totals);
         }
-        let mut h = EventHarvester::new(vec![ring]);
-        h.poll();
-        let log = h.finish();
-        assert_eq!(log.events.len(), 4, "only the last `cap` events survive");
-        assert_eq!(log.overflow, 6, "the 6 lapped events are counted");
-        assert_eq!(log.events[0].seq, 6, "oldest surviving event");
+        let (_, log) = Harvester::new(vec![rec.ring()]).finish(10);
+        assert_eq!(log.events.len(), 4, "only the last `cap` buckets survive");
+        assert_eq!(log.overflow, 6, "the 6 lapped buckets are counted");
+        assert_eq!(log.events[0].seq, 6, "oldest surviving bucket");
         let text = log.to_json_lines();
         assert!(
             text.starts_with("{\"events\": 4, \"overflow\": 6}\n"),
@@ -420,40 +312,183 @@ mod tests {
 
     #[test]
     fn harvester_merges_cores_in_time_order() {
-        let mut r0 = EventRecorder::with_capacity(0, 8);
-        let mut r1 = EventRecorder::with_capacity(1, 8);
-        r0.record(300, EventKind::NicStallEnd, 2);
-        r0.record(100, EventKind::NicStallStart, 1);
-        r1.record(200, EventKind::PoolExhaustedOnset, 7);
-        let mut h = EventHarvester::new(vec![r0.ring(), r1.ring()]);
-        assert_eq!(h.poll(), 3);
-        h.push(Event {
-            seq: 0,
-            core: 99,
-            tick: 250,
-            kind: EventKind::SloTransition,
-            arg: encode_slo_transition(0, 2),
+        // Core 0 stalls its NIC ring in one interval and not the next;
+        // core 1 starts dropping on an empty pool between the two.
+        let mut r0 = IntervalRecorder::with_capacity(0, 10, 0, 8);
+        let mut r1 = IntervalRecorder::with_capacity(1, 10, 0, 8);
+        let stalled = CumulativeTotals {
+            nic_desc_stalls: 1,
+            ..CumulativeTotals::default()
+        };
+        r0.roll(100, &stalled);
+        r0.roll(300, &stalled);
+        let mut exhausted = CumulativeTotals::default();
+        exhausted.drops[DropCause::PoolExhausted.index()] = 7;
+        r1.roll(200, &exhausted);
+        let mut h = Harvester::new(vec![r0.ring(), r1.ring()]);
+        assert_eq!(h.poll(true), 3);
+        let (_, mut log) = h.finish(10);
+        log.merge(&EventLog {
+            events: vec![Event {
+                seq: 0,
+                core: 99,
+                tick: 250,
+                kind: EventKind::SloTransition,
+                arg: encode_slo_transition(SloState::Ok, SloState::Burning),
+            }],
+            overflow: 0,
         });
-        let log = h.finish();
         let ticks: Vec<u64> = log.events.iter().map(|e| e.tick).collect();
         assert_eq!(ticks, vec![100, 200, 250, 300], "time-sorted");
         let counts = log.counts();
         assert_eq!(counts[EventKind::SloTransition.index()], 1);
         assert_eq!(counts[EventKind::NicStallStart.index()], 1);
-        let (from, to) = decode_slo_transition(log.of_kind(EventKind::SloTransition)[0].arg);
-        assert_eq!((from, to), (0, 2));
+        assert_eq!(log.of_kind(EventKind::PoolExhaustedOnset)[0].arg, 7);
+        let arc = decode_slo_transition(log.of_kind(EventKind::SloTransition)[0].arg);
+        assert_eq!(arc, Some((SloState::Ok, SloState::Burning)));
     }
 
     #[test]
     fn json_lines_parse_as_json_objects() {
-        let mut rec = EventRecorder::with_capacity(0, 8);
-        rec.record(42, EventKind::FibRecompile, 1000);
-        let mut h = EventHarvester::new(vec![rec.ring()]);
-        h.poll();
-        let log = h.finish();
+        let mut rec = IntervalRecorder::with_capacity(0, 10, 0, 8);
+        rec.roll(
+            42,
+            &CumulativeTotals {
+                fuses: 1,
+                ..CumulativeTotals::default()
+            },
+        );
+        let (_, log) = Harvester::new(vec![rec.ring()]).finish(10);
+        assert_eq!(log.len(), 1);
         for line in log.to_json_lines().lines() {
             let v = crate::json::parse(line).expect("every line parses");
             assert!(v.get("kind").is_some() || v.get("events").is_some());
+        }
+    }
+
+    #[test]
+    fn slo_transitions_round_trip_and_odd_args_decode_to_none() {
+        let states = [SloState::Ok, SloState::Warning, SloState::Burning];
+        for from in states {
+            for to in states {
+                let arg = encode_slo_transition(from, to);
+                assert_eq!(decode_slo_transition(arg), Some((from, to)), "{arg:#x}");
+            }
+        }
+        // A bit set above the second byte; a severity no state has.
+        assert_eq!(decode_slo_transition(0x1_0002), None);
+        assert_eq!(decode_slo_transition(0x0003), None);
+    }
+
+    /// One watched counter as the driver stepped it at each interval
+    /// roll before the journal was derived from the interval series: its
+    /// cumulative total at the last roll, and whether an episode is open.
+    /// Kept verbatim as the reference the derivation is held to.
+    #[derive(Default)]
+    struct Episode {
+        last: u64,
+        open: bool,
+    }
+
+    impl Episode {
+        fn step(&mut self, total: u64) -> (u64, Option<bool>) {
+            let moved = total.saturating_sub(self.last);
+            let edge = (self.open != (moved > 0)).then_some(moved > 0);
+            (self.last, self.open) = (total, moved > 0);
+            (moved, edge)
+        }
+    }
+
+    /// The driver's boundary rule over one core's per-core counters,
+    /// journaling at `now` each edge the totals of roll `seq` make.
+    #[derive(Default)]
+    struct Reference {
+        nic: Episode,
+        credit: Episode,
+        pool: Episode,
+        events: Vec<Event>,
+    }
+
+    impl Reference {
+        fn roll(&mut self, seq: u64, core: usize, now: u64, totals: &CumulativeTotals) {
+            let mut edges = Vec::new();
+            match self.nic.step(totals.nic_desc_stalls) {
+                (moved, Some(true)) => edges.push((EventKind::NicStallStart, moved)),
+                (_, Some(false)) => edges.push((EventKind::NicStallEnd, 0)),
+                _ => {}
+            }
+            match self.credit.step(totals.credit_stalls) {
+                (moved, Some(true)) => edges.push((EventKind::CreditStallStart, moved)),
+                (_, Some(false)) => edges.push((EventKind::CreditStallEnd, 0)),
+                _ => {}
+            }
+            let pool = totals.drops[DropCause::PoolExhausted.index()];
+            if let (moved, Some(true)) = self.pool.step(pool) {
+                edges.push((EventKind::PoolExhaustedOnset, moved));
+            }
+            self.events
+                .extend(edges.into_iter().map(|(kind, arg)| Event {
+                    seq,
+                    core,
+                    tick: now,
+                    kind,
+                    arg,
+                }));
+        }
+    }
+
+    proptest::proptest! {
+        /// Random per-core counter sequences, rolled whenever the clock
+        /// says and flushed at the end, read by a harvester polled at
+        /// random points: on every bucket `roll` closed, each core's
+        /// derived journal equals the boundary rule's, and only the final
+        /// `flush` bucket, which the rule never stepped, may add an edge.
+        #[test]
+        fn derived_edges_match_the_boundary_rule(
+            cores in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u64..5, 0u64..5, 0u64..5, 1u64..7, proptest::prelude::any::<bool>()),
+                    1..80,
+                ),
+                1..4,
+            )
+        ) {
+            let mut recs: Vec<IntervalRecorder> = (0..cores.len())
+                .map(|core| IntervalRecorder::with_capacity(core, 10, 0, 256))
+                .collect();
+            let mut h = Harvester::new(recs.iter().map(IntervalRecorder::ring).collect());
+            let mut rolled = vec![0u64; cores.len()];
+            let mut reference: Vec<Reference> = cores.iter().map(|_| Reference::default()).collect();
+            for (core, steps) in cores.iter().enumerate() {
+                let (rec, refr) = (&mut recs[core], &mut reference[core]);
+                let (mut totals, mut now) = (CumulativeTotals::default(), 0);
+                for &(nic, credit, pool, dt, poll) in steps {
+                    // Zero more often than not, so episodes also end.
+                    totals.nic_desc_stalls += nic.saturating_sub(2);
+                    totals.credit_stalls += credit.saturating_sub(2);
+                    totals.drops[DropCause::PoolExhausted.index()] += pool.saturating_sub(2);
+                    rec.quantum(1, true);
+                    now += dt;
+                    if rec.due(now) {
+                        rec.roll(now, &totals);
+                        refr.roll(rolled[core], core, now, &totals);
+                        rolled[core] += 1;
+                    }
+                    if poll {
+                        h.poll(true);
+                    }
+                }
+                rec.flush(now + 1, &totals);
+            }
+            let (_, log) = h.finish(10);
+            proptest::prop_assert_eq!(log.overflow, 0);
+            for (core, refr) in reference.iter().enumerate() {
+                let mine = log.events.iter().filter(|e| e.core == core).copied();
+                let (closed, flushed): (Vec<Event>, Vec<Event>) =
+                    mine.partition(|e| e.seq < rolled[core]);
+                proptest::prop_assert_eq!(&closed, &refr.events);
+                proptest::prop_assert!(flushed.iter().all(|e| e.seq == rolled[core]));
+            }
         }
     }
 }

@@ -1,9 +1,10 @@
 //! Dependency-free embedded HTTP/1.1 scrape endpoint (std-only).
 //!
 //! [`MetricsServer`] owns one background thread that is both the
-//! *harvester* (polling interval and event rings the workers publish
-//! into, wait-free for the writers) and the *server* (answering
-//! `GET /metrics`, `/healthz`, `/timeseries.json`, `/events.json`).
+//! *harvester* (polling the interval rings the workers publish into,
+//! wait-free for the writers, and deriving the journal from them) and
+//! the *server* (answering `GET /metrics`, `/healthz`,
+//! `/timeseries.json`, `/events.json`).
 //! Workers are never paused by a scrape: readers only ever copy out of
 //! seqlock rings, so the endpoint returns a seq-consistent snapshot no
 //! matter how hard the dataplane is writing.
@@ -19,9 +20,9 @@
 //! grades the merged series after every poll and journals a
 //! [`EventKind::SloTransition`] whenever the verdict changes.
 
-use crate::events::{encode_slo_transition, Event, EventKind, EventLog, EventRing, Harvest};
+use crate::events::{encode_slo_transition, Event, EventKind, EventLog};
 use crate::slo::{SloReport, SloSpec, SloState};
-use crate::timeseries::{IntervalRing, TimeSeries};
+use crate::timeseries::{Harvester, IntervalRing, TimeSeries};
 use crate::{cycles, json, prometheus};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,8 +37,6 @@ use std::time::{Duration, Instant};
 pub struct MonitorSource {
     /// One interval ring per worker core.
     pub interval_rings: Vec<Arc<IntervalRing>>,
-    /// One event ring per journaling core.
-    pub event_rings: Vec<Arc<EventRing>>,
     /// Nominal interval width in ticks.
     pub interval_ticks: u64,
     /// Tick rate for pps/latency conversion (0 keeps the previous).
@@ -51,7 +50,7 @@ pub struct MonitorSource {
 /// and scrape handlers lock it.
 struct State {
     /// The currently attached run's rings.
-    live: Option<Harvest>,
+    live: Option<Harvester>,
     /// Folded series of every previously attached (finished) run.
     history: TimeSeries,
     /// Folded journal of previous runs plus monitor-authored events.
@@ -74,7 +73,7 @@ impl State {
         let mut out = self.history.clone();
         if let Some(live) = self.live.as_mut() {
             live.poll(true);
-            out.extend(&live.intervals.timeseries(self.interval_ticks));
+            out.extend(&live.timeseries(self.interval_ticks));
         }
         out
     }
@@ -84,7 +83,7 @@ impl State {
         let mut out = self.event_history.clone();
         if let Some(live) = self.live.as_mut() {
             live.poll(true);
-            out.merge(&live.events.log());
+            out.merge(&live.events());
         }
         out
     }
@@ -104,10 +103,7 @@ impl State {
                 core: self.monitor_core,
                 tick: cycles::now(),
                 kind: EventKind::SloTransition,
-                arg: encode_slo_transition(
-                    self.last_state.severity() as u8,
-                    state.severity() as u8,
-                ),
+                arg: encode_slo_transition(self.last_state, state),
             };
             self.monitor_seq += 1;
             self.event_history.events.push(e);
@@ -135,7 +131,7 @@ impl State {
         if source.slo.is_some() {
             self.slo = source.slo;
         }
-        self.live = Some(Harvest::new(source.interval_rings, source.event_rings));
+        self.live = Some(Harvester::new(source.interval_rings));
     }
 }
 
@@ -384,7 +380,6 @@ pub fn http_get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventRecorder;
     use crate::timeseries::{CumulativeTotals, IntervalRecorder, StageDelta};
     use crate::{json, DropCause};
 
@@ -408,18 +403,18 @@ mod tests {
             64,
             vec![("rx".to_string(), "FromDevice".to_string())],
         );
-        let mut events = EventRecorder::with_capacity(0, 64);
         server.attach(MonitorSource {
             interval_rings: vec![rec.ring()],
-            event_rings: vec![events.ring()],
             interval_ticks: 100,
             ticks_per_sec: 1e9,
             slo: SloSpec::parse("loss:0.5/floor:1"),
         });
         rec.quantum(10, true);
+        // A NIC stall in the interval: the harvester derives its edge.
         let totals = CumulativeTotals {
             sourced: 10,
             forwarded: 10,
+            nic_desc_stalls: 2,
             stages: vec![StageDelta {
                 packets: 10,
                 cycles: 50,
@@ -427,7 +422,6 @@ mod tests {
             ..CumulativeTotals::default()
         };
         rec.roll(100, &totals);
-        events.record(50, EventKind::FibDeltaPublish, 2);
 
         let addr = server.local_addr();
         let metrics = wait_for(|| {
@@ -440,7 +434,7 @@ mod tests {
             "{metrics}"
         );
         assert!(
-            metrics.contains("rb_events_total{kind=\"fib_delta_publish\"} 1"),
+            metrics.contains("rb_events_total{kind=\"nic_stall_start\"} 1"),
             "{metrics}"
         );
 
@@ -456,7 +450,7 @@ mod tests {
 
         let (status, body) = http_get(addr, "/events.json").expect("events");
         assert_eq!(status, 200);
-        assert!(body.contains("\"fib_delta_publish\""), "{body}");
+        assert!(body.contains("\"nic_stall_start\""), "{body}");
 
         let (status, _) = http_get(addr, "/nonsense").expect("404 route");
         assert_eq!(status, 404);
@@ -521,7 +515,6 @@ mod tests {
         let rec = IntervalRecorder::with_capacity(0, 10, 0, 8);
         server.attach(MonitorSource {
             interval_rings: vec![rec.ring()],
-            event_rings: vec![],
             interval_ticks: 10,
             ticks_per_sec: 1e9,
             slo: Some(SloSpec {
@@ -550,7 +543,6 @@ mod tests {
         let mut rec = IntervalRecorder::with_capacity(0, 1, 0, 8);
         server.attach(MonitorSource {
             interval_rings: vec![rec.ring()],
-            event_rings: vec![],
             interval_ticks: 1,
             ticks_per_sec: 1e9,
             slo: None,
@@ -602,7 +594,6 @@ mod tests {
         let mut rec = IntervalRecorder::with_capacity(0, 10, 0, 64);
         server.attach(MonitorSource {
             interval_rings: vec![rec.ring()],
-            event_rings: vec![],
             interval_ticks: 10,
             ticks_per_sec: 1e9,
             slo,
@@ -622,7 +613,6 @@ mod tests {
         let mut rec2 = IntervalRecorder::with_capacity(0, 10, 0, 64);
         server.attach(MonitorSource {
             interval_rings: vec![rec2.ring()],
-            event_rings: vec![],
             interval_ticks: 10,
             ticks_per_sec: 1e9,
             slo,

@@ -88,7 +88,7 @@ impl DropCause {
         }
     }
 
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         Self::ALL
             .iter()
             .position(|c| *c == self)

@@ -27,20 +27,19 @@
 //!   (`sourced = forwarded + dropped(per-cause) + in_flight`) that turns
 //!   silent packet loss into a checkable identity;
 //! * [`IntervalRecorder`]/[`IntervalRing`]/[`Harvester`] — the *live*
-//!   layer: per-core wait-free interval rings a reader thread harvests
-//!   into a [`TimeSeries`] while workers keep forwarding. The seqlock
-//!   protocol under this ring and the event journal's is written once,
-//!   in `seqring.rs`;
+//!   layer: one wait-free interval ring per core, which a reader thread
+//!   harvests into a [`TimeSeries`] and an [`EventLog`] while workers keep
+//!   forwarding. The seqlock protocol under the ring is written once, in
+//!   `seqring.rs`;
 //! * [`SloSpec`]/[`SloReport`] — multi-window burn-rate grading
 //!   (ok / warning / burning) of an interval series against latency,
 //!   loss, and throughput objectives, with [`prometheus`] text
 //!   exposition and [`render_top`] for an `rb_top`-style live view;
-//! * [`EventRecorder`]/[`EventRing`]/[`EventHarvester`] — the structured
-//!   event journal: per-core seqlock rings of timestamped discrete
-//!   events (stall episodes, FIB publishes, SLO transitions, the
-//!   dispatcher fuse) merged into an [`EventLog`];
-//! * [`Harvest`] — one run's interval and event harvesters as a pair,
-//!   polled and finished together by whoever observes the run;
+//! * [`Event`]/[`EventLog`] — the structured event journal: timestamped
+//!   discrete events — stall episodes, pool exhaustion and the dispatcher
+//!   fuse, which the [`Harvester`] derives as edges over each core's
+//!   buckets; SLO transitions, which the monitor journals; cluster link
+//!   congestion, which the cluster replay journals;
 //! * [`MetricsServer`] — a dependency-free embedded HTTP/1.1 endpoint
 //!   (`/metrics`, `/healthz`, `/timeseries.json`, `/events.json`)
 //!   served from a dedicated harvester thread that never pauses
@@ -63,10 +62,7 @@ mod snapshot;
 mod timeseries;
 mod trace;
 
-pub use events::{
-    decode_slo_transition, encode_slo_transition, Event, EventHarvester, EventKind, EventLog,
-    EventRecorder, EventRing, Harvest, DEFAULT_EVENT_RING_CAP,
-};
+pub use events::{decode_slo_transition, encode_slo_transition, Event, EventKind, EventLog};
 pub use hist::Log2Histogram;
 pub use http::{MetricsServer, MonitorSource};
 pub use ledger::{DropCause, Ledger};

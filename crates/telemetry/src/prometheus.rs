@@ -376,6 +376,7 @@ mod tests {
                 drops,
                 credit_stalls: seq,
                 nic_desc_stalls: 0,
+                fuses: 0,
                 latency: lat,
                 stages: vec![
                     crate::StageDelta {

@@ -1,4 +1,4 @@
-//! The one seqlock ring under the interval series and the event journal.
+//! The one seqlock ring: each core's interval series rides it.
 //!
 //! A [`SeqRing`] is a fixed window of fixed-width records, one writer
 //! (the owning core), any number of readers. A slot is a version word,
@@ -16,8 +16,8 @@
 //!   observable.
 //!
 //! This file is the only home of the protocol and of its fences;
-//! [`crate::IntervalRing`] and [`crate::EventRing`] are this ring over
-//! the two [`Record`] codecs.
+//! [`crate::IntervalRing`] is this ring over the interval bucket's
+//! [`Record`] codec, which keeps the bucket's word layout out of it.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -25,7 +25,7 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 /// comes back.
 pub trait Record: Sized {
     /// What all records of one ring share and their width depends on
-    /// (the interval ring's stage labels; nothing for events).
+    /// (the interval ring's stage labels).
     type Shape: Default;
 
     /// Words a record occupies after its sequence number.
@@ -179,18 +179,12 @@ impl<R: Record> SeqRing<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Event, EventKind, EventRing, IntervalRing, IntervalStats, StageDelta};
+    use crate::{IntervalRing, IntervalStats, StageDelta};
     use std::sync::atomic::AtomicBool;
 
-    /// An event every word of which is a function of `seq`.
-    fn event(seq: u64) -> Event {
-        Event {
-            seq,
-            core: 0,
-            tick: seq * 2,
-            kind: EventKind::ALL[(seq % EventKind::COUNT as u64) as usize],
-            arg: !seq,
-        }
+    /// The three stage labels [`bucket`]'s rows need a ring shaped for.
+    fn labels() -> Vec<(String, String)> {
+        vec![("a".to_string(), "A".to_string()); 3]
     }
 
     /// A three-stage bucket every word of which is a function of `seq`.
@@ -198,7 +192,7 @@ mod tests {
         let mut b = IntervalStats::empty_with_stages(seq, 0, seq, 3);
         (b.end_tick, b.quanta, b.empty_polls) = (seq + 1, seq, seq % 7);
         (b.sourced, b.forwarded, b.tx_bytes) = (seq * 3, seq * 3, seq << 6);
-        (b.credit_stalls, b.nic_desc_stalls) = (seq ^ 5, seq / 2);
+        (b.credit_stalls, b.nic_desc_stalls, b.fuses) = (seq ^ 5, seq / 2, seq % 3);
         b.drops = std::array::from_fn(|i| seq + i as u64);
         (0..seq % 7).for_each(|i| b.latency.record(seq << i));
         for (i, d) in b.stages.iter_mut().enumerate() {
@@ -212,16 +206,16 @@ mod tests {
 
     #[test]
     fn round_trips_wraps_and_counts_what_was_lapped() {
-        let ring = EventRing::new(3, 4);
+        let ring = IntervalRing::shaped(3, 4, labels());
         assert_eq!((ring.core(), ring.capacity()), (3, 4));
         assert_eq!(ring.read(0), None, "nothing published yet");
-        (0..10).for_each(|seq| ring.publish(&event(seq)));
+        (0..10).for_each(|seq| ring.publish(&bucket(seq)));
         assert_eq!(ring.published(), 10);
         assert_eq!(ring.read(5), None, "lapped slot must not decode");
         assert_eq!(ring.read(10), None, "not yet published");
-        let at = |seq| Event {
+        let at = |seq| IntervalStats {
             core: 3,
-            ..event(seq)
+            ..bucket(seq)
         };
         assert_eq!(ring.read(6), Some(at(6)));
         let (next, lost, got) = ring.harvest(0);
@@ -275,14 +269,12 @@ mod tests {
         assert_eq!(seen + lost, produced, "read + lost == published");
     }
 
-    /// Both record shapes the crate publishes: an event (4 words with its
-    /// sequence number) and an interval bucket with three stage rows
-    /// (the fixed words, the 65 histogram buckets and two words a stage).
+    /// The record the crate publishes: an interval bucket with three
+    /// stage rows (the fixed words, the 65 histogram buckets and two
+    /// words a stage).
     #[test]
     fn concurrent_harvest_during_publish_never_tears() {
-        hammer(EventRing::new(0, 4), event);
-        let labels = vec![("a".to_string(), "A".to_string()); 3];
-        let ring = IntervalRing::shaped(0, 4, labels);
+        let ring = IntervalRing::shaped(0, 4, labels());
         assert!(IntervalStats::width(ring.shape()) > 80);
         hammer(ring, bucket);
     }

@@ -154,6 +154,13 @@ impl SloState {
             SloState::Burning => 2,
         }
     }
+
+    /// The state whose [`SloState::severity`] is `n`, if any.
+    pub fn from_severity(n: u64) -> Option<SloState> {
+        [SloState::Ok, SloState::Warning, SloState::Burning]
+            .into_iter()
+            .find(|s| s.severity() == n)
+    }
 }
 
 /// One objective's grading.
@@ -438,6 +445,7 @@ mod tests {
             drops: [0; crate::DropCause::COUNT],
             credit_stalls: 0,
             nic_desc_stalls: 0,
+            fuses: 0,
             latency: crate::Log2Histogram::new(),
             stages: Vec::new(),
         };

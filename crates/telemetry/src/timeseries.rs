@@ -20,9 +20,13 @@
 //! Record layout: every field of a bucket — including the 65 log₂
 //! latency buckets and two words per tracked stage — is flattened into
 //! one `u64` word of a [`SeqRing`] record; the seqlock protocol that
-//! makes a torn copy a retry lives there, once, for this ring and the
-//! event journal's.
+//! makes a torn copy a retry lives there, once.
+//!
+//! The ring is the core's only one: the [`Harvester`] derives the event
+//! journal's dataplane edges from each core's buckets as it reads them
+//! ([`crate::events`]).
 
+use crate::events::{Edges, EventLog};
 use crate::hist::Log2Histogram;
 use crate::json;
 use crate::ledger::{write_drops, DropCause, Ledger};
@@ -75,6 +79,9 @@ pub struct IntervalStats {
     pub credit_stalls: u64,
     /// NIC descriptor-ring full events this interval.
     pub nic_desc_stalls: u64,
+    /// Driver runs cut off by their quantum fuse this interval (not in
+    /// the JSON export; the journal's `dispatcher_fuse` edges read it).
+    pub fuses: u64,
     /// Log₂ sketch of per-quantum processing spans (ticks). Mergeable
     /// bucket-wise, so cross-core and cross-interval aggregation is
     /// exact on the sketch.
@@ -113,6 +120,7 @@ impl IntervalStats {
             drops: [0; DropCause::COUNT],
             credit_stalls: 0,
             nic_desc_stalls: 0,
+            fuses: 0,
             latency: Log2Histogram::new(),
             stages: vec![StageDelta::default(); n_stages],
         }
@@ -173,6 +181,7 @@ impl IntervalStats {
         }
         self.credit_stalls += other.credit_stalls;
         self.nic_desc_stalls += other.nic_desc_stalls;
+        self.fuses += other.fuses;
         self.latency.merge(&other.latency);
         if self.stages.len() < other.stages.len() {
             self.stages
@@ -196,7 +205,8 @@ const W_FORWARDED: usize = 5;
 const W_TX_BYTES: usize = 6;
 const W_CREDIT: usize = 7;
 const W_NIC: usize = 8;
-const W_DROPS: usize = 9;
+const W_FUSES: usize = 9;
+const W_DROPS: usize = 10;
 const W_HIST: usize = W_DROPS + DropCause::COUNT;
 /// First per-stage word; each tracked stage takes two words
 /// (packets, cycles) after the histogram block.
@@ -234,6 +244,7 @@ impl Record for IntervalStats {
         head[W_TX_BYTES] = self.tx_bytes;
         head[W_CREDIT] = self.credit_stalls;
         head[W_NIC] = self.nic_desc_stalls;
+        head[W_FUSES] = self.fuses;
         let stages = (0..labels.len()).flat_map(|i| {
             let d = self.stages.get(i).copied().unwrap_or_default();
             [d.packets, d.cycles]
@@ -257,6 +268,7 @@ impl Record for IntervalStats {
             tx_bytes: w[W_TX_BYTES],
             credit_stalls: w[W_CREDIT],
             nic_desc_stalls: w[W_NIC],
+            fuses: w[W_FUSES],
             drops: w[W_DROPS..W_HIST].try_into().ok()?,
             latency: Log2Histogram::from_raw(w[W_HIST..W_STAGES].try_into().ok()?),
             stages: w[W_STAGES..]
@@ -287,6 +299,8 @@ pub struct CumulativeTotals {
     pub credit_stalls: u64,
     /// NIC descriptor stalls so far.
     pub nic_desc_stalls: u64,
+    /// Fuse-outs so far.
+    pub fuses: u64,
     /// Per-stage cumulative `(packets, cycles)` in graph order (empty
     /// when the recorder tracks no stages).
     pub stages: Vec<StageDelta>,
@@ -303,6 +317,7 @@ impl CumulativeTotals {
             drops: led.dropped,
             credit_stalls,
             nic_desc_stalls,
+            fuses: 0,
             stages: Vec::new(),
         }
     }
@@ -424,6 +439,7 @@ impl IntervalRecorder {
         b.nic_desc_stalls = totals
             .nic_desc_stalls
             .saturating_sub(self.base.nic_desc_stalls);
+        b.fuses = totals.fuses.saturating_sub(self.base.fuses);
         let n_stages = self.ring.shape().len();
         for (i, row) in b.stages.iter_mut().enumerate() {
             let cur = totals.stages.get(i).copied().unwrap_or_default();
@@ -438,40 +454,47 @@ impl IntervalRecorder {
     }
 }
 
-/// Reader-side accumulator: polls one or more cores' rings and merges
-/// same-seq buckets into a cross-core series. Poll it faster than
+/// Reader-side accumulator: polls one or more cores' rings, derives each
+/// core's journal edges from its buckets in order, and merges same-seq
+/// buckets into a cross-core series. Whoever observes a run — the
+/// single-threaded router reading itself, the MT harness's dispatcher
+/// thread, the monitor behind `/metrics` — holds one. Poll it faster than
 /// `capacity × interval` and nothing is ever lost to overwrite.
 #[derive(Debug, Default)]
 pub struct Harvester {
     rings: Vec<Arc<IntervalRing>>,
-    cursors: Vec<u64>,
+    /// Per ring: the next seq to read, and the edge state of its core.
+    cursors: Vec<(u64, Edges)>,
     merged: std::collections::BTreeMap<u64, IntervalStats>,
     live_harvested: u64,
+    /// Derived edges in harvest order; `overflow` counts lapped buckets.
+    journal: EventLog,
 }
 
 impl Harvester {
     /// A harvester over `rings` (one per worker core).
     pub fn new(rings: Vec<Arc<IntervalRing>>) -> Harvester {
-        let cursors = vec![0; rings.len()];
+        let cursors = rings.iter().map(|_| (0, Edges::default())).collect();
         Harvester {
             rings,
             cursors,
-            merged: std::collections::BTreeMap::new(),
-            live_harvested: 0,
+            ..Harvester::default()
         }
     }
 
-    /// Drains every ring's new buckets into the merged series. `live`
-    /// marks buckets read while the writers were still running (the
-    /// in-flight-harvest count reported in [`TimeSeries`]). Returns how
-    /// many buckets were newly read.
+    /// Drains every ring's new buckets into the merged series and their
+    /// edges into the journal. `live` marks buckets read while the writers
+    /// were still running (the in-flight-harvest count reported in
+    /// [`TimeSeries`]). Returns how many buckets were newly read.
     pub fn poll(&mut self, live: bool) -> usize {
         let mut read = 0;
-        for (ring, cursor) in self.rings.iter().zip(self.cursors.iter_mut()) {
-            let (next, _lost, buckets) = ring.harvest(*cursor);
+        for (ring, (cursor, edges)) in self.rings.iter().zip(self.cursors.iter_mut()) {
+            let (next, lost, buckets) = ring.harvest(*cursor);
             *cursor = next;
+            self.journal.overflow += lost;
             read += buckets.len();
             for b in buckets {
+                edges.step(&b, &mut self.journal.events);
                 self.merged
                     .entry(b.seq)
                     .and_modify(|m| m.merge(&b))
@@ -500,10 +523,18 @@ impl Harvester {
         }
     }
 
-    /// Final poll plus conversion into an owned [`TimeSeries`].
-    pub fn finish(mut self, interval_ticks: u64) -> TimeSeries {
+    /// Everything derived so far as a time-sorted journal (the live view).
+    pub fn events(&self) -> EventLog {
+        let mut log = self.journal.clone();
+        log.sort();
+        log
+    }
+
+    /// One last poll — the writers have stopped and flushed — then the
+    /// series (at the run's nominal `interval_ticks`) and the journal.
+    pub fn finish(mut self, interval_ticks: u64) -> (TimeSeries, EventLog) {
         self.poll(false);
-        self.timeseries(interval_ticks)
+        (self.timeseries(interval_ticks), self.events())
     }
 }
 
@@ -802,7 +833,7 @@ mod tests {
         r1.publish(&b1);
         let mut h = Harvester::new(vec![Arc::clone(&r0), Arc::clone(&r1)]);
         assert_eq!(h.poll(true), 2);
-        let series = h.finish(100);
+        let (series, _) = h.finish(100);
         assert_eq!(series.intervals.len(), 1);
         let m = &series.intervals[0];
         assert_eq!(m.sourced, 16);
@@ -820,7 +851,7 @@ mod tests {
         ring.publish(&bucket(1, 50, 50));
         let mut h = Harvester::new(vec![Arc::new(ring)]);
         h.poll(false);
-        let series = h.finish(100);
+        let (series, _) = h.finish(100);
         let led = series.ledger();
         assert_eq!(led.sourced, 150);
         assert_eq!(led.forwarded, 140);
@@ -907,7 +938,7 @@ mod tests {
         // Telescoping: summed stage rows equal the final totals.
         let mut h = Harvester::new(vec![ring]);
         h.poll(false);
-        let series = h.finish(100);
+        let (series, _) = h.finish(100);
         assert_eq!(series.stage_names, labels);
         let totals = series.stage_totals();
         assert_eq!(totals[0].packets, 25);
@@ -955,7 +986,7 @@ mod tests {
             rec.flush(now + 10, &cum);
             let mut h = Harvester::new(vec![ring]);
             h.poll(false);
-            let series = h.finish(10);
+            let (series, _) = h.finish(10);
             let totals = series.stage_totals();
             proptest::prop_assert_eq!(totals[0], cum.stages[0]);
             proptest::prop_assert_eq!(totals[1], cum.stages[1]);

@@ -170,7 +170,7 @@ proptest! {
 
         let mut h = Harvester::new(vec![ring]);
         h.poll(false);
-        let series = h.finish(interval_ticks);
+        let (series, _) = h.finish(interval_ticks);
         let led = series.ledger();
         prop_assert_eq!(led.sourced, totals.sourced);
         prop_assert_eq!(led.forwarded, totals.forwarded);

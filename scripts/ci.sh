@@ -76,7 +76,7 @@ grep -rlE "$unsafe_word" crates/*/src --include='*.rs' | xargs awk '
     END { exit bad }
 '
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle: the collapsed names stay gone)"
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -98,6 +98,14 @@ oracle_gone='(sorted|reference)_streams|fn assert_conserved|fn [a-z0-9_]*push_dr
 if grep -rnE "$oracle_gone" tests/ crates/*/tests/ crates/click/src/runtime/mt.rs ||
     grep -nE 'fn traffic\b' tests/*_differential.rs tests/dataplane_oracle.rs; then
     echo "a per-suite traffic copy, multiset or conservation helper, or push-era test name the dataplane oracle replaced is back" >&2
+    exit 1
+fi
+# One ring per core: the harvester derives the event journal from the
+# interval series, so the event ring, its writer and reader, the paired
+# harvest and the workers' poll of the FIB writer's counters stay gone.
+journal_gone='EventRecorder|EventRing|EventHarvester|Harvest::|journal_episodes|event_ring|rcu_stats'
+if grep -rnE "$journal_gone" crates/ examples/ tests/; then
+    echo "a second per-core ring, its writer or reader, or a dataplane read of the FIB's counters is back: the journal is a view of the interval series" >&2
     exit 1
 fi
 # `Output` is per-port batches; the pair list survives only as the

@@ -206,3 +206,21 @@ fn mt_report_accounts_every_slot_of_an_overloaded_pool() {
         report.pool_exhausted
     );
 }
+
+#[test]
+fn mt_report_counts_the_slots_the_merger_frees() {
+    // Kept egress frames are detached from their worker's arena by the
+    // merger, on the caller's thread, after that worker may have exited:
+    // the report reads the arenas once every worker has joined, so every
+    // slot allocated is seen coming back.
+    let mt = RouterBuilder::minimal_forwarder()
+        .pool_slots(16)
+        .workers(2)
+        .keep_tx_frames(true)
+        .build_mt()
+        .unwrap();
+    let report = mt.run(traffic(400, 400, 64, false)).unwrap().report;
+    assert_eq!(report.processed, 400);
+    assert_eq!(report.pool_allocs, 400);
+    assert_eq!(report.pool_recycles, report.pool_allocs);
+}

@@ -11,8 +11,8 @@ use routebricks::packet::builder::PacketSpec;
 use routebricks::packet::Packet;
 use routebricks::telemetry::http::http_get;
 use routebricks::telemetry::{
-    cycles, decode_slo_transition, json, prometheus, render_top, DropCause, SloSpec, SloState,
-    TelemetryLevel, TraceKind,
+    cycles, decode_slo_transition, json, prometheus, render_top, DropCause, EventKind, SloSpec,
+    SloState, TelemetryLevel, TraceKind,
 };
 use routebricks::Regime;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
@@ -252,6 +252,26 @@ fn live_harvest_conserves_the_ledger_at_2x_overload() {
     prometheus::lint(&prom).expect("exposition must lint clean");
     let p99 = series.merged_latency().quantile(0.99).unwrap_or(0);
     assert!(p99 > 0, "sketch recorded quanta");
+    // The journal the harvester derived from the same buckets: on each
+    // core the credit-stall episodes open before they close and never
+    // nest, the overload opened at least one, and no bucket was lapped.
+    let journal = &out.report.events;
+    assert_eq!(journal.overflow, 0, "no interval bucket lapped unread");
+    let starts = journal.of_kind(EventKind::CreditStallStart).len();
+    assert!(starts >= 1, "a 2x overload stalls the credit gate");
+    for core in 0..2 {
+        let edges: Vec<EventKind> = journal
+            .events
+            .iter()
+            .filter(|e| e.core == core)
+            .map(|e| e.kind)
+            .filter(|k| matches!(k, EventKind::CreditStallStart | EventKind::CreditStallEnd))
+            .collect();
+        for (i, kind) in edges.iter().enumerate() {
+            let want = [EventKind::CreditStallStart, EventKind::CreditStallEnd][i % 2];
+            assert_eq!(*kind, want, "core {core} credit-stall edges: {edges:?}");
+        }
+    }
 }
 
 /// Runs phases of traffic (every `corrupt_every`-th frame's IP header
@@ -347,7 +367,8 @@ fn scrape_endpoint_walks_ok_burning_ok_on_a_live_router() {
         }
         let number = |key| v.get(key).and_then(json::Value::as_f64).expect(key) as u64;
         ticks.push(number("tick"));
-        arcs.push(decode_slo_transition(number("arg")));
+        let (from, to) = decode_slo_transition(number("arg")).expect("a transition's arg decodes");
+        arcs.push((from.severity() as u8, to.severity() as u8));
     }
     assert!(
         ticks.windows(2).all(|w| w[0] <= w[1]),
