@@ -178,9 +178,10 @@ pub fn regimes() -> Vec<Table> {
 }
 
 /// Both regimes under 2× overload: two workers, each replica's arena 32
-/// slots, offered 64-frame bursts. Every ring's 64-credit window holds
-/// the excess and its filler stalls instead of shedding it as
-/// `NoRxDescriptor`. p99 comes from a separate 1/16-traced run.
+/// slots, offered 64-frame bursts. Every ring holds two 32-packet
+/// batches, so its 64-credit window holds the excess and its filler
+/// stalls instead of shedding it as `NoRxDescriptor`. p99 comes from a
+/// separate 1/16-traced run.
 fn overload(packets: &[Packet]) -> Table {
     const SLOTS: usize = 32;
     let regimes = [Regime::PullCredit, Regime::Pipeline];
@@ -195,7 +196,7 @@ fn overload(packets: &[Packet]) -> Table {
                 .queue_capacity(packets.len() + 64)
                 .keep_tx_frames(true)
                 .regime(regime)
-                .credit_window(2 * SLOTS)
+                .ring_depth(2)
                 .trace_sample(trace)
                 .build_mt()
                 .expect("builder config is valid")

@@ -37,10 +37,9 @@ use crate::ConfigError;
 /// which takes `pipeline` or `pull`, and
 /// `slo`, which takes a compact `/`-separated objective spec
 /// (`slo p99us:5000/loss:0.01/floor:1000000`), and
-/// `trace_sample`/`fib_routes`/`credits`/`interval_ms`, where `0` (the
-/// default) means "off" / "use inline routes" / "auto-size the credit
-/// window" / "interval clock off". Repeated `RuntimeConfig` statements
-/// apply in order (later wins per key).
+/// `trace_sample`/`interval_ms`, where `0` (the default) means "off" /
+/// "interval clock off". Repeated `RuntimeConfig` statements apply in
+/// order (later wins per key).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Knobs {
     /// Dispatch batch size `kp` of every [`Router`], and the size of the
@@ -52,7 +51,12 @@ pub struct Knobs {
     /// absent `poll_burst` key means) follows `kp` — the paper tunes one
     /// batching knob, not one per device.
     pub poll_burst: Option<usize>,
-    /// Capacity of each inter-core SPSC ring, in batches.
+    /// Capacity of each inter-core SPSC ring, in batches. It also sets
+    /// every ring's credit window: whoever fills a ring — the dispatcher,
+    /// or the previous pipeline stage — may have at most `ring_depth *
+    /// batch_size` packets outstanding toward its worker; an exhausted
+    /// window stalls the filler (`MtReport::credit_stalls`) instead of
+    /// dropping.
     pub ring_depth: usize,
     /// Worker cores of a multi-threaded run.
     pub workers: usize,
@@ -68,24 +72,12 @@ pub struct Knobs {
     /// ring hops); `0` disables tracing. Each worker's tracer records as
     /// its worker index; the dispatcher/merger thread as core `workers`.
     pub trace_sample: u64,
-    /// Synthetic-RIB size for routing apps: `fib_routes 65536` asks the
-    /// builder to synthesize a full table of that many prefixes instead
-    /// of using the app's inline routes. `0` (default) keeps inline
-    /// routes.
-    pub fib_routes: usize,
     /// `fib_rcu on` routes lookups through an `rb_lookup::RcuFib` (live
     /// route churn supported via a `RouteControl` handle) instead of an
     /// immutable compiled table.
     pub fib_rcu: bool,
     /// Multi-threaded scheduling regime (`regime pipeline|pull`).
     pub regime: Regime,
-    /// Credit window of every worker's ingress ring, in packets (`credits
-    /// 256`); `0` (the default) auto-sizes to `ring_depth * batch_size`.
-    /// Whoever fills a ring — the dispatcher, or the previous pipeline
-    /// stage — may have at most this many packets outstanding toward its
-    /// worker; an exhausted window stalls the filler
-    /// (`MtReport::credit_stalls`) instead of dropping.
-    pub credit_window: usize,
     /// NIC batching factor `kn` of every device element's descriptor
     /// ring (`nic_batch 16`): writeback + doorbell cost is charged once
     /// per `kn` descriptors. Default 1 — NIC-driven batching off, the
@@ -120,10 +112,8 @@ impl Default for Knobs {
             slot_size: rb_packet::pool::DEFAULT_SLOT_SIZE,
             telemetry: rb_telemetry::TelemetryLevel::Off,
             trace_sample: 0,
-            fib_routes: 0,
             fib_rcu: false,
             regime: Regime::PullCredit,
-            credit_window: 0,
             nic_batch: 1,
             interval_ms: 0,
             slo: rb_telemetry::SloSpec::default(),
@@ -136,20 +126,6 @@ impl Knobs {
     /// Whole batches per ring interaction.
     pub(crate) fn burst_batches(&self) -> usize {
         (self.poll_burst.unwrap_or(self.batch_size) / self.batch_size).max(1)
-    }
-
-    /// The effective per-ring credit window in packets:
-    /// the configured value, or `ring_depth * batch_size` when unset —
-    /// never below one whole batch, because the dispatcher grants whole
-    /// batches and a smaller window could never be acquired (livelock).
-    pub(crate) fn effective_credit_window(&self) -> u64 {
-        let auto = self.ring_depth.saturating_mul(self.batch_size);
-        let w = if self.credit_window > 0 {
-            self.credit_window
-        } else {
-            auto
-        };
-        w.max(self.batch_size).max(1) as u64
     }
 
     /// What a scrape endpoint needs to observe one run under these
@@ -233,19 +209,9 @@ impl Knobs {
             let value: usize = value
                 .parse()
                 .map_err(|_| bad(format!("bad value in `{part}`")))?;
-            // `trace_sample 0` means "tracing off" and `fib_routes 0`
-            // means "use the app's inline routes", so they alone may be 0.
+            // `trace_sample 0` means "tracing off", so it may be 0.
             if key == "trace_sample" {
                 self.trace_sample = value as u64;
-                continue;
-            }
-            if key == "fib_routes" {
-                self.fib_routes = value;
-                continue;
-            }
-            // `credits 0` means "auto-size the window to the ring".
-            if key == "credits" {
-                self.credit_window = value;
                 continue;
             }
             // `interval_ms 0` means "interval clock off" (the default).
@@ -842,6 +808,22 @@ mod tests {
                 other => panic!("expected BadArguments for `{text}`, got {other:?}"),
             }
         }
+        // Neither a credit window (worked out as `ring_depth *
+        // batch_size`) nor a synthetic RIB (input, through
+        // `routes_from_table`) has a key.
+        for (text, key) in [
+            ("RuntimeConfig(credits 256);", "credits"),
+            ("RuntimeConfig(fib_routes 500);", "fib_routes"),
+        ] {
+            let Err(err) = build_graph(text) else {
+                panic!("`{text}` should be rejected");
+            };
+            let err = err.to_string();
+            assert!(
+                err.contains("unknown knob") && err.contains(key),
+                "`{text}`: {err}"
+            );
+        }
     }
 
     #[test]
@@ -893,20 +875,17 @@ mod tests {
 
     #[test]
     fn runtime_config_fib_knobs_parse_and_validate() {
-        let text = "RuntimeConfig(fib_routes 65536, fib_rcu on);
+        let text = "RuntimeConfig(fib_rcu on);
              src :: InfiniteSource(64, 10);
              src -> Discard;";
         let (_, knobs) = build_graph(text).unwrap();
-        assert_eq!(knobs.fib_routes, 65536);
         assert!(knobs.fib_rcu);
-        // fib_routes 0 = "use inline routes" is legal; fib_rcu off too.
         let (_, knobs) = build_graph(
-            "RuntimeConfig(fib_routes 0, fib_rcu off);
+            "RuntimeConfig(fib_rcu off);
              src :: InfiniteSource(64, 10);
              src -> Discard;",
         )
         .unwrap();
-        assert_eq!(knobs.fib_routes, 0);
         assert!(!knobs.fib_rcu);
         let Err(err) = build_graph(
             "RuntimeConfig(fib_rcu maybe);
@@ -919,29 +898,27 @@ mod tests {
     }
 
     #[test]
-    fn runtime_config_regime_and_credits_parse() {
+    fn runtime_config_regime_parses() {
         for (word, regime) in [
             ("pipeline", Regime::Pipeline),
             ("pull", Regime::PullCredit),
             ("pullcredit", Regime::PullCredit),
         ] {
             let text = format!(
-                "RuntimeConfig(regime {word}, credits 256);
+                "RuntimeConfig(regime {word});
                  src :: InfiniteSource(64, 10);
                  src -> Discard;"
             );
             let (_, knobs) = build_graph(&text).unwrap();
             assert_eq!(knobs.regime, regime, "word `{word}`");
-            assert_eq!(knobs.credit_window, 256);
         }
-        // `credits 0` = auto-size is legal; omitting both keeps defaults.
+        // Omitting the key keeps the default.
         let (_, knobs) = build_graph(
-            "RuntimeConfig(credits 0);
+            "RuntimeConfig(workers 2);
              src :: InfiniteSource(64, 10);
              src -> Discard;",
         )
         .unwrap();
-        assert_eq!(knobs.credit_window, 0);
         assert_eq!(knobs.regime, Regime::PullCredit);
     }
 

@@ -27,8 +27,8 @@ use crate::graph::{Edge, ElementId, Graph};
 use crate::runtime::stride::StrideScheduler;
 use rb_packet::Packet;
 use rb_telemetry::{
-    cycles, json, CoreMetrics, CumulativeTotals, DropCause, Harvester, IntervalRecorder,
-    IntervalRing, Ledger, MetricsSnapshot, TelemetryLevel, TimeSeries, TraceKind, TraceLog, Tracer,
+    cycles, CoreMetrics, CumulativeTotals, DropCause, Harvester, IntervalRecorder, IntervalRing,
+    Ledger, MetricsSnapshot, TelemetryLevel, TimeSeries, TraceKind, TraceLog, Tracer,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -105,30 +105,17 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Serializes the counters as a JSON object.
-    pub fn to_json(&self) -> String {
-        json::object(|w| {
-            for (key, v) in [
-                ("quanta", self.quanta),
-                ("pushes", self.pushes),
-                ("batch_calls", self.batch_calls),
-                ("leaked", self.leaked),
-                ("dropped_default", self.dropped_default),
-                ("pool_allocs", self.pool_allocs),
-                ("pool_recycles", self.pool_recycles),
-                ("pool_bulk_recycles", self.pool_bulk_recycles),
-                ("pool_exhausted", self.pool_exhausted),
-                ("pool_fallbacks", self.pool_fallbacks),
-                ("pool_peak_in_use", self.pool_peak_in_use),
-                ("nic_doorbells", self.nic_doorbells),
-                ("nic_reclaim_batches", self.nic_reclaim_batches),
-                ("nic_desc_stalls", self.nic_desc_stalls),
-                ("nic_dma_bytes", self.nic_dma_bytes),
-            ] {
-                w.key(key).int(v);
-            }
-            w.key("fused").bool(self.fused);
-        })
+    /// These statistics with their pool fields read from `pool`.
+    pub(crate) fn with_pool(self, pool: &rb_packet::PoolStats) -> RunStats {
+        RunStats {
+            pool_allocs: pool.allocs,
+            pool_recycles: pool.recycles,
+            pool_bulk_recycles: pool.bulk_recycles,
+            pool_exhausted: pool.exhausted,
+            pool_fallbacks: pool.heap_fallbacks,
+            pool_peak_in_use: pool.peak_in_use as u64,
+            ..self
+        }
     }
 }
 
@@ -1050,8 +1037,6 @@ impl Router {
             dropped_default,
             fused,
         } = self.stats;
-        let rows = self.pool_rows();
-        let ps = rb_packet::PoolStats::aggregate(rows.iter());
         let mut stats = RunStats {
             quanta,
             pushes,
@@ -1059,14 +1044,9 @@ impl Router {
             leaked,
             dropped_default,
             fused,
-            pool_allocs: ps.allocs,
-            pool_recycles: ps.recycles,
-            pool_bulk_recycles: ps.bulk_recycles,
-            pool_exhausted: ps.exhausted,
-            pool_fallbacks: ps.heap_fallbacks,
-            pool_peak_in_use: ps.peak_in_use as u64,
             ..RunStats::default()
-        };
+        }
+        .with_pool(&rb_packet::PoolStats::aggregate(&self.pool_rows()));
         // Descriptor rings are per-element (per-queue), never shared, so
         // their counters sum without deduplication.
         for id in 0..self.graph.len() {
@@ -1179,8 +1159,8 @@ mod tests {
         let stats = router.run_until_idle(u64::MAX);
         assert!(!stats.fused, "clean drain must clear the flag");
         assert_eq!(router.counter("cnt").unwrap().packets, 100);
-        // JSON carries the flag.
-        assert!(router.stats().to_json().contains("\"fused\": false"));
+        // So does `stats()`.
+        assert!(!router.stats().fused);
     }
 
     #[test]
@@ -1238,7 +1218,6 @@ mod tests {
         let stats = router.stats();
         // Every 64-byte frame crossed the TX descriptor ring once.
         assert_eq!(stats.nic_dma_bytes, 40 * 64);
-        assert!(stats.to_json().contains("\"nic_dma_bytes\": 2560"));
     }
 
     #[test]
@@ -1401,8 +1380,6 @@ mod tests {
         );
         assert!(snap.bottleneck().is_some());
         assert!(snap.batch_sizes.count() > 0);
-        // The export parses.
-        rb_telemetry::json::parse(&snap.to_json()).expect("snapshot JSON parses");
     }
 
     #[test]
@@ -1858,7 +1835,7 @@ mod tests {
                 reference.run_until_idle(&mut polled);
             }
             let (led, reference_led) = (listed.ledger(), polled.ledger());
-            proptest::prop_assert!(led.balances(), "{}", led.to_json());
+            proptest::prop_assert!(led.balances(), "{:?}", led);
             proptest::prop_assert_eq!(led.in_flight, 0);
             proptest::prop_assert_eq!(led.sourced, reference_led.sourced);
             for cause in DropCause::ALL {

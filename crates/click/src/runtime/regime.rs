@@ -22,9 +22,9 @@
 //! # The credit protocol
 //!
 //! Every ring that carries packets toward a worker pairs with a
-//! [`CreditGate`] of `credit_window` packets ([`Knobs::credit_window`];
-//! `0` sizes the window to the ring capacity). Whoever fills the ring —
-//! the dispatcher, or the previous pipeline stage — acquires credits for
+//! [`CreditGate`] of `ring_depth * batch_size` packets, what the ring
+//! holds in whole batches. Whoever fills the ring — the dispatcher, or
+//! the previous pipeline stage — acquires credits for
 //! a whole batch before pushing it; every attempt that finds the gate
 //! short counts one *stall* and is retried after yielding, so the count
 //! keeps growing for as long as a stall lasts — the overload signal that
@@ -757,21 +757,25 @@ pub(crate) fn assemble_outcome(
     main_trace: TraceLog,
 ) -> GraphRunOutcome {
     let per_worker: Vec<u64> = results.iter().map(|w| w.processed).collect();
-    let worker_stats: Vec<crate::runtime::driver::RunStats> =
-        results.iter().map(|w| w.stats).collect();
+    // Pool counters: every worker's arenas, read now that the merger has
+    // freed every slot it will. The `RunStats` a worker returned were
+    // taken when it exited, before the merger freed its kept egress
+    // frames, so each row's pool fields are refilled from its arenas.
+    // The report's totals aggregate every row with arena dedupe: summing
+    // the rows instead would double-count an arena visible to several
+    // replicas (e.g. a shared pool attached before replication).
+    let rows: Vec<Vec<PoolStats>> = results
+        .iter()
+        .map(|w| w.pools.iter().map(PacketPool::stats).collect())
+        .collect();
+    let worker_stats: Vec<crate::runtime::driver::RunStats> = results
+        .iter()
+        .zip(&rows)
+        .map(|(w, rows)| w.stats.with_pool(&PoolStats::aggregate(rows)))
+        .collect();
     let pushes = worker_stats.iter().map(|s| s.pushes).sum();
     let batch_calls = worker_stats.iter().map(|s| s.batch_calls).sum();
-    // Pool counters: every worker's arenas, read now that the merger has
-    // freed every slot it will, aggregated with arena dedupe. Summing the
-    // per-worker `RunStats` pool fields instead would double-count an
-    // arena visible to several replicas (e.g. a shared pool attached
-    // before replication).
-    let rows: Vec<PoolStats> = results
-        .iter()
-        .flat_map(|w| &w.pools)
-        .map(PacketPool::stats)
-        .collect();
-    let pool = PoolStats::aggregate(&rows);
+    let pool = PoolStats::aggregate(rows.iter().flatten());
     let mut telemetry = MetricsSnapshot::empty();
     let mut ledger = Ledger::default();
     let mut trace = main_trace;
@@ -822,7 +826,8 @@ fn star_topology(graph: &Graph, knobs: &Knobs) -> Result<Vec<Replica>, GraphErro
         .collect()
 }
 
-/// A worker's ingress ring and the gate it is filled under.
+/// A worker's ingress ring and the gate it is filled under: a window of
+/// the packets `ring_depth` whole batches hold.
 fn gated_ring(
     knobs: &Knobs,
 ) -> (
@@ -831,7 +836,9 @@ fn gated_ring(
     Arc<CreditGate>,
 ) {
     let (tx, rx) = spsc::ring::<PacketBatch>(knobs.ring_depth);
-    let gate = Arc::new(CreditGate::new(knobs.effective_credit_window()));
+    let gate = Arc::new(CreditGate::new(
+        (knobs.ring_depth * knobs.batch_size) as u64,
+    ));
     (tx, rx, gate)
 }
 

@@ -1,4 +1,6 @@
-//! Schema pin for the eight JSON exporters.
+//! Schema pin for the four JSON exporters, one per reader outside the
+//! process: `SloReport` (`/healthz`), `Event` lines (`/events.json`),
+//! `TimeSeries` (`/timeseries.json`) and the Chrome trace file.
 //!
 //! Each `EXPECTED_*` string is what the exporter printed for the fixed
 //! input below *before* the exporters moved onto the one
@@ -8,15 +10,11 @@
 //! sides are parsed from text, so that is plain equality up to float
 //! rounding). Whitespace and line breaks are free to change.
 
-use rb_click::runtime::driver::RunStats;
-use rb_click::runtime::mt::MtReport;
 use rb_telemetry::json::{self, Value};
 use rb_telemetry::{
-    DropCause, Event, EventKind, EventLog, IntervalStats, Ledger, Log2Histogram, MetricsSnapshot,
-    SloReport, SloSpec, StageDelta, StageStats, TelemetryLevel, TimeSeries, TraceEvent, TraceKind,
-    TraceLog, TraceSpan,
+    Event, EventKind, EventLog, IntervalStats, Log2Histogram, SloReport, SloSpec, StageDelta,
+    TimeSeries, TraceEvent, TraceKind, TraceLog, TraceSpan,
 };
-use std::time::Duration;
 
 /// Asserts `got` and `want` are the same document: keys (in order) at
 /// every level, values equal, numbers within float rounding.
@@ -51,65 +49,12 @@ fn pin(name: &str, got: &str, want: &str) {
     assert_same(name, &parsed, &expected);
 }
 
-/// `tick_unit` names the host's counter (the expected text was printed
-/// on a TSC host); everything else in a snapshot is input.
-fn on_this_host(expected: &str) -> String {
-    if rb_telemetry::cycles::is_cycle_counter() {
-        expected.to_string()
-    } else {
-        expected.replace("\"tsc\"", "\"ns\"")
-    }
-}
-
 fn hist(values: &[u64]) -> Log2Histogram {
     let mut h = Log2Histogram::new();
     for &v in values {
         h.record(v);
     }
     h
-}
-
-fn ledger() -> Ledger {
-    let mut led = Ledger {
-        sourced: 1000,
-        forwarded: 900,
-        in_flight: 40,
-        ..Ledger::default()
-    };
-    led.add(DropCause::QueueOverflow, 35);
-    led.add(DropCause::NoRoute, 20);
-    led
-}
-
-fn snapshot() -> MetricsSnapshot {
-    MetricsSnapshot {
-        level: TelemetryLevel::Cycles,
-        workers: 2,
-        total_cycles: 123_456,
-        empty_polls: 7,
-        empty_cycles: 456,
-        batch_sizes: hist(&[1, 8, 32, 32, 32]),
-        route_lookups: 640,
-        route_misses: 3,
-        stages: vec![
-            StageStats {
-                name: "rx\"0".to_string(),
-                class: "FromDevice".to_string(),
-                calls: 20,
-                packets: 640,
-                cycles: 12_345,
-                lat: hist(&[500, 600, 700]),
-            },
-            StageStats {
-                name: "idle".to_string(),
-                class: "Queue".to_string(),
-                calls: 0,
-                packets: 0,
-                cycles: 0,
-                lat: Log2Histogram::new(),
-            },
-        ],
-    }
 }
 
 fn series() -> TimeSeries {
@@ -194,22 +139,6 @@ fn trace() -> TraceLog {
     }
 }
 
-const EXPECTED_RUN_STATS: &str = r#"{"quanta": 1, "pushes": 2, "batch_calls": 3, "leaked": 4, "dropped_default": 5, "pool_allocs": 6, "pool_recycles": 7, "pool_bulk_recycles": 11, "pool_exhausted": 8, "pool_fallbacks": 9, "pool_peak_in_use": 10, "nic_doorbells": 12, "nic_reclaim_batches": 13, "nic_desc_stalls": 14, "nic_dma_bytes": 18446744073709551615, "fused": true}"#;
-const EXPECTED_LEDGER: &str = r#"{"sourced": 1000, "forwarded": 900, "in_flight": 40, "drops": {"queue_overflow": 35, "no_route": 20}, "dropped_total": 55, "residual": 5, "balanced": false}"#;
-const EXPECTED_SNAPSHOT: &str = r#"{
-  "level": "cycles",
-  "tick_unit": "tsc",
-  "workers": 2,
-  "total_cycles": 123456,
-  "busy_cycles": 123000,
-  "empty_polls": 7,
-  "batch_sizes": {"count": 5, "p50": 63, "p90": 63, "p99": 63},
-  "route_lookups": 640, "route_misses": 3,
-  "stages": [
-    {"name": "rx\"0", "class": "FromDevice", "calls": 20, "packets": 640, "cycles": 12345, "cycles_per_packet": 19.289, "cycles_p50": 1023, "cycles_p90": 1023, "cycles_p99": 1023},
-    {"name": "idle", "class": "Queue", "calls": 0, "packets": 0, "cycles": 0, "cycles_per_packet": 0.000, "cycles_p50": 0, "cycles_p90": 0, "cycles_p99": 0}
-  ]
-}"#;
 const EXPECTED_SERIES: &str = r#"{
   "interval_ticks": 2000000,
   "ticks_per_sec": 2000000000,
@@ -228,54 +157,6 @@ const EXPECTED_EVENT_LINES: &str = r#"{"events": 2, "overflow": 6}
 "#;
 const EXPECTED_CHROME: &str = r#"{"traceEvents": [{"name": "rx\t0", "cat": "element", "ts": 0.000, "pid": 0, "tid": 0, "ph": "X", "dur": 166.500, "args": {"trace_id": 1099511627783}}, {"name": "ring_send", "cat": "ring_send", "ts": 200.000, "pid": 0, "tid": 0, "ph": "s", "id": 1099511627783}, {"name": "ring_recv", "cat": "ring_recv", "ts": 450.000, "pid": 0, "tid": 1, "ph": "f", "bp": "e", "id": 1099511627783}, {"name": "cluster_hop", "cat": "cluster_hop", "ts": 500.000, "pid": 3, "tid": 1, "ph": "X", "dur": 6172.500, "args": {"trace_id": 1099511627783}}], "trace_overflow": 2}"#;
 const EXPECTED_CHROME_WITH_JOURNAL: &str = r#"{"traceEvents": [{"name": "credit_stall_start", "cat": "journal", "ph": "i", "s": "g", "ts": 0.000, "pid": 0, "tid": 1, "args": {"arg": 4}}, {"name": "dispatcher_fuse", "cat": "journal", "ph": "i", "s": "g", "ts": 3750.000, "pid": 0, "tid": 0, "args": {"arg": 18446744073709551615}}, {"name": "rx\t0", "cat": "element", "ts": 250.000, "pid": 0, "tid": 0, "ph": "X", "dur": 166.500, "args": {"trace_id": 1099511627783}}, {"name": "ring_send", "cat": "ring_send", "ts": 450.000, "pid": 0, "tid": 0, "ph": "s", "id": 1099511627783}, {"name": "ring_recv", "cat": "ring_recv", "ts": 700.000, "pid": 0, "tid": 1, "ph": "f", "bp": "e", "id": 1099511627783}, {"name": "cluster_hop", "cat": "cluster_hop", "ts": 750.000, "pid": 3, "tid": 1, "ph": "X", "dur": 6172.500, "args": {"trace_id": 1099511627783}}], "trace_overflow": 2}"#;
-const EXPECTED_MT_REPORT: &str = r#"{"processed": 900, "elapsed_secs": 0.002, "pps": 600000.000, "per_worker": [500, 400], "imbalance": 1.111, "pushes": 3600, "batch_calls": 120, "achieved_batch": 30.000, "pool_allocs": 1000, "pool_recycles": 990, "pool_bulk_recycles": 800, "pool_exhausted": 1, "pool_fallbacks": 2, "nic_doorbells": 60, "nic_reclaim_batches": 61, "nic_desc_stalls": 4, "nic_dma_bytes": 57600, "credit_stalls": 17, "credit_peak_outstanding": 64, "telemetry": {
-  "level": "cycles",
-  "tick_unit": "tsc",
-  "workers": 2,
-  "total_cycles": 123456,
-  "busy_cycles": 123000,
-  "empty_polls": 7,
-  "batch_sizes": {"count": 5, "p50": 63, "p90": 63, "p99": 63},
-  "route_lookups": 640, "route_misses": 3,
-  "stages": [
-    {"name": "rx\"0", "class": "FromDevice", "calls": 20, "packets": 640, "cycles": 12345, "cycles_per_packet": 19.289, "cycles_p50": 1023, "cycles_p90": 1023, "cycles_p99": 1023},
-    {"name": "idle", "class": "Queue", "calls": 0, "packets": 0, "cycles": 0, "cycles_per_packet": 0.000, "cycles_p50": 0, "cycles_p90": 0, "cycles_p99": 0}
-  ]
-}, "ledger": {"sourced": 1000, "forwarded": 900, "in_flight": 40, "drops": {"queue_overflow": 35, "no_route": 20}, "dropped_total": 55, "residual": 5, "balanced": false}, "timeseries": null, "events": 2}"#;
-
-#[test]
-fn run_stats_schema_is_pinned() {
-    let stats = RunStats {
-        quanta: 1,
-        pushes: 2,
-        batch_calls: 3,
-        leaked: 4,
-        dropped_default: 5,
-        pool_allocs: 6,
-        pool_recycles: 7,
-        pool_exhausted: 8,
-        pool_fallbacks: 9,
-        pool_peak_in_use: 10,
-        pool_bulk_recycles: 11,
-        nic_doorbells: 12,
-        nic_reclaim_batches: 13,
-        nic_desc_stalls: 14,
-        nic_dma_bytes: u64::MAX,
-        fused: true,
-    };
-    pin("RunStats", &stats.to_json(), EXPECTED_RUN_STATS);
-}
-
-#[test]
-fn ledger_schema_is_pinned() {
-    pin("Ledger", &ledger().to_json(), EXPECTED_LEDGER);
-}
-
-#[test]
-fn metrics_snapshot_schema_is_pinned() {
-    let want = on_this_host(EXPECTED_SNAPSHOT);
-    pin("MetricsSnapshot", &snapshot().to_json(), &want);
-}
 
 #[test]
 fn timeseries_schema_is_pinned() {
@@ -315,34 +196,4 @@ fn chrome_trace_schema_is_pinned() {
         &trace().to_chrome_json(2.0, Some(&events())),
         EXPECTED_CHROME_WITH_JOURNAL,
     );
-}
-
-#[test]
-fn mt_report_schema_is_pinned() {
-    // `timeseries` stays `None`: a present series is printed at the
-    // host's calibrated tick rate, and `TimeSeries` is pinned above.
-    let report = MtReport {
-        processed: 900,
-        elapsed: Duration::from_micros(1_500),
-        per_worker: vec![500, 400],
-        pushes: 3_600,
-        batch_calls: 120,
-        pool_allocs: 1_000,
-        pool_recycles: 990,
-        pool_exhausted: 1,
-        pool_fallbacks: 2,
-        pool_bulk_recycles: 800,
-        nic_doorbells: 60,
-        nic_reclaim_batches: 61,
-        nic_desc_stalls: 4,
-        nic_dma_bytes: 57_600,
-        credit_stalls: 17,
-        credit_peak_outstanding: 64,
-        telemetry: snapshot(),
-        ledger: ledger(),
-        timeseries: None,
-        events: events(),
-    };
-    let want = on_this_host(EXPECTED_MT_REPORT);
-    pin("MtReport", &report.to_json(), &want);
 }

@@ -50,12 +50,7 @@ pub struct RouterBuilder {
     queue_capacity: usize,
     source: Option<(usize, u64)>,
     keep_tx_frames: bool,
-    /// Seed of the synthesized Internet-like RIB
-    /// ([`rb_workload::rib_full_table`]) that replaces inline routes
-    /// when [`Knobs::fib_routes`] is non-zero.
-    rib_seed: u64,
-    /// A caller-supplied [`RouteTable`] replacing inline routes; wins
-    /// over a synthesized RIB.
+    /// A caller-supplied [`RouteTable`] replacing inline routes.
     prebuilt_table: Option<RouteTable>,
     knobs: Knobs,
 }
@@ -70,7 +65,6 @@ impl RouterBuilder {
             queue_capacity: Queue::DEFAULT_CAPACITY,
             source: None,
             keep_tx_frames: false,
-            rib_seed: Self::DEFAULT_RIB_SEED,
             prebuilt_table: None,
             knobs: Knobs::default(),
         }
@@ -128,28 +122,10 @@ impl RouterBuilder {
         self
     }
 
-    /// Replaces inline routes with a synthesized Internet-like RIB of
-    /// `n_prefixes` entries ([`rb_workload::rib_full_table`]). IP-router
-    /// mode only; next hops map onto output ports modulo
-    /// [`RouterBuilder::ports`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a non-IP-router builder.
-    pub fn synthetic_routes(mut self, n_prefixes: usize, seed: u64) -> RouterBuilder {
-        assert!(
-            matches!(self.app, App::Route { .. }),
-            "synthetic_routes() only applies to RouterBuilder::ip_router()"
-        );
-        self.knobs.fib_routes = n_prefixes;
-        self.rib_seed = seed;
-        self
-    }
-
     /// Replaces inline routes with a caller-built [`RouteTable`]
-    /// (IP-router mode only). Benches generate a large RIB once and
-    /// reuse it across router instances instead of regenerating per
-    /// build; wins over [`RouterBuilder::synthetic_routes`].
+    /// (IP-router mode only). Benches generate a large RIB once
+    /// ([`rb_workload::rib_full_table`]) and reuse it across router
+    /// instances instead of regenerating per build.
     ///
     /// # Panics
     ///
@@ -164,16 +140,11 @@ impl RouterBuilder {
     }
 
     /// Replaces this builder's runtime knobs with a parsed [`Knobs`]
-    /// (from `RuntimeConfig(...)` configuration text). `fib_routes`
-    /// synthesizes a RIB only for [`RouterBuilder::ip_router`].
+    /// (from `RuntimeConfig(...)` configuration text).
     pub fn apply_knobs(mut self, knobs: &Knobs) -> RouterBuilder {
         self.knobs = *knobs;
         self
     }
-
-    /// RIB seed used when `fib_routes` comes from configuration text
-    /// (which has no seed field).
-    pub const DEFAULT_RIB_SEED: u64 = 0xf1b_0001;
 
     /// Sets the IPsec SA seed (IPsec mode only; ignored otherwise).
     pub fn sa_seed(mut self, seed: u64) -> RouterBuilder {
@@ -279,18 +250,12 @@ impl RouterBuilder {
     }
 
     /// Sets the SPSC ring depth, in batches, of every inter-core ring
-    /// (default [`Knobs::default`]'s `ring_depth`).
+    /// (default [`Knobs::default`]'s `ring_depth`). A ring's credit
+    /// window is what it holds, `depth *` [`RouterBuilder::batch_size`]
+    /// packets.
     pub fn ring_depth(mut self, depth: usize) -> RouterBuilder {
         assert!(depth >= 1, "ring depth must be positive");
         self.knobs.ring_depth = depth;
-        self
-    }
-
-    /// Sets the credit window of every worker's ingress ring, in packets.
-    /// `0` (the default) auto-sizes the window to `ring_depth *
-    /// batch_size`.
-    pub fn credit_window(mut self, packets: usize) -> RouterBuilder {
-        self.knobs.credit_window = packets;
         self
     }
 
@@ -402,8 +367,7 @@ impl RouterBuilder {
     }
 
     /// The route table an IP router forwards with: a caller-supplied one,
-    /// else the synthesized full table when `fib_routes` is set, else the
-    /// inline [`RouterBuilder::route`] list.
+    /// else the inline [`RouterBuilder::route`] list.
     fn route_table(&self, routes: &[(String, u16)]) -> Result<RouteTable, ConfigError> {
         let bad = |message: String| ConfigError::BadArguments {
             class: "RouterBuilder".into(),
@@ -411,12 +375,6 @@ impl RouterBuilder {
         };
         if let Some(table) = &self.prebuilt_table {
             return Ok(table.clone());
-        }
-        if self.knobs.fib_routes > 0 {
-            return Ok(rb_workload::rib_full_table(
-                self.knobs.fib_routes,
-                self.rib_seed,
-            ));
         }
         let mut table = RouteTable::new();
         for (prefix, hop) in routes {
@@ -724,12 +682,6 @@ impl MtRouter {
     pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
         self.monitor.as_ref().map(MetricsServer::local_addr)
     }
-
-    /// The embedded scrape server itself (`None` unless built with
-    /// [`RouterBuilder::serve_metrics`]).
-    pub fn metrics_server(&self) -> Option<&MetricsServer> {
-        self.monitor.as_ref()
-    }
 }
 
 /// A built single-server router with convenience accessors.
@@ -858,12 +810,6 @@ impl BuiltRouter {
         self.monitor.as_ref().map(MetricsServer::local_addr)
     }
 
-    /// The embedded scrape server itself (`None` unless built with
-    /// [`RouterBuilder::serve_metrics`]).
-    pub fn metrics_server(&self) -> Option<&MetricsServer> {
-        self.monitor.as_ref()
-    }
-
     /// Escape hatch to the underlying Click router.
     pub fn click(&mut self) -> &mut Router {
         &mut self.inner
@@ -964,7 +910,7 @@ mod tests {
         assert_eq!(led.sourced, 6);
         assert_eq!(led.forwarded, 4);
         assert_eq!(led.dropped(DropCause::NoRxDescriptor), 2);
-        assert!(led.balances(), "{}", led.to_json());
+        assert!(led.balances(), "{led:?}");
         assert_eq!(r.click().stats().pool_exhausted, 2);
     }
 
@@ -1019,7 +965,7 @@ mod tests {
     fn synthetic_fib_router_forwards_and_counts_lookups() {
         let mut r = RouterBuilder::ip_router()
             .ports(2)
-            .synthetic_routes(1_000, 7)
+            .routes_from_table(rb_workload::rib_full_table(1_000, 7))
             .telemetry(TelemetryLevel::Counts)
             .source_packets(64, 400)
             .build()
@@ -1048,7 +994,7 @@ mod tests {
             let mt = RouterBuilder::minimal_forwarder()
                 .workers(2)
                 .regime(regime)
-                .credit_window(64)
+                .ring_depth(2)
                 .keep_tx_frames(true)
                 .build_mt()
                 .unwrap();
@@ -1063,7 +1009,7 @@ mod tests {
     #[test]
     fn knobs_regime_reaches_mt_router() {
         let (_, knobs) = rb_click::config::build_graph(
-            "RuntimeConfig(workers 2, regime pull, credits 128, ring_depth 16);
+            "RuntimeConfig(workers 2, regime pull, ring_depth 16);
              src :: InfiniteSource(64, 10);
              src -> Discard;",
         )
@@ -1073,7 +1019,6 @@ mod tests {
             .build_mt()
             .unwrap();
         assert_eq!(mt.regime(), Regime::PullCredit);
-        assert_eq!(mt.knobs().credit_window, 128);
         assert_eq!(mt.knobs().ring_depth, 16);
     }
 
@@ -1148,10 +1093,8 @@ mod tests {
             slot_size,
             telemetry,
             trace_sample,
-            fib_routes,
             fib_rcu,
             regime,
-            credit_window,
             nic_batch,
             interval_ms,
             slo,
@@ -1177,15 +1120,8 @@ mod tests {
             b().telemetry(TelemetryLevel::Cycles)
         );
         row!(trace_sample, "trace_sample 8", b().trace_sample(8));
-        let seed = RouterBuilder::DEFAULT_RIB_SEED;
-        row!(
-            fib_routes,
-            "fib_routes 500",
-            b().synthetic_routes(500, seed)
-        );
         row!(fib_rcu, "fib_rcu on", b().rcu_fib(true));
         row!(regime, "regime pipeline", b().regime(Regime::Pipeline));
-        row!(credit_window, "credits 256", b().credit_window(256));
         row!(nic_batch, "nic_batch 4", b().nic_batch(4));
         row!(interval_ms, "interval_ms 5", b().interval_ms(5));
         let spec = SloSpec::parse("loss:0.02").unwrap();
@@ -1320,13 +1256,14 @@ mod tests {
     #[test]
     fn knobs_map_onto_builder_including_fib() {
         let (_, knobs) = rb_click::config::build_graph(
-            "RuntimeConfig(batch_size 16, workers 3, fib_routes 500, fib_rcu on);
+            "RuntimeConfig(batch_size 16, workers 3, fib_rcu on);
              src :: InfiniteSource(64, 10);
              src -> Discard;",
         )
         .unwrap();
         let mt = RouterBuilder::ip_router()
             .ports(2)
+            .routes_from_table(rb_workload::rib_full_table(500, 7))
             .apply_knobs(&knobs)
             .build_mt()
             .unwrap();

@@ -60,4 +60,4 @@ pub mod report;
 pub use bottleneck::BottleneckReport;
 pub use builder::{BuiltRouter, MtRouter, RouterBuilder};
 pub use rb_click::Regime;
-pub use report::{trace_report, trace_report_with_metrics, TextTable};
+pub use report::TextTable;

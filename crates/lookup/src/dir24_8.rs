@@ -42,8 +42,9 @@ pub struct Dir24_8 {
 impl Dir24_8 {
     /// Compiles a forwarding table from `routes`.
     ///
-    /// One address-ordered sweep writes every `TBL24` slot once with the
-    /// longest ≤ /24 prefix covering it; the prefixes longer than /24
+    /// One address-ordered sweep writes every covered `TBL24` slot once
+    /// with the longest ≤ /24 prefix covering it (a table with a default
+    /// route covers them all); the prefixes longer than /24
     /// then spill their slots into `TBLlong` segments, in address order.
     ///
     /// # Errors
@@ -53,9 +54,15 @@ impl Dir24_8 {
     /// [`LookupError::TooManySegments`] when the prefixes longer than /24
     /// fall in more than [`MAX_SEGMENTS`] distinct /24s.
     pub fn compile(routes: &RouteTable) -> Result<Dir24_8, LookupError> {
-        let mut tbl24 = Vec::with_capacity(TBL24_SIZE);
+        // Zeroed (no route) from the allocator: a run no route covers
+        // is never written, so its pages are never touched.
+        let mut tbl24 = vec![0u16; TBL24_SIZE];
+        let mut next = 0;
         let long = sweep24(routes, |slots, entry, _| {
-            tbl24.resize(tbl24.len() + slots, entry)
+            if entry != 0 {
+                tbl24[next..next + slots].fill(entry);
+            }
+            next += slots;
         })?;
         let mut fib = Dir24_8 {
             tbl24,

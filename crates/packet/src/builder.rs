@@ -99,13 +99,6 @@ impl PacketSpec {
         self
     }
 
-    /// Sets the Ethernet source and destination MACs.
-    pub fn macs(mut self, src: MacAddr, dst: MacAddr) -> PacketSpec {
-        self.src_mac = src;
-        self.dst_mac = dst;
-        self
-    }
-
     /// Sets the total Ethernet frame length in bytes (clamped to the
     /// minimum that fits the headers).
     pub fn frame_len(mut self, len: usize) -> PacketSpec {

@@ -105,17 +105,6 @@ impl EthernetHeader {
         Ok(&frame[HEADER_LEN..])
     }
 
-    /// Returns the payload mutably.
-    pub fn payload_mut(frame: &mut [u8]) -> Result<&mut [u8]> {
-        if frame.len() < HEADER_LEN {
-            return Err(PacketError::Truncated {
-                needed: HEADER_LEN,
-                available: frame.len(),
-            });
-        }
-        Ok(&mut frame[HEADER_LEN..])
-    }
-
     /// Overwrites only the destination MAC in `frame`, leaving the rest of
     /// the header untouched.
     ///

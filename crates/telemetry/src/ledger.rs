@@ -19,8 +19,6 @@
 //! scattered drop counters (`dropped_default`, `pool_exhausted`, element
 //! `dropped`) unify behind.
 
-use crate::json;
-
 /// Why a packet left the dataplane without being forwarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropCause {
@@ -154,37 +152,11 @@ impl Ledger {
     pub fn balances(&self) -> bool {
         self.residual() == 0
     }
-
-    /// JSON object: totals, a per-cause `drops` map, the residual and the
-    /// balance verdict.
-    pub fn to_json(&self) -> String {
-        json::object(|w| {
-            w.key("sourced").int(self.sourced);
-            w.key("forwarded").int(self.forwarded);
-            w.key("in_flight").int(self.in_flight);
-            w.key("drops").obj(|w| write_drops(w, &self.dropped));
-            w.key("dropped_total").int(self.dropped_total());
-            w.key("residual").int(self.residual());
-            w.key("balanced").bool(self.balances());
-        })
-    }
-}
-
-/// The members of a `drops` object: one per cause with a nonzero count,
-/// in [`DropCause::ALL`] order — the one spelling the ledger and the
-/// interval series share.
-pub(crate) fn write_drops(w: &mut json::Writer, drops: &[u64; DropCause::COUNT]) {
-    for (cause, &n) in DropCause::ALL.iter().zip(drops) {
-        if n > 0 {
-            w.key(cause.as_str()).int(n);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
     fn balanced_ledger_has_zero_residual() {
@@ -238,26 +210,6 @@ mod tests {
         assert_eq!(a.forwarded, 9);
         assert_eq!(a.dropped(DropCause::Discarded), 2);
         assert!(a.balances());
-    }
-
-    #[test]
-    fn json_round_trips_and_names_causes() {
-        let mut led = Ledger {
-            sourced: 20,
-            forwarded: 18,
-            ..Ledger::default()
-        };
-        led.add(DropCause::Wiring, 2);
-        let v = json::parse(&led.to_json()).expect("ledger JSON parses");
-        assert_eq!(v.get("sourced").and_then(json::Value::as_f64), Some(20.0));
-        assert_eq!(
-            v.get("drops")
-                .and_then(|d| d.get("wiring"))
-                .and_then(json::Value::as_f64),
-            Some(2.0)
-        );
-        assert_eq!(v.get("balanced"), Some(&json::Value::Bool(true)));
-        assert_eq!(v.get("residual").and_then(json::Value::as_f64), Some(0.0));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! snapshots across workers with [`MetricsSnapshot::merge`] — the only
 //! place shards meet, long off the hot path.
 
-use crate::{cycles, json, Log2Histogram, TelemetryLevel};
+use crate::{Log2Histogram, TelemetryLevel};
 
 /// One stage's accumulator inside a [`CoreMetrics`] shard.
 #[derive(Debug, Clone, Default)]
@@ -296,46 +296,6 @@ impl MetricsSnapshot {
                 .expect("cpp is never NaN")
         })
     }
-
-    /// Serializes the snapshot (see DESIGN.md §8 for the schema).
-    pub fn to_json(&self) -> String {
-        let percentiles = |w: &mut json::Writer, prefix: &str, h: &Log2Histogram| {
-            let (p50, p90, p99) = h.percentiles().unwrap_or((0, 0, 0));
-            for (name, v) in [("p50", p50), ("p90", p90), ("p99", p99)] {
-                w.key(&format!("{prefix}{name}")).int(v);
-            }
-        };
-        json::object(|w| {
-            w.key("level").str(self.level.as_str());
-            w.key("tick_unit").str(if cycles::is_cycle_counter() {
-                "tsc"
-            } else {
-                "ns"
-            });
-            w.key("workers").int(self.workers);
-            w.key("total_cycles").int(self.total_cycles);
-            w.key("busy_cycles").int(self.busy_cycles());
-            w.key("empty_polls").int(self.empty_polls);
-            w.key("batch_sizes").obj(|w| {
-                w.key("count").int(self.batch_sizes.count());
-                percentiles(w, "", &self.batch_sizes);
-            });
-            w.key("route_lookups").int(self.route_lookups);
-            w.key("route_misses").int(self.route_misses);
-            w.key("stages").arr(|w| {
-                for s in &self.stages {
-                    w.obj(|w| {
-                        w.key("name").str(&s.name).key("class").str(&s.class);
-                        w.key("calls").int(s.calls);
-                        w.key("packets").int(s.packets);
-                        w.key("cycles").int(s.cycles);
-                        w.key("cycles_per_packet").float(s.cycles_per_packet(), 3);
-                        percentiles(w, "cycles_", &s.lat);
-                    });
-                }
-            });
-        })
-    }
 }
 
 #[cfg(test)]
@@ -408,16 +368,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.route_lookups, 15);
         assert_eq!(a.route_misses, 3);
-        let doc = crate::json::parse(&a.to_json()).expect("parses");
-        assert_eq!(
-            doc.get("route_lookups")
-                .and_then(crate::json::Value::as_f64),
-            Some(15.0)
-        );
-        assert_eq!(
-            doc.get("route_misses").and_then(crate::json::Value::as_f64),
-            Some(3.0)
-        );
     }
 
     #[test]
@@ -431,29 +381,6 @@ mod tests {
         let mut merged2 = snap.clone();
         merged2.merge(&MetricsSnapshot::empty());
         assert_eq!(merged2, snap);
-    }
-
-    #[test]
-    fn json_export_parses_and_carries_stage_rows() {
-        let mut m = CoreMetrics::new(TelemetryLevel::Cycles, 2);
-        m.record_dispatch(0, 32, 320);
-        m.record_dispatch(1, 32, 3200);
-        m.record_quantum(4000, true);
-        let snap = m.snapshot(labeled);
-        let doc = crate::json::parse(&snap.to_json()).expect("snapshot JSON must parse");
-        assert_eq!(doc.get("level").unwrap().as_str(), Some("cycles"));
-        let stages = doc.get("stages").unwrap().as_array().unwrap();
-        assert_eq!(stages.len(), 2);
-        assert_eq!(stages[1].get("name").unwrap().as_str(), Some("e1"));
-        assert_eq!(stages[1].get("cycles").unwrap().as_f64(), Some(3200.0));
-        assert!(
-            stages[1]
-                .get("cycles_per_packet")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
     }
 
     #[test]

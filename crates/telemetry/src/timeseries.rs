@@ -29,7 +29,7 @@
 use crate::events::{Edges, EventLog};
 use crate::hist::Log2Histogram;
 use crate::json;
-use crate::ledger::{write_drops, DropCause, Ledger};
+use crate::ledger::{DropCause, Ledger};
 use crate::seqring::{Record, SeqRing};
 use std::sync::Arc;
 
@@ -671,7 +671,13 @@ impl TimeSeries {
                         }
                         w.key("pps").float(b.pps(ticks_per_sec), 1);
                         w.key("loss_rate").float(b.loss_rate(), 6);
-                        w.key("drops").obj(|w| write_drops(w, &b.drops));
+                        w.key("drops").obj(|w| {
+                            for (cause, &n) in DropCause::ALL.iter().zip(&b.drops) {
+                                if n > 0 {
+                                    w.key(cause.as_str()).int(n);
+                                }
+                            }
+                        });
                         w.key("credit_stalls").int(b.credit_stalls);
                         w.key("nic_desc_stalls").int(b.nic_desc_stalls);
                         w.key("stages").arr(|w| {

@@ -303,7 +303,7 @@ impl TraceLog {
     }
 
     /// `(p50, p99, p999)` packet latencies in recorder ticks — the
-    /// SLO-style summary `trace_report` and the Table-1 grid bench print.
+    /// p99 columns of `paper table1` and `paper regimes`.
     pub fn latency_percentiles(&self) -> (u64, u64, u64) {
         let lat = self.packet_latencies();
         (

@@ -76,7 +76,7 @@ grep -rlE "$unsafe_word" crates/*/src --include='*.rs' | xargs awk '
     END { exit bad }
 '
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core: the collapsed names stay gone)"
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -108,6 +108,24 @@ if grep -rnE "$journal_gone" crates/ examples/ tests/; then
     echo "a second per-core ring, its writer or reader, or a dataplane read of the FIB's counters is back: the journal is a view of the interval series" >&2
     exit 1
 fi
+# Every knob and exporter has a reader: a ring's credit window is
+# `ring_depth * batch_size`, a synthetic RIB comes in through
+# `routes_from_table`, and the text report and the JSON exporters no
+# reader outside the tests used stay gone. Only config.rs's tests name a
+# removed key, to see it rejected.
+knob_gone='credit_window|effective_credit_window|synthetic_routes|fib_routes|DEFAULT_RIB_SEED|trace_report'
+if grep -rnE "$knob_gone" crates/ examples/ tests/ --exclude=config.rs ||
+    non_test crates/click/src/config.rs | grep -nE "$knob_gone"; then
+    echo "a derived knob (credit window, synthetic RIB) or trace_report is back: every knob and exporter needs a reader" >&2
+    exit 1
+fi
+for f in crates/click/src/runtime/driver.rs crates/click/src/runtime/mt.rs \
+    crates/telemetry/src/snapshot.rs crates/telemetry/src/ledger.rs; do
+    if non_test "$f" | grep -nE 'fn to_json\b'; then
+        echo "$f: a JSON exporter with no reader outside the tests is back (the four left: SloReport, Event, TimeSeries, the Chrome trace)" >&2
+        exit 1
+    fi
+done
 # `Output` is per-port batches; the pair list survives only as the
 # reference in element.rs's tests.
 if grep -n 'Vec<(usize, Packet)>' <(non_test crates/click/src/element.rs); then

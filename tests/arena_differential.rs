@@ -158,7 +158,7 @@ fn tiny_pool_counts_exhaustion_and_recovers() {
     // The ledger sees the same story: every emission either forwarded or
     // dropped to pool exhaustion, mid-batch drops included.
     let ledger = r.ledger();
-    assert!(ledger.balances(), "{}", ledger.to_json());
+    assert!(ledger.balances(), "{ledger:?}");
     assert_eq!(ledger.sourced, 400);
     assert_eq!(ledger.forwarded, sent);
     assert_eq!(
@@ -197,7 +197,7 @@ fn mt_report_accounts_every_slot_of_an_overloaded_pool() {
     );
     assert_eq!(report.pool_allocs, report.processed);
     assert_eq!(report.pool_recycles, report.pool_allocs);
-    assert!(report.ledger.balances(), "{}", report.ledger.to_json());
+    assert!(report.ledger.balances(), "{:?}", report.ledger);
     assert_eq!(report.ledger.sourced, 400);
     // Ingress-side exhaustion would be booked as the NIC-boundary drop
     // cause (no free RX descriptor), not the source-side `PoolExhausted`.
@@ -219,8 +219,12 @@ fn mt_report_counts_the_slots_the_merger_frees() {
         .keep_tx_frames(true)
         .build_mt()
         .unwrap();
-    let report = mt.run(traffic(400, 400, 64, false)).unwrap().report;
+    let out = mt.run(traffic(400, 400, 64, false)).unwrap();
+    let report = out.report;
     assert_eq!(report.processed, 400);
     assert_eq!(report.pool_allocs, 400);
     assert_eq!(report.pool_recycles, report.pool_allocs);
+    // So is each worker's row, read from its own arenas after the join.
+    let rows: u64 = out.worker_stats.iter().map(|s| s.pool_recycles).sum();
+    assert_eq!(rows, 400);
 }

@@ -46,7 +46,7 @@ fn builder(n_prefixes: usize, seed: u64) -> RouterBuilder {
     RouterBuilder::ip_router()
         .ports(PORTS)
         .rcu_fib(true)
-        .synthetic_routes(n_prefixes, seed)
+        .routes_from_table(rib_full_table(n_prefixes, seed))
         .keep_tx_frames(true)
 }
 
@@ -61,15 +61,14 @@ fn tx_multiset(r: &routebricks::builder::BuiltRouter) -> Vec<Vec<u8>> {
 
 fn assert_exact_balance(name: &str, r: &routebricks::builder::BuiltRouter, sourced: u64) {
     let led = r.ledger();
-    assert!(led.balances(), "{name}: ledger {}", led.to_json());
+    assert!(led.balances(), "{name}: ledger {led:?}");
     assert_eq!(led.sourced, sourced, "{name}: every packet sourced");
     assert_eq!(led.in_flight, 0, "{name}: drained");
     assert_eq!(
         led.dropped_total(),
         0,
         "{name}: default route resolves everything; a drop means a torn \
-         or stale-beyond-publish lookup: {}",
-        led.to_json()
+         or stale-beyond-publish lookup: {led:?}"
     );
     assert_eq!(led.forwarded, sourced, "{name}: all packets forwarded");
 }
@@ -212,8 +211,7 @@ fn mt_forwarding_under_concurrent_churn_never_tears() {
     let ledger = &outcome.report.ledger;
     assert!(
         ledger.balances(),
-        "ledger must balance under churn: {}",
-        ledger.to_json()
+        "ledger must balance under churn: {ledger:?}"
     );
     assert_eq!(ledger.sourced, PACKETS, "every packet sourced");
     assert_eq!(ledger.in_flight, 0, "nothing in flight after drain");
@@ -221,8 +219,7 @@ fn mt_forwarding_under_concurrent_churn_never_tears() {
         ledger.dropped_total(),
         0,
         "the default route resolves every destination; any drop is a torn \
-         or inconsistent lookup: {}",
-        ledger.to_json()
+         or inconsistent lookup: {ledger:?}"
     );
     assert_eq!(ledger.forwarded, PACKETS, "all packets reach an egress");
     let snap = &outcome.report.telemetry;

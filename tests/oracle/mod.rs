@@ -400,16 +400,15 @@ pub fn run_st(graph: Graph, knobs: &Knobs, input: &[(usize, Packet)]) -> Run {
 /// Checks `got` against the reference ledger `want`; returns how many
 /// frames the legitimate drops took, or what is wrong.
 pub fn ledger_shortfall(got: &Ledger, want: &Ledger) -> Result<u64, String> {
-    let json = got.to_json();
     if !got.balances() || got.in_flight != 0 || got.sourced != want.sourced {
-        return Err(format!("ledger {json} against sourced {}", want.sourced));
+        return Err(format!("ledger {got:?} against sourced {}", want.sourced));
     }
     let mut short = 0;
     for cause in DropCause::ALL {
         let (g, w) = (got.dropped(cause), want.dropped(cause));
         match LEGIT.contains(&cause) && g >= w {
             true => short += g - w,
-            false if g != w => return Err(format!("{cause:?}: {g}, reference {w}; {json}")),
+            false if g != w => return Err(format!("{cause:?}: {g}, reference {w}; {got:?}")),
             false => {}
         }
     }

@@ -68,7 +68,7 @@ fn overload_stalls_every_gated_ring_and_drops_nothing() {
             .pool_slots(8)
             .keep_tx_frames(true)
             .regime(regime)
-            .credit_window(32)
+            .ring_depth(1)
             .build_mt()
             .unwrap();
         let out = mt.run(frames.clone()).unwrap();
@@ -85,8 +85,8 @@ fn overload_stalls_every_gated_ring_and_drops_nothing() {
         assert_eq!(
             report.ledger.dropped(DropCause::NoRxDescriptor),
             0,
-            "{regime} must not drop at an RX descriptor boundary: {}",
-            report.ledger.to_json()
+            "{regime} must not drop at an RX descriptor boundary: {:?}",
+            report.ledger
         );
         assert!(
             report.credit_stalls > 0,
