@@ -455,15 +455,15 @@ mod tests {
         assert_eq!(sent, got, "ring_depth {ring_depth}");
     }
 
-    /// 16-batch SPSC rings: a 512-packet window.
+    /// 16-batch rings: a 512-packet window.
     #[test]
-    fn graph_spsc_matches_parallel_multiset() {
+    fn sixteen_batch_rings_forward_every_packet() {
         small_rings_forward_every_packet(16);
     }
 
-    /// 2-batch SPSC rings: a 64-packet window that pushes back often.
+    /// 2-batch rings: a 64-packet window that pushes back often.
     #[test]
-    fn graph_pull_matches_spsc_multiset() {
+    fn two_batch_rings_forward_every_packet() {
         small_rings_forward_every_packet(2);
     }
 
@@ -735,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_spsc_run_exports_cross_core_edges() {
+    fn traced_pull_run_behind_sixteen_batch_rings_exports_cross_core_edges() {
         traced_run_exports_cross_core_edges(16);
     }
 

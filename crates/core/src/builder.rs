@@ -665,8 +665,11 @@ impl MtRouter {
     /// scheduling regime ([`RouterBuilder::regime`]; default
     /// [`Regime::PullCredit`] — split by flow, stream each replica its
     /// shard under a credit window, merge egress). With `workers == 1`
-    /// the per-port output streams are byte-identical to the
-    /// single-threaded [`BuiltRouter`].
+    /// the per-port output streams of one call are byte-identical to
+    /// the single-threaded [`BuiltRouter`]'s for the same input. Not
+    /// across calls: each call builds fresh replicas, so stateful
+    /// elements start over — `IpsecEncap` numbers every call's ESP
+    /// packets from sequence 1, where a `BuiltRouter` keeps counting.
     ///
     /// # Errors
     ///

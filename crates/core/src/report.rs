@@ -98,11 +98,6 @@ impl core::fmt::Display for TextTable {
     }
 }
 
-/// Formats bits/second as a human-readable Gbps value.
-pub fn gbps(bps: f64) -> String {
-    format!("{:.2} Gbps", bps / 1e9)
-}
-
 /// Formats packets/second as Mpps.
 pub fn mpps(pps: f64) -> String {
     format!("{:.2} Mpps", pps / 1e6)
@@ -147,7 +142,6 @@ mod tests {
 
     #[test]
     fn unit_formatters() {
-        assert_eq!(gbps(9.7e9), "9.70 Gbps");
         assert_eq!(mpps(18.96e6), "18.96 Mpps");
     }
 }

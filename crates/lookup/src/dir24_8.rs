@@ -119,11 +119,15 @@ impl Dir24_8 {
         }
     }
 
-    /// Surrenders the raw tables, letting a reclaimed snapshot's
-    /// allocations be recycled into the next one (the RCU FIB's
-    /// delta-patched publish).
+    /// Surrenders the raw tables, letting a replaced snapshot's
+    /// allocations become the RCU FIB's next working table.
     pub(crate) fn into_parts(self) -> (Vec<u16>, Vec<u16>) {
         (self.tbl24, self.tbl_long)
+    }
+
+    /// The raw tables, for bringing a recycled pair up to date.
+    pub(crate) fn parts(&self) -> (&[u16], &[u16]) {
+        (&self.tbl24, &self.tbl_long)
     }
 
     /// Destination addresses in a batch rarely share cache lines in a
@@ -193,6 +197,75 @@ impl LpmLookup for Dir24_8 {
 
     fn lookup_batch(&self, addrs: &[u32], out: &mut [Option<NextHop>]) {
         self.lookup_batch_impl(addrs, out);
+    }
+}
+
+/// Test-only census of the `TBL24` buffers (allocations of exactly
+/// 2²⁴ `u16`s) allocated and not yet freed on the calling thread, and
+/// the most there have been: an allocator that counts them for this
+/// crate's unit tests.
+#[cfg(test)]
+pub(crate) mod live {
+    use super::TBL24_SIZE;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    const TBL24_BYTES: usize = TBL24_SIZE * core::mem::size_of::<u16>();
+
+    thread_local! {
+        static TBL24: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
+    }
+
+    fn adjust(bytes: usize, by: isize) {
+        if bytes == TBL24_BYTES {
+            // `try_with`: a thread's last frees can run after its
+            // thread-locals are gone.
+            let _ = TBL24.try_with(|c| {
+                let (now, peak) = c.get();
+                c.set((now + by, peak.max(now + by)));
+            });
+        }
+    }
+
+    /// `(alive now, peak)` on this thread.
+    pub(crate) fn tbl24_buffers() -> (isize, isize) {
+        TBL24.with(Cell::get)
+    }
+
+    struct Counting;
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    // SAFETY: each method forwards to `System` with its caller's own
+    // arguments, so `System`'s guarantees are this allocator's; the
+    // census touches only a `Copy` thread-local, which allocates nothing.
+    unsafe impl GlobalAlloc for Counting {
+        // SAFETY: the caller's `alloc` contract is `System`'s.
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            adjust(layout.size(), 1);
+            System.alloc(layout)
+        }
+
+        // SAFETY: as `alloc`; zeroed pages stay untouched, as without
+        // the census.
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            adjust(layout.size(), 1);
+            System.alloc_zeroed(layout)
+        }
+
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            adjust(layout.size(), -1);
+            System.dealloc(ptr, layout)
+        }
+
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            adjust(layout.size(), -1);
+            adjust(new_size, 1);
+            System.realloc(ptr, layout, new_size)
+        }
     }
 }
 

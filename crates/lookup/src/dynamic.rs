@@ -3,17 +3,18 @@
 //! [`crate::Dir24_8`] is an immutable compile-once FIB; real routers see
 //! continuous BGP churn (hundreds of updates per second in 2009).
 //! [`DynamicDir24_8`] supports in-place `insert`/`remove` by keeping,
-//! alongside each table entry, the *prefix length that owns it*. An
-//! update then only touches entries owned by shorter (insert) or exactly
-//! the removed (remove) prefixes — the classic owner-tracking scheme from
-//! the DIR-24-8 paper's update discussion.
+//! alongside each table entry, the *prefix length that owns it* (plus
+//! one, so that a zeroed owner table, like a zeroed `TBL24`, means no
+//! route). An update then only touches entries owned by shorter (insert)
+//! or exactly the removed (remove) prefixes — the classic owner-tracking
+//! scheme from the DIR-24-8 paper's update discussion.
 //!
 //! Memory: one extra byte per entry (≈16 MiB for `TBL24`), the price of
 //! O(affected-range) updates instead of a full 2²⁴-entry rebuild.
 
 use crate::dir24_8::{LONG_FLAG, MAX_SEGMENTS, TBL24_SIZE};
 use crate::prefix::Prefix;
-use crate::sweep::{sweep24, NO_OWNER};
+use crate::sweep::{owner_of, sweep24, NO_OWNER};
 use crate::table::RouteTable;
 use crate::{LookupError, LpmLookup, NextHop, MAX_NEXT_HOP};
 
@@ -25,9 +26,9 @@ const DIRTY_OVERFLOW_ENTRIES: usize = 1 << 21;
 const DIRTY_OVERFLOW_SPANS: usize = 1 << 16;
 
 /// The table slots rewritten since the last [`DynamicDir24_8::take_dirty`],
-/// in a form a snapshot holder can replay: copy these slots from the live
-/// tables and an old snapshot becomes current, without touching the other
-/// ~16M entries.
+/// in a form a snapshot holder can replay: copy these slots from the
+/// newer tables and the previous snapshot becomes current, without
+/// touching the other ~16M entries.
 #[derive(Debug, Clone, Default)]
 pub struct DirtyDelta {
     /// Inclusive `TBL24` slot ranges rewritten.
@@ -48,30 +49,9 @@ impl DirtyDelta {
     }
 
     /// `true` when the delta no longer describes the rewrites precisely
-    /// and the holder must fall back to a full clone.
+    /// and the holder must copy the whole table instead.
     pub fn overflow(&self) -> bool {
         self.overflow
-    }
-
-    /// Number of table entries the delta covers.
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
-    /// Folds `other` into `self` (set union, overflow-propagating).
-    pub fn merge(&mut self, other: &DirtyDelta) {
-        if other.overflow {
-            self.trip_overflow();
-        }
-        if self.overflow {
-            return;
-        }
-        for &(s, e) in &other.ranges24 {
-            self.mark24(s, e);
-        }
-        for &seg in &other.segments {
-            self.mark_seg(seg);
-        }
     }
 
     fn trip_overflow(&mut self) {
@@ -130,6 +110,8 @@ pub struct DynamicDir24_8 {
     /// Authoritative route set (needed to find replacement owners on
     /// remove).
     rib: RouteTable,
+    /// The lookup tables, `tbl24` and `tbl_long`, are empty only between
+    /// [`DynamicDir24_8::freeze`] and [`DynamicDir24_8::thaw`].
     tbl24: Vec<u16>,
     owner24: Vec<u8>,
     tbl_long: Vec<u16>,
@@ -157,10 +139,11 @@ impl DynamicDir24_8 {
     /// Builds from an existing route table.
     ///
     /// The same address-ordered sweep as [`crate::Dir24_8::compile`]
-    /// writes every `TBL24` slot and its owner once, and the prefixes
-    /// longer than /24 spill into segments in address order; the RIB is
-    /// one clone of `table`. The dirty set starts empty: the build is the
-    /// baseline a first snapshot copies whole.
+    /// writes every covered `TBL24` slot and its owner once into zeroed
+    /// tables (no route, [`NO_OWNER`]), and the prefixes longer than /24
+    /// spill into segments in address order; the RIB is one clone of
+    /// `table`. The dirty set starts empty: the build is the baseline a
+    /// first snapshot copies whole.
     ///
     /// # Errors
     ///
@@ -168,11 +151,17 @@ impl DynamicDir24_8 {
     /// [`LookupError::TooManySegments`] when the prefixes longer than /24
     /// fall in more than [`MAX_SEGMENTS`] distinct /24s.
     pub fn from_table(table: &RouteTable) -> Result<DynamicDir24_8, LookupError> {
-        let mut tbl24 = Vec::with_capacity(TBL24_SIZE);
-        let mut owner24 = Vec::with_capacity(TBL24_SIZE);
+        // Zeroed from the allocator: a run no route covers is never
+        // written, so its pages are never touched.
+        let mut tbl24 = vec![0u16; TBL24_SIZE];
+        let mut owner24 = vec![NO_OWNER; TBL24_SIZE];
+        let mut next = 0;
         let long = sweep24(table, |slots, entry, owner| {
-            tbl24.resize(tbl24.len() + slots, entry);
-            owner24.resize(owner24.len() + slots, owner);
+            if entry != 0 {
+                tbl24[next..next + slots].fill(entry);
+                owner24[next..next + slots].fill(owner);
+            }
+            next += slots;
         })?;
         let mut fib = DynamicDir24_8 {
             rib: table.clone(),
@@ -203,13 +192,14 @@ impl DynamicDir24_8 {
             return Err(LookupError::NextHopTooLarge(hop));
         }
         let encoded = hop + 1;
+        let owner = owner_of(prefix.len());
         if prefix.len() <= 24 {
             let start = (prefix.first() >> 8) as usize;
             let end = (prefix.last() >> 8) as usize;
             self.dirty.mark24(start as u32, end as u32);
             for slot in start..=end {
-                if self.owner24[slot] == NO_OWNER || self.owner24[slot] <= prefix.len() {
-                    self.owner24[slot] = prefix.len();
+                if self.owner24[slot] <= owner {
+                    self.owner24[slot] = owner;
                     if self.tbl24[slot] & LONG_FLAG != 0 {
                         // Spilled slot: update the segment's background
                         // entries (those owned by ≤24-bit prefixes).
@@ -217,10 +207,9 @@ impl DynamicDir24_8 {
                         self.dirty.mark_seg(seg_index as u32);
                         let seg = seg_index * 256;
                         for i in seg..seg + 256 {
-                            if self.owner_long[i] == NO_OWNER || self.owner_long[i] <= prefix.len()
-                            {
+                            if self.owner_long[i] <= owner {
                                 self.tbl_long[i] = encoded;
-                                self.owner_long[i] = prefix.len();
+                                self.owner_long[i] = owner;
                             }
                         }
                     } else {
@@ -245,10 +234,11 @@ impl DynamicDir24_8 {
         let base = seg_index * 256;
         let lo_start = (prefix.first() & 0xff) as usize;
         let lo_end = (prefix.last() & 0xff) as usize;
+        let owner = owner_of(prefix.len());
         for i in base + lo_start..=base + lo_end {
-            if self.owner_long[i] == NO_OWNER || self.owner_long[i] <= prefix.len() {
+            if self.owner_long[i] <= owner {
                 self.tbl_long[i] = encoded;
-                self.owner_long[i] = prefix.len();
+                self.owner_long[i] = owner;
             }
         }
         Ok(())
@@ -262,12 +252,13 @@ impl DynamicDir24_8 {
         // the longest remaining strictly-shorter route covering it.
         // One RIB scan per update, not per table slot.
         let (enc, owner) = self.background_for(prefix);
+        let removed = owner_of(prefix.len());
         if prefix.len() <= 24 {
             let start = (prefix.first() >> 8) as usize;
             let end = (prefix.last() >> 8) as usize;
             self.dirty.mark24(start as u32, end as u32);
             for slot in start..=end {
-                if self.owner24[slot] != prefix.len() {
+                if self.owner24[slot] != removed {
                     continue;
                 }
                 if self.tbl24[slot] & LONG_FLAG != 0 {
@@ -275,7 +266,7 @@ impl DynamicDir24_8 {
                     self.dirty.mark_seg(seg_index as u32);
                     let seg = seg_index * 256;
                     for i in seg..seg + 256 {
-                        if self.owner_long[i] == prefix.len() {
+                        if self.owner_long[i] == removed {
                             self.tbl_long[i] = enc;
                             self.owner_long[i] = owner;
                         }
@@ -296,7 +287,7 @@ impl DynamicDir24_8 {
                 let lo_end = (prefix.last() & 0xff) as usize;
                 for lo in lo_start..=lo_end {
                     let i = base + lo;
-                    if self.owner_long[i] == prefix.len() {
+                    if self.owner_long[i] == removed {
                         self.tbl_long[i] = enc;
                         self.owner_long[i] = owner;
                     }
@@ -308,7 +299,7 @@ impl DynamicDir24_8 {
     }
 
     /// Longest remaining route strictly shorter than `prefix` covering
-    /// it, as `(encoded entry, owner length)`.
+    /// it, as `(encoded entry, owner byte)`.
     ///
     /// Any covering route is an ancestor — `prefix`'s own address masked
     /// to a shorter length — so at most `len` exact RIB probes suffice.
@@ -318,7 +309,7 @@ impl DynamicDir24_8 {
         for len in (0..prefix.len()).rev() {
             let q = Prefix::new(prefix.addr(), len);
             if let Some(hop) = self.rib.get(&q) {
-                return (hop + 1, len);
+                return (hop + 1, owner_of(len));
             }
         }
         (0, NO_OWNER)
@@ -362,7 +353,7 @@ impl DynamicDir24_8 {
         let base = seg_index * 256;
         let all_background = self.owner_long[base..base + 256]
             .iter()
-            .all(|&o| o == NO_OWNER || o <= 24);
+            .all(|&o| o <= owner_of(24));
         if !all_background {
             return;
         }
@@ -386,61 +377,69 @@ impl DynamicDir24_8 {
         self.tbl_long.len() / 256 - self.free_segments.len()
     }
 
-    /// Clones the current table state into an immutable [`crate::Dir24_8`]
-    /// — the publish step of the RCU FIB. Freed spill segments are copied
-    /// as-is (they are unreachable from `TBL24`, so lookups are
-    /// unaffected; the snapshot just carries a little slack memory).
+    /// Clones the current table state into an immutable [`crate::Dir24_8`].
+    /// Freed spill segments are copied as-is (they are unreachable from
+    /// `TBL24`, so lookups are unaffected; the snapshot just carries a
+    /// little slack memory).
     pub fn snapshot(&self) -> crate::Dir24_8 {
         crate::Dir24_8::from_parts(self.tbl24.clone(), self.tbl_long.clone(), self.rib.len())
     }
 
     /// Takes the accumulated dirty set — the slots rewritten since the
-    /// previous call — leaving it empty. The RCU publish path labels
-    /// these per generation so stale snapshots can be patched instead of
-    /// re-cloned.
+    /// previous call — leaving it empty.
     pub fn take_dirty(&mut self) -> DirtyDelta {
         std::mem::take(&mut self.dirty)
     }
 
-    /// Brings an old snapshot's buffers up to date by copying only the
-    /// entries named in `delta` (plus any `TBLlong` growth) from the live
-    /// tables, and wraps them as a fresh immutable snapshot.
+    /// The RCU FIB's publish step: moves the lookup tables, without
+    /// copying, into an immutable snapshot and takes the dirty set, the
+    /// slots that differ from the previous snapshot. Until
+    /// [`DynamicDir24_8::thaw`] the table has no lookup tables: only
+    /// `thaw` may touch it.
+    pub(crate) fn freeze(&mut self) -> (crate::Dir24_8, DirtyDelta) {
+        let tbl24 = std::mem::take(&mut self.tbl24);
+        let tbl_long = std::mem::take(&mut self.tbl_long);
+        let frozen = crate::Dir24_8::from_parts(tbl24, tbl_long, self.rib.len());
+        (frozen, self.take_dirty())
+    }
+
+    /// Gives a frozen table its lookup tables back, equal to `live`'s.
     ///
-    /// `delta` must be the union of every dirty set taken since the
-    /// buffers were current — this is the O(changed-slots) alternative to
-    /// [`DynamicDir24_8::snapshot`]'s 32 MiB clone, what lets a control
-    /// plane publish thousands of routes/sec without stealing the
-    /// dataplane's memory bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `delta` overflowed (callers must fall back to
-    /// [`DynamicDir24_8::snapshot`]) or when the buffers have the wrong
-    /// shape.
-    pub fn patch_snapshot(
-        &self,
-        mut tbl24: Vec<u16>,
-        mut tbl_long: Vec<u16>,
+    /// `recycled` is the snapshot `live` replaced, which holds the
+    /// previous generation: only the slots in `delta` (`freeze`'s dirty
+    /// set) are copied from `live` into it, plus any `TBLlong` growth —
+    /// O(changed slots). `None`, or a delta that overflowed, copies all
+    /// of `live`.
+    pub(crate) fn thaw(
+        &mut self,
+        recycled: Option<crate::Dir24_8>,
+        live: &crate::Dir24_8,
         delta: &DirtyDelta,
-    ) -> crate::Dir24_8 {
-        assert!(!delta.overflow(), "overflowed delta cannot be replayed");
-        assert_eq!(tbl24.len(), TBL24_SIZE, "not a TBL24 buffer");
-        assert!(
-            tbl_long.len() <= self.tbl_long.len(),
-            "snapshot buffers newer than the live table"
+    ) {
+        let (live24, live_long) = live.parts();
+        let whole = recycled.is_none() || delta.overflow();
+        let (mut tbl24, mut tbl_long) = recycled.map_or_else(
+            || (vec![0u16; TBL24_SIZE], Vec::new()),
+            crate::Dir24_8::into_parts,
         );
-        for &(start, end) in &delta.ranges24 {
-            let (s, e) = (start as usize, end as usize);
-            tbl24[s..=e].copy_from_slice(&self.tbl24[s..=e]);
+        // TBLlong only grows, and a new segment is always dirty, so
+        // zero-extending before the segment copies is enough.
+        tbl_long.resize(live_long.len(), 0);
+        if whole {
+            tbl24.copy_from_slice(live24);
+            tbl_long.copy_from_slice(live_long);
+        } else {
+            for &(start, end) in &delta.ranges24 {
+                let (s, e) = (start as usize, end as usize);
+                tbl24[s..=e].copy_from_slice(&live24[s..=e]);
+            }
+            for &seg in &delta.segments {
+                let base = seg as usize * 256;
+                tbl_long[base..base + 256].copy_from_slice(&live_long[base..base + 256]);
+            }
         }
-        // TBLlong only grows; new segments are always in the dirty set,
-        // so zero-extending before the segment copies is enough.
-        tbl_long.resize(self.tbl_long.len(), 0);
-        for &seg in &delta.segments {
-            let base = seg as usize * 256;
-            tbl_long[base..base + 256].copy_from_slice(&self.tbl_long[base..base + 256]);
-        }
-        crate::Dir24_8::from_parts(tbl24, tbl_long, self.rib.len())
+        self.tbl24 = tbl24;
+        self.tbl_long = tbl_long;
     }
 
     /// The authoritative route set.

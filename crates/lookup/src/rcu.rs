@@ -17,30 +17,37 @@
 //!   increasing **generation**.
 //! * Writers ([`RouteControl`]) mutate a private [`DynamicDir24_8`]
 //!   under a mutex (control plane only — never on the packet path),
-//!   then *publish*: snapshot the tables, swap the pointer, bump the
-//!   generation, and retire the old snapshot tagged with the generation
-//!   that replaced it. Snapshots are built by patching a reclaimed
-//!   predecessor with the slots dirtied since its generation whenever
-//!   one is available — O(changed entries), not a 32 MiB clone per
-//!   publish — falling back to the full clone otherwise.
+//!   then *publish*: move the working tables into the new snapshot
+//!   without copying, swap the pointer, bump the generation, and wait
+//!   out the replaced snapshot's grace period. Its buffers then become
+//!   the working tables, brought up to date with the slots this
+//!   generation dirtied — O(changed entries), not a 32 MiB clone per
+//!   publish. Two tables exist: the working one and the live snapshot.
 //! * Readers ([`FibReader`]) *pin* once per batch: announce the current
 //!   generation in their own cache-line-padded epoch slot, re-check the
 //!   generation, and dereference the pointer for the whole batch. One
 //!   uncontended store + two loads per batch of packets; unpinning is a
 //!   single store of the [`QUIESCENT`] sentinel.
-//! * A retired snapshot is reclaimed once every announced (non-
-//!   quiescent) epoch has advanced to at least its retire generation —
-//!   the grace period. Reclamation piggybacks on publish (and
+//! * Since readers pin for one batch, the grace wait is normally
+//!   microseconds. It is bounded by the time one full-table clone took
+//!   at construction: past that, a stalled reader (even one pinned on
+//!   the publishing thread) keeps the replaced snapshot, which is
+//!   *retired* tagged with the generation that replaced it, and the
+//!   working tables are cloned from the new snapshot instead.
+//! * A retired snapshot is freed once every announced (non-quiescent)
+//!   epoch has advanced to at least its retire generation — the grace
+//!   period. Reclamation piggybacks on publish (and
 //!   [`RouteControl::try_reclaim`]), so there is no background thread.
 //!
 //! Why this is safe (the grace-period argument): a reader that still
 //! holds a pointer retired at generation `g` must have loaded it before
 //! the swap, therefore its announced epoch — stored and re-validated
 //! *before* the pointer load, with `SeqCst` ordering on both sides —
-//! is at most `g - 1 < g`, and it blocks reclamation until it unpins
-//! or re-pins at a newer generation.
+//! is at most `g - 1 < g`, and it blocks reclamation — recycling, which
+//! writes into the snapshot, as much as freeing — until it unpins or
+//! re-pins at a newer generation.
 
-use crate::dynamic::{DirtyDelta, DynamicDir24_8};
+use crate::dynamic::DynamicDir24_8;
 use crate::table::RouteTable;
 use crate::{Dir24_8, LookupError, NextHop, Prefix};
 use crossbeam::utils::CachePadded;
@@ -48,6 +55,7 @@ use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Epoch-slot value meaning "this reader is not inside a read-side
 /// critical section".
@@ -68,19 +76,15 @@ pub enum RouteUpdate {
 
 /// Control-plane state, touched only under the writer mutex.
 struct WriterState {
-    /// Authoritative table with incremental update support; snapshots
-    /// are cloned from it at publish time.
+    /// Authoritative table with incremental update support: the live
+    /// snapshot's contents plus the unpublished updates.
     rib: DynamicDir24_8,
-    /// Retired snapshots awaiting their grace period, tagged with the
+    /// Snapshots a reader still held past the grace wait, tagged with the
     /// generation at which they were replaced.
     retired: Vec<(u64, Arc<Dir24_8>)>,
-    /// A reclaimed snapshot's buffers, tagged with the generation whose
-    /// state they still hold — the next publish patches them with the
-    /// missed deltas instead of cloning 32 MiB.
-    spare: Option<(u64, Vec<u16>, Vec<u16>)>,
-    /// Dirty sets by consuming generation: entry `(g, d)` holds the
-    /// slots that changed between snapshots `g - 1` and `g`.
-    dirty_log: Vec<(u64, DirtyDelta)>,
+    /// How long a publish waits for readers to leave the snapshot it
+    /// replaced: what one full-table clone took at construction.
+    grace_budget: Duration,
     installs: u64,
     withdrawals: u64,
     publishes: u64,
@@ -127,12 +131,15 @@ pub struct RcuStats {
     pub withdrawals: u64,
     /// Snapshots published.
     pub publishes: u64,
-    /// Publishes that patched a recycled snapshot (copying only the
-    /// changed slots) instead of cloning the full table.
+    /// Publishes that recycled the snapshot they replaced (copying the
+    /// changed slots into it, or the whole table when a burst overflowed
+    /// the dirty set's budget) instead of cloning the full table.
     pub delta_publishes: u64,
-    /// Retired snapshots still waiting out their grace period.
+    /// Replaced snapshots a reader held past the grace wait, not yet
+    /// freed.
     pub pending_retired: usize,
-    /// Retired snapshots reclaimed after a full grace period.
+    /// Replaced snapshots reclaimed after a full grace period, recycled
+    /// or freed.
     pub reclaimed: u64,
 }
 
@@ -170,13 +177,13 @@ impl RcuFib {
     ) -> Result<RcuFib, LookupError> {
         assert!(max_readers > 0, "need at least one reader slot");
         // One address-ordered sweep builds the working table, with an
-        // empty dirty set: the first snapshot below copies it whole.
+        // empty dirty set: the first snapshot below copies it whole, and
+        // what that copy takes is what a publish will wait for readers
+        // before it clones instead.
         let rib = DynamicDir24_8::from_table(initial)?;
+        let clone_started = Instant::now();
         let first = Arc::new(rib.snapshot());
-        // Prime the spare with a second clone (construction is off the
-        // hot path) so even the very first publish is delta-patched —
-        // otherwise it pays the one full-table clone while traffic flows.
-        let (spare24, spare_long) = rib.snapshot().into_parts();
+        let grace_budget = clone_started.elapsed();
         let epochs: Vec<CachePadded<AtomicU64>> = (0..max_readers)
             .map(|_| CachePadded::new(AtomicU64::new(QUIESCENT)))
             .collect();
@@ -190,8 +197,7 @@ impl RcuFib {
                 writer: Mutex::new(WriterState {
                     rib,
                     retired: Vec::new(),
-                    spare: Some((0, spare24, spare_long)),
-                    dirty_log: Vec::new(),
+                    grace_budget,
                     installs: 0,
                     withdrawals: 0,
                     publishes: 0,
@@ -240,60 +246,6 @@ fn stats_of(shared: &RcuShared) -> RcuStats {
         delta_publishes: w.delta_publishes,
         pending_retired: w.retired.len(),
         reclaimed: w.reclaimed,
-    }
-}
-
-/// Builds the snapshot a publish will install: patch the recycled spare
-/// with the deltas it missed when possible, otherwise clone the full
-/// working table.
-fn snapshot_for_publish(w: &mut WriterState) -> Dir24_8 {
-    if let Some((spare_gen, tbl24, tbl_long)) = w.spare.take() {
-        // The spare needs every delta consumed after its generation;
-        // the log holds consecutive generations, so covering the first
-        // needed label means covering them all.
-        let covered = w
-            .dirty_log
-            .first()
-            .is_some_and(|(label, _)| *label <= spare_gen + 1);
-        if covered {
-            let mut merged = DirtyDelta::default();
-            for (label, delta) in &w.dirty_log {
-                if *label > spare_gen {
-                    merged.merge(delta);
-                }
-            }
-            if !merged.overflow() {
-                w.delta_publishes += 1;
-                return w.rib.patch_snapshot(tbl24, tbl_long, &merged);
-            }
-        }
-        // Too stale or too much churn since: the buffers are dropped and
-        // the next reclaim donates a fresh spare.
-    }
-    w.rib.snapshot()
-}
-
-/// Drops dirty-log entries nothing can need anymore: the spare (and any
-/// retired snapshot that may yet become the spare) only ever replays
-/// deltas newer than its own generation.
-fn prune_dirty_log(w: &mut WriterState) {
-    let mut needed_from = u64::MAX;
-    if let Some((spare_gen, ..)) = &w.spare {
-        needed_from = needed_from.min(spare_gen + 1);
-    }
-    for (retire_gen, _) in &w.retired {
-        // Reclaimed at `retire_gen`, this snapshot would become a spare
-        // of generation `retire_gen - 1`, needing labels ≥ `retire_gen`.
-        needed_from = needed_from.min(*retire_gen);
-    }
-    w.dirty_log.retain(|(label, _)| *label >= needed_from);
-    // Churn far outpacing reclamation (e.g. a reader pinned for a long
-    // stretch): cap the log rather than grow without bound; a spare that
-    // then lacks coverage falls back to a full clone.
-    const LOG_CAP: usize = 16;
-    if w.dirty_log.len() > LOG_CAP {
-        let cut = w.dirty_log.len() - LOG_CAP;
-        w.dirty_log.drain(..cut);
     }
 }
 
@@ -420,10 +372,11 @@ impl std::ops::Deref for FibGuard<'_> {
 
     fn deref(&self) -> &Dir24_8 {
         // SAFETY: the snapshot was loaded under an announced epoch no
-        // newer than its own generation; the writer retires a snapshot
-        // only after every announced epoch reaches the generation that
-        // replaced it, which cannot happen before this guard drops
-        // (the epoch slot is reset in `FibGuard::drop`).
+        // newer than its own generation; the writer recycles (writes
+        // into) or frees a snapshot only after every announced epoch
+        // reaches the generation that replaced it, which cannot happen
+        // before this guard drops (the epoch slot is reset in
+        // `FibGuard::drop`).
         unsafe { &*self.snapshot }
     }
 }
@@ -471,7 +424,7 @@ impl RouteControl {
 
     /// Applies a batch of updates to the working table without
     /// publishing — the natural grain for BGP-style churn, since one
-    /// publish amortizes the snapshot clone over the whole batch.
+    /// publish amortizes the grace wait over the whole batch.
     ///
     /// # Errors
     ///
@@ -496,8 +449,10 @@ impl RouteControl {
     }
 
     /// Publishes the working table as a new immutable snapshot and
-    /// returns its generation. Retires the previous snapshot and
-    /// reclaims any whose grace period has passed.
+    /// returns its generation. Recycles the previous snapshot as the
+    /// working table once no reader holds it — or, when a reader stays
+    /// pinned longer than a full-table clone takes, retires it and clones
+    /// — and reclaims any retired snapshot whose grace period has passed.
     pub fn publish(&self) -> u64 {
         let mut w = self.shared.writer.lock();
         self.publish_locked(&mut w)
@@ -515,25 +470,62 @@ impl RouteControl {
     }
 
     fn publish_locked(&self, w: &mut WriterState) -> u64 {
-        let consuming_gen = self.shared.gen.load(Ordering::SeqCst) + 1;
-        let delta = w.rib.take_dirty();
-        w.dirty_log.push((consuming_gen, delta));
-        let next = Arc::new(snapshot_for_publish(w));
-        let next_ptr = Arc::into_raw(next) as *mut Dir24_8;
+        let (frozen, delta) = w.rib.freeze();
+        let next = Arc::new(frozen);
+        let next_ptr = Arc::into_raw(Arc::clone(&next)) as *mut Dir24_8;
         let old_ptr = self.shared.current.swap(next_ptr, Ordering::AcqRel);
         // The swap precedes the generation bump, so any reader that
         // confirms the *new* generation is guaranteed to load the new
         // pointer (see the pin loop).
         let new_gen = self.shared.gen.fetch_add(1, Ordering::SeqCst) + 1;
         // SAFETY: `old_ptr` came out of `current`, which held one owned
-        // Arc reference; we take that reference back and park it in
-        // `retired` until the grace period passes, keeping the
-        // allocation alive for in-flight readers.
+        // Arc reference; we take that reference back, and either recycle
+        // the snapshot once no reader can hold it or park it in `retired`
+        // until the grace period passes.
         let old = unsafe { Arc::from_raw(old_ptr as *const Dir24_8) };
-        w.retired.push((new_gen, old));
         w.publishes += 1;
+        let recycled = if self.wait_for_readers(new_gen, w.grace_budget) {
+            // `current` held the only reference.
+            Arc::into_inner(old)
+        } else {
+            w.retired.push((new_gen, old));
+            None
+        };
+        if recycled.is_some() {
+            w.reclaimed += 1;
+            w.delta_publishes += 1;
+        }
+        w.rib.thaw(recycled, &next, &delta);
         self.reclaim_locked(w);
         new_gen
+    }
+
+    /// Waits, yielding, until every pinned reader has announced at least
+    /// `gen`, for no longer than `budget`; returns whether they did.
+    fn wait_for_readers(&self, gen: u64, budget: Duration) -> bool {
+        let started = Instant::now();
+        while self.oldest_epoch() < gen {
+            if started.elapsed() >= budget {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// The oldest epoch any reader has announced; [`QUIESCENT`] readers
+    /// don't count, and with none pinned this is `QUIESCENT` itself.
+    fn oldest_epoch(&self) -> u64 {
+        let slots = self
+            .shared
+            .next_slot
+            .load(Ordering::SeqCst)
+            .min(self.shared.epochs.len());
+        self.shared.epochs[..slots]
+            .iter()
+            .map(|slot| slot.load(Ordering::SeqCst))
+            .min()
+            .unwrap_or(QUIESCENT)
     }
 
     /// Attempts reclamation without publishing (useful after the last
@@ -545,48 +537,18 @@ impl RouteControl {
         w.reclaimed
     }
 
+    /// Frees the retired snapshots whose grace period has passed.
     fn reclaim_locked(&self, w: &mut WriterState) {
         if w.retired.is_empty() {
             return;
         }
-        // The oldest epoch any reader has announced; QUIESCENT readers
-        // don't constrain reclamation.
-        let slots = self
-            .shared
-            .next_slot
-            .load(Ordering::SeqCst)
-            .min(self.shared.epochs.len());
-        let mut min_epoch = u64::MAX;
-        for slot in &self.shared.epochs[..slots] {
-            let e = slot.load(Ordering::SeqCst);
-            if e != QUIESCENT {
-                min_epoch = min_epoch.min(e);
-            }
-        }
         // A snapshot retired at generation g is safe once every pinned
         // reader announced an epoch ≥ g (it then must have loaded a
-        // pointer at least as new as g's). The freshest reclaimed
-        // snapshot's buffers become the spare for delta-patched reuse.
-        let mut kept = Vec::with_capacity(w.retired.len());
-        for (retire_gen, arc) in w.retired.drain(..) {
-            if retire_gen > min_epoch {
-                kept.push((retire_gen, arc));
-                continue;
-            }
-            w.reclaimed += 1;
-            // A retired snapshot published at `retire_gen - 1` still
-            // holds that generation's state.
-            let snap_gen = retire_gen - 1;
-            let fresher = w.spare.as_ref().is_none_or(|(g, ..)| *g < snap_gen);
-            if fresher {
-                if let Ok(snap) = Arc::try_unwrap(arc) {
-                    let (tbl24, tbl_long) = snap.into_parts();
-                    w.spare = Some((snap_gen, tbl24, tbl_long));
-                }
-            }
-        }
-        w.retired = kept;
-        prune_dirty_log(w);
+        // pointer at least as new as g's).
+        let oldest = self.oldest_epoch();
+        let before = w.retired.len();
+        w.retired.retain(|(retire_gen, _)| *retire_gen > oldest);
+        w.reclaimed += (before - w.retired.len()) as u64;
     }
 
     /// Lifecycle counters (takes the writer lock briefly).
@@ -758,9 +720,10 @@ mod tests {
 
     #[test]
     fn delta_publishes_match_full_recompile() {
-        // Many small publish rounds so snapshots cycle through the spare
-        // and get delta-patched; every published snapshot must be
-        // indistinguishable from a full recompile of the mirrored RIB.
+        // Many small publish rounds, each recycling the snapshot it
+        // replaced as the next working table; every published snapshot
+        // must be indistinguishable from a full recompile of the
+        // mirrored RIB.
         use crate::gen::{addresses_within, generate_table, TableGenConfig};
         let table = generate_table(&TableGenConfig {
             routes: 3_000,
@@ -798,12 +761,122 @@ mod tests {
         }
         let stats = fib.stats();
         assert_eq!(stats.publishes, 40);
-        assert!(
-            stats.delta_publishes >= 30,
-            "spare recycling should carry steady-state publishes, got {} of {}",
-            stats.delta_publishes,
-            stats.publishes
+        assert_eq!(
+            stats.delta_publishes, stats.publishes,
+            "no guard outlives a round, so every publish recycles"
         );
+    }
+
+    #[test]
+    fn steady_churn_recycles_every_publish_and_keeps_two_tables() {
+        // A reader on its own thread pins once per 32-lookup batch while
+        // the writer publishes 200 slices of updates. Each publish's grace
+        // wait outlasts the batch in flight, so it recycles the snapshot
+        // it replaced: no retired snapshot, no clone, and never a third
+        // TBL24 buffer beside the working table and the live snapshot.
+        use crate::dir24_8::live;
+        use crate::gen::{addresses_within, generate_table, TableGenConfig};
+        use std::sync::atomic::AtomicBool;
+        let table = generate_table(&TableGenConfig {
+            routes: 3_000,
+            long_fraction: 0.1,
+            ..Default::default()
+        });
+        let fib = RcuFib::new(&table).unwrap();
+        let ctl = fib.control();
+        let reader = fib.reader();
+        let addrs = addresses_within(&table, 32, 5);
+        let routes: Vec<(Prefix, NextHop)> = table.iter().map(|(p, h)| (*p, *h)).collect();
+        let stop = AtomicBool::new(false);
+        // Asserted once the reader has stopped, so a failure cannot leave
+        // it spinning and the scope waiting on it.
+        let rounds: Vec<RcuStats> = std::thread::scope(|scope| {
+            let stop = &stop;
+            scope.spawn(move || {
+                let mut hops = [None; 32];
+                while !stop.load(Ordering::Relaxed) {
+                    reader.pin().lookup_batch(&addrs, &mut hops);
+                }
+            });
+            let rounds = (0..200usize)
+                .map(|round| {
+                    let updates: Vec<RouteUpdate> = (0..10)
+                        .map(|k| {
+                            let (prefix, hop) = routes[(round * 31 + k * 7) % routes.len()];
+                            if (round + k) % 4 == 0 {
+                                RouteUpdate::Withdraw(prefix)
+                            } else {
+                                RouteUpdate::Announce(prefix, (hop + round as u16) % 16)
+                            }
+                        })
+                        .collect();
+                    ctl.apply_and_publish(&updates).unwrap();
+                    ctl.stats()
+                })
+                .collect();
+            stop.store(true, Ordering::Relaxed);
+            rounds
+        });
+        for (round, stats) in rounds.iter().enumerate() {
+            assert_eq!(stats.delta_publishes, stats.publishes, "round {round}");
+            assert_eq!(stats.pending_retired, 0, "round {round}");
+        }
+        assert_eq!(
+            live::tbl24_buffers(),
+            (2, 2),
+            "TBL24 buffers (alive, peak): the working table and the live snapshot"
+        );
+    }
+
+    #[test]
+    fn stalled_guard_costs_one_clone_then_reclaims() {
+        // A guard held across a publish, first on another thread, then on
+        // the publishing thread itself: the publish waits one clone's
+        // time, clones, and returns; the guard still reads its own
+        // snapshot; once it unpins, the next publish frees the stalled
+        // snapshot and recycles again.
+        use crate::dir24_8::live;
+        use std::sync::mpsc;
+        let fib = RcuFib::new(&base_table()).unwrap();
+        let ctl = fib.control();
+        let counters = |fib: &RcuFib| {
+            let s = fib.stats();
+            (s.publishes, s.delta_publishes, s.pending_retired)
+        };
+        let reader = fib.reader();
+        let (pinned_tx, pinned_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let stalled = scope.spawn(move || {
+                let guard = reader.pin();
+                pinned_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                guard.lookup(a("10.2.2.2"))
+            });
+            pinned_rx.recv().unwrap();
+            ctl.insert(p("10.0.0.0/8"), 9).unwrap();
+            ctl.publish();
+            assert_eq!(counters(&fib), (1, 0, 1), "cloned, old snapshot retired");
+            assert_eq!(live::tbl24_buffers().0, 3, "a third: the stalled one");
+            release_tx.send(()).unwrap();
+            assert_eq!(stalled.join().unwrap(), Some(1), "stalled guard, old hop");
+        });
+        ctl.publish();
+        assert_eq!(counters(&fib), (2, 1, 0), "reclaimed, then recycled");
+        assert_eq!(live::tbl24_buffers().0, 2);
+
+        let reader = fib.reader();
+        let guard = reader.pin();
+        ctl.insert(p("10.0.0.0/8"), 4).unwrap();
+        ctl.publish();
+        assert_eq!(guard.lookup(a("10.2.2.2")), Some(9), "own snapshot");
+        assert_eq!(counters(&fib), (3, 1, 1));
+        assert_eq!(live::tbl24_buffers().0, 3);
+        drop(guard);
+        ctl.publish();
+        assert_eq!(counters(&fib), (4, 2, 0));
+        assert_eq!(live::tbl24_buffers(), (2, 3));
+        assert_eq!(reader.pin().lookup(a("10.2.2.2")), Some(4));
     }
 
     #[test]

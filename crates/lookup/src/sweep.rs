@@ -15,14 +15,22 @@ use crate::prefix::Prefix;
 use crate::table::RouteTable;
 use crate::{LookupError, MAX_NEXT_HOP};
 
-/// Owner length of a slot no route covers.
-pub(crate) const NO_OWNER: u8 = 0xff;
+/// Owner byte of a slot no route covers: 0, so a zeroed owner table
+/// starts with no route anywhere.
+pub(crate) const NO_OWNER: u8 = 0;
+
+/// Owner byte of a slot whose longest cover is `len` bits long. Above
+/// [`NO_OWNER`] for every length, so "no route or a cover no longer than
+/// `len`" is `owner <= owner_of(len)`.
+pub(crate) const fn owner_of(len: u8) -> u8 {
+    len + 1
+}
 
 /// Walks `routes` once and calls `run(slots, entry, owner)` for
 /// consecutive runs of `TBL24` slots, in slot order, covering all 2²⁴
 /// slots exactly once. `entry` is the encoded next hop (`hop + 1`, or `0`
 /// for no route) of the longest prefix of at most /24 covering the run and
-/// `owner` its length ([`NO_OWNER`] when none does).
+/// `owner` its [`owner_of`] byte ([`NO_OWNER`] when none does).
 ///
 /// Returns the routes longer than /24, in address order with their encoded
 /// hops, for the caller's segment painter: each spills one `TBL24` slot,
@@ -71,7 +79,11 @@ pub(crate) fn sweep24(
             continue;
         }
         advance(&mut open, (prefix.first() >> 8) as usize);
-        open.push(((prefix.last() >> 8) as usize, hop + 1, prefix.len()));
+        open.push((
+            (prefix.last() >> 8) as usize,
+            hop + 1,
+            owner_of(prefix.len()),
+        ));
     }
     advance(&mut open, TBL24_SIZE);
     Ok(long)
@@ -184,7 +196,7 @@ pub(crate) mod tests {
     }
 
     /// The painter `Dir24_8::compile` used before the sweep, with the
-    /// owner lengths the dynamic FIB keeps: every prefix in ascending
+    /// owner bytes the dynamic FIB keeps: every prefix in ascending
     /// length order overwrites its whole range, so the longest cover of
     /// a slot writes last; a prefix longer than /24 seeds its slot's
     /// segment from the slot on first spill.
@@ -201,7 +213,7 @@ pub(crate) mod tests {
             if prefix.len() <= 24 {
                 let slots = idx24..=(prefix.last() >> 8) as usize;
                 t.tbl24[slots.clone()].fill(hop + 1);
-                t.owner24[slots].fill(prefix.len());
+                t.owner24[slots].fill(owner_of(prefix.len()));
                 continue;
             }
             if t.tbl24[idx24] & LONG_FLAG == 0 {
@@ -215,7 +227,7 @@ pub(crate) mod tests {
             let entries =
                 base + (prefix.first() & 0xff) as usize..=base + (prefix.last() & 0xff) as usize;
             t.tbl_long[entries.clone()].fill(hop + 1);
-            t.owner_long[entries].fill(prefix.len());
+            t.owner_long[entries].fill(owner_of(prefix.len()));
         }
         Tables::canonical(
             &t.tbl24,

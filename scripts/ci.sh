@@ -64,7 +64,8 @@ if grep -nE "$unsafe_word|(core|std)::arch" crates/crypto/src/*.rs |
     exit 1
 fi
 # Every source file that says `unsafe` (x86.rs, pool.rs, spsc.rs, rcu.rs,
-# prefetch.rs, cycles.rs today; a new one is gated the day it appears).
+# prefetch.rs, cycles.rs today, and dir24_8.rs's test-only allocator; a
+# new one is gated the day it appears).
 grep -rlE "$unsafe_word" crates/*/src --include='*.rs' | xargs awk '
     FNR == 1 { comment = 0; safety = 0 }
     /^[[:space:]]*\/\// { if ($0 ~ /\/\/ SAFETY:/) safety = 1; comment = 1; next }
@@ -76,7 +77,7 @@ grep -rlE "$unsafe_word" crates/*/src --include='*.rs' | xargs awk '
     END { exit bad }
 '
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader: the collapsed names stay gone)"
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader, two FIB tables: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -117,6 +118,15 @@ knob_gone='credit_window|effective_credit_window|synthetic_routes|fib_routes|DEF
 if grep -rnE "$knob_gone" crates/ examples/ tests/ --exclude=config.rs ||
     non_test crates/click/src/config.rs | grep -nE "$knob_gone"; then
     echo "a derived knob (credit window, synthetic RIB) or trace_report is back: every knob and exporter needs a reader" >&2
+    exit 1
+fi
+# Two FIB tables: each publish recycles the snapshot it replaces, so the
+# primed spare's patch path and its dirty log stay gone, as do the test
+# names of the deleted Spsc regime and the report helper nothing called.
+fib_gone='snapshot_for_publish|prune_dirty_log|LOG_CAP|dirty_log|patch_snapshot|graph_spsc_|traced_spsc_|report::gbps'
+if grep -rnE "$fib_gone" crates/ tests/ examples/ ||
+    grep -nE 'fn gbps\b' crates/core/src/report.rs; then
+    echo "the RCU FIB's spare and dirty log, an Spsc-era test name or report::gbps is back: the FIB keeps two tables" >&2
     exit 1
 fi
 for f in crates/click/src/runtime/driver.rs crates/click/src/runtime/mt.rs \
