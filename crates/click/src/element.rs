@@ -146,9 +146,9 @@ impl PacketBatch {
         self.pkts.clear();
     }
 
-    /// Empties the batch, chaining every pooled buffer into one
+    /// Empties the batch, queueing every pooled buffer in one
     /// [`rb_packet::FreeBatch`] so the whole batch's arena slots return
-    /// with a single free-list CAS instead of one CAS per packet. Heap
+    /// under one free-list lock instead of one lock per packet. Heap
     /// buffers are dropped as usual; capacity is kept (for buffer
     /// pooling) like [`PacketBatch::clear`].
     pub fn recycle(&mut self) {
@@ -156,7 +156,7 @@ impl PacketBatch {
         for pkt in self.pkts.drain(..) {
             pkt.recycle_into(&mut free);
         }
-        // `free` flushes on drop: one CAS per contiguous same-arena run.
+        // `free` flushes on drop: one lock per same-arena run of ≤ 64.
     }
 }
 

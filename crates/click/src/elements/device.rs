@@ -437,8 +437,8 @@ impl ToDevice {
         if self.keep_frames {
             self.tx_log.append(&mut self.scratch);
         } else {
-            // The whole completion batch's arena slots go back in one
-            // free-list splice (`free` flushes on drop).
+            // The whole completion batch's arena slots go back under one
+            // free-list lock (`free` flushes on drop).
             let mut free = rb_packet::FreeBatch::new();
             for pkt in self.scratch.drain(..) {
                 pkt.recycle_into(&mut free);

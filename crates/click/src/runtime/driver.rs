@@ -74,7 +74,7 @@ pub struct RunStats {
     pub dropped_default: u64,
     /// Arena slot allocations across every pool-owning element.
     pub pool_allocs: u64,
-    /// Arena slots recycled back to their free-lists.
+    /// Arena slots recycled back to their free lists.
     pub pool_recycles: u64,
     /// Packets dropped because an arena had no free slot (the paper's
     /// "no free descriptor" NIC drop).
@@ -84,8 +84,8 @@ pub struct RunStats {
     pub pool_fallbacks: u64,
     /// High-water mark of live arena slots, summed across pools.
     pub pool_peak_in_use: u64,
-    /// Arena slots returned through the bulk free-chain splice (a subset
-    /// of `pool_recycles` that paid one CAS per batch, not per slot).
+    /// Arena slots returned through a `FreeBatch` (a subset of
+    /// `pool_recycles` that took one lock per batch, not per slot).
     pub pool_bulk_recycles: u64,
     /// NIC doorbells rung across every descriptor ring (one per `kn`
     /// reclaimed descriptors — Table 1's NIC-driven batching axis).
@@ -1413,7 +1413,7 @@ mod tests {
         assert_eq!(stats.pool_recycles, 96);
         assert!(
             stats.pool_bulk_recycles > 0,
-            "Discard must free batches through the bulk splice"
+            "Discard must free batches through a FreeBatch"
         );
     }
 

@@ -57,7 +57,7 @@ pub struct MtReport {
     pub pool_exhausted: u64,
     /// Buffers deflected to heap storage, summed over all workers.
     pub pool_fallbacks: u64,
-    /// Arena slots returned through bulk free-chain splices (subset of
+    /// Arena slots returned through a `FreeBatch` (subset of
     /// `pool_recycles`).
     pub pool_bulk_recycles: u64,
     /// NIC doorbells rung, summed over every worker's descriptor rings

@@ -317,8 +317,8 @@ impl PacketBuf {
         Ok(())
     }
 
-    /// Consumes the buffer, chaining a pooled slot onto `batch` so its
-    /// free-list CAS is shared with the rest of the batch; a heap buffer
+    /// Consumes the buffer, queueing a pooled slot on `batch` so the free
+    /// list's lock is taken once for the whole batch; a heap buffer
     /// is simply dropped. Use at bulk drop points (transmit, discard)
     /// where many buffers die together.
     pub fn recycle_into(self, batch: &mut crate::pool::FreeBatch) {

@@ -128,8 +128,8 @@ impl Packet {
         self.buf
     }
 
-    /// Consumes the packet, chaining its pooled buffer (if any) onto
-    /// `batch` for a bulk free-list splice. See
+    /// Consumes the packet, queueing its pooled buffer (if any) on
+    /// `batch` for a bulk return to the free list. See
     /// [`PacketBuf::recycle_into`].
     pub fn recycle_into(self, batch: &mut crate::pool::FreeBatch) {
         self.buf.recycle_into(batch);

@@ -1,7 +1,7 @@
 //! Pooled packet-buffer arena.
 //!
-//! [`PacketPool`] is a slab of fixed-size buffer slots with a lock-free
-//! free-list, mirroring the DMA descriptor rings RouteBricks leans on:
+//! [`PacketPool`] is a slab of fixed-size buffer slots with a locked
+//! free list, mirroring the DMA descriptor rings RouteBricks leans on:
 //! the NIC (here, a source element) grabs a slot, the dataplane moves a
 //! lightweight handle (slot index + pool ref) from element to element and
 //! across SPSC rings, and dropping the last handle recycles the slot
@@ -11,14 +11,15 @@
 //!
 //! Ownership is per-worker by construction: each ingress element owns its
 //! own pool (and `Element::replicate` hands every core a fresh one), so
-//! the allocation path is uncontended. The only cross-core traffic is the
-//! recycle push when an egress core drops a handle, which is a single CAS
-//! on the free-list head — the same discipline as the paper's lock-free
-//! descriptor rings.
+//! the free list's lock is uncontended, and batching pays for it once a
+//! burst rather than once a packet: a handle refills a cache of slot
+//! indices under one lock and allocates from it touching nothing shared,
+//! and a [`FreeBatch`] returns a transmitted batch under one lock. Any
+//! thread may still free a slot (an egress core, the merger, a spent
+//! ring's drain); a single drop takes the lock once.
 
 use std::cell::{RefCell, UnsafeCell};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::buf::{DEFAULT_HEADROOM, DEFAULT_TAILROOM};
 
@@ -33,13 +34,14 @@ pub const DEFAULT_SLOT_SIZE: usize = 2048;
 /// the pool in steady state.
 pub const DEFAULT_POOL_SLOTS: usize = 4096;
 
-/// Sentinel index terminating the free-list.
+/// Index of a [`PoolSlot`] whose slot a [`FreeBatch`] already queued
+/// (never a real slot: an arena has fewer than `u32::MAX` of them).
 const NIL: u32 = u32::MAX;
 
-/// Upper bound on a pool handle's local allocation cache. Sized like the
-/// caches of production packet frameworks (and glibc's tcache): big enough
-/// to amortize the free-list CAS across a burst, small enough that slots
-/// parked in one handle's cache cannot starve the arena's other handles.
+/// Upper bound on a handle's allocation cache and on a [`FreeBatch`].
+/// Sized like the caches of production packet frameworks (and glibc's
+/// tcache): big enough to amortize the free list's lock across a burst,
+/// small enough that one handle's cache cannot starve the arena's others.
 const CACHE_CAP: usize = 64;
 
 /// Snapshot of a pool's counters, surfaced through `RunStats`/`MtReport`.
@@ -56,19 +58,19 @@ pub struct PoolStats {
     pub slot_size: usize,
     /// Successful slot allocations.
     pub allocs: u64,
-    /// Slots returned to the free-list.
+    /// Slots returned to the free list.
     pub recycles: u64,
-    /// Slots returned through a [`FreeBatch`] chain splice — a subset of
-    /// `recycles` that paid one CAS per batch instead of one per slot.
+    /// Slots returned through a [`FreeBatch`] — a subset of `recycles`
+    /// that took the free list's lock once a batch, not once a slot.
     pub bulk_recycles: u64,
-    /// Allocation attempts that found the free-list empty.
+    /// Allocation attempts that found the free list empty.
     pub exhausted: u64,
     /// Buffers deflected to heap storage (frame larger than a slot, or an
     /// infallible constructor hit an exhausted pool).
     pub heap_fallbacks: u64,
     /// Slots currently handed out.
     pub in_use: usize,
-    /// High-water mark of `in_use`.
+    /// High-water mark of `in_use`, as the handles see it when they flush.
     pub peak_in_use: usize,
 }
 
@@ -132,172 +134,39 @@ impl PoolStats {
     }
 }
 
-/// The shared arena: one contiguous slab plus a Treiber-stack free-list.
-///
-/// The free-list head packs a 32-bit ABA tag with the 32-bit slot index so
-/// that concurrent pop/push (an egress core recycling while the ingress
-/// core allocates) cannot resurrect a stale head.
+/// The shared arena: one contiguous slab and the free list of its slots.
 struct PoolInner {
     storage: Box<[UnsafeCell<u8>]>,
     slot_size: usize,
     slots: usize,
-    /// Free-list head: `(tag << 32) | index`, `NIL` when empty. The tag is
-    /// bumped by every push and left alone by takes, so besides defeating
-    /// ABA it counts cumulative pushes mod 2^32 — recycles ride the CAS
-    /// the free path already pays, costing zero extra RMW per packet.
-    free_head: AtomicU64,
-    /// Per-slot next pointer for the free-list.
-    next: Box<[AtomicU32]>,
-    allocs: AtomicU64,
-    /// 64-bit extension of the push tag: `observe_pushes` folds tag deltas
-    /// in here. Reclaim observes at least once per `CACHE_CAP` allocations,
-    /// so a tag wrap between observations is impossible in practice.
-    pushes_committed: AtomicU64,
-    /// Tag value as of the last `observe_pushes`.
-    last_push_tag: AtomicU32,
-    /// Pushes that returned never-allocated indices from a dropped
-    /// handle's cache — list maintenance, not recycles.
-    cache_returns: AtomicU64,
-    /// Slots returned through `push_free_chain` (bulk splices).
-    bulk_recycled: AtomicU64,
-    exhausted: AtomicU64,
-    heap_fallbacks: AtomicU64,
-    /// High-water mark of live slots. Maintained with a plain
-    /// load/compare/store (not `fetch_max`) so the allocation path carries
-    /// no read-modify-write op for it; under concurrent cross-core
-    /// recycling the mark may overshoot by the number of in-flight
-    /// recycles, which is fine for a statistic.
-    peak_in_use: AtomicUsize,
+    list: Mutex<FreeList>,
+}
+
+/// The arena's free slot indices and every counter, all under one lock.
+/// The stack is LIFO: the slot freed last, still in cache, goes out next.
+#[derive(Default)]
+struct FreeList {
+    free: Vec<u32>,
+    /// Allocations the handles have flushed (see `LocalCache::flush`).
+    allocs: u64,
+    recycles: u64,
+    bulk_recycles: u64,
+    exhausted: u64,
+    heap_fallbacks: u64,
+    peak_in_use: usize,
 }
 
 // SAFETY: the slab is only ever accessed through `PoolSlot`s, and the
-// free-list guarantees each live slot index is handed out to exactly one
+// free list (behind its lock) hands each slot index to exactly one
 // `PoolSlot` at a time; distinct slots cover disjoint byte ranges, so no
 // two threads alias the same bytes mutably.
 unsafe impl Sync for PoolInner {}
 
 impl PoolInner {
-    /// Detaches up to `max` slots from the free-list with one CAS,
-    /// appending their indices to `out`. Bulk reclaim amortizes the pop
-    /// CAS across every taken slot, which is what keeps the per-allocation
-    /// fast path free of atomic read-modify-write instructions.
-    ///
-    /// The chain is walked optimistically while other threads may mutate
-    /// the list; the final CAS revalidates the packed ABA tag (bumped by
-    /// every push and take), so a stale walk only ever costs a retry —
-    /// stale `next` reads are still in-bounds indices, never garbage.
-    fn take_free(&self, max: usize, out: &mut Vec<u32>) {
-        let start = out.len();
-        let mut head = self.free_head.load(Ordering::Acquire);
-        loop {
-            out.truncate(start);
-            let mut index = (head & u64::from(u32::MAX)) as u32;
-            if index == NIL {
-                return;
-            }
-            while index != NIL && out.len() - start < max {
-                out.push(index);
-                index = self.next[index as usize].load(Ordering::Relaxed);
-            }
-            // Keep the tag: only pushes bump it. A head index can only
-            // recur via a push (takes strictly remove), so any ABA hazard
-            // still flips the tag and fails this compare.
-            let replacement = (head & !u64::from(u32::MAX)) | u64::from(index);
-            match self.free_head.compare_exchange_weak(
-                head,
-                replacement,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(observed) => head = observed,
-            }
-        }
-    }
-
-    fn push_free(&self, index: u32) {
-        let mut head = self.free_head.load(Ordering::Relaxed);
-        loop {
-            self.next[index as usize].store((head & u64::from(u32::MAX)) as u32, Ordering::Relaxed);
-            let tag = (head >> 32).wrapping_add(1);
-            let replacement = (tag << 32) | u64::from(index);
-            match self.free_head.compare_exchange_weak(
-                head,
-                replacement,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(observed) => head = observed,
-            }
-        }
-    }
-
-    /// Splices a pre-linked chain of `count` slots (`chain_head` →
-    /// `…` → `chain_tail`, linked through `next` by the caller, who owns
-    /// every slot in it) onto the free-list with **one** CAS. The tag
-    /// advances by `count` so the tag-as-push-counter arithmetic in
-    /// `observe_pushes` stays exact — a chain of N slots is N pushes that
-    /// shared a single read-modify-write.
-    fn push_free_chain(&self, chain_head: u32, chain_tail: u32, count: u32) {
-        debug_assert!(count > 0);
-        let mut head = self.free_head.load(Ordering::Relaxed);
-        loop {
-            self.next[chain_tail as usize]
-                .store((head & u64::from(u32::MAX)) as u32, Ordering::Relaxed);
-            let tag = ((head >> 32) as u32).wrapping_add(count);
-            let replacement = (u64::from(tag) << 32) | u64::from(chain_head);
-            match self.free_head.compare_exchange_weak(
-                head,
-                replacement,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(observed) => head = observed,
-            }
-        }
-        self.bulk_recycled
-            .fetch_add(u64::from(count), Ordering::Relaxed);
-    }
-
-    /// Folds the free-list tag (pushes mod 2^32) into the 64-bit committed
-    /// push count and returns the total. Concurrent observers serialize on
-    /// `last_push_tag`; a racing reader can transiently see the count a
-    /// delta short, which quiesces as soon as pushes stop.
-    fn observe_pushes(&self) -> u64 {
-        loop {
-            let last = self.last_push_tag.load(Ordering::Relaxed);
-            let tag_now = (self.free_head.load(Ordering::Acquire) >> 32) as u32;
-            let delta = tag_now.wrapping_sub(last);
-            if delta == 0 {
-                return self.pushes_committed.load(Ordering::Relaxed);
-            }
-            if self
-                .last_push_tag
-                .compare_exchange(last, tag_now, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return self
-                    .pushes_committed
-                    .fetch_add(u64::from(delta), Ordering::Relaxed)
-                    + u64::from(delta);
-            }
-        }
-    }
-
-    /// Exact recycle count: observed pushes minus cache give-backs.
-    fn recycles(&self) -> u64 {
-        self.observe_pushes()
-            .saturating_sub(self.cache_returns.load(Ordering::Relaxed))
-    }
-
-    /// Cheap recycle estimate for hot-path statistics: skips the tag fold,
-    /// so it may lag true recycles by the unobserved window.
-    fn recycles_approx(&self) -> u64 {
-        self.pushes_committed
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.cache_returns.load(Ordering::Relaxed))
+    /// Locks the free list. Nothing under the lock can panic half way (no
+    /// push outgrows the stack's room for every slot), so poison is moot.
+    fn list(&self) -> MutexGuard<'_, FreeList> {
+        self.list.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn slot_range(&self, index: u32) -> *mut u8 {
@@ -308,15 +177,29 @@ impl PoolInner {
     }
 }
 
-/// Per-instance allocation state: a stash of free slot indices taken from
-/// the shared free-list in bulk, plus a local allocation count flushed to
-/// the shared counter on reclaim and drop. Keeping both non-atomic makes
-/// the allocation fast path free of read-modify-write instructions — the
-/// mempool-cache discipline of high-speed packet I/O frameworks.
+/// Per-handle state: slot indices taken off the free list in bulk, the
+/// allocations made since the last flush and the in-use count it read.
+/// An allocation touches nothing shared (the mempool-cache discipline).
 #[derive(Default)]
 struct LocalCache {
     free: Vec<u32>,
     allocs: u64,
+    base: u64,
+}
+
+impl LocalCache {
+    /// Folds this handle's allocations into the locked counters. Between
+    /// flushes the handle sees no free, so the peak keeps `base + allocs`
+    /// and the count now: it over-reads by the frees the window missed and
+    /// under-reads by other handles' allocations not yet flushed.
+    fn flush(&mut self, list: &mut FreeList) {
+        list.allocs += self.allocs;
+        let live = list.allocs.saturating_sub(list.recycles);
+        let seen = (self.base + self.allocs).max(live);
+        list.peak_in_use = list.peak_in_use.max(seen as usize);
+        self.allocs = 0;
+        self.base = live;
+    }
 }
 
 /// A recyclable packet arena handing out fixed-size [`PoolSlot`]s.
@@ -341,18 +224,11 @@ impl Clone for PacketPool {
 impl Drop for PacketPool {
     fn drop(&mut self) {
         let local = self.local.get_mut();
-        if local.allocs > 0 {
-            self.inner.allocs.fetch_add(local.allocs, Ordering::Relaxed);
-        }
-        // Hand cached (never-allocated) indices back so other clones of
-        // this arena keep their full capacity. Counting them first keeps
-        // the recycle arithmetic (pushes - returns) from transiently
-        // overcounting for a racing observer.
-        self.inner
-            .cache_returns
-            .fetch_add(local.free.len() as u64, Ordering::Relaxed);
-        for index in local.free.drain(..) {
-            self.inner.push_free(index);
+        if local.allocs > 0 || !local.free.is_empty() {
+            let mut list = self.inner.list();
+            local.flush(&mut list);
+            // Never-allocated indices go back for the arena's other handles.
+            list.free.append(&mut local.free);
         }
     }
 }
@@ -391,26 +267,16 @@ impl PacketPool {
         // `[u8; bytes]`, which is the layout `Box<[UnsafeCell<u8>]>` of the
         // same length frees it with.
         let storage = unsafe { Box::from_raw(zeroed as *mut [UnsafeCell<u8>]) };
-        // Chain every slot onto the free-list: i -> i+1 -> ... -> NIL.
-        let next = (0..slots)
-            .map(|i| AtomicU32::new(if i + 1 == slots { NIL } else { (i + 1) as u32 }))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         PacketPool {
             inner: Arc::new(PoolInner {
                 storage,
                 slot_size,
                 slots,
-                free_head: AtomicU64::new(0),
-                next,
-                allocs: AtomicU64::new(0),
-                pushes_committed: AtomicU64::new(0),
-                last_push_tag: AtomicU32::new(0),
-                cache_returns: AtomicU64::new(0),
-                bulk_recycled: AtomicU64::new(0),
-                exhausted: AtomicU64::new(0),
-                heap_fallbacks: AtomicU64::new(0),
-                peak_in_use: AtomicUsize::new(0),
+                // Slot 0 on top, and room for every slot: no free reallocates.
+                list: Mutex::new(FreeList {
+                    free: (0..slots as u32).rev().collect(),
+                    ..FreeList::default()
+                }),
             }),
             local: RefCell::new(LocalCache::default()),
         }
@@ -431,81 +297,63 @@ impl PacketPool {
         self.inner.slots
     }
 
-    /// Slots currently handed out (allocations minus recycles; transient
-    /// overcounts are possible while a cross-core recycle is mid-flight).
+    /// Slots handed out (allocations minus recycles, saturating at 0), as
+    /// [`PacketPool::stats`] reads them: other live handles' allocs lag.
     pub fn in_use(&self) -> usize {
-        let allocs = self.inner.allocs.load(Ordering::Relaxed) + self.local.borrow().allocs;
-        allocs.saturating_sub(self.inner.recycles()) as usize
+        self.stats().in_use
     }
 
-    /// Pops a slot off this instance's cache (refilling it from the shared
-    /// free-list in bulk when empty), or records an exhaustion event.
+    /// Pops a slot off this handle's cache, refilling it from the free
+    /// list when empty, or records an exhaustion event.
     pub fn try_slot(&self) -> Option<PoolSlot> {
         let mut local = self.local.borrow_mut();
-        let index = match local.free.pop() {
-            Some(index) => index,
-            None => {
-                self.reclaim(&mut local);
-                match local.free.pop() {
-                    Some(index) => index,
-                    None => {
-                        self.inner.exhausted.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
-                }
-            }
-        };
+        let index = local.free.pop().or_else(|| self.refill(&mut local))?;
         local.allocs += 1;
-        let allocs = self.inner.allocs.load(Ordering::Relaxed) + local.allocs;
-        let live = allocs.saturating_sub(self.inner.recycles_approx()) as usize;
-        if live > self.inner.peak_in_use.load(Ordering::Relaxed) {
-            self.inner.peak_in_use.store(live, Ordering::Relaxed);
-        }
         Some(PoolSlot {
             inner: Arc::clone(&self.inner),
             index,
         })
     }
 
-    /// Refills the local cache: flushes the local allocation count (so
-    /// other clones' snapshots stay fresh) and takes a bounded batch of
-    /// slots off the shared free-list in one CAS. The bound keeps half the
-    /// arena (at least) visible to other handles of the same pool — a
+    /// Under one lock, flushes the local allocation count and moves a
+    /// bounded batch of indices off the free list, then pops one. The
+    /// bound keeps half the arena (at least) visible to other handles — a
     /// transient clone (e.g. `Packet::clone`) must still find free slots.
-    fn reclaim(&self, local: &mut LocalCache) {
-        if local.allocs > 0 {
-            self.inner.allocs.fetch_add(local.allocs, Ordering::Relaxed);
-            local.allocs = 0;
-        }
-        // Observing here keeps the peak statistic fresh and bounds the
-        // unobserved tag window to well under one wrap.
-        self.inner.observe_pushes();
+    fn refill(&self, local: &mut LocalCache) -> Option<u32> {
+        let mut list = self.inner.list();
+        local.flush(&mut list);
         let cap = CACHE_CAP.min(self.inner.slots / 2).max(1);
-        self.inner.take_free(cap, &mut local.free);
+        let from = list.free.len().saturating_sub(cap);
+        local.free.extend(list.free.drain(from..));
+        let index = local.free.pop();
+        if index.is_none() {
+            list.exhausted += 1;
+        }
+        index
     }
 
     /// Records a buffer deflected to heap storage (slot overflow or an
-    /// infallible constructor hitting an empty free-list).
+    /// infallible constructor hitting an empty free list).
     pub(crate) fn note_heap_fallback(&self) {
-        self.inner.heap_fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.inner.list().heap_fallbacks += 1;
     }
 
-    /// Snapshots the pool counters. Allocations made through other live
-    /// clones of this pool may lag until their caches refill or drop.
+    /// Snapshots the pool counters after flushing this handle; other live
+    /// clones' allocations may lag until their caches refill or drop.
     pub fn stats(&self) -> PoolStats {
-        let allocs = self.inner.allocs.load(Ordering::Relaxed) + self.local.borrow().allocs;
-        let recycles = self.inner.recycles();
+        let mut list = self.inner.list();
+        self.local.borrow_mut().flush(&mut list);
         PoolStats {
             arena: Arc::as_ptr(&self.inner) as u64,
             slots: self.inner.slots,
             slot_size: self.inner.slot_size,
-            allocs,
-            recycles,
-            bulk_recycles: self.inner.bulk_recycled.load(Ordering::Relaxed),
-            exhausted: self.inner.exhausted.load(Ordering::Relaxed),
-            heap_fallbacks: self.inner.heap_fallbacks.load(Ordering::Relaxed),
-            in_use: allocs.saturating_sub(recycles) as usize,
-            peak_in_use: self.inner.peak_in_use.load(Ordering::Relaxed),
+            allocs: list.allocs,
+            recycles: list.recycles,
+            bulk_recycles: list.bulk_recycles,
+            exhausted: list.exhausted,
+            heap_fallbacks: list.heap_fallbacks,
+            in_use: list.allocs.saturating_sub(list.recycles) as usize,
+            peak_in_use: list.peak_in_use,
         }
     }
 
@@ -526,7 +374,7 @@ impl core::fmt::Debug for PacketPool {
 }
 
 /// Exclusive ownership of one arena slot; the slot returns to the
-/// free-list when the handle drops.
+/// free list when the handle drops.
 pub struct PoolSlot {
     inner: Arc<PoolInner>,
     index: u32,
@@ -574,81 +422,73 @@ impl PoolSlot {
 
 impl Drop for PoolSlot {
     fn drop(&mut self) {
-        // The push CAS bumps the free-list tag, which *is* the recycle
-        // counter — the whole free path is this CAS plus the Arc release.
-        self.inner.push_free(self.index);
+        // A `FreeBatch` that queued the index leaves only the `Arc` to drop.
+        if self.index != NIL {
+            let mut list = self.inner.list();
+            list.free.push(self.index);
+            list.recycles += 1;
+        }
     }
 }
 
-/// Collects [`PoolSlot`]s into a pre-linked chain and splices the whole
-/// chain back onto its arena's free-list with **one** CAS, instead of the
-/// one-CAS-per-slot that dropping each slot individually costs. This is
-/// the transmit-side analogue of the allocator's bulk `take_free`: a
-/// drain element freeing a `kp`-packet batch pays one atomic
-/// read-modify-write for the batch.
-///
-/// Slots from different arenas can be pushed freely — a foreign slot
-/// flushes the current chain and starts a new one. Dropping the batch
-/// flushes whatever remains.
-#[derive(Default)]
+/// Queues up to `CACHE_CAP` [`PoolSlot`]s of one arena in an inline array
+/// and returns them to its free list under **one** lock, not one lock per
+/// slot: the transmit-side analogue of the cache refill, so a drain freeing
+/// a `kp`-packet batch locks once and allocates nothing. A foreign slot or
+/// a full array flushes first; dropping the batch flushes the rest.
 pub struct FreeBatch {
-    arena: Option<Arc<PoolInner>>,
-    head: u32,
-    tail: u32,
-    count: u32,
+    /// The first queued slot, its index moved to `indices`: its `Arc`
+    /// keeps the arena alive until the flush, at no extra reference count.
+    first: Option<PoolSlot>,
+    indices: [u32; CACHE_CAP],
+    count: usize,
+}
+
+impl Default for FreeBatch {
+    fn default() -> FreeBatch {
+        FreeBatch::new()
+    }
 }
 
 impl FreeBatch {
     /// Creates an empty batch.
     pub fn new() -> FreeBatch {
-        FreeBatch::default()
-    }
-
-    /// Slots currently chained and awaiting the splice.
-    pub fn pending(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Adds a slot to the chain (flushing first when the slot belongs to
-    /// a different arena than the chain under construction).
-    pub fn push(&mut self, slot: PoolSlot) {
-        // Disassemble without running Drop (which would push the slot
-        // individually — the very CAS this type exists to amortize).
-        let slot = std::mem::ManuallyDrop::new(slot);
-        // SAFETY: `slot` is ManuallyDrop, so the Arc read here is the only
-        // owner transfer; the original is never dropped.
-        let inner = unsafe { std::ptr::read(&slot.inner) };
-        let index = slot.index;
-        match &self.arena {
-            Some(arena) if Arc::ptr_eq(arena, &inner) => {
-                // Extend the chain: new slot becomes the head.
-                inner.next[index as usize].store(self.head, Ordering::Relaxed);
-                self.head = index;
-                self.count += 1;
-                // `inner` drops here; `self.arena` already keeps one ref.
-            }
-            Some(_) => {
-                self.flush();
-                self.start(inner, index);
-            }
-            None => self.start(inner, index),
+        FreeBatch {
+            first: None,
+            indices: [NIL; CACHE_CAP],
+            count: 0,
         }
     }
 
-    fn start(&mut self, inner: Arc<PoolInner>, index: u32) {
-        self.arena = Some(inner);
-        self.head = index;
-        self.tail = index;
-        self.count = 1;
+    /// Slots currently queued and awaiting the flush.
+    pub fn pending(&self) -> usize {
+        self.count
     }
 
-    /// Splices the pending chain onto its arena's free-list (one CAS) and
-    /// resets the batch. No-op when empty.
+    /// Queues a slot (flushing first when the slot belongs to a different
+    /// arena than the queued ones, or the array is full).
+    pub fn push(&mut self, mut slot: PoolSlot) {
+        let same = matches!(&self.first, Some(first) if Arc::ptr_eq(&first.inner, &slot.inner));
+        if !same || self.count == CACHE_CAP {
+            self.flush();
+        }
+        self.indices[self.count] = slot.index;
+        self.count += 1;
+        // The index is queued: dropping the slot only releases its `Arc`.
+        slot.index = NIL;
+        if self.first.is_none() {
+            self.first = Some(slot);
+        }
+    }
+
+    /// Returns the queued slots to their free list (one lock); no-op if empty.
     pub fn flush(&mut self) {
-        if let Some(arena) = self.arena.take() {
-            if self.count > 0 {
-                arena.push_free_chain(self.head, self.tail, self.count);
-            }
+        if let Some(first) = self.first.take() {
+            let queued = &self.indices[..self.count];
+            let mut list = first.inner.list();
+            list.free.extend_from_slice(queued);
+            list.recycles += queued.len() as u64;
+            list.bulk_recycles += queued.len() as u64;
             self.count = 0;
         }
     }
@@ -754,46 +594,90 @@ mod tests {
             exhausted: 0,
             heap_fallbacks: 0,
             in_use: 0,
-            // Two bursts: the hot-path peak skips the recycle fold
-            // (`recycles_approx`), so it lags by one unobserved round.
+            // The true peak is one burst, 32. The handle sees frees only
+            // when it flushes at a refill, and each 64-slot refill feeds
+            // two bursts, so the second burst reads on top of the first.
             peak_in_use: 64,
         };
         assert_eq!(pool.stats(), expect);
+        assert!(pool.stats().peak_in_use >= 32, "a peak below the true one");
     }
 
+    /// The `PacketPool` invariant under threads: no slot is handed out
+    /// twice while live, and the totals are exact. The allocating thread
+    /// stamps each slot with its grant number; the consumer checks the
+    /// stamp and frees alternately one by one and through a `FreeBatch`,
+    /// while a third thread reads the counters through its own handle.
     #[test]
     fn cross_thread_recycle_feeds_allocator() {
+        const GRANTS: u32 = 10_000;
         let pool = PacketPool::new(64, 256);
-        let (tx, rx) = std::sync::mpsc::channel::<PoolSlot>();
+        let (tx, rx) = std::sync::mpsc::channel::<(u32, PoolSlot)>();
         let consumer = std::thread::spawn(move || {
-            // Drop every slot on another thread (egress-side recycle).
-            for slot in rx {
-                drop(slot);
+            // Egress-side recycle, on another thread.
+            let mut batch = FreeBatch::new();
+            for (grant, slot) in rx {
+                assert_eq!(
+                    slot.bytes()[..4],
+                    grant.to_le_bytes(),
+                    "slot of grant {grant} handed out twice"
+                );
+                if grant % 2 == 0 {
+                    batch.push(slot);
+                } else {
+                    drop(slot);
+                }
+                if batch.pending() == 8 {
+                    batch.flush();
+                }
             }
         });
+        let (done, running) = std::sync::mpsc::channel::<()>();
+        let observer = {
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                let mut last = PoolStats::default();
+                while running.try_recv() == Err(std::sync::mpsc::TryRecvError::Empty) {
+                    let s = pool.stats();
+                    assert!(s.in_use <= 64 && pool.in_use() <= 64, "{s:?}");
+                    assert!(
+                        s.recycles >= last.recycles && s.allocs >= last.allocs,
+                        "{s:?}"
+                    );
+                    assert!(s.recycles <= u64::from(GRANTS) && s.bulk_recycles <= s.recycles);
+                    last = s;
+                    std::thread::yield_now();
+                }
+            })
+        };
         // Allocate far more slots than the pool holds; progress requires the
-        // consumer's recycles to land back on the free-list.
+        // consumer's recycles to land back on the free list.
         let mut granted = 0u32;
         let mut spins = 0u64;
-        while granted < 10_000 {
+        while granted < GRANTS {
             match pool.try_slot() {
-                Some(slot) => {
+                Some(mut slot) => {
+                    slot.bytes_mut()[..4].copy_from_slice(&granted.to_le_bytes());
+                    tx.send((granted, slot)).unwrap();
                     granted += 1;
-                    tx.send(slot).unwrap();
                 }
                 None => {
                     spins += 1;
-                    assert!(spins < 500_000_000, "free-list never refilled");
+                    assert!(spins < 500_000_000, "free list never refilled");
                     std::thread::yield_now();
                 }
             }
         }
         drop(tx);
         consumer.join().unwrap();
+        drop(done);
+        observer.join().unwrap();
         let s = pool.stats();
         assert_eq!(s.allocs, 10_000);
         assert_eq!(s.recycles, 10_000);
+        assert_eq!(s.bulk_recycles, 5_000);
         assert_eq!(s.in_use, 0);
+        assert_eq!(pool.in_use(), 0);
     }
 
     #[test]
@@ -820,7 +704,7 @@ mod tests {
         assert_eq!(batch.pending(), 0);
         let s = pool.stats();
         assert_eq!(s.allocs, 6);
-        assert_eq!(s.recycles, 6, "chain splice must count as recycles");
+        assert_eq!(s.recycles, 6, "a batch flush must count as recycles");
         assert_eq!(s.bulk_recycles, 6);
         assert_eq!(s.in_use, 0);
         // Every slot is allocatable again.
@@ -847,8 +731,8 @@ mod tests {
 
     #[test]
     fn bulk_and_single_recycles_interleave() {
-        // The tag-as-push-counter arithmetic must stay exact when chain
-        // splices and per-slot drops mix.
+        // The recycle count must stay exact when batch flushes and
+        // per-slot drops mix.
         let pool = PacketPool::new(16, 256);
         for round in 0..50 {
             let slots: Vec<_> = (0..10).map(|_| pool.try_slot().unwrap()).collect();

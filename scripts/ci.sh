@@ -77,7 +77,13 @@ grep -rlE "$unsafe_word" crates/*/src --include='*.rs' | xargs awk '
     END { exit bad }
 '
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader, two FIB tables: the collapsed names stay gone)"
+echo "==> pool gate (the packet arena's free list is one locked stack: no atomic, ordering or compare-and-swap in pool.rs)"
+if grep -nE 'Ordering::|Atomic|compare_exchange' crates/packet/src/pool.rs; then
+    echo "crates/packet/src/pool.rs: an atomic is back; the free list and its counters live under one Mutex" >&2
+    exit 1
+fi
+
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader, two FIB tables, one locked free list: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -127,6 +133,13 @@ fib_gone='snapshot_for_publish|prune_dirty_log|LOG_CAP|dirty_log|patch_snapshot|
 if grep -rnE "$fib_gone" crates/ tests/ examples/ ||
     grep -nE 'fn gbps\b' crates/core/src/report.rs; then
     echo "the RCU FIB's spare and dirty log, an Spsc-era test name or report::gbps is back: the FIB keeps two tables" >&2
+    exit 1
+fi
+# One locked free list: the packet arena's Treiber stack, its chain
+# splice and the tag-as-recycle-counter bookkeeping stay gone.
+pool_gone='observe_pushes|push_free_chain|take_free|cache_returns|recycles_approx|pushes_committed'
+if grep -rnE "$pool_gone" crates/ tests/ examples/; then
+    echo "the packet arena's lock-free free list or its push-tag counter is back: the free list is one locked stack" >&2
     exit 1
 fi
 for f in crates/click/src/runtime/driver.rs crates/click/src/runtime/mt.rs \
