@@ -98,7 +98,7 @@ fn bench_updates(c: &mut Criterion) {
     let flaps: Vec<(Prefix, u16)> = table.iter().map(|(p, h)| (*p, *h)).take(256).collect();
 
     c.bench_function("dir24_8_incremental_flap", |b| {
-        let mut fib = DynamicDir24_8::from_table(&table).expect("table compiles");
+        let mut fib = DynamicDir24_8::from_table(table.clone()).expect("table compiles");
         let mut i = 0usize;
         b.iter(|| {
             let (prefix, hop) = flaps[i % flaps.len()];
@@ -122,7 +122,7 @@ fn bench_updates(c: &mut Criterion) {
         b.iter(|| Dir24_8::compile(black_box(&full)).expect("table compiles"))
     });
     builds.bench_function(BenchmarkId::new("dynamic", "1m"), |b| {
-        b.iter(|| DynamicDir24_8::from_table(black_box(&full)).expect("table compiles"))
+        b.iter(|| DynamicDir24_8::from_table(black_box(full.clone())).expect("table compiles"))
     });
     builds.bench_function(BenchmarkId::new("rcu", "1m"), |b| {
         b.iter(|| RcuFib::new(black_box(&full)).expect("table compiles"))

@@ -436,6 +436,10 @@ impl ToDevice {
         self.sent_bytes += self.scratch.iter().map(|p| p.len() as u64).sum::<u64>();
         if self.keep_frames {
             self.tx_log.append(&mut self.scratch);
+        } else if self.scratch.len() == 1 {
+            // One frame (`kn = 1`) takes the free list's lock once either
+            // way: a plain drop skips the batch.
+            self.scratch.clear();
         } else {
             // The whole completion batch's arena slots go back under one
             // free-list lock (`free` flushes on drop).

@@ -125,7 +125,9 @@ impl RouterBuilder {
     /// Replaces inline routes with a caller-built [`RouteTable`]
     /// (IP-router mode only). Benches generate a large RIB once
     /// ([`rb_workload::rib_full_table`]) and reuse it across router
-    /// instances instead of regenerating per build.
+    /// instances instead of regenerating per build. [`RouterBuilder::build`]
+    /// and [`RouterBuilder::build_mt`] hand the table itself to an RCU FIB,
+    /// which keeps it as its RIB: no copy of it is made.
     ///
     /// # Panics
     ///
@@ -322,10 +324,11 @@ impl RouterBuilder {
     /// Propagates element-construction and graph-validation failures,
     /// and scrape-endpoint bind failures under
     /// [`RouterBuilder::serve_metrics`].
-    pub fn build(self) -> Result<BuiltRouter, ConfigError> {
+    pub fn build(mut self) -> Result<BuiltRouter, ConfigError> {
         let ports = self.ports;
         let monitor = self.bind_monitor()?;
-        let (g, route_control) = self.build_graph_inner()?;
+        let prebuilt = self.prebuilt_table.take();
+        let (g, route_control) = self.build_graph_inner(prebuilt)?;
         // `<stem>0`, `<stem>1`, … in index order: the per-port elements
         // `BuiltRouter`'s accessors would otherwise find by formatting a
         // name and hashing it on every call (`inject`: on every frame).
@@ -357,24 +360,30 @@ impl RouterBuilder {
     /// Builds the bare element graph (no driver attached) — the form the
     /// multi-threaded runtime replicates once per worker core. Any RCU
     /// route-control handle is discarded; use [`RouterBuilder::build`] /
-    /// [`RouterBuilder::build_mt`] to keep it.
+    /// [`RouterBuilder::build_mt`] to keep it. The builder stays usable,
+    /// so a table from [`RouterBuilder::routes_from_table`] is cloned.
     ///
     /// # Errors
     ///
     /// Propagates element-construction and graph-wiring failures.
     pub fn build_graph(&self) -> Result<Graph, ConfigError> {
-        Ok(self.build_graph_inner()?.0)
+        Ok(self.build_graph_inner(self.prebuilt_table.clone())?.0)
     }
 
-    /// The route table an IP router forwards with: a caller-supplied one,
-    /// else the inline [`RouterBuilder::route`] list.
-    fn route_table(&self, routes: &[(String, u16)]) -> Result<RouteTable, ConfigError> {
+    /// The route table an IP router forwards with: `prebuilt`, the
+    /// [`RouterBuilder::routes_from_table`] one, else the inline
+    /// [`RouterBuilder::route`] list.
+    fn route_table(
+        &self,
+        routes: &[(String, u16)],
+        prebuilt: Option<RouteTable>,
+    ) -> Result<RouteTable, ConfigError> {
         let bad = |message: String| ConfigError::BadArguments {
             class: "RouterBuilder".into(),
             message,
         };
-        if let Some(table) = &self.prebuilt_table {
-            return Ok(table.clone());
+        if let Some(table) = prebuilt {
+            return Ok(table);
         }
         let mut table = RouteTable::new();
         for (prefix, hop) in routes {
@@ -389,7 +398,10 @@ impl RouterBuilder {
         Ok(table)
     }
 
-    fn build_graph_inner(&self) -> Result<(Graph, Option<RouteControl>), ConfigError> {
+    fn build_graph_inner(
+        &self,
+        prebuilt: Option<RouteTable>,
+    ) -> Result<(Graph, Option<RouteControl>), ConfigError> {
         let bad = |message: String| ConfigError::BadArguments {
             class: "RouterBuilder".into(),
             message,
@@ -465,7 +477,7 @@ impl RouterBuilder {
         }
         let fib = match &self.app {
             App::Route { routes } => {
-                let table = self.route_table(routes)?;
+                let table = self.route_table(routes, prebuilt)?;
                 let max_hop = table.iter().map(|(_, h)| *h).max().unwrap_or(0);
                 let mut n_hops = usize::from(max_hop) + 1;
                 if knobs.fib_rcu {
@@ -473,8 +485,8 @@ impl RouterBuilder {
                     // so an RCU router exposes every port as a next hop.
                     n_hops = n_hops.max(ports);
                     let readers = 64.max(2 * ports * knobs.workers.max(1));
-                    let rcu = RcuFib::with_max_readers(&table, readers)
-                        .map_err(|e| bad(e.to_string()))?;
+                    let rcu =
+                        RcuFib::with_max_readers(table, readers).map_err(|e| bad(e.to_string()))?;
                     BuiltFib::Rcu(rcu, n_hops)
                 } else {
                     let compiled = Dir24_8::compile(&table).map_err(|e| bad(e.to_string()))?;
@@ -572,13 +584,14 @@ impl RouterBuilder {
     /// # Errors
     ///
     /// Propagates element-construction and graph-wiring failures.
-    pub fn build_mt(self) -> Result<MtRouter, ConfigError> {
+    pub fn build_mt(mut self) -> Result<MtRouter, ConfigError> {
         assert!(
             self.source.is_none(),
             "build_mt() requires injection mode, not source_packets()"
         );
         let monitor = self.bind_monitor()?;
-        let (graph, route_control) = self.build_graph_inner()?;
+        let prebuilt = self.prebuilt_table.take();
+        let (graph, route_control) = self.build_graph_inner(prebuilt)?;
         Ok(MtRouter {
             graph,
             ports: self.ports,

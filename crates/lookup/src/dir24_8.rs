@@ -18,7 +18,7 @@
 
 use crate::prefetch::prefetch_slice;
 use crate::prefix::Prefix;
-use crate::sweep::sweep24;
+use crate::sweep::sweep;
 use crate::table::RouteTable;
 use crate::{LookupError, LpmLookup, NextHop};
 
@@ -31,6 +31,20 @@ pub(crate) const LONG_FLAG: u16 = 0x8000;
 /// Most `TBLlong` segments an entry can address: the index has the 15
 /// bits below the `LONG_FLAG` bit, so one more would alias segment 0.
 pub const MAX_SEGMENTS: usize = 1 << 15;
+
+/// The `TBL24` entry pointing at segment `seg_index`.
+///
+/// # Errors
+///
+/// Returns [`LookupError::TooManySegments`] from [`MAX_SEGMENTS`] on: the
+/// index would not fit the 15 bits under [`LONG_FLAG`].
+pub(crate) fn segment_entry(seg_index: usize) -> Result<u16, LookupError> {
+    u16::try_from(seg_index)
+        .ok()
+        .filter(|&seg| seg < LONG_FLAG)
+        .map(|seg| LONG_FLAG | seg)
+        .ok_or(LookupError::TooManySegments)
+}
 
 /// A compiled DIR-24-8 forwarding table.
 pub struct Dir24_8 {
@@ -58,7 +72,7 @@ impl Dir24_8 {
         // is never written, so its pages are never touched.
         let mut tbl24 = vec![0u16; TBL24_SIZE];
         let mut next = 0;
-        let long = sweep24(routes, |slots, entry, _| {
+        let long = sweep(Prefix::DEFAULT, 24, 0, routes.iter(), |slots, entry| {
             if entry != 0 {
                 tbl24[next..next + slots].fill(entry);
             }
@@ -69,8 +83,8 @@ impl Dir24_8 {
             tbl_long: Vec::new(),
             route_count: routes.len(),
         };
-        for (prefix, encoded) in long {
-            fib.write_long(prefix, encoded)?;
+        for (prefix, hop) in long {
+            fib.write_long(prefix, hop + 1)?;
         }
         Ok(fib)
     }
@@ -85,13 +99,10 @@ impl Dir24_8 {
             usize::from(slot & !LONG_FLAG)
         } else {
             let seg_index = self.tbl_long.len() / 256;
-            if seg_index == MAX_SEGMENTS {
-                return Err(LookupError::TooManySegments);
-            }
+            self.tbl24[idx24] = segment_entry(seg_index)?;
             // Seed the fresh segment with the slot's ≤ /24 result so
             // uncovered low-byte values keep their answer.
             self.tbl_long.extend(std::iter::repeat_n(slot, 256));
-            self.tbl24[idx24] = LONG_FLAG | seg_index as u16;
             seg_index
         };
         let lo_start = (prefix.first() & 0xff) as usize;
@@ -401,7 +412,7 @@ mod tests {
         let full = Dir24_8::compile(&one_25_per_24(MAX_SEGMENTS)).unwrap();
         assert_eq!(full.long_segments(), MAX_SEGMENTS);
         // The last segment answers for itself, not through segment 0.
-        for i in [0, 1, MAX_SEGMENTS as u32 - 1] {
+        for i in [0, 1, u32::try_from(MAX_SEGMENTS - 1).unwrap()] {
             assert_eq!(full.lookup(i << 8 | 0x80), Some((i % 5) as NextHop));
             assert_eq!(full.lookup(i << 8), None);
         }

@@ -2,19 +2,18 @@
 //!
 //! [`crate::Dir24_8`] is an immutable compile-once FIB; real routers see
 //! continuous BGP churn (hundreds of updates per second in 2009).
-//! [`DynamicDir24_8`] supports in-place `insert`/`remove` by keeping,
-//! alongside each table entry, the *prefix length that owns it* (plus
-//! one, so that a zeroed owner table, like a zeroed `TBL24`, means no
-//! route). An update then only touches entries owned by shorter (insert)
-//! or exactly the removed (remove) prefixes — the classic owner-tracking
-//! scheme from the DIR-24-8 paper's update discussion.
-//!
-//! Memory: one extra byte per entry (≈16 MiB for `TBL24`), the price of
-//! O(affected-range) updates instead of a full 2²⁴-entry rebuild.
+//! [`DynamicDir24_8`] supports in-place `insert`/`remove` without a full
+//! 2²⁴-entry rebuild: an update changes its RIB, then re-sweeps just the
+//! updated prefix's range from it — the build's address-ordered cover
+//! walk, started from the innermost route strictly covering the prefix
+//! (`RouteTable::cover`). The RIB already says which route
+//! covers each slot, so the tables carry nothing beside their entries:
+//! no per-entry owner length, which would cost a byte per slot (16 MiB
+//! for `TBL24`).
 
-use crate::dir24_8::{LONG_FLAG, MAX_SEGMENTS, TBL24_SIZE};
+use crate::dir24_8::{segment_entry, LONG_FLAG, MAX_SEGMENTS, TBL24_SIZE};
 use crate::prefix::Prefix;
-use crate::sweep::{owner_of, sweep24, NO_OWNER};
+use crate::sweep::sweep;
 use crate::table::RouteTable;
 use crate::{LookupError, LpmLookup, NextHop, MAX_NEXT_HOP};
 
@@ -32,9 +31,9 @@ const DIRTY_OVERFLOW_SPANS: usize = 1 << 16;
 #[derive(Debug, Clone, Default)]
 pub struct DirtyDelta {
     /// Inclusive `TBL24` slot ranges rewritten.
-    ranges24: Vec<(u32, u32)>,
+    ranges24: Vec<(usize, usize)>,
     /// Spill-segment indices rewritten (256 entries each).
-    segments: Vec<u32>,
+    segments: Vec<usize>,
     /// Total entries covered (clone-cost proxy).
     entries: usize,
     /// Set once the delta grew past the point where replaying it beats a
@@ -65,7 +64,7 @@ impl DirtyDelta {
             || self.ranges24.len() + self.segments.len() > DIRTY_OVERFLOW_SPANS
     }
 
-    fn mark24(&mut self, start: u32, end: u32) {
+    fn mark24(&mut self, start: usize, end: usize) {
         if self.overflow {
             return;
         }
@@ -73,10 +72,10 @@ impl DirtyDelta {
         // with the previous range keeps the span list short.
         if let Some(last) = self.ranges24.last_mut() {
             if start <= last.1.saturating_add(1) && end.saturating_add(1) >= last.0 {
-                let old_span = (last.1 - last.0 + 1) as usize;
+                let old_span = last.1 - last.0 + 1;
                 last.0 = last.0.min(start);
                 last.1 = last.1.max(end);
-                self.entries += (last.1 - last.0 + 1) as usize - old_span;
+                self.entries += last.1 - last.0 + 1 - old_span;
                 if self.over_budget() {
                     self.trip_overflow();
                 }
@@ -84,13 +83,13 @@ impl DirtyDelta {
             }
         }
         self.ranges24.push((start, end));
-        self.entries += (end - start + 1) as usize;
+        self.entries += end - start + 1;
         if self.over_budget() {
             self.trip_overflow();
         }
     }
 
-    fn mark_seg(&mut self, seg: u32) {
+    fn mark_seg(&mut self, seg: usize) {
         if self.overflow {
             return;
         }
@@ -105,17 +104,16 @@ impl DirtyDelta {
     }
 }
 
-/// A mutable DIR-24-8 with owner tracking.
+/// A mutable DIR-24-8 whose tables are a function of its RIB.
 pub struct DynamicDir24_8 {
-    /// Authoritative route set (needed to find replacement owners on
-    /// remove).
+    /// The authoritative route set: every table entry holds the longest
+    /// route here covering it, and a `TBL24` slot spills exactly when a
+    /// route here is longer than /24 inside it.
     rib: RouteTable,
     /// The lookup tables, `tbl24` and `tbl_long`, are empty only between
     /// [`DynamicDir24_8::freeze`] and [`DynamicDir24_8::thaw`].
     tbl24: Vec<u16>,
-    owner24: Vec<u8>,
     tbl_long: Vec<u16>,
-    owner_long: Vec<u8>,
     /// Free-list of segment indices whose slots got un-spilled.
     free_segments: Vec<usize>,
     /// Slots rewritten since the last [`DynamicDir24_8::take_dirty`].
@@ -128,53 +126,33 @@ impl DynamicDir24_8 {
         DynamicDir24_8 {
             rib: RouteTable::new(),
             tbl24: vec![0u16; TBL24_SIZE],
-            owner24: vec![NO_OWNER; TBL24_SIZE],
             tbl_long: Vec::new(),
-            owner_long: Vec::new(),
             free_segments: Vec::new(),
             dirty: DirtyDelta::default(),
         }
     }
 
-    /// Builds from an existing route table.
+    /// Builds from a route table, which becomes the FIB's RIB as it is:
+    /// nothing is copied.
     ///
     /// The same address-ordered sweep as [`crate::Dir24_8::compile`]
-    /// writes every covered `TBL24` slot and its owner once into zeroed
-    /// tables (no route, [`NO_OWNER`]), and the prefixes longer than /24
-    /// spill into segments in address order; the RIB is one clone of
-    /// `table`. The dirty set starts empty: the build is the baseline a
-    /// first snapshot copies whole.
+    /// writes every covered `TBL24` slot once into a zeroed table (no
+    /// route), and each /24 holding a longer prefix spills into a segment
+    /// swept the same way, in address order: an update's re-sweep over the
+    /// whole address space. The dirty set starts empty: the build is the
+    /// baseline a first snapshot copies whole.
     ///
     /// # Errors
     ///
     /// Returns [`LookupError::NextHopTooLarge`] for unencodable hops and
     /// [`LookupError::TooManySegments`] when the prefixes longer than /24
     /// fall in more than [`MAX_SEGMENTS`] distinct /24s.
-    pub fn from_table(table: &RouteTable) -> Result<DynamicDir24_8, LookupError> {
-        // Zeroed from the allocator: a run no route covers is never
-        // written, so its pages are never touched.
-        let mut tbl24 = vec![0u16; TBL24_SIZE];
-        let mut owner24 = vec![NO_OWNER; TBL24_SIZE];
-        let mut next = 0;
-        let long = sweep24(table, |slots, entry, owner| {
-            if entry != 0 {
-                tbl24[next..next + slots].fill(entry);
-                owner24[next..next + slots].fill(owner);
-            }
-            next += slots;
-        })?;
+    pub fn from_table(table: RouteTable) -> Result<DynamicDir24_8, LookupError> {
         let mut fib = DynamicDir24_8 {
-            rib: table.clone(),
-            tbl24,
-            owner24,
-            tbl_long: Vec::new(),
-            owner_long: Vec::new(),
-            free_segments: Vec::new(),
-            dirty: DirtyDelta::default(),
+            rib: table,
+            ..DynamicDir24_8::new()
         };
-        for (prefix, encoded) in long {
-            fib.write_long(prefix, encoded)?;
-        }
+        fib.resweep(Prefix::DEFAULT, true)?;
         fib.dirty = DirtyDelta::default();
         Ok(fib)
     }
@@ -191,185 +169,106 @@ impl DynamicDir24_8 {
         if hop > MAX_NEXT_HOP {
             return Err(LookupError::NextHopTooLarge(hop));
         }
-        let encoded = hop + 1;
-        let owner = owner_of(prefix.len());
-        if prefix.len() <= 24 {
-            let start = (prefix.first() >> 8) as usize;
-            let end = (prefix.last() >> 8) as usize;
-            self.dirty.mark24(start as u32, end as u32);
-            for slot in start..=end {
-                if self.owner24[slot] <= owner {
-                    self.owner24[slot] = owner;
-                    if self.tbl24[slot] & LONG_FLAG != 0 {
-                        // Spilled slot: update the segment's background
-                        // entries (those owned by ≤24-bit prefixes).
-                        let seg_index = usize::from(self.tbl24[slot] & !LONG_FLAG);
-                        self.dirty.mark_seg(seg_index as u32);
-                        let seg = seg_index * 256;
-                        for i in seg..seg + 256 {
-                            if self.owner_long[i] <= owner {
-                                self.tbl_long[i] = encoded;
-                                self.owner_long[i] = owner;
-                            }
-                        }
-                    } else {
-                        self.tbl24[slot] = encoded;
-                    }
-                }
-            }
-        } else {
-            self.write_long(prefix, encoded)?;
+        let idx24 = (prefix.first() >> 8) as usize;
+        let spilled = self.tbl24[idx24] & LONG_FLAG != 0;
+        if prefix.len() > 24
+            && !spilled
+            && self.free_segments.is_empty()
+            && self.tbl_long.len() == MAX_SEGMENTS * 256
+        {
+            return Err(LookupError::TooManySegments);
         }
         self.rib.insert(prefix, hop);
-        Ok(())
-    }
-
-    /// Writes a prefix longer than /24 into its slot's segment, spilling
-    /// the slot first if needed; entries owned by longer prefixes keep
-    /// theirs.
-    fn write_long(&mut self, prefix: Prefix, encoded: u16) -> Result<(), LookupError> {
-        let idx24 = (prefix.first() >> 8) as usize;
-        let seg_index = self.ensure_segment(idx24)?;
-        self.dirty.mark_seg(seg_index as u32);
-        let base = seg_index * 256;
-        let lo_start = (prefix.first() & 0xff) as usize;
-        let lo_end = (prefix.last() & 0xff) as usize;
-        let owner = owner_of(prefix.len());
-        for i in base + lo_start..=base + lo_end {
-            if self.owner_long[i] <= owner {
-                self.tbl_long[i] = encoded;
-                self.owner_long[i] = owner;
-            }
+        if prefix.len() == 24 && !spilled {
+            // A flat /24 is one slot with no longer route inside it, so
+            // its entry is the new hop: the re-sweep's RIB walk, which
+            // costs more than the write, has nothing to find.
+            self.tbl24[idx24] = hop + 1;
+            self.dirty.mark24(idx24, idx24);
+            return Ok(());
         }
-        Ok(())
+        self.resweep(prefix, false)
     }
 
     /// Removes a route; returns its next hop if it existed.
     pub fn remove(&mut self, prefix: &Prefix) -> Option<NextHop> {
         let hop = self.rib.remove(prefix)?;
-        // Prefix ranges are laminar (nested or disjoint), so every entry
-        // the removed prefix owned falls back to the same replacement:
-        // the longest remaining strictly-shorter route covering it.
-        // One RIB scan per update, not per table slot.
-        let (enc, owner) = self.background_for(prefix);
-        let removed = owner_of(prefix.len());
-        if prefix.len() <= 24 {
-            let start = (prefix.first() >> 8) as usize;
-            let end = (prefix.last() >> 8) as usize;
-            self.dirty.mark24(start as u32, end as u32);
-            for slot in start..=end {
-                if self.owner24[slot] != removed {
-                    continue;
-                }
-                if self.tbl24[slot] & LONG_FLAG != 0 {
-                    let seg_index = usize::from(self.tbl24[slot] & !LONG_FLAG);
-                    self.dirty.mark_seg(seg_index as u32);
-                    let seg = seg_index * 256;
-                    for i in seg..seg + 256 {
-                        if self.owner_long[i] == removed {
-                            self.tbl_long[i] = enc;
-                            self.owner_long[i] = owner;
-                        }
-                    }
-                    self.owner24[slot] = owner;
-                } else {
-                    self.tbl24[slot] = enc;
-                    self.owner24[slot] = owner;
-                }
-            }
-        } else {
-            let idx24 = (prefix.first() >> 8) as usize;
-            if self.tbl24[idx24] & LONG_FLAG != 0 {
-                let seg_index = usize::from(self.tbl24[idx24] & !LONG_FLAG);
-                self.dirty.mark_seg(seg_index as u32);
-                let base = seg_index * 256;
-                let lo_start = (prefix.first() & 0xff) as usize;
-                let lo_end = (prefix.last() & 0xff) as usize;
-                for lo in lo_start..=lo_end {
-                    let i = base + lo;
-                    if self.owner_long[i] == removed {
-                        self.tbl_long[i] = enc;
-                        self.owner_long[i] = owner;
-                    }
-                }
-                self.maybe_unspill(idx24);
-            }
-        }
+        // Every /24 spilled after the withdraw spilled before it, and the
+        // RIB's hops were checked on the way in: the re-sweep cannot fail.
+        self.resweep(*prefix, false)
+            .expect("a withdraw spills no new /24");
         Some(hop)
     }
 
-    /// Longest remaining route strictly shorter than `prefix` covering
-    /// it, as `(encoded entry, owner byte)`.
-    ///
-    /// Any covering route is an ancestor — `prefix`'s own address masked
-    /// to a shorter length — so at most `len` exact RIB probes suffice.
-    /// A full-RIB scan here would make every withdraw O(routes), which
-    /// caps churn at a few hundred updates/sec on a million-route table.
-    fn background_for(&self, prefix: &Prefix) -> (u16, u8) {
-        for len in (0..prefix.len()).rev() {
-            let q = Prefix::new(prefix.addr(), len);
-            if let Some(hop) = self.rib.get(&q) {
-                return (hop + 1, owner_of(len));
-            }
-        }
-        (0, NO_OWNER)
-    }
-
-    /// Ensures slot `idx24` spills to a segment; returns the segment id.
-    /// Fails, changing nothing, when no segment is free and
-    /// [`MAX_SEGMENTS`] are allocated.
-    fn ensure_segment(&mut self, idx24: usize) -> Result<usize, LookupError> {
-        if self.tbl24[idx24] & LONG_FLAG != 0 {
-            return Ok(usize::from(self.tbl24[idx24] & !LONG_FLAG));
-        }
-        let background = self.tbl24[idx24];
-        let owner = self.owner24[idx24];
-        let seg_index = match self.free_segments.pop() {
-            Some(seg) => seg,
-            None => {
-                let seg = self.tbl_long.len() / 256;
-                if seg == MAX_SEGMENTS {
-                    return Err(LookupError::TooManySegments);
-                }
-                self.tbl_long.extend(std::iter::repeat_n(0, 256));
-                self.owner_long.extend(std::iter::repeat_n(NO_OWNER, 256));
-                seg
-            }
+    /// Rewrites every table entry in `range` from the RIB: one sweep of
+    /// the routes inside it, its stack seeded with the innermost route
+    /// strictly covering it, over `range`'s `TBL24` slots, then one over
+    /// each segment of a /24 that holds a longer prefix. A range longer
+    /// than /24 widens to its /24, whose slot may spill or unspill.
+    /// `fresh` says the range's slots are still zeroed (the build): runs no
+    /// route covers are left untouched, pages and all.
+    fn resweep(&mut self, range: Prefix, fresh: bool) -> Result<(), LookupError> {
+        let range = Prefix::new(range.addr(), range.len().min(24));
+        let first = (range.first() >> 8) as usize;
+        let mut next = first;
+        let mut inside = self.rib.within(range).peekable();
+        // A route at `range` itself covers all of it, so what covers
+        // `range` shows nowhere: only a range the RIB lacks looks for it.
+        let cover = match inside.peek() {
+            Some(&(&route, _)) if route == range => 0,
+            _ => self.rib.cover(&range).map_or(0, |(_, hop)| hop + 1),
         };
-        let base = seg_index * 256;
-        for i in base..base + 256 {
-            self.tbl_long[i] = background;
-            self.owner_long[i] = owner;
+        let (tbl24, free) = (&mut self.tbl24, &mut self.free_segments);
+        let long = sweep(range, 24, cover, inside, |slots, entry| {
+            let run = next..next + slots;
+            next += slots;
+            if fresh {
+                if entry != 0 {
+                    tbl24[run].fill(entry);
+                }
+                return;
+            }
+            // A spilled slot gives its segment back; those still
+            // holding a longer prefix spill again below.
+            let spilled = tbl24[run.clone()].iter().filter(|&&e| e & LONG_FLAG != 0);
+            free.extend(spilled.map(|&e| usize::from(e & !LONG_FLAG)));
+            tbl24[run].fill(entry);
+        })?;
+        self.dirty.mark24(first, next - 1);
+        for routes in long.chunk_by(|a, b| a.0.first() >> 8 == b.0.first() >> 8) {
+            let idx24 = (routes[0].0.first() >> 8) as usize;
+            let background = self.tbl24[idx24];
+            let mut next = self.spill(idx24)? * 256;
+            let tbl_long = &mut self.tbl_long;
+            sweep(
+                Prefix::new(routes[0].0.addr(), 24),
+                32,
+                background,
+                routes.iter().map(|(prefix, hop)| (prefix, hop)),
+                |entries, entry| {
+                    tbl_long[next..next + entries].fill(entry);
+                    next += entries;
+                },
+            )?;
         }
-        self.tbl24[idx24] = LONG_FLAG | seg_index as u16;
-        self.dirty.mark24(idx24 as u32, idx24 as u32);
-        self.dirty.mark_seg(seg_index as u32);
-        Ok(seg_index)
+        Ok(())
     }
 
-    /// Releases a segment whose entries all fell back to ≤24-bit owners.
-    fn maybe_unspill(&mut self, idx24: usize) {
-        let seg_index = usize::from(self.tbl24[idx24] & !LONG_FLAG);
-        let base = seg_index * 256;
-        let all_background = self.owner_long[base..base + 256]
-            .iter()
-            .all(|&o| o <= owner_of(24));
-        if !all_background {
-            return;
+    /// Spills flat slot `idx24` into a segment, reusing a freed one first;
+    /// returns the segment id. Fails, changing nothing, when none is free
+    /// and [`MAX_SEGMENTS`] are allocated.
+    fn spill(&mut self, idx24: usize) -> Result<usize, LookupError> {
+        let seg_index = self
+            .free_segments
+            .pop()
+            .unwrap_or(self.tbl_long.len() / 256);
+        self.tbl24[idx24] = segment_entry(seg_index)?;
+        if seg_index * 256 == self.tbl_long.len() {
+            self.tbl_long.resize(self.tbl_long.len() + 256, 0);
         }
-        // Uniform background → restore the flat TBL24 entry.
-        let entry = self.tbl_long[base];
-        let owner = self.owner_long[base];
-        let uniform = self.tbl_long[base..base + 256].iter().all(|&e| e == entry)
-            && self.owner_long[base..base + 256]
-                .iter()
-                .all(|&o| o == owner);
-        if uniform {
-            self.tbl24[idx24] = entry;
-            self.owner24[idx24] = owner;
-            self.dirty.mark24(idx24 as u32, idx24 as u32);
-            self.free_segments.push(seg_index);
-        }
+        self.dirty.mark24(idx24, idx24);
+        self.dirty.mark_seg(seg_index);
+        Ok(seg_index)
     }
 
     /// Number of live spill segments.
@@ -430,11 +329,10 @@ impl DynamicDir24_8 {
             tbl_long.copy_from_slice(live_long);
         } else {
             for &(start, end) in &delta.ranges24 {
-                let (s, e) = (start as usize, end as usize);
-                tbl24[s..=e].copy_from_slice(&live24[s..=e]);
+                tbl24[start..=end].copy_from_slice(&live24[start..=end]);
             }
             for &seg in &delta.segments {
-                let base = seg as usize * 256;
+                let base = seg * 256;
                 tbl_long[base..base + 256].copy_from_slice(&live_long[base..base + 256]);
             }
         }
@@ -476,21 +374,22 @@ impl LpmLookup for DynamicDir24_8 {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.tbl24.len() * 2 + self.owner24.len() + self.tbl_long.len() * 2 + self.owner_long.len()
+        (self.tbl24.len() + self.tbl_long.len()) * core::mem::size_of::<u16>()
     }
 }
 
 #[cfg(test)]
 impl DynamicDir24_8 {
-    /// `(tbl24, owner24, tbl_long, owner_long)`, for the build oracles.
-    pub(crate) fn tables(&self) -> (&[u16], &[u8], &[u16], &[u8]) {
-        (&self.tbl24, &self.owner24, &self.tbl_long, &self.owner_long)
+    /// `(tbl24, tbl_long)`, for the build oracles.
+    pub(crate) fn tables(&self) -> (&[u16], &[u16]) {
+        (&self.tbl24, &self.tbl_long)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tests::Tables;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -577,7 +476,7 @@ mod tests {
             long_fraction: 0.1,
             ..Default::default()
         });
-        let mut dynamic = DynamicDir24_8::from_table(&table).unwrap();
+        let mut dynamic = DynamicDir24_8::from_table(table.clone()).unwrap();
         // Churn: remove every 3rd route, change every 5th.
         let routes: Vec<(Prefix, NextHop)> = table.iter().map(|(p, h)| (*p, *h)).collect();
         for (i, (prefix, hop)) in routes.iter().enumerate() {
@@ -587,7 +486,8 @@ mod tests {
                 dynamic.insert(*prefix, (hop + 1) % 16).unwrap();
             }
         }
-        // Rebuild the reference from the surviving RIB and compare.
+        // Rebuild the reference from the surviving RIB and compare, by
+        // lookup and slot for slot.
         let reference = crate::Dir24_8::compile(dynamic.routes()).unwrap();
         for addr in addresses_within(&table, 4_000, 11) {
             assert_eq!(
@@ -596,6 +496,9 @@ mod tests {
                 "mismatch at {addr:#010x}"
             );
         }
+        let difference = Tables::of_dynamic(&dynamic)
+            .first_difference(&Tables::of_static(reference, dynamic.routes()));
+        assert!(difference.is_none(), "{difference:?}");
     }
 
     #[test]
@@ -606,7 +509,7 @@ mod tests {
             long_fraction: 0.1,
             ..Default::default()
         });
-        let mut dynamic = DynamicDir24_8::from_table(&table).unwrap();
+        let mut dynamic = DynamicDir24_8::from_table(table.clone()).unwrap();
         // Force some segment churn so the snapshot carries freed slack.
         dynamic.insert("10.1.2.128/25".parse().unwrap(), 4).unwrap();
         dynamic.remove(&"10.1.2.128/25".parse().unwrap());
@@ -621,19 +524,19 @@ mod tests {
     fn segment_overflow_is_refused_and_changes_nothing() {
         use crate::sweep::tests::one_25_per_24;
         assert!(matches!(
-            DynamicDir24_8::from_table(&one_25_per_24(40_000)),
+            DynamicDir24_8::from_table(one_25_per_24(40_000)),
             Err(LookupError::TooManySegments)
         ));
-        let mut fib = DynamicDir24_8::from_table(&one_25_per_24(MAX_SEGMENTS)).unwrap();
+        let mut fib = DynamicDir24_8::from_table(one_25_per_24(MAX_SEGMENTS)).unwrap();
         assert_eq!(fib.long_segments(), MAX_SEGMENTS);
-        let before = (fib.tbl24.clone(), fib.owner24.clone(), fib.tbl_long.clone());
-        let extra = Prefix::new((MAX_SEGMENTS as u32) << 8, 26);
+        let before = (fib.tbl24.clone(), fib.tbl_long.clone());
+        let extra = Prefix::new(u32::try_from(MAX_SEGMENTS << 8).unwrap(), 26);
         assert_eq!(fib.insert(extra, 3), Err(LookupError::TooManySegments));
         assert_eq!(fib.routes().get(&extra), None, "the RIB did not take it");
         assert_eq!(fib.routes().len(), MAX_SEGMENTS);
         assert!(fib.take_dirty().is_empty(), "nothing marked dirty");
         assert!(
-            before == (fib.tbl24.clone(), fib.owner24.clone(), fib.tbl_long.clone()),
+            before == (fib.tbl24.clone(), fib.tbl_long.clone()),
             "tables untouched"
         );
         assert_eq!(fib.lookup(extra.first()), None);
@@ -645,6 +548,37 @@ mod tests {
         fib.insert(extra, 3).unwrap();
         assert_eq!(fib.lookup(extra.first()), Some(3));
         assert_eq!(fib.long_segments(), MAX_SEGMENTS);
+    }
+
+    #[test]
+    fn segment_limit_holds_at_the_build_and_on_insert() {
+        use crate::sweep::tests::one_25_per_24;
+        for n in [MAX_SEGMENTS - 1, MAX_SEGMENTS, MAX_SEGMENTS + 1] {
+            let routes = one_25_per_24(n);
+            let built = DynamicDir24_8::from_table(routes.clone());
+            let mut inserted = DynamicDir24_8::new();
+            let refused: Vec<Prefix> = routes
+                .iter()
+                .filter(|&(&prefix, &hop)| inserted.insert(prefix, hop).is_err())
+                .map(|(&prefix, _)| prefix)
+                .collect();
+            let (&last, &hop) = routes.iter().last().unwrap();
+            assert_eq!(inserted.long_segments(), n.min(MAX_SEGMENTS), "n = {n}");
+            if n <= MAX_SEGMENTS {
+                let built = built.unwrap();
+                assert_eq!(built.long_segments(), n);
+                assert!(refused.is_empty(), "n = {n}: {refused:?}");
+                for fib in [&built, &inserted] {
+                    // The last segment answers for itself, not through 0.
+                    assert_eq!(fib.lookup(last.first()), Some(hop), "n = {n}");
+                    assert_eq!(fib.lookup(last.first() - 0x80), None, "n = {n}");
+                }
+            } else {
+                assert!(matches!(built, Err(LookupError::TooManySegments)));
+                assert_eq!(refused, [last], "only the /24 past the limit");
+                assert_eq!(inserted.lookup(last.first()), None);
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,8 @@
 //! assert_eq!(fib.lookup(u32::from_be_bytes([11, 0, 0, 1])), None);
 //! ```
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod dir24_8;
 pub mod dynamic;
 pub mod gen;

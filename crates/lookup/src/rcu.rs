@@ -156,23 +156,26 @@ pub struct RcuFib {
 impl RcuFib {
     /// Builds an RCU FIB whose first published snapshot is compiled from
     /// `initial`, with room for [`DEFAULT_MAX_READERS`] concurrent
-    /// readers.
+    /// readers. The FIB's RIB is one clone of `initial`; a caller done with
+    /// the table hands it over uncopied through
+    /// [`RcuFib::with_max_readers`].
     ///
     /// # Errors
     ///
     /// As [`DynamicDir24_8::from_table`]: unencodable hops, or more
     /// spilled /24s than [`crate::dir24_8::MAX_SEGMENTS`].
     pub fn new(initial: &RouteTable) -> Result<RcuFib, LookupError> {
-        RcuFib::with_max_readers(initial, DEFAULT_MAX_READERS)
+        RcuFib::with_max_readers(initial.clone(), DEFAULT_MAX_READERS)
     }
 
-    /// [`RcuFib::new`] with an explicit epoch-slot capacity.
+    /// Builds an RCU FIB from `initial`, which becomes the writer's RIB
+    /// without a copy, with room for `max_readers` concurrent readers.
     ///
     /// # Errors
     ///
     /// As [`RcuFib::new`].
     pub fn with_max_readers(
-        initial: &RouteTable,
+        initial: RouteTable,
         max_readers: usize,
     ) -> Result<RcuFib, LookupError> {
         assert!(max_readers > 0, "need at least one reader slot");
@@ -670,7 +673,7 @@ mod tests {
     #[test]
     fn reader_slots_recycle_on_drop() {
         let table = base_table();
-        let fib = RcuFib::with_max_readers(&table, 2).unwrap();
+        let fib = RcuFib::with_max_readers(table, 2).unwrap();
         let r1 = fib.reader();
         let r2 = r1.fork();
         drop(r1);
@@ -682,7 +685,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "too many concurrent FIB readers")]
     fn reader_capacity_is_enforced() {
-        let fib = RcuFib::with_max_readers(&base_table(), 1).unwrap();
+        let fib = RcuFib::with_max_readers(base_table(), 1).unwrap();
         let _r1 = fib.reader();
         let _r2 = fib.reader();
     }
@@ -706,7 +709,7 @@ mod tests {
         ));
         let fib = RcuFib::new(&one_25_per_24(MAX_SEGMENTS)).unwrap();
         let ctl = fib.control();
-        let extra = Prefix::new((MAX_SEGMENTS as u32) << 8, 26);
+        let extra = Prefix::new(u32::try_from(MAX_SEGMENTS << 8).unwrap(), 26);
         assert_eq!(ctl.insert(extra, 3), Err(LookupError::TooManySegments));
         assert_eq!(
             ctl.apply(&[RouteUpdate::Announce(extra, 3)]),
@@ -735,15 +738,15 @@ mod tests {
         let ctl = fib.control();
         let mut mirror = table.clone();
         let routes: Vec<(Prefix, NextHop)> = table.iter().map(|(p, h)| (*p, *h)).collect();
-        for round in 0..40usize {
+        for round in 0..40u16 {
             let mut updates = Vec::new();
             for k in 0..25usize {
-                let (prefix, hop) = routes[(round * 37 + k * 13) % routes.len()];
-                if (round + k) % 3 == 0 {
+                let (prefix, hop) = routes[(usize::from(round) * 37 + k * 13) % routes.len()];
+                if (usize::from(round) + k) % 3 == 0 {
                     updates.push(RouteUpdate::Withdraw(prefix));
                     mirror.remove(&prefix);
                 } else {
-                    let hop = (hop + round as u16) % 16;
+                    let hop = (hop + round) % 16;
                     updates.push(RouteUpdate::Announce(prefix, hop));
                     mirror.insert(prefix, hop);
                 }
@@ -751,7 +754,7 @@ mod tests {
             ctl.apply_and_publish(&updates).unwrap();
             let reference = Dir24_8::compile(&mirror).unwrap();
             let guard = reader.pin();
-            for addr in addresses_within(&table, 500, round as u64) {
+            for addr in addresses_within(&table, 500, u64::from(round)) {
                 assert_eq!(
                     guard.lookup(addr),
                     reference.lookup(addr),
@@ -798,15 +801,16 @@ mod tests {
                     reader.pin().lookup_batch(&addrs, &mut hops);
                 }
             });
-            let rounds = (0..200usize)
+            let rounds = (0..200u16)
                 .map(|round| {
                     let updates: Vec<RouteUpdate> = (0..10)
                         .map(|k| {
-                            let (prefix, hop) = routes[(round * 31 + k * 7) % routes.len()];
-                            if (round + k) % 4 == 0 {
+                            let (prefix, hop) =
+                                routes[(usize::from(round) * 31 + k * 7) % routes.len()];
+                            if (usize::from(round) + k) % 4 == 0 {
                                 RouteUpdate::Withdraw(prefix)
                             } else {
-                                RouteUpdate::Announce(prefix, (hop + round as u16) % 16)
+                                RouteUpdate::Announce(prefix, (hop + round) % 16)
                             }
                         })
                         .collect();

@@ -1,4 +1,5 @@
-//! The address-ordered sweep both DIR-24-8 builds fill `TBL24` with.
+//! The address-ordered sweep every DIR-24-8 build and update fills its
+//! tables with.
 //!
 //! [`RouteTable`] keeps its routes in `Prefix` order, which is `(addr,
 //! len)`: a prefix sorts before every prefix it covers, since those have
@@ -8,111 +9,107 @@
 //! open cover of every `TBL24` slot is known the moment the walk passes
 //! it, so each of the 2²⁴ slots is emitted exactly once, in slot order:
 //! O(2²⁴ + routes) writes and no sort, where painting prefixes shortest
-//! first costs Σ 2^(24 − len) writes.
+//! first costs Σ 2^(24 − len) writes. The same walk over the routes inside
+//! one prefix, its stack seeded with the route strictly covering that
+//! prefix, rewrites just that prefix's range: the dynamic FIB's update, at
+//! `TBL24` granularity and, for a spilled /24, at address granularity.
 
-use crate::dir24_8::TBL24_SIZE;
 use crate::prefix::Prefix;
-use crate::table::RouteTable;
-use crate::{LookupError, MAX_NEXT_HOP};
+use crate::{LookupError, NextHop, MAX_NEXT_HOP};
 
-/// Owner byte of a slot no route covers: 0, so a zeroed owner table
-/// starts with no route anywhere.
-pub(crate) const NO_OWNER: u8 = 0;
-
-/// Owner byte of a slot whose longest cover is `len` bits long. Above
-/// [`NO_OWNER`] for every length, so "no route or a cover no longer than
-/// `len`" is `owner <= owner_of(len)`.
-pub(crate) const fn owner_of(len: u8) -> u8 {
-    len + 1
-}
-
-/// Walks `routes` once and calls `run(slots, entry, owner)` for
-/// consecutive runs of `TBL24` slots, in slot order, covering all 2²⁴
-/// slots exactly once. `entry` is the encoded next hop (`hop + 1`, or `0`
-/// for no route) of the longest prefix of at most /24 covering the run and
-/// `owner` its [`owner_of`] byte ([`NO_OWNER`] when none does).
+/// Walks `routes` — the routes inside `range`, in prefix order — and calls
+/// `run(units, entry)` for consecutive runs of the units `range` spans, in
+/// order, covering each unit once. A unit is a `TBL24` slot when
+/// `unit_len` is 24 and an address (a `TBLlong` entry) when it is 32.
+/// `entry` is the encoded next hop (`hop + 1`) of the longest route of at
+/// most `unit_len` bits covering the run, or `cover` (the encoded route
+/// strictly covering `range`, 0 for none) where no route inside does.
 ///
-/// Returns the routes longer than /24, in address order with their encoded
-/// hops, for the caller's segment painter: each spills one `TBL24` slot,
-/// which must hold its final ≤ /24 entry before the segment is seeded
-/// from it.
+/// Returns the routes longer than `unit_len`, in prefix order, for the
+/// caller's segments: each spills one `TBL24` slot, whose run has then
+/// been emitted.
 ///
 /// # Errors
 ///
 /// Returns [`LookupError::NextHopTooLarge`] for a hop above
-/// [`MAX_NEXT_HOP`], before `run` sees any slot past that route.
-pub(crate) fn sweep24(
-    routes: &RouteTable,
-    mut run: impl FnMut(usize, u16, u8),
-) -> Result<Vec<(Prefix, u16)>, LookupError> {
-    // Covers still open, outermost first: (last slot, entry, owner).
-    let mut open: Vec<(usize, u16, u8)> = Vec::with_capacity(25);
-    // First slot not emitted yet.
-    let mut next = 0usize;
-    // Emits every slot before `upto`: each open cover that ends first
+/// [`MAX_NEXT_HOP`], before `run` sees any unit past that route.
+pub(crate) fn sweep<'a>(
+    range: Prefix,
+    unit_len: u8,
+    cover: u16,
+    routes: impl IntoIterator<Item = (&'a Prefix, &'a NextHop)>,
+    mut run: impl FnMut(usize, u16),
+) -> Result<Vec<(Prefix, NextHop)>, LookupError> {
+    let unit = |addr: u32| (addr >> (32 - u32::from(unit_len))) as usize;
+    // Covers still open, outermost first: (last unit, entry). Open covers
+    // nest, so they differ in length: at most one per length from
+    // `range`'s to `unit_len`, above `cover`, which spans the whole range
+    // and so closes last. A fixed array: a segment's sweep allocates
+    // nothing.
+    let mut open = [(0usize, 0u16); 34];
+    open[0] = (unit(range.last()), cover);
+    let mut depth = 1;
+    // First unit not emitted yet.
+    let mut next = unit(range.first());
+    // Emits every unit before `upto`: each open cover that ends first
     // closes on its own entry, and the gap up to `upto` takes the entry
     // of the cover still enclosing it.
-    let mut advance = |open: &mut Vec<(usize, u16, u8)>, upto: usize| {
-        while let Some(&(last, entry, owner)) = open.last() {
+    let mut advance = |open: &[(usize, u16)], depth: &mut usize, upto: usize| {
+        while let Some(&(last, entry)) = open[..*depth].last() {
             if last >= upto {
                 break;
             }
             if last >= next {
-                run(last + 1 - next, entry, owner);
+                run(last + 1 - next, entry);
                 next = last + 1;
             }
-            open.pop();
+            *depth -= 1;
         }
         if upto > next {
-            let (entry, owner) = open.last().map_or((0, NO_OWNER), |&(_, e, o)| (e, o));
-            run(upto - next, entry, owner);
+            run(upto - next, open[*depth - 1].1);
             next = upto;
         }
     };
     let mut long = Vec::new();
-    for (&prefix, &hop) in routes.iter() {
+    for (&prefix, &hop) in routes {
         if hop > MAX_NEXT_HOP {
             return Err(LookupError::NextHopTooLarge(hop));
         }
-        if prefix.len() > 24 {
-            long.push((prefix, hop + 1));
+        if prefix.len() > unit_len {
+            long.push((prefix, hop));
             continue;
         }
-        advance(&mut open, (prefix.first() >> 8) as usize);
-        open.push((
-            (prefix.last() >> 8) as usize,
-            hop + 1,
-            owner_of(prefix.len()),
-        ));
+        advance(&open, &mut depth, unit(prefix.first()));
+        open[depth] = (unit(prefix.last()), hop + 1);
+        depth += 1;
     }
-    advance(&mut open, TBL24_SIZE);
+    advance(&open, &mut depth, unit(range.last()) + 1);
     Ok(long)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::dir24_8::LONG_FLAG;
-    use crate::{Dir24_8, DynamicDir24_8, LpmLookup, NextHop};
+    use crate::dir24_8::{segment_entry, LONG_FLAG, TBL24_SIZE};
+    use crate::table::RouteTable;
+    use crate::{Dir24_8, DynamicDir24_8, LpmLookup};
     use proptest::prelude::*;
 
     /// `n` /25s, each in a /24 of its own: `n` spill segments.
     pub(crate) fn one_25_per_24(n: usize) -> RouteTable {
-        (0..n as u32)
+        (0u32..)
+            .take(n)
             .map(|i| (Prefix::new(i << 8 | 0x80, 25), (i % 5) as NextHop))
             .collect()
     }
 
     /// DIR-24-8 tables with segments renumbered in slot order and the
     /// unreachable ones dropped, so that two builds which allocated
-    /// segments in different orders compare slot for slot. The static
-    /// FIB keeps no owners, so its owner arrays stay empty.
+    /// segments in different orders compare slot for slot.
     #[derive(Debug, Default)]
-    struct Tables {
+    pub(crate) struct Tables {
         tbl24: Vec<u16>,
-        owner24: Vec<u8>,
         tbl_long: Vec<u16>,
-        owner_long: Vec<u8>,
     }
 
     impl Tables {
@@ -121,16 +118,9 @@ pub(crate) mod tests {
         /// check from scanning 2²⁴ entries per table in a debug build; a
         /// slot spilled anywhere else, or not spilled here, still differs
         /// from the reference's entry.
-        fn canonical(
-            tbl24: &[u16],
-            owner24: &[u8],
-            tbl_long: &[u16],
-            owner_long: &[u8],
-            spilled: &[usize],
-        ) -> Tables {
+        fn canonical(tbl24: &[u16], tbl_long: &[u16], spilled: &[usize]) -> Tables {
             let mut out = Tables {
                 tbl24: tbl24.to_vec(),
-                owner24: owner24.to_vec(),
                 ..Tables::default()
             };
             for &slot in spilled {
@@ -139,36 +129,31 @@ pub(crate) mod tests {
                     continue;
                 }
                 let seg = usize::from(entry & !LONG_FLAG) * 256;
-                out.tbl24[slot] = LONG_FLAG | (out.tbl_long.len() / 256) as u16;
+                out.tbl24[slot] = segment_entry(out.tbl_long.len() / 256).unwrap();
                 out.tbl_long.extend_from_slice(&tbl_long[seg..seg + 256]);
-                if !owner_long.is_empty() {
-                    out.owner_long
-                        .extend_from_slice(&owner_long[seg..seg + 256]);
-                }
             }
             out
         }
 
-        fn of_static(fib: Dir24_8, routes: &RouteTable) -> Tables {
+        pub(crate) fn of_static(fib: Dir24_8, routes: &RouteTable) -> Tables {
             let (tbl24, tbl_long) = fib.into_parts();
-            Tables::canonical(&tbl24, &[], &tbl_long, &[], &spilled_slots(routes))
+            Tables::canonical(&tbl24, &tbl_long, &spilled_slots(routes))
         }
 
-        fn of_dynamic(fib: &DynamicDir24_8) -> Tables {
-            let (tbl24, owner24, tbl_long, owner_long) = fib.tables();
-            let spilled = spilled_slots(fib.routes());
-            Tables::canonical(tbl24, owner24, tbl_long, owner_long, &spilled)
+        pub(crate) fn of_dynamic(fib: &DynamicDir24_8) -> Tables {
+            let (tbl24, tbl_long) = fib.tables();
+            Tables::canonical(tbl24, tbl_long, &spilled_slots(fib.routes()))
         }
 
         /// The first entry where `self` and `other` differ, table by
-        /// table; owner arrays only when both have them.
-        fn first_difference(&self, other: &Tables) -> Option<String> {
+        /// table.
+        pub(crate) fn first_difference(&self, other: &Tables) -> Option<String> {
             fn diff<T: PartialEq + core::fmt::Debug>(
                 name: &str,
                 a: &[T],
                 b: &[T],
             ) -> Option<String> {
-                if a.is_empty() || b.is_empty() || a == b {
+                if a == b {
                     return None;
                 }
                 if a.len() != b.len() {
@@ -178,9 +163,7 @@ pub(crate) mod tests {
                 Some(format!("{name}[{i:#x}]: {:?} against {:?}", a[i], b[i]))
             }
             diff("tbl24", &self.tbl24, &other.tbl24)
-                .or_else(|| diff("owner24", &self.owner24, &other.owner24))
                 .or_else(|| diff("tbl_long", &self.tbl_long, &other.tbl_long))
-                .or_else(|| diff("owner_long", &self.owner_long, &other.owner_long))
         }
     }
 
@@ -195,47 +178,34 @@ pub(crate) mod tests {
         slots
     }
 
-    /// The painter `Dir24_8::compile` used before the sweep, with the
-    /// owner bytes the dynamic FIB keeps: every prefix in ascending
-    /// length order overwrites its whole range, so the longest cover of
-    /// a slot writes last; a prefix longer than /24 seeds its slot's
-    /// segment from the slot on first spill.
+    /// The painter `Dir24_8::compile` used before the sweep: every prefix
+    /// in ascending length order overwrites its whole range, so the
+    /// longest cover of a slot writes last; a prefix longer than /24
+    /// seeds its slot's segment from the slot on first spill.
     fn painted(routes: &RouteTable) -> Tables {
         let mut by_length: Vec<(Prefix, NextHop)> = routes.iter().map(|(p, h)| (*p, *h)).collect();
         by_length.sort_by_key(|(p, _)| (p.len(), p.addr()));
         let mut t = Tables {
             tbl24: vec![0; TBL24_SIZE],
-            owner24: vec![NO_OWNER; TBL24_SIZE],
             ..Tables::default()
         };
         for (prefix, hop) in by_length {
             let idx24 = (prefix.first() >> 8) as usize;
             if prefix.len() <= 24 {
-                let slots = idx24..=(prefix.last() >> 8) as usize;
-                t.tbl24[slots.clone()].fill(hop + 1);
-                t.owner24[slots].fill(owner_of(prefix.len()));
+                t.tbl24[idx24..=(prefix.last() >> 8) as usize].fill(hop + 1);
                 continue;
             }
             if t.tbl24[idx24] & LONG_FLAG == 0 {
                 let seg = t.tbl_long.len() / 256;
                 t.tbl_long.extend(std::iter::repeat_n(t.tbl24[idx24], 256));
-                t.owner_long
-                    .extend(std::iter::repeat_n(t.owner24[idx24], 256));
-                t.tbl24[idx24] = LONG_FLAG | seg as u16;
+                t.tbl24[idx24] = segment_entry(seg).unwrap();
             }
             let base = usize::from(t.tbl24[idx24] & !LONG_FLAG) * 256;
             let entries =
                 base + (prefix.first() & 0xff) as usize..=base + (prefix.last() & 0xff) as usize;
-            t.tbl_long[entries.clone()].fill(hop + 1);
-            t.owner_long[entries].fill(owner_of(prefix.len()));
+            t.tbl_long[entries].fill(hop + 1);
         }
-        Tables::canonical(
-            &t.tbl24,
-            &t.owner24,
-            &t.tbl_long,
-            &t.owner_long,
-            &spilled_slots(routes),
-        )
+        Tables::canonical(&t.tbl24, &t.tbl_long, &spilled_slots(routes))
     }
 
     /// Builds `routes` with the reference painter and with both sweeps,
@@ -247,7 +217,7 @@ pub(crate) mod tests {
     ) -> Result<(), TestCaseError> {
         let table: RouteTable = routes.iter().copied().collect();
         let fib = Dir24_8::compile(&table).unwrap();
-        let mut swept = DynamicDir24_8::from_table(&table).unwrap();
+        let mut swept = DynamicDir24_8::from_table(table.clone()).unwrap();
         prop_assert!(swept.take_dirty().is_empty(), "a fresh build starts clean");
         let mut addrs = probes.to_vec();
         for (p, _) in routes {
@@ -339,10 +309,10 @@ pub(crate) mod tests {
             .iter()
             .map(|(p, h)| (Prefix::new(p.addr(), p.len()), *h))
             .collect();
-        let mut swept = DynamicDir24_8::from_table(&base).unwrap();
+        let routes: Vec<(Prefix, NextHop)> = base.iter().map(|(p, h)| (*p, *h)).collect();
+        let mut swept = DynamicDir24_8::from_table(base).unwrap();
         // More-specifics before their covers: the out-of-order insert path.
         let mut inserted = DynamicDir24_8::new();
-        let routes: Vec<(Prefix, NextHop)> = base.iter().map(|(p, h)| (*p, *h)).collect();
         for &(prefix, hop) in routes.iter().rev() {
             inserted.insert(prefix, hop).unwrap();
         }

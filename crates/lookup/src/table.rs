@@ -53,6 +53,35 @@ impl RouteTable {
         self.routes.iter()
     }
 
+    /// Iterates over `prefix` and the routes inside it, in prefix order. A
+    /// shorter route at `prefix`'s address sorts before it and stays out.
+    pub(crate) fn within(&self, prefix: Prefix) -> impl Iterator<Item = (&Prefix, &NextHop)> {
+        self.routes.range(prefix..=Prefix::new(prefix.last(), 32))
+    }
+
+    /// Returns the longest route strictly covering `prefix`, if any.
+    ///
+    /// Walking back from `prefix` in prefix order, the first route met
+    /// that covers it is the longest: covers sort by address, then length.
+    /// A route met that does not cover it still bounds the search: every
+    /// cover sorts before it, so covers its address too, and is no longer
+    /// than the bits the two addresses share. Each step is one descent of
+    /// the tree, and each shortens the bound, where probing every shorter
+    /// length at `prefix`'s address costs a descent per length.
+    pub(crate) fn cover(&self, prefix: &Prefix) -> Option<(Prefix, NextHop)> {
+        let mut len = prefix.len().checked_sub(1)?;
+        loop {
+            let (&route, &hop) = self
+                .routes
+                .range(..=Prefix::new(prefix.addr(), len))
+                .next_back()?;
+            if Prefix::new(prefix.addr(), route.len()) == route {
+                return Some((route, hop));
+            }
+            len = u8::try_from((route.addr() ^ prefix.addr()).leading_zeros()).ok()?;
+        }
+    }
+
     /// Performs a reference longest-prefix-match by scanning all routes.
     ///
     /// O(n); exists as ground truth for differential tests, not for the
@@ -109,6 +138,45 @@ mod tests {
         assert_eq!(t.lookup_reference(a("10.1.3.0")), Some(2));
         assert_eq!(t.lookup_reference(a("10.2.0.0")), Some(1));
         assert_eq!(t.lookup_reference(a("11.0.0.0")), Some(9));
+    }
+
+    #[test]
+    fn cover_is_the_longest_strict_ancestor() {
+        use crate::gen::{generate_table, TableGenConfig};
+        let table = generate_table(&TableGenConfig {
+            routes: 3_000,
+            long_fraction: 0.1,
+            ..Default::default()
+        });
+        let probed = |prefix: &Prefix| {
+            (0..prefix.len()).rev().find_map(|len| {
+                let ancestor = Prefix::new(prefix.addr(), len);
+                table.get(&ancestor).map(|hop| (ancestor, hop))
+            })
+        };
+        let mut seed = 7u32;
+        let mut prefixes: Vec<Prefix> = table.iter().map(|(p, _)| *p).collect();
+        for len in 0..=32 {
+            for _ in 0..50 {
+                seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                prefixes.push(Prefix::new(seed, len));
+            }
+        }
+        for prefix in &prefixes {
+            assert_eq!(table.cover(prefix), probed(prefix), "{prefix:?}");
+        }
+        let with_default: RouteTable = [(Prefix::DEFAULT, 1), (p("10.0.0.0/8"), 2)]
+            .into_iter()
+            .collect();
+        assert_eq!(with_default.cover(&Prefix::DEFAULT), None);
+        assert_eq!(
+            with_default.cover(&p("10.0.0.0/8")),
+            Some((Prefix::DEFAULT, 1))
+        );
+        assert_eq!(
+            with_default.cover(&p("10.1.0.0/16")),
+            Some((p("10.0.0.0/8"), 2))
+        );
     }
 
     #[test]

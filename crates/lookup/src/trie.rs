@@ -54,7 +54,8 @@ impl BinaryTrie {
                     children: [NONE, NONE],
                     next_hop: 0,
                 });
-                self.nodes[node].children[bit] = idx as u32;
+                self.nodes[node].children[bit] =
+                    u32::try_from(idx).expect("2³² trie nodes outgrow memory first");
                 idx
             } else {
                 child as usize

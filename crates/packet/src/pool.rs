@@ -19,6 +19,7 @@
 //! ring's drain); a single drop takes the lock once.
 
 use std::cell::{RefCell, UnsafeCell};
+use std::mem::MaybeUninit;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::buf::{DEFAULT_HEADROOM, DEFAULT_TAILROOM};
@@ -440,7 +441,9 @@ pub struct FreeBatch {
     /// The first queued slot, its index moved to `indices`: its `Arc`
     /// keeps the arena alive until the flush, at no extra reference count.
     first: Option<PoolSlot>,
-    indices: [u32; CACHE_CAP],
+    /// The first `count` hold queued indices; the rest were never
+    /// written, so creating a batch writes nothing but the two fields.
+    indices: [MaybeUninit<u32>; CACHE_CAP],
     count: usize,
 }
 
@@ -455,7 +458,7 @@ impl FreeBatch {
     pub fn new() -> FreeBatch {
         FreeBatch {
             first: None,
-            indices: [NIL; CACHE_CAP],
+            indices: [const { MaybeUninit::uninit() }; CACHE_CAP],
             count: 0,
         }
     }
@@ -472,7 +475,7 @@ impl FreeBatch {
         if !same || self.count == CACHE_CAP {
             self.flush();
         }
-        self.indices[self.count] = slot.index;
+        self.indices[self.count].write(slot.index);
         self.count += 1;
         // The index is queued: dropping the slot only releases its `Arc`.
         slot.index = NIL;
@@ -484,11 +487,15 @@ impl FreeBatch {
     /// Returns the queued slots to their free list (one lock); no-op if empty.
     pub fn flush(&mut self) {
         if let Some(first) = self.first.take() {
-            let queued = &self.indices[..self.count];
+            let queued = self.indices[..self.count].iter().map(|index| {
+                // SAFETY: `push` wrote each of the first `count` indices
+                // and `count` returns to 0 here, before any is read again.
+                unsafe { index.assume_init() }
+            });
             let mut list = first.inner.list();
-            list.free.extend_from_slice(queued);
-            list.recycles += queued.len() as u64;
-            list.bulk_recycles += queued.len() as u64;
+            list.free.extend(queued);
+            list.recycles += self.count as u64;
+            list.bulk_recycles += self.count as u64;
             self.count = 0;
         }
     }

@@ -132,7 +132,7 @@ mod tests {
         assert!(withdraws > 500, "withdrawals present: {withdraws}");
         // Applying the whole stream to a dynamic FIB must succeed and
         // keep the default route: every address still resolves.
-        let mut fib = DynamicDir24_8::from_table(&base).unwrap();
+        let mut fib = DynamicDir24_8::from_table(base).unwrap();
         let mut hits = 0usize;
         for u in &stream {
             match *u {

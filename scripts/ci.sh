@@ -83,7 +83,7 @@ if grep -nE 'Ordering::|Atomic|compare_exchange' crates/packet/src/pool.rs; then
     exit 1
 fi
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader, two FIB tables, one locked free list: the collapsed names stay gone)"
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader, two FIB tables, one locked free list, one RIB: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -140,6 +140,14 @@ fi
 pool_gone='observe_pushes|push_free_chain|take_free|cache_returns|recycles_approx|pushes_committed'
 if grep -rnE "$pool_gone" crates/ tests/ examples/; then
     echo "the packet arena's lock-free free list or its push-tag counter is back: the free list is one locked stack" >&2
+    exit 1
+fi
+# One RIB: the dynamic FIB's tables hold entries and nothing else; an
+# update re-sweeps its range from the RIB, so the per-slot owner bytes and
+# the withdraw's fallback search over them stay gone.
+rib_gone='owner24|owner_long|owner_of|NO_OWNER|background_for'
+if grep -rnE "$rib_gone" crates/ tests/ examples/; then
+    echo "the dynamic FIB's owner bytes are back: the RIB says which route covers each slot" >&2
     exit 1
 fi
 for f in crates/click/src/runtime/driver.rs crates/click/src/runtime/mt.rs \

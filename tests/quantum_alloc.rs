@@ -14,6 +14,11 @@
 //! through a `Counter` is wired by hand; its test fails if resolving the
 //! pull chain builds a collector of its own for each hop again.
 //!
+//! Building an RCU router over a big RIB hands the table to the FIB, which
+//! keeps it as its RIB: a `BTreeMap` clone is one small allocation per
+//! node, tens of thousands for a 200K-route table, so the count of small
+//! allocations in `build()` fails if a copy of the RIB comes back.
+//!
 //! The counting allocator counts per thread, so the tests in this file
 //! can run side by side.
 
@@ -28,6 +33,16 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The subset under 4 KiB, the size of a B-tree node.
+    static SMALL_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `size` bytes on this thread.
+fn count(size: usize) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    if size < 4096 {
+        let _ = SMALL_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 struct Counting;
@@ -37,7 +52,7 @@ struct Counting;
 // `const` initialiser and no destructor, so touching it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
@@ -48,7 +63,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -327,4 +342,24 @@ fn a_counter_in_a_pull_path_does_not_allocate() {
     assert_eq!(router.counter("cnt").unwrap().packets, 768);
     let sent = router.element_as::<ToDevice>("tx").unwrap().sent_packets();
     assert_eq!(sent, 768);
+}
+
+#[test]
+fn an_rcu_router_takes_its_rib_without_copying_it() {
+    let routes = 200_000;
+    let builder = RouterBuilder::ip_router()
+        .rcu_fib(true)
+        .routes_from_table(routebricks::workload::rib_full_table(routes, 7));
+    let before = SMALL_ALLOCS.with(Cell::get);
+    let router = builder.build().expect("the RIB builds");
+    let small = SMALL_ALLOCS.with(Cell::get) - before;
+    assert!(
+        small < routes as u64 / 50,
+        "build() made {small} allocations under 4 KiB for a {routes}-route RIB"
+    );
+    let control = router.route_control().expect("an RCU router has a control");
+    assert!(
+        control.route_count() >= routes,
+        "the FIB holds the whole RIB"
+    );
 }
