@@ -18,7 +18,7 @@
 //! ```
 
 use crate::element::{Element, Output, PacketBatch, Ports};
-use rb_crypto::esp::{trailer_len, ESP_PREFIX_LEN};
+use rb_crypto::esp::{sealed_len, trailer_len, ESP_PREFIX_LEN};
 use rb_crypto::{EspDecryptor, EspEncryptor, SecurityAssociation};
 use rb_packet::ethernet::{EtherType, EthernetHeader, HEADER_LEN as ETH_HLEN};
 use rb_packet::ipv4::{IpProto, Ipv4Header, MIN_HEADER_LEN as IP_HLEN};
@@ -53,6 +53,12 @@ fn tunnel_candidate(pkt: &Packet) -> Option<EthernetHeader> {
         .filter(|eth| eth.ethertype == EtherType::Ipv4)
 }
 
+/// Whether the tunnel packet of candidate `pkt` fits IPv4's 16-bit total
+/// length.
+fn fits_a_tunnel(pkt: &Packet) -> bool {
+    IP_HLEN + sealed_len(pkt.len() - ETH_HLEN) <= usize::from(u16::MAX)
+}
+
 /// Grows `pkt` to its tunnel size and writes the two cleartext headers.
 /// Returns what is left to do as `seal_into` takes it: the ESP part of the
 /// frame and the length of the inner datagram inside it.
@@ -71,6 +77,7 @@ fn open_tunnel(
     let (headers, esp) = pkt.data_mut().split_at_mut(ETH_HLEN + IP_HLEN);
     eth.emit(headers).expect("frame sized for headers");
     Ipv4Header::new(tunnel_src, tunnel_dst, IpProto::Esp, esp.len())
+        .expect("a tunnel candidate fits IPv4's total length")
         .emit(&mut headers[ETH_HLEN..])
         .expect("frame sized for headers");
     (esp, inner_len)
@@ -150,7 +157,7 @@ impl Element for IpsecEncap {
     }
 
     fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
-        let Some(eth) = tunnel_candidate(&pkt) else {
+        let Some(eth) = tunnel_candidate(&pkt).filter(|_| fits_a_tunnel(&pkt)) else {
             self.failed += 1;
             out.push(1, pkt);
             return;
@@ -169,7 +176,16 @@ impl Element for IpsecEncap {
         out.push(0, pkt);
     }
 
-    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+    fn push_batch(&mut self, port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        // The routing below tells the sealed frames by their shape, which a
+        // frame too long to tunnel shares: such a batch goes frame by frame.
+        let too_long = |pkt: &Packet| tunnel_candidate(pkt).is_some() && !fits_a_tunnel(pkt);
+        if pkts.as_slice().iter().any(too_long) {
+            for pkt in pkts.drain() {
+                self.push(port, pkt, out);
+            }
+            return;
+        }
         let (src, dst) = (self.tunnel_src, self.tunnel_dst);
         // Frames are opened into tunnels as the encryptor asks for them, so
         // one it has no sequence number for is never touched.
@@ -673,5 +689,34 @@ mod tests {
         let mut out = Output::new();
         dec.push(0, tunnel, &mut out);
         assert_eq!(out.drain().next().unwrap().0, 1);
+    }
+
+    #[test]
+    fn a_frame_too_long_to_tunnel_fails_by_itself() {
+        let max = usize::from(u16::MAX);
+        // The longest inner datagram whose tunnel packet fits IPv4.
+        let longest = (0..=max)
+            .rev()
+            .find(|&inner| IP_HLEN + sealed_len(inner) <= max)
+            .unwrap();
+        for sealer in Sealer::all() {
+            for (inner, fits) in [(longest - 1, true), (longest, true), (longest + 1, false)] {
+                let frames = vec![
+                    PacketSpec::udp().build(),
+                    PacketSpec::udp().frame_len(ETH_HLEN + inner).build(),
+                    PacketSpec::udp().build(),
+                ];
+                let mut enc = sealer.encap();
+                let ports: Vec<usize> = sealer
+                    .seal(&mut enc, frames)
+                    .iter()
+                    .map(|(port, _)| *port)
+                    .collect();
+                let expected = if fits { vec![0, 0, 0] } else { vec![0, 0, 1] };
+                assert_eq!(ports, expected, "{sealer:?}, inner datagram of {inner} B");
+                let sealed = if fits { 3 } else { 2 };
+                assert_eq!(enc.counts(), (sealed, 3 - sealed), "{sealer:?}");
+            }
+        }
     }
 }

@@ -7,6 +7,13 @@
 //! longer ones — which is why the paper's IP-routing application stays
 //! CPU-bound rather than memory-bound even at 256K routes.
 //!
+//! Both tables are held in 4 KiB pages of 2,048 entries, each behind an
+//! `Arc`: entry `i` is `pages[i >> 11][i & 2047]`. Cloning a
+//! table clones its page directory (8,192 `Arc`s for `TBL24`), not its
+//! entries, and a write copies the one page it lands in when a clone
+//! still shares it. That is how the RCU FIB's snapshots and its writer
+//! share every page a publish did not touch ([`crate::rcu`]).
+//!
 //! Encoding of a `TBL24` entry (16 bits):
 //!
 //! * `0x0000` — no route.
@@ -16,11 +23,13 @@
 //!
 //! `TBLlong` entries are `0` for "no route" or `next_hop + 1`.
 
-use crate::prefetch::prefetch_slice;
+use crate::dynamic::{resweep, Slack};
+use crate::prefetch::prefetch_read;
 use crate::prefix::Prefix;
-use crate::sweep::sweep;
 use crate::table::RouteTable;
 use crate::{LookupError, LpmLookup, NextHop};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Number of entries in the first-level table.
 pub(crate) const TBL24_SIZE: usize = 1 << 24;
@@ -31,6 +40,18 @@ pub(crate) const LONG_FLAG: u16 = 0x8000;
 /// Most `TBLlong` segments an entry can address: the index has the 15
 /// bits below the `LONG_FLAG` bit, so one more would alias segment 0.
 pub const MAX_SEGMENTS: usize = 1 << 15;
+
+/// Entries in one page: 2,048 `u16`s, 4 KiB, the unit a snapshot shares
+/// and a write copies.
+pub(crate) const PAGE_ENTRIES: usize = 1 << PAGE_BITS;
+const PAGE_BITS: u32 = 11;
+const PAGE_MASK: usize = PAGE_ENTRIES - 1;
+
+/// Entries in one `TBLlong` segment.
+const SEGMENT_ENTRIES: usize = 256;
+
+/// One page of a table.
+pub(crate) type Page = [u16; PAGE_ENTRIES];
 
 /// The `TBL24` entry pointing at segment `seg_index`.
 ///
@@ -46,20 +67,97 @@ pub(crate) fn segment_entry(seg_index: usize) -> Result<u16, LookupError> {
         .ok_or(LookupError::TooManySegments)
 }
 
-/// A compiled DIR-24-8 forwarding table.
+/// A table of entries in pages: a clone shares every page, and a write
+/// copies the page it lands in while a clone still shares it.
+#[derive(Clone)]
+pub(crate) struct Pages(Vec<Arc<Page>>);
+
+impl Pages {
+    /// `pages` pages of zeros (no route), all one shared page until
+    /// written.
+    fn zeroed(pages: usize) -> Pages {
+        let zero = Arc::new([0; PAGE_ENTRIES]);
+        Pages(vec![zero; pages])
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> u16 {
+        self.0[i >> PAGE_BITS][i & PAGE_MASK]
+    }
+
+    /// Hints the cache line of entry `i` in (none past the end).
+    #[inline]
+    fn prefetch(&self, i: usize) {
+        if let Some(page) = self.0.get(i >> PAGE_BITS) {
+            prefetch_read(&page[i & PAGE_MASK]);
+        }
+    }
+
+    /// Page `p`, writable: first copied, into a spare page when there is
+    /// one, if another table still shares it.
+    fn page_mut(&mut self, p: usize, spares: &mut Vec<Arc<Page>>) -> &mut Page {
+        let slot = &mut self.0[p];
+        // No table makes a `Weak`, so a count of 1 is what `get_mut`
+        // wants; reading it costs a load, where `get_mut` costs a CAS.
+        if Arc::strong_count(slot) > 1 {
+            *slot = match spares.pop() {
+                Some(mut spare) => {
+                    *Arc::get_mut(&mut spare).expect("a spare page is unshared") = **slot;
+                    spare
+                }
+                None => Arc::new(**slot),
+            };
+        }
+        Arc::get_mut(slot).expect("unshared or copied above")
+    }
+
+    /// Writes `entry` over `range`. A page whose part of the range holds
+    /// `entry` already is left alone, and so stays shared.
+    pub(crate) fn fill(&mut self, range: Range<usize>, entry: u16, spares: &mut Vec<Arc<Page>>) {
+        let mut start = range.start;
+        while start < range.end {
+            let p = start >> PAGE_BITS;
+            let (lo, hi) = (
+                start & PAGE_MASK,
+                (range.end - (p << PAGE_BITS)).min(PAGE_ENTRIES),
+            );
+            if self.0[p][lo..hi].iter().any(|&e| e != entry) {
+                self.page_mut(p, spares)[lo..hi].fill(entry);
+            }
+            start = (p + 1) << PAGE_BITS;
+        }
+    }
+}
+
+/// A compiled DIR-24-8 forwarding table: two page directories.
+#[derive(Clone)]
 pub struct Dir24_8 {
-    tbl24: Vec<u16>,
-    tbl_long: Vec<u16>,
-    route_count: usize,
+    /// `TBL24`: 2²⁴ entries in 8,192 pages.
+    pub(crate) tbl24: Pages,
+    /// `TBLlong`: `segments` 256-entry segments, eight to a page.
+    pub(crate) tbl_long: Pages,
+    pub(crate) segments: usize,
+    pub(crate) route_count: usize,
 }
 
 impl Dir24_8 {
+    /// A table no route covers: one zero page shared by every slot.
+    pub(crate) fn empty() -> Dir24_8 {
+        Dir24_8 {
+            tbl24: Pages::zeroed(TBL24_SIZE / PAGE_ENTRIES),
+            tbl_long: Pages(Vec::new()),
+            segments: 0,
+            route_count: 0,
+        }
+    }
+
     /// Compiles a forwarding table from `routes`.
     ///
     /// One address-ordered sweep writes every covered `TBL24` slot once
     /// with the longest ≤ /24 prefix covering it (a table with a default
-    /// route covers them all); the prefixes longer than /24
-    /// then spill their slots into `TBLlong` segments, in address order.
+    /// route covers them all); each /24 holding a longer prefix then
+    /// spills into a segment swept the same way, in address order. This
+    /// is [`crate::DynamicDir24_8`]'s update over the whole address space.
     ///
     /// # Errors
     ///
@@ -68,84 +166,45 @@ impl Dir24_8 {
     /// [`LookupError::TooManySegments`] when the prefixes longer than /24
     /// fall in more than [`MAX_SEGMENTS`] distinct /24s.
     pub fn compile(routes: &RouteTable) -> Result<Dir24_8, LookupError> {
-        // Zeroed (no route) from the allocator: a run no route covers
-        // is never written, so its pages are never touched.
-        let mut tbl24 = vec![0u16; TBL24_SIZE];
-        let mut next = 0;
-        let long = sweep(Prefix::DEFAULT, 24, 0, routes.iter(), |slots, entry| {
-            if entry != 0 {
-                tbl24[next..next + slots].fill(entry);
-            }
-            next += slots;
-        })?;
-        let mut fib = Dir24_8 {
-            tbl24,
-            tbl_long: Vec::new(),
-            route_count: routes.len(),
-        };
-        for (prefix, hop) in long {
-            fib.write_long(prefix, hop + 1)?;
-        }
+        let mut fib = Dir24_8::empty();
+        resweep(&mut fib, &mut Slack::default(), routes, Prefix::DEFAULT)?;
+        fib.route_count = routes.len();
         Ok(fib)
     }
 
-    /// Writes one prefix longer than /24 into its `TBL24` slot's segment,
-    /// allocating the segment on the slot's first spill. Prefixes sharing
-    /// a slot must come covers first.
-    fn write_long(&mut self, prefix: Prefix, encoded: u16) -> Result<(), LookupError> {
-        let idx24 = (prefix.first() >> 8) as usize;
-        let slot = self.tbl24[idx24];
-        let seg_index = if slot & LONG_FLAG != 0 {
-            usize::from(slot & !LONG_FLAG)
-        } else {
-            let seg_index = self.tbl_long.len() / 256;
-            self.tbl24[idx24] = segment_entry(seg_index)?;
-            // Seed the fresh segment with the slot's ≤ /24 result so
-            // uncovered low-byte values keep their answer.
-            self.tbl_long.extend(std::iter::repeat_n(slot, 256));
-            seg_index
-        };
-        let lo_start = (prefix.first() & 0xff) as usize;
-        let lo_end = (prefix.last() & 0xff) as usize;
-        let base = seg_index * 256;
-        self.tbl_long[base + lo_start..=base + lo_end].fill(encoded);
-        Ok(())
+    /// Appends a zeroed segment, and a page for it when the last is full.
+    pub(crate) fn add_segment(&mut self) {
+        if self.segments * SEGMENT_ENTRIES == self.tbl_long.0.len() * PAGE_ENTRIES {
+            self.tbl_long.0.push(Arc::new([0; PAGE_ENTRIES]));
+        }
+        self.segments += 1;
     }
 
     /// Returns the number of `TBLlong` segments allocated.
     pub fn long_segments(&self) -> usize {
-        self.tbl_long.len() / 256
+        self.segments
     }
 
-    /// Assembles a FIB from already-encoded tables (the snapshot path of
-    /// [`crate::DynamicDir24_8`]). Both tables must use the entry
-    /// encoding documented at the top of this module.
-    pub(crate) fn from_parts(tbl24: Vec<u16>, tbl_long: Vec<u16>, route_count: usize) -> Dir24_8 {
-        debug_assert_eq!(tbl24.len(), TBL24_SIZE);
-        debug_assert_eq!(tbl_long.len() % 256, 0);
-        Dir24_8 {
-            tbl24,
-            tbl_long,
-            route_count,
-        }
+    /// Every page of both tables, for the writer to take back those no
+    /// other table shares.
+    pub(crate) fn into_pages(self) -> impl Iterator<Item = Arc<Page>> {
+        self.tbl24.0.into_iter().chain(self.tbl_long.0)
     }
 
-    /// Surrenders the raw tables, letting a replaced snapshot's
-    /// allocations become the RCU FIB's next working table.
-    pub(crate) fn into_parts(self) -> (Vec<u16>, Vec<u16>) {
-        (self.tbl24, self.tbl_long)
-    }
-
-    /// The raw tables, for bringing a recycled pair up to date.
-    pub(crate) fn parts(&self) -> (&[u16], &[u16]) {
-        (&self.tbl24, &self.tbl_long)
+    /// The `TBLlong` entry `addr` resolves to under the spilled `TBL24`
+    /// entry `entry`.
+    #[inline]
+    fn long_index(entry: u16, addr: u32) -> usize {
+        usize::from(entry & !LONG_FLAG) * SEGMENT_ENTRIES + (addr & 0xff) as usize
     }
 
     /// Destination addresses in a batch rarely share cache lines in a
     /// 32 MiB `TBL24`, so the resolve loop is latency-bound on DRAM.
     /// Splitting it into a prefetch pass (issue every `TBL24` line, plus
     /// the `TBLlong` line for entries already visible as spilled) and a
-    /// resolve pass lets the memory system overlap the misses.
+    /// resolve pass lets the memory system overlap the misses. The page
+    /// directories (64 KiB for `TBL24`) stay cache-resident, so paging
+    /// adds a cached load per access, not a miss.
     fn lookup_batch_impl(&self, addrs: &[u32], out: &mut [Option<NextHop>]) {
         assert!(out.len() >= addrs.len(), "output slice too short");
         // Pass 1: prefetch. For spilled slots the TBL24 entry must be
@@ -154,29 +213,17 @@ impl Dir24_8 {
         // from an early hint (they are the second dependent access).
         for &addr in addrs {
             let idx = (addr >> 8) as usize;
-            prefetch_slice(&self.tbl24, idx);
-            if !self.tbl_long.is_empty() {
-                let entry = self.tbl24[idx];
+            self.tbl24.prefetch(idx);
+            if self.segments > 0 {
+                let entry = self.tbl24.get(idx);
                 if entry & LONG_FLAG != 0 {
-                    let seg = usize::from(entry & !LONG_FLAG) * 256;
-                    prefetch_slice(&self.tbl_long, seg + (addr & 0xff) as usize);
+                    self.tbl_long.prefetch(Dir24_8::long_index(entry, addr));
                 }
             }
         }
         // Pass 2: resolve, identical logic to the scalar `lookup`.
         for (&addr, slot) in addrs.iter().zip(out.iter_mut()) {
-            let entry = self.tbl24[(addr >> 8) as usize];
-            let resolved = if entry & LONG_FLAG == 0 {
-                entry
-            } else {
-                let seg = usize::from(entry & !LONG_FLAG) * 256;
-                self.tbl_long[seg + (addr & 0xff) as usize]
-            };
-            *slot = if resolved == 0 {
-                None
-            } else {
-                Some(resolved - 1)
-            };
+            *slot = self.lookup(addr);
         }
     }
 }
@@ -184,26 +231,23 @@ impl Dir24_8 {
 impl LpmLookup for Dir24_8 {
     #[inline]
     fn lookup(&self, addr: u32) -> Option<NextHop> {
-        let entry = self.tbl24[(addr >> 8) as usize];
+        let entry = self.tbl24.get((addr >> 8) as usize);
         let resolved = if entry & LONG_FLAG == 0 {
             entry
         } else {
-            let seg = usize::from(entry & !LONG_FLAG) * 256;
-            self.tbl_long[seg + (addr & 0xff) as usize]
+            self.tbl_long.get(Dir24_8::long_index(entry, addr))
         };
-        if resolved == 0 {
-            None
-        } else {
-            Some(resolved - 1)
-        }
+        resolved.checked_sub(1)
     }
 
     fn route_count(&self) -> usize {
         self.route_count
     }
 
+    /// The entries the tables hold, counted as if no page were shared:
+    /// what one full table costs.
     fn memory_bytes(&self) -> usize {
-        (self.tbl24.len() + self.tbl_long.len()) * core::mem::size_of::<u16>()
+        (TBL24_SIZE + self.segments * SEGMENT_ENTRIES) * core::mem::size_of::<u16>()
     }
 
     fn lookup_batch(&self, addrs: &[u32], out: &mut [Option<NextHop>]) {
@@ -211,72 +255,27 @@ impl LpmLookup for Dir24_8 {
     }
 }
 
-/// Test-only census of the `TBL24` buffers (allocations of exactly
-/// 2²⁴ `u16`s) allocated and not yet freed on the calling thread, and
-/// the most there have been: an allocator that counts them for this
-/// crate's unit tests.
 #[cfg(test)]
-pub(crate) mod live {
-    use super::TBL24_SIZE;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    const TBL24_BYTES: usize = TBL24_SIZE * core::mem::size_of::<u16>();
-
-    thread_local! {
-        static TBL24: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
+impl Dir24_8 {
+    /// Both tables as flat arrays, for the build oracles.
+    pub(crate) fn flat(&self) -> (Vec<u16>, Vec<u16>) {
+        let flat = |pages: &Pages, len: usize| {
+            let mut out = Vec::with_capacity(pages.0.len() * PAGE_ENTRIES);
+            for page in &pages.0 {
+                out.extend_from_slice(&page[..]);
+            }
+            out.truncate(len);
+            out
+        };
+        (
+            flat(&self.tbl24, TBL24_SIZE),
+            flat(&self.tbl_long, self.segments * SEGMENT_ENTRIES),
+        )
     }
 
-    fn adjust(bytes: usize, by: isize) {
-        if bytes == TBL24_BYTES {
-            // `try_with`: a thread's last frees can run after its
-            // thread-locals are gone.
-            let _ = TBL24.try_with(|c| {
-                let (now, peak) = c.get();
-                c.set((now + by, peak.max(now + by)));
-            });
-        }
-    }
-
-    /// `(alive now, peak)` on this thread.
-    pub(crate) fn tbl24_buffers() -> (isize, isize) {
-        TBL24.with(Cell::get)
-    }
-
-    struct Counting;
-
-    #[global_allocator]
-    static COUNTING: Counting = Counting;
-
-    // SAFETY: each method forwards to `System` with its caller's own
-    // arguments, so `System`'s guarantees are this allocator's; the
-    // census touches only a `Copy` thread-local, which allocates nothing.
-    unsafe impl GlobalAlloc for Counting {
-        // SAFETY: the caller's `alloc` contract is `System`'s.
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            adjust(layout.size(), 1);
-            System.alloc(layout)
-        }
-
-        // SAFETY: as `alloc`; zeroed pages stay untouched, as without
-        // the census.
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            adjust(layout.size(), 1);
-            System.alloc_zeroed(layout)
-        }
-
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            adjust(layout.size(), -1);
-            System.dealloc(ptr, layout)
-        }
-
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            adjust(layout.size(), -1);
-            adjust(new_size, 1);
-            System.realloc(ptr, layout, new_size)
-        }
+    /// Every page of both tables, by address, for page censuses.
+    pub(crate) fn page_ptrs(&self) -> impl Iterator<Item = *const Page> + '_ {
+        self.tbl24.0.iter().chain(&self.tbl_long.0).map(Arc::as_ptr)
     }
 }
 

@@ -10,98 +10,28 @@
 //! covers each slot, so the tables carry nothing beside their entries:
 //! no per-entry owner length, which would cost a byte per slot (16 MiB
 //! for `TBL24`).
+//!
+//! The tables are a [`crate::Dir24_8`], whose pages a
+//! [`DynamicDir24_8::snapshot`] shares: a write copies the page it lands
+//! in while a snapshot still holds it, and writes in place once none
+//! does.
 
-use crate::dir24_8::{segment_entry, LONG_FLAG, MAX_SEGMENTS, TBL24_SIZE};
+use crate::dir24_8::{segment_entry, Dir24_8, Page, LONG_FLAG, MAX_SEGMENTS};
 use crate::prefix::Prefix;
 use crate::sweep::sweep;
 use crate::table::RouteTable;
 use crate::{LookupError, LpmLookup, NextHop, MAX_NEXT_HOP};
+use std::sync::Arc;
 
-/// Entry budget past which a [`DirtyDelta`] degrades to "clone
-/// everything": copying more than this many table slots individually
-/// costs about as much as the straight memcpy it was avoiding.
-const DIRTY_OVERFLOW_ENTRIES: usize = 1 << 21;
-/// Range/segment count budget — bounds the delta's own memory.
-const DIRTY_OVERFLOW_SPANS: usize = 1 << 16;
-
-/// The table slots rewritten since the last [`DynamicDir24_8::take_dirty`],
-/// in a form a snapshot holder can replay: copy these slots from the
-/// newer tables and the previous snapshot becomes current, without
-/// touching the other ~16M entries.
-#[derive(Debug, Clone, Default)]
-pub struct DirtyDelta {
-    /// Inclusive `TBL24` slot ranges rewritten.
-    ranges24: Vec<(usize, usize)>,
-    /// Spill-segment indices rewritten (256 entries each).
+/// What a writer reuses beside its tables.
+#[derive(Default)]
+pub(crate) struct Slack {
+    /// Segment indices whose slots got un-spilled.
     segments: Vec<usize>,
-    /// Total entries covered (clone-cost proxy).
-    entries: usize,
-    /// Set once the delta grew past the point where replaying it beats a
-    /// full clone; the span lists are discarded when this trips.
-    overflow: bool,
-}
-
-impl DirtyDelta {
-    /// `true` when nothing was rewritten.
-    pub fn is_empty(&self) -> bool {
-        !self.overflow && self.ranges24.is_empty() && self.segments.is_empty()
-    }
-
-    /// `true` when the delta no longer describes the rewrites precisely
-    /// and the holder must copy the whole table instead.
-    pub fn overflow(&self) -> bool {
-        self.overflow
-    }
-
-    fn trip_overflow(&mut self) {
-        self.overflow = true;
-        self.ranges24 = Vec::new();
-        self.segments = Vec::new();
-    }
-
-    fn over_budget(&self) -> bool {
-        self.entries > DIRTY_OVERFLOW_ENTRIES
-            || self.ranges24.len() + self.segments.len() > DIRTY_OVERFLOW_SPANS
-    }
-
-    fn mark24(&mut self, start: usize, end: usize) {
-        if self.overflow {
-            return;
-        }
-        // Adjacent updates often touch adjacent slots; cheap coalescing
-        // with the previous range keeps the span list short.
-        if let Some(last) = self.ranges24.last_mut() {
-            if start <= last.1.saturating_add(1) && end.saturating_add(1) >= last.0 {
-                let old_span = last.1 - last.0 + 1;
-                last.0 = last.0.min(start);
-                last.1 = last.1.max(end);
-                self.entries += last.1 - last.0 + 1 - old_span;
-                if self.over_budget() {
-                    self.trip_overflow();
-                }
-                return;
-            }
-        }
-        self.ranges24.push((start, end));
-        self.entries += end - start + 1;
-        if self.over_budget() {
-            self.trip_overflow();
-        }
-    }
-
-    fn mark_seg(&mut self, seg: usize) {
-        if self.overflow {
-            return;
-        }
-        if self.segments.last() == Some(&seg) {
-            return;
-        }
-        self.segments.push(seg);
-        self.entries += 256;
-        if self.over_budget() {
-            self.trip_overflow();
-        }
-    }
+    /// Pages no table shares any more, for the next copies: a writer on
+    /// another thread than the build then copies into the memory the
+    /// build allocated instead of growing its own thread's heap.
+    pages: Vec<Arc<Page>>,
 }
 
 /// A mutable DIR-24-8 whose tables are a function of its RIB.
@@ -110,14 +40,9 @@ pub struct DynamicDir24_8 {
     /// route here covering it, and a `TBL24` slot spills exactly when a
     /// route here is longer than /24 inside it.
     rib: RouteTable,
-    /// The lookup tables, `tbl24` and `tbl_long`, are empty only between
-    /// [`DynamicDir24_8::freeze`] and [`DynamicDir24_8::thaw`].
-    tbl24: Vec<u16>,
-    tbl_long: Vec<u16>,
-    /// Free-list of segment indices whose slots got un-spilled.
-    free_segments: Vec<usize>,
-    /// Slots rewritten since the last [`DynamicDir24_8::take_dirty`].
-    dirty: DirtyDelta,
+    /// The lookup tables.
+    fib: Dir24_8,
+    slack: Slack,
 }
 
 impl DynamicDir24_8 {
@@ -125,22 +50,14 @@ impl DynamicDir24_8 {
     pub fn new() -> DynamicDir24_8 {
         DynamicDir24_8 {
             rib: RouteTable::new(),
-            tbl24: vec![0u16; TBL24_SIZE],
-            tbl_long: Vec::new(),
-            free_segments: Vec::new(),
-            dirty: DirtyDelta::default(),
+            fib: Dir24_8::empty(),
+            slack: Slack::default(),
         }
     }
 
     /// Builds from a route table, which becomes the FIB's RIB as it is:
-    /// nothing is copied.
-    ///
-    /// The same address-ordered sweep as [`crate::Dir24_8::compile`]
-    /// writes every covered `TBL24` slot once into a zeroed table (no
-    /// route), and each /24 holding a longer prefix spills into a segment
-    /// swept the same way, in address order: an update's re-sweep over the
-    /// whole address space. The dirty set starts empty: the build is the
-    /// baseline a first snapshot copies whole.
+    /// nothing is copied. The tables are built as
+    /// [`crate::Dir24_8::compile`] builds them.
     ///
     /// # Errors
     ///
@@ -152,8 +69,7 @@ impl DynamicDir24_8 {
             rib: table,
             ..DynamicDir24_8::new()
         };
-        fib.resweep(Prefix::DEFAULT, true)?;
-        fib.dirty = DirtyDelta::default();
+        resweep(&mut fib.fib, &mut fib.slack, &fib.rib, Prefix::DEFAULT)?;
         Ok(fib)
     }
 
@@ -170,11 +86,11 @@ impl DynamicDir24_8 {
             return Err(LookupError::NextHopTooLarge(hop));
         }
         let idx24 = (prefix.first() >> 8) as usize;
-        let spilled = self.tbl24[idx24] & LONG_FLAG != 0;
+        let spilled = self.fib.tbl24.get(idx24) & LONG_FLAG != 0;
         if prefix.len() > 24
             && !spilled
-            && self.free_segments.is_empty()
-            && self.tbl_long.len() == MAX_SEGMENTS * 256
+            && self.slack.segments.is_empty()
+            && self.fib.segments == MAX_SEGMENTS
         {
             return Err(LookupError::TooManySegments);
         }
@@ -183,11 +99,11 @@ impl DynamicDir24_8 {
             // A flat /24 is one slot with no longer route inside it, so
             // its entry is the new hop: the re-sweep's RIB walk, which
             // costs more than the write, has nothing to find.
-            self.tbl24[idx24] = hop + 1;
-            self.dirty.mark24(idx24, idx24);
+            let (tbl24, spares) = (&mut self.fib.tbl24, &mut self.slack.pages);
+            tbl24.fill(idx24..idx24 + 1, hop + 1, spares);
             return Ok(());
         }
-        self.resweep(prefix, false)
+        resweep(&mut self.fib, &mut self.slack, &self.rib, prefix)
     }
 
     /// Removes a route; returns its next hop if it existed.
@@ -195,155 +111,116 @@ impl DynamicDir24_8 {
         let hop = self.rib.remove(prefix)?;
         // Every /24 spilled after the withdraw spilled before it, and the
         // RIB's hops were checked on the way in: the re-sweep cannot fail.
-        self.resweep(*prefix, false)
+        resweep(&mut self.fib, &mut self.slack, &self.rib, *prefix)
             .expect("a withdraw spills no new /24");
         Some(hop)
     }
 
-    /// Rewrites every table entry in `range` from the RIB: one sweep of
-    /// the routes inside it, its stack seeded with the innermost route
-    /// strictly covering it, over `range`'s `TBL24` slots, then one over
-    /// each segment of a /24 that holds a longer prefix. A range longer
-    /// than /24 widens to its /24, whose slot may spill or unspill.
-    /// `fresh` says the range's slots are still zeroed (the build): runs no
-    /// route covers are left untouched, pages and all.
-    fn resweep(&mut self, range: Prefix, fresh: bool) -> Result<(), LookupError> {
-        let range = Prefix::new(range.addr(), range.len().min(24));
-        let first = (range.first() >> 8) as usize;
-        let mut next = first;
-        let mut inside = self.rib.within(range).peekable();
-        // A route at `range` itself covers all of it, so what covers
-        // `range` shows nowhere: only a range the RIB lacks looks for it.
-        let cover = match inside.peek() {
-            Some(&(&route, _)) if route == range => 0,
-            _ => self.rib.cover(&range).map_or(0, |(_, hop)| hop + 1),
-        };
-        let (tbl24, free) = (&mut self.tbl24, &mut self.free_segments);
-        let long = sweep(range, 24, cover, inside, |slots, entry| {
-            let run = next..next + slots;
-            next += slots;
-            if fresh {
-                if entry != 0 {
-                    tbl24[run].fill(entry);
-                }
-                return;
-            }
-            // A spilled slot gives its segment back; those still
-            // holding a longer prefix spill again below.
-            let spilled = tbl24[run.clone()].iter().filter(|&&e| e & LONG_FLAG != 0);
-            free.extend(spilled.map(|&e| usize::from(e & !LONG_FLAG)));
-            tbl24[run].fill(entry);
-        })?;
-        self.dirty.mark24(first, next - 1);
-        for routes in long.chunk_by(|a, b| a.0.first() >> 8 == b.0.first() >> 8) {
-            let idx24 = (routes[0].0.first() >> 8) as usize;
-            let background = self.tbl24[idx24];
-            let mut next = self.spill(idx24)? * 256;
-            let tbl_long = &mut self.tbl_long;
-            sweep(
-                Prefix::new(routes[0].0.addr(), 24),
-                32,
-                background,
-                routes.iter().map(|(prefix, hop)| (prefix, hop)),
-                |entries, entry| {
-                    tbl_long[next..next + entries].fill(entry);
-                    next += entries;
-                },
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Spills flat slot `idx24` into a segment, reusing a freed one first;
-    /// returns the segment id. Fails, changing nothing, when none is free
-    /// and [`MAX_SEGMENTS`] are allocated.
-    fn spill(&mut self, idx24: usize) -> Result<usize, LookupError> {
-        let seg_index = self
-            .free_segments
-            .pop()
-            .unwrap_or(self.tbl_long.len() / 256);
-        self.tbl24[idx24] = segment_entry(seg_index)?;
-        if seg_index * 256 == self.tbl_long.len() {
-            self.tbl_long.resize(self.tbl_long.len() + 256, 0);
-        }
-        self.dirty.mark24(idx24, idx24);
-        self.dirty.mark_seg(seg_index);
-        Ok(seg_index)
-    }
-
     /// Number of live spill segments.
     pub fn long_segments(&self) -> usize {
-        self.tbl_long.len() / 256 - self.free_segments.len()
+        self.fib.segments - self.slack.segments.len()
     }
 
-    /// Clones the current table state into an immutable [`crate::Dir24_8`].
-    /// Freed spill segments are copied as-is (they are unreachable from
-    /// `TBL24`, so lookups are unaffected; the snapshot just carries a
-    /// little slack memory).
-    pub fn snapshot(&self) -> crate::Dir24_8 {
-        crate::Dir24_8::from_parts(self.tbl24.clone(), self.tbl_long.clone(), self.rib.len())
-    }
-
-    /// Takes the accumulated dirty set — the slots rewritten since the
-    /// previous call — leaving it empty.
-    pub fn take_dirty(&mut self) -> DirtyDelta {
-        std::mem::take(&mut self.dirty)
-    }
-
-    /// The RCU FIB's publish step: moves the lookup tables, without
-    /// copying, into an immutable snapshot and takes the dirty set, the
-    /// slots that differ from the previous snapshot. Until
-    /// [`DynamicDir24_8::thaw`] the table has no lookup tables: only
-    /// `thaw` may touch it.
-    pub(crate) fn freeze(&mut self) -> (crate::Dir24_8, DirtyDelta) {
-        let tbl24 = std::mem::take(&mut self.tbl24);
-        let tbl_long = std::mem::take(&mut self.tbl_long);
-        let frozen = crate::Dir24_8::from_parts(tbl24, tbl_long, self.rib.len());
-        (frozen, self.take_dirty())
-    }
-
-    /// Gives a frozen table its lookup tables back, equal to `live`'s.
-    ///
-    /// `recycled` is the snapshot `live` replaced, which holds the
-    /// previous generation: only the slots in `delta` (`freeze`'s dirty
-    /// set) are copied from `live` into it, plus any `TBLlong` growth —
-    /// O(changed slots). `None`, or a delta that overflowed, copies all
-    /// of `live`.
-    pub(crate) fn thaw(
-        &mut self,
-        recycled: Option<crate::Dir24_8>,
-        live: &crate::Dir24_8,
-        delta: &DirtyDelta,
-    ) {
-        let (live24, live_long) = live.parts();
-        let whole = recycled.is_none() || delta.overflow();
-        let (mut tbl24, mut tbl_long) = recycled.map_or_else(
-            || (vec![0u16; TBL24_SIZE], Vec::new()),
-            crate::Dir24_8::into_parts,
-        );
-        // TBLlong only grows, and a new segment is always dirty, so
-        // zero-extending before the segment copies is enough.
-        tbl_long.resize(live_long.len(), 0);
-        if whole {
-            tbl24.copy_from_slice(live24);
-            tbl_long.copy_from_slice(live_long);
-        } else {
-            for &(start, end) in &delta.ranges24 {
-                tbl24[start..=end].copy_from_slice(&live24[start..=end]);
-            }
-            for &seg in &delta.segments {
-                let base = seg * 256;
-                tbl_long[base..base + 256].copy_from_slice(&live_long[base..base + 256]);
-            }
+    /// The current tables as an immutable [`crate::Dir24_8`] that shares
+    /// every page with them: a clone of the two page directories, no
+    /// entry copied. Freed spill segments come along (they are
+    /// unreachable from `TBL24`, so lookups are unaffected).
+    pub fn snapshot(&self) -> Dir24_8 {
+        Dir24_8 {
+            route_count: self.rib.len(),
+            ..self.fib.clone()
         }
-        self.tbl24 = tbl24;
-        self.tbl_long = tbl_long;
+    }
+
+    /// Takes back the pages of a snapshot nothing else reads any more that
+    /// these tables no longer share, as spares for the next copies; the
+    /// rest of its pages are dropped.
+    ///
+    /// The writer keeps no more spares than one snapshot gives back: the
+    /// pages it replaced, about what the next batch of updates copies.
+    pub(crate) fn recycle(&mut self, snapshot: Dir24_8) {
+        let unshared: Vec<Arc<Page>> = snapshot
+            .into_pages()
+            .filter(|page| Arc::strong_count(page) == 1)
+            .collect();
+        if unshared.len() > self.slack.pages.len() {
+            self.slack.pages = unshared;
+        }
     }
 
     /// The authoritative route set.
     pub fn routes(&self) -> &RouteTable {
         &self.rib
     }
+}
+
+/// Rewrites every entry of `fib` in `range` from `rib`: one sweep of the
+/// routes inside it, its stack seeded with the innermost route strictly
+/// covering it, over `range`'s `TBL24` slots, then one over each segment
+/// of a /24 that holds a longer prefix. A range longer than /24 widens to
+/// its /24, whose slot may spill or unspill. Over [`Prefix::DEFAULT`] and
+/// an empty table, it is the build.
+pub(crate) fn resweep(
+    fib: &mut Dir24_8,
+    slack: &mut Slack,
+    rib: &RouteTable,
+    range: Prefix,
+) -> Result<(), LookupError> {
+    let range = Prefix::new(range.addr(), range.len().min(24));
+    let mut next = (range.first() >> 8) as usize;
+    let mut inside = rib.within(range).peekable();
+    // A route at `range` itself covers all of it, so what covers
+    // `range` shows nowhere: only a range the RIB lacks looks for it.
+    let cover = match inside.peek() {
+        Some(&(&route, _)) if route == range => 0,
+        _ => rib.cover(&range).map_or(0, |(_, hop)| hop + 1),
+    };
+    // Only a table with a live segment has a spilled slot to look for.
+    let any_spilled = fib.segments > slack.segments.len();
+    let long = sweep(range, 24, cover, inside, |slots, entry| {
+        let run = next..next + slots;
+        next += slots;
+        if any_spilled {
+            // A spilled slot gives its segment back; those still
+            // holding a longer prefix spill again below.
+            let spilled = run.clone().map(|i| fib.tbl24.get(i));
+            let spilled = spilled.filter(|&e| e & LONG_FLAG != 0);
+            slack
+                .segments
+                .extend(spilled.map(|e| usize::from(e & !LONG_FLAG)));
+        }
+        fib.tbl24.fill(run, entry, &mut slack.pages);
+    })?;
+    for routes in long.chunk_by(|a, b| a.0.first() >> 8 == b.0.first() >> 8) {
+        let idx24 = (routes[0].0.first() >> 8) as usize;
+        let background = fib.tbl24.get(idx24);
+        let mut next = spill(fib, slack, idx24)? * 256;
+        sweep(
+            Prefix::new(routes[0].0.addr(), 24),
+            32,
+            background,
+            routes.iter().map(|(prefix, hop)| (prefix, hop)),
+            |entries, entry| {
+                fib.tbl_long
+                    .fill(next..next + entries, entry, &mut slack.pages);
+                next += entries;
+            },
+        )?;
+    }
+    Ok(())
+}
+
+/// Spills flat slot `idx24` into a segment, reusing a freed one first;
+/// returns the segment id. Fails, changing nothing, when none is free
+/// and [`MAX_SEGMENTS`] are allocated.
+fn spill(fib: &mut Dir24_8, slack: &mut Slack, idx24: usize) -> Result<usize, LookupError> {
+    let seg_index = slack.segments.pop().unwrap_or(fib.segments);
+    let entry = segment_entry(seg_index)?;
+    fib.tbl24.fill(idx24..idx24 + 1, entry, &mut slack.pages);
+    if seg_index == fib.segments {
+        fib.add_segment();
+    }
+    Ok(seg_index)
 }
 
 impl Default for DynamicDir24_8 {
@@ -355,18 +232,7 @@ impl Default for DynamicDir24_8 {
 impl LpmLookup for DynamicDir24_8 {
     #[inline]
     fn lookup(&self, addr: u32) -> Option<NextHop> {
-        let entry = self.tbl24[(addr >> 8) as usize];
-        let resolved = if entry & LONG_FLAG == 0 {
-            entry
-        } else {
-            let seg = usize::from(entry & !LONG_FLAG) * 256;
-            self.tbl_long[seg + (addr & 0xff) as usize]
-        };
-        if resolved == 0 {
-            None
-        } else {
-            Some(resolved - 1)
-        }
+        self.fib.lookup(addr)
     }
 
     fn route_count(&self) -> usize {
@@ -374,15 +240,20 @@ impl LpmLookup for DynamicDir24_8 {
     }
 
     fn memory_bytes(&self) -> usize {
-        (self.tbl24.len() + self.tbl_long.len()) * core::mem::size_of::<u16>()
+        self.fib.memory_bytes()
     }
 }
 
 #[cfg(test)]
 impl DynamicDir24_8 {
-    /// `(tbl24, tbl_long)`, for the build oracles.
-    pub(crate) fn tables(&self) -> (&[u16], &[u16]) {
-        (&self.tbl24, &self.tbl_long)
+    /// The lookup tables, for the build oracles and page censuses.
+    pub(crate) fn tables(&self) -> &Dir24_8 {
+        &self.fib
+    }
+
+    /// The spare pages held for the next copies, by address.
+    pub(crate) fn spare_ptrs(&self) -> impl Iterator<Item = *const Page> + '_ {
+        self.slack.pages.iter().map(Arc::as_ptr)
     }
 }
 
@@ -529,15 +400,15 @@ mod tests {
         ));
         let mut fib = DynamicDir24_8::from_table(one_25_per_24(MAX_SEGMENTS)).unwrap();
         assert_eq!(fib.long_segments(), MAX_SEGMENTS);
-        let before = (fib.tbl24.clone(), fib.tbl_long.clone());
+        // The snapshot shares every page, so a write would copy one.
+        let before = fib.snapshot();
         let extra = Prefix::new(u32::try_from(MAX_SEGMENTS << 8).unwrap(), 26);
         assert_eq!(fib.insert(extra, 3), Err(LookupError::TooManySegments));
         assert_eq!(fib.routes().get(&extra), None, "the RIB did not take it");
         assert_eq!(fib.routes().len(), MAX_SEGMENTS);
-        assert!(fib.take_dirty().is_empty(), "nothing marked dirty");
         assert!(
-            before == (fib.tbl24.clone(), fib.tbl_long.clone()),
-            "tables untouched"
+            before.page_ptrs().eq(fib.tables().page_ptrs()),
+            "tables untouched: no page copied"
         );
         assert_eq!(fib.lookup(extra.first()), None);
         // A /24 that already spilled still takes routes, and a freed

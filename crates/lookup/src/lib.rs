@@ -49,7 +49,7 @@ pub mod table;
 pub mod trie;
 
 pub use dir24_8::Dir24_8;
-pub use dynamic::{DirtyDelta, DynamicDir24_8};
+pub use dynamic::DynamicDir24_8;
 pub use linear::LinearTable;
 pub use prefix::Prefix;
 pub use rcu::{FibGuard, FibReader, RcuFib, RcuStats, RouteControl, RouteUpdate};

@@ -5,7 +5,10 @@
 //! batch *before* resolving any of them, so the DRAM accesses of a
 //! full-table FIB overlap instead of serialising — the same
 //! memory-level-parallelism trick the paper's batching applies to NIC
-//! descriptor rings, applied to the lookup structure itself.
+//! descriptor rings, applied to the lookup structure itself. The tables
+//! are paged (see [`crate::dir24_8`]): a prefetch first reads the page's
+//! pointer from the page directory, 64 KiB for `TBL24`, which stays in
+//! cache, so only the entry's own line is a miss to hide.
 //!
 //! On x86_64 this lowers to `prefetcht0`; elsewhere it is a no-op, so the
 //! batch pipeline stays portable and the differential tests cover both

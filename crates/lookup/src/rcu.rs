@@ -12,40 +12,40 @@
 //! announcement, hand-rolled because the vendored crossbeam subset has
 //! no `epoch` module:
 //!
-//! * The live FIB is an [`Dir24_8`] snapshot behind an `AtomicPtr`
-//!   (holding one `Arc` reference), tagged with a monotonically
-//!   increasing **generation**.
+//! * The live FIB is a [`Dir24_8`] snapshot behind an `AtomicPtr` (the
+//!   writer holds its `Arc`; readers hold none), tagged with a
+//!   monotonically increasing **generation**.
 //! * Writers ([`RouteControl`]) mutate a private [`DynamicDir24_8`]
 //!   under a mutex (control plane only — never on the packet path),
-//!   then *publish*: move the working tables into the new snapshot
-//!   without copying, swap the pointer, bump the generation, and wait
-//!   out the replaced snapshot's grace period. Its buffers then become
-//!   the working tables, brought up to date with the slots this
-//!   generation dirtied — O(changed entries), not a 32 MiB clone per
-//!   publish. Two tables exist: the working one and the live snapshot.
+//!   then *publish*: clone its page directories into the new snapshot
+//!   (8,192 + a few hundred `Arc` bumps, no entry copied), swap the
+//!   pointer, bump the generation and retire the replaced snapshot. A
+//!   snapshot and the working table share every 4 KiB page no update
+//!   touched since: the working table copies a page on its first write
+//!   after a publish, and writes in place a page no snapshot holds. The
+//!   FIB is one table plus the pages the last publish touched.
 //! * Readers ([`FibReader`]) *pin* once per batch: announce the current
 //!   generation in their own cache-line-padded epoch slot, re-check the
 //!   generation, and dereference the pointer for the whole batch. One
 //!   uncontended store + two loads per batch of packets; unpinning is a
 //!   single store of the [`QUIESCENT`] sentinel.
-//! * Since readers pin for one batch, the grace wait is normally
-//!   microseconds. It is bounded by the time one full-table clone took
-//!   at construction: past that, a stalled reader (even one pinned on
-//!   the publishing thread) keeps the replaced snapshot, which is
-//!   *retired* tagged with the generation that replaced it, and the
-//!   working tables are cloned from the new snapshot instead.
 //! * A retired snapshot is freed once every announced (non-quiescent)
 //!   epoch has advanced to at least its retire generation — the grace
-//!   period. Reclamation piggybacks on publish (and
-//!   [`RouteControl::try_reclaim`]), so there is no background thread.
+//!   period. A publish checks the epochs once, right after the swap:
+//!   with no reader inside the snapshot it replaced, that one goes at
+//!   once, and its unshared pages become the writer's spares for the next
+//!   copies. Otherwise it waits for the next publish or
+//!   [`RouteControl::try_reclaim`]: a publish never waits for a reader,
+//!   and there is no background thread. A stalled reader costs the pages
+//!   rewritten after its snapshot, not a table.
 //!
 //! Why this is safe (the grace-period argument): a reader that still
 //! holds a pointer retired at generation `g` must have loaded it before
 //! the swap, therefore its announced epoch — stored and re-validated
 //! *before* the pointer load, with `SeqCst` ordering on both sides —
-//! is at most `g - 1 < g`, and it blocks reclamation — recycling, which
-//! writes into the snapshot, as much as freeing — until it unpins or
-//! re-pins at a newer generation.
+//! is at most `g - 1 < g`, and it blocks reclamation until it unpins or
+//! re-pins at a newer generation. The writer writes in place only a page
+//! whose `Arc` it holds alone: none a snapshot still holds.
 
 use crate::dynamic::DynamicDir24_8;
 use crate::table::RouteTable;
@@ -55,7 +55,6 @@ use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Epoch-slot value meaning "this reader is not inside a read-side
 /// critical section".
@@ -79,16 +78,14 @@ struct WriterState {
     /// Authoritative table with incremental update support: the live
     /// snapshot's contents plus the unpublished updates.
     rib: DynamicDir24_8,
-    /// Snapshots a reader still held past the grace wait, tagged with the
-    /// generation at which they were replaced.
+    /// The live snapshot, which `current` points into.
+    live: Arc<Dir24_8>,
+    /// Replaced snapshots a reader may still be inside, tagged with the
+    /// generation that replaced them, oldest first.
     retired: Vec<(u64, Arc<Dir24_8>)>,
-    /// How long a publish waits for readers to leave the snapshot it
-    /// replaced: what one full-table clone took at construction.
-    grace_budget: Duration,
     installs: u64,
     withdrawals: u64,
     publishes: u64,
-    delta_publishes: u64,
     reclaimed: u64,
 }
 
@@ -96,8 +93,7 @@ struct WriterState {
 struct RcuShared {
     /// Generation of the snapshot in `current`.
     gen: AtomicU64,
-    /// The live snapshot; holds one `Arc<Dir24_8>` reference
-    /// (`Arc::into_raw`).
+    /// The live snapshot, owned by the writer's `live`.
     current: AtomicPtr<Dir24_8>,
     /// Per-reader epoch announcements, cache-line padded so pinning
     /// never bounces another reader's line.
@@ -107,17 +103,6 @@ struct RcuShared {
     /// Recycled epoch slots of dropped readers.
     free_slots: Mutex<Vec<usize>>,
     writer: Mutex<WriterState>,
-}
-
-impl Drop for RcuShared {
-    fn drop(&mut self) {
-        let ptr = *self.current.get_mut();
-        // SAFETY: `current` always holds exactly one owned Arc reference
-        // (installed by `new` or `publish_locked`); no readers can exist
-        // here because every `FibReader`/`RouteControl` holds an
-        // `Arc<RcuShared>`.
-        unsafe { drop(Arc::from_raw(ptr)) };
-    }
 }
 
 /// Counters describing the lifecycle of an [`RcuFib`].
@@ -131,15 +116,15 @@ pub struct RcuStats {
     pub withdrawals: u64,
     /// Snapshots published.
     pub publishes: u64,
-    /// Publishes that recycled the snapshot they replaced (copying the
-    /// changed slots into it, or the whole table when a burst overflowed
-    /// the dirty set's budget) instead of cloning the full table.
+    /// Publishes that shared every untouched page with the snapshot they
+    /// replaced: all of them, since a snapshot is a page directory. Kept
+    /// beside `publishes` for the readers that compare the two.
     pub delta_publishes: u64,
-    /// Replaced snapshots a reader held past the grace wait, not yet
-    /// freed.
+    /// Replaced snapshots a reader was still inside when last checked,
+    /// not yet freed: 0 or 1 while readers pin per batch. Each holds only
+    /// the pages rewritten after it.
     pub pending_retired: usize,
-    /// Replaced snapshots reclaimed after a full grace period, recycled
-    /// or freed.
+    /// Replaced snapshots freed after a full grace period.
     pub reclaimed: u64,
 }
 
@@ -170,6 +155,8 @@ impl RcuFib {
 
     /// Builds an RCU FIB from `initial`, which becomes the writer's RIB
     /// without a copy, with room for `max_readers` concurrent readers.
+    /// The first snapshot shares every page of the working table: the
+    /// FIB holds one table.
     ///
     /// # Errors
     ///
@@ -179,32 +166,25 @@ impl RcuFib {
         max_readers: usize,
     ) -> Result<RcuFib, LookupError> {
         assert!(max_readers > 0, "need at least one reader slot");
-        // One address-ordered sweep builds the working table, with an
-        // empty dirty set: the first snapshot below copies it whole, and
-        // what that copy takes is what a publish will wait for readers
-        // before it clones instead.
         let rib = DynamicDir24_8::from_table(initial)?;
-        let clone_started = Instant::now();
-        let first = Arc::new(rib.snapshot());
-        let grace_budget = clone_started.elapsed();
+        let live = Arc::new(rib.snapshot());
         let epochs: Vec<CachePadded<AtomicU64>> = (0..max_readers)
             .map(|_| CachePadded::new(AtomicU64::new(QUIESCENT)))
             .collect();
         Ok(RcuFib {
             shared: Arc::new(RcuShared {
                 gen: AtomicU64::new(0),
-                current: AtomicPtr::new(Arc::into_raw(first) as *mut Dir24_8),
+                current: AtomicPtr::new(Arc::as_ptr(&live).cast_mut()),
                 epochs: epochs.into_boxed_slice(),
                 next_slot: AtomicUsize::new(0),
                 free_slots: Mutex::new(Vec::new()),
                 writer: Mutex::new(WriterState {
                     rib,
+                    live,
                     retired: Vec::new(),
-                    grace_budget,
                     installs: 0,
                     withdrawals: 0,
                     publishes: 0,
-                    delta_publishes: 0,
                     reclaimed: 0,
                 }),
             }),
@@ -246,7 +226,7 @@ fn stats_of(shared: &RcuShared) -> RcuStats {
         installs: w.installs,
         withdrawals: w.withdrawals,
         publishes: w.publishes,
-        delta_publishes: w.delta_publishes,
+        delta_publishes: w.publishes,
         pending_retired: w.retired.len(),
         reclaimed: w.reclaimed,
     }
@@ -375,11 +355,11 @@ impl std::ops::Deref for FibGuard<'_> {
 
     fn deref(&self) -> &Dir24_8 {
         // SAFETY: the snapshot was loaded under an announced epoch no
-        // newer than its own generation; the writer recycles (writes
-        // into) or frees a snapshot only after every announced epoch
-        // reaches the generation that replaced it, which cannot happen
-        // before this guard drops (the epoch slot is reset in
-        // `FibGuard::drop`).
+        // newer than its own generation; the writer frees a snapshot only
+        // after every announced epoch reaches the generation that replaced
+        // it, which cannot happen before this guard drops (the epoch slot
+        // is reset in `FibGuard::drop`), and writes only pages no snapshot
+        // holds.
         unsafe { &*self.snapshot }
     }
 }
@@ -427,7 +407,7 @@ impl RouteControl {
 
     /// Applies a batch of updates to the working table without
     /// publishing — the natural grain for BGP-style churn, since one
-    /// publish amortizes the grace wait over the whole batch.
+    /// publish, and one copy of each page touched, serves the batch.
     ///
     /// # Errors
     ///
@@ -451,11 +431,11 @@ impl RouteControl {
         Ok(())
     }
 
-    /// Publishes the working table as a new immutable snapshot and
-    /// returns its generation. Recycles the previous snapshot as the
-    /// working table once no reader holds it — or, when a reader stays
-    /// pinned longer than a full-table clone takes, retires it and clones
-    /// — and reclaims any retired snapshot whose grace period has passed.
+    /// Publishes the working table as a new immutable snapshot, which
+    /// shares its pages, and returns its generation. Never waits: the
+    /// replaced snapshot, and any retired before it, go once no reader is
+    /// inside them, now or at a later publish or
+    /// [`RouteControl::try_reclaim`].
     pub fn publish(&self) -> u64 {
         let mut w = self.shared.writer.lock();
         self.publish_locked(&mut w)
@@ -473,47 +453,19 @@ impl RouteControl {
     }
 
     fn publish_locked(&self, w: &mut WriterState) -> u64 {
-        let (frozen, delta) = w.rib.freeze();
-        let next = Arc::new(frozen);
-        let next_ptr = Arc::into_raw(Arc::clone(&next)) as *mut Dir24_8;
-        let old_ptr = self.shared.current.swap(next_ptr, Ordering::AcqRel);
-        // The swap precedes the generation bump, so any reader that
+        let next = Arc::new(w.rib.snapshot());
+        self.shared
+            .current
+            .store(Arc::as_ptr(&next).cast_mut(), Ordering::Release);
+        // The store precedes the generation bump, so any reader that
         // confirms the *new* generation is guaranteed to load the new
         // pointer (see the pin loop).
         let new_gen = self.shared.gen.fetch_add(1, Ordering::SeqCst) + 1;
-        // SAFETY: `old_ptr` came out of `current`, which held one owned
-        // Arc reference; we take that reference back, and either recycle
-        // the snapshot once no reader can hold it or park it in `retired`
-        // until the grace period passes.
-        let old = unsafe { Arc::from_raw(old_ptr as *const Dir24_8) };
+        let replaced = std::mem::replace(&mut w.live, next);
+        w.retired.push((new_gen, replaced));
         w.publishes += 1;
-        let recycled = if self.wait_for_readers(new_gen, w.grace_budget) {
-            // `current` held the only reference.
-            Arc::into_inner(old)
-        } else {
-            w.retired.push((new_gen, old));
-            None
-        };
-        if recycled.is_some() {
-            w.reclaimed += 1;
-            w.delta_publishes += 1;
-        }
-        w.rib.thaw(recycled, &next, &delta);
         self.reclaim_locked(w);
         new_gen
-    }
-
-    /// Waits, yielding, until every pinned reader has announced at least
-    /// `gen`, for no longer than `budget`; returns whether they did.
-    fn wait_for_readers(&self, gen: u64, budget: Duration) -> bool {
-        let started = Instant::now();
-        while self.oldest_epoch() < gen {
-            if started.elapsed() >= budget {
-                return false;
-            }
-            std::thread::yield_now();
-        }
-        true
     }
 
     /// The oldest epoch any reader has announced; [`QUIESCENT`] readers
@@ -540,18 +492,24 @@ impl RouteControl {
         w.reclaimed
     }
 
-    /// Frees the retired snapshots whose grace period has passed.
+    /// Frees the retired snapshots whose grace period has passed, keeping
+    /// the pages the working table no longer shares as its spares.
     fn reclaim_locked(&self, w: &mut WriterState) {
-        if w.retired.is_empty() {
-            return;
-        }
         // A snapshot retired at generation g is safe once every pinned
         // reader announced an epoch ≥ g (it then must have loaded a
-        // pointer at least as new as g's).
+        // pointer at least as new as g's). Retire generations ascend.
         let oldest = self.oldest_epoch();
-        let before = w.retired.len();
-        w.retired.retain(|(retire_gen, _)| *retire_gen > oldest);
-        w.reclaimed += (before - w.retired.len()) as u64;
+        let done = w
+            .retired
+            .partition_point(|&(retire_gen, _)| retire_gen <= oldest);
+        for (_, snapshot) in w.retired.drain(..done) {
+            w.reclaimed += 1;
+            // `current` never points at a retired snapshot, and readers
+            // hold no `Arc`: the writer's reference is the only one.
+            if let Some(snapshot) = Arc::into_inner(snapshot) {
+                w.rib.recycle(snapshot);
+            }
+        }
     }
 
     /// Lifecycle counters (takes the writer lock briefly).
@@ -770,14 +728,76 @@ mod tests {
         );
     }
 
+    /// Distinct pages, by `Arc::as_ptr`.
+    #[derive(Debug)]
+    struct Census {
+        /// Across the writer's tables and spares, the live snapshot and
+        /// the retired snapshots.
+        alive: usize,
+        /// The live snapshot's: one table.
+        table: usize,
+        /// The live snapshot's that the writer's tables no longer share:
+        /// the pages the unpublished updates replaced.
+        replaced: usize,
+        /// The writer's spares.
+        spares: usize,
+    }
+
+    impl RcuFib {
+        fn census(&self) -> Census {
+            use std::collections::HashSet;
+            let w = self.shared.writer.lock();
+            let writer: HashSet<_> = w.rib.tables().page_ptrs().collect();
+            let live: HashSet<_> = w.live.page_ptrs().collect();
+            let mut alive: HashSet<_> = writer.union(&live).copied().collect();
+            alive.extend(w.rib.spare_ptrs());
+            for (_, snapshot) in &w.retired {
+                alive.extend(snapshot.page_ptrs());
+            }
+            Census {
+                alive: alive.len(),
+                table: live.len(),
+                replaced: live.difference(&writer).count(),
+                spares: w.rib.spare_ptrs().count(),
+            }
+        }
+    }
+
+    /// A `routes`-route RIB and `updates` churn updates over it. rb-workload
+    /// links this crate's non-test build, whose types differ from the ones
+    /// under test: prefixes cross over as (address, length).
+    fn churned(routes: usize, updates: usize) -> (RouteTable, Vec<RouteUpdate>) {
+        let full = rb_workload::rib_full_table(routes, 11);
+        let config = rb_workload::ChurnConfig {
+            updates,
+            ..Default::default()
+        };
+        let stream = rb_workload::churn_stream(&full, &config)
+            .into_iter()
+            .map(|update| match update {
+                rb_workload::RouteUpdate::Announce(p, hop) => {
+                    RouteUpdate::Announce(Prefix::new(p.addr(), p.len()), hop)
+                }
+                rb_workload::RouteUpdate::Withdraw(p) => {
+                    RouteUpdate::Withdraw(Prefix::new(p.addr(), p.len()))
+                }
+            })
+            .collect();
+        let table = full
+            .iter()
+            .map(|(p, h)| (Prefix::new(p.addr(), p.len()), *h))
+            .collect();
+        (table, stream)
+    }
+
     #[test]
-    fn steady_churn_recycles_every_publish_and_keeps_two_tables() {
+    fn steady_churn_keeps_one_table_plus_the_pages_it_touched() {
         // A reader on its own thread pins once per 32-lookup batch while
-        // the writer publishes 200 slices of updates. Each publish's grace
-        // wait outlasts the batch in flight, so it recycles the snapshot
-        // it replaced: no retired snapshot, no clone, and never a third
-        // TBL24 buffer beside the working table and the live snapshot.
-        use crate::dir24_8::live;
+        // the writer publishes 60 slices of updates. After each publish the
+        // pages alive are one table, the writer's spares (no more than one
+        // publish replaced) and the pages of a snapshot the reader was
+        // still inside: within one table plus twice the most pages a
+        // publish touched, while at most one snapshot is retired.
         use crate::gen::{addresses_within, generate_table, TableGenConfig};
         use std::sync::atomic::AtomicBool;
         let table = generate_table(&TableGenConfig {
@@ -793,7 +813,7 @@ mod tests {
         let stop = AtomicBool::new(false);
         // Asserted once the reader has stopped, so a failure cannot leave
         // it spinning and the scope waiting on it.
-        let rounds: Vec<RcuStats> = std::thread::scope(|scope| {
+        let rounds: Vec<(usize, Census, RcuStats)> = std::thread::scope(|scope| {
             let stop = &stop;
             scope.spawn(move || {
                 let mut hops = [None; 32];
@@ -801,9 +821,9 @@ mod tests {
                     reader.pin().lookup_batch(&addrs, &mut hops);
                 }
             });
-            let rounds = (0..200u16)
+            let rounds = (0..60u16)
                 .map(|round| {
-                    let updates: Vec<RouteUpdate> = (0..10)
+                    let updates: Vec<RouteUpdate> = (0..25)
                         .map(|k| {
                             let (prefix, hop) =
                                 routes[(usize::from(round) * 31 + k * 7) % routes.len()];
@@ -814,73 +834,110 @@ mod tests {
                             }
                         })
                         .collect();
-                    ctl.apply_and_publish(&updates).unwrap();
-                    ctl.stats()
+                    ctl.apply(&updates).unwrap();
+                    let touched = fib.census().replaced;
+                    ctl.publish();
+                    (touched, fib.census(), ctl.stats())
                 })
                 .collect();
             stop.store(true, Ordering::Relaxed);
             rounds
         });
-        for (round, stats) in rounds.iter().enumerate() {
+        let most = rounds.iter().map(|(touched, ..)| *touched).max().unwrap();
+        assert!(most > 0, "every slice rewrites some page");
+        for (round, (_, census, stats)) in rounds.iter().enumerate() {
             assert_eq!(stats.delta_publishes, stats.publishes, "round {round}");
-            assert_eq!(stats.pending_retired, 0, "round {round}");
+            // A reader preempted inside one batch holds every snapshot
+            // published meanwhile, each costing one publish's pages.
+            let held = 1 + stats.pending_retired.max(1);
+            assert!(
+                census.alive <= census.table + held * most,
+                "round {round}: {census:?}, {stats:?}, most touched {most}"
+            );
         }
-        assert_eq!(
-            live::tbl24_buffers(),
-            (2, 2),
-            "TBL24 buffers (alive, peak): the working table and the live snapshot"
-        );
+        ctl.try_reclaim();
+        let census = fib.census();
+        assert_eq!(fib.stats().pending_retired, 0);
+        assert_eq!(census.replaced, 0, "the writer shares every live page");
+        assert_eq!(census.alive, census.table + census.spares, "{census:?}");
+        assert!(census.spares <= most, "{census:?}, most touched {most}");
     }
 
     #[test]
-    fn stalled_guard_costs_one_clone_then_reclaims() {
-        // A guard held across a publish, first on another thread, then on
-        // the publishing thread itself: the publish waits one clone's
-        // time, clones, and returns; the guard still reads its own
-        // snapshot; once it unpins, the next publish frees the stalled
-        // snapshot and recycles again.
-        use crate::dir24_8::live;
+    fn stalled_guard_keeps_only_the_pages_it_alone_holds() {
+        // A guard held across a 1,000-update publish, first on another
+        // thread, then on the publishing thread itself: the publish
+        // returns at once (the guard is released only after it), the guard
+        // reads its own snapshot, and that snapshot, retired, holds just
+        // the pages the publish replaced. Once the guard unpins,
+        // `try_reclaim` frees it and one table is left.
         use std::sync::mpsc;
-        let fib = RcuFib::new(&base_table()).unwrap();
-        let ctl = fib.control();
-        let counters = |fib: &RcuFib| {
-            let s = fib.stats();
-            (s.publishes, s.delta_publishes, s.pending_retired)
+        let (table, churn) = churned(4_000, 2_000);
+        let probe = a("10.77.1.1");
+        // Each slice ends by moving the probe, so its hop says which
+        // snapshot a lookup read.
+        let slice = |k: usize, hop: NextHop| {
+            let mut updates = churn[k * 1_000..(k + 1) * 1_000 - 1].to_vec();
+            updates.push(RouteUpdate::Announce(Prefix::new(probe, 32), hop));
+            updates
         };
+        let fib = RcuFib::new(&table).unwrap();
+        let ctl = fib.control();
+        let retired_costs_what_it_touched = |touched: usize| {
+            let census = fib.census();
+            assert_eq!(fib.stats().pending_retired, 1);
+            assert!(touched > 0);
+            assert_eq!(census.replaced, 0, "{census:?}");
+            assert_eq!(
+                census.alive - census.table - census.spares,
+                touched,
+                "the retired snapshot's own pages: {census:?}"
+            );
+        };
+        let one_table_is_left = |touched: usize| {
+            let census = fib.census();
+            assert_eq!(fib.stats().pending_retired, 0);
+            assert_eq!(census.alive, census.table + census.spares, "{census:?}");
+            assert!(census.spares <= touched, "{census:?}");
+        };
+
         let reader = fib.reader();
+        let before = reader.pin().lookup(probe);
+        assert_ne!(before, Some(1_000));
         let (pinned_tx, pinned_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
-        std::thread::scope(|scope| {
+        let touched = std::thread::scope(|scope| {
             let stalled = scope.spawn(move || {
                 let guard = reader.pin();
                 pinned_tx.send(()).unwrap();
                 release_rx.recv().unwrap();
-                guard.lookup(a("10.2.2.2"))
+                guard.lookup(probe)
             });
             pinned_rx.recv().unwrap();
-            ctl.insert(p("10.0.0.0/8"), 9).unwrap();
+            ctl.apply(&slice(0, 1_000)).unwrap();
+            let touched = fib.census().replaced;
             ctl.publish();
-            assert_eq!(counters(&fib), (1, 0, 1), "cloned, old snapshot retired");
-            assert_eq!(live::tbl24_buffers().0, 3, "a third: the stalled one");
+            retired_costs_what_it_touched(touched);
             release_tx.send(()).unwrap();
-            assert_eq!(stalled.join().unwrap(), Some(1), "stalled guard, old hop");
+            assert_eq!(stalled.join().unwrap(), before, "the guard's own hop");
+            touched
         });
-        ctl.publish();
-        assert_eq!(counters(&fib), (2, 1, 0), "reclaimed, then recycled");
-        assert_eq!(live::tbl24_buffers().0, 2);
+        assert_eq!(ctl.try_reclaim(), 1);
+        one_table_is_left(touched);
 
         let reader = fib.reader();
         let guard = reader.pin();
-        ctl.insert(p("10.0.0.0/8"), 4).unwrap();
+        ctl.apply(&slice(1, 1_001)).unwrap();
+        let touched = fib.census().replaced;
         ctl.publish();
-        assert_eq!(guard.lookup(a("10.2.2.2")), Some(9), "own snapshot");
-        assert_eq!(counters(&fib), (3, 1, 1));
-        assert_eq!(live::tbl24_buffers().0, 3);
+        assert_eq!(guard.lookup(probe), Some(1_000), "the guard's own hop");
+        retired_costs_what_it_touched(touched);
         drop(guard);
-        ctl.publish();
-        assert_eq!(counters(&fib), (4, 2, 0));
-        assert_eq!(live::tbl24_buffers(), (2, 3));
-        assert_eq!(reader.pin().lookup(a("10.2.2.2")), Some(4));
+        assert_eq!(ctl.try_reclaim(), 2);
+        one_table_is_left(touched);
+        assert_eq!(reader.pin().lookup(probe), Some(1_001));
+        let stats = fib.stats();
+        assert_eq!((stats.publishes, stats.delta_publishes), (2, 2));
     }
 
     #[test]

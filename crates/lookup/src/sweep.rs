@@ -118,9 +118,9 @@ pub(crate) mod tests {
         /// check from scanning 2²⁴ entries per table in a debug build; a
         /// slot spilled anywhere else, or not spilled here, still differs
         /// from the reference's entry.
-        fn canonical(tbl24: &[u16], tbl_long: &[u16], spilled: &[usize]) -> Tables {
+        fn canonical(tbl24: Vec<u16>, tbl_long: &[u16], spilled: &[usize]) -> Tables {
             let mut out = Tables {
-                tbl24: tbl24.to_vec(),
+                tbl24,
                 ..Tables::default()
             };
             for &slot in spilled {
@@ -136,13 +136,13 @@ pub(crate) mod tests {
         }
 
         pub(crate) fn of_static(fib: Dir24_8, routes: &RouteTable) -> Tables {
-            let (tbl24, tbl_long) = fib.into_parts();
-            Tables::canonical(&tbl24, &tbl_long, &spilled_slots(routes))
+            let (tbl24, tbl_long) = fib.flat();
+            Tables::canonical(tbl24, &tbl_long, &spilled_slots(routes))
         }
 
         pub(crate) fn of_dynamic(fib: &DynamicDir24_8) -> Tables {
-            let (tbl24, tbl_long) = fib.tables();
-            Tables::canonical(tbl24, tbl_long, &spilled_slots(fib.routes()))
+            let (tbl24, tbl_long) = fib.tables().flat();
+            Tables::canonical(tbl24, &tbl_long, &spilled_slots(fib.routes()))
         }
 
         /// The first entry where `self` and `other` differ, table by
@@ -205,7 +205,7 @@ pub(crate) mod tests {
                 base + (prefix.first() & 0xff) as usize..=base + (prefix.last() & 0xff) as usize;
             t.tbl_long[entries].fill(hop + 1);
         }
-        Tables::canonical(&t.tbl24, &t.tbl_long, &spilled_slots(routes))
+        Tables::canonical(t.tbl24, &t.tbl_long, &spilled_slots(routes))
     }
 
     /// Builds `routes` with the reference painter and with both sweeps,
@@ -217,8 +217,7 @@ pub(crate) mod tests {
     ) -> Result<(), TestCaseError> {
         let table: RouteTable = routes.iter().copied().collect();
         let fib = Dir24_8::compile(&table).unwrap();
-        let mut swept = DynamicDir24_8::from_table(table.clone()).unwrap();
-        prop_assert!(swept.take_dirty().is_empty(), "a fresh build starts clean");
+        let swept = DynamicDir24_8::from_table(table.clone()).unwrap();
         let mut addrs = probes.to_vec();
         for (p, _) in routes {
             addrs.extend([

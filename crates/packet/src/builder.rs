@@ -4,13 +4,16 @@
 //! frames; [`PacketSpec`] builds them with correct lengths and checksums.
 
 use crate::ethernet::{self, EtherType, EthernetHeader};
-use crate::ipv4::{IpProto, Ipv4Header, MIN_HEADER_LEN as IP_HDR};
+use crate::ipv4::{IpProto, Ipv4Header, MAX_PAYLOAD_LEN, MIN_HEADER_LEN as IP_HDR};
 use crate::mac::MacAddr;
 use crate::packet::Packet;
 use crate::tcp::TcpHeader;
 use crate::udp::UdpHeader;
 use crate::{PacketError, Result};
 use std::net::{Ipv4Addr, SocketAddrV4};
+
+/// Longest frame built: an Ethernet header and the longest IPv4 packet.
+pub const MAX_FRAME_LEN: usize = ethernet::HEADER_LEN + IP_HDR + MAX_PAYLOAD_LEN;
 
 /// Transport selected for a generated packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +103,7 @@ impl PacketSpec {
     }
 
     /// Sets the total Ethernet frame length in bytes (clamped to the
-    /// minimum that fits the headers).
+    /// minimum that fits the headers, and to [`MAX_FRAME_LEN`]).
     pub fn frame_len(mut self, len: usize) -> PacketSpec {
         self.frame_len = len;
         self
@@ -118,6 +121,11 @@ impl PacketSpec {
         self
     }
 
+    /// The frame length built: the one set, clamped.
+    fn clamped_len(&self) -> usize {
+        self.frame_len.clamp(self.min_frame_len(), MAX_FRAME_LEN)
+    }
+
     /// Returns the minimum frame length this spec requires.
     pub fn min_frame_len(&self) -> usize {
         let l4 = match self.transport {
@@ -132,7 +140,7 @@ impl PacketSpec {
     /// byte. The frame is written once, directly into the packet buffer —
     /// no intermediate `Vec` and no second copy.
     pub fn build(&self) -> Packet {
-        let frame_len = self.frame_len.max(self.min_frame_len());
+        let frame_len = self.clamped_len();
         let mut buf = crate::buf::PacketBuf::zeroed(frame_len);
         self.fill_frame(buf.data_mut());
         Packet::new(buf)
@@ -143,7 +151,7 @@ impl PacketSpec {
     /// are written exactly once, into the slot itself; oversize frames
     /// fall back to heap storage.
     pub fn try_build_in(&self, pool: &crate::pool::PacketPool) -> Option<Packet> {
-        let frame_len = self.frame_len.max(self.min_frame_len());
+        let frame_len = self.clamped_len();
         let mut buf = crate::buf::PacketBuf::try_uninit_in(pool, frame_len)?;
         self.fill_frame(buf.data_mut());
         Some(Packet::new(buf))
@@ -170,7 +178,8 @@ impl PacketSpec {
             Transport::Udp => IpProto::Udp,
             Transport::Tcp { .. } => IpProto::Tcp,
         };
-        let mut ip = Ipv4Header::new(*self.src.ip(), *self.dst.ip(), proto, ip_payload_len);
+        let mut ip = Ipv4Header::new(*self.src.ip(), *self.dst.ip(), proto, ip_payload_len)
+            .expect("frames are clamped to MAX_FRAME_LEN");
         ip.ttl = self.ttl;
         ip.emit(&mut frame[ethernet::HEADER_LEN..])
             .expect("frame sized to fit headers");
@@ -181,7 +190,8 @@ impl PacketSpec {
                 UdpHeader {
                     src_port: self.src.port(),
                     dst_port: self.dst.port(),
-                    length: (frame_len - l4_start) as u16,
+                    length: u16::try_from(frame_len - l4_start)
+                        .expect("frames are clamped to MAX_FRAME_LEN"),
                     checksum: 0,
                 }
                 .emit(&mut frame[l4_start..])
@@ -283,5 +293,24 @@ mod tests {
         let pkt = PacketSpec::udp().ttl(3).build();
         let ip = Ipv4Header::parse(&pkt.data()[14..]).unwrap();
         assert_eq!(ip.ttl, 3);
+    }
+
+    #[test]
+    fn frames_clamp_to_the_longest_ipv4_packet() {
+        for (asked, built) in [
+            (MAX_FRAME_LEN - 1, MAX_FRAME_LEN - 1),
+            (MAX_FRAME_LEN, MAX_FRAME_LEN),
+            (MAX_FRAME_LEN + 1, MAX_FRAME_LEN),
+        ] {
+            let pkt = PacketSpec::udp().frame_len(asked).build();
+            assert_eq!(pkt.len(), built);
+            let ip = Ipv4Header::parse(&pkt.data()[ethernet::HEADER_LEN..]).unwrap();
+            assert_eq!(usize::from(ip.total_len), built - ethernet::HEADER_LEN);
+            let udp = UdpHeader::parse(&pkt.data()[ethernet::HEADER_LEN + IP_HDR..]).unwrap();
+            assert_eq!(
+                usize::from(udp.length),
+                built - ethernet::HEADER_LEN - IP_HDR
+            );
+        }
     }
 }

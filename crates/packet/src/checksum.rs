@@ -5,6 +5,8 @@
 //! incrementally (RFC 1624 equation 3) instead of from scratch saves a full
 //! header scan per packet, which matters at the paper's 18.96 Mpps rates.
 
+use crate::{PacketError, Result};
+
 /// Computes the ones-complement Internet checksum of `data`.
 ///
 /// Returns the checksum in host byte order, ready to be stored with
@@ -41,7 +43,7 @@ pub fn fold(mut acc: u32) -> u16 {
     while acc > 0xffff {
         acc = (acc & 0xffff) + (acc >> 16);
     }
-    acc as u16
+    u16::try_from(acc).expect("the loop leaves acc at most 0xffff")
 }
 
 /// Incrementally updates checksum `old_sum` after a 16-bit field changed
@@ -80,9 +82,18 @@ pub fn pseudo_header_sum(src: [u8; 4], dst: [u8; 4], proto: u8, l4_len: u16) -> 
 ///
 /// `segment` must contain the full layer-4 header and payload with the
 /// checksum field zeroed (or the original value excluded by the caller).
-pub fn l4_checksum(src: [u8; 4], dst: [u8; 4], proto: u8, segment: &[u8]) -> u16 {
-    let acc = pseudo_header_sum(src, dst, proto, segment.len() as u16);
-    !fold(sum_words(segment, acc))
+///
+/// # Errors
+///
+/// Returns [`PacketError::BadField`] when `segment` is longer than the
+/// pseudo-header's 16-bit length field can say (65,535 bytes).
+pub fn l4_checksum(src: [u8; 4], dst: [u8; 4], proto: u8, segment: &[u8]) -> Result<u16> {
+    let len = u16::try_from(segment.len())
+        .map_err(|_| PacketError::BadField("layer-4 segment length"))?;
+    Ok(!fold(sum_words(
+        segment,
+        pseudo_header_sum(src, dst, proto, len),
+    )))
 }
 
 #[cfg(test)]
@@ -131,8 +142,8 @@ mod tests {
     #[test]
     fn update16_chain_of_edits() {
         let mut data = [0u8; 16];
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = (i * 17) as u8;
+        for (i, b) in (0u8..).zip(data.iter_mut()) {
+            *b = i * 17;
         }
         let mut sum = checksum(&data);
         for word in 0..8 {
@@ -157,9 +168,28 @@ mod tests {
             0x00, 0x00, // checksum placeholder
             b'h', b'i',
         ];
-        let ck = l4_checksum(src, dst, 17, &seg);
+        let ck = l4_checksum(src, dst, 17, &seg).unwrap();
         seg[6..8].copy_from_slice(&ck.to_be_bytes());
-        let acc = pseudo_header_sum(src, dst, 17, seg.len() as u16);
+        let acc = pseudo_header_sum(src, dst, 17, u16::try_from(seg.len()).unwrap());
         assert_eq!(fold(sum_words(&seg, acc)), 0xffff);
+    }
+
+    #[test]
+    fn l4_checksum_holds_at_the_pseudo_header_length() {
+        let segment = vec![0x5a; 65_536];
+        for len in [65_534, 65_535] {
+            let sum = l4_checksum([10, 0, 0, 1], [10, 0, 0, 2], 17, &segment[..len]).unwrap();
+            let acc = pseudo_header_sum(
+                [10, 0, 0, 1],
+                [10, 0, 0, 2],
+                17,
+                u16::try_from(len).unwrap(),
+            );
+            assert_eq!(sum, !fold(sum_words(&segment[..len], acc)));
+        }
+        assert_eq!(
+            l4_checksum([10, 0, 0, 1], [10, 0, 0, 2], 17, &segment),
+            Err(PacketError::BadField("layer-4 segment length"))
+        );
     }
 }

@@ -140,6 +140,7 @@ pub fn time_exceeded(original: &[u8], router_addr: Ipv4Addr) -> Option<Vec<u8>> 
 
     let mut datagram = vec![0u8; IP_HLEN + message.len()];
     Ipv4Header::new(router_addr, orig_hdr.src, IpProto::Icmp, message.len())
+        .expect("a quote of at most 68 bytes fits any IPv4 packet")
         .emit(&mut datagram)
         .expect("buffer sized for header");
     datagram[IP_HLEN..].copy_from_slice(&message);

@@ -13,6 +13,14 @@ use std::net::Ipv4Addr;
 /// Minimum IPv4 header length in bytes (no options).
 pub const MIN_HEADER_LEN: usize = 20;
 
+/// Most payload bytes an IPv4 packet with a minimal header carries: its
+/// total length is 16 bits.
+pub const MAX_PAYLOAD_LEN: usize = u16::MAX as usize - MIN_HEADER_LEN;
+
+/// Most option bytes a header carries: its length is 4 bits of 32-bit
+/// words, 60 bytes.
+pub const MAX_OPTIONS_LEN: usize = 60 - MIN_HEADER_LEN;
+
 /// IP protocol numbers the RouteBricks applications care about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpProto {
@@ -77,10 +85,25 @@ pub struct Ipv4Header {
 
 impl Ipv4Header {
     /// Creates a minimal header with sensible defaults (TTL 64, no options).
-    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, proto: IpProto, payload_len: usize) -> Ipv4Header {
-        Ipv4Header {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PacketError::BadField`] when the packet would be longer
+    /// than the 16-bit total length can say: `payload_len` above
+    /// [`MAX_PAYLOAD_LEN`].
+    pub fn new(
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        proto: IpProto,
+        payload_len: usize,
+    ) -> Result<Ipv4Header> {
+        let total_len = MIN_HEADER_LEN
+            .checked_add(payload_len)
+            .and_then(|len| u16::try_from(len).ok())
+            .ok_or(PacketError::BadField("IPv4 total length"))?;
+        Ok(Ipv4Header {
             dscp_ecn: 0,
-            total_len: (MIN_HEADER_LEN + payload_len) as u16,
+            total_len,
             ident: 0,
             flags_frag: 0x4000, // Don't-fragment, offset 0.
             ttl: 64,
@@ -88,7 +111,7 @@ impl Ipv4Header {
             src,
             dst,
             options: Vec::new(),
-        }
+        })
     }
 
     /// Returns the header length in bytes including options.
@@ -163,20 +186,22 @@ impl Ipv4Header {
     /// # Errors
     ///
     /// Returns [`PacketError::Truncated`] when `out` is shorter than
-    /// [`Ipv4Header::header_len`].
+    /// [`Ipv4Header::header_len`], and [`PacketError::BadField`] when the
+    /// options are longer than [`MAX_OPTIONS_LEN`].
     pub fn emit(&self, out: &mut [u8]) -> Result<()> {
         let ihl = self.header_len();
+        let words = u8::try_from(ihl / 4)
+            .ok()
+            .filter(|&words| words <= 15)
+            .ok_or(PacketError::BadField("IPv4 options length"))?;
         if out.len() < ihl {
             return Err(PacketError::Truncated {
                 needed: ihl,
                 available: out.len(),
             });
         }
-        debug_assert!(
-            ihl.is_multiple_of(4) && ihl <= 60,
-            "options must pad to 32 bits"
-        );
-        out[0] = 0x40 | ((ihl / 4) as u8);
+        debug_assert!(ihl.is_multiple_of(4), "options must pad to 32 bits");
+        out[0] = 0x40 | words;
         out[1] = self.dscp_ecn;
         out[2..4].copy_from_slice(&self.total_len.to_be_bytes());
         out[4..6].copy_from_slice(&self.ident.to_be_bytes());
@@ -270,6 +295,7 @@ mod tests {
             IpProto::Udp,
             100,
         )
+        .unwrap()
     }
 
     #[test]
@@ -358,6 +384,46 @@ mod tests {
     fn proto_round_trip() {
         for v in [1u8, 6, 17, 50, 99] {
             assert_eq!(IpProto::from_u8(v).as_u8(), v);
+        }
+    }
+
+    #[test]
+    fn total_length_holds_at_its_16_bit_limit() {
+        let header = |payload| {
+            Ipv4Header::new(
+                Ipv4Addr::LOCALHOST,
+                Ipv4Addr::LOCALHOST,
+                IpProto::Udp,
+                payload,
+            )
+        };
+        assert_eq!(header(MAX_PAYLOAD_LEN - 1).unwrap().total_len, u16::MAX - 1);
+        assert_eq!(header(MAX_PAYLOAD_LEN).unwrap().total_len, u16::MAX);
+        for past in [MAX_PAYLOAD_LEN + 1, usize::MAX] {
+            assert_eq!(
+                header(past),
+                Err(PacketError::BadField("IPv4 total length"))
+            );
+        }
+    }
+
+    #[test]
+    fn options_hold_at_the_4_bit_header_length() {
+        for (len, fits) in [
+            (MAX_OPTIONS_LEN - 4, true),
+            (MAX_OPTIONS_LEN, true),
+            (MAX_OPTIONS_LEN + 4, false),
+        ] {
+            let mut hdr = sample();
+            hdr.options = vec![0x01; len]; // NOP options.
+            let mut buf = vec![0u8; hdr.header_len()];
+            if fits {
+                hdr.emit(&mut buf).unwrap();
+                assert_eq!(Ipv4Header::parse(&buf).unwrap(), hdr, "{len} option bytes");
+            } else {
+                let refused = hdr.emit(&mut buf);
+                assert_eq!(refused, Err(PacketError::BadField("IPv4 options length")));
+            }
         }
     }
 }

@@ -34,6 +34,8 @@
 //! assert_eq!(tuple.src_port, 5000);
 //! ```
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod buf;
 pub mod builder;
 pub mod checksum;

@@ -188,6 +188,12 @@ struct LocalCache {
     base: u64,
 }
 
+/// A count as `usize`: exact where `usize` has 64 bits, and held at
+/// `usize::MAX` where a count outgrows a narrower one.
+fn saturating_usize(count: u64) -> usize {
+    usize::try_from(count).unwrap_or(usize::MAX)
+}
+
 impl LocalCache {
     /// Folds this handle's allocations into the locked counters. Between
     /// flushes the handle sees no free, so the peak keeps `base + allocs`
@@ -197,7 +203,7 @@ impl LocalCache {
         list.allocs += self.allocs;
         let live = list.allocs.saturating_sub(list.recycles);
         let seen = (self.base + self.allocs).max(live);
-        list.peak_in_use = list.peak_in_use.max(seen as usize);
+        list.peak_in_use = list.peak_in_use.max(saturating_usize(seen));
         self.allocs = 0;
         self.base = live;
     }
@@ -244,10 +250,10 @@ impl PacketPool {
     /// byte, or `slots * slot_size` overflows.
     pub fn new(slots: usize, slot_size: usize) -> PacketPool {
         assert!(slots > 0, "packet pool needs at least one slot");
-        assert!(
-            slots < u32::MAX as usize,
-            "packet pool slot count must fit in a u32 index"
-        );
+        let count = u32::try_from(slots)
+            .ok()
+            .filter(|&count| count < u32::MAX)
+            .expect("packet pool slot count must fit in a u32 index");
         assert!(
             slot_size > DEFAULT_HEADROOM + DEFAULT_TAILROOM,
             "slot_size {slot_size} cannot hold headroom {DEFAULT_HEADROOM} \
@@ -275,7 +281,7 @@ impl PacketPool {
                 slots,
                 // Slot 0 on top, and room for every slot: no free reallocates.
                 list: Mutex::new(FreeList {
-                    free: (0..slots as u32).rev().collect(),
+                    free: (0..count).rev().collect(),
                     ..FreeList::default()
                 }),
             }),
@@ -353,7 +359,7 @@ impl PacketPool {
             bulk_recycles: list.bulk_recycles,
             exhausted: list.exhausted,
             heap_fallbacks: list.heap_fallbacks,
-            in_use: list.allocs.saturating_sub(list.recycles) as usize,
+            in_use: saturating_usize(list.allocs.saturating_sub(list.recycles)),
             peak_in_use: list.peak_in_use,
         }
     }
@@ -569,18 +575,15 @@ mod tests {
         assert_eq!(pool.inner.storage.len(), 1024 * 2048);
         for round in 0..32u8 {
             let mut slots: Vec<_> = (0..32).map(|_| pool.try_slot().unwrap()).collect();
-            for (i, slot) in slots.iter_mut().enumerate() {
+            for (i, slot) in (0u8..).zip(slots.iter_mut()) {
                 assert_eq!(slot.len(), 2048);
                 if round == 0 {
                     assert!(slot.bytes().iter().all(|&b| b == 0), "fresh slot is zeroed");
                 }
-                slot.bytes_mut().fill(i as u8 + 1);
+                slot.bytes_mut().fill(i + 1);
             }
-            for (i, slot) in slots.iter().enumerate() {
-                assert!(
-                    slot.bytes().iter().all(|&b| b == i as u8 + 1),
-                    "slots alias"
-                );
+            for (i, slot) in (0u8..).zip(slots.iter()) {
+                assert!(slot.bytes().iter().all(|&b| b == i + 1), "slots alias");
             }
             let mut batch = FreeBatch::new();
             for (i, slot) in slots.into_iter().enumerate() {
@@ -798,5 +801,13 @@ mod tests {
         assert_eq!(agg.allocs, 2);
         assert_eq!(agg.recycles, 1);
         assert_eq!(agg.in_use, 1);
+    }
+
+    // The largest pool, `u32::MAX - 1` slots, would allocate its arena:
+    // only the first count past it is checked, before any allocation.
+    #[test]
+    #[should_panic(expected = "fit in a u32 index")]
+    fn slot_count_past_a_u32_index_is_refused() {
+        let _ = PacketPool::new(usize::try_from(u32::MAX).unwrap(), 2048);
     }
 }

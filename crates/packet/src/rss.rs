@@ -54,12 +54,13 @@ const fn build_tables(key: &[u8; 40]) -> Tables {
             key[i + 3],
             key[i + 4],
         ]);
-        let mut v = 1;
+        let mut v: usize = 1;
         while v < 256 {
             // Bit `b` of the input byte, counted from the most
             // significant, selects the window starting `b` bits in.
-            let b = 7 - (v as u8).trailing_zeros();
-            t[i][v] = t[i][v & (v - 1)] ^ (span >> (8 - b)) as u32;
+            let b = 7 - v.trailing_zeros();
+            // The window's low 32 bits, kept on purpose.
+            t[i][v] = t[i][v & (v - 1)] ^ ((span >> (8 - b)) & 0xffff_ffff) as u32;
             v += 1;
         }
         i += 1;

@@ -116,24 +116,27 @@ impl TcpHeader {
     ///
     /// # Errors
     ///
-    /// Returns [`PacketError::Truncated`] when `out` is too short.
+    /// Returns [`PacketError::Truncated`] when `out` is too short, and
+    /// [`PacketError::BadField`] when the options are longer than the
+    /// 4-bit data offset can say (40 bytes).
     pub fn emit(&self, out: &mut [u8]) -> Result<()> {
         let len = self.header_len();
+        let words = u8::try_from(len / 4)
+            .ok()
+            .filter(|&words| words <= 15)
+            .ok_or(PacketError::BadField("TCP options length"))?;
         if out.len() < len {
             return Err(PacketError::Truncated {
                 needed: len,
                 available: out.len(),
             });
         }
-        debug_assert!(
-            len.is_multiple_of(4) && len <= 60,
-            "options must pad to 32 bits"
-        );
+        debug_assert!(len.is_multiple_of(4), "options must pad to 32 bits");
         out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         out[4..8].copy_from_slice(&self.seq.to_be_bytes());
         out[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        out[12] = ((len / 4) as u8) << 4;
+        out[12] = words << 4;
         out[13] = self.flags.0;
         out[14..16].copy_from_slice(&self.window.to_be_bytes());
         out[16..18].copy_from_slice(&self.checksum.to_be_bytes());
@@ -186,5 +189,21 @@ mod tests {
     #[test]
     fn parse_truncated_fails() {
         assert!(TcpHeader::parse(&[0u8; 19]).is_err());
+    }
+
+    #[test]
+    fn options_hold_at_the_4_bit_data_offset() {
+        for (len, fits) in [(36, true), (40, true), (44, false)] {
+            let mut hdr = TcpHeader::new(1, 2, 3);
+            hdr.options = vec![0x01; len]; // NOP options.
+            let mut buf = vec![0u8; hdr.header_len()];
+            if fits {
+                hdr.emit(&mut buf).unwrap();
+                assert_eq!(TcpHeader::parse(&buf).unwrap(), hdr, "{len} option bytes");
+            } else {
+                let refused = hdr.emit(&mut buf);
+                assert_eq!(refused, Err(PacketError::BadField("TCP options length")));
+            }
+        }
     }
 }

@@ -69,6 +69,12 @@ impl UdpHeader {
     /// payload, in place) given the IPv4 pseudo-header addresses.
     ///
     /// Per RFC 768, a computed checksum of zero is transmitted as `0xffff`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PacketError::Truncated`] when `segment` is shorter than a
+    /// UDP header, and [`PacketError::BadField`] when it is longer than
+    /// 65,535 bytes.
     pub fn fill_checksum(segment: &mut [u8], src: [u8; 4], dst: [u8; 4]) -> Result<()> {
         if segment.len() < HEADER_LEN {
             return Err(PacketError::Truncated {
@@ -78,7 +84,7 @@ impl UdpHeader {
         }
         segment[6] = 0;
         segment[7] = 0;
-        let mut ck = l4_checksum(src, dst, 17, segment);
+        let mut ck = l4_checksum(src, dst, 17, segment)?;
         if ck == 0 {
             ck = 0xffff;
         }
@@ -130,7 +136,7 @@ mod tests {
         let stored = u16::from_be_bytes([seg[6], seg[7]]);
         seg[6] = 0;
         seg[7] = 0;
-        assert_eq!(l4_checksum(src, dst, 17, &seg), stored);
+        assert_eq!(l4_checksum(src, dst, 17, &seg), Ok(stored));
     }
 
     #[test]

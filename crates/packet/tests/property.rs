@@ -27,7 +27,7 @@ proptest! {
         payload_len in 0usize..1400,
         n_option_words in 0usize..10,
     ) {
-        let mut hdr = Ipv4Header::new(src.into(), dst.into(), IpProto::from_u8(proto), payload_len);
+        let mut hdr = Ipv4Header::new(src.into(), dst.into(), IpProto::from_u8(proto), payload_len).unwrap();
         hdr.ttl = ttl;
         hdr.dscp_ecn = dscp;
         hdr.ident = ident;
@@ -47,7 +47,7 @@ proptest! {
         dst in any::<u32>(),
         bit in 0usize..(20 * 8),
     ) {
-        let hdr = Ipv4Header::new(src.into(), dst.into(), IpProto::Udp, 64);
+        let hdr = Ipv4Header::new(src.into(), dst.into(), IpProto::Udp, 64).unwrap();
         let mut buf = vec![0u8; 20];
         hdr.emit(&mut buf).unwrap();
         let byte = bit / 8;

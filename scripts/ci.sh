@@ -64,8 +64,8 @@ if grep -nE "$unsafe_word|(core|std)::arch" crates/crypto/src/*.rs |
     exit 1
 fi
 # Every source file that says `unsafe` (x86.rs, pool.rs, spsc.rs, rcu.rs,
-# prefetch.rs, cycles.rs today, and dir24_8.rs's test-only allocator; a
-# new one is gated the day it appears).
+# prefetch.rs and cycles.rs today; a new one is gated the day it
+# appears).
 grep -rlE "$unsafe_word" crates/*/src --include='*.rs' | xargs awk '
     FNR == 1 { comment = 0; safety = 0 }
     /^[[:space:]]*\/\// { if ($0 ~ /\/\/ SAFETY:/) safety = 1; comment = 1; next }
@@ -83,7 +83,7 @@ if grep -nE 'Ordering::|Atomic|compare_exchange' crates/packet/src/pool.rs; then
     exit 1
 fi
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader, two FIB tables, one locked free list, one RIB: the collapsed names stay gone)"
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader, one FIB table, one locked free list, one RIB: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -148,6 +148,14 @@ fi
 rib_gone='owner24|owner_long|owner_of|NO_OWNER|background_for'
 if grep -rnE "$rib_gone" crates/ tests/ examples/; then
     echo "the dynamic FIB's owner bytes are back: the RIB says which route covers each slot" >&2
+    exit 1
+fi
+# One FIB table: snapshots share every page a publish did not touch, so
+# the dirty set a publish replayed into a recycled table, the grace wait
+# and the clone it fell back to, and the census of whole tables stay gone.
+table_gone='DirtyDelta|take_dirty|grace_budget|wait_for_readers|DIRTY_OVERFLOW|tbl24_buffers|keeps_two_tables'
+if grep -rnE "$table_gone" crates/ tests/ examples/; then
+    echo "the RCU FIB's dirty set, grace wait or a second table is back: snapshots share pages, and the FIB holds one table" >&2
     exit 1
 fi
 for f in crates/click/src/runtime/driver.rs crates/click/src/runtime/mt.rs \

@@ -19,6 +19,11 @@
 //! node, tens of thousands for a 200K-route table, so the count of small
 //! allocations in `build()` fails if a copy of the RIB comes back.
 //!
+//! An RCU FIB's snapshots share the pages of its working table, so the
+//! FIB holds one table plus the pages its updates touched: the bytes it
+//! keeps alive, counted from the allocator, fail the last test if a
+//! second full table comes back.
+//!
 //! The counting allocator counts per thread, so the tests in this file
 //! can run side by side.
 
@@ -35,6 +40,8 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// The subset under 4 KiB, the size of a B-tree node.
     static SMALL_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated on this thread less those freed on it.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 /// Counts one allocation of `size` bytes on this thread.
@@ -45,6 +52,16 @@ fn count(size: usize) {
     }
 }
 
+/// Adds `by` bytes to this thread's live count.
+fn live(by: isize) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + by));
+}
+
+/// `size` bytes as a signed count.
+fn bytes(size: usize) -> isize {
+    isize::try_from(size).expect("an allocation fits isize")
+}
+
 struct Counting;
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
@@ -53,17 +70,20 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live(bytes(layout.size()));
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-bytes(layout.size()));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        live(bytes(new_size) - bytes(layout.size()));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -361,5 +381,84 @@ fn an_rcu_router_takes_its_rib_without_copying_it() {
     assert!(
         control.route_count() >= routes,
         "the FIB holds the whole RIB"
+    );
+}
+
+/// Bytes alive on this thread.
+fn live_bytes() -> isize {
+    LIVE_BYTES.with(Cell::get)
+}
+
+/// Bytes `f`'s result holds on this thread.
+fn bytes_of<T>(f: impl FnOnce() -> T) -> isize {
+    let before = live_bytes();
+    let value = f();
+    let held = live_bytes() - before;
+    drop(value);
+    held
+}
+
+#[test]
+fn an_rcu_fib_holds_one_table() {
+    use routebricks::lookup::gen::addresses_within;
+    use routebricks::lookup::{LpmLookup, RcuFib, RouteUpdate};
+    use routebricks::workload::{churn_stream, rib_full_table, ChurnConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let table = rib_full_table(200_000, 7);
+    let churn = churn_stream(
+        &table,
+        &ChurnConfig {
+            updates: 20_000,
+            ..ChurnConfig::default()
+        },
+    );
+    let addrs = addresses_within(&table, 32, 5);
+    // The FIB's RIB is `table` itself, allocated before the count starts;
+    // what the churn adds to it is measured on a twin that takes the same
+    // updates, so that only the FIB's tables are left.
+    let mut twin = table.clone();
+    for update in &churn {
+        match *update {
+            RouteUpdate::Announce(prefix, hop) => {
+                twin.insert(prefix, hop);
+            }
+            RouteUpdate::Withdraw(prefix) => {
+                twin.remove(&prefix);
+            }
+        }
+    }
+    let rib_growth = bytes_of(|| twin.clone()) - bytes_of(|| table.clone());
+
+    let before = live_bytes();
+    let fib = RcuFib::with_max_readers(table, 4).expect("the RIB builds");
+    let one_table = |fib: &RcuFib| fib.reader().pin().memory_bytes() as f64;
+    let built = (live_bytes() - before) as f64;
+    assert!(
+        built <= 1.15 * one_table(&fib),
+        "the built FIB holds {built} B against one table's {} B",
+        one_table(&fib)
+    );
+
+    let (reader, ctl) = (fib.reader(), fib.control());
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let stop = &stop;
+        scope.spawn(move || {
+            let mut hops = [None; 32];
+            while !stop.load(Ordering::Relaxed) {
+                reader.pin().lookup_batch(&addrs, &mut hops);
+            }
+        });
+        for slice in churn.chunks(1_000) {
+            ctl.apply_and_publish(slice).expect("churn applies");
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    let churned = (live_bytes() - before - rib_growth) as f64;
+    assert!(
+        churned <= 1.3 * one_table(&fib),
+        "after 20 publishes the FIB holds {churned} B against one table's {} B",
+        one_table(&fib)
     );
 }
