@@ -33,8 +33,7 @@ use crate::ConfigError;
 /// `key=value` form, comma-separated.
 /// Every value must be a positive integer except `telemetry`, which takes
 /// `off`, `on` (counters only) or `cycles` (counters plus per-element
-/// cycle accounting), `fib_rcu`, which takes `on` or `off`, `regime`,
-/// which takes `pipeline` or `pull`, and
+/// cycle accounting), `regime`, which takes `pipeline` or `pull`, and
 /// `slo`, which takes a compact `/`-separated objective spec
 /// (`slo p99us:5000/loss:0.01/floor:1000000`), and
 /// `trace_sample`/`interval_ms`, where `0` (the default) means "off" /
@@ -72,10 +71,6 @@ pub struct Knobs {
     /// ring hops); `0` disables tracing. Each worker's tracer records as
     /// its worker index; the dispatcher/merger thread as core `workers`.
     pub trace_sample: u64,
-    /// `fib_rcu on` routes lookups through an `rb_lookup::RcuFib` (live
-    /// route churn supported via a `RouteControl` handle) instead of an
-    /// immutable compiled table.
-    pub fib_rcu: bool,
     /// Multi-threaded scheduling regime (`regime pipeline|pull`).
     pub regime: Regime,
     /// NIC batching factor `kn` of every device element's descriptor
@@ -112,7 +107,6 @@ impl Default for Knobs {
             slot_size: rb_packet::pool::DEFAULT_SLOT_SIZE,
             telemetry: rb_telemetry::TelemetryLevel::Off,
             trace_sample: 0,
-            fib_rcu: false,
             regime: Regime::PullCredit,
             nic_batch: 1,
             interval_ms: 0,
@@ -162,74 +156,60 @@ impl Knobs {
             else {
                 return Err(bad(format!("`{part}` is not `key value`")));
             };
-            // Word-valued knobs are matched before the integer parse.
-            if key == "telemetry" {
-                self.telemetry = rb_telemetry::TelemetryLevel::parse(value).ok_or_else(|| {
-                    bad(format!(
-                        "`telemetry` must be off, on or cycles, not `{value}`"
-                    ))
-                })?;
-                continue;
-            }
-            if key == "fib_rcu" {
-                self.fib_rcu = match value {
-                    "on" | "true" => true,
-                    "off" | "false" => false,
-                    other => {
-                        return Err(bad(format!("`fib_rcu` must be on or off, not `{other}`")))
-                    }
-                };
-                continue;
-            }
-            if key == "regime" {
-                self.regime = Regime::parse(value).ok_or_else(|| {
-                    bad(format!("`regime` must be pipeline or pull, not `{value}`"))
-                })?;
-                continue;
-            }
-            if key == "serve_metrics" {
-                // The DSL quotes address values (`serve_metrics
-                // "127.0.0.1:9898"`); strip the quotes before parsing.
-                let addr = value.trim_matches('"');
-                self.serve_metrics = Some(addr.parse().map_err(|_| {
-                    bad(format!(
-                        "bad `serve_metrics` address `{addr}` (want e.g. 127.0.0.1:9898)"
-                    ))
-                })?);
-                continue;
-            }
-            if key == "slo" {
-                self.slo = rb_telemetry::SloSpec::parse(value).ok_or_else(|| {
-                    bad(format!(
-                        "bad `slo` spec `{value}` (want e.g. p99us:5000/loss:0.01/floor:1000000)"
-                    ))
-                })?;
-                continue;
-            }
-            let value: usize = value
-                .parse()
-                .map_err(|_| bad(format!("bad value in `{part}`")))?;
-            // `trace_sample 0` means "tracing off", so it may be 0.
-            if key == "trace_sample" {
-                self.trace_sample = value as u64;
-                continue;
-            }
-            // `interval_ms 0` means "interval clock off" (the default).
-            if key == "interval_ms" {
-                self.interval_ms = value as u64;
-                continue;
-            }
-            if value == 0 {
-                return Err(bad(format!("`{key}` must be positive")));
-            }
+            // Integer values parse once their key is known, so an unknown
+            // key is refused as one whatever its value says.
+            let int = || -> Result<usize, ConfigError> {
+                value
+                    .parse()
+                    .map_err(|_| bad(format!("bad value in `{part}`")))
+            };
+            let positive = || match int()? {
+                0 => Err(bad(format!("`{key}` must be positive"))),
+                n => Ok(n),
+            };
             match key {
-                "batch_size" => self.batch_size = value,
-                "poll_burst" => self.poll_burst = Some(value),
-                "ring_depth" => self.ring_depth = value,
-                "nic_batch" => self.nic_batch = value,
-                "workers" => self.workers = value,
-                "pool_slots" => self.pool_slots = value,
+                "telemetry" => {
+                    self.telemetry =
+                        rb_telemetry::TelemetryLevel::parse(value).ok_or_else(|| {
+                            bad(format!(
+                                "`telemetry` must be off, on or cycles, not `{value}`"
+                            ))
+                        })?;
+                }
+                "regime" => {
+                    self.regime = Regime::parse(value).ok_or_else(|| {
+                        bad(format!("`regime` must be pipeline or pull, not `{value}`"))
+                    })?;
+                }
+                "serve_metrics" => {
+                    // The DSL quotes address values (`serve_metrics
+                    // "127.0.0.1:9898"`); strip the quotes before parsing.
+                    let addr = value.trim_matches('"');
+                    self.serve_metrics = Some(addr.parse().map_err(|_| {
+                        bad(format!(
+                            "bad `serve_metrics` address `{addr}` (want e.g. 127.0.0.1:9898)"
+                        ))
+                    })?);
+                }
+                "slo" => {
+                    self.slo = rb_telemetry::SloSpec::parse(value).ok_or_else(|| {
+                        bad(format!(
+                            "bad `slo` spec `{value}` (want e.g. p99us:5000/loss:0.01/floor:1000000)"
+                        ))
+                    })?;
+                }
+                // 0 means "tracing off" / "interval clock off" (the
+                // defaults); every other integer knob is positive.
+                "trace_sample" => self.trace_sample = int()? as u64,
+                "interval_ms" => self.interval_ms = int()? as u64,
+                "batch_size" => self.batch_size = positive()?,
+                "poll_burst" => self.poll_burst = Some(positive()?),
+                "ring_depth" => self.ring_depth = positive()?,
+                "nic_batch" => self.nic_batch = positive()?,
+                "workers" => self.workers = positive()?,
+                "pool_slots" => self.pool_slots = positive()?,
                 "slot_size" => {
+                    let value = positive()?;
                     let min = rb_packet::buf::DEFAULT_HEADROOM + rb_packet::buf::DEFAULT_TAILROOM;
                     if value <= min {
                         return Err(bad(format!("`slot_size` must exceed {min} (room bytes)")));
@@ -875,26 +855,24 @@ mod tests {
 
     #[test]
     fn runtime_config_fib_knobs_parse_and_validate() {
-        let text = "RuntimeConfig(fib_rcu on);
-             src :: InfiniteSource(64, 10);
-             src -> Discard;";
-        let (_, knobs) = build_graph(text).unwrap();
-        assert!(knobs.fib_rcu);
-        let (_, knobs) = build_graph(
-            "RuntimeConfig(fib_rcu off);
-             src :: InfiniteSource(64, 10);
-             src -> Discard;",
-        )
-        .unwrap();
-        assert!(!knobs.fib_rcu);
-        let Err(err) = build_graph(
-            "RuntimeConfig(fib_rcu maybe);
-             src :: InfiniteSource(64, 10);
-             src -> Discard;",
-        ) else {
-            panic!("`fib_rcu maybe` should be rejected");
-        };
-        assert!(err.to_string().contains("fib_rcu"), "got: {err}");
+        // Every IP router reads an RCU FIB: the key that chose between it
+        // and a static table is gone, and refused as unknown with any
+        // value.
+        for value in ["on", "off", "maybe"] {
+            let text = format!(
+                "RuntimeConfig(fib_rcu {value});
+                 src :: InfiniteSource(64, 10);
+                 src -> Discard;"
+            );
+            let Err(err) = build_graph(&text) else {
+                panic!("`fib_rcu {value}` should be rejected");
+            };
+            let err = err.to_string();
+            assert!(
+                err.contains("unknown knob `fib_rcu`"),
+                "`fib_rcu {value}`: {err}"
+            );
+        }
     }
 
     #[test]

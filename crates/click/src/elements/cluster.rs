@@ -27,13 +27,23 @@ pub struct VlbEncap {
 }
 
 impl VlbEncap {
+    /// The most external ports a mapping may name: the cluster MAC
+    /// carries the port in one byte.
+    const MAX_PORTS: usize = 256;
+
     /// Creates the encapsulator with the port→node mapping.
     ///
     /// # Panics
     ///
-    /// Panics on an empty mapping.
+    /// Panics on an empty mapping, or one of more than 256 ports.
     pub fn new(node_of_port: Vec<u16>) -> VlbEncap {
         assert!(!node_of_port.is_empty(), "need at least one port mapping");
+        assert!(
+            node_of_port.len() <= Self::MAX_PORTS,
+            "at most {} ports, not {}",
+            Self::MAX_PORTS,
+            node_of_port.len()
+        );
         VlbEncap {
             node_of_port,
             tagged: 0,
@@ -75,7 +85,8 @@ impl Element for VlbEncap {
             out.push(1, pkt);
             return;
         };
-        let mac = MacAddr::for_cluster_node(node, port as u8);
+        let port_byte = u8::try_from(port).expect("new() caps the mapping at 256 ports");
+        let mac = MacAddr::for_cluster_node(node, port_byte);
         if EthernetHeader::set_dst(pkt.data_mut(), mac).is_err() {
             self.untagged += 1;
             out.push(1, pkt);
@@ -200,6 +211,28 @@ mod tests {
         assert_eq!(eth.dst.cluster_node().unwrap(), (1, 2));
         assert_eq!(tagged.meta.output_node, Some(1));
         assert_eq!(tagged.meta.vlb_phase, VlbPhase::ToOutput);
+    }
+
+    #[test]
+    fn a_256_port_map_tags_port_255_with_its_own_byte() {
+        // One node per 64 ports; port 255 is the last the MAC byte holds.
+        let map: Vec<u16> = (0..256u16).map(|p| p / 64).collect();
+        let mut encap = VlbEncap::new(map);
+        let mut pkt = PacketSpec::udp().build();
+        pkt.meta.output_port = Some(255);
+        let mut out = Output::new();
+        encap.push(0, pkt, &mut out);
+        let (port, tagged) = out.drain().next().unwrap();
+        assert_eq!(port, 0);
+        let eth = EthernetHeader::parse(tagged.data()).unwrap();
+        assert_eq!(eth.dst.cluster_node().unwrap(), (3, 255));
+        assert_eq!(tagged.meta.output_node, Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 ports, not 257")]
+    fn a_257_port_map_is_refused() {
+        let _ = VlbEncap::new(vec![0; 257]);
     }
 
     #[test]

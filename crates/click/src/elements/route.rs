@@ -2,38 +2,27 @@
 
 use crate::element::{Element, Output, PacketBatch, Ports};
 use crate::ConfigError;
-use rb_lookup::{Dir24_8, FibReader, LpmLookup, NextHop, Prefix, RouteTable};
+use rb_lookup::{FibReader, LpmLookup, NextHop, Prefix, RcuFib, RouteTable};
 use rb_packet::ethernet::HEADER_LEN as ETH_HLEN;
 use rb_packet::ipv4::fast;
 use rb_packet::Packet;
-use std::sync::Arc;
-
-/// The lookup structure behind the element: either an immutable shared
-/// FIB (the classic Click shape) or a per-core RCU reader over a FIB a
-/// control plane keeps updating.
-enum Fib {
-    /// Compiled-once table shared by `Arc` across replicas.
-    Static(Arc<dyn LpmLookup + Send + Sync>),
-    /// Per-core epoch reader; replicas fork their own slot.
-    Rcu(FibReader),
-}
 
 /// Longest-prefix-match routing: sends each packet to the output port
 /// named by its route's next hop.
 ///
 /// The last output port is the drop port for packets with no route (and
-/// unparseable ones). The lookup structure is shared so many forwarding
-/// paths — one per core, as in §4.2 — use one FIB without copies: either
-/// an `Arc` to an immutable table, or (via [`LookupIPRoute::new_rcu`]) a
-/// wait-free reader over an [`rb_lookup::RcuFib`] a control-plane thread
-/// updates live.
+/// unparseable ones). Every instance reads an [`rb_lookup::RcuFib`]
+/// through its own [`FibReader`], so many forwarding paths — one per
+/// core, as in §4.2 — share one FIB without copies, and a control-plane
+/// thread may update it live through the FIB's
+/// [`rb_lookup::RouteControl`].
 ///
 /// Batches take the three-pass path: destination extraction across the
-/// whole batch, one `lookup_batch` (prefetched, and — on the RCU path —
-/// under a single epoch pin), then emission. The scalar `push` delegates
-/// to the batched implementation with a batch of one.
+/// whole batch, one `lookup_batch` under a single epoch pin (prefetched),
+/// then emission. The scalar `push` delegates to the batched
+/// implementation with a batch of one.
 pub struct LookupIPRoute {
-    fib: Fib,
+    reader: FibReader,
     n_hops: usize,
     offset: usize,
     lookups: u64,
@@ -45,23 +34,14 @@ pub struct LookupIPRoute {
 }
 
 impl LookupIPRoute {
-    /// Creates the element over a shared FIB with next hops in
-    /// `0..n_hops`; the element gets `n_hops + 1` outputs (last = drop).
-    pub fn new(fib: Arc<dyn LpmLookup + Send + Sync>, n_hops: usize) -> LookupIPRoute {
-        Self::with_fib(Fib::Static(fib), n_hops)
-    }
-
-    /// Creates the element over a live-updatable [`rb_lookup::RcuFib`],
-    /// reading through `reader`. Each batch pins the reader's epoch once
-    /// and resolves the whole batch against that snapshot.
+    /// Creates the element over an [`rb_lookup::RcuFib`], reading through
+    /// `reader`, with next hops in `0..n_hops`; the element gets
+    /// `n_hops + 1` outputs (last = drop). Each batch pins the reader's
+    /// epoch once and resolves the whole batch against that snapshot.
     pub fn new_rcu(reader: FibReader, n_hops: usize) -> LookupIPRoute {
-        Self::with_fib(Fib::Rcu(reader), n_hops)
-    }
-
-    fn with_fib(fib: Fib, n_hops: usize) -> LookupIPRoute {
         assert!(n_hops > 0, "need at least one next hop");
         LookupIPRoute {
-            fib,
+            reader,
             n_hops,
             offset: ETH_HLEN,
             lookups: 0,
@@ -73,7 +53,9 @@ impl LookupIPRoute {
     }
 
     /// Builds the element from Click-style inline routes:
-    /// `"10.0.0.0/8 0, 192.168.0.0/16 1, 0.0.0.0/0 2"`.
+    /// `"10.0.0.0/8 0, 192.168.0.0/16 1, 0.0.0.0/0 2"`, over an
+    /// [`rb_lookup::RcuFib`] of its own (no control handle escapes: the
+    /// routes stay as given).
     ///
     /// # Errors
     ///
@@ -106,8 +88,11 @@ impl LookupIPRoute {
         if table.is_empty() {
             return Err(bad("no routes given".into()));
         }
-        let fib = Dir24_8::compile(&table).map_err(|e| bad(e.to_string()))?;
-        Ok(LookupIPRoute::new(Arc::new(fib), usize::from(max_hop) + 1))
+        let fib = RcuFib::from_table(table).map_err(|e| bad(e.to_string()))?;
+        Ok(LookupIPRoute::new_rcu(
+            fib.reader(),
+            usize::from(max_hop) + 1,
+        ))
     }
 
     /// (lookups, misses) so far.
@@ -165,17 +150,11 @@ impl Element for LookupIPRoute {
                 }
             }
         }
-        // Pass 2: resolve the whole batch — prefetched, and on the RCU
-        // path under one epoch pin (one shared-line store per batch).
+        // Pass 2: resolve the whole batch — prefetched, under one epoch
+        // pin (one store to the reader's own line per batch).
         self.hops.clear();
         self.hops.resize(n, None);
-        match &self.fib {
-            Fib::Static(fib) => fib.lookup_batch(&self.dsts, &mut self.hops),
-            Fib::Rcu(reader) => {
-                let guard = reader.pin();
-                guard.lookup_batch(&self.dsts, &mut self.hops);
-            }
-        }
+        self.reader.pin().lookup_batch(&self.dsts, &mut self.hops);
         // Pass 3: emit.
         let (n_hops, drop_port) = (self.n_hops, self.n_hops);
         let mut misses = 0u64;
@@ -199,21 +178,19 @@ impl Element for LookupIPRoute {
     fn replicate(&self) -> Option<Box<dyn Element>> {
         // The FIB is the canonical shared read-only structure: every
         // core's replica reads the same table, as Click threads share
-        // one routing table. Static FIBs share the Arc; RCU readers fork
-        // a fresh epoch slot (per-core announcement state must not be
-        // shared). Counters start fresh.
-        let fib = match &self.fib {
-            Fib::Static(fib) => Fib::Static(Arc::clone(fib)),
-            Fib::Rcu(reader) => Fib::Rcu(reader.fork()),
-        };
-        Some(Box::new(LookupIPRoute::with_fib(fib, self.n_hops)))
+        // one routing table. Each replica forks a reader with a fresh
+        // epoch slot (per-core announcement state must not be shared).
+        // Counters start fresh.
+        Some(Box::new(LookupIPRoute::new_rcu(
+            self.reader.fork(),
+            self.n_hops,
+        )))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rb_lookup::RcuFib;
     use rb_packet::builder::PacketSpec;
 
     fn pkt_to(dst: &str) -> Packet {

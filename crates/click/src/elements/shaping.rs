@@ -196,7 +196,12 @@ impl Element for SetTimestamp {
     }
 
     fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
-        pkt.meta.rx_ns = self.next_ns as u64;
+        // Nanoseconds since the first packet: a positive gap summed from
+        // 0, below 2^64 for 584 years (and `as` saturates past it).
+        debug_assert!((0.0..1.8e19).contains(&self.next_ns));
+        #[allow(clippy::cast_possible_truncation)]
+        let rx_ns = self.next_ns as u64;
+        pkt.meta.rx_ns = rx_ns;
         self.next_ns += self.gap_ns;
         out.push(0, pkt);
     }
@@ -242,7 +247,7 @@ mod tests {
         }
         let (ok, excess) = m.counts();
         assert_eq!(ok + excess, 100);
-        assert!((40..=60).contains(&(ok as i32)), "conformant {ok}");
+        assert!((40..=60).contains(&ok), "conformant {ok}");
     }
 
     #[test]

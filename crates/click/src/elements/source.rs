@@ -40,12 +40,11 @@ impl InfiniteSource {
         assert!(flows > 0, "need at least one flow");
         let template_flows = (0..flows)
             .map(|i| {
+                let [.., hi, lo] = i.to_be_bytes();
+                let port = u16::try_from(10_000 + i % 50_000).expect("below 60,000");
                 PacketSpec::udp()
                     .endpoints(
-                        std::net::SocketAddrV4::new(
-                            std::net::Ipv4Addr::new(10, 0, (i >> 8) as u8, i as u8),
-                            10_000 + i as u16,
-                        ),
+                        std::net::SocketAddrV4::new(std::net::Ipv4Addr::new(10, 0, hi, lo), port),
                         std::net::SocketAddrV4::new(std::net::Ipv4Addr::new(192, 168, 0, 1), 80),
                     )
                     .frame_len(size)
@@ -432,8 +431,8 @@ mod tests {
 
     #[test]
     fn spec_source_matches_vec_source_bytes() {
-        let specs: Vec<PacketSpec> = (0..5)
-            .map(|i| PacketSpec::udp().frame_len(64 + i * 8).fill(i as u8))
+        let specs: Vec<PacketSpec> = (0..5u8)
+            .map(|i| PacketSpec::udp().frame_len(64 + usize::from(i) * 8).fill(i))
             .collect();
         let packets: Vec<Packet> = specs.iter().map(PacketSpec::build).collect();
         let mut vec_src = VecSource::new(packets);

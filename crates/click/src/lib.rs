@@ -37,6 +37,8 @@
 //! assert_eq!(router.counter("cnt").unwrap().packets, 100);
 //! ```
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod config;
 pub mod element;
 pub mod elements;

@@ -490,6 +490,9 @@ impl Router {
     /// core 0 (`ms == 0` turns it off). The first call pays the one-time
     /// tick-rate calibration in [`cycles::ticks_per_sec`].
     pub fn set_interval_ms(&mut self, ms: u64, core: usize) {
+        // Non-negative, and `as` saturates: a width past 2^64 ticks is a
+        // clock that never rolls.
+        #[allow(clippy::cast_possible_truncation)]
         let ticks = (ms as f64 * cycles::ticks_per_sec() / 1e3) as u64;
         self.set_interval_ticks(ticks, core);
     }
@@ -616,8 +619,12 @@ impl Router {
             self.metrics.record_dispatch(stage, packets, span);
         }
         if self.tracer.enabled() && !self.trace_ids.is_empty() {
-            self.tracer
-                .record_element(stage as u32, &self.trace_ids, t0, span);
+            // On the dispatch path, so checked in debug builds only: an
+            // element id indexes a graph of far fewer than 2^32 elements.
+            debug_assert!(u32::try_from(stage).is_ok());
+            #[allow(clippy::cast_possible_truncation)]
+            let stage = stage as u32;
+            self.tracer.record_element(stage, &self.trace_ids, t0, span);
         }
     }
 
@@ -1624,7 +1631,10 @@ mod tests {
         }
         for p in 0..ports {
             let rx = g
-                .add(format!("rx{p}"), Box::new(FromDevice::new(p as u16, kp)))
+                .add(
+                    format!("rx{p}"),
+                    Box::new(FromDevice::new(u16::try_from(p).unwrap(), kp)),
+                )
                 .unwrap();
             let cnt = g.add(format!("cnt{p}"), Box::new(Counter::new())).unwrap();
             let hs = g
@@ -1869,14 +1879,14 @@ mod tests {
             let tx = g
                 .add(
                     format!("tx{p}"),
-                    Box::new(ToDevice::new(BURST as usize, true)),
+                    Box::new(ToDevice::new(usize::try_from(BURST).unwrap(), true)),
                 )
                 .unwrap();
             g.connect(rt, p, q, 0).unwrap();
             g.connect(q, 0, tx, 0).unwrap();
         }
         for s in 0..4u64 {
-            let mut dev = FromDevice::new(s as u16, 1);
+            let mut dev = FromDevice::new(u16::try_from(s).unwrap(), 1);
             for i in 0..2000 {
                 let seq = 4 * i + s;
                 let dst = if seq % 97 == 5 {

@@ -666,7 +666,7 @@ pub(crate) fn run_scheduled(
         .elements_of_type::<ToDevice>()
         .len();
     // The dispatcher/merger thread's trace shard records as core `n`.
-    let mut main_tracer = Tracer::new(knobs.trace_sample, n as u32);
+    let mut main_tracer = Tracer::new(knobs.trace_sample, core_id(n));
     let Wiring {
         lanes,
         dispatcher,
@@ -819,10 +819,15 @@ pub(crate) fn assemble_outcome(
 // Topology, wiring and the one worker body.
 // ---------------------------------------------------------------------------
 
+/// A worker's or stage's index as its telemetry core number.
+fn core_id(index: usize) -> u32 {
+    u32::try_from(index).expect("a run spawns a thread per core: fewer than 2^32")
+}
+
 /// Star topology: `knobs.workers` replicas of the one template graph.
 fn star_topology(graph: &Graph, knobs: &Knobs) -> Result<Vec<Replica>, GraphError> {
     (0..knobs.workers)
-        .map(|core| make_replica(graph, knobs, core as u32))
+        .map(|core| make_replica(graph, knobs, core_id(core)))
         .collect()
 }
 
@@ -944,7 +949,7 @@ fn pipeline_topology(graphs: &[&Graph], knobs: &Knobs) -> Result<Vec<Replica>, G
     let n = graphs.len();
     let mut replicas = Vec::with_capacity(n);
     for (i, stage) in graphs.iter().enumerate() {
-        let mut replica = make_replica(stage, knobs, i as u32)?;
+        let mut replica = make_replica(stage, knobs, core_id(i))?;
         if i + 1 < n {
             // Intermediate stages feed the next stage from their tx
             // log, so frame retention is forced on.

@@ -24,13 +24,12 @@ use rb_click::graph::{ElementId, Graph};
 use rb_click::runtime::mt::{run_graph, GraphRunOutcome};
 use rb_click::{ConfigError, GraphError, Knobs, Regime, Router};
 use rb_crypto::SecurityAssociation;
-use rb_lookup::{Dir24_8, Prefix, RcuFib, RouteControl, RouteTable};
+use rb_lookup::{Prefix, RcuFib, RouteControl, RouteTable};
 use rb_packet::builder::PacketSpec;
 use rb_packet::{Packet, PacketPool};
 use rb_telemetry::{
     cycles, DropCause, MetricsServer, SloReport, SloSpec, TelemetryLevel, TimeSeries,
 };
-use std::sync::Arc;
 
 /// Which per-packet application the router runs (§5.1).
 #[derive(Debug, Clone, PartialEq)]
@@ -56,6 +55,9 @@ pub struct RouterBuilder {
 }
 
 impl RouterBuilder {
+    /// The most ports a router may have: every `u16` names one.
+    const MAX_PORTS: usize = 1 << 16;
+
     /// A minimal forwarder: traffic from port `i` goes to port
     /// `(i + 1) mod ports`.
     pub fn minimal_forwarder() -> RouterBuilder {
@@ -88,8 +90,18 @@ impl RouterBuilder {
     }
 
     /// Sets the number of router ports (default 2).
+    ///
+    /// # Panics
+    ///
+    /// Panics on 0 ports, or on more than 65,536 (a `FromDevice` is
+    /// numbered with a `u16`).
     pub fn ports(mut self, n: usize) -> RouterBuilder {
         assert!(n >= 1, "need at least one port");
+        assert!(
+            n <= Self::MAX_PORTS,
+            "at most {} ports, not {n}",
+            Self::MAX_PORTS
+        );
         self.ports = n;
         self
     }
@@ -109,16 +121,12 @@ impl RouterBuilder {
         self
     }
 
-    /// Routes lookups through a live-updatable [`rb_lookup::RcuFib`]
-    /// instead of an immutable compiled table (IP-router mode). The
-    /// built router hands out a [`RouteControl`] — see
-    /// [`BuiltRouter::route_control`] / [`MtRouter::route_control`] —
-    /// through which a control-plane thread can announce and withdraw
-    /// routes while the data plane forwards. With RCU enabled the
-    /// builder accepts an empty initial route list (everything misses
-    /// until routes are published).
-    pub fn rcu_fib(mut self, enable: bool) -> RouterBuilder {
-        self.knobs.fib_rcu = enable;
+    /// Does nothing, whatever `enable` says: every IP router routes
+    /// through a live-updatable [`rb_lookup::RcuFib`] and hands out its
+    /// [`RouteControl`] (see [`BuiltRouter::route_control`] /
+    /// [`MtRouter::route_control`]). Kept only for callers written when
+    /// this chose between that FIB and a static table.
+    pub fn rcu_fib(self, _enable: bool) -> RouterBuilder {
         self
     }
 
@@ -372,9 +380,9 @@ impl RouterBuilder {
 
     /// The route table an IP router forwards with: `prebuilt`, the
     /// [`RouterBuilder::routes_from_table`] one, else the inline
-    /// [`RouterBuilder::route`] list.
+    /// [`RouterBuilder::route`] list, which may be empty (every frame
+    /// misses until a route is published).
     fn route_table(
-        &self,
         routes: &[(String, u16)],
         prebuilt: Option<RouteTable>,
     ) -> Result<RouteTable, ConfigError> {
@@ -391,9 +399,6 @@ impl RouterBuilder {
                 .parse()
                 .map_err(|e| bad(format!("route `{prefix}`: {e}")))?;
             table.insert(parsed, *hop);
-        }
-        if table.is_empty() && !self.knobs.fib_rcu {
-            return Err(bad("ip_router needs at least one route".into()));
         }
         Ok(table)
     }
@@ -435,10 +440,11 @@ impl RouterBuilder {
             // routes: rotate the top octet over common prefixes.
             let specs: Vec<PacketSpec> = (0..count)
                 .map(|i| {
+                    let [.., hi, lo] = i.to_be_bytes();
                     PacketSpec::udp()
                         .endpoints(
                             std::net::SocketAddrV4::new(
-                                std::net::Ipv4Addr::new(172, 16, (i >> 8) as u8, i as u8),
+                                std::net::Ipv4Addr::new(172, 16, hi, lo),
                                 1024 + (i % 40_000) as u16,
                             ),
                             std::net::SocketAddrV4::new(
@@ -457,7 +463,8 @@ impl RouterBuilder {
         } else {
             (0..ports)
                 .map(|p| {
-                    let mut dev = FromDevice::new(p as u16, device_burst);
+                    let port = u16::try_from(p).expect("ports() caps the count at MAX_PORTS");
+                    let mut dev = FromDevice::new(port, device_burst);
                     if knobs.pool_slots > 0 {
                         dev.set_pool(new_pool());
                     }
@@ -466,34 +473,21 @@ impl RouterBuilder {
                 .collect::<Result<_, _>>()?
         };
 
-        // Route mode: one FIB, compiled once, shared by every ingress
-        // path (and every per-core replica under `build_mt`) — either an
-        // immutable `Arc<Dir24_8>` or an RCU FIB whose control handle
-        // the caller keeps for live churn.
-        enum BuiltFib {
-            None,
-            Static(Arc<Dir24_8>, usize),
-            Rcu(RcuFib, usize),
-        }
+        // Route mode: one RCU FIB, built once and read by every ingress
+        // path (and every per-core replica under `build_mt`) through a
+        // reader of its own; the caller keeps its control handle for
+        // live churn.
         let fib = match &self.app {
             App::Route { routes } => {
-                let table = self.route_table(routes, prebuilt)?;
+                let table = Self::route_table(routes, prebuilt)?;
                 let max_hop = table.iter().map(|(_, h)| *h).max().unwrap_or(0);
-                let mut n_hops = usize::from(max_hop) + 1;
-                if knobs.fib_rcu {
-                    // Live churn can announce routes for any port later,
-                    // so an RCU router exposes every port as a next hop.
-                    n_hops = n_hops.max(ports);
-                    let readers = 64.max(2 * ports * knobs.workers.max(1));
-                    let rcu =
-                        RcuFib::with_max_readers(table, readers).map_err(|e| bad(e.to_string()))?;
-                    BuiltFib::Rcu(rcu, n_hops)
-                } else {
-                    let compiled = Dir24_8::compile(&table).map_err(|e| bad(e.to_string()))?;
-                    BuiltFib::Static(Arc::new(compiled), n_hops)
-                }
+                // Live churn can announce routes for any port later, so
+                // every port is a next hop.
+                let n_hops = ports.max(usize::from(max_hop) + 1);
+                let rcu = RcuFib::from_table(table).map_err(|e| bad(e.to_string()))?;
+                Some((rcu, n_hops))
             }
-            _ => BuiltFib::None,
+            _ => None,
         };
 
         for (idx, head) in heads.iter().copied().enumerate() {
@@ -513,17 +507,9 @@ impl RouterBuilder {
                 App::Route { .. } => {
                     let ttl = g.add(format!("ttl{idx}"), Box::new(DecIPTTL::ethernet()))?;
                     let expired = g.add(format!("exp{idx}"), Box::new(Discard::new()))?;
-                    let (rt_elem, n_hops): (LookupIPRoute, usize) = match &fib {
-                        BuiltFib::Static(shared, n) => (
-                            LookupIPRoute::new(
-                                Arc::clone(shared) as Arc<dyn rb_lookup::LpmLookup + Send + Sync>,
-                                *n,
-                            ),
-                            *n,
-                        ),
-                        BuiltFib::Rcu(rcu, n) => (LookupIPRoute::new_rcu(rcu.reader(), *n), *n),
-                        BuiltFib::None => unreachable!("Route app always compiles a FIB"),
-                    };
+                    let (rcu, n_hops) = fib.as_ref().expect("a Route app builds a FIB");
+                    let n_hops = *n_hops;
+                    let rt_elem = LookupIPRoute::new_rcu(rcu.reader(), n_hops);
                     let rt = g.add(format!("rt{idx}"), Box::new(rt_elem))?;
                     let nomatch = g.add(
                         format!("miss{idx}"),
@@ -569,10 +555,7 @@ impl RouterBuilder {
 
         // The `RcuFib` value itself may drop here: readers inside the
         // graph and the control handle each keep the shared state alive.
-        let route_control = match fib {
-            BuiltFib::Rcu(rcu, _) => Some(rcu.control()),
-            _ => None,
-        };
+        let route_control = fib.map(|(rcu, _)| rcu.control());
         Ok((g, route_control))
     }
 
@@ -665,11 +648,11 @@ impl MtRouter {
         &self.graph
     }
 
-    /// The live-churn route handle when built with
-    /// [`RouterBuilder::rcu_fib`]; `None` otherwise. The handle is
-    /// cloneable and thread-safe — move a clone into a control-plane
-    /// thread and announce/withdraw/publish while [`MtRouter::run`]
-    /// forwards.
+    /// The live-churn route handle of an IP router (every one routes
+    /// through an [`RcuFib`]); `None` for a forwarder or an IPsec
+    /// gateway, which have no FIB. The handle is cloneable and
+    /// thread-safe — move a clone into a control-plane thread and
+    /// announce/withdraw/publish while [`MtRouter::run`] forwards.
     pub fn route_control(&self) -> Option<RouteControl> {
         self.route_control.clone()
     }
@@ -811,10 +794,11 @@ impl BuiltRouter {
         ))
     }
 
-    /// The live-churn route handle when built with
-    /// [`RouterBuilder::rcu_fib`]; `None` otherwise. Announce/withdraw
-    /// routes and [`RouteControl::publish`] between (or during) runs;
-    /// the data plane picks the new snapshot up at its next batch.
+    /// The live-churn route handle of an IP router (every one routes
+    /// through an [`RcuFib`]); `None` for a forwarder or an IPsec
+    /// gateway, which have no FIB. Announce/withdraw routes and
+    /// [`RouteControl::publish`] between (or during) runs; the data plane
+    /// picks the new snapshot up at its next batch.
     pub fn route_control(&self) -> Option<RouteControl> {
         self.route_control.clone()
     }
@@ -949,11 +933,7 @@ mod tests {
 
     #[test]
     fn rcu_router_picks_up_published_routes_between_runs() {
-        let mut r = RouterBuilder::ip_router()
-            .ports(2)
-            .rcu_fib(true)
-            .build()
-            .unwrap();
+        let mut r = RouterBuilder::ip_router().ports(2).build().unwrap();
         let ctl = r.route_control().expect("RCU router hands out control");
         // Empty FIB: everything is a NoRoute drop, ledger still balances.
         r.inject(0, PacketSpec::udp().dst("10.1.2.3:80").unwrap().build());
@@ -975,6 +955,46 @@ mod tests {
         r.run_until_idle(1_000_000);
         assert_eq!(r.transmitted(1), 1);
         assert_eq!(r.ledger().dropped(DropCause::NoRoute), 2);
+    }
+
+    #[test]
+    fn an_ip_router_without_routes_misses_until_a_route_is_published() {
+        // Multi-threaded, two workers: every replica's reader sees the
+        // route the control plane publishes between two runs.
+        let mt = RouterBuilder::ip_router()
+            .ports(3)
+            .workers(2)
+            .keep_tx_frames(true)
+            .build_mt()
+            .unwrap();
+        let ctl = mt.route_control().expect("every IP router has a control");
+        assert_eq!(ctl.route_count(), 0);
+        let frames = || -> Vec<Packet> {
+            (0..40)
+                .map(|i| {
+                    PacketSpec::udp()
+                        .src(&format!("172.16.0.{i}:1000"))
+                        .unwrap()
+                        .dst("10.1.2.3:80")
+                        .unwrap()
+                        .build()
+                })
+                .collect()
+        };
+        let out = mt.run(frames()).unwrap();
+        assert_eq!(out.report.ledger.dropped(DropCause::NoRoute), 40);
+        assert!(out.egress.iter().all(Vec::is_empty));
+        ctl.insert("10.0.0.0/8".parse().unwrap(), 2).unwrap();
+        ctl.publish();
+        let out = mt.run(frames()).unwrap();
+        assert_eq!(out.report.ledger.dropped(DropCause::NoRoute), 0);
+        assert_eq!(out.egress[2].len(), 40, "all through the published route");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 ports")]
+    fn ports_past_65536_are_refused() {
+        let _ = RouterBuilder::minimal_forwarder().ports(RouterBuilder::MAX_PORTS + 1);
     }
 
     #[test]
@@ -1109,7 +1129,6 @@ mod tests {
             slot_size,
             telemetry,
             trace_sample,
-            fib_rcu,
             regime,
             nic_batch,
             interval_ms,
@@ -1136,7 +1155,6 @@ mod tests {
             b().telemetry(TelemetryLevel::Cycles)
         );
         row!(trace_sample, "trace_sample 8", b().trace_sample(8));
-        row!(fib_rcu, "fib_rcu on", b().rcu_fib(true));
         row!(regime, "regime pipeline", b().regime(Regime::Pipeline));
         row!(nic_batch, "nic_batch 4", b().nic_batch(4));
         row!(interval_ms, "interval_ms 5", b().interval_ms(5));
@@ -1148,6 +1166,9 @@ mod tests {
             "serve_metrics \"127.0.0.1:9898\"",
             b().serve_metrics(addr)
         );
+        // The one setter left without a knob: every IP router is RCU.
+        assert_eq!(b().rcu_fib(true).knobs, Knobs::default());
+        assert_eq!(b().rcu_fib(false).knobs, Knobs::default());
     }
 
     #[test]
@@ -1272,7 +1293,7 @@ mod tests {
     #[test]
     fn knobs_map_onto_builder_including_fib() {
         let (_, knobs) = rb_click::config::build_graph(
-            "RuntimeConfig(batch_size 16, workers 3, fib_rcu on);
+            "RuntimeConfig(batch_size 16, workers 3);
              src :: InfiniteSource(64, 10);
              src -> Discard;",
         )
@@ -1285,7 +1306,7 @@ mod tests {
             .unwrap();
         assert_eq!(mt.workers(), 3);
         assert_eq!(mt.knobs().batch_size, 16);
-        let ctl = mt.route_control().expect("fib_rcu on wires RCU");
+        let ctl = mt.route_control().expect("every IP router is RCU");
         assert!(ctl.route_count() >= 500, "got {}", ctl.route_count());
     }
 }

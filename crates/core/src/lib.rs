@@ -43,6 +43,8 @@
 //! assert_eq!(sent, 1_000);
 //! ```
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub use rb_click as click;
 pub use rb_cluster as cluster;
 pub use rb_crypto as crypto;

@@ -24,28 +24,34 @@
 //!   touched since: the working table copies a page on its first write
 //!   after a publish, and writes in place a page no snapshot holds. The
 //!   FIB is one table plus the pages the last publish touched.
-//! * Readers ([`FibReader`]) *pin* once per batch: announce the current
-//!   generation in their own cache-line-padded epoch slot, re-check the
-//!   generation, and dereference the pointer for the whole batch. One
-//!   uncontended store + two loads per batch of packets; unpinning is a
-//!   single store of the [`QUIESCENT`] sentinel.
+//! * Readers ([`FibReader`]) each own a cache-line-padded epoch slot,
+//!   which joins the FIB's reader registry when the reader is made and
+//!   leaves it when the reader drops. There is no cap on readers. A
+//!   reader *pins* once per batch: it announces the current generation
+//!   in its slot, re-checks the generation, and dereferences the pointer
+//!   for the whole batch. One uncontended store + two loads per batch of
+//!   packets; unpinning is a single store of the [`QUIESCENT`] sentinel.
 //! * A retired snapshot is freed once every announced (non-quiescent)
-//!   epoch has advanced to at least its retire generation — the grace
-//!   period. A publish checks the epochs once, right after the swap:
-//!   with no reader inside the snapshot it replaced, that one goes at
-//!   once, and its unshared pages become the writer's spares for the next
-//!   copies. Otherwise it waits for the next publish or
-//!   [`RouteControl::try_reclaim`]: a publish never waits for a reader,
-//!   and there is no background thread. A stalled reader costs the pages
-//!   rewritten after its snapshot, not a table.
+//!   epoch in the registry has advanced to at least its retire
+//!   generation — the grace period. A publish scans the registry once,
+//!   under its lock, right after the swap: with no reader inside the
+//!   snapshot it replaced, that one goes at once, and its unshared pages
+//!   become the writer's spares for the next copies. Otherwise it waits
+//!   for the next publish or [`RouteControl::try_reclaim`]: a publish
+//!   never waits for a reader, and there is no background thread. A
+//!   stalled reader costs the pages rewritten after its snapshot, not a
+//!   table.
 //!
 //! Why this is safe (the grace-period argument): a reader that still
 //! holds a pointer retired at generation `g` must have loaded it before
 //! the swap, therefore its announced epoch — stored and re-validated
 //! *before* the pointer load, with `SeqCst` ordering on both sides —
 //! is at most `g - 1 < g`, and it blocks reclamation until it unpins or
-//! re-pins at a newer generation. The writer writes in place only a page
-//! whose `Arc` it holds alone: none a snapshot still holds.
+//! re-pins at a newer generation. A reader missing from a scan joined
+//! after it (the registry lock orders the two), so every pin it makes
+//! reads a generation and a pointer no older than the scan's. The writer
+//! writes in place only a page whose `Arc` it holds alone: none a
+//! snapshot still holds.
 
 use crate::dynamic::DynamicDir24_8;
 use crate::table::RouteTable;
@@ -53,16 +59,16 @@ use crate::{Dir24_8, LookupError, NextHop, Prefix};
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Epoch-slot value meaning "this reader is not inside a read-side
 /// critical section".
 const QUIESCENT: u64 = u64::MAX;
 
-/// Default size of the epoch-slot array (upper bound on concurrently
-/// live [`FibReader`]s; slots are recycled on drop).
-pub const DEFAULT_MAX_READERS: usize = 64;
+/// One reader's epoch announcement, on a cache line of its own so
+/// pinning never bounces another reader's line.
+type EpochSlot = Arc<CachePadded<AtomicU64>>;
 
 /// One route update for the churn stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,14 +101,17 @@ struct RcuShared {
     gen: AtomicU64,
     /// The live snapshot, owned by the writer's `live`.
     current: AtomicPtr<Dir24_8>,
-    /// Per-reader epoch announcements, cache-line padded so pinning
-    /// never bounces another reader's line.
-    epochs: Box<[CachePadded<AtomicU64>]>,
-    /// Bump allocator for epoch slots (falls back to `free_slots`).
-    next_slot: AtomicUsize,
-    /// Recycled epoch slots of dropped readers.
-    free_slots: Mutex<Vec<usize>>,
+    /// The epoch slot of every live reader. Readers join and leave; the
+    /// writer scans it under this lock (taken after `writer`, never
+    /// before).
+    readers: Mutex<Vec<EpochSlot>>,
     writer: Mutex<WriterState>,
+}
+
+impl RcuShared {
+    fn generation(&self) -> u64 {
+        self.gen.load(Ordering::SeqCst)
+    }
 }
 
 /// Counters describing the lifecycle of an [`RcuFib`].
@@ -140,44 +149,33 @@ pub struct RcuFib {
 
 impl RcuFib {
     /// Builds an RCU FIB whose first published snapshot is compiled from
-    /// `initial`, with room for [`DEFAULT_MAX_READERS`] concurrent
-    /// readers. The FIB's RIB is one clone of `initial`; a caller done with
-    /// the table hands it over uncopied through
-    /// [`RcuFib::with_max_readers`].
+    /// a clone of `initial`, which becomes the FIB's RIB. A caller done
+    /// with the table hands it over uncopied through
+    /// [`RcuFib::from_table`].
     ///
     /// # Errors
     ///
     /// As [`DynamicDir24_8::from_table`]: unencodable hops, or more
     /// spilled /24s than [`crate::dir24_8::MAX_SEGMENTS`].
     pub fn new(initial: &RouteTable) -> Result<RcuFib, LookupError> {
-        RcuFib::with_max_readers(initial.clone(), DEFAULT_MAX_READERS)
+        RcuFib::from_table(initial.clone())
     }
 
     /// Builds an RCU FIB from `initial`, which becomes the writer's RIB
-    /// without a copy, with room for `max_readers` concurrent readers.
-    /// The first snapshot shares every page of the working table: the
-    /// FIB holds one table.
+    /// without a copy. The first snapshot shares every page of the
+    /// working table: the FIB holds one table.
     ///
     /// # Errors
     ///
     /// As [`RcuFib::new`].
-    pub fn with_max_readers(
-        initial: RouteTable,
-        max_readers: usize,
-    ) -> Result<RcuFib, LookupError> {
-        assert!(max_readers > 0, "need at least one reader slot");
+    pub fn from_table(initial: RouteTable) -> Result<RcuFib, LookupError> {
         let rib = DynamicDir24_8::from_table(initial)?;
         let live = Arc::new(rib.snapshot());
-        let epochs: Vec<CachePadded<AtomicU64>> = (0..max_readers)
-            .map(|_| CachePadded::new(AtomicU64::new(QUIESCENT)))
-            .collect();
         Ok(RcuFib {
             shared: Arc::new(RcuShared {
                 gen: AtomicU64::new(0),
                 current: AtomicPtr::new(Arc::as_ptr(&live).cast_mut()),
-                epochs: epochs.into_boxed_slice(),
-                next_slot: AtomicUsize::new(0),
-                free_slots: Mutex::new(Vec::new()),
+                readers: Mutex::new(Vec::new()),
                 writer: Mutex::new(WriterState {
                     rib,
                     live,
@@ -192,12 +190,8 @@ impl RcuFib {
     }
 
     /// Mints a reader with its own epoch slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when more than `max_readers` readers are alive at once.
     pub fn reader(&self) -> FibReader {
-        FibReader::new(Arc::clone(&self.shared))
+        FibReader::join(Arc::clone(&self.shared))
     }
 
     /// Mints the writer handle (any number may exist; they serialize on
@@ -210,7 +204,7 @@ impl RcuFib {
 
     /// Generation of the currently published snapshot.
     pub fn generation(&self) -> u64 {
-        self.shared.gen.load(Ordering::SeqCst)
+        self.shared.generation()
     }
 
     /// Lifecycle counters (takes the writer lock briefly).
@@ -222,7 +216,7 @@ impl RcuFib {
 fn stats_of(shared: &RcuShared) -> RcuStats {
     let w = shared.writer.lock();
     RcuStats {
-        generation: shared.gen.load(Ordering::SeqCst),
+        generation: shared.generation(),
         installs: w.installs,
         withdrawals: w.withdrawals,
         publishes: w.publishes,
@@ -240,48 +234,32 @@ impl std::fmt::Debug for RcuFib {
     }
 }
 
-fn alloc_slot(shared: &RcuShared) -> usize {
-    if let Some(slot) = shared.free_slots.lock().pop() {
-        return slot;
-    }
-    let slot = shared.next_slot.fetch_add(1, Ordering::Relaxed);
-    assert!(
-        slot < shared.epochs.len(),
-        "too many concurrent FIB readers (capacity {})",
-        shared.epochs.len()
-    );
-    slot
-}
-
 /// A per-core read handle: one epoch slot plus the shared state.
 ///
 /// Not `Sync` (the pin protocol assumes one thread per slot); move it
 /// into the worker, or [`FibReader::fork`] a sibling with its own slot.
 pub struct FibReader {
     shared: Arc<RcuShared>,
-    slot: usize,
+    epoch: EpochSlot,
     pinned: Cell<bool>,
 }
 
 impl FibReader {
-    fn new(shared: Arc<RcuShared>) -> FibReader {
-        let slot = alloc_slot(&shared);
-        shared.epochs[slot].store(QUIESCENT, Ordering::SeqCst);
+    /// A quiescent reader whose slot the writer's scans see from now on.
+    fn join(shared: Arc<RcuShared>) -> FibReader {
+        let epoch = Arc::new(CachePadded::new(AtomicU64::new(QUIESCENT)));
+        shared.readers.lock().push(Arc::clone(&epoch));
         FibReader {
             shared,
-            slot,
+            epoch,
             pinned: Cell::new(false),
         }
     }
 
     /// Mints another reader over the same FIB with a fresh epoch slot
     /// (what element replication uses).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the reader capacity is exhausted.
     pub fn fork(&self) -> FibReader {
-        FibReader::new(Arc::clone(&self.shared))
+        FibReader::join(Arc::clone(&self.shared))
     }
 
     /// Enters a read-side critical section and returns a guard borrowing
@@ -295,7 +273,6 @@ impl FibReader {
     /// epoch).
     pub fn pin(&self) -> FibGuard<'_> {
         assert!(!self.pinned.get(), "FibReader pinned twice");
-        let epoch = &self.shared.epochs[self.slot];
         let snapshot = loop {
             // Announce the generation we are about to read, then confirm
             // it is still current. SeqCst on both sides puts the
@@ -303,7 +280,7 @@ impl FibReader {
             // in the single total order whenever the confirmation saw
             // the pre-publish generation (see module docs).
             let gen = self.shared.gen.load(Ordering::SeqCst);
-            epoch.store(gen, Ordering::SeqCst);
+            self.epoch.store(gen, Ordering::SeqCst);
             if self.shared.gen.load(Ordering::SeqCst) == gen {
                 // An acquire load cannot be reordered before the SeqCst
                 // confirmation above, so the pointer we see was current
@@ -323,23 +300,27 @@ impl FibReader {
 
     /// The generation this reader would pin right now.
     pub fn generation(&self) -> u64 {
-        self.shared.gen.load(Ordering::SeqCst)
+        self.shared.generation()
     }
 }
 
 impl Drop for FibReader {
     fn drop(&mut self) {
-        self.shared.epochs[self.slot].store(QUIESCENT, Ordering::SeqCst);
-        self.shared.free_slots.lock().push(self.slot);
+        // Unpinned (a guard borrows its reader), or pinned by a guard that
+        // was leaked: either way the slot leaves every later scan.
+        let epoch = &self.epoch;
+        self.shared
+            .readers
+            .lock()
+            .retain(|slot| !Arc::ptr_eq(slot, epoch));
     }
 }
 
 impl std::fmt::Debug for FibReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FibReader")
-            .field("slot", &self.slot)
             .field("pinned", &self.pinned.get())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -355,11 +336,13 @@ impl std::ops::Deref for FibGuard<'_> {
 
     fn deref(&self) -> &Dir24_8 {
         // SAFETY: the snapshot was loaded under an announced epoch no
-        // newer than its own generation; the writer frees a snapshot only
-        // after every announced epoch reaches the generation that replaced
-        // it, which cannot happen before this guard drops (the epoch slot
-        // is reset in `FibGuard::drop`), and writes only pages no snapshot
-        // holds.
+        // newer than its own generation, in a slot the registry held (the
+        // reader joined before it could pin, and leaves only on drop,
+        // which this guard's borrow forbids); the writer frees a snapshot
+        // only after every registered epoch reaches the generation that
+        // replaced it, which cannot happen before this guard drops (the
+        // epoch slot is reset in `FibGuard::drop`), and writes only pages
+        // no snapshot holds.
         unsafe { &*self.snapshot }
     }
 }
@@ -367,7 +350,7 @@ impl std::ops::Deref for FibGuard<'_> {
 impl Drop for FibGuard<'_> {
     fn drop(&mut self) {
         self.reader.pinned.set(false);
-        self.reader.shared.epochs[self.reader.slot].store(QUIESCENT, Ordering::SeqCst);
+        self.reader.epoch.store(QUIESCENT, Ordering::SeqCst);
     }
 }
 
@@ -468,15 +451,13 @@ impl RouteControl {
         new_gen
     }
 
-    /// The oldest epoch any reader has announced; [`QUIESCENT`] readers
-    /// don't count, and with none pinned this is `QUIESCENT` itself.
+    /// The oldest epoch any registered reader has announced;
+    /// [`QUIESCENT`] readers don't count, and with none pinned this is
+    /// `QUIESCENT` itself.
     fn oldest_epoch(&self) -> u64 {
-        let slots = self
-            .shared
-            .next_slot
-            .load(Ordering::SeqCst)
-            .min(self.shared.epochs.len());
-        self.shared.epochs[..slots]
+        self.shared
+            .readers
+            .lock()
             .iter()
             .map(|slot| slot.load(Ordering::SeqCst))
             .min()
@@ -525,7 +506,7 @@ impl RouteControl {
 
     /// Generation of the currently published snapshot.
     pub fn generation(&self) -> u64 {
-        self.shared.gen.load(Ordering::SeqCst)
+        self.shared.generation()
     }
 }
 
@@ -629,23 +610,46 @@ mod tests {
     }
 
     #[test]
-    fn reader_slots_recycle_on_drop() {
-        let table = base_table();
-        let fib = RcuFib::with_max_readers(table, 2).unwrap();
-        let r1 = fib.reader();
-        let r2 = r1.fork();
-        drop(r1);
-        let r3 = fib.reader(); // Reuses r1's slot; must not panic.
-        drop((r2, r3));
-        let _ = fib.reader();
+    fn a_dropped_reader_no_longer_holds_back_reclamation() {
+        // A guard that is leaked, not dropped, leaves its epoch announced:
+        // the snapshot it pinned stays retired while its reader lives, and
+        // goes at the first reclaim after the reader drops out of the
+        // registry.
+        let fib = RcuFib::new(&base_table()).unwrap();
+        let ctl = fib.control();
+        let reader = fib.reader();
+        let bystander = reader.fork();
+        std::mem::forget(reader.pin());
+        ctl.insert(p("10.0.0.0/8"), 9).unwrap();
+        ctl.publish();
+        assert_eq!(fib.stats().pending_retired, 1, "the leaked guard");
+        assert_eq!(ctl.try_reclaim(), 0);
+        drop(reader);
+        assert_eq!(ctl.try_reclaim(), 1, "the dropped reader left the scan");
+        assert_eq!(fib.stats().pending_retired, 0);
+        assert_eq!(bystander.pin().lookup(a("10.2.2.2")), Some(9));
     }
 
     #[test]
-    #[should_panic(expected = "too many concurrent FIB readers")]
-    fn reader_capacity_is_enforced() {
-        let fib = RcuFib::with_max_readers(base_table(), 1).unwrap();
-        let _r1 = fib.reader();
-        let _r2 = fib.reader();
+    fn two_hundred_readers_pin_across_one_publish() {
+        // No cap on readers: 200 of them, each pinned across one publish,
+        // all hold the snapshot they pinned, and once they unpin the
+        // replaced snapshot goes and every reader sees the new route.
+        let fib = RcuFib::new(&base_table()).unwrap();
+        let ctl = fib.control();
+        let readers: Vec<FibReader> = (0..200).map(|_| fib.reader()).collect();
+        let guards: Vec<FibGuard<'_>> = readers.iter().map(FibReader::pin).collect();
+        ctl.insert(p("10.0.0.0/8"), 9).unwrap();
+        ctl.publish();
+        assert_eq!(fib.stats().pending_retired, 1, "200 guards hold it");
+        for guard in &guards {
+            assert_eq!(guard.lookup(a("10.2.2.2")), Some(1));
+        }
+        drop(guards);
+        assert_eq!(ctl.try_reclaim(), 1);
+        for reader in &readers {
+            assert_eq!(reader.pin().lookup(a("10.2.2.2")), Some(9));
+        }
     }
 
     #[test]
@@ -907,6 +911,9 @@ mod tests {
         let (pinned_tx, pinned_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let touched = std::thread::scope(|scope| {
+            // Owned here, so a failed check below drops it and the stalled
+            // thread's `recv` fails instead of waiting for ever.
+            let release_tx = release_tx;
             let stalled = scope.spawn(move || {
                 let guard = reader.pin();
                 pinned_tx.send(()).unwrap();
@@ -946,15 +953,20 @@ mod tests {
         // between two values, publishing every flip. Every lookup must
         // return one of the values ever published for its address —
         // a torn or freed snapshot would surface as a wild hop or a
-        // crash under ASAN-like allocator reuse.
+        // crash under ASAN-like allocator reuse. The first reader forks a
+        // fresh reader and drops the old one every 300 pins, so readers
+        // join and leave the registry while publishes scan it.
         let fib = RcuFib::new(&base_table()).unwrap();
         let ctl = fib.control();
         let readers: Vec<FibReader> = (0..4).map(|_| fib.reader()).collect();
         let addr = a("10.77.1.1");
         std::thread::scope(|scope| {
-            for reader in readers {
+            for (k, mut reader) in readers.into_iter().enumerate() {
                 scope.spawn(move || {
-                    for _ in 0..20_000 {
+                    for n in 0..20_000 {
+                        if k == 0 && n % 300 == 299 {
+                            reader = reader.fork();
+                        }
                         let guard = reader.pin();
                         let hop = guard.lookup(addr).expect("always covered");
                         assert!(hop == 1 || hop == 21 || hop == 22, "torn hop {hop}");

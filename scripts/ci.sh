@@ -83,7 +83,7 @@ if grep -nE 'Ordering::|Atomic|compare_exchange' crates/packet/src/pool.rs; then
     exit 1
 fi
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader, one FIB table, one locked free list, one RIB: the collapsed names stay gone)"
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader, one FIB table, one locked free list, one RIB, one FIB kind: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -158,6 +158,17 @@ if grep -rnE "$table_gone" crates/ tests/ examples/; then
     echo "the RCU FIB's dirty set, grace wait or a second table is back: snapshots share pages, and the FIB holds one table" >&2
     exit 1
 fi
+# One FIB: every IP router reads an RCU FIB, whose readers join a
+# registry with no cap, so the knob that chose a static table, that
+# table's arm and the builder's enum over the two, and the fixed reader
+# slots with their allocator and overflow panic stay gone. Only
+# config.rs's tests name the removed key, to see it rejected.
+fib_one='fib_rcu|Fib::Static|BuiltFib|DEFAULT_MAX_READERS|with_max_readers|alloc_slot|free_slots|too many concurrent FIB readers'
+if grep -rnE "$fib_one" crates/ tests/ examples/ --exclude=config.rs ||
+    non_test crates/click/src/config.rs | grep -nE "$fib_one"; then
+    echo "the static FIB, its knob or the RCU FIB's reader cap is back: every IP router reads one RCU FIB, with any number of readers" >&2
+    exit 1
+fi
 for f in crates/click/src/runtime/driver.rs crates/click/src/runtime/mt.rs \
     crates/telemetry/src/snapshot.rs crates/telemetry/src/ledger.rs; do
     if non_test "$f" | grep -nE 'fn to_json\b'; then
@@ -229,6 +240,7 @@ echo "rb-click non-test lines: $(find crates/click/src -name '*.rs' | while read
     "(runtime/driver.rs $(non_test crates/click/src/runtime/driver.rs | wc -l)," \
     "runtime/stride.rs $(non_test crates/click/src/runtime/stride.rs | wc -l))"
 echo "rb-lookup non-test lines: $(find crates/lookup/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)"
+echo "rb-core non-test lines: $(find crates/core/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)"
 echo "rb-bench non-test lines: $(find crates/bench/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)"
 echo "rb-click + rb-core lines: $(find crates/click crates/core -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "rb-telemetry lines: $(find crates/telemetry -name '*.rs' -print0 | xargs -0 cat | wc -l)"

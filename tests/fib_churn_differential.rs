@@ -45,7 +45,6 @@ fn pkt_to(dst: u32) -> Packet {
 fn builder(n_prefixes: usize, seed: u64) -> RouterBuilder {
     RouterBuilder::ip_router()
         .ports(PORTS)
-        .rcu_fib(true)
         .routes_from_table(rib_full_table(n_prefixes, seed))
         .keep_tx_frames(true)
 }

@@ -145,9 +145,8 @@ impl Reference {
 /// One graph of the corpus.
 #[derive(Clone)]
 pub enum Shape {
-    /// A builder preset, keeping transmitted frames; `rcu` routes through
-    /// an RCU FIB (the one builder setting the cell's knobs would reset).
-    Built(&'static str, Box<RouterBuilder>, bool),
+    /// A builder preset, keeping transmitted frames.
+    Built(&'static str, Box<RouterBuilder>),
     /// Configuration text, given the cell's knobs as a `RuntimeConfig`
     /// line. `seals` says egress frames carry an `IpsecEncap` sequence
     /// number no later link takes off.
@@ -165,13 +164,9 @@ impl Shape {
     /// The graph under `knobs`, and the knobs as the runtime reads them.
     pub fn graph(&self, knobs: &Knobs) -> (Graph, Knobs) {
         match self {
-            Shape::Built(_, builder, rcu) => {
-                let knobs = Knobs {
-                    fib_rcu: *rcu,
-                    ..*knobs
-                };
-                let b = builder.clone().apply_knobs(&knobs).keep_tx_frames(true);
-                (b.build_graph().unwrap(), knobs)
+            Shape::Built(_, builder) => {
+                let b = builder.clone().apply_knobs(knobs).keep_tx_frames(true);
+                (b.build_graph().unwrap(), *knobs)
             }
             Shape::Text(text, _) => {
                 let (graph, parsed) = build_graph(&format!("{}\n{text}", runtime_config(knobs)))
@@ -286,8 +281,8 @@ pub fn chain(links: &[usize], capacity: usize) -> Shape {
     Shape::Text(text, links.iter().any(|&l| LINKS[l].1))
 }
 
-pub fn built(name: &'static str, builder: RouterBuilder, rcu: bool) -> Shape {
-    Shape::Built(name, Box::new(builder), rcu)
+pub fn built(name: &'static str, builder: RouterBuilder) -> Shape {
+    Shape::Built(name, Box::new(builder))
 }
 
 /// The examples' graphs and the benchmark's builder graphs, test-sized.
@@ -299,15 +294,14 @@ pub fn corpus() -> Vec<Shape> {
     }
     vec![
         // fwd64_tuned, fwd64_untuned, mt_pull64_w1.
-        built("forwarder", RouterBuilder::minimal_forwarder(), false),
+        built("forwarder", RouterBuilder::minimal_forwarder()),
         // route64_fib1m_churn, 8 ports and a 400-route RIB.
         built(
             "route_rcu",
             RouterBuilder::ip_router().ports(8).routes_from_table(rib),
-            true,
         ),
         // ipsec_abilene; examples/ipsec_gateway.rs.
-        built("ipsec", RouterBuilder::ipsec_gateway().sa_seed(9), false),
+        built("ipsec", RouterBuilder::ipsec_gateway().sa_seed(9)),
         // examples/ip_router.rs.
         built(
             "ip_router",
@@ -317,7 +311,6 @@ pub fn corpus() -> Vec<Shape> {
                 .route("10.128.0.0/9", 1)
                 .route("172.16.0.0/12", 2)
                 .route("0.0.0.0/0", 3),
-            false,
         ),
         // examples/quickstart.rs, 300 frames, keeping them.
         Shape::Text(

@@ -368,7 +368,6 @@ fn a_counter_in_a_pull_path_does_not_allocate() {
 fn an_rcu_router_takes_its_rib_without_copying_it() {
     let routes = 200_000;
     let builder = RouterBuilder::ip_router()
-        .rcu_fib(true)
         .routes_from_table(routebricks::workload::rib_full_table(routes, 7));
     let before = SMALL_ALLOCS.with(Cell::get);
     let router = builder.build().expect("the RIB builds");
@@ -377,7 +376,9 @@ fn an_rcu_router_takes_its_rib_without_copying_it() {
         small < routes as u64 / 50,
         "build() made {small} allocations under 4 KiB for a {routes}-route RIB"
     );
-    let control = router.route_control().expect("an RCU router has a control");
+    let control = router
+        .route_control()
+        .expect("every IP router has a control");
     assert!(
         control.route_count() >= routes,
         "the FIB holds the whole RIB"
@@ -431,7 +432,7 @@ fn an_rcu_fib_holds_one_table() {
     let rib_growth = bytes_of(|| twin.clone()) - bytes_of(|| table.clone());
 
     let before = live_bytes();
-    let fib = RcuFib::with_max_readers(table, 4).expect("the RIB builds");
+    let fib = RcuFib::from_table(table).expect("the RIB builds");
     let one_table = |fib: &RcuFib| fib.reader().pin().memory_bytes() as f64;
     let built = (live_bytes() - before) as f64;
     assert!(
