@@ -3,7 +3,7 @@
 //! `IpsecEncap` element on pooled frames.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
-use routebricks::click::element::{Element, Output};
+use routebricks::click::element::{OnePacket, Output};
 use routebricks::click::elements::IpsecEncap;
 use routebricks::crypto::aes::Aes128;
 use routebricks::crypto::esp::{sealed_len, ESP_PREFIX_LEN};

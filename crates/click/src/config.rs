@@ -232,7 +232,7 @@ impl Knobs {
         }
         use crate::elements::{FromDevice, InfiniteSource, SpecSource};
         for id in 0..graph.len() {
-            let element = graph.element_mut(id).as_any_mut();
+            let element = graph.element_mut(id);
             let pool = || rb_packet::PacketPool::new(self.pool_slots, self.slot_size);
             if let Some(dev) = element.downcast_mut::<FromDevice>() {
                 dev.set_pool(pool());
@@ -1060,7 +1060,6 @@ mod tests {
         let src_id = graph.id_of("src").unwrap();
         let pool = graph
             .element(src_id)
-            .as_any()
             .downcast_ref::<crate::elements::InfiniteSource>()
             .unwrap()
             .pool()
@@ -1070,7 +1069,6 @@ mod tests {
         let dev_id = graph.id_of("in0").unwrap();
         assert!(graph
             .element(dev_id)
-            .as_any()
             .downcast_ref::<crate::elements::FromDevice>()
             .unwrap()
             .pool()
@@ -1080,7 +1078,6 @@ mod tests {
         let id = graph.id_of("src").unwrap();
         assert!(graph
             .element(id)
-            .as_any()
             .downcast_ref::<crate::elements::InfiniteSource>()
             .unwrap()
             .pool()

@@ -1,13 +1,14 @@
 //! The [`Element`] trait: Click's unit of packet processing.
 //!
 //! Elements have numbered input and output ports. A *push* port is driven
-//! by the upstream element (packets arrive via [`Element::push`]); a
+//! by the upstream element (batches arrive via [`Element::push_batch`]); a
 //! *pull* port is driven by the downstream element (packets are requested
-//! via [`Element::pull`]). The driver validates at graph-build time that
-//! push outputs feed push inputs and pull inputs drain pull outputs,
+//! via [`Element::pull_batch`]). The driver validates at graph-build time
+//! that push outputs feed push inputs and pull inputs drain pull outputs,
 //! exactly as Click does.
 
 use rb_packet::Packet;
+use std::any::Any;
 
 /// Direction-of-drive of a port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,7 +184,7 @@ impl IntoIterator for PacketBatch {
 /// edges as they are — ports in the order they were first touched, FIFO
 /// within a port.
 ///
-/// It also accounts packets consumed by the *default* [`Element::push`]:
+/// It also accounts packets consumed by the *default* [`Element::push_batch`]:
 /// a packet reaching an element that does not handle pushes is a wiring
 /// bug, and [`Output::take_default_dropped`] lets the driver surface it
 /// instead of losing packets silently.
@@ -230,7 +231,7 @@ impl Output {
         self.fill(port, |slot| slot.append(batch));
     }
 
-    /// Records `pkt` as eaten by the default [`Element::push`]; the
+    /// Records `pkt` as eaten by the default [`Element::push_batch`]; the
     /// driver reads the count via [`Output::take_default_dropped`].
     pub fn default_drop(&mut self, pkt: Packet) {
         drop(pkt);
@@ -316,71 +317,39 @@ impl Drop for Drain<'_> {
 /// A packet-processing element.
 ///
 /// Implementations override the methods matching their port kinds:
-/// push elements implement [`Element::push`]; pull-capable elements
-/// (queues) implement [`Element::pull`]; schedulable elements (sources,
-/// pull-to-push drains) implement [`Element::run_task`].
-pub trait Element: Send {
+/// push elements implement [`Element::push_batch`]; pull-capable elements
+/// (queues) implement [`Element::pull_batch`]; schedulable elements
+/// (sources, pull-to-push drains) implement [`Element::run_task`]. A
+/// caller holding one packet goes through [`OnePacket`], which reaches
+/// the same two hooks.
+pub trait Element: Any + Send {
     /// The element's class name as it appears in configurations.
     fn class_name(&self) -> &'static str;
-
-    /// Downcasting hook so drivers can read element-specific state (e.g.
-    /// counter totals) after a run. Implementations return `self`.
-    fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable counterpart of [`Element::as_any`] (e.g. to inject frames
-    /// into a `FromDevice`). Implementations return `self`.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 
     /// Port signature; the graph validates connections against it.
     fn ports(&self) -> Ports;
 
-    /// Handles a packet arriving on push input `port`.
+    /// Handles a whole batch arriving on push input `port`, leaving
+    /// `pkts` empty.
     ///
-    /// The default records the packet as a default-push drop on `out`
-    /// (see [`Output::default_drop`]): an un-overridden `push` means the
-    /// element was wired into a push path it does not handle, and the
+    /// The default records every packet as a default-push drop on `out`
+    /// (see [`Output::default_drop`]): an un-overridden `push_batch` means
+    /// the element was wired into a push path it does not handle, and the
     /// driver reports such packets in its run statistics instead of
-    /// losing them silently. Sinks override `push` to consume packets
+    /// losing them silently. Sinks override it to consume packets
     /// intentionally.
-    fn push(&mut self, port: usize, pkt: Packet, out: &mut Output) {
-        let _ = port;
-        out.default_drop(pkt);
-    }
-
-    /// Handles a whole batch arriving on push input `port`.
-    ///
-    /// The default loops over [`Element::push`], so every element is
-    /// batch-capable out of the box; hot elements override it to pay
-    /// dispatch, borrow and statistics costs once per batch.
     fn push_batch(&mut self, port: usize, pkts: &mut PacketBatch, out: &mut Output) {
-        for pkt in pkts.drain() {
-            self.push(port, pkt, out);
-        }
-    }
-
-    /// Supplies a packet from pull output `port`, if one is available.
-    fn pull(&mut self, port: usize) -> Option<Packet> {
         let _ = port;
-        None
+        for pkt in pkts.drain() {
+            out.default_drop(pkt);
+        }
     }
 
     /// Pulls up to `max` packets from pull output `port` into `into`,
-    /// returning how many were moved.
-    ///
-    /// The default loops over [`Element::pull`]; queue-like elements
-    /// override it with a bulk drain.
+    /// returning how many were moved. The default has none to give.
     fn pull_batch(&mut self, port: usize, max: usize, into: &mut PacketBatch) -> usize {
-        let mut moved = 0;
-        while moved < max {
-            match self.pull(port) {
-                Some(pkt) => {
-                    into.push(pkt);
-                    moved += 1;
-                }
-                None => break,
-            }
-        }
-        moved
+        let _ = (port, max, into);
+        0
     }
 
     /// Cheap hint from the element a pull chain ends in: `(backlog,
@@ -484,6 +453,46 @@ pub trait Element: Send {
     /// clear error naming the element.
     fn replicate(&self) -> Option<Box<dyn Element>> {
         None
+    }
+}
+
+impl dyn Element {
+    /// The element as a `T`, if it is one: how drivers read
+    /// element-specific state (e.g. counter totals) after a run.
+    pub fn downcast_ref<T: Element>(&self) -> Option<&T> {
+        (self as &dyn Any).downcast_ref()
+    }
+
+    /// Mutable counterpart of [`downcast_ref`](#method.downcast_ref)
+    /// (e.g. to inject frames into a `FromDevice`).
+    pub fn downcast_mut<T: Element>(&mut self) -> Option<&mut T> {
+        (self as &mut dyn Any).downcast_mut()
+    }
+}
+
+/// One-packet calls for callers that hold one packet at a time (the
+/// dataplane oracle's reference interpreter, unit tests): each is a
+/// batch of one through the element's one push or pull hook.
+///
+/// Every element has it through the blanket impl, and coherence forbids
+/// an element its own, so no element grows a second per-packet path.
+pub trait OnePacket {
+    /// Sends `pkt` to push input `port` as a batch of one.
+    fn push(&mut self, port: usize, pkt: Packet, out: &mut Output);
+
+    /// Pulls at most one packet from pull output `port`.
+    fn pull(&mut self, port: usize) -> Option<Packet>;
+}
+
+impl<E: Element + ?Sized> OnePacket for E {
+    fn push(&mut self, port: usize, pkt: Packet, out: &mut Output) {
+        self.push_batch(port, &mut PacketBatch::from_vec(vec![pkt]), out);
+    }
+
+    fn pull(&mut self, port: usize) -> Option<Packet> {
+        let mut one = PacketBatch::with_capacity(1);
+        self.pull_batch(port, 1, &mut one);
+        one.pkts.pop()
     }
 }
 
@@ -699,12 +708,6 @@ mod tests {
             fn class_name(&self) -> &'static str {
                 "Inert"
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
             fn ports(&self) -> Ports {
                 Ports::push(1, 0)
             }
@@ -721,17 +724,11 @@ mod tests {
     }
 
     #[test]
-    fn default_pull_batch_loops_over_pull() {
-        struct Three(u8);
-        impl Element for Three {
+    fn default_pull_batch_yields_nothing() {
+        struct Dry;
+        impl Element for Dry {
             fn class_name(&self) -> &'static str {
-                "Three"
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
+                "Dry"
             }
             fn ports(&self) -> Ports {
                 Ports {
@@ -739,20 +736,12 @@ mod tests {
                     outputs: vec![PortKind::Pull],
                 }
             }
-            fn pull(&mut self, _port: usize) -> Option<Packet> {
-                if self.0 < 3 {
-                    self.0 += 1;
-                    Some(Packet::from_slice(&[self.0]))
-                } else {
-                    None
-                }
-            }
         }
-        let mut e = Three(0);
+        let mut e = Dry;
         let mut batch = PacketBatch::new();
-        assert_eq!(e.pull_batch(0, 8, &mut batch), 3);
-        assert_eq!(batch.len(), 3);
         assert_eq!(e.pull_batch(0, 8, &mut batch), 0);
+        assert!(batch.is_empty());
+        assert!(e.pull(0).is_none());
     }
 
     #[test]

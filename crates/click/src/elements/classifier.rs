@@ -7,7 +7,6 @@
 
 use crate::element::{Element, Output, PacketBatch, Ports};
 use crate::ConfigError;
-use rb_packet::Packet;
 use rb_telemetry::{DropCause, Ledger};
 
 /// One `offset/value%mask` term.
@@ -158,26 +157,8 @@ impl Element for Classifier {
         "Classifier"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, self.patterns.len())
-    }
-
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
-        match self.classify(pkt.data()) {
-            Some(port) => {
-                self.matched[port] += 1;
-                out.push(port, pkt);
-            }
-            None => self.unmatched += 1,
-        }
     }
 
     fn ledger(&self) -> Option<Ledger> {
@@ -197,33 +178,24 @@ impl Element for Classifier {
     }
 
     fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
-        let mut unmatched = 0u64;
-        // Split the borrow: classify() reads patterns, counts go to
-        // matched/unmatched.
-        let (patterns, matched) = (&self.patterns, &mut self.matched);
-        let classify = |data: &[u8]| {
-            patterns.iter().position(|p| match &p.terms {
-                None => true,
-                Some(terms) => terms.iter().all(|t| t.matches(data)),
-            })
-        };
         for pkt in pkts.drain() {
-            match classify(pkt.data()) {
+            match self.classify(pkt.data()) {
                 Some(port) => {
-                    matched[port] += 1;
+                    self.matched[port] += 1;
                     out.push(port, pkt);
                 }
-                None => unmatched += 1,
+                None => self.unmatched += 1,
             }
         }
-        self.unmatched += unmatched;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::OnePacket;
     use rb_packet::builder::PacketSpec;
+    use rb_packet::Packet;
 
     #[test]
     fn ethertype_classification() {

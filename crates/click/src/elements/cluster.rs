@@ -10,7 +10,7 @@
 use crate::element::{Element, Output, PacketBatch, Ports};
 use rb_packet::ethernet::EthernetHeader;
 use rb_packet::packet::VlbPhase;
-use rb_packet::{MacAddr, Packet};
+use rb_packet::MacAddr;
 
 /// Input-node element: after route lookup, encodes the packet's cluster
 /// destination (node, external port) into the destination MAC.
@@ -62,40 +62,34 @@ impl Element for VlbEncap {
         "VlbEncap"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, 2)
     }
 
-    fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
-        let Some(port) = pkt.meta.output_port else {
-            self.untagged += 1;
-            out.push(1, pkt);
-            return;
-        };
-        let Some(&node) = self.node_of_port.get(usize::from(port)) else {
-            self.untagged += 1;
-            out.push(1, pkt);
-            return;
-        };
-        let port_byte = u8::try_from(port).expect("new() caps the mapping at 256 ports");
-        let mac = MacAddr::for_cluster_node(node, port_byte);
-        if EthernetHeader::set_dst(pkt.data_mut(), mac).is_err() {
-            self.untagged += 1;
-            out.push(1, pkt);
-            return;
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        for mut pkt in pkts.drain() {
+            let Some(port) = pkt.meta.output_port else {
+                self.untagged += 1;
+                out.push(1, pkt);
+                continue;
+            };
+            let Some(&node) = self.node_of_port.get(usize::from(port)) else {
+                self.untagged += 1;
+                out.push(1, pkt);
+                continue;
+            };
+            let port_byte = u8::try_from(port).expect("new() caps the mapping at 256 ports");
+            let mac = MacAddr::for_cluster_node(node, port_byte);
+            if EthernetHeader::set_dst(pkt.data_mut(), mac).is_err() {
+                self.untagged += 1;
+                out.push(1, pkt);
+                continue;
+            }
+            pkt.meta.output_node = Some(node);
+            pkt.meta.vlb_phase = VlbPhase::ToOutput;
+            self.tagged += 1;
+            out.push(0, pkt);
         }
-        pkt.meta.output_node = Some(node);
-        pkt.meta.vlb_phase = VlbPhase::ToOutput;
-        self.tagged += 1;
-        out.push(0, pkt);
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -143,30 +137,8 @@ impl Element for VlbSwitch {
         "VlbSwitch"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, self.nodes + 1)
-    }
-
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
-        // Only the first six bytes are examined — by construction.
-        match MacAddr::from_bytes(pkt.data()).map(|m| m.cluster_node()) {
-            Ok(Ok((node, _))) if usize::from(node) < self.nodes => {
-                self.switched += 1;
-                out.push(usize::from(node), pkt);
-            }
-            _ => {
-                self.slow_path += 1;
-                out.push(self.nodes, pkt);
-            }
-        }
     }
 
     fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
@@ -196,6 +168,7 @@ impl Element for VlbSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::OnePacket;
     use rb_packet::builder::PacketSpec;
 
     #[test]

@@ -219,14 +219,6 @@ impl Element for FromDevice {
         "FromDevice"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(0, 1)
     }
@@ -456,25 +448,11 @@ impl Element for ToDevice {
         "ToDevice"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports {
             inputs: vec![PortKind::Pull],
             outputs: vec![],
         }
-    }
-
-    // The driver resolves the upstream pull chain and feeds us via push.
-    fn push(&mut self, _port: usize, pkt: Packet, _out: &mut Output) {
-        self.post_tx(pkt);
-        self.drain_tx();
     }
 
     fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, _out: &mut Output) {
@@ -490,7 +468,7 @@ impl Element for ToDevice {
 
     fn run_task(&mut self, _out: &mut Output) -> bool {
         // Pull scheduling is driven by the Router, which knows the graph;
-        // it calls `push` with each pulled frame. `burst` is advertised
+        // it calls `push_batch` with each pulled burst. `burst` is advertised
         // through `pull_burst_or`.
         false
     }
@@ -532,6 +510,7 @@ impl ToDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::OnePacket;
 
     #[test]
     fn from_device_polls_in_bursts_and_stamps_port() {
@@ -590,7 +569,7 @@ mod tests {
         dev.set_pool(PacketPool::new(4, 512));
         dev.inject(Packet::from_slice(&[1]));
         let replica = dev.replicate().unwrap();
-        let replica = replica.as_any().downcast_ref::<FromDevice>().unwrap();
+        let replica = replica.downcast_ref::<FromDevice>().unwrap();
         let pool = replica.pool().unwrap();
         assert_eq!(pool.slots(), 4);
         assert_eq!(pool.in_use(), 0);
@@ -603,13 +582,13 @@ mod tests {
         dev.set_nic_batch(16);
         dev.set_ring_depth(64);
         let replica = dev.replicate().unwrap();
-        let replica = replica.as_any().downcast_ref::<FromDevice>().unwrap();
+        let replica = replica.downcast_ref::<FromDevice>().unwrap();
         assert_eq!(replica.nic_batch(), 16);
         assert_eq!(replica.ring_depth(), 64);
         let mut tx = ToDevice::new(4, false);
         tx.set_nic_batch(8);
         let r = tx.replicate().unwrap();
-        let r = r.as_any().downcast_ref::<ToDevice>().unwrap();
+        let r = r.downcast_ref::<ToDevice>().unwrap();
         assert_eq!(r.nic_batch(), 8);
     }
 
@@ -717,7 +696,7 @@ mod tests {
         assert_eq!(pinned.pull_burst_or(64), 16);
         // Replication preserves the override-vs-inherit distinction.
         let r = pinned.replicate().unwrap();
-        let r = r.as_any().downcast_ref::<ToDevice>().unwrap();
+        let r = r.downcast_ref::<ToDevice>().unwrap();
         assert_eq!(r.configured_burst(), Some(16));
     }
 
@@ -738,7 +717,7 @@ mod tests {
             (FromDevice::new(0, 8), 8),
         ] {
             let mut replica = dev.replicate().unwrap();
-            let replica = replica.as_any_mut().downcast_mut::<FromDevice>().unwrap();
+            let replica = replica.downcast_mut::<FromDevice>().unwrap();
             replica.follow_device_burst(64);
             assert_eq!(polled(replica), want);
         }

@@ -1,7 +1,7 @@
 //! ICMP error generation: what a production router does with the
 //! packets `DecIPTTL` expires.
 
-use crate::element::{Element, Output, Ports};
+use crate::element::{Element, Output, PacketBatch, Ports};
 use rb_packet::ethernet::{EtherType, EthernetHeader, HEADER_LEN as ETH_HLEN};
 use rb_packet::icmp::time_exceeded;
 use rb_packet::{MacAddr, Packet};
@@ -41,41 +41,36 @@ impl Element for IcmpTtlExpired {
         "IcmpTtlExpired"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, 1)
     }
 
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
-        let Ok(eth) = EthernetHeader::parse(pkt.data()) else {
-            self.suppressed += 1;
-            return;
-        };
-        let Some(reply_datagram) = time_exceeded(&pkt.data()[ETH_HLEN..], self.router_addr) else {
-            self.suppressed += 1;
-            return;
-        };
-        let mut frame = vec![0u8; ETH_HLEN + reply_datagram.len()];
-        EthernetHeader {
-            // Back the way it came: swap MAC addresses.
-            dst: eth.src,
-            src: eth.dst,
-            ethertype: EtherType::Ipv4,
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        for pkt in pkts.drain() {
+            let Ok(eth) = EthernetHeader::parse(pkt.data()) else {
+                self.suppressed += 1;
+                continue;
+            };
+            let Some(reply_datagram) = time_exceeded(&pkt.data()[ETH_HLEN..], self.router_addr)
+            else {
+                self.suppressed += 1;
+                continue;
+            };
+            let mut frame = vec![0u8; ETH_HLEN + reply_datagram.len()];
+            EthernetHeader {
+                // Back the way it came: swap MAC addresses.
+                dst: eth.src,
+                src: eth.dst,
+                ethertype: EtherType::Ipv4,
+            }
+            .emit(&mut frame)
+            .expect("frame sized for header");
+            frame[ETH_HLEN..].copy_from_slice(&reply_datagram);
+            let mut reply = Packet::from_slice(&frame);
+            reply.meta = pkt.meta.clone();
+            self.replied += 1;
+            out.push(0, reply);
         }
-        .emit(&mut frame)
-        .expect("frame sized for header");
-        frame[ETH_HLEN..].copy_from_slice(&reply_datagram);
-        let mut reply = Packet::from_slice(&frame);
-        reply.meta = pkt.meta.clone();
-        self.replied += 1;
-        out.push(0, reply);
     }
 
     fn ledger(&self) -> Option<Ledger> {
@@ -100,6 +95,7 @@ pub const ROUTER_MAC: MacAddr = MacAddr([0x02, 0x52, 0x42, 0xff, 0xff, 0x01]);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::OnePacket;
     use rb_packet::builder::PacketSpec;
     use rb_packet::icmp::{IcmpMessage, IcmpType};
     use rb_packet::Ipv4Header;

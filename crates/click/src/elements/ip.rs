@@ -3,7 +3,6 @@
 use crate::element::{Element, Output, PacketBatch, Ports};
 use rb_packet::ethernet::HEADER_LEN as ETH_HLEN;
 use rb_packet::ipv4::{fast, Ipv4Header};
-use rb_packet::Packet;
 
 /// Validates the IPv4 header (version, IHL, length, checksum).
 ///
@@ -42,28 +41,8 @@ impl Element for CheckIPHeader {
         "CheckIPHeader"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, 2)
-    }
-
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
-        let valid =
-            pkt.len() > self.offset && Ipv4Header::parse(&pkt.data()[self.offset..]).is_ok();
-        if valid {
-            self.ok += 1;
-            out.push(0, pkt);
-        } else {
-            self.bad += 1;
-            out.push(1, pkt);
-        }
     }
 
     fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
@@ -119,36 +98,8 @@ impl Element for DecIPTTL {
         "DecIPTTL"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, 2)
-    }
-
-    fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
-        let offset = self.offset;
-        if pkt.len() <= offset {
-            self.expired += 1;
-            out.push(1, pkt);
-            return;
-        }
-        // TTL ≤ 1 means the packet must not be forwarded.
-        match fast::ttl(&pkt.data()[offset..]) {
-            Ok(ttl) if ttl > 1 => {
-                fast::dec_ttl(&mut pkt.data_mut()[offset..]).expect("checked length and TTL above");
-                out.push(0, pkt);
-            }
-            _ => {
-                self.expired += 1;
-                out.push(1, pkt);
-            }
-        }
     }
 
     fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
@@ -176,7 +127,9 @@ impl Element for DecIPTTL {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::OnePacket;
     use rb_packet::builder::PacketSpec;
+    use rb_packet::Packet;
 
     #[test]
     fn valid_packet_passes_check() {

@@ -94,7 +94,7 @@ fn open_tunnel(
 /// frame's turn comes, and where the cipher runs on AES-NI the CBC chains
 /// of up to 32 frames then run side by side in lanes, sixteen where the
 /// CPU has VAES. The frames and their order on the outputs are those of
-/// `push` called on each in turn.
+/// one-frame batches pushed in turn.
 pub struct IpsecEncap {
     /// Retained so per-core replicas can derive a fresh encryptor.
     sa: SecurityAssociation,
@@ -124,6 +124,28 @@ impl IpsecEncap {
         (self.sealed, self.failed)
     }
 
+    /// Seals one frame on its own: the path of a batch that holds a frame
+    /// too long to tunnel.
+    fn seal_one(&mut self, mut pkt: Packet, out: &mut Output) {
+        let Some(eth) = tunnel_candidate(&pkt).filter(|_| fits_a_tunnel(&pkt)) else {
+            self.failed += 1;
+            out.push(1, pkt);
+            return;
+        };
+        let (esp, inner_len) = open_tunnel(&mut pkt, eth, self.tunnel_src, self.tunnel_dst);
+        if self.esp.seal_into(esp, inner_len).is_err() {
+            // Out of sequence numbers: hand the frame back as it came.
+            let buf = pkt.buf_mut();
+            buf.pull(ENCAP_PUSH).expect("just pushed");
+            buf.trim(trailer_len(inner_len)).expect("just put");
+            self.failed += 1;
+            out.push(1, pkt);
+            return;
+        }
+        self.sealed += 1;
+        out.push(0, pkt);
+    }
+
     /// [`IpsecEncap::new`] on the portable cipher and hash, for running
     /// the wire-format pins on both.
     #[cfg(test)]
@@ -144,45 +166,17 @@ impl Element for IpsecEncap {
         "IpsecEncap"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, 2)
     }
 
-    fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
-        let Some(eth) = tunnel_candidate(&pkt).filter(|_| fits_a_tunnel(&pkt)) else {
-            self.failed += 1;
-            out.push(1, pkt);
-            return;
-        };
-        let (esp, inner_len) = open_tunnel(&mut pkt, eth, self.tunnel_src, self.tunnel_dst);
-        if self.esp.seal_into(esp, inner_len).is_err() {
-            // Out of sequence numbers: hand the frame back as it came.
-            let buf = pkt.buf_mut();
-            buf.pull(ENCAP_PUSH).expect("just pushed");
-            buf.trim(trailer_len(inner_len)).expect("just put");
-            self.failed += 1;
-            out.push(1, pkt);
-            return;
-        }
-        self.sealed += 1;
-        out.push(0, pkt);
-    }
-
-    fn push_batch(&mut self, port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
         // The routing below tells the sealed frames by their shape, which a
         // frame too long to tunnel shares: such a batch goes frame by frame.
         let too_long = |pkt: &Packet| tunnel_candidate(pkt).is_some() && !fits_a_tunnel(pkt);
         if pkts.as_slice().iter().any(too_long) {
             for pkt in pkts.drain() {
-                self.push(port, pkt, out);
+                self.seal_one(pkt, out);
             }
             return;
         }
@@ -265,51 +259,52 @@ impl Element for IpsecDecap {
         "IpsecDecap"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, 2)
     }
 
-    fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
         let fail = |this: &mut Self, pkt: Packet, out: &mut Output| {
             this.failed += 1;
             out.push(1, pkt);
         };
-        if pkt.len() < ETH_HLEN + IP_HLEN {
-            return fail(self, pkt, out);
+        for mut pkt in pkts.drain() {
+            if pkt.len() < ETH_HLEN + IP_HLEN {
+                fail(self, pkt, out);
+                continue;
+            }
+            let outer = match Ipv4Header::parse(&pkt.data()[ETH_HLEN..]) {
+                Ok(h) if h.proto == IpProto::Esp => h,
+                _ => {
+                    fail(self, pkt, out);
+                    continue;
+                }
+            };
+            let esp_start = ETH_HLEN + outer.header_len();
+            let inner = match self.esp.open_in_place(&mut pkt.data_mut()[esp_start..]) {
+                Ok(range) => esp_start + range.start..esp_start + range.end,
+                Err(_) => {
+                    fail(self, pkt, out);
+                    continue;
+                }
+            };
+            // Shrink the buffer onto the datagram plus room for the
+            // Ethernet header, which lands on the tail of the spent IV.
+            let len = pkt.len();
+            let buf = pkt.buf_mut();
+            buf.trim(len - inner.end).expect("range lies in the frame");
+            buf.pull(inner.start - ETH_HLEN)
+                .expect("range lies in the frame");
+            EthernetHeader {
+                dst: self.inner_dst_mac,
+                src: self.inner_src_mac,
+                ethertype: EtherType::Ipv4,
+            }
+            .emit(buf.data_mut())
+            .expect("frame sized for headers");
+            self.opened += 1;
+            out.push(0, pkt);
         }
-        let outer = match Ipv4Header::parse(&pkt.data()[ETH_HLEN..]) {
-            Ok(h) if h.proto == IpProto::Esp => h,
-            _ => return fail(self, pkt, out),
-        };
-        let esp_start = ETH_HLEN + outer.header_len();
-        let inner = match self.esp.open_in_place(&mut pkt.data_mut()[esp_start..]) {
-            Ok(range) => esp_start + range.start..esp_start + range.end,
-            Err(_) => return fail(self, pkt, out),
-        };
-        // Shrink the buffer onto the datagram plus room for the Ethernet
-        // header, which lands on the tail of the spent IV.
-        let len = pkt.len();
-        let buf = pkt.buf_mut();
-        buf.trim(len - inner.end).expect("range lies in the frame");
-        buf.pull(inner.start - ETH_HLEN)
-            .expect("range lies in the frame");
-        EthernetHeader {
-            dst: self.inner_dst_mac,
-            src: self.inner_src_mac,
-            ethertype: EtherType::Ipv4,
-        }
-        .emit(buf.data_mut())
-        .expect("frame sized for headers");
-        self.opened += 1;
-        out.push(0, pkt);
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -326,6 +321,7 @@ impl Element for IpsecDecap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::OnePacket;
     use rb_packet::builder::PacketSpec;
     use rb_packet::PacketPool;
 

@@ -76,29 +76,11 @@ impl Element for Queue {
         "Queue"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports {
             inputs: vec![PortKind::Push],
             outputs: vec![PortKind::Pull],
         }
-    }
-
-    fn push(&mut self, _port: usize, pkt: Packet, _out: &mut Output) {
-        if self.buf.len() >= self.capacity {
-            self.stats.dropped += 1;
-            return;
-        }
-        self.buf.push_back(pkt);
-        self.stats.enqueued += 1;
-        self.stats.high_water = self.stats.high_water.max(self.buf.len());
     }
 
     fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, _out: &mut Output) {
@@ -112,14 +94,6 @@ impl Element for Queue {
         self.stats.enqueued += accept as u64;
         self.stats.dropped += dropped as u64;
         self.stats.high_water = self.stats.high_water.max(self.buf.len());
-    }
-
-    fn pull(&mut self, _port: usize) -> Option<Packet> {
-        let pkt = self.buf.pop_front();
-        if pkt.is_some() {
-            self.stats.dequeued += 1;
-        }
-        pkt
     }
 
     fn pull_batch(&mut self, _port: usize, max: usize, into: &mut PacketBatch) -> usize {
@@ -152,6 +126,7 @@ impl Element for Queue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::OnePacket;
 
     #[test]
     fn fifo_order() {

@@ -5,7 +5,6 @@ use crate::ConfigError;
 use rb_lookup::{FibReader, LpmLookup, NextHop, Prefix, RcuFib, RouteTable};
 use rb_packet::ethernet::HEADER_LEN as ETH_HLEN;
 use rb_packet::ipv4::fast;
-use rb_packet::Packet;
 
 /// Longest-prefix-match routing: sends each packet to the output port
 /// named by its route's next hop.
@@ -19,8 +18,7 @@ use rb_packet::Packet;
 ///
 /// Batches take the three-pass path: destination extraction across the
 /// whole batch, one `lookup_batch` under a single epoch pin (prefetched),
-/// then emission. The scalar `push` delegates to the batched
-/// implementation with a batch of one.
+/// then emission.
 pub struct LookupIPRoute {
     reader: FibReader,
     n_hops: usize,
@@ -106,23 +104,8 @@ impl Element for LookupIPRoute {
         "LookupIPRoute"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, self.n_hops + 1)
-    }
-
-    fn push(&mut self, port: usize, pkt: Packet, out: &mut Output) {
-        // The scalar path is the batched path with a batch of one, so
-        // the lookup logic exists exactly once.
-        let mut batch = PacketBatch::from_vec(vec![pkt]);
-        self.push_batch(port, &mut batch, out);
     }
 
     fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
@@ -191,7 +174,9 @@ impl Element for LookupIPRoute {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::OnePacket;
     use rb_packet::builder::PacketSpec;
+    use rb_packet::Packet;
 
     fn pkt_to(dst: &str) -> Packet {
         PacketSpec::udp().dst(&format!("{dst}:80")).unwrap().build()
@@ -300,10 +285,7 @@ mod tests {
         let fib = RcuFib::new(&table).unwrap();
         let rt = LookupIPRoute::new_rcu(fib.reader(), 2);
         let mut replica = rt.replicate().expect("replicable");
-        let rep = replica
-            .as_any_mut()
-            .downcast_mut::<LookupIPRoute>()
-            .unwrap();
+        let rep = replica.downcast_mut::<LookupIPRoute>().unwrap();
         let mut out = Output::new();
         rep.push(0, pkt_to("1.2.3.4"), &mut out);
         assert_eq!(out.drain().next().unwrap().0, 0);

@@ -8,10 +8,9 @@
 //! synthetic arrival timestamps at a configured rate, so self-contained
 //! sources can drive time-aware elements.
 
-use crate::element::{Element, Output, Ports};
+use crate::element::{Element, Output, PacketBatch, Ports};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rb_packet::Packet;
 
 /// A byte-granularity token bucket driven by packet timestamps.
 ///
@@ -62,33 +61,27 @@ impl Element for Meter {
         "Meter"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, 2)
     }
 
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
-        let now = pkt.meta.rx_ns;
-        if let Some(last) = self.last_ns {
-            let dt = now.saturating_sub(last) as f64 / 1e9;
-            self.tokens = (self.tokens + dt * self.rate_bps / 8.0).min(self.burst_bytes);
-        }
-        self.last_ns = Some(now);
-        let need = pkt.len() as f64;
-        if self.tokens >= need {
-            self.tokens -= need;
-            self.conformant += 1;
-            out.push(0, pkt);
-        } else {
-            self.excess += 1;
-            out.push(1, pkt);
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        for pkt in pkts.drain() {
+            let now = pkt.meta.rx_ns;
+            if let Some(last) = self.last_ns {
+                let dt = now.saturating_sub(last) as f64 / 1e9;
+                self.tokens = (self.tokens + dt * self.rate_bps / 8.0).min(self.burst_bytes);
+            }
+            self.last_ns = Some(now);
+            let need = pkt.len() as f64;
+            if self.tokens >= need {
+                self.tokens -= need;
+                self.conformant += 1;
+                out.push(0, pkt);
+            } else {
+                self.excess += 1;
+                out.push(1, pkt);
+            }
         }
     }
 }
@@ -132,25 +125,19 @@ impl Element for RandomSample {
         "RandomSample"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, 2)
     }
 
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
-        if self.rng.gen_bool(self.p) {
-            self.sampled += 1;
-            out.push(0, pkt);
-        } else {
-            self.passed += 1;
-            out.push(1, pkt);
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        for pkt in pkts.drain() {
+            if self.rng.gen_bool(self.p) {
+                self.sampled += 1;
+                out.push(0, pkt);
+            } else {
+                self.passed += 1;
+                out.push(1, pkt);
+            }
         }
     }
 }
@@ -183,27 +170,21 @@ impl Element for SetTimestamp {
         "SetTimestamp"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::agnostic(1, 1)
     }
 
-    fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
-        // Nanoseconds since the first packet: a positive gap summed from
-        // 0, below 2^64 for 584 years (and `as` saturates past it).
-        debug_assert!((0.0..1.8e19).contains(&self.next_ns));
-        #[allow(clippy::cast_possible_truncation)]
-        let rx_ns = self.next_ns as u64;
-        pkt.meta.rx_ns = rx_ns;
-        self.next_ns += self.gap_ns;
-        out.push(0, pkt);
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        for pkt in pkts.as_mut_slice() {
+            // Nanoseconds since the first packet: a positive gap summed
+            // from 0, below 2^64 for 584 years (and `as` saturates past it).
+            debug_assert!((0.0..1.8e19).contains(&self.next_ns));
+            #[allow(clippy::cast_possible_truncation)]
+            let rx_ns = self.next_ns as u64;
+            pkt.meta.rx_ns = rx_ns;
+            self.next_ns += self.gap_ns;
+        }
+        out.push_batch(0, pkts);
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -217,6 +198,8 @@ impl Element for SetTimestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::OnePacket;
+    use rb_packet::Packet;
 
     fn pkt_at(ns: u64, len: usize) -> Packet {
         let mut p = Packet::from_slice(&vec![0u8; len]);

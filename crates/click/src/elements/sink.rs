@@ -1,7 +1,6 @@
 //! Packet sinks and counters.
 
 use crate::element::{Element, Output, PacketBatch, Ports};
-use rb_packet::Packet;
 use rb_telemetry::{DropCause, Ledger};
 
 /// Drops every packet it receives.
@@ -41,20 +40,8 @@ impl Element for Discard {
         "Discard"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, 0)
-    }
-
-    fn push(&mut self, _port: usize, _pkt: Packet, _out: &mut Output) {
-        self.dropped += 1;
     }
 
     fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, _out: &mut Output) {
@@ -114,22 +101,8 @@ impl Element for Counter {
         "Counter"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::agnostic(1, 1)
-    }
-
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
-        self.stats.packets += 1;
-        self.stats.bytes += pkt.len() as u64;
-        out.push(0, pkt);
     }
 
     fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
@@ -146,6 +119,8 @@ impl Element for Counter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::OnePacket;
+    use rb_packet::Packet;
 
     #[test]
     fn discard_counts_drops() {
@@ -166,7 +141,7 @@ mod tests {
         assert_eq!(led.dropped(DropCause::NoRoute), 1);
         assert_eq!(led.dropped(DropCause::Discarded), 0);
         let rep = d.replicate().unwrap();
-        let rep = rep.as_any().downcast_ref::<Discard>().unwrap();
+        let rep = rep.downcast_ref::<Discard>().unwrap();
         assert_eq!(rep.cause, DropCause::NoRoute);
         assert_eq!(rep.dropped(), 0);
     }

@@ -86,14 +86,6 @@ impl Element for InfiniteSource {
         "InfiniteSource"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(0, 1)
     }
@@ -191,14 +183,6 @@ impl Element for VecSource {
         "VecSource"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(0, 1)
     }
@@ -286,14 +270,6 @@ impl SpecSource {
 impl Element for SpecSource {
     fn class_name(&self) -> &'static str {
         "SpecSource"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 
     fn ports(&self) -> Ports {

@@ -1,6 +1,6 @@
 //! Fan-out, dispatch and framing glue elements.
 
-use crate::element::{Element, Output, Ports};
+use crate::element::{Element, Output, PacketBatch, Ports};
 use rb_packet::ethernet::{EtherType, EthernetHeader, HEADER_LEN as ETH_HLEN};
 use rb_packet::flow::FiveTuple;
 use rb_packet::rss::ToeplitzHasher;
@@ -24,23 +24,17 @@ impl Element for Tee {
         "Tee"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, self.n)
     }
 
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
-        for port in 1..self.n {
-            out.push(port, pkt.clone());
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        for pkt in pkts.drain() {
+            for port in 1..self.n {
+                out.push(port, pkt.clone());
+            }
+            out.push(0, pkt);
         }
-        out.push(0, pkt);
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -67,21 +61,15 @@ impl Element for RoundRobinSwitch {
         "RoundRobinSwitch"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, self.n)
     }
 
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
-        out.push(self.next, pkt);
-        self.next = (self.next + 1) % self.n;
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        for pkt in pkts.drain() {
+            out.push(self.next, pkt);
+            self.next = (self.next + 1) % self.n;
+        }
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -115,29 +103,23 @@ impl Element for HashSwitch {
         "HashSwitch"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, self.n)
     }
 
-    fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
-        let port = match FiveTuple::of_ethernet_frame(pkt.data()) {
-            Ok(flow) => {
-                let hash = self.hasher.hash_flow(&flow);
-                pkt.meta.rss_hash = Some(hash);
-                (hash as usize) % self.n
-            }
-            // Non-IP traffic all lands on output 0, as real RSS does.
-            Err(_) => 0,
-        };
-        out.push(port, pkt);
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        for mut pkt in pkts.drain() {
+            let port = match FiveTuple::of_ethernet_frame(pkt.data()) {
+                Ok(flow) => {
+                    let hash = self.hasher.hash_flow(&flow);
+                    pkt.meta.rss_hash = Some(hash);
+                    (hash as usize) % self.n
+                }
+                // Non-IP traffic all lands on output 0, as real RSS does.
+                Err(_) => 0,
+            };
+            out.push(port, pkt);
+        }
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -164,21 +146,15 @@ impl Element for Paint {
         "Paint"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::agnostic(1, 1)
     }
 
-    fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
-        pkt.meta.paint = self.color;
-        out.push(0, pkt);
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        for pkt in pkts.as_mut_slice() {
+            pkt.meta.paint = self.color;
+        }
+        out.push_batch(0, pkts);
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -204,21 +180,14 @@ impl Element for PaintSwitch {
         "PaintSwitch"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::push(1, self.n)
     }
 
-    fn push(&mut self, _port: usize, pkt: Packet, out: &mut Output) {
-        let port = usize::from(pkt.meta.paint).min(self.n - 1);
-        out.push(port, pkt);
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        for pkt in pkts.drain() {
+            out.push(usize::from(pkt.meta.paint).min(self.n - 1), pkt);
+        }
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -249,24 +218,18 @@ impl Element for StripEther {
         "StripEther"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::agnostic(1, 1)
     }
 
-    fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
-        if pkt.buf_mut().pull(ETH_HLEN).is_ok() {
-            self.stripped += 1;
-            out.push(0, pkt);
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
+        for mut pkt in pkts.drain() {
+            if pkt.buf_mut().pull(ETH_HLEN).is_ok() {
+                self.stripped += 1;
+                out.push(0, pkt);
+            }
+            // Runt frames are dropped.
         }
-        // Runt frames are dropped.
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
@@ -297,37 +260,31 @@ impl Element for EtherEncap {
         "EtherEncap"
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn ports(&self) -> Ports {
         Ports::agnostic(1, 1)
     }
 
-    fn push(&mut self, _port: usize, mut pkt: Packet, out: &mut Output) {
+    fn push_batch(&mut self, _port: usize, pkts: &mut PacketBatch, out: &mut Output) {
         let hdr = EthernetHeader {
             dst: self.dst,
             src: self.src,
             ethertype: self.ethertype,
         };
-        match pkt.buf_mut().push(ETH_HLEN) {
-            Ok(space) => {
-                hdr.emit(space).expect("pushed space is header-sized");
-                out.push(0, pkt);
-            }
-            Err(_) => {
-                // No headroom left: rebuild (slow path, rare).
-                let mut frame = vec![0u8; ETH_HLEN + pkt.len()];
-                hdr.emit(&mut frame).expect("frame sized for header");
-                frame[ETH_HLEN..].copy_from_slice(pkt.data());
-                let mut rebuilt = Packet::from_slice(&frame);
-                rebuilt.meta = pkt.meta.clone();
-                out.push(0, rebuilt);
+        for mut pkt in pkts.drain() {
+            match pkt.buf_mut().push(ETH_HLEN) {
+                Ok(space) => {
+                    hdr.emit(space).expect("pushed space is header-sized");
+                    out.push(0, pkt);
+                }
+                Err(_) => {
+                    // No headroom left: rebuild (slow path, rare).
+                    let mut frame = vec![0u8; ETH_HLEN + pkt.len()];
+                    hdr.emit(&mut frame).expect("frame sized for header");
+                    frame[ETH_HLEN..].copy_from_slice(pkt.data());
+                    let mut rebuilt = Packet::from_slice(&frame);
+                    rebuilt.meta = pkt.meta.clone();
+                    out.push(0, rebuilt);
+                }
             }
         }
     }
@@ -344,6 +301,7 @@ impl Element for EtherEncap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::OnePacket;
     use rb_packet::builder::PacketSpec;
 
     #[test]

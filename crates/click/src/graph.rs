@@ -318,9 +318,9 @@ impl Graph {
     /// e.g. every `FromDevice` (ingress) or `ToDevice` (egress). Element
     /// ids are assigned by insertion, so the positions returned here are
     /// identical across replicas of the same graph.
-    pub fn elements_of_type<T: 'static>(&self) -> Vec<ElementId> {
+    pub fn elements_of_type<T: Element>(&self) -> Vec<ElementId> {
         (0..self.elements.len())
-            .filter(|&id| self.elements[id].as_any().is::<T>())
+            .filter(|&id| self.elements[id].downcast_ref::<T>().is_some())
             .collect()
     }
 }

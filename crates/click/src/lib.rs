@@ -47,7 +47,7 @@ pub mod registry;
 pub mod runtime;
 
 pub use config::{build_graph, build_router, Knobs};
-pub use element::{Element, Output, PortKind};
+pub use element::{Element, OnePacket, Output, PortKind};
 pub use graph::{Graph, GraphError};
 pub use runtime::driver::Router;
 pub use runtime::mt::{run_graph, GraphRunOutcome};

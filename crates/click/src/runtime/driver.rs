@@ -41,13 +41,13 @@ use std::sync::Arc;
 pub struct DriverStats {
     /// Scheduling quanta executed.
     pub quanta: u64,
-    /// Packets moved through element push handlers (batch or scalar).
+    /// Packets moved through element push handlers.
     pub pushes: u64,
     /// Batch dispatches (`push_batch` invocations).
     pub batch_calls: u64,
     /// Packets that reached an unconnected output.
     pub leaked: u64,
-    /// Packets consumed by the *default* `Element::push`.
+    /// Packets consumed by the *default* `Element::push_batch`.
     pub dropped_default: u64,
     /// Whether the most recent [`Router::run_until_idle`] call exited on
     /// its fuse (see [`RunStats::fused`]).
@@ -60,7 +60,7 @@ pub struct DriverStats {
 pub struct RunStats {
     /// Scheduling quanta executed.
     pub quanta: u64,
-    /// Packets moved through element push handlers (batch or scalar).
+    /// Packets moved through element push handlers.
     pub pushes: u64,
     /// Batch dispatches (`push_batch` invocations); `pushes /
     /// batch_calls` is the achieved mean batch size.
@@ -68,7 +68,7 @@ pub struct RunStats {
     /// Packets that reached an unconnected output (should be zero on a
     /// validated graph).
     pub leaked: u64,
-    /// Packets consumed by the *default* `Element::push` — an element
+    /// Packets consumed by the *default* `Element::push_batch` — an element
     /// wired into a push path it does not implement. Nonzero means the
     /// graph is misconfigured.
     pub dropped_default: u64,
@@ -151,7 +151,7 @@ fn plan_tasks(graph: &Graph, kp: usize) -> Vec<Option<Drain>> {
         .map(|id| graph.element(id).ports().inputs)
         .collect();
     let plan = |drain: ElementId| {
-        let dev = graph.element(drain).as_any().downcast_ref::<ToDevice>();
+        let dev = graph.element(drain).downcast_ref::<ToDevice>();
         let mut plan = Drain {
             chain: Vec::new(),
             burst: dev.map_or(kp, |dev| dev.pull_burst_or(kp)),
@@ -318,7 +318,7 @@ impl Router {
         router.set_nic_batch(knobs.nic_batch);
         let device_burst = knobs.poll_burst.unwrap_or(knobs.batch_size);
         for id in 0..router.graph.len() {
-            let el = router.graph.element_mut(id).as_any_mut();
+            let el = router.graph.element_mut(id);
             if let Some(dev) = el.downcast_mut::<FromDevice>() {
                 dev.follow_device_burst(device_burst);
             }
@@ -444,7 +444,6 @@ impl Router {
             if let Some(rt) = self
                 .graph
                 .element(id)
-                .as_any()
                 .downcast_ref::<crate::elements::route::LookupIPRoute>()
             {
                 let (lookups, misses) = rt.counts();
@@ -547,7 +546,7 @@ impl Router {
             if let Some(ns) = el.nic_stats() {
                 nic_desc_stalls += ns.stalls;
             }
-            if let Some(dev) = el.as_any().downcast_ref::<ToDevice>() {
+            if let Some(dev) = el.downcast_ref::<ToDevice>() {
                 tx_bytes += dev.sent_bytes();
             }
         }
@@ -674,7 +673,7 @@ impl Router {
     pub fn set_nic_batch(&mut self, kn: usize) {
         assert!(kn > 0, "nic batch must be positive");
         for id in 0..self.graph.len() {
-            let el = self.graph.element_mut(id).as_any_mut();
+            let el = self.graph.element_mut(id);
             if let Some(dev) = el.downcast_mut::<FromDevice>() {
                 dev.set_nic_batch(kn);
             } else if let Some(dev) = el.downcast_mut::<ToDevice>() {
@@ -895,7 +894,8 @@ impl Router {
     /// `batch` to input `port` of element `id` with its emissions going to
     /// `out`, inside the cycle span and the trace span that attribute the
     /// call to the element, then books the packets and the call, folds in
-    /// what the element's default `push` dropped, and recycles the buffer.
+    /// what the element's default `push_batch` dropped, and recycles the
+    /// buffer.
     #[inline]
     fn dispatch(&mut self, id: ElementId, port: usize, mut batch: PacketBatch, out: &mut Output) {
         let n = batch.len() as u64;
@@ -1089,15 +1089,15 @@ impl Router {
     }
 
     /// Downcasts a named element to a concrete type.
-    pub fn element_as<T: 'static>(&self, name: &str) -> Option<&T> {
+    pub fn element_as<T: crate::Element>(&self, name: &str) -> Option<&T> {
         let id = self.graph.id_of(name)?;
-        self.graph.element(id).as_any().downcast_ref::<T>()
+        self.graph.element(id).downcast_ref::<T>()
     }
 
     /// Mutable variant of [`Router::element_as`].
-    pub fn element_as_mut<T: 'static>(&mut self, name: &str) -> Option<&mut T> {
+    pub fn element_as_mut<T: crate::Element>(&mut self, name: &str) -> Option<&mut T> {
         let id = self.graph.id_of(name)?;
-        self.graph.element_mut(id).as_any_mut().downcast_mut::<T>()
+        self.graph.element_mut(id).downcast_mut::<T>()
     }
 
     /// Reads a named [`Counter`]'s totals.
@@ -1281,7 +1281,6 @@ mod tests {
             let dev = router
                 .graph_mut()
                 .element_mut(id)
-                .as_any_mut()
                 .downcast_mut::<FromDevice>()
                 .unwrap();
             for _ in 0..5 {
@@ -1432,12 +1431,6 @@ mod tests {
         impl crate::element::Element for Inert {
             fn class_name(&self) -> &'static str {
                 "Inert"
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
             fn ports(&self) -> crate::element::Ports {
                 crate::element::Ports::push(1, 0)

@@ -294,7 +294,6 @@ mod tests {
         let mut g = forwarder_graph(keep_frames);
         let rx = g.id_of("rx").unwrap();
         g.element_mut(rx)
-            .as_any_mut()
             .downcast_mut::<FromDevice>()
             .unwrap()
             .set_pool(PacketPool::new(slots, 2048));
@@ -410,7 +409,6 @@ mod tests {
             let dev = reference
                 .graph_mut()
                 .element_mut(id)
-                .as_any_mut()
                 .downcast_mut::<FromDevice>()
                 .unwrap();
             for pkt in pkts {
@@ -621,16 +619,9 @@ mod tests {
             fn class_name(&self) -> &'static str {
                 "Opaque"
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
             fn ports(&self) -> crate::element::Ports {
                 crate::element::Ports::push(1, 0)
             }
-            fn push(&mut self, _port: usize, _pkt: Packet, _out: &mut crate::element::Output) {}
         }
         let mut g = Graph::new();
         let rx = g.add("rx", Box::new(FromDevice::new(0, 32))).unwrap();

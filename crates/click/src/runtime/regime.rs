@@ -408,7 +408,6 @@ fn worker_summary(
             router
                 .graph()
                 .element(id)
-                .as_any()
                 .downcast_ref::<ToDevice>()
                 .map_or(0, ToDevice::sent_packets)
         })
@@ -417,7 +416,6 @@ fn worker_summary(
         router
             .graph()
             .element(ingress)
-            .as_any()
             .downcast_ref::<FromDevice>()
             .map_or(0, FromDevice::received)
     } else {
@@ -454,7 +452,6 @@ fn inject_batch(
 ) {
     router
         .element_mut(ingress)
-        .as_any_mut()
         .downcast_mut::<FromDevice>()
         .expect("ingress id is a FromDevice")
         .inject_batch(&mut batch);
@@ -509,7 +506,6 @@ fn ship(sink: &mut Sink, router: &mut Router, egress_ids: &[ElementId], batch_si
     for (idx, &id) in egress_ids.iter().enumerate() {
         let dev = router
             .element_mut(id)
-            .as_any_mut()
             .downcast_mut::<ToDevice>()
             .expect("egress id is a ToDevice");
         if !dev.keeps_frames() {
@@ -957,7 +953,6 @@ fn pipeline_topology(graphs: &[&Graph], knobs: &Knobs) -> Result<Vec<Replica>, G
                 replica
                     .router
                     .element_mut(id)
-                    .as_any_mut()
                     .downcast_mut::<ToDevice>()
                     .expect("egress id is a ToDevice")
                     .set_keep_frames(true);
@@ -1378,7 +1373,6 @@ mod tests {
             if pooled {
                 graph
                     .element_mut(rx)
-                    .as_any_mut()
                     .downcast_mut::<FromDevice>()
                     .unwrap()
                     .set_pool(PacketPool::new(64, 2048));

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rb_click::config::parse;
-use rb_click::element::{Element, Output, PacketBatch};
+use rb_click::element::{Element, OnePacket, Output, PacketBatch};
 use rb_click::elements::ip::{CheckIPHeader, DecIPTTL};
 use rb_click::elements::route::LookupIPRoute;
 use rb_click::elements::{Classifier, IpsecDecap, IpsecEncap};

@@ -22,7 +22,7 @@ use rb_click::elements::source::{SpecSource, VecSource};
 use rb_click::elements::{Counter, IpsecEncap};
 use rb_click::graph::{ElementId, Graph};
 use rb_click::runtime::mt::{run_graph, GraphRunOutcome};
-use rb_click::{ConfigError, GraphError, Knobs, Regime, Router};
+use rb_click::{ConfigError, Element, GraphError, Knobs, Regime, Router};
 use rb_crypto::SecurityAssociation;
 use rb_lookup::{Prefix, RcuFib, RouteControl, RouteTable};
 use rb_packet::builder::PacketSpec;
@@ -716,17 +716,14 @@ impl BuiltRouter {
     /// one had no free arena slot and dropped the frame to
     /// `NoRxDescriptor` (it is counted in the ledger either way).
     pub fn inject(&mut self, port: usize, pkt: Packet) -> bool {
-        let dev = self.rx.get(port).and_then(|&id| {
-            let el = self.inner.element_mut(id).as_any_mut();
-            el.downcast_mut::<FromDevice>()
-        });
+        let dev = (self.rx.get(port))
+            .and_then(|&id| self.inner.element_mut(id).downcast_mut::<FromDevice>());
         dev.is_some_and(|dev| dev.inject(pkt))
     }
 
     /// The element of type `T` behind `ids[idx]`, if there is one.
-    fn element_at<T: 'static>(&self, ids: &[ElementId], idx: usize) -> Option<&T> {
-        let el = self.inner.graph().element(*ids.get(idx)?);
-        el.as_any().downcast_ref::<T>()
+    fn element_at<T: Element>(&self, ids: &[ElementId], idx: usize) -> Option<&T> {
+        self.inner.graph().element(*ids.get(idx)?).downcast_ref()
     }
 
     /// Packets transmitted out of `port` so far.
@@ -1063,9 +1060,9 @@ mod tests {
     fn device_bursts(builder: &RouterBuilder) -> (Option<usize>, usize) {
         use rb_click::{Element, Output};
         let mut g = builder.build_graph().unwrap();
-        let tx = g.element(g.id_of("tx0").unwrap()).as_any();
+        let tx = g.element(g.id_of("tx0").unwrap());
         let pinned = tx.downcast_ref::<ToDevice>().unwrap().configured_burst();
-        let rx = g.element_mut(g.id_of("rx0").unwrap()).as_any_mut();
+        let rx = g.element_mut(g.id_of("rx0").unwrap());
         let rx = rx.downcast_mut::<FromDevice>().unwrap();
         for _ in 0..64 {
             rx.inject(PacketSpec::udp().build());

@@ -108,8 +108,12 @@ impl Log2Histogram {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        // Rank of the sample we want, 1-based; q=0 maps to the first.
-        let rank = ((q * self.total as f64).ceil() as u64).max(1);
+        // Rank of the sample we want, 1-based; q=0 maps to the first. With
+        // q in [0, 1] it is at most `total`, a u64.
+        let rank = q * self.total as f64;
+        debug_assert!(rank <= self.total as f64);
+        #[allow(clippy::cast_possible_truncation)]
+        let rank = (rank.ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;

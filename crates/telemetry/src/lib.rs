@@ -49,6 +49,8 @@
 //! record with one branch on the level, so disabled telemetry costs one
 //! predictable-not-taken compare per dispatch site.
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod cycles;
 pub mod events;
 mod hist;

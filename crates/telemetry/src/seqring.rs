@@ -106,7 +106,7 @@ impl<R: Record> SeqRing<R> {
     /// `seq`'s slot, split into its version, sequence and payload words.
     fn slot(&self, seq: u64) -> (&AtomicU64, &AtomicU64, &[AtomicU64]) {
         let len = self.slab.len() / self.cap;
-        let at = (seq % self.cap as u64) as usize * len;
+        let at = usize::try_from(seq % self.cap as u64).expect("below cap, a usize") * len;
         match &self.slab[at..at + len] {
             [version, seq, words @ ..] => (version, seq, words),
             _ => unreachable!("a slot is at least two words"),

@@ -95,7 +95,12 @@ impl Tracer {
 
     /// A tracer sampling every `sample`-th sourced packet, recording as
     /// core `core`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a core above [`Tracer::MAX_CORE`].
     pub fn new(sample: u64, core: u32) -> Tracer {
+        Self::check_core(core);
         Tracer {
             sample,
             tick: 0,
@@ -125,8 +130,25 @@ impl Tracer {
 
     /// Re-homes the shard to `core` (set once per worker, before any
     /// stamping).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a core above [`Tracer::MAX_CORE`].
     pub fn set_core(&mut self, core: u32) {
+        Self::check_core(core);
         self.core = core;
+    }
+
+    /// The highest core a trace ID can name: `core + 1` takes the 24 bits
+    /// above the 40-bit sequence number.
+    pub const MAX_CORE: u32 = (1 << 24) - 2;
+
+    fn check_core(core: u32) {
+        assert!(
+            core <= Self::MAX_CORE,
+            "trace IDs name cores up to {}, not {core}",
+            Self::MAX_CORE
+        );
     }
 
     /// Sampling decision for one sourced packet: returns a fresh nonzero
@@ -298,6 +320,10 @@ impl TraceLog {
         if sorted.is_empty() {
             return 0;
         }
+        // At most `len` for p ≤ 100; `as` saturates and the clamp bounds
+        // any other p.
+        debug_assert!((0.0..=100.0).contains(&p));
+        #[allow(clippy::cast_possible_truncation)]
         let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
         sorted[rank.clamp(1, sorted.len()) - 1]
     }
@@ -426,6 +452,28 @@ mod tests {
         for id in &ids_a {
             assert!(!ids_b.contains(id), "cores share trace id {id}");
         }
+    }
+
+    /// The top core keeps its own ID space; one past it is refused, where
+    /// `(core + 1) << 40` would have lost the core's high bit and named
+    /// core -1.
+    #[test]
+    fn cores_past_the_id_space_are_refused() {
+        let core_bits = |core: u32| {
+            let mut t = Tracer::new(1, 0);
+            t.set_core(core);
+            let by_new = Tracer::new(1, core).maybe_assign();
+            assert_eq!(t.maybe_assign(), by_new);
+            by_new >> 40
+        };
+        let top = Tracer::MAX_CORE;
+        assert_eq!(core_bits(top - 1), u64::from(top));
+        assert_eq!(core_bits(top), u64::from(top) + 1);
+        assert!(std::panic::catch_unwind(|| Tracer::new(1, top + 1)).is_err());
+        let mut t = Tracer::new(1, 0);
+        let set = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.set_core(top + 1)));
+        assert!(set.is_err());
+        assert_eq!(t.core(), 0, "a refused core leaves the tracer as it was");
     }
 
     #[test]

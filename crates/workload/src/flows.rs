@@ -54,13 +54,28 @@ pub struct FlowGenerator {
 }
 
 impl FlowGenerator {
+    /// The most flows a population may hold: each flow's source address
+    /// is `10.0.0.0/8` plus its index, which has 24 bits.
+    pub const MAX_FLOWS: usize = 1 << 24;
+
     /// Creates a generator from a config.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape of 1 or less, no packets per flow, or more than
+    /// [`FlowGenerator::MAX_FLOWS`] flows.
     pub fn new(config: FlowGenConfig) -> FlowGenerator {
         assert!(
             config.pareto_shape > 1.0,
             "shape must exceed 1 for a finite mean"
         );
         assert!(config.min_packets >= 1, "flows need at least one packet");
+        assert!(
+            config.flows <= Self::MAX_FLOWS,
+            "at most {} flows have distinct source addresses, not {}",
+            Self::MAX_FLOWS,
+            config.flows
+        );
         FlowGenerator { config }
     }
 
@@ -73,7 +88,7 @@ impl FlowGenerator {
                 // Distinct, stable addresses per flow index; ephemeral
                 // source ports, well-known-ish destination ports.
                 let tuple = FiveTuple {
-                    src_ip: 0x0a00_0000 | (i as u32 & 0x00ff_ffff),
+                    src_ip: 0x0a00_0000 | u32::try_from(i).expect("new() caps flows at 2^24"),
                     dst_ip: 0xc0a8_0000 | rng.gen_range(0..0xffffu32),
                     src_port: rng.gen_range(1024..=65535),
                     dst_port: *[80u16, 443, 53, 8080, 25]
@@ -93,14 +108,37 @@ impl FlowGenerator {
     fn sample_pareto(&self, rng: &mut StdRng) -> usize {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         let x = self.config.min_packets as f64 / u.powf(1.0 / self.config.pareto_shape);
-        // Cap so one flow cannot dominate an entire experiment.
-        (x as usize).clamp(self.config.min_packets, 1_000_000)
+        // At least `min_packets`, since u < 1; `as` saturates a huge draw,
+        // and the cap keeps one flow from dominating an experiment.
+        debug_assert!(x >= 1.0);
+        #[allow(clippy::cast_possible_truncation)]
+        let packets = x as usize;
+        packets.clamp(self.config.min_packets, 1_000_000)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Up to 2^24 flows construct; one more would alias flow 0's source
+    /// address, and is refused. Nothing is generated.
+    #[test]
+    fn flows_past_the_source_address_space_are_refused() {
+        let builds = |flows| {
+            std::panic::catch_unwind(|| {
+                FlowGenerator::new(FlowGenConfig {
+                    flows,
+                    ..FlowGenConfig::default()
+                })
+            })
+            .is_ok()
+        };
+        let n = FlowGenerator::MAX_FLOWS;
+        assert!(builds(n - 1));
+        assert!(builds(n));
+        assert!(!builds(n + 1));
+    }
 
     #[test]
     fn generates_requested_flow_count() {

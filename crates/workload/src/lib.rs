@@ -20,6 +20,8 @@
 //!   default-free-zone length mix) and BGP-like churn streams for the
 //!   route-lookup scaling experiments.
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod flows;
 pub mod matrix;
 pub mod rib;

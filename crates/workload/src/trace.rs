@@ -186,8 +186,13 @@ impl SynthTrace {
             let seq = next_seq[flow_idx];
             next_seq[flow_idx] += 1;
 
+            // A sum of non-negative gaps from 0, below 2^64 ns for 584
+            // years (and `as` saturates past it).
+            debug_assert!((0.0..1.8e19).contains(&now_ns));
+            #[allow(clippy::cast_possible_truncation)]
+            let arrival_ns = now_ns as u64;
             out.push(TracePacket {
-                arrival_ns: now_ns as u64,
+                arrival_ns,
                 size: config.sizes.sample(&mut rng),
                 flow: population[flow_idx].tuple,
                 flow_seq: seq,

@@ -13,7 +13,7 @@
 //! ```
 
 use routebricks::builder::RouterBuilder;
-use routebricks::click::element::{Element, Output};
+use routebricks::click::element::{OnePacket, Output};
 use routebricks::click::elements::{IpsecDecap, IpsecEncap};
 use routebricks::crypto::SecurityAssociation;
 use routebricks::packet::builder::PacketSpec;

@@ -83,7 +83,7 @@ if grep -nE 'Ordering::|Atomic|compare_exchange' crates/packet/src/pool.rs; then
     exit 1
 fi
 
-echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader, one FIB table, one locked free list, one RIB, one FIB kind: the collapsed names stay gone)"
+echo "==> name gate (one Knobs, one run_graph, one worker, one shipper, one container between elements, one paper binary, one benchmark, one DIR-24-8 sweep, two regimes, one dataplane oracle, one ring per core, every knob and exporter with a reader, one FIB table, one locked free list, one RIB, one FIB kind, one push and one pull path per element: the collapsed names stay gone)"
 if grep -rnE 'GraphRunOpts|RuntimeKnobs|StageFn|run_graph_(parallel|spsc|pipeline|pull|regime)|run_(parallel|shared_queue|spsc_rings)\b|(Push|Spsc|Pipeline|PullCredit)Scheduler|preloaded_worker|streaming_worker|pull_worker|ship_egress|forward_stage_frames|_with_events\b|group_ports' \
     crates/ examples/ tests/; then
     echo "a knob struct, MT entry point, scheduler type, worker body, shipper, X_with_events fork or regroup pass that PRs 21-24 collapsed is back" >&2
@@ -169,6 +169,27 @@ if grep -rnE "$fib_one" crates/ tests/ examples/ --exclude=config.rs ||
     echo "the static FIB, its knob or the RCU FIB's reader cap is back: every IP router reads one RCU FIB, with any number of readers" >&2
     exit 1
 fi
+# One push path and one pull path per element: `push_batch` and
+# `pull_batch`. Downcasts go through `dyn Element`'s own `downcast_ref` /
+# `downcast_mut` (trait upcasting to `Any`), so the hand-written `as_any`
+# pairs stay gone, and a one-packet caller goes through the blanket
+# `OnePacket` trait, so no element grows a scalar `push` or `pull` again.
+if grep -rn 'as_any' crates/ tests/ examples/; then
+    echo "an as_any hook is back: downcast a dyn Element with its downcast_ref / downcast_mut" >&2
+    exit 1
+fi
+for f in $(find crates/click/src -name '*.rs'); do
+    non_test "$f" | awk -v file="$f" '
+        /^pub trait OnePacket / || /^impl<E: Element \+ \?Sized> OnePacket for E / { inside = 1 }
+        inside && /^}/ { inside = 0; next }
+        !inside && /^[[:space:]]*fn (push|pull)\(&mut self/ {
+            printf "%s:%d: %s\n", file, NR, $0; bad = 1
+        }
+        END { exit bad }' || {
+        echo "a scalar push or pull is back in an element: the one push hook is push_batch, the one pull hook pull_batch (one-packet callers use OnePacket)" >&2
+        exit 1
+    }
+done
 for f in crates/click/src/runtime/driver.rs crates/click/src/runtime/mt.rs \
     crates/telemetry/src/snapshot.rs crates/telemetry/src/ledger.rs; do
     if non_test "$f" | grep -nE 'fn to_json\b'; then
@@ -238,7 +259,8 @@ if ! find crates/click/src crates/core/src crates/telemetry/src -name '*.rs' \
 fi
 echo "rb-click non-test lines: $(find crates/click/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)" \
     "(runtime/driver.rs $(non_test crates/click/src/runtime/driver.rs | wc -l)," \
-    "runtime/stride.rs $(non_test crates/click/src/runtime/stride.rs | wc -l))"
+    "runtime/stride.rs $(non_test crates/click/src/runtime/stride.rs | wc -l)," \
+    "element.rs + elements/ $(for f in crates/click/src/element.rs crates/click/src/elements/*.rs; do non_test "$f"; done | wc -l))"
 echo "rb-lookup non-test lines: $(find crates/lookup/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)"
 echo "rb-core non-test lines: $(find crates/core/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)"
 echo "rb-bench non-test lines: $(find crates/bench/src -name '*.rs' | while read -r f; do non_test "$f"; done | wc -l)"

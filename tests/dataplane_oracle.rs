@@ -1,8 +1,9 @@
 //! The dataplane oracle: one reference for every way a graph runs.
 //!
 //! The reference (`oracle/mod.rs`) pushes one packet at a time, in
-//! graph order, through the elements' scalar `push`/`pull` — no
-//! batches, pools, rings or scheduler. Every runtime configuration is held to it: batched or
+//! graph order, as one-packet batches through the elements' one push
+//! and pull path — no wider batches, pools, rings or scheduler. Every
+//! runtime configuration is held to it: batched or
 //! scalar dispatch (`kp`), any NIC batch (`kn`), arena or heap buffers,
 //! slot room, tracing, telemetry, one thread, `n` replicas or an
 //! `n`-stage pipeline. The contract (DESIGN.md §6):

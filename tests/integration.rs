@@ -49,7 +49,7 @@ fn route_element_matches_raw_fib() {
         let dst = std::net::Ipv4Addr::from(addr);
         let pkt = PacketSpec::udp().dst(&format!("{dst}:80")).unwrap().build();
         let mut out = routebricks::click::element::Output::new();
-        use routebricks::click::element::Element;
+        use routebricks::click::element::OnePacket;
         rt.push(0, pkt, &mut out);
         let (port, _) = out.drain().next().unwrap();
         assert_eq!(port, usize::from(fib.lookup(addr).unwrap()), "addr {dst}");
@@ -116,7 +116,7 @@ fn gateway_output_opens_with_raw_esp() {
 /// NICs perform keeps whole flows on one queue.
 #[test]
 fn rss_dispatch_preserves_flows() {
-    use routebricks::click::element::{Element, Output};
+    use routebricks::click::element::{OnePacket, Output};
     use routebricks::click::elements::HashSwitch;
     use routebricks::packet::FiveTuple;
     let trace = SynthTrace::generate(&TraceConfig {
@@ -146,7 +146,7 @@ fn rss_dispatch_preserves_flows() {
 /// exits the correct node with its TTL decremented exactly once.
 #[test]
 fn vlb_cluster_on_real_dataplane() {
-    use routebricks::click::element::{Element, Output};
+    use routebricks::click::element::{OnePacket, Output};
     use routebricks::click::elements::cluster::{VlbEncap, VlbSwitch};
     use routebricks::click::elements::ip::DecIPTTL;
     use routebricks::click::elements::route::LookupIPRoute;
@@ -224,7 +224,7 @@ fn vlb_cluster_on_real_dataplane() {
 /// methodology).
 #[test]
 fn bursty_traffic_stresses_shallow_buckets() {
-    use routebricks::click::element::{Element, Output};
+    use routebricks::click::element::{OnePacket, Output};
     use routebricks::click::elements::Meter;
     use routebricks::workload::{Arrivals, SynthTrace, TraceConfig};
 

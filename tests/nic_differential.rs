@@ -14,7 +14,7 @@ use oracle::*;
 use proptest::prelude::*;
 use rb_packet::Packet;
 use routebricks::click::elements::{FromDevice, ToDevice};
-use routebricks::click::{run_graph, Element, Knobs, Output};
+use routebricks::click::{run_graph, Element, Knobs, OnePacket, Output};
 use routebricks::Regime;
 
 proptest! {

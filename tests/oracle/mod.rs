@@ -1,9 +1,9 @@
 //! The dataplane oracle's reference, corpus and checks, shared by the
 //! test files that hold runs to it (DESIGN.md §6).
 //!
-//! [`Reference`] pushes one packet at a time, in graph order, through
-//! the elements' scalar `push`/`pull` — no batches, pools, rings or
-//! scheduler. [`single_threaded`] holds a router to it per (egress,
+//! [`Reference`] pushes one packet at a time, in graph order, as
+//! one-packet batches through the elements' one push and pull path
+//! ([`OnePacket`]) — no wider batches, pools, rings or scheduler. [`single_threaded`] holds a router to it per (egress,
 //! ingress) sequence and to its own `kp = 1` twin; [`multi_threaded`]
 //! holds a `run_graph` run to it per (egress, flow) sequence, a pipeline
 //! stage being the reference applied once more. Both demand an exact
@@ -18,7 +18,7 @@ use routebricks::click::elements::{Counter, FromDevice, Queue, ToDevice};
 use routebricks::click::runtime::driver::RunStats;
 use routebricks::click::runtime::mt::shard_by_flow;
 use routebricks::click::{
-    build_graph, run_graph, Graph, GraphError, GraphRunOutcome, Knobs, Output, Router,
+    build_graph, run_graph, Graph, GraphError, GraphRunOutcome, Knobs, OnePacket, Output, Router,
 };
 use routebricks::lookup::{Prefix, RouteTable};
 use routebricks::telemetry::{DropCause, Ledger, TelemetryLevel};
@@ -349,7 +349,7 @@ pub fn run_st(graph: Graph, knobs: &Knobs, input: &[(usize, Packet)]) -> Run {
     let devices = router.graph().elements_of_type::<FromDevice>();
     let mut refused = Vec::new();
     for (port, pkt) in input {
-        let dev = router.element_mut(devices[*port]).as_any_mut();
+        let dev = router.element_mut(devices[*port]);
         if !dev
             .downcast_mut::<FromDevice>()
             .unwrap()
@@ -364,7 +364,7 @@ pub fn run_st(graph: Graph, knobs: &Knobs, input: &[(usize, Packet)]) -> Run {
     let g = router.graph();
     let stats = (0..g.len())
         .filter_map(|id| {
-            let el = g.element(id).as_any();
+            let el = g.element(id);
             let queue = el
                 .downcast_ref::<Queue>()
                 .map(|q| format!("{:?}", q.stats()));
@@ -379,7 +379,7 @@ pub fn run_st(graph: Graph, knobs: &Knobs, input: &[(usize, Packet)]) -> Run {
             .elements_of_type::<ToDevice>()
             .iter()
             .map(|&id| {
-                let tx = g.element(id).as_any().downcast_ref::<ToDevice>();
+                let tx = g.element(id).downcast_ref::<ToDevice>();
                 tx.unwrap().tx_log().to_vec()
             })
             .collect(),
