@@ -146,7 +146,7 @@ pub fn regimes() -> Vec<Table> {
                 workers,
                 ..Knobs::default()
             };
-            let run = run_graph(&[&graph], packets.clone(), &knobs, None);
+            let run = run_graph(&graph, packets.clone(), &knobs, None);
             let report = run.expect("graph must replicate").report;
             rows.push([
                 app.to_string(),

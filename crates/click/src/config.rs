@@ -45,10 +45,12 @@ pub struct Knobs {
     /// [`PacketBatch`](crate::element::PacketBatch)es carried across core
     /// boundaries.
     pub batch_size: usize,
-    /// Packets moved per device poll and per inter-core ring interaction
-    /// (rounded to whole batches); `None` (the default, and what an
-    /// absent `poll_burst` key means) follows `kp` — the paper tunes one
-    /// batching knob, not one per device.
+    /// Packets a device moves per quantum — a `FromDevice` poll and a
+    /// `ToDevice` pull alike, unless the element's own arguments pin one
+    /// — and per inter-core ring interaction (rounded to whole batches);
+    /// `None` (the default, and what an absent `poll_burst` key means)
+    /// follows `kp` — the paper tunes one batching knob, not one per
+    /// device.
     pub poll_burst: Option<usize>,
     /// Capacity of each inter-core SPSC ring, in batches. It also sets
     /// every ring's credit window: whoever fills a ring — the dispatcher,
@@ -59,7 +61,9 @@ pub struct Knobs {
     pub ring_depth: usize,
     /// Worker cores of a multi-threaded run.
     pub workers: usize,
-    /// Slots in each packet-arena pool; `0` leaves sources heap-backed.
+    /// Slots in each packet-arena pool [`Router::configured`] attaches to
+    /// every poolable element (`FromDevice`, `InfiniteSource`,
+    /// `SpecSource`) that has none; `0` leaves sources heap-backed.
     pub pool_slots: usize,
     /// Bytes per arena slot (headroom + payload + tailroom).
     pub slot_size: usize,
@@ -221,28 +225,6 @@ impl Knobs {
         }
         Ok(())
     }
-
-    /// Builds one packet arena per pooled element and attaches it, when
-    /// `pool_slots` is non-zero. Each source/ingress element gets its own
-    /// pool (and `replicate()` later gives every per-core replica a fresh
-    /// one), so the allocation fast path never crosses cores.
-    pub fn attach_pools(&self, graph: &mut Graph) {
-        if self.pool_slots == 0 {
-            return;
-        }
-        use crate::elements::{FromDevice, InfiniteSource, SpecSource};
-        for id in 0..graph.len() {
-            let element = graph.element_mut(id);
-            let pool = || rb_packet::PacketPool::new(self.pool_slots, self.slot_size);
-            if let Some(dev) = element.downcast_mut::<FromDevice>() {
-                dev.set_pool(pool());
-            } else if let Some(src) = element.downcast_mut::<InfiniteSource>() {
-                src.set_pool(pool());
-            } else if let Some(src) = element.downcast_mut::<SpecSource>() {
-                src.set_pool(pool());
-            }
-        }
-    }
 }
 
 /// A parsed element declaration.
@@ -310,7 +292,8 @@ pub fn build_router_with(text: &str, registry: &Registry) -> Result<Router, Conf
 /// Parses `text` into an (unvalidated) element graph plus the runtime
 /// knobs its `RuntimeConfig(...)` statements set, using the default
 /// registry. The graph form is what the multi-threaded runtime replicates
-/// per core ([`crate::runtime::mt::run_graph`]).
+/// per core ([`crate::runtime::mt::run_graph`]). No knob is applied to
+/// it: arenas and device bursts are [`Router::configured`]'s.
 ///
 /// # Errors
 ///
@@ -347,7 +330,6 @@ pub fn build_graph_with(text: &str, registry: &Registry) -> Result<(Graph, Knobs
             .ok_or_else(|| ConfigError::UnknownElement(conn.to.clone()))?;
         graph.connect(from, conn.from_port, to, conn.to_port)?;
     }
-    knobs.attach_pools(&mut graph);
     Ok((graph, knobs))
 }
 
@@ -1011,8 +993,8 @@ mod tests {
 
     #[test]
     fn bare_to_device_inherits_graph_batch_size() {
-        // Satellite: `kp` is the single batching knob. A bare `ToDevice`
-        // pulls whatever the graph batch size says; an explicit burst wins.
+        // `kp` is the single batching knob. A bare `ToDevice` pulls
+        // whatever the graph batch size says; an explicit burst wins.
         let router = build_router(
             "RuntimeConfig(batch_size 48);
              src :: InfiniteSource(64, 10);
@@ -1030,13 +1012,11 @@ mod tests {
         let inherit = router
             .element_as::<crate::elements::ToDevice>("inherit")
             .unwrap();
-        assert_eq!(inherit.configured_burst(), None);
-        assert_eq!(inherit.pull_burst_or(kp), 48);
+        assert_eq!(inherit.burst(), 48);
         let pinned = router
             .element_as::<crate::elements::ToDevice>("pinned")
             .unwrap();
-        assert_eq!(pinned.configured_burst(), Some(16));
-        assert_eq!(pinned.pull_burst_or(kp), 16);
+        assert_eq!(pinned.burst(), 16);
         // Grammar variants.
         let r = Registry::standard();
         assert!(r.construct("ToDevice", "keep").is_ok());
@@ -1047,38 +1027,33 @@ mod tests {
 
     #[test]
     fn pool_knobs_attach_arenas_to_sources() {
-        let (graph, knobs) = build_graph(
-            "RuntimeConfig(pool_slots 128, slot_size 512);
+        let text = "RuntimeConfig(pool_slots 128, slot_size 512);
              src :: InfiniteSource(64, 10);
              in0 :: FromDevice(0);
              src -> Discard;
-             in0 -> Discard;",
-        )
-        .unwrap();
+             in0 -> Discard;";
+        let (graph, knobs) = build_graph(text).unwrap();
         assert_eq!(knobs.pool_slots, 128);
         assert_eq!(knobs.slot_size, 512);
-        let src_id = graph.id_of("src").unwrap();
-        let pool = graph
-            .element(src_id)
-            .downcast_ref::<crate::elements::InfiniteSource>()
+        // The graph holds no arena: a configured router attaches them.
+        assert!((0..graph.len()).all(|id| graph.element(id).pool().is_none()));
+        let router = build_router(text).unwrap();
+        let pool = router
+            .element_as::<crate::elements::InfiniteSource>("src")
             .unwrap()
             .pool()
             .expect("source should carry an arena");
         assert_eq!(pool.slots(), 128);
         assert_eq!(pool.slot_size(), 512);
-        let dev_id = graph.id_of("in0").unwrap();
-        assert!(graph
-            .element(dev_id)
-            .downcast_ref::<crate::elements::FromDevice>()
+        assert!(router
+            .element_as::<crate::elements::FromDevice>("in0")
             .unwrap()
             .pool()
             .is_some());
         // No knob → no pools.
-        let (graph, _) = build_graph("src :: InfiniteSource(64, 1); src -> Discard;").unwrap();
-        let id = graph.id_of("src").unwrap();
-        assert!(graph
-            .element(id)
-            .downcast_ref::<crate::elements::InfiniteSource>()
+        let router = build_router("src :: InfiniteSource(64, 1); src -> Discard;").unwrap();
+        assert!(router
+            .element_as::<crate::elements::InfiniteSource>("src")
             .unwrap()
             .pool()
             .is_none());

@@ -42,10 +42,11 @@ pub struct FromDevice {
     /// The RX descriptor ring (one queue of a multi-queue NIC; each MT
     /// replica owns its own, so queue state is never shared).
     rx: DescRing,
+    /// The burst the element's own arguments pinned, if any.
+    pin: Option<usize>,
+    /// Frames a poll takes: `pin`, else the device burst
+    /// [`crate::Router::configured`] resolves.
     burst: usize,
-    /// Whether `burst` was given at construction; an unpinned device
-    /// takes the router's device burst ([`FromDevice::follow_device_burst`]).
-    pinned: bool,
     port_no: u16,
     received: u64,
     injected: u64,
@@ -54,17 +55,19 @@ pub struct FromDevice {
 }
 
 impl FromDevice {
-    /// Creates a device source for router port `port_no` with poll burst
-    /// `burst` (Click's `kp`, default 32). The RX ring starts at the
-    /// default depth with `kn = 1` — NIC-driven batching off, Table 1's
-    /// untuned baseline.
-    pub fn new(port_no: u16, burst: usize) -> FromDevice {
-        assert!(burst > 0, "poll burst must be positive");
+    /// Creates a device source for router port `port_no`, its poll burst
+    /// (Click's `kp`) pinned to `pin` — `FromDevice(port, N)` — or, with
+    /// `None`, the device burst of the router it runs in: `poll_burst`,
+    /// else `kp` (32 until a router resolves it). The RX ring starts at
+    /// the default depth with `kn = 1` — NIC-driven batching off, Table
+    /// 1's untuned baseline.
+    pub fn new(port_no: u16, pin: Option<usize>) -> FromDevice {
+        assert!(pin != Some(0), "poll burst must be positive");
         FromDevice {
             wire: VecDeque::new(),
             rx: DescRing::new(DEFAULT_RING_DEPTH, 1),
-            burst,
-            pinned: true,
+            pin,
+            burst: pin.unwrap_or(crate::Router::DEFAULT_BATCH_SIZE),
             port_no,
             received: 0,
             injected: 0,
@@ -73,25 +76,14 @@ impl FromDevice {
         }
     }
 
-    /// Creates a device source for router port `port_no` whose poll burst
-    /// follows the router it runs in — the configuration text's bare
-    /// `FromDevice(port)`. Until a router sets it, the burst is 32.
-    pub fn with_device_burst(port_no: u16) -> FromDevice {
-        FromDevice {
-            pinned: false,
-            ..FromDevice::new(port_no, 32)
-        }
+    /// Frames a poll takes.
+    pub fn burst(&self) -> usize {
+        self.burst
     }
 
-    /// Sets the poll burst to `burst` unless one was pinned at
-    /// construction: [`crate::Router::configured`] passes every device the
-    /// router's device burst (`poll_burst`, else `kp`), as the builder
-    /// does for the devices it creates.
-    pub fn follow_device_burst(&mut self, burst: usize) {
-        assert!(burst > 0, "poll burst must be positive");
-        if !self.pinned {
-            self.burst = burst;
-        }
+    /// Takes `device_burst` unless the element's arguments pinned one.
+    pub(crate) fn resolve_burst(&mut self, device_burst: usize) {
+        self.burst = self.pin.unwrap_or(device_burst);
     }
 
     /// Attaches a packet arena: subsequent [`inject`](FromDevice::inject)s
@@ -283,8 +275,8 @@ impl Element for FromDevice {
         // frames must not be duplicated into every core. Each replica
         // gets a FRESH pool and a FRESH descriptor ring — the multi-queue
         // RSS layout, one uncontended queue pair per core.
-        let mut fresh = FromDevice::new(self.port_no, self.burst);
-        fresh.pinned = self.pinned;
+        let mut fresh = FromDevice::new(self.port_no, self.pin);
+        fresh.burst = self.burst;
         fresh.rebuild_ring(self.rx.depth(), self.rx.kn());
         if let Some(pool) = &self.pool {
             fresh.set_pool(PacketPool::new(pool.slots(), pool.slot_size()));
@@ -296,14 +288,14 @@ impl Element for FromDevice {
 /// An active drain that pulls frames from upstream, posts them to a TX
 /// descriptor ring, and logs them as transmitted once the ring drains.
 ///
-/// The pull burst is Click's transmit-side `kp`. It can be pinned per
-/// device ([`ToDevice::new`]) or left to follow the graph's `batch_size`
-/// ([`ToDevice::with_graph_burst`]) — the unified-knob default, so one
-/// `kp` governs dispatch chunking and device polling alike. Transmit
-/// completions reclaim descriptors every `kn`
+/// The pull burst is Click's transmit-side `kp`, resolved as
+/// [`FromDevice`]'s poll burst is: pinned by the element's arguments
+/// (`ToDevice(N)`), else the router's device burst — `poll_burst`, else
+/// `kp`. Transmit completions reclaim descriptors every `kn`
 /// ([`ToDevice::set_nic_batch`]).
 pub struct ToDevice {
-    burst: Option<usize>,
+    pin: Option<usize>,
+    burst: usize,
     tx: DescRing,
     tx_log: Vec<Packet>,
     keep_frames: bool,
@@ -313,15 +305,17 @@ pub struct ToDevice {
 }
 
 impl ToDevice {
-    /// Creates a device sink pulling up to `burst` frames per quantum
-    /// (explicit per-device override of the graph `kp`).
+    /// Creates a device sink pulling `pin` frames per quantum —
+    /// `ToDevice(N)` — or, with `None`, the device burst of the router it
+    /// runs in (as [`FromDevice::new`]).
     ///
     /// `keep_frames` retains transmitted frames for inspection (tests);
     /// high-rate benchmarks pass `false` and read only the counters.
-    pub fn new(burst: usize, keep_frames: bool) -> ToDevice {
-        assert!(burst > 0, "transmit burst must be positive");
+    pub fn new(pin: Option<usize>, keep_frames: bool) -> ToDevice {
+        assert!(pin != Some(0), "transmit burst must be positive");
         ToDevice {
-            burst: Some(burst),
+            pin,
+            burst: pin.unwrap_or(crate::Router::DEFAULT_BATCH_SIZE),
             tx: DescRing::new(DEFAULT_RING_DEPTH, 1),
             tx_log: Vec::new(),
             keep_frames,
@@ -331,18 +325,14 @@ impl ToDevice {
         }
     }
 
-    /// Creates a device sink whose pull burst follows the graph's
-    /// `batch_size` (`kp`) instead of a per-device constant.
-    pub fn with_graph_burst(keep_frames: bool) -> ToDevice {
-        ToDevice {
-            burst: None,
-            tx: DescRing::new(DEFAULT_RING_DEPTH, 1),
-            tx_log: Vec::new(),
-            keep_frames,
-            sent_packets: 0,
-            sent_bytes: 0,
-            scratch: Vec::new(),
-        }
+    /// Frames the driver pulls into it per quantum.
+    pub fn burst(&self) -> usize {
+        self.burst
+    }
+
+    /// Takes `device_burst` unless the element's arguments pinned one.
+    pub(crate) fn resolve_burst(&mut self, device_burst: usize) {
+        self.burst = self.pin.unwrap_or(device_burst);
     }
 
     /// Sets the NIC batching factor `kn` for transmit completions
@@ -468,8 +458,7 @@ impl Element for ToDevice {
 
     fn run_task(&mut self, _out: &mut Output) -> bool {
         // Pull scheduling is driven by the Router, which knows the graph;
-        // it calls `push_batch` with each pulled burst. `burst` is advertised
-        // through `pull_burst_or`.
+        // it calls `push_batch` with each pulled `burst()`.
         false
     }
 
@@ -486,24 +475,10 @@ impl Element for ToDevice {
     }
 
     fn replicate(&self) -> Option<Box<dyn Element>> {
-        let mut fresh = ToDevice::with_graph_burst(self.keep_frames);
+        let mut fresh = ToDevice::new(self.pin, self.keep_frames);
         fresh.burst = self.burst;
         fresh.tx = DescRing::new(self.tx.depth(), self.tx.kn());
         Some(Box::new(fresh))
-    }
-}
-
-impl ToDevice {
-    /// How many frames the driver should pull per quantum (Click's `kp`
-    /// on the transmit side): the per-device override if one was set,
-    /// otherwise the graph-wide `kp` supplied by the driver.
-    pub fn pull_burst_or(&self, graph_kp: usize) -> usize {
-        self.burst.unwrap_or(graph_kp)
-    }
-
-    /// The per-device burst override, if one was configured.
-    pub fn configured_burst(&self) -> Option<usize> {
-        self.burst
     }
 }
 
@@ -514,7 +489,7 @@ mod tests {
 
     #[test]
     fn from_device_polls_in_bursts_and_stamps_port() {
-        let mut dev = FromDevice::new(3, 4);
+        let mut dev = FromDevice::new(3, Some(4));
         for i in 0..6u8 {
             dev.inject(Packet::from_slice(&[i]));
         }
@@ -532,7 +507,7 @@ mod tests {
 
     #[test]
     fn pooled_from_device_rebuffers_and_drops_on_exhaustion() {
-        let mut dev = FromDevice::new(1, 4);
+        let mut dev = FromDevice::new(1, Some(4));
         dev.set_pool(PacketPool::new(2, 512));
         for i in 0..5u8 {
             let mut p = Packet::from_slice(&[i; 10]);
@@ -565,7 +540,7 @@ mod tests {
 
     #[test]
     fn pooled_replica_gets_fresh_arena() {
-        let mut dev = FromDevice::new(0, 8);
+        let mut dev = FromDevice::new(0, Some(8));
         dev.set_pool(PacketPool::new(4, 512));
         dev.inject(Packet::from_slice(&[1]));
         let replica = dev.replicate().unwrap();
@@ -578,14 +553,14 @@ mod tests {
 
     #[test]
     fn replica_preserves_ring_geometry() {
-        let mut dev = FromDevice::new(0, 8);
+        let mut dev = FromDevice::new(0, Some(8));
         dev.set_nic_batch(16);
         dev.set_ring_depth(64);
         let replica = dev.replicate().unwrap();
         let replica = replica.downcast_ref::<FromDevice>().unwrap();
         assert_eq!(replica.nic_batch(), 16);
         assert_eq!(replica.ring_depth(), 64);
-        let mut tx = ToDevice::new(4, false);
+        let mut tx = ToDevice::new(Some(4), false);
         tx.set_nic_batch(8);
         let r = tx.replicate().unwrap();
         let r = r.downcast_ref::<ToDevice>().unwrap();
@@ -594,7 +569,7 @@ mod tests {
 
     #[test]
     fn from_device_reclaims_descriptors_in_kn_chunks() {
-        let mut dev = FromDevice::new(0, 4);
+        let mut dev = FromDevice::new(0, Some(4));
         dev.set_nic_batch(4);
         for i in 0..6u8 {
             dev.inject(Packet::from_slice(&[i]));
@@ -613,7 +588,7 @@ mod tests {
 
     #[test]
     fn from_device_overload_stalls_at_ring_capacity_without_drops() {
-        let mut dev = FromDevice::new(0, 2);
+        let mut dev = FromDevice::new(0, Some(2));
         dev.set_ring_depth(4);
         for i in 0..10u8 {
             dev.inject(Packet::from_slice(&[i]));
@@ -634,7 +609,7 @@ mod tests {
 
     #[test]
     fn to_device_logs_and_counts() {
-        let mut dev = ToDevice::new(8, true);
+        let mut dev = ToDevice::new(Some(8), true);
         let mut out = Output::new();
         dev.push(0, Packet::from_slice(&[0; 100]), &mut out);
         dev.push(0, Packet::from_slice(&[0; 60]), &mut out);
@@ -650,7 +625,7 @@ mod tests {
 
     #[test]
     fn to_device_batches_transmit_completions_by_kn() {
-        let mut dev = ToDevice::new(8, false);
+        let mut dev = ToDevice::new(Some(8), false);
         dev.set_nic_batch(8);
         let mut out = Output::new();
         let mut batch =
@@ -665,7 +640,7 @@ mod tests {
 
     #[test]
     fn to_device_survives_ring_shallower_than_batch() {
-        let mut dev = ToDevice::new(8, true);
+        let mut dev = ToDevice::new(Some(8), true);
         dev.set_ring_depth(4);
         let mut out = Output::new();
         let mut batch =
@@ -679,7 +654,7 @@ mod tests {
 
     #[test]
     fn to_device_can_skip_frame_retention() {
-        let mut dev = ToDevice::new(8, false);
+        let mut dev = ToDevice::new(Some(8), false);
         let mut out = Output::new();
         dev.push(0, Packet::from_slice(&[0; 100]), &mut out);
         assert_eq!(dev.sent_packets(), 1);
@@ -688,16 +663,17 @@ mod tests {
 
     #[test]
     fn pull_burst_follows_graph_kp_unless_overridden() {
-        let inherit = ToDevice::with_graph_burst(false);
-        assert_eq!(inherit.configured_burst(), None);
-        assert_eq!(inherit.pull_burst_or(64), 64);
-        let pinned = ToDevice::new(16, false);
-        assert_eq!(pinned.configured_burst(), Some(16));
-        assert_eq!(pinned.pull_burst_or(64), 16);
+        let mut inherit = ToDevice::new(None, false);
+        inherit.resolve_burst(64);
+        assert_eq!(inherit.burst(), 64);
+        let mut pinned = ToDevice::new(Some(16), false);
+        pinned.resolve_burst(64);
+        assert_eq!(pinned.burst(), 16);
         // Replication preserves the override-vs-inherit distinction.
-        let r = pinned.replicate().unwrap();
-        let r = r.downcast_ref::<ToDevice>().unwrap();
-        assert_eq!(r.configured_burst(), Some(16));
+        let mut r = pinned.replicate().unwrap();
+        let r = r.downcast_mut::<ToDevice>().unwrap();
+        r.resolve_burst(8);
+        assert_eq!(r.burst(), 16);
     }
 
     #[test]
@@ -713,12 +689,12 @@ mod tests {
         };
         // A replica keeps following; a pinned one stays pinned.
         for (dev, want) in [
-            (FromDevice::with_device_burst(0), 64),
-            (FromDevice::new(0, 8), 8),
+            (FromDevice::new(0, None), 64),
+            (FromDevice::new(0, Some(8)), 8),
         ] {
             let mut replica = dev.replicate().unwrap();
             let replica = replica.downcast_mut::<FromDevice>().unwrap();
-            replica.follow_device_burst(64);
+            replica.resolve_burst(64);
             assert_eq!(polled(replica), want);
         }
     }

@@ -275,10 +275,12 @@ mod tests {
     fn two_workers_over(shaper: Box<dyn Element>) -> Result<(), crate::GraphError> {
         use crate::elements::{Discard, FromDevice, Queue, ToDevice};
         let mut g = crate::Graph::new();
-        let rx = g.add("rx", Box::new(FromDevice::new(0, 32))).unwrap();
+        let rx = g.add("rx", Box::new(FromDevice::new(0, Some(32)))).unwrap();
         let shaper = g.add("shaper", shaper).unwrap();
         let q = g.add("q", Box::new(Queue::new(64))).unwrap();
-        let tx = g.add("tx", Box::new(ToDevice::new(32, false))).unwrap();
+        let tx = g
+            .add("tx", Box::new(ToDevice::new(Some(32), false)))
+            .unwrap();
         let sink = g.add("sink", Box::new(Discard::new())).unwrap();
         g.connect(rx, 0, shaper, 0).unwrap();
         g.connect(shaper, 0, q, 0).unwrap();
@@ -288,7 +290,7 @@ mod tests {
             workers: 2,
             ..crate::Knobs::default()
         };
-        crate::runtime::mt::run_graph(&[&g], vec![pkt_at(0, 64)], &knobs, None).map(drop)
+        crate::runtime::mt::run_graph(&g, vec![pkt_at(0, 64)], &knobs, None).map(drop)
     }
 
     fn refused(class: &str) -> Result<(), crate::GraphError> {

@@ -96,21 +96,22 @@ impl Registry {
                 Some(s) => parse_field::<u16>("FromDevice", s, "port")?,
                 None => 0,
             };
-            // `FromDevice(port)` polls the router's device burst;
-            // `FromDevice(port, N)` pins N.
-            let Some(burst) = parts.get(1) else {
-                return Ok(Box::new(FromDevice::with_device_burst(port)));
+            // `FromDevice(port)` polls the router's device burst
+            // (`poll_burst`, else `kp`); `FromDevice(port, N)` pins N.
+            let burst = match parts.get(1) {
+                Some(s) => Some(parse_field::<usize>("FromDevice", s, "burst")?),
+                None => None,
             };
-            let burst = parse_field::<usize>("FromDevice", burst, "burst")?;
-            if burst == 0 {
+            if burst == Some(0) {
                 return Err(bad_args("FromDevice", "burst must be positive"));
             }
             Ok(Box::new(FromDevice::new(port, burst)))
         });
         r.register("ToDevice", |args| {
-            // Grammar: `ToDevice()` and `ToDevice(keep)` inherit the graph
-            // batch size `kp`; `ToDevice(N)` and `ToDevice(N, keep)` pin an
-            // explicit pull burst.
+            // Grammar: `ToDevice()` and `ToDevice(keep)` pull the router's
+            // device burst (`poll_burst`, else `kp`), as a bare
+            // `FromDevice(port)` polls it; `ToDevice(N)` and
+            // `ToDevice(N, keep)` pin N.
             let parts = split_args(args);
             let (burst, keep_idx) = match parts.first().map(String::as_str) {
                 None => (None, 1),
@@ -133,10 +134,7 @@ impl Registry {
             if parts.len() > keep_idx + 1 {
                 return Err(bad_args("ToDevice", "too many arguments"));
             }
-            Ok(Box::new(match burst {
-                Some(b) => ToDevice::new(b, keep),
-                None => ToDevice::with_graph_burst(keep),
-            }))
+            Ok(Box::new(ToDevice::new(burst, keep)))
         });
         r.register("Classifier", |args| {
             Ok(Box::new(Classifier::from_spec(args)?))

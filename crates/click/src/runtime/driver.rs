@@ -23,9 +23,10 @@ use crate::element::{Output, PacketBatch, PortKind};
 use crate::elements::device::{FromDevice, ToDevice};
 use crate::elements::queue::QueueStats;
 use crate::elements::sink::{Counter, CounterStats};
+use crate::elements::source::{InfiniteSource, SpecSource};
 use crate::graph::{Edge, ElementId, Graph};
 use crate::runtime::stride::StrideScheduler;
-use rb_packet::Packet;
+use rb_packet::{Packet, PacketPool};
 use rb_telemetry::{
     cycles, CoreMetrics, CumulativeTotals, DropCause, Harvester, IntervalRecorder, IntervalRing,
     Ledger, MetricsSnapshot, TelemetryLevel, TimeSeries, TraceKind, TraceLog, Tracer,
@@ -130,7 +131,7 @@ struct Drain {
     /// `Counter`), and the last edge leaves the terminal pull source (a
     /// `Queue`).
     chain: Vec<Edge>,
-    /// Packets it pulls a quantum: its device's burst, else the graph `kp`.
+    /// Packets it pulls a quantum: its device's burst, else `kp`.
     burst: usize,
     /// Its source answers [`crate::Element::pull_backlog`].
     hinted: bool,
@@ -154,7 +155,7 @@ fn plan_tasks(graph: &Graph, kp: usize) -> Vec<Option<Drain>> {
         let dev = graph.element(drain).downcast_ref::<ToDevice>();
         let mut plan = Drain {
             chain: Vec::new(),
-            burst: dev.map_or(kp, |dev| dev.pull_burst_or(kp)),
+            burst: dev.map_or(kp, ToDevice::burst),
             hinted: false,
             held: 0,
         };
@@ -182,6 +183,33 @@ fn plan_tasks(graph: &Graph, kp: usize) -> Vec<Option<Drain>> {
         .collect()
 }
 
+/// Turns `knobs` into element state: a fresh arena for each poolable
+/// element that has none (at `pool_slots` > 0), the device burst —
+/// `poll_burst`, else `kp` — for each device its arguments did not pin,
+/// and `kn` on each device ring.
+fn configure_elements(graph: &mut Graph, knobs: &Knobs) {
+    let device_burst = knobs.poll_burst.unwrap_or(knobs.batch_size);
+    let pool = || PacketPool::new(knobs.pool_slots, knobs.slot_size);
+    for id in 0..graph.len() {
+        let el = graph.element_mut(id);
+        let attach = knobs.pool_slots > 0 && el.pool().is_none();
+        if let Some(dev) = el.downcast_mut::<FromDevice>() {
+            dev.resolve_burst(device_burst);
+            dev.set_nic_batch(knobs.nic_batch);
+            if attach {
+                dev.set_pool(pool());
+            }
+        } else if let Some(dev) = el.downcast_mut::<ToDevice>() {
+            dev.resolve_burst(device_burst);
+            dev.set_nic_batch(knobs.nic_batch);
+        } else if let Some(src) = el.downcast_mut::<InfiniteSource>().filter(|_| attach) {
+            src.set_pool(pool());
+        } else if let Some(src) = el.downcast_mut::<SpecSource>().filter(|_| attach) {
+            src.set_pool(pool());
+        }
+    }
+}
+
 /// An executable router: a graph plus its task scheduler.
 pub struct Router {
     graph: Graph,
@@ -203,9 +231,6 @@ pub struct Router {
     /// are released whatever they hold (`u64::MAX`: none is deferred).
     poller_quanta: u64,
     release_at: u64,
-    /// [`Router::graph_mut`] was handed out, or `kp` set, since `tasks`
-    /// was resolved; the next quantum resolves it again.
-    tasks_stale: bool,
     stats: DriverStats,
     /// Dispatch batch size `kp`: max packets per work-queue entry.
     batch_size: usize,
@@ -264,92 +289,86 @@ impl Router {
     /// Default dispatch batch size (the paper's favoured poll burst).
     pub const DEFAULT_BATCH_SIZE: usize = 32;
 
-    /// Wraps a validated graph.
+    /// [`Router::configured`] under the default [`Knobs`]: `kp` 32, `kn`
+    /// 1, heap buffers, telemetry, interval clock and tracing off.
+    ///
+    /// # Errors
+    ///
+    /// See [`Router::configured`].
+    pub fn new(graph: Graph) -> Result<Router, crate::GraphError> {
+        Router::configured(graph, &Knobs::default(), 0)
+    }
+
+    /// Wraps a validated graph with every knob a `Router` reads applied,
+    /// recording as `core` (0 single-threaded; the worker index in a
+    /// multi-threaded run) — the one place knobs become router and
+    /// element state, and the one time: a router is not reconfigured.
+    ///
+    /// Every poolable element without an arena gets a fresh
+    /// `PacketPool(pool_slots, slot_size)` (none at `pool_slots` 0; a
+    /// hand-attached arena is kept); every `FromDevice` and `ToDevice`
+    /// its own arguments did not pin moves the device burst,
+    /// `poll_burst`, else `kp`; every device ring writes back by `kn`.
+    /// Then come `kp` itself, the telemetry level, the interval clock and
+    /// path tracing, and last the task table, planned once.
     ///
     /// # Errors
     ///
     /// Returns the graph's validation error when ports are left
     /// unconnected.
-    pub fn new(graph: Graph) -> Result<Router, crate::GraphError> {
+    pub fn configured(
+        mut graph: Graph,
+        knobs: &Knobs,
+        core: u32,
+    ) -> Result<Router, crate::GraphError> {
         graph.check_fully_connected()?;
+        assert!(knobs.batch_size > 0, "batch size must be positive");
+        assert!(knobs.nic_batch > 0, "nic batch must be positive");
+        configure_elements(&mut graph, knobs);
         let n = graph.len();
         let mut router = Router {
             graph,
             scheduler: StrideScheduler::new(),
             tasks: Vec::new(),
-            wakes: Vec::new(),
+            wakes: vec![None; n],
             pollers: Vec::new(),
             deferred: Vec::new(),
             held: 0,
             held_cap: usize::MAX,
             poller_quanta: 0,
             release_at: u64::MAX,
-            tasks_stale: false,
             stats: DriverStats::default(),
-            batch_size: Self::DEFAULT_BATCH_SIZE,
+            batch_size: knobs.batch_size,
             work: VecDeque::new(),
             pool: Vec::new(),
             out: Output::new(),
-            metrics: CoreMetrics::new(TelemetryLevel::Off, n),
-            tracer: Tracer::off(),
+            metrics: CoreMetrics::new(knobs.telemetry, n),
+            tracer: Tracer::new(knobs.trace_sample, core),
             trace_ids: Vec::new(),
             interval: None,
             extern_credit_stalls: 0,
             fuses: 0,
         };
-        router.replan_tasks();
-        Ok(router)
-    }
-
-    /// [`Router::new`] with every knob a `Router` reads applied — `kp`,
-    /// `kn`, the poll burst of every `FromDevice` built without one
-    /// (`poll_burst`, else `kp`), telemetry level, interval clock, path
-    /// tracing — recording as
-    /// `core` (0 single-threaded; the worker index in a multi-threaded
-    /// run). The one place knobs become router state.
-    ///
-    /// # Errors
-    ///
-    /// See [`Router::new`].
-    pub fn configured(graph: Graph, knobs: &Knobs, core: u32) -> Result<Router, crate::GraphError> {
-        let mut router = Router::new(graph)?
-            .with_batch_size(knobs.batch_size)
-            .with_telemetry(knobs.telemetry);
-        router.set_nic_batch(knobs.nic_batch);
-        let device_burst = knobs.poll_burst.unwrap_or(knobs.batch_size);
-        for id in 0..router.graph.len() {
-            let el = router.graph.element_mut(id);
-            if let Some(dev) = el.downcast_mut::<FromDevice>() {
-                dev.follow_device_burst(device_burst);
-            }
-        }
         // Off is the state it is in; on pays the tick-rate calibration.
         if knobs.interval_ms > 0 {
-            router.set_interval_ms(knobs.interval_ms, core as usize);
+            // Non-negative, and `as` saturates: a width past 2^64 ticks is
+            // a clock that never rolls.
+            #[allow(clippy::cast_possible_truncation)]
+            let ticks = (knobs.interval_ms as f64 * cycles::ticks_per_sec() / 1e3) as u64;
+            router.set_interval_ticks(ticks, core as usize);
         }
-        router.set_trace(knobs.trace_sample, core);
+        router.plan();
         Ok(router)
     }
 
-    /// Resolves the task table from the graph as it is now and schedules
-    /// the active elements it did not cover before — every one of them at
-    /// construction; after a [`Router::graph_mut`] edit the ones added
-    /// since (a graph only grows), which join at the current minimum pass.
-    fn replan_tasks(&mut self) {
-        // The table that says what the deferred drains hold is replaced.
-        self.release_deferred();
-        let known = self.tasks.len();
+    /// Resolves the task table and schedules every active element.
+    fn plan(&mut self) {
         self.tasks = plan_tasks(&self.graph, self.batch_size);
-        self.wakes = vec![None; self.graph.len()];
-        self.pollers.clear();
         for (id, task) in self.tasks.iter().enumerate() {
-            let el = self.graph.element(id);
-            if !el.is_active() {
+            if !self.graph.element(id).is_active() {
                 continue;
             }
-            if id >= known {
-                self.scheduler.add(id);
-            }
+            self.scheduler.add(id);
             match task.as_ref().filter(|drain| drain.hinted) {
                 Some(drain) => self.wakes[drain.chain[drain.chain.len() - 1].from] = Some(id),
                 None => self.pollers.push(id),
@@ -358,16 +377,6 @@ impl Router {
         // A deferred packet pins an arena slot: cap what deferral may pin.
         let smallest = self.pool_rows().iter().map(|p| p.slots).min();
         self.held_cap = smallest.map_or(usize::MAX, |slots| slots / 2);
-        self.metrics.grow(self.graph.len());
-        self.tasks_stale = false;
-    }
-
-    /// Turns sampled path tracing on: every `sample`-th source emission
-    /// gets a trace ID and span records at each dispatch. `sample == 0`
-    /// disables tracing (the default); `core` partitions the trace-ID
-    /// space when several routers stamp concurrently (one per worker).
-    pub fn set_trace(&mut self, sample: u64, core: u32) {
-        self.tracer = Tracer::new(sample, core);
     }
 
     /// The configured trace sampling interval (0 = off).
@@ -406,19 +415,6 @@ impl Router {
         led
     }
 
-    /// Sets the telemetry level. Resets any metrics recorded so far (the
-    /// shard restarts empty at the new level).
-    pub fn set_telemetry(&mut self, level: TelemetryLevel) {
-        self.metrics = CoreMetrics::new(level, self.graph.len());
-    }
-
-    /// Builder-style variant of [`Router::set_telemetry`].
-    #[must_use]
-    pub fn with_telemetry(mut self, level: TelemetryLevel) -> Router {
-        self.set_telemetry(level);
-        self
-    }
-
     /// The configured telemetry level.
     pub fn telemetry_level(&self) -> TelemetryLevel {
         self.metrics.level()
@@ -455,10 +451,8 @@ impl Router {
     }
 
     /// Starts the live interval clock with buckets `ticks` wide on
-    /// `core`'s ring (`ticks == 0` turns the clock off). Restarts any
-    /// clock already running — previously published buckets are dropped
-    /// with their ring.
-    pub fn set_interval_ticks(&mut self, ticks: u64, core: usize) {
+    /// `core`'s ring (`ticks == 0` leaves it off).
+    fn set_interval_ticks(&mut self, ticks: u64, core: usize) {
         self.interval = (ticks > 0).then(|| {
             // Stage rows carry per-element deltas only when the metrics
             // shard records them; labels are (instance name, class) in
@@ -483,17 +477,6 @@ impl Router {
                 labels,
             ))
         });
-    }
-
-    /// Starts the live interval clock with `ms`-millisecond buckets on
-    /// core 0 (`ms == 0` turns it off). The first call pays the one-time
-    /// tick-rate calibration in [`cycles::ticks_per_sec`].
-    pub fn set_interval_ms(&mut self, ms: u64, core: usize) {
-        // Non-negative, and `as` saturates: a width past 2^64 ticks is a
-        // clock that never rolls.
-        #[allow(clippy::cast_possible_truncation)]
-        let ticks = (ms as f64 * cycles::ticks_per_sec() / 1e3) as u64;
-        self.set_interval_ticks(ticks, core);
     }
 
     /// Nominal interval width in ticks (0 when the clock is off).
@@ -646,40 +629,10 @@ impl Router {
         }
     }
 
-    /// Sets the dispatch batch size `kp` (panics on zero). `kp == 1`
-    /// degenerates to per-packet dispatch — the scalar baseline.
-    pub fn set_batch_size(&mut self, kp: usize) {
-        assert!(kp > 0, "batch size must be positive");
-        self.batch_size = kp;
-        self.tasks_stale = true;
-    }
-
-    /// Builder-style variant of [`Router::set_batch_size`].
-    #[must_use]
-    pub fn with_batch_size(mut self, kp: usize) -> Router {
-        self.set_batch_size(kp);
-        self
-    }
-
-    /// Current dispatch batch size `kp`.
+    /// The dispatch batch size `kp`; 1 is per-packet dispatch, the scalar
+    /// baseline.
     pub fn batch_size(&self) -> usize {
         self.batch_size
-    }
-
-    /// Sets the NIC batching factor `kn` on every device element
-    /// (panics on zero): descriptor writeback + doorbell cost is charged
-    /// once per `kn` descriptors. Table 1's second batching axis,
-    /// orthogonal to `kp`.
-    pub fn set_nic_batch(&mut self, kn: usize) {
-        assert!(kn > 0, "nic batch must be positive");
-        for id in 0..self.graph.len() {
-            let el = self.graph.element_mut(id);
-            if let Some(dev) = el.downcast_mut::<FromDevice>() {
-                dev.set_nic_batch(kn);
-            } else if let Some(dev) = el.downcast_mut::<ToDevice>() {
-                dev.set_nic_batch(kn);
-            }
-        }
     }
 
     /// Runs until every active element has reported idle since the last
@@ -700,9 +653,6 @@ impl Router {
     /// reflects only this call.
     pub fn run_until_idle(&mut self, max_quanta: u64) -> DriverStats {
         self.stats.fused = false;
-        if self.tasks_stale {
-            self.replan_tasks();
-        }
         let mut settled = false;
         loop {
             if self.scheduler.is_empty() {
@@ -802,9 +752,6 @@ impl Router {
         } else {
             0
         };
-        if self.tasks_stale {
-            self.replan_tasks();
-        }
         if self.scheduler.is_empty() {
             self.scheduler.settle();
             if !self.release_deferred() {
@@ -856,8 +803,6 @@ impl Router {
     fn run_task(&mut self, id: ElementId) -> bool {
         let mut out = std::mem::take(&mut self.out);
         let did_work = if let Some(drain) = &self.tasks[id] {
-            // Unified `kp`: a drain follows the graph batch size unless
-            // the device carries an explicit per-device burst override.
             let burst = drain.burst;
             self.run_drain(id, burst, &mut out)
         } else {
@@ -1022,8 +967,8 @@ impl Router {
     }
 
     /// Per-arena pool snapshots from every pool-owning element. Elements
-    /// sharing an arena (an `attach_pools` fan-out) produce rows with the
-    /// same `arena` id; [`rb_packet::PoolStats::aggregate`] dedupes them.
+    /// sharing an arena (a hand-attached one) produce rows with the same
+    /// `arena` id; [`rb_packet::PoolStats::aggregate`] dedupes them.
     pub fn pool_rows(&self) -> Vec<rb_packet::PoolStats> {
         (0..self.graph.len())
             .filter_map(|id| self.graph.element(id).pool())
@@ -1072,18 +1017,8 @@ impl Router {
         &self.graph
     }
 
-    /// Mutable access to the underlying graph, for structural edits:
-    /// what the driver resolved from the wiring is resolved again at the
-    /// next quantum, and active elements added here are scheduled from
-    /// then on. To reach one element's state (e.g. to inject frames into
-    /// a `FromDevice`) use [`Router::element_mut`], which costs no
-    /// re-resolution.
-    pub fn graph_mut(&mut self) -> &mut Graph {
-        self.tasks_stale = true;
-        &mut self.graph
-    }
-
-    /// Mutable access to one element by id.
+    /// Mutable access to one element's state (e.g. to inject frames into
+    /// a `FromDevice`); the wiring is fixed once the router is built.
     pub fn element_mut(&mut self, id: ElementId) -> &mut dyn crate::Element {
         self.graph.element_mut(id)
     }
@@ -1178,7 +1113,9 @@ mod tests {
                 .add("src", Box::new(InfiniteSource::new(64, Some(500))))
                 .unwrap();
             let q = g.add("q", Box::new(Queue::new(64))).unwrap();
-            let t = g.add("tx", Box::new(ToDevice::new(16, false))).unwrap();
+            let t = g
+                .add("tx", Box::new(ToDevice::new(Some(16), false)))
+                .unwrap();
             g.connect(s, 0, q, 0).unwrap();
             g.connect(q, 0, t, 0).unwrap();
             Router::new(g).unwrap()
@@ -1217,7 +1154,9 @@ mod tests {
             .add("src", Box::new(InfiniteSource::new(64, Some(40))))
             .unwrap();
         let q = g.add("q", Box::new(Queue::new(64))).unwrap();
-        let t = g.add("tx", Box::new(ToDevice::new(16, false))).unwrap();
+        let t = g
+            .add("tx", Box::new(ToDevice::new(Some(16), false)))
+            .unwrap();
         g.connect(s, 0, q, 0).unwrap();
         g.connect(q, 0, t, 0).unwrap();
         let mut router = Router::new(g).unwrap();
@@ -1234,7 +1173,9 @@ mod tests {
             .add("src", Box::new(InfiniteSource::new(64, Some(50))))
             .unwrap();
         let q = g.add("q", Box::new(Queue::new(1000))).unwrap();
-        let t = g.add("tx", Box::new(ToDevice::new(16, false))).unwrap();
+        let t = g
+            .add("tx", Box::new(ToDevice::new(Some(16), false)))
+            .unwrap();
         g.connect(s, 0, q, 0).unwrap();
         g.connect(q, 0, t, 0).unwrap();
         let mut router = Router::new(g).unwrap();
@@ -1254,7 +1195,9 @@ mod tests {
             .unwrap();
         let q = g.add("q", Box::new(Queue::new(100))).unwrap();
         let c = g.add("cnt", Box::new(Counter::new())).unwrap();
-        let t = g.add("tx", Box::new(ToDevice::new(8, false))).unwrap();
+        let t = g
+            .add("tx", Box::new(ToDevice::new(Some(8), false)))
+            .unwrap();
         g.connect(s, 0, q, 0).unwrap();
         g.connect(q, 0, c, 0).unwrap();
         g.connect(c, 0, t, 0).unwrap();
@@ -1270,7 +1213,7 @@ mod tests {
     #[test]
     fn from_device_injection_flows_through() {
         let mut g = Graph::new();
-        let f = g.add("rx", Box::new(FromDevice::new(2, 32))).unwrap();
+        let f = g.add("rx", Box::new(FromDevice::new(2, Some(32)))).unwrap();
         let c = g.add("cnt", Box::new(Counter::new())).unwrap();
         let d = g.add("sink", Box::new(Discard::new())).unwrap();
         g.connect(f, 0, c, 0).unwrap();
@@ -1278,11 +1221,7 @@ mod tests {
         let mut router = Router::new(g).unwrap();
         {
             let id = router.graph().id_of("rx").unwrap();
-            let dev = router
-                .graph_mut()
-                .element_mut(id)
-                .downcast_mut::<FromDevice>()
-                .unwrap();
+            let dev = router.element_mut(id).downcast_mut::<FromDevice>().unwrap();
             for _ in 0..5 {
                 dev.inject(PacketSpec::udp().build());
             }
@@ -1306,7 +1245,9 @@ mod tests {
             .add("src", Box::new(InfiniteSource::new(64, Some(500))))
             .unwrap();
         let q = g.add("q", Box::new(Queue::new(10))).unwrap();
-        let t = g.add("tx", Box::new(ToDevice::new(1, false))).unwrap();
+        let t = g
+            .add("tx", Box::new(ToDevice::new(Some(1), false)))
+            .unwrap();
         g.connect(s, 0, q, 0).unwrap();
         g.connect(q, 0, t, 0).unwrap();
         let mut router = Router::new(g).unwrap();
@@ -1326,7 +1267,11 @@ mod tests {
         let d = g.add("sink", Box::new(Discard::new())).unwrap();
         g.connect(s, 0, c, 0).unwrap();
         g.connect(c, 0, d, 0).unwrap();
-        let mut router = Router::new(g).unwrap().with_batch_size(1);
+        let knobs = Knobs {
+            batch_size: 1,
+            ..Knobs::default()
+        };
+        let mut router = Router::configured(g, &knobs, 0).unwrap();
         let stats = router.run_until_idle(10_000);
         assert_eq!(router.counter("cnt").unwrap().packets, 100);
         // Every dispatch carries exactly one packet.
@@ -1344,7 +1289,11 @@ mod tests {
             let d = g.add("sink", Box::new(Discard::new())).unwrap();
             g.connect(s, 0, c, 0).unwrap();
             g.connect(c, 0, d, 0).unwrap();
-            let mut router = Router::new(g).unwrap().with_batch_size(kp);
+            let knobs = Knobs {
+                batch_size: kp,
+                ..Knobs::default()
+            };
+            let mut router = Router::configured(g, &knobs, 0).unwrap();
             let stats = router.run_until_idle(10_000);
             assert_eq!(router.counter("cnt").unwrap().packets, 320);
             // Source bursts are 32; dispatch chunks are min(32, kp).
@@ -1363,9 +1312,11 @@ mod tests {
         let d = g.add("sink", Box::new(Discard::new())).unwrap();
         g.connect(s, 0, c, 0).unwrap();
         g.connect(c, 0, d, 0).unwrap();
-        let mut router = Router::new(g)
-            .unwrap()
-            .with_telemetry(rb_telemetry::TelemetryLevel::Cycles);
+        let knobs = Knobs {
+            telemetry: TelemetryLevel::Cycles,
+            ..Knobs::default()
+        };
+        let mut router = Router::configured(g, &knobs, 0).unwrap();
         router.run_until_idle(10_000);
         let snap = router.telemetry_snapshot();
         assert_eq!(snap.stages.len(), 3);
@@ -1461,7 +1412,9 @@ mod tests {
             .add("src", Box::new(InfiniteSource::new(64, Some(300))))
             .unwrap();
         let q = g.add("q", Box::new(Queue::new(1000))).unwrap();
-        let t = g.add("tx", Box::new(ToDevice::new(16, false))).unwrap();
+        let t = g
+            .add("tx", Box::new(ToDevice::new(Some(16), false)))
+            .unwrap();
         g.connect(s, 0, q, 0).unwrap();
         g.connect(q, 0, t, 0).unwrap();
         let mut router = Router::new(g).unwrap();
@@ -1480,7 +1433,9 @@ mod tests {
         let mut g = Graph::new();
         let s = g.add("src", Box::new(src)).unwrap();
         let q = g.add("q", Box::new(Queue::new(4))).unwrap();
-        let t = g.add("tx", Box::new(ToDevice::new(1, false))).unwrap();
+        let t = g
+            .add("tx", Box::new(ToDevice::new(Some(1), false)))
+            .unwrap();
         g.connect(s, 0, q, 0).unwrap();
         g.connect(q, 0, t, 0).unwrap();
         let mut router = Router::new(g).unwrap();
@@ -1504,7 +1459,7 @@ mod tests {
             .add("src", Box::new(InfiniteSource::new(64, Some(50))))
             .unwrap();
         let q = g.add("q", Box::new(Queue::new(100))).unwrap();
-        let t = g.add("tx", Box::new(ToDevice::new(8, true))).unwrap();
+        let t = g.add("tx", Box::new(ToDevice::new(Some(8), true))).unwrap();
         g.connect(s, 0, q, 0).unwrap();
         g.connect(q, 0, t, 0).unwrap();
         let mut router = Router::new(g).unwrap();
@@ -1522,12 +1477,17 @@ mod tests {
             .unwrap();
         let c = g.add("cnt", Box::new(Counter::new())).unwrap();
         let q = g.add("q", Box::new(Queue::new(1000))).unwrap();
-        let t = g.add("tx", Box::new(ToDevice::new(16, true))).unwrap();
+        let t = g
+            .add("tx", Box::new(ToDevice::new(Some(16), true)))
+            .unwrap();
         g.connect(s, 0, c, 0).unwrap();
         g.connect(c, 0, q, 0).unwrap();
         g.connect(q, 0, t, 0).unwrap();
-        let mut router = Router::new(g).unwrap();
-        router.set_trace(8, 0);
+        let knobs = Knobs {
+            trace_sample: 8,
+            ..Knobs::default()
+        };
+        let mut router = Router::configured(g, &knobs, 0).unwrap();
         router.run_until_idle(10_000);
         let traced = {
             let tx = router.element_as::<ToDevice>("tx").unwrap();
@@ -1548,59 +1508,6 @@ mod tests {
         assert_eq!(labels, ["src", "cnt", "q", "q", "tx"]);
     }
 
-    #[test]
-    fn graph_edit_after_a_run_is_planned_and_scheduled() {
-        let mut g = Graph::new();
-        let s = g
-            .add("src", Box::new(InfiniteSource::new(64, Some(50))))
-            .unwrap();
-        let q = g.add("q", Box::new(Queue::new(100))).unwrap();
-        let t = g.add("tx", Box::new(ToDevice::new(8, false))).unwrap();
-        g.connect(s, 0, q, 0).unwrap();
-        g.connect(q, 0, t, 0).unwrap();
-        let mut router = Router::new(g)
-            .unwrap()
-            .with_telemetry(TelemetryLevel::Counts);
-        router.run_until_idle(10_000);
-        assert_eq!(
-            router.element_as::<ToDevice>("tx").unwrap().sent_packets(),
-            50
-        );
-        // A second forwarding path, wired in after the first run: a new
-        // source and a new drain (two tasks the scheduler has not seen)
-        // with a through-element in the drain's pull chain (a chain the
-        // task table has not resolved).
-        {
-            let g = router.graph_mut();
-            let s2 = g
-                .add("src2", Box::new(InfiniteSource::new(64, Some(30))))
-                .unwrap();
-            let q2 = g.add("q2", Box::new(Queue::new(100))).unwrap();
-            let c2 = g.add("cnt2", Box::new(Counter::new())).unwrap();
-            let t2 = g.add("tx2", Box::new(ToDevice::new(8, false))).unwrap();
-            g.connect(s2, 0, q2, 0).unwrap();
-            g.connect(q2, 0, c2, 0).unwrap();
-            g.connect(c2, 0, t2, 0).unwrap();
-        }
-        router.run_until_idle(20_000);
-        assert_eq!(router.counter("cnt2").unwrap().packets, 30);
-        assert_eq!(
-            router.element_as::<ToDevice>("tx2").unwrap().sent_packets(),
-            30
-        );
-        assert_eq!(
-            router.element_as::<ToDevice>("tx").unwrap().sent_packets(),
-            50
-        );
-        let led = router.ledger();
-        assert_eq!(led.forwarded, 80);
-        assert!(led.balances(), "residual {}", led.residual());
-        // The telemetry shard grew with the graph: the new stages count.
-        let snap = router.telemetry_snapshot();
-        assert_eq!(snap.stages.len(), 7);
-        assert_eq!(snap.stages[6].packets, 30, "tx2 row");
-    }
-
     /// A 32-port router, hand-wired: `rx<p> -> cnt<p> -> hs<p>`, every
     /// `HashSwitch` output `o` into `q<o>`, and `q<p> -> tx<p>` — through
     /// a `Counter` in the pull path on odd ports. 64 scheduled tasks.
@@ -1611,7 +1518,7 @@ mod tests {
         for p in 0..ports {
             let q = g.add(format!("q{p}"), Box::new(Queue::new(1000))).unwrap();
             let tx = g
-                .add(format!("tx{p}"), Box::new(ToDevice::with_graph_burst(true)))
+                .add(format!("tx{p}"), Box::new(ToDevice::new(None, true)))
                 .unwrap();
             if p % 2 == 1 {
                 let pc = g.add(format!("pc{p}"), Box::new(Counter::new())).unwrap();
@@ -1626,7 +1533,7 @@ mod tests {
             let rx = g
                 .add(
                     format!("rx{p}"),
-                    Box::new(FromDevice::new(u16::try_from(p).unwrap(), kp)),
+                    Box::new(FromDevice::new(u16::try_from(p).unwrap(), Some(kp))),
                 )
                 .unwrap();
             let cnt = g.add(format!("cnt{p}"), Box::new(Counter::new())).unwrap();
@@ -1672,7 +1579,11 @@ mod tests {
             (32, 160, 2304, 736, 0x1234_0c03_1cb0_80e5),
         ];
         for (kp, quanta, pushes, batch_calls, egress_order) in expected {
-            let mut router = Router::new(wide_graph(32, kp)).unwrap().with_batch_size(kp);
+            let knobs = Knobs {
+                batch_size: kp,
+                ..Knobs::default()
+            };
+            let mut router = Router::configured(wide_graph(32, kp), &knobs, 0).unwrap();
             // 512 frames, fixed: frame `i` enters port `7i mod 32` from
             // its own flow and carries `i` as its ingress sequence. Two
             // rounds, so the second starts from an idle schedule.
@@ -1722,9 +1633,6 @@ mod tests {
 
     impl RoundRobin {
         fn run_until_idle(&mut self, router: &mut Router) {
-            if router.tasks_stale {
-                router.replan_tasks();
-            }
             let graph = router.graph();
             let active: Vec<ElementId> = (0..graph.len())
                 .filter(|&id| graph.element(id).is_active())
@@ -1738,17 +1646,19 @@ mod tests {
         }
     }
 
-    /// `rx -> hs`, every `HashSwitch` output `o` into `q<o> -> tx<o>`.
+    /// `rx -> hs`, every `HashSwitch` output `o` into `q<o> -> tx<o>`,
+    /// dispatched `kp` packets at a time.
     fn fan_out(
         ports: usize,
         capacity: usize,
         rx_burst: usize,
         tx_burst: usize,
         arena: usize,
+        kp: usize,
     ) -> Router {
         use crate::elements::switch::HashSwitch;
         let mut g = Graph::new();
-        let mut dev = FromDevice::new(0, rx_burst);
+        let mut dev = FromDevice::new(0, Some(rx_burst));
         if arena > 0 {
             dev.set_pool(rb_packet::PacketPool::new(arena, 2048));
         }
@@ -1760,12 +1670,19 @@ mod tests {
                 .add(format!("q{p}"), Box::new(Queue::new(capacity)))
                 .unwrap();
             let tx = g
-                .add(format!("tx{p}"), Box::new(ToDevice::new(tx_burst, true)))
+                .add(
+                    format!("tx{p}"),
+                    Box::new(ToDevice::new(Some(tx_burst), true)),
+                )
                 .unwrap();
             g.connect(hs, p, q, 0).unwrap();
             g.connect(q, 0, tx, 0).unwrap();
         }
-        Router::new(g).unwrap()
+        let knobs = Knobs {
+            batch_size: kp,
+            ..Knobs::default()
+        };
+        Router::configured(g, &knobs, 0).unwrap()
     }
 
     /// Frame `i` of a run: its own flow, `i` as ingress sequence and in
@@ -1820,7 +1737,7 @@ mod tests {
             // of that must fit (or the queue be too small to defer in).
             proptest::prop_assume!(capacity < tx_burst || capacity + 1 >= rx_burst + tx_burst);
             let kp = [1usize, 8, 32][kp_idx];
-            let build = || fan_out(ports, capacity, rx_burst, tx_burst, arena).with_batch_size(kp);
+            let build = || fan_out(ports, capacity, rx_burst, tx_burst, arena, kp);
             let (mut listed, mut polled) = (build(), build());
             let mut reference = RoundRobin::default();
             let mut next = 0;
@@ -1872,14 +1789,14 @@ mod tests {
             let tx = g
                 .add(
                     format!("tx{p}"),
-                    Box::new(ToDevice::new(usize::try_from(BURST).unwrap(), true)),
+                    Box::new(ToDevice::new(Some(usize::try_from(BURST).unwrap()), true)),
                 )
                 .unwrap();
             g.connect(rt, p, q, 0).unwrap();
             g.connect(q, 0, tx, 0).unwrap();
         }
         for s in 0..4u64 {
-            let mut dev = FromDevice::new(u16::try_from(s).unwrap(), 1);
+            let mut dev = FromDevice::new(u16::try_from(s).unwrap(), Some(1));
             for i in 0..2000 {
                 let seq = 4 * i + s;
                 let dst = if seq % 97 == 5 {
@@ -1939,7 +1856,7 @@ mod tests {
 
     #[test]
     fn a_push_into_a_parked_drains_queue_runs_it_before_the_run_ends() {
-        let mut router = fan_out(1, 1000, 32, 32, 0);
+        let mut router = fan_out(1, 1000, 32, 32, 0, Router::DEFAULT_BATCH_SIZE);
         router.run_until_idle(u64::MAX);
         let tx = router.graph().id_of("tx0").unwrap();
         assert!(

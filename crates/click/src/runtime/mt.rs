@@ -12,9 +12,9 @@
 //!
 //! [`run_graph`] is the one entry point: it executes real element graphs,
 //! one replica per worker core ([`Graph::replicate`]: fresh mutable
-//! state, `Arc`-shared read-only structures), under the [`Regime`] and
-//! worker count the [`Knobs`] name — the layout is *selected*, the graph
-//! is not re-coded. [`crate::runtime::regime`] holds the
+//! state, `Arc`-shared read-only structures), under the
+//! [`Regime`](crate::Regime) and worker count the [`Knobs`] name — the
+//! layout is *selected*, the graph is not re-coded. [`crate::runtime::regime`] holds the
 //! spawn/pump/merge/join mechanism and what differs between the two
 //! regimes. Ingress is split RSS-style by `lane_of`, packet by packet in
 //! the harness's dispatcher beside the running workers, and whole
@@ -25,7 +25,7 @@
 use crate::config::Knobs;
 use crate::graph::{Graph, GraphError};
 use crate::runtime::driver::RunStats;
-use crate::runtime::regime::{run_scheduled, Regime};
+use crate::runtime::regime::run_scheduled;
 use rb_packet::Packet;
 use rb_telemetry::{EventLog, Ledger, MetricsServer, MetricsSnapshot, TimeSeries, TraceLog};
 use std::time::Duration;
@@ -179,29 +179,29 @@ pub struct GraphRunOutcome {
     pub trace: TraceLog,
 }
 
-/// Runs `packets` through per-core replicas of real element graphs, on
-/// the [`Regime`] and worker count `knobs` name — the one way to start a
-/// multi-threaded run.
+/// Runs `packets` through per-core replicas of a real element graph, on
+/// the [`Regime`](crate::Regime) and worker count `knobs` name — the one
+/// way to start a multi-threaded run.
 ///
-/// One graph is the usual form: under [`Regime::PullCredit`] it is
-/// replicated `knobs.workers` times behind an RSS split, under
-/// [`Regime::Pipeline`] it becomes a chain of `knobs.workers` identical
-/// stages. Several graphs are the stages of a pipeline, one worker each
-/// (`knobs.regime` must be [`Regime::Pipeline`]; `knobs.workers` is not
-/// read).
+/// Under `PullCredit` `graph` is replicated `knobs.workers` times behind
+/// an RSS split; under `Pipeline` it becomes a chain of `knobs.workers`
+/// identical stages. Each replica is a [`crate::Router::configured`]
+/// under `knobs`, so it gets its own arenas and descriptor rings.
 ///
-/// * [`Regime::PullCredit`] (the default; §4.2's "one core per packet"):
-///   a dispatcher splits ingress by flow and feeds each replica's
-///   ingress ring incrementally, in `PacketBatch`es. With one worker the
-///   execution is byte-identical to injecting the same packets into a
-///   single-threaded `Router` over the same graph.
-/// * [`Regime::Pipeline`]: stage `i`'s transmitted frames are forwarded
-///   over an SPSC ring into stage `i+1`'s `FromDevice`, so every packet
-///   crosses a core boundary per stage (the layout Fig. 6 shows losing to
-///   parallel replicas). Intermediate stages have frame retention forced
-///   on (their transmit log *is* the inter-stage link).
-///   `report.processed` counts the last stage's transmitted packets;
-///   `report.per_worker[i]` is stage `i`'s count.
+/// * [`Regime::PullCredit`](crate::Regime::PullCredit) (the default;
+///   §4.2's "one core per packet"): a dispatcher splits ingress by flow
+///   and feeds each replica's ingress ring incrementally, in
+///   `PacketBatch`es. With one worker the execution is byte-identical to
+///   injecting the same packets into a single-threaded `Router` over the
+///   same graph.
+/// * [`Regime::Pipeline`](crate::Regime::Pipeline): stage `i`'s
+///   transmitted frames are forwarded over an SPSC ring into stage
+///   `i+1`'s `FromDevice`, so every packet crosses a core boundary per
+///   stage (the layout Fig. 6 shows losing to parallel replicas).
+///   Intermediate stages have frame retention forced on (their transmit
+///   log *is* the inter-stage link). `report.processed` counts the last
+///   stage's transmitted packets; `report.per_worker[i]` is stage `i`'s
+///   count.
 ///
 /// Both are sink-driven with credit back-pressure: whoever fills a
 /// worker's ingress ring may have at most `ring_depth * batch_size`
@@ -221,18 +221,14 @@ pub struct GraphRunOutcome {
 /// # Errors
 ///
 /// [`GraphError::NotReplicable`] when an element lacks `replicate()`;
-/// [`GraphError::MissingIngress`] when a graph has no `FromDevice`.
+/// [`GraphError::MissingIngress`] when the graph has no `FromDevice`.
 pub fn run_graph(
-    graphs: &[&Graph],
+    graph: &Graph,
     packets: Vec<Packet>,
     knobs: &Knobs,
     monitor: Option<&MetricsServer>,
 ) -> Result<GraphRunOutcome, GraphError> {
-    if knobs.regime == Regime::Pipeline && graphs.len() == 1 {
-        let stages = vec![graphs[0]; knobs.workers];
-        return run_scheduled(&stages, packets, knobs, monitor);
-    }
-    run_scheduled(graphs, packets, knobs, monitor)
+    run_scheduled(graph, packets, knobs, monitor)
 }
 
 #[cfg(test)]
@@ -242,6 +238,7 @@ mod tests {
     use crate::elements::queue::Queue;
     use crate::elements::sink::Counter;
     use crate::runtime::driver::Router;
+    use crate::runtime::regime::Regime;
     use rb_packet::builder::PacketSpec;
     use rb_packet::PacketPool;
     use rb_telemetry::{TelemetryLevel, TraceKind};
@@ -276,11 +273,11 @@ mod tests {
     /// rx -> cnt -> q -> tx, the minimal device-to-device forwarding path.
     fn forwarder_graph(keep_frames: bool) -> Graph {
         let mut g = Graph::new();
-        let rx = g.add("rx", Box::new(FromDevice::new(0, 32))).unwrap();
+        let rx = g.add("rx", Box::new(FromDevice::new(0, Some(32)))).unwrap();
         let c = g.add("cnt", Box::new(Counter::new())).unwrap();
         let q = g.add("q", Box::new(Queue::new(100_000))).unwrap();
         let tx = g
-            .add("tx", Box::new(ToDevice::new(32, keep_frames)))
+            .add("tx", Box::new(ToDevice::new(Some(32), keep_frames)))
             .unwrap();
         g.connect(rx, 0, c, 0).unwrap();
         g.connect(c, 0, q, 0).unwrap();
@@ -341,7 +338,7 @@ mod tests {
     fn graph_parallel_forwards_every_packet() {
         let g = forwarder_graph(true);
         let pkts = packets(2000);
-        let out = run_graph(&[&g], pkts.clone(), &on(Regime::PullCredit, 2), None).unwrap();
+        let out = run_graph(&g, pkts.clone(), &on(Regime::PullCredit, 2), None).unwrap();
         assert_eq!(out.report.processed, 2000);
         assert_eq!(out.report.per_worker.iter().sum::<u64>(), 2000);
         assert_eq!(out.egress.len(), 1);
@@ -362,7 +359,7 @@ mod tests {
             telemetry: TelemetryLevel::Cycles,
             ..on(Regime::PullCredit, 2)
         };
-        let out = run_graph(&[&g], packets(1000), &knobs, None).unwrap();
+        let out = run_graph(&g, packets(1000), &knobs, None).unwrap();
         let snap = &out.report.telemetry;
         assert_eq!(snap.workers, 2, "both shards merged");
         // Replicated elements share names, so rows merge by (name, class)
@@ -383,12 +380,12 @@ mod tests {
     fn graph_parallel_telemetry_does_not_change_output() {
         let pkts = packets(800);
         let g = forwarder_graph(true);
-        let base = run_graph(&[&g], pkts.clone(), &on(Regime::PullCredit, 2), None).unwrap();
+        let base = run_graph(&g, pkts.clone(), &on(Regime::PullCredit, 2), None).unwrap();
         let knobs = Knobs {
             telemetry: TelemetryLevel::Cycles,
             ..on(Regime::PullCredit, 2)
         };
-        let measured = run_graph(&[&g], pkts, &knobs, None).unwrap();
+        let measured = run_graph(&g, pkts, &knobs, None).unwrap();
         assert_eq!(base.report.processed, measured.report.processed);
         let frames = |out: &GraphRunOutcome| {
             let mut v: Vec<Vec<u8>> = out.egress[0].iter().map(|p| p.data().to_vec()).collect();
@@ -402,12 +399,11 @@ mod tests {
     fn graph_parallel_single_worker_is_byte_identical_to_router() {
         let pkts = packets(700);
         let g = forwarder_graph(true);
-        let out = run_graph(&[&g], pkts.clone(), &on(Regime::PullCredit, 1), None).unwrap();
+        let out = run_graph(&g, pkts.clone(), &on(Regime::PullCredit, 1), None).unwrap();
         let mut reference = Router::new(forwarder_graph(true)).unwrap();
         {
             let id = reference.graph().id_of("rx").unwrap();
             let dev = reference
-                .graph_mut()
                 .element_mut(id)
                 .downcast_mut::<FromDevice>()
                 .unwrap();
@@ -437,7 +433,7 @@ mod tests {
             ring_depth,
             ..on(Regime::PullCredit, 3)
         };
-        let out = run_graph(&[&g], pkts.clone(), &knobs, None).unwrap();
+        let out = run_graph(&g, pkts.clone(), &knobs, None).unwrap();
         assert_eq!(out.report.processed, 1500);
         assert!(out.report.ledger.balances(), "{:?}", out.report.ledger);
         let window = (ring_depth * knobs.batch_size) as u64;
@@ -480,7 +476,7 @@ mod tests {
         };
         let g = pooled_forwarder_graph(true, 32);
         for regime in [Regime::PullCredit, Regime::Pipeline] {
-            let pull = run_graph(&[&g], pkts.clone(), &under(regime), None).unwrap();
+            let pull = run_graph(&g, pkts.clone(), &under(regime), None).unwrap();
             assert_eq!(
                 pull.report.pool_exhausted, 0,
                 "{regime} must never exhaust the pool"
@@ -496,12 +492,9 @@ mod tests {
 
     #[test]
     fn graph_pipeline_chains_stages() {
-        let stages: Vec<Graph> = (0..3).map(|_| forwarder_graph(false)).collect();
-        // Last stage keeps frames so egress is observable.
-        let mut stages = stages;
-        stages[2] = forwarder_graph(true);
-        let stages: Vec<&Graph> = stages.iter().collect();
-        let out = run_graph(&stages, packets(800), &on(Regime::Pipeline, 3), None).unwrap();
+        // The last stage keeps frames so egress is observable.
+        let g = forwarder_graph(true);
+        let out = run_graph(&g, packets(800), &on(Regime::Pipeline, 3), None).unwrap();
         assert_eq!(out.report.processed, 800);
         assert_eq!(out.report.per_worker, vec![800, 800, 800]);
         assert_eq!(out.egress[0].len(), 800);
@@ -516,7 +509,7 @@ mod tests {
                 ..on(regime, 2)
             };
             let g = forwarder_graph(false);
-            let out = run_graph(&[&g], packets(600), &knobs, None).unwrap();
+            let out = run_graph(&g, packets(600), &knobs, None).unwrap();
             let series = out
                 .report
                 .timeseries
@@ -533,7 +526,7 @@ mod tests {
                 "{regime}: drops"
             );
             // With the clock off there is no series.
-            let off = run_graph(&[&g], packets(10), &on(Regime::PullCredit, 2), None).unwrap();
+            let off = run_graph(&g, packets(10), &on(Regime::PullCredit, 2), None).unwrap();
             assert!(off.report.timeseries.is_none());
         }
     }
@@ -542,7 +535,7 @@ mod tests {
     fn graph_regime_dispatch_covers_all_regimes() {
         for regime in [Regime::Pipeline, Regime::PullCredit] {
             let g = forwarder_graph(true);
-            let out = run_graph(&[&g], packets(400), &on(regime, 2), None).unwrap();
+            let out = run_graph(&g, packets(400), &on(regime, 2), None).unwrap();
             assert_eq!(out.report.processed, 400, "regime {regime}");
             assert_eq!(out.egress[0].len(), 400, "regime {regime}");
             assert!(out.report.ledger.balances(), "regime {regime}");
@@ -564,7 +557,7 @@ mod tests {
         for _ in 0..8 {
             let pkts = packets(4096);
             let t = Instant::now();
-            let out = run_graph(&[&g], pkts, &knobs, None).unwrap();
+            let out = run_graph(&g, pkts, &knobs, None).unwrap();
             let outer = t.elapsed();
             assert_eq!(out.report.ledger.sourced, 4096);
             assert!(
@@ -607,7 +600,7 @@ mod tests {
             .unwrap();
         g.connect(s, 0, d, 0).unwrap();
         assert!(matches!(
-            run_graph(&[&g], Vec::new(), &on(Regime::PullCredit, 2), None),
+            run_graph(&g, Vec::new(), &on(Regime::PullCredit, 2), None),
             Err(GraphError::MissingIngress)
         ));
     }
@@ -624,10 +617,10 @@ mod tests {
             }
         }
         let mut g = Graph::new();
-        let rx = g.add("rx", Box::new(FromDevice::new(0, 32))).unwrap();
+        let rx = g.add("rx", Box::new(FromDevice::new(0, Some(32)))).unwrap();
         let o = g.add("mystery", Box::new(Opaque)).unwrap();
         g.connect(rx, 0, o, 0).unwrap();
-        match run_graph(&[&g], Vec::new(), &on(Regime::PullCredit, 2), None) {
+        match run_graph(&g, Vec::new(), &on(Regime::PullCredit, 2), None) {
             Err(GraphError::NotReplicable { element, class }) => {
                 assert_eq!(element, "mystery");
                 assert_eq!(class, "Opaque");
@@ -640,7 +633,7 @@ mod tests {
     fn replicated_graph_shares_fib_but_not_counters() {
         use crate::elements::route::LookupIPRoute;
         let mut g = Graph::new();
-        let rx = g.add("rx", Box::new(FromDevice::new(0, 32))).unwrap();
+        let rx = g.add("rx", Box::new(FromDevice::new(0, Some(32)))).unwrap();
         let rt = g
             .add(
                 "rt",
@@ -656,7 +649,7 @@ mod tests {
         g.connect(rx, 0, rt, 0).unwrap();
         g.connect(rt, 0, d, 0).unwrap();
         g.connect(rt, 1, m, 0).unwrap();
-        let out = run_graph(&[&g], packets(300), &on(Regime::PullCredit, 2), None).unwrap();
+        let out = run_graph(&g, packets(300), &on(Regime::PullCredit, 2), None).unwrap();
         // No ToDevice in this graph: processed falls back to ingress.
         assert_eq!(out.report.processed, 300);
         assert!(out.egress.is_empty());
@@ -666,8 +659,7 @@ mod tests {
     fn graph_runners_conserve_packets_across_worker_counts() {
         for workers in [1usize, 2, 4] {
             let g = forwarder_graph(true);
-            let out =
-                run_graph(&[&g], packets(900), &on(Regime::PullCredit, workers), None).unwrap();
+            let out = run_graph(&g, packets(900), &on(Regime::PullCredit, workers), None).unwrap();
             let led = out.report.ledger;
             assert!(led.balances(), "workers={workers}: {led:?}");
             assert_eq!(led.sourced, 900);
@@ -686,7 +678,7 @@ mod tests {
             ring_depth,
             ..on(Regime::PullCredit, 2)
         };
-        let out = run_graph(&[&forwarder_graph(true)], packets(640), &knobs, None).unwrap();
+        let out = run_graph(&forwarder_graph(true), packets(640), &knobs, None).unwrap();
         assert_eq!(out.report.processed, 640);
         assert!(out.report.ledger.balances(), "{:?}", out.report.ledger);
         assert!(out.trace.traced_packets() > 0, "sampling must trace some");
@@ -737,14 +729,12 @@ mod tests {
 
     #[test]
     fn traced_pipeline_ledger_balances_per_stage() {
-        let mut stages: Vec<Graph> = (0..3).map(|_| forwarder_graph(false)).collect();
-        stages[2] = forwarder_graph(true);
+        let g = forwarder_graph(true);
         let knobs = Knobs {
             trace_sample: 16,
             ..on(Regime::Pipeline, 3)
         };
-        let stages: Vec<&Graph> = stages.iter().collect();
-        let out = run_graph(&stages, packets(400), &knobs, None).unwrap();
+        let out = run_graph(&g, packets(400), &knobs, None).unwrap();
         assert_eq!(out.report.processed, 400);
         let led = out.report.ledger;
         // Each stage is conservation-closed: its FromDevice sources what
@@ -758,7 +748,7 @@ mod tests {
     #[test]
     fn trace_off_mt_run_records_nothing() {
         let g = forwarder_graph(true);
-        let out = run_graph(&[&g], packets(300), &on(Regime::PullCredit, 2), None).unwrap();
+        let out = run_graph(&g, packets(300), &on(Regime::PullCredit, 2), None).unwrap();
         assert!(out.trace.spans.is_empty());
         assert_eq!(out.trace.overflow, 0);
         assert!(out.egress[0].iter().all(|p| p.meta.trace_id == 0));

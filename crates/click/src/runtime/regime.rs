@@ -612,33 +612,24 @@ fn detach_frame(pkt: Packet) -> Packet {
 const IDLE_YIELDS: u32 = 2048;
 const IDLE_NAP: Duration = Duration::from_micros(50);
 
-/// Runs `packets` through `knobs.regime`'s topology over `graphs` — the
-/// one spawn/pump/merge/join loop both regimes share. The pipeline takes
-/// one stage graph per worker; pull replicates `graphs[0]`
-/// `knobs.workers` times.
+/// Runs `packets` through `knobs.regime`'s topology over `knobs.workers`
+/// replicas of `graph` — the one spawn/pump/merge/join loop both regimes
+/// share.
 ///
 /// # Errors
 ///
 /// [`GraphError::NotReplicable`] when an element lacks `replicate()`;
-/// [`GraphError::MissingIngress`] when a stage graph has no `FromDevice`.
+/// [`GraphError::MissingIngress`] when the graph has no `FromDevice`.
 pub(crate) fn run_scheduled(
-    graphs: &[&Graph],
+    graph: &Graph,
     packets: Vec<Packet>,
     knobs: &Knobs,
     monitor: Option<&MetricsServer>,
 ) -> Result<GraphRunOutcome, GraphError> {
     let regime = knobs.regime;
-    assert!(!graphs.is_empty(), "need at least one graph");
     // The caller's clock: replication and wiring are part of a call.
     let start = Instant::now();
-    let replicas = match regime {
-        Regime::Pipeline => pipeline_topology(graphs, knobs)?,
-        Regime::PullCredit => {
-            assert_eq!(graphs.len(), 1, "{regime}: one template graph");
-            assert!(knobs.workers > 0, "need at least one worker");
-            star_topology(graphs[0], knobs)?
-        }
-    };
+    let replicas = topology(graph, knobs)?;
     let n = replicas.len();
     // Live telemetry: collect every worker's interval ring before the
     // replicas move to their threads; the main thread polls them while
@@ -656,11 +647,7 @@ pub(crate) fn run_scheduled(
     if let Some(server) = monitor {
         server.attach(knobs.monitor_source(interval_rings, interval_ticks));
     }
-    let n_egress = graphs
-        .last()
-        .expect("non-empty")
-        .elements_of_type::<ToDevice>()
-        .len();
+    let n_egress = graph.elements_of_type::<ToDevice>().len();
     // The dispatcher/merger thread's trace shard records as core `n`.
     let mut main_tracer = Tracer::new(knobs.trace_sample, core_id(n));
     let Wiring {
@@ -820,11 +807,29 @@ fn core_id(index: usize) -> u32 {
     u32::try_from(index).expect("a run spawns a thread per core: fewer than 2^32")
 }
 
-/// Star topology: `knobs.workers` replicas of the one template graph.
-fn star_topology(graph: &Graph, knobs: &Knobs) -> Result<Vec<Replica>, GraphError> {
-    (0..knobs.workers)
+/// `knobs.workers` replicas of the one template graph: the star's
+/// parallel workers, or the pipeline's stages in chain order. An
+/// intermediate stage feeds the next from its tx log, so its frame
+/// retention is forced on.
+fn topology(graph: &Graph, knobs: &Knobs) -> Result<Vec<Replica>, GraphError> {
+    assert!(knobs.workers > 0, "need at least one worker");
+    let mut replicas = (0..knobs.workers)
         .map(|core| make_replica(graph, knobs, core_id(core)))
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    if knobs.regime == Regime::Pipeline {
+        let last = replicas.len() - 1;
+        for replica in &mut replicas[..last] {
+            for &id in &replica.egress_ids {
+                replica
+                    .router
+                    .element_mut(id)
+                    .downcast_mut::<ToDevice>()
+                    .expect("egress id is a ToDevice")
+                    .set_keep_frames(true);
+            }
+        }
+    }
+    Ok(replicas)
 }
 
 /// A worker's ingress ring and the gate it is filled under: a window of
@@ -938,29 +943,6 @@ fn worker(replica: Replica, lane: Lane, knobs: &Knobs) -> WorkerSummary {
     }
     worker_summary(&mut router, ingress, &egress_ids)
     // The sink drops here, hanging up on the merger / next stage.
-}
-
-/// Pipeline topology: one replica per stage graph, in chain order.
-fn pipeline_topology(graphs: &[&Graph], knobs: &Knobs) -> Result<Vec<Replica>, GraphError> {
-    let n = graphs.len();
-    let mut replicas = Vec::with_capacity(n);
-    for (i, stage) in graphs.iter().enumerate() {
-        let mut replica = make_replica(stage, knobs, core_id(i))?;
-        if i + 1 < n {
-            // Intermediate stages feed the next stage from their tx
-            // log, so frame retention is forced on.
-            for &id in &replica.egress_ids {
-                replica
-                    .router
-                    .element_mut(id)
-                    .downcast_mut::<ToDevice>()
-                    .expect("egress id is a ToDevice")
-                    .set_keep_frames(true);
-            }
-        }
-        replicas.push(replica);
-    }
-    Ok(replicas)
 }
 
 /// Pipeline wiring: gated ring `i` feeds stage `i`. The dispatcher fills
@@ -1276,13 +1258,15 @@ mod tests {
     ) -> (Ledger, usize) {
         use rb_packet::PacketPool;
         let mut g = Graph::new();
-        let mut dev = FromDevice::new(0, 32);
+        let mut dev = FromDevice::new(0, Some(32));
         dev.set_pool(PacketPool::new(4, 2048));
         let rx = g.add("rx", Box::new(dev)).unwrap();
         let q = g
             .add("q", Box::new(crate::elements::Queue::new(64)))
             .unwrap();
-        let tx = g.add("tx", Box::new(ToDevice::new(32, true))).unwrap();
+        let tx = g
+            .add("tx", Box::new(ToDevice::new(Some(32), true)))
+            .unwrap();
         g.connect(rx, 0, q, 0).unwrap();
         g.connect(q, 0, tx, 0).unwrap();
         let knobs = Knobs::default();
@@ -1364,7 +1348,7 @@ mod tests {
     fn pooled_ingress_hands_its_spent_batches_back() {
         use rb_packet::PacketPool;
         let mut g = Graph::new();
-        let rx = g.add("rx", Box::new(FromDevice::new(0, 32))).unwrap();
+        let rx = g.add("rx", Box::new(FromDevice::new(0, Some(32)))).unwrap();
         let sink = crate::elements::sink::Discard::new();
         let d = g.add("sink", Box::new(sink)).unwrap();
         g.connect(rx, 0, d, 0).unwrap();

@@ -17,7 +17,6 @@
 //! pick. A task that sat parked through later picks rejoins at the last
 //! pick's pass: its slot is found by binary search and opened by moving at
 //! most n/2 entries of 16 bytes; [`StrideScheduler::add`] costs the same.
-//! [`StrideScheduler::remove`] filters the deque, O(n).
 
 use std::collections::VecDeque;
 
@@ -130,14 +129,6 @@ impl StrideScheduler {
         self.now = self.now.max(self.charged);
     }
 
-    /// Removes a task (e.g. a source that finished), runnable or parked.
-    pub fn remove(&mut self, id: usize) {
-        self.tasks.retain(|t| t.id != id);
-        if let Some(slot) = self.parked.get_mut(id) {
-            *slot = None;
-        }
-    }
-
     /// Number of runnable tasks.
     pub fn len(&self) -> usize {
         self.tasks.len()
@@ -187,24 +178,14 @@ mod tests {
             task.1 += 1;
             Some(task.0)
         }
-
-        fn remove(&mut self, id: usize) {
-            self.tasks.retain(|t| t.0 != id);
-        }
-
-        /// The id `next` would return, without charging it.
-        fn peek(&self) -> Option<usize> {
-            self.tasks.iter().min_by_key(|t| (t.1, t.0)).map(|t| t.0)
-        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random interleavings of `add` (ids reused so duplicates
-        /// occur), `next`, and `remove` — of an arbitrary id
-        /// and of the task that would run next — return the same id
-        /// sequence from the sorted deque and from the linear scan.
+        /// occur) and `next` return the same id sequence from the sorted
+        /// deque and from the linear scan.
         #[test]
         fn sorted_deque_matches_linear_scan(
             ops in prop::collection::vec((0u8..8, 0usize..12), 1..400),
@@ -216,18 +197,6 @@ mod tests {
                     0 | 1 => {
                         sched.add(id);
                         naive.add(id);
-                    }
-                    2 => {
-                        sched.remove(id);
-                        naive.remove(id);
-                    }
-                    3 => {
-                        // Remove the current minimum: the task `next`
-                        // would have picked.
-                        if let Some(min) = naive.peek() {
-                            sched.remove(min);
-                            naive.remove(min);
-                        }
                     }
                     _ => prop_assert_eq!(run_next(&mut sched), naive.next()),
                 }
@@ -334,20 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn removal_stops_scheduling() {
-        let mut s = StrideScheduler::new();
-        s.add(7);
-        s.add(8);
-        s.remove(7);
-        for _ in 0..10 {
-            assert_eq!(run_next(&mut s), Some(8));
-        }
-        s.remove(8);
-        assert!(s.is_empty());
-        assert_eq!(s.next(), None);
-    }
-
-    #[test]
     fn late_joiner_is_not_starved_nor_dominant() {
         let mut s = StrideScheduler::new();
         s.add(0);
@@ -380,8 +335,5 @@ mod tests {
         // one stride behind 5 and not the two it sat out.
         let picks: Vec<_> = (0..5).map(|_| run_next(&mut s).unwrap()).collect();
         assert_eq!(picks, [3, 3, 5, 3, 5]);
-        s.next();
-        s.remove(3);
-        assert!(!s.wake(3), "removal reaches parked tasks too");
     }
 }

@@ -18,7 +18,7 @@ use rb_click::elements::sink::{Counter, CounterStats, Discard};
 use rb_click::elements::source::VecSource;
 use rb_click::elements::Classifier;
 use rb_click::graph::Graph;
-use rb_click::Router;
+use rb_click::{Knobs, Router};
 use rb_packet::builder::PacketSpec;
 use rb_packet::Packet;
 
@@ -64,8 +64,9 @@ struct Snapshot {
 }
 
 /// Builds one of four stdlib graph shapes (all merge-free: each queue has
-/// exactly one producer, so per-edge FIFO order pins the output stream).
-fn build_graph(shape: u8, recipes: &[PacketRecipe], queue_capacity: usize) -> Router {
+/// exactly one producer, so per-edge FIFO order pins the output stream),
+/// dispatched `kp` packets at a time.
+fn build_graph(shape: u8, recipes: &[PacketRecipe], queue_capacity: usize, kp: usize) -> Router {
     let packets: Vec<Packet> = recipes.iter().map(build_packet).collect();
     let mut g = Graph::new();
     let src = g.add("src", Box::new(VecSource::new(packets))).unwrap();
@@ -74,7 +75,9 @@ fn build_graph(shape: u8, recipes: &[PacketRecipe], queue_capacity: usize) -> Ro
         0 => {
             // src -> cnt -> q0 -> tx0
             let q = g.add("q0", Box::new(Queue::new(queue_capacity))).unwrap();
-            let tx = g.add("tx0", Box::new(ToDevice::new(16, true))).unwrap();
+            let tx = g
+                .add("tx0", Box::new(ToDevice::new(Some(16), true)))
+                .unwrap();
             g.connect(src, 0, cnt, 0).unwrap();
             g.connect(cnt, 0, q, 0).unwrap();
             g.connect(q, 0, tx, 0).unwrap();
@@ -84,7 +87,9 @@ fn build_graph(shape: u8, recipes: &[PacketRecipe], queue_capacity: usize) -> Ro
             let chk = g.add("chk", Box::new(CheckIPHeader::ethernet())).unwrap();
             let bad = g.add("bad", Box::new(Discard::new())).unwrap();
             let q = g.add("q0", Box::new(Queue::new(queue_capacity))).unwrap();
-            let tx = g.add("tx0", Box::new(ToDevice::new(16, true))).unwrap();
+            let tx = g
+                .add("tx0", Box::new(ToDevice::new(Some(16), true)))
+                .unwrap();
             g.connect(src, 0, chk, 0).unwrap();
             g.connect(chk, 1, bad, 0).unwrap();
             g.connect(chk, 0, cnt, 0).unwrap();
@@ -115,7 +120,7 @@ fn build_graph(shape: u8, recipes: &[PacketRecipe], queue_capacity: usize) -> Ro
                     .add(format!("q{p}"), Box::new(Queue::new(queue_capacity)))
                     .unwrap();
                 let tx = g
-                    .add(format!("tx{p}"), Box::new(ToDevice::new(16, true)))
+                    .add(format!("tx{p}"), Box::new(ToDevice::new(Some(16), true)))
                     .unwrap();
                 g.connect(rt, p, q, 0).unwrap();
                 g.connect(q, 0, tx, 0).unwrap();
@@ -131,9 +136,13 @@ fn build_graph(shape: u8, recipes: &[PacketRecipe], queue_capacity: usize) -> Ro
                 )
                 .unwrap();
             let q0 = g.add("q0", Box::new(Queue::new(queue_capacity))).unwrap();
-            let tx0 = g.add("tx0", Box::new(ToDevice::new(16, true))).unwrap();
+            let tx0 = g
+                .add("tx0", Box::new(ToDevice::new(Some(16), true)))
+                .unwrap();
             let q1 = g.add("q1", Box::new(Queue::new(queue_capacity))).unwrap();
-            let tx1 = g.add("tx1", Box::new(ToDevice::new(16, true))).unwrap();
+            let tx1 = g
+                .add("tx1", Box::new(ToDevice::new(Some(16), true)))
+                .unwrap();
             g.connect(src, 0, cnt, 0).unwrap();
             g.connect(cnt, 0, cls, 0).unwrap();
             g.connect(cls, 0, q0, 0).unwrap();
@@ -142,11 +151,15 @@ fn build_graph(shape: u8, recipes: &[PacketRecipe], queue_capacity: usize) -> Ro
             g.connect(q1, 0, tx1, 0).unwrap();
         }
     }
-    Router::new(g).unwrap()
+    let knobs = Knobs {
+        batch_size: kp,
+        ..Knobs::default()
+    };
+    Router::configured(g, &knobs, 0).unwrap()
 }
 
 fn run_snapshot(shape: u8, recipes: &[PacketRecipe], queue_capacity: usize, kp: usize) -> Snapshot {
-    let mut router = build_graph(shape, recipes, queue_capacity).with_batch_size(kp);
+    let mut router = build_graph(shape, recipes, queue_capacity, kp);
     let stats = router.run_until_idle(u64::MAX);
     let mut tx_streams = Vec::new();
     let mut queues = Vec::new();

@@ -26,7 +26,7 @@ use rb_click::{ConfigError, Element, GraphError, Knobs, Regime, Router};
 use rb_crypto::SecurityAssociation;
 use rb_lookup::{Prefix, RcuFib, RouteControl, RouteTable};
 use rb_packet::builder::PacketSpec;
-use rb_packet::{Packet, PacketPool};
+use rb_packet::Packet;
 use rb_telemetry::{
     cycles, DropCause, MetricsServer, SloReport, SloSpec, TelemetryLevel, TimeSeries,
 };
@@ -170,10 +170,10 @@ impl RouterBuilder {
         self
     }
 
-    /// Pins an explicit device poll/transmit burst. By default devices
-    /// inherit the graph batch size `kp`
-    /// ([`RouterBuilder::batch_size`]) — the paper tunes one `kp`, not a
-    /// knob per device.
+    /// Sets the device burst: packets every `FromDevice` poll and every
+    /// `ToDevice` pull moves. By default devices move the graph batch
+    /// size `kp` ([`RouterBuilder::batch_size`]) — the paper tunes one
+    /// `kp`, not a knob per device.
     pub fn poll_burst(mut self, burst: usize) -> RouterBuilder {
         assert!(burst > 0, "poll burst must be positive");
         self.knobs.poll_burst = Some(burst);
@@ -199,7 +199,7 @@ impl RouterBuilder {
     }
 
     /// Sets the graph dispatch batch size `kp` (default 32; 1 = scalar
-    /// per-packet dispatch). See [`Router::set_batch_size`].
+    /// per-packet dispatch). See [`Router::batch_size`].
     pub fn batch_size(mut self, kp: usize) -> RouterBuilder {
         assert!(kp > 0, "batch size must be positive");
         self.knobs.batch_size = kp;
@@ -273,7 +273,7 @@ impl RouterBuilder {
     /// descriptor writeback + doorbell cost is charged once per `kn`
     /// descriptors on every device ring. Table 1's second batching axis,
     /// orthogonal to [`RouterBuilder::batch_size`] (`kp`). See
-    /// [`Router::set_nic_batch`].
+    /// [`Router::configured`].
     pub fn nic_batch(mut self, kn: usize) -> RouterBuilder {
         assert!(kn > 0, "nic batch must be positive");
         self.knobs.nic_batch = kn;
@@ -366,8 +366,11 @@ impl RouterBuilder {
     }
 
     /// Builds the bare element graph (no driver attached) — the form the
-    /// multi-threaded runtime replicates once per worker core. Any RCU
-    /// route-control handle is discarded; use [`RouterBuilder::build`] /
+    /// multi-threaded runtime replicates once per worker core. It reads
+    /// no knob: it holds no arena, and its devices are unpinned, so
+    /// [`Router::configured`] under this builder's [`Knobs`] gives them
+    /// their bursts and arenas. Any RCU route-control handle is
+    /// discarded; use [`RouterBuilder::build`] /
     /// [`RouterBuilder::build_mt`] to keep it. The builder stays usable,
     /// so a table from [`RouterBuilder::routes_from_table`] is cloned.
     ///
@@ -413,19 +416,13 @@ impl RouterBuilder {
         };
         let mut g = Graph::new();
         let ports = self.ports;
-        let knobs = &self.knobs;
-        // Devices inherit the graph kp unless a burst was pinned.
-        let device_burst = knobs.poll_burst.unwrap_or(knobs.batch_size);
-        let new_pool = || PacketPool::new(knobs.pool_slots, knobs.slot_size);
 
-        // Per-port egress: Queue -> ToDevice.
+        // Per-port egress: Queue -> ToDevice. Devices are unpinned: their
+        // bursts, like every arena, are `Router::configured`'s.
         let mut queues = Vec::new();
         for p in 0..ports {
             let q = g.add(format!("q{p}"), Box::new(Queue::new(self.queue_capacity)))?;
-            let tx = match knobs.poll_burst {
-                Some(burst) => ToDevice::new(burst, self.keep_tx_frames),
-                None => ToDevice::with_graph_burst(self.keep_tx_frames),
-            };
+            let tx = ToDevice::new(None, self.keep_tx_frames);
             let tx = g.add(format!("tx{p}"), Box::new(tx))?;
             g.connect(q, 0, tx, 0)?;
             queues.push(q);
@@ -455,20 +452,12 @@ impl RouterBuilder {
                         .frame_len(size)
                 })
                 .collect();
-            let mut src = SpecSource::new(specs);
-            if knobs.pool_slots > 0 {
-                src.set_pool(new_pool());
-            }
-            vec![g.add("src0", Box::new(src))?]
+            vec![g.add("src0", Box::new(SpecSource::new(specs)))?]
         } else {
             (0..ports)
                 .map(|p| {
                     let port = u16::try_from(p).expect("ports() caps the count at MAX_PORTS");
-                    let mut dev = FromDevice::new(port, device_burst);
-                    if knobs.pool_slots > 0 {
-                        dev.set_pool(new_pool());
-                    }
-                    g.add(format!("rx{p}"), Box::new(dev))
+                    g.add(format!("rx{p}"), Box::new(FromDevice::new(port, None)))
                 })
                 .collect::<Result<_, _>>()?
         };
@@ -643,7 +632,8 @@ impl MtRouter {
         ))
     }
 
-    /// The template graph (replicated per worker on each run).
+    /// The template graph, replicated per worker on each run. It holds no
+    /// arena: each replica gets its own when the run configures it.
     pub fn graph(&self) -> &Graph {
         &self.graph
     }
@@ -672,7 +662,7 @@ impl MtRouter {
     /// Propagates replication failures (see
     /// [`rb_click::runtime::mt::run_graph`]).
     pub fn run(&self, packets: Vec<Packet>) -> Result<GraphRunOutcome, GraphError> {
-        run_graph(&[&self.graph], packets, &self.knobs, self.monitor.as_ref())
+        run_graph(&self.graph, packets, &self.knobs, self.monitor.as_ref())
     }
 
     /// The embedded scrape endpoint's bound address (`None` unless built
@@ -1055,21 +1045,63 @@ mod tests {
         assert_eq!(mt.knobs().ring_depth, 16);
     }
 
-    /// A builder-made graph's `tx0` burst override, and the frames its
-    /// `rx0` hands downstream in one poll — its burst, observed.
-    fn device_bursts(builder: &RouterBuilder) -> (Option<usize>, usize) {
+    /// The bursts a router built by `builder` resolves for its devices:
+    /// `tx0`'s pull, and how many of 64 waiting frames one poll of `rx0`
+    /// takes.
+    fn device_bursts(builder: &RouterBuilder) -> (usize, usize) {
         use rb_click::{Element, Output};
-        let mut g = builder.build_graph().unwrap();
-        let tx = g.element(g.id_of("tx0").unwrap());
-        let pinned = tx.downcast_ref::<ToDevice>().unwrap().configured_burst();
-        let rx = g.element_mut(g.id_of("rx0").unwrap());
-        let rx = rx.downcast_mut::<FromDevice>().unwrap();
+        let mut built = builder.clone().build().unwrap();
+        let router = built.click();
+        let pull = router.element_as::<ToDevice>("tx0").unwrap().burst();
+        let rx = router.element_as_mut::<FromDevice>("rx0").unwrap();
         for _ in 0..64 {
             rx.inject(PacketSpec::udp().build());
         }
         let mut out = Output::new();
         rx.run_task(&mut out);
-        (pinned, out.len())
+        (pull, out.len())
+    }
+
+    /// What a router's first useful device quanta move, `(rx, tx)`: the
+    /// frames the first poll of `rx` takes of 200 waiting, and those the
+    /// first pull into `tx` sends.
+    fn first_bursts(router: &mut Router, rx: &str, tx: &str) -> (u64, u64) {
+        for _ in 0..200 {
+            let dev = router.element_as_mut::<FromDevice>(rx).unwrap();
+            dev.inject(PacketSpec::udp().build());
+        }
+        let mut polled = 0;
+        for _ in 0..100 {
+            router.run_quantum();
+            if polled == 0 {
+                polled = router.element_as::<FromDevice>(rx).unwrap().received();
+            }
+            let sent = router.element_as::<ToDevice>(tx).unwrap().sent_packets();
+            if sent > 0 {
+                return (polled, sent);
+            }
+        }
+        (polled, 0)
+    }
+
+    #[test]
+    fn dsl_and_builder_routers_resolve_the_same_device_bursts() {
+        // `poll_burst` is every unpinned device's burst, in both
+        // directions, however the router was built: a configuration
+        // text's bare `ToDevice` once pulled `kp` (8) where the builder's
+        // pulled 64.
+        let mut dsl = rb_click::build_router(
+            "RuntimeConfig(batch_size 8, poll_burst 64);
+             rx :: FromDevice(0); q :: Queue; tx :: ToDevice; rx -> q -> tx;",
+        )
+        .unwrap();
+        assert_eq!(first_bursts(&mut dsl, "rx", "tx"), (64, 64));
+        let mut built = RouterBuilder::minimal_forwarder()
+            .batch_size(8)
+            .poll_burst(64)
+            .build()
+            .unwrap();
+        assert_eq!(first_bursts(built.click(), "rx0", "tx1"), (64, 64));
     }
 
     /// The knobs one `RuntimeConfig(...)` statement parses into.
@@ -1083,10 +1115,10 @@ mod tests {
         // `apply_knobs` used to pin every device at 32 whatever the text
         // said: `kp` is the single batching knob unless a burst is named.
         let follows = RouterBuilder::minimal_forwarder().apply_knobs(&knobs_from("batch_size 16"));
-        assert_eq!(device_bursts(&follows), (None, 16));
+        assert_eq!(device_bursts(&follows), (16, 16));
         let pinned = RouterBuilder::minimal_forwarder()
             .apply_knobs(&knobs_from("batch_size 16, poll_burst 8"));
-        assert_eq!(device_bursts(&pinned), (Some(8), 8));
+        assert_eq!(device_bursts(&pinned), (8, 8));
     }
 
     #[test]

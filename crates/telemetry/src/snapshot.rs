@@ -47,14 +47,6 @@ impl CoreMetrics {
         }
     }
 
-    /// Makes room for a graph that grew to `n_stages` elements; the rows
-    /// recorded so far are kept.
-    pub fn grow(&mut self, n_stages: usize) {
-        if n_stages > self.stages.len() {
-            self.stages.resize(n_stages, StageAcc::default());
-        }
-    }
-
     /// The configured measurement level.
     #[inline]
     pub fn level(&self) -> TelemetryLevel {

@@ -190,6 +190,15 @@ for f in $(find crates/click/src -name '*.rs'); do
         exit 1
     }
 done
+# A router is configured once, by `Router::configured`: the public
+# mutators that reconfigured one after construction, the re-plan they
+# needed, the telemetry shard's growth for an edited graph and the device
+# burst's per-direction resolvers stay gone.
+configured_gone='graph_mut|tasks_stale|with_batch_size|set_batch_size|with_telemetry|set_telemetry|follow_device_burst|pull_burst_or|fn grow\(&mut self'
+if grep -rnE "$configured_gone" crates/ tests/ examples/; then
+    echo "a post-construction Router mutator, the task re-plan or a second device-burst resolver is back: knobs become state in Router::configured, once" >&2
+    exit 1
+fi
 for f in crates/click/src/runtime/driver.rs crates/click/src/runtime/mt.rs \
     crates/telemetry/src/snapshot.rs crates/telemetry/src/ledger.rs; do
     if non_test "$f" | grep -nE 'fn to_json\b'; then
@@ -227,6 +236,25 @@ if grep -rn 'by_ascending_length' crates/ examples/ tests/; then
     echo "RouteTable::by_ascending_length is back: DIR-24-8 builds sweep the table in address order" >&2
     exit 1
 fi
+
+echo "==> arena gate (Router::configured attaches every arena: no attach_pools or set_pool call in non-test code outside driver.rs)"
+# Code lines above a file's first `#[cfg(test)]`; an element's own
+# `set_pool` and `replicate` bodies may hand a replica its fresh arena.
+for f in $(find crates/*/src examples -name '*.rs' ! -path crates/click/src/runtime/driver.rs); do
+    non_test "$f" | awk -v file="$f" '
+        /^[[:space:]]*\/\// { next }
+        body == "" && /^[[:space:]]*(pub )?fn (set_pool|replicate)\(/ {
+            for (i = 1; i < match($0, /[^ ]/); i++) body = body " "
+            body = body "}"
+            next
+        }
+        body != "" { if ($0 == body) body = ""; next }
+        /attach_pools\(|\.set_pool\(/ { printf "%s:%d: %s\n", file, NR, $0; bad = 1 }
+        END { exit bad }' || {
+        echo "an arena attached outside Router::configured: knobs become element state in one place" >&2
+        exit 1
+    }
+done
 
 echo "==> sweep gate (run_until_idle returns the driver's own counts; only stats() sums the elements)"
 # A call to `run_until_idle` pays for no walk over the

@@ -156,7 +156,7 @@ fn ipsec_replicas_diverge_from_the_reference_at_the_sequence_number() {
             workers,
             ..Knobs::default()
         });
-        let out = run_graph(&[&graph], frames.clone(), &knobs, None).unwrap();
+        let out = run_graph(&graph, frames.clone(), &knobs, None).unwrap();
         let mut first_differences = std::collections::BTreeSet::new();
         for f in out.egress.iter().flatten() {
             let (got, want) = (f.data(), want[&f.meta.ingress_seq]);

@@ -71,7 +71,7 @@ fn rings_conserve_descriptors_and_amortise_per_ring() {
     let frame = |i: usize| Packet::from_slice(&(i as u32).to_be_bytes());
     let mut doorbells = Vec::new();
     for kn in [1usize, 4, 16] {
-        let mut rx = FromDevice::new(0, 32);
+        let mut rx = FromDevice::new(0, Some(32));
         rx.set_ring_depth(64);
         rx.set_nic_batch(kn);
         for i in 0..FRAMES {
@@ -102,7 +102,7 @@ fn rings_conserve_descriptors_and_amortise_per_ring() {
             );
         }
 
-        let mut tx = ToDevice::new(32, false);
+        let mut tx = ToDevice::new(Some(32), false);
         tx.set_ring_depth(64);
         tx.set_nic_batch(kn);
         for i in 0..FRAMES {
@@ -149,7 +149,7 @@ fn doorbells_amortise_by_kn() {
                     ..Knobs::default()
                 };
                 let (graph, knobs) = corpus().swap_remove(0).graph(&knobs);
-                run_graph(&[&graph], frames.clone(), &knobs, None)
+                run_graph(&graph, frames.clone(), &knobs, None)
                     .unwrap()
                     .report
                     .nic_doorbells

@@ -7,11 +7,15 @@
 //! ingress) sequence and to its own `kp = 1` twin; [`multi_threaded`]
 //! holds a `run_graph` run to it per (egress, flow) sequence, a pipeline
 //! stage being the reference applied once more. Both demand an exact
-//! ledger. Each test file uses part of it.
+//! ledger, and both hold every egress frame to one check that runs no
+//! element code ([`checksums_kept`]). Each test file uses part of it.
 #![allow(dead_code)]
 
 use proptest::prelude::*;
 use rb_packet::builder::PacketSpec;
+use rb_packet::checksum::checksum;
+use rb_packet::ethernet::{EtherType, EthernetHeader};
+use rb_packet::ipv4::Ipv4Header;
 use rb_packet::Packet;
 use routebricks::builder::RouterBuilder;
 use routebricks::click::elements::{Counter, FromDevice, Queue, ToDevice};
@@ -475,6 +479,48 @@ pub fn reference(shape: &Shape, frames: &[Packet], stages: usize) -> (Vec<Vec<Pa
     (egress, ledger)
 }
 
+/// Whether the IPv4 header of Ethernet frame `frame` checksums to zero;
+/// `None` when the frame carries no IPv4 header.
+pub fn ipv4_checksum_holds(frame: &[u8]) -> Option<bool> {
+    let eth = EthernetHeader::parse(frame).ok()?;
+    if eth.ethertype != EtherType::Ipv4 {
+        return None;
+    }
+    let ip = EthernetHeader::payload(frame).ok()?;
+    let header = &ip[..Ipv4Header::parse_unchecked(ip).ok()?.header_len()];
+    Some(checksum(header) == 0)
+}
+
+/// The check that runs no element code, so a fault every element copy
+/// shares — the reference's included — still shows: an egress frame
+/// whose ingress frame (the one in `ingress` with its `ingress_seq`)
+/// carried a valid IPv4 header checksum carries one too. Frames that are
+/// not IPv4 on either side are skipped. Returns the first that breaks it.
+pub fn checksums_kept<'a>(
+    ingress: impl IntoIterator<Item = &'a Packet>,
+    egress: &[Vec<Packet>],
+) -> Option<String> {
+    let valid: BTreeMap<u64, bool> = ingress
+        .into_iter()
+        .map(|p| {
+            (
+                p.meta.ingress_seq,
+                ipv4_checksum_holds(p.data()) == Some(true),
+            )
+        })
+        .collect();
+    egress.iter().enumerate().find_map(|(port, frames)| {
+        let f = frames.iter().find(|f| {
+            valid.get(&f.meta.ingress_seq) == Some(&true)
+                && ipv4_checksum_holds(f.data()) == Some(false)
+        })?;
+        Some(format!(
+            "egress {port}: frame {} entered with a valid IPv4 header checksum and left with a bad one",
+            f.meta.ingress_seq
+        ))
+    })
+}
+
 pub fn fail(why: String) -> TestCaseError {
     TestCaseError::Fail(why)
 }
@@ -517,6 +563,9 @@ pub fn single_threaded(
     if let Some(why) = diverges(&run.egress, &want, port_of, short) {
         return Err(fail(format!("{}: {why}", shape.name())));
     }
+    if let Some(why) = checksums_kept(input.iter().map(|(_, p)| p), &run.egress) {
+        return Err(fail(format!("{}: {why}", shape.name())));
+    }
     let device_burst = knobs.poll_burst.unwrap_or(knobs.batch_size);
     let twin = Knobs {
         batch_size: 1,
@@ -555,7 +604,7 @@ pub fn multi_threaded(
         || ["Meter(", "RandomSample("]
             .iter()
             .any(|c| shape.name().contains(c));
-    let out = match run_graph(&[&graph], frames.to_vec(), &knobs, None) {
+    let out = match run_graph(&graph, frames.to_vec(), &knobs, None) {
         Err(GraphError::MissingIngress) if !shape.has_device() => return Ok(None),
         Err(GraphError::NotReplicable { class, .. })
             if refuses && ["Meter", "RandomSample"].contains(&class.as_str()) =>
@@ -585,6 +634,9 @@ pub fn multi_threaded(
         // Each frame lands in a slot or on the heap; a frame an element
         // grows past its slot's room falls back once more.
         prop_assert!(report.pool_allocs + report.pool_fallbacks >= report.ledger.sourced);
+    }
+    if let Some(why) = checksums_kept(frames, &out.egress) {
+        return Err(fail(format!("{}: {why}", shape.name())));
     }
     let key = |seq: u64| if knobs.workers == 1 { 0 } else { seq % flows };
     let divergence = diverges(&out.egress, &want, key, short);

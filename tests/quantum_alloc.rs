@@ -333,10 +333,12 @@ fn ipsec_gateway_encapsulates_without_allocating() {
 #[test]
 fn a_counter_in_a_pull_path_does_not_allocate() {
     let mut g = Graph::new();
-    let rx = g.add("rx", Box::new(FromDevice::new(0, 32))).unwrap();
+    let rx = g.add("rx", Box::new(FromDevice::new(0, Some(32)))).unwrap();
     let q = g.add("q", Box::new(Queue::new(1024))).unwrap();
     let cnt = g.add("cnt", Box::new(Counter::new())).unwrap();
-    let tx = g.add("tx", Box::new(ToDevice::new(32, false))).unwrap();
+    let tx = g
+        .add("tx", Box::new(ToDevice::new(Some(32), false)))
+        .unwrap();
     g.connect(rx, 0, q, 0).unwrap();
     g.connect(q, 0, cnt, 0).unwrap();
     g.connect(cnt, 0, tx, 0).unwrap();
